@@ -301,13 +301,12 @@ def triangle_from_series(
     size_n: int | None = None,
     *,
     egf: bool = False,
-    strict: bool = True,
 ) -> LowerTriMatrix:
     """Rows of a bivariate series: row n lists the y-coefficients of [x^n].
 
     With ``egf=True`` coefficient n is first rescaled by n!.  Every row
-    polynomial must have y-degree at most n.  ``strict`` forces integer
-    entries; otherwise exact rationals are kept as they are.
+    polynomial must have y-degree at most n, and every entry must be an
+    integer or an integer-coefficient polynomial (else NonIntegralEntry).
     """
     if size_n is None:
         size_n = series.order
@@ -321,7 +320,7 @@ def triangle_from_series(
         if poly.degree("y") > n:
             raise ValueError(f"coefficient of x^{n} has y-degree {poly.degree('y')} > n")
         entries = [poly.y_coefficient(k) for k in range(n + 1)]
-        rows.append([_normalize_entry(e) if strict else tidy(e) for e in entries])
+        rows.append([_normalize_entry(e) for e in entries])
     return LowerTriMatrix(rows)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .algebra import MultiPoly, R
-from .arrays import Kind, LowerTriMatrix
+from .arrays import Kind
 from .families import (
     POLYTOPE_NAMES,
     FamilySpec,
@@ -168,26 +168,39 @@ def _r_value(text: str):
         raise argparse.ArgumentTypeError(f"--r takes an integer or the literal 'r', got {text!r}")
 
 
-def _build_matrix(args) -> LowerTriMatrix:
-    if args.family == "parametric":
-        r = R if args.r == "r" else args.r
-        spec = FamilySpec(Kind(args.flavor), r)
-        build = {"gamma": gamma_matrix, "h": h_matrix, "f": f_matrix}[args.which]
-        matrix = build(spec, args.N)
-    else:
-        triple = named_triple(args.family, order=max(args.N, DEFAULT_ORDER))
-        matrix = getattr(triple, f"{args.which}_matrix")(args.N)
-    return matrix.reversed() if args.reversed else matrix
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
 
 
 def _matrix_doc(args) -> OutputDoc:
-    matrix = _build_matrix(args)
+    if args.family == "parametric":
+        flavor = args.flavor or "ordinary"
+        r = "r" if args.r is None else args.r
+        spec = FamilySpec(Kind(flavor), R if r == "r" else r)
+        build = {"gamma": gamma_matrix, "h": h_matrix, "f": f_matrix}[args.which]
+        matrix = build(spec, args.N)
+    elif args.flavor is not None or args.r is not None:
+        raise ValueError(
+            f"--flavor and --r apply only to the parametric family, not to {args.family}"
+        )
+    else:
+        flavor = r = None
+        triple = named_triple(args.family, order=max(args.N, DEFAULT_ORDER))
+        matrix = getattr(triple, f"{args.which}_matrix")(args.N)
+    if args.reversed:
+        matrix = matrix.reversed()
     return OutputDoc(
         kind="matrix",
         rows=[list(row) for row in matrix.rows],
         family=args.family,
-        flavor=args.flavor if args.family == "parametric" else None,
-        r=(args.r if args.family == "parametric" else None),
+        flavor=flavor,
+        r=r,
         size=args.N,
         reversed_form=args.reversed,
     )
@@ -203,17 +216,16 @@ def _add_show_arguments(sub: argparse.ArgumentParser):
     sub.add_argument(
         "--flavor",
         choices=("ordinary", "exponential"),
-        default="ordinary",
-        help="flavor of the parameterized family",
+        help="flavor of the parameterized family (default ordinary)",
     )
     sub.add_argument(
         "--r",
         type=_r_value,
-        default="r",
-        help="family parameter: an integer or the literal 'r' for symbolic",
+        help="parameter of the parameterized family: an integer or the "
+        "literal 'r' for symbolic (default r)",
     )
     sub.add_argument("--which", choices=("gamma", "h", "f"), required=True)
-    sub.add_argument("--N", type=int, default=8, help="largest row index (default 8)")
+    sub.add_argument("--N", type=_nonnegative_int, default=8, help="largest row index (default 8)")
     sub.add_argument("--reversed", action="store_true", help="reverse every row")
     sub.add_argument("--format", choices=FORMATS, default="table")
 
@@ -320,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     jf = sub.add_parser("jf", help="expand a Jacobi continued fraction")
     jf.add_argument("--alpha", required=True, help="level coefficients, e.g. '2*y+1'")
     jf.add_argument("--beta", required=True, help="x^2 weights, e.g. 'i*r*y*(y+1)'")
-    jf.add_argument("--N", type=int, default=10, help="expansion order (default 10)")
+    jf.add_argument("--N", type=_nonnegative_int, default=10, help="expansion order (default 10)")
     jf.add_argument("--format", choices=FORMATS, default="table")
     jf.set_defaults(func=cmd_jf)
 

@@ -1,274 +1,40 @@
-"""Acceptance suite: the exit criteria of the build, one test per criterion.
+"""Acceptance suite: every criterion of the verify registry, one test each.
 
-Each test prints a single [PASS]/[FAIL] line (visible with ``pytest -s`` or
-``pytest -v -s``); every comparison is exact, with no tolerances anywhere.
+``pytest tests/test_acceptance.py -v`` lists each check by name; ``riordan
+verify all`` runs the same list.  Every comparison is exact, with no
+tolerances anywhere.
 """
 
-from contextlib import contextmanager
-from fractions import Fraction
+from dataclasses import replace
 
-from riordan.algebra import MultiPoly, R, Y
-from riordan.arrays import (
-    Kind,
-    LowerTriMatrix,
-    RiordanArray,
-    binomial_array,
-    face_array,
-    face_matrix,
-    pascal_matrix,
-    triangle_from_series,
-)
-from riordan.families import (
-    FamilySpec,
-    f_closed,
-    f_matrix,
-    family_array,
-    gamma_closed,
-    gamma_from_h,
-    gf_chain,
-    h_closed,
-    h_matrix,
-    named_triple,
-    narayana_array,
-    narayana_closed,
-    plain_f_gf,
-)
-from riordan.jfraction import IndexPoly, JFraction, parse_poly
-from riordan.oeis import FIXTURES, aerated, check_triangle
-from riordan.series import TruncatedSeries, egf_to_ogf, integer_coeffs
-from riordan.verify import group_suite
+import pytest
 
-S = TruncatedSeries
-ORD = FamilySpec(Kind.ORDINARY, R)
-EXP = FamilySpec(Kind.EXPONENTIAL, R)
+from riordan import verify
+from riordan.cli import main
+from riordan.verify import CHECKS, SUITES
 
 
-@contextmanager
-def criterion(number, label):
-    try:
-        yield
-    except BaseException:
-        print(f"[FAIL] {number:02d} {label}")
-        raise
-    print(f"[PASS] {number:02d} {label}")
+@pytest.mark.parametrize("check", CHECKS, ids=[check.name for check in CHECKS])
+def test_check(check):
+    result = check.run()
+    assert result.ok, result.detail
 
 
-def poly_rows(rows_text):
-    return [[parse_poly(t) for t in row] for row in rows_text]
+def test_registry_shape():
+    names = {suite: [c.name for c in CHECKS if c.suite == suite] for suite in SUITES}
+    assert {suite: len(n) for suite, n in names.items()} == {"group": 10, "props": 12, "oeis": 12}
+    assert all(len(set(n)) == len(n) for n in names.values())
+    assert [c.suite for c in CHECKS] == sorted((c.suite for c in CHECKS), key=SUITES.index)
 
 
-def assert_rows(matrix, expected_rows):
-    assert matrix.size == len(expected_rows)
-    for n, row in enumerate(expected_rows):
-        assert len(matrix.rows[n]) == len(row)
-        for k, want in enumerate(row):
-            got = matrix.entry(n, k)
-            assert got == want, f"({n},{k}): got {got}, want {want}"
-
-
-ORDINARY_FACE_SYMBOLIC = [
-    ["1"],
-    ["2", "1"],
-    ["r + 4", "r + 4", "1"],
-    ["4*r + 8", "6*r + 12", "2*r + 6", "1"],
-    ["r^2 + 12*r + 16", "2*r^2 + 24*r + 32", "r^2 + 15*r + 24", "3*r + 8", "1"],
-    ["6*r^2 + 32*r + 32", "15*r^2 + 80*r + 80", "12*r^2 + 72*r + 80", "3*r^2 + 28*r + 40", "4*r + 10", "1"],
-]
-
-EXPONENTIAL_FACE_SYMBOLIC = [
-    ["1"],
-    ["2", "1"],
-    ["r + 4", "r + 4", "1"],
-    ["6*r + 8", "9*r + 12", "3*r + 6", "1"],
-    ["3*r^2 + 24*r + 16", "6*r^2 + 48*r + 32", "3*r^2 + 30*r + 24", "6*r + 8", "1"],
-]
-
-EXPONENTIAL_FACE_REVERSED_SPECIAL = {
-    0: [[1], [1, 2], [1, 4, 4], [1, 6, 12, 8], [1, 8, 24, 32, 16]],
-    1: [[1], [1, 2], [1, 5, 5], [1, 9, 21, 14], [1, 14, 57, 86, 43]],
-    2: [[1], [1, 2], [1, 6, 6], [1, 12, 30, 20], [1, 20, 96, 152, 76]],
-}
-
-HYPERCUBE_FACE_REVERSED = [
-    [1],
-    [1, 2],
-    [1, 4, 4],
-    [1, 6, 12, 8],
-    [1, 8, 24, 32, 16],
-    [1, 10, 40, 80, 80, 32],
-]
-
-
-def test_01_classical_face_triangles_match_fixtures():
-    with criterion(1, "six classical 7x7 triangles regenerate from Riordan definitions"):
-        simplex = named_triple("simplex")
-        hypercube = named_triple("hypercube")
-        pairs = [
-            (simplex.f_matrix(6), "A135278"),
-            (simplex.f_matrix(6).reversed(), "A074909"),
-            (hypercube.f_matrix(6), "A038207"),
-            (hypercube.f_matrix(6).reversed(), "A013609"),
-            (hypercube.h_matrix(6), "A007318"),
-        ]
-        for matrix, anumber in pairs:
-            report = check_triangle(matrix, FIXTURES[anumber])
-            assert report.ok and report.rows_compared == 7, report.message()
-        all_ones = LowerTriMatrix([[1] * (n + 1) for n in range(7)])
-        assert simplex.h_matrix(6) == all_ones
-
-
-def test_02_face_matrices_factor_through_the_binomial_array():
-    with criterion(2, "simplex/hypercube face arrays factor through the binomial array"):
-        simplex = named_triple("simplex")
-        binv = binomial_array(order=16).inverse()
-        reduced = simplex.f_array * binv
-        assert reduced.g.order == 16
-        assert reduced.g == S.ratio([1], [1, -1], 16)
-        assert reduced.f == S.x(16)
-        assert reduced.matrix(6) == simplex.h_array.matrix(6)
-
-        cube = RiordanArray(S([0, 2], 16).exp(), S.x(16), Kind.EXPONENTIAL)
-        eb = binomial_array(Kind.EXPONENTIAL, 16)
-        reduced = cube * eb.inverse()
-        assert reduced.g == eb.g and reduced.f == eb.f
-        assert reduced.matrix(6) == pascal_matrix(6)
-
-
-def test_03_ordinary_family_symbolic_face_matrix():
-    with criterion(3, "ordinary family 6x6 symbolic face matrix, reversal, specializations"):
-        symbolic = f_matrix(ORD, 5)
-        expected = poly_rows(ORDINARY_FACE_SYMBOLIC)
-        assert_rows(symbolic, expected)
-        assert_rows(symbolic.reversed(), [list(reversed(row)) for row in expected])
-        assert symbolic.reversed().entry(5, 3) == parse_poly("12*r^2 + 72*r + 80")
-
-        assert_rows(f_matrix(FamilySpec(Kind.ORDINARY, 0), 5).reversed(), HYPERCUBE_FACE_REVERSED)
-        for rv in (1, 2):
-            specialized = [
-                [e.substitute(r=rv) if isinstance(e, MultiPoly) else e for e in reversed(row)]
-                for row in expected
-            ]
-            assert_rows(f_matrix(FamilySpec(Kind.ORDINARY, rv), 5).reversed(), specialized)
-
-
-def test_04_ordinary_family_bivariate_face_gfs():
-    with criterion(4, "ordinary family face GF and reversed-form GF to order 12"):
-        fr = face_array(family_array(ORD, 12))
-        assert fr.bgf(12) == S.ratio([1], [1, -(Y + 2), -(R * (Y + 1))], 12)
-        assert fr.bgf(12) == plain_f_gf(ORD, 12)
-
-        reversed_rows = face_matrix(family_array(ORD, 12).matrix(12)).reversed()
-        reversed_gf = S.ratio([1], [1, -(2 * Y + 1), -(R * Y * (Y + 1))], 12)
-        assert triangle_from_series(reversed_gf) == reversed_rows
-
-
-def test_05_ordinary_family_closed_forms():
-    with criterion(5, "gamma/h/f closed forms equal the constructions, n <= 12, symbolic"):
-        h = h_matrix(ORD, 12)
-        f = face_matrix(h)
-        gamma = gamma_from_h(h)
-        for n in range(13):
-            for k in range(n + 1):
-                assert h.entry(n, k) == h_closed(n, k)
-                assert f.entry(n, k) == f_closed(n, k)
-                assert gamma.entry(n, k) == gamma_closed(n, k)
-
-
-def test_06_exponential_family_symbolic_face_matrix():
-    with criterion(6, "exponential family 5x5 symbolic face matrix, reversal, specializations"):
-        symbolic = f_matrix(EXP, 4)
-        expected = poly_rows(EXPONENTIAL_FACE_SYMBOLIC)
-        assert_rows(symbolic, expected)
-        assert_rows(symbolic.reversed(), [list(reversed(row)) for row in expected])
-        assert symbolic.entry(4, 0) == parse_poly("3*r^2 + 24*r + 16")
-        assert symbolic.entry(4, 1) == 2 * parse_poly("3*r^2 + 24*r + 16")
-
-        for rv, rows in EXPONENTIAL_FACE_REVERSED_SPECIAL.items():
-            assert_rows(f_matrix(FamilySpec(Kind.EXPONENTIAL, rv), 4).reversed(), rows)
-
-        report = check_triangle(
-            f_matrix(FamilySpec(Kind.EXPONENTIAL, 0), 4).reversed(), FIXTURES["A013609"]
-        )
-        assert report.ok, report.message()
-
-
-def test_07_reversed_exponential_face_rows_from_weighted_fraction():
-    with criterion(7, "weighted continued fraction gives reversed exponential face rows to x^10"):
-        fraction = JFraction(
-            IndexPoly.constant(2 * Y + 1), IndexPoly.from_coeffs([0, R * Y * (Y + 1)])
-        )
-        reversed_rows = face_matrix(family_array(EXP, 10).matrix(10)).reversed()
-        assert triangle_from_series(fraction.expand(10)) == reversed_rows
-
-        for rv in range(4):
-            fraction_rv = JFraction(
-                IndexPoly.constant(2 * Y + 1), IndexPoly.from_coeffs([0, rv * Y * (Y + 1)])
-            )
-            rows_rv = face_matrix(
-                family_array(FamilySpec(Kind.EXPONENTIAL, rv), 10).matrix(10)
-            ).reversed()
-            assert triangle_from_series(fraction_rv.expand(10)) == rows_rv
-
-
-def test_08_exponential_family_fraction_triple():
-    with criterion(8, "exponential family gamma/h/f fractions expand to the triple, n <= 10"):
-        gamma_frac, h_frac, f_frac = gf_chain(EXP)
-        h = family_array(EXP, 10).matrix(10)
-        assert triangle_from_series(gamma_frac.expand(10)) == gamma_from_h(h)
-        assert triangle_from_series(h_frac.expand(10)) == h
-        assert triangle_from_series(f_frac.expand(10)) == face_matrix(h).reversed()
-
-
-def test_09_aerated_double_factorials():
-    with criterion(9, "J(0; i, 2i, ...) expands to aerated double factorials"):
-        fraction = JFraction(IndexPoly.constant(0), IndexPoly.index())
-        want = [1, 0, 1, 0, 3, 0, 15, 0, 105, 0, 945]
-        assert integer_coeffs(fraction.expand(10)) == want
-
-        half_square = S([0, 0, Fraction(1, 2)], 10)
-        assert integer_coeffs(egf_to_ogf(half_square.exp())) == want
-        assert want == aerated(FIXTURES["A001147"].values, 11)
-
-
-def test_10_polytope_fraction_triples_match_fixtures():
-    with criterion(10, "associahedron/permutahedron fraction triples match OEIS fixtures"):
-        for name in ("associahedron", "permutahedron"):
-            triple = named_triple(name)
-            for component, anumber in triple.fixtures.items():
-                fixture = FIXTURES[anumber]
-                size = len(fixture.row_lengths) - 1
-                matrix = getattr(triple, f"{component}_matrix")(size)
-                report = check_triangle(matrix, fixture)
-                assert report.ok and report.rows_compared >= 8, report.message()
-
-
-def test_11_transfer_maps_associahedron_onto_permutahedron():
-    with criterion(11, "index transfer maps each associahedron fraction to its permutahedron twin"):
-        assoc = named_triple("associahedron")
-        perm = named_triple("permutahedron")
-        assert assoc.gamma_fraction.transfer() == perm.gamma_fraction
-        assert assoc.h_fraction.transfer() == perm.h_fraction
-        assert assoc.f_fraction.transfer() == perm.f_fraction
-
-        for frac in (assoc.gamma_fraction, assoc.h_fraction, assoc.f_fraction):
-            moved = frac.transfer()
-            for i in range(8):
-                assert moved.alpha(i) == (i + 1) * frac.alpha(i)
-                assert moved.beta(i) == i * (i + 1) * frac.beta(i)
-
-
-def test_12_generalized_narayana_array():
-    with criterion(12, "weighted factorial-pair array reproduces the Narayana triangle, n <= 10"):
-        nar = narayana_array(10).matrix(10)
-        for n in range(11):
-            for k in range(n + 1):
-                assert nar.entry(n, k) == narayana_closed(n, k)
-        report = check_triangle(nar, FIXTURES["A001263"])
-        assert report.ok, report.message()
-
-
-def test_13_randomized_property_suites():
-    with criterion(13, "group laws, series identities, fraction transforms (50 rounds, order 10)"):
-        results = group_suite(rounds=50)
-        failed = [res.name for res in results if not res.ok]
-        assert not failed, f"failing property checks: {failed}"
+def test_verify_reports_a_failing_check(capsys, monkeypatch):
+    failing = next(c for c in CHECKS if c.suite == "props")
+    monkeypatch.setattr(
+        verify, "CHECKS", [replace(c, fn=lambda: False) if c is failing else c for c in CHECKS]
+    )
+    status = main(["verify", "props"])
+    out = capsys.readouterr().out
+    assert status == 1
+    assert f"[FAIL] props :: {failing.name}" in out
+    assert out.count("[  ok]") == 11
+    assert out.endswith("11/12 checks passed\n")

@@ -110,9 +110,28 @@ def test_verify_named_suites(capsys):
     assert out.count("[  ok]") == 12
     assert "12/12 checks passed" in out
 
-    status, out, _ = run(capsys, ["verify", "props"])
-    assert status == 0
-    assert "checks passed" in out
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["show", "--which", "f", "--N", "-1"],
+        ["export", "--which", "f", "--N", "-1"],
+        ["jf", "--alpha", "0", "--beta", "i", "--N", "-1"],
+    ],
+)
+def test_negative_size_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--N: must be at least 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--flavor", "exponential"], ["--r", "3"], ["--r", "r"]])
+def test_family_only_flags_are_rejected(capsys, flag):
+    argv = ["show", "--family", "simplex", "--which", "h", "--N", "3"] + flag
+    status, out, err = run(capsys, argv)
+    assert status == 2 and out == ""
+    assert "--flavor and --r apply only to the parametric family, not to simplex" in err
 
 
 def test_oeis_check_command(capsys):

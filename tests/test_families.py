@@ -23,8 +23,6 @@ from riordan.families import (
     h_closed,
     h_matrix,
     named_triple,
-    narayana_array,
-    narayana_closed,
     plain_f_gf,
 )
 from riordan.oeis import FIXTURES, check_triangle
@@ -72,15 +70,6 @@ def test_f_closed_examples():
     assert all(f_closed(n, n) == 1 for n in range(10))
 
 
-def test_closed_forms_match_constructions():
-    triple = family_triple(ORD, 8)
-    for n in range(9):
-        for k in range(n + 1):
-            assert triple.h.entry(n, k) == h_closed(n, k)
-            assert triple.f.entry(n, k) == f_closed(n, k)
-            assert triple.gamma.entry(n, k) == gamma_closed(n, k)
-
-
 @pytest.mark.parametrize("rv", range(6))
 def test_exponential_family_entries_are_integers(rv):
     m = h_matrix(FamilySpec(Kind.EXPONENTIAL, rv), 12)  # raises NonIntegralEntry otherwise
@@ -122,14 +111,6 @@ def test_gf_chain_collapses_at_r_zero():
     assert chain[2] == TruncatedSeries.ratio([1], [1, -(2 * Y + 1)], 8)
 
 
-def test_gf_chain_exponential_is_a_fraction_triple():
-    gamma_frac, h_frac, f_frac = gf_chain(EXP)
-    eh = family_array(EXP, 8).matrix(8)
-    assert triangle_from_series(gamma_frac.expand(8)) == gamma_from_h(eh)
-    assert triangle_from_series(h_frac.expand(8)) == eh
-    assert triangle_from_series(f_frac.expand(8)) == face_matrix(eh).reversed()
-
-
 def test_named_triples_hit_their_fixtures():
     for name in ("simplex", "hypercube", "associahedron", "permutahedron"):
         triple = named_triple(name)
@@ -164,11 +145,3 @@ def test_exponential_face_matrix_via_spec():
     m = f_matrix(FamilySpec(Kind.EXPONENTIAL, 1), 4).reversed()
     assert m.rows[3] == (1, 9, 21, 14)
     assert m.rows[4] == (1, 14, 57, 86, 43)
-
-
-def test_narayana_array():
-    nar = narayana_array(10).matrix(10)
-    for n in range(11):
-        for k in range(n + 1):
-            assert nar.entry(n, k) == narayana_closed(n, k)
-    assert check_triangle(nar, FIXTURES["A001263"]).ok
