@@ -36,7 +36,7 @@ from .families import (
     h_matrix,
     named_triple,
 )
-from .jfraction import ParseError, parse_index_poly
+from .jfraction import JFraction, parse_index_poly
 from .oeis import (
     CACHE_DIR_ENV,
     FIXTURES,
@@ -250,8 +250,6 @@ def cmd_export(args) -> int:
 def cmd_jf(args) -> int:
     alpha = parse_index_poly(args.alpha)
     beta = parse_index_poly(args.beta)
-    from .jfraction import JFraction
-
     series = JFraction(alpha, beta).expand(args.N)
     rows = []
     for n in range(args.N + 1):
@@ -351,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     fetch.add_argument("anumber")
     fetch.add_argument("--cache-dir", default=None)
     fetch.add_argument("--offline", action="store_true", help="only use the cache")
-    fetch.add_argument("--limit", type=int, default=12, help="terms to print")
+    fetch.add_argument("--limit", type=_nonnegative_int, default=12, help="terms to print")
     fetch.set_defaults(func=cmd_fetch_bfile)
 
     return parser
@@ -362,10 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -82,7 +82,7 @@ def family_array(spec: FamilySpec, order: int = DEFAULT_ORDER) -> RiordanArray:
 
 
 def h_matrix(spec: FamilySpec, size_n: int) -> LowerTriMatrix:
-    return family_array(spec, max(size_n, DEFAULT_ORDER)).matrix(size_n)
+    return family_array(spec, max(size_n, 1)).matrix(size_n)
 
 
 def f_matrix(spec: FamilySpec, size_n: int) -> LowerTriMatrix:

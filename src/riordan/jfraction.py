@@ -11,8 +11,9 @@ polynomials in the level index ``i`` whose coefficients are polynomials in
 r and y; every fraction in this package is of that shape, and the
 associahedron-to-permutahedron transfer map is closed on it.
 
-Expansion is bottom-up with exact arithmetic: ``order//2 + 1`` levels
-suffice because level j first contributes at x^(2j+2).
+Expansion counts weighted Motzkin paths (Flajolet 1980): [x^n] sums, over
+the n-step paths from height 0 back to 0, the product of ``a_k`` per level
+step at height k and ``b_{k+1}`` per fall from height k+1 to k.
 """
 
 from __future__ import annotations
@@ -131,22 +132,24 @@ class JFraction:
     alpha: IndexPoly
     beta: IndexPoly
 
-    def expand(self, order: int, levels: int | None = None) -> TruncatedSeries:
+    def expand(self, order: int) -> TruncatedSeries:
         """Truncated expansion as a series in x over MultiPoly.
 
-        Evaluated bottom-up: S_D = 1 and
-        S_j = 1 / (1 - alpha(j) x - beta(j+1) x^2 S_{j+1}); returns S_0.
-        The default depth order//2 + 1 is already exact at this order.
+        t[k] weighs the paths so far that end at height k.  A step maps it to
+        t'[k] = t[k-1] + alpha(k) t[k] + beta(k+1) t[k+1], from t = [1], and
+        coefficient n is t[0] after n steps.  Heights above min(n, order - n)
+        cannot return to 0 by x^order and are dropped.
         """
         if order < 0:
             raise ValueError("order must be non-negative")
-        depth = (order // 2 + 1) if levels is None else levels
-        x = TruncatedSeries.x(order)
-        x2 = x * x
-        s = TruncatedSeries.one(order)
-        for j in range(depth - 1, -1, -1):
-            s = (1 - x * self.alpha(j) - x2 * self.beta(j + 1) * s).inverse()
-        return s
+        a = [self.alpha(k) for k in range(order // 2 + 1)]
+        b = [self.beta(k + 1) for k in range(order // 2 + 1)]
+        t, coeffs = [1], [1]
+        for n in range(1, order + 1):
+            t = [0] + t + [0, 0]
+            t = [t[k] + a[k] * t[k + 1] + b[k] * t[k + 2] for k in range(min(n, order - n) + 1)]
+            coeffs.append(t[0])
+        return TruncatedSeries(coeffs)
 
     def binomial_shift(self, k: PolyLike) -> JFraction:
         """The k-th binomial transform: every alpha shifted by k."""

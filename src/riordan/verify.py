@@ -28,22 +28,20 @@ from typing import Callable
 from .algebra import MultiPoly, R, Y
 from .arrays import (
     Kind,
-    LowerTriMatrix,
     RiordanArray,
     binomial_array,
     face_array,
-    face_matrix,
     identity_array,
     pascal_matrix,
     triangle_from_series,
 )
 from .families import (
     FamilySpec,
-    GammaHFTriple,
     f_closed,
     family_array,
+    family_triple,
     gamma_closed,
-    gamma_from_h,
+    gamma_from_h,  # noqa: F401 -- perfbench's tracer test checks verify.gamma_from_h
     gf_chain,
     h_closed,
     named_triple,
@@ -214,26 +212,25 @@ def _binomial_shift(rng: random.Random) -> bool:
     )
 
 
-@_law("expansion depth n//2 + 1 is sufficient", 20)
-def _expansion_depth(rng: random.Random) -> bool:
-    frac = JFraction(_random_index_poly(rng), _random_index_poly(rng))
-    return frac.expand(12) == frac.expand(12, levels=12 // 2 + 3)
+def _one_level_down(p: IndexPoly) -> IndexPoly:
+    """p(i+1): the level coefficients of a fraction with its outermost level removed."""
+    step = IndexPoly.from_coeffs([1, 1])
+    return sum((c * step**k for k, c in enumerate(p.coeffs)), IndexPoly(()))
+
+
+@_law("expansion satisfies the continued-fraction equation", 20)
+def _defining_equation(rng: random.Random) -> bool:
+    alpha, beta = _random_index_poly(rng), _random_index_poly(rng)
+    s = JFraction(alpha, beta).expand(12)
+    below = JFraction(_one_level_down(alpha), _one_level_down(beta)).expand(12)
+    x = TruncatedSeries.x(12)
+    return s * (1 - x * alpha(0) - x * x * beta(1) * below) == 1
 
 
 # -- family identities --------------------------------------------------------
 
 
-@cache
-def _family(spec: FamilySpec, size: int) -> GammaHFTriple:
-    """gamma/h/f of a family up to row ``size``, shared by the checks that use it."""
-    h = family_array(spec, size).matrix(size)
-    return GammaHFTriple(gamma_from_h(h), h, face_matrix(h))
-
-
-@cache
-def _fraction_rows(frac: JFraction, size: int) -> LowerTriMatrix:
-    """Rows of a J-fraction's expansion to x^size; equal fractions share one."""
-    return triangle_from_series(frac.expand(size))
+_family = cache(family_triple)  # gamma/h/f rows shared by the checks that use them
 
 
 @cache
@@ -316,9 +313,9 @@ def _ordinary_gf_chain() -> bool:
 @_check("props", "exponential family reversed face rows match the fraction")
 def _exponential_weighted_fraction() -> bool:
     return all(
-        _fraction_rows(
-            JFraction(IndexPoly.constant(2 * Y + 1), IndexPoly.from_coeffs([0, r * Y * (Y + 1)])),
-            10,
+        triangle_from_series(
+            JFraction(IndexPoly.constant(2 * Y + 1), IndexPoly.from_coeffs([0, r * Y * (Y + 1)]))
+            .expand(10)
         )
         == _family(FamilySpec(Kind.EXPONENTIAL, r), 10).f.reversed()
         for r in (R, 0, 1, 2, 3)
@@ -330,9 +327,9 @@ def _exponential_fraction_triple() -> bool:
     gamma_frac, h_frac, f_frac = gf_chain(_EXP)
     fam = _family(_EXP, 10)
     return (
-        _fraction_rows(gamma_frac, 10) == fam.gamma
-        and _fraction_rows(h_frac, 10) == fam.h
-        and _fraction_rows(f_frac, 10) == fam.f.reversed()
+        triangle_from_series(gamma_frac.expand(10)) == fam.gamma
+        and triangle_from_series(h_frac.expand(10)) == fam.h
+        and triangle_from_series(f_frac.expand(10)) == fam.f.reversed()
     )
 
 

@@ -117,13 +117,14 @@ def test_verify_named_suites(capsys):
         ["show", "--which", "f", "--N", "-1"],
         ["export", "--which", "f", "--N", "-1"],
         ["jf", "--alpha", "0", "--beta", "i", "--N", "-1"],
+        ["fetch-bfile", "A000045", "--offline", "--limit", "-1"],
     ],
 )
 def test_negative_size_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "--N: must be at least 0, got -1" in capsys.readouterr().err
+    assert f"{argv[-2]}: must be at least 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", [["--flavor", "exponential"], ["--r", "3"], ["--r", "r"]])

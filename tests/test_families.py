@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from riordan.algebra import R, Y
@@ -23,8 +25,10 @@ from riordan.families import (
     h_closed,
     h_matrix,
     named_triple,
+    narayana_closed,
     plain_f_gf,
 )
+from riordan.jfraction import IndexPoly, JFraction
 from riordan.oeis import FIXTURES, check_triangle
 from riordan.series import TruncatedSeries
 
@@ -134,6 +138,24 @@ def test_named_triple_details():
     assert perm.h_matrix(3).rows == ((1,), (1, 1), (1, 4, 1), (1, 11, 11, 1))
     with pytest.raises(ValueError):
         named_triple("cross-polytope")
+
+
+LARGE_N = 40  # far beyond the 9-11 rows that the OEIS fixtures reach
+
+
+def _eulerian(n, k):
+    return sum((-1) ** j * comb(n + 2, j) * (k + 1 - j) ** (n + 1) for j in range(k + 1))
+
+
+@pytest.mark.parametrize("name, closed", [("associahedron", narayana_closed), ("permutahedron", _eulerian)])
+def test_polytope_h_matches_its_closed_form_at_large_n(name, closed):
+    h = named_triple(name).h_matrix(LARGE_N)
+    assert all(h.entry(n, k) == closed(n, k) for n in range(LARGE_N + 1) for k in range(n + 1))
+
+
+def test_exponential_face_rows_are_a_fraction_at_large_n():
+    frac = JFraction(IndexPoly.constant(2 * Y + 1), IndexPoly.from_coeffs([0, 2 * Y * (Y + 1)]))
+    assert triangle_from_series(frac.expand(LARGE_N)) == f_matrix(FamilySpec(Kind.EXPONENTIAL, 2), LARGE_N).reversed()
 
 
 def test_simplex_face_factorization_consistency():

@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from riordan.algebra import MultiPoly, R, Y
 from riordan.jfraction import (
@@ -73,25 +72,6 @@ def test_transfer_scales_levels_pointwise():
     for i in range(6):
         assert moved.alpha(i) == (i + 1) * frac.alpha(i)
         assert moved.beta(i) == i * (i + 1) * frac.beta(i)
-
-
-index_polys = st.lists(
-    st.tuples(st.integers(-3, 3), st.integers(0, 2)), min_size=1, max_size=3
-).map(lambda cs: IndexPoly.from_coeffs([c + y_deg * Y for c, y_deg in cs]))
-
-
-@given(index_polys, index_polys, st.sampled_from([1, 2, Y, Y + 1]))
-def test_shift_law_matches_sequence_transform(alpha, beta, k):
-    frac = J(alpha, beta)
-    shifted = frac.binomial_shift(k).expand(8).coeffs
-    transformed = binomial_transform(frac.expand(8).coeffs, k)
-    assert all(a == b for a, b in zip(shifted, transformed))
-
-
-@given(index_polys, index_polys)
-def test_depth_sufficiency(alpha, beta):
-    frac = J(alpha, beta)
-    assert frac.expand(12) == frac.expand(12, levels=12 // 2 + 3)
 
 
 def test_index_poly_arithmetic():
