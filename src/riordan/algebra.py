@@ -6,14 +6,16 @@ Three coefficient domains are used throughout the package:
 * ``fractions.Fraction`` for rational intermediate values (always reduced,
   denominator positive -- the stdlib guarantees both),
 * :class:`MultiPoly`, a sparse polynomial in the two parameters ``r`` and
-  ``y`` with ``Fraction`` coefficients.
+  ``y`` with exact rational coefficients, each stored as an ``int`` when it
+  is integral and as a ``Fraction`` only when it is not.
 
 ``r`` is the parameter of the two triangle families and ``y`` marks the
 column index in bivariate generating functions, so the variable universe is
 fixed to exactly ``{r, y}``.  A :class:`MultiPoly` maps exponent pairs
 ``(i, j)`` (standing for ``r**i * y**j``) to nonzero coefficients; the zero
 polynomial is the empty map.  Instances are immutable and canonical, hence
-``==`` is coefficient-wise equality and the text rendering is deterministic:
+``==`` is coefficient-wise equality (``hash(3) == hash(Fraction(3))``, so
+hashing agrees with it) and the text rendering is deterministic:
 terms are ordered by total degree, then y-degree, then r-degree, all
 descending (graded order with r below y).
 
@@ -47,11 +49,14 @@ class MultiPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Scalar] = {}
         for (i, j), c in (terms or {}).items():
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent in monomial {(i, j)}")
-            c = Fraction(c)
+            if type(c) is not int:
+                c = Fraction(c)
+                if c.denominator == 1:
+                    c = c.numerator
             if c:
                 clean[(int(i), int(j))] = c
         self._terms = clean
@@ -74,15 +79,18 @@ class MultiPoly:
 
     # -- inspection ------------------------------------------------------
 
-    def items(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def items(self) -> Iterator[tuple[Monomial, Scalar]]:
         return iter(self._terms.items())
 
-    def coefficient(self, rpow: int = 0, ypow: int = 0) -> Fraction:
-        return self._terms.get((rpow, ypow), Fraction(0))
+    def coefficient(self, rpow: int = 0, ypow: int = 0) -> Scalar:
+        return self._terms.get((rpow, ypow), 0)
 
-    def y_coefficient(self, k: int) -> MultiPoly:
-        """The coefficient of y**k, as a polynomial in r."""
-        return MultiPoly({(i, 0): c for (i, j), c in self._terms.items() if j == k})
+    def y_coefficients(self) -> list[MultiPoly]:
+        """The coefficients of y**0 .. y**degree("y"), as polynomials in r."""
+        split: list[dict[Monomial, Scalar]] = [{} for _ in range(self.degree("y") + 1)]
+        for (i, j), c in self._terms.items():
+            split[j][(i, 0)] = c
+        return [MultiPoly(terms) for terms in split]
 
     def degree(self, name: str) -> int:
         """Largest exponent of the named variable (0 for the zero polynomial)."""
@@ -92,13 +100,13 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(m == (0, 0) for m in self._terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         if not self.is_constant():
             raise ValueError(f"not a constant polynomial: {self}")
-        return self._terms.get((0, 0), Fraction(0))
+        return self._terms.get((0, 0), 0)
 
     def has_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self._terms.values())
+        return all(type(c) is int for c in self._terms.values())
 
     def substitute(self, values: Mapping[str, Scalar] | None = None, **named: Scalar) -> MultiPoly:
         """Substitute exact values for r and/or y; unassigned variables remain."""
@@ -107,7 +115,7 @@ class MultiPoly:
         unknown = set(assign) - set(VARIABLES)
         if unknown:
             raise ValueError(f"unknown variables {sorted(unknown)}")
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for (i, j), c in self._terms.items():
             if "r" in assign:
                 c *= Fraction(assign["r"]) ** i
@@ -116,7 +124,7 @@ class MultiPoly:
                 c *= Fraction(assign["y"]) ** j
                 j = 0
             key = (i, j)
-            out[key] = out.get(key, Fraction(0)) + c
+            out[key] = out.get(key, 0) + c
         return MultiPoly(out)
 
     # -- ring operations -------------------------------------------------
@@ -128,7 +136,7 @@ class MultiPoly:
             return NotImplemented
         out = dict(self._terms)
         for m, c in other._terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, 0) + c
         return MultiPoly(out)
 
     __radd__ = __add__
@@ -137,7 +145,7 @@ class MultiPoly:
         return MultiPoly({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: Scalar | MultiPoly) -> MultiPoly:
-        return self + (-other if isinstance(other, MultiPoly) else -Fraction(other))
+        return self + -other
 
     def __rsub__(self, other: Scalar) -> MultiPoly:
         return (-self) + other
@@ -147,11 +155,11 @@ class MultiPoly:
             return MultiPoly({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for (i1, j1), c1 in self._terms.items():
             for (i2, j2), c2 in other._terms.items():
                 m = (i1 + i2, j1 + j2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+                out[m] = out.get(m, 0) + c1 * c2
         return MultiPoly(out)
 
     __rmul__ = __mul__
@@ -205,7 +213,7 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def _render_term(i: int, j: int, coeff: Fraction) -> str:
+def _render_term(i: int, j: int, coeff: Scalar) -> str:
     factors = []
     if i:
         factors.append("r" if i == 1 else f"r^{i}")

@@ -319,8 +319,8 @@ def triangle_from_series(
             poly = poly * factorial(n)
         if poly.degree("y") > n:
             raise ValueError(f"coefficient of x^{n} has y-degree {poly.degree('y')} > n")
-        entries = [poly.y_coefficient(k) for k in range(n + 1)]
-        rows.append([_normalize_entry(e) for e in entries])
+        entries = poly.y_coefficients()
+        rows.append([_normalize_entry(e) for e in entries] + [0] * (n + 1 - len(entries)))
     return LowerTriMatrix(rows)
 
 

@@ -254,7 +254,7 @@ def cmd_jf(args) -> int:
     rows = []
     for n in range(args.N + 1):
         poly = MultiPoly.coerce(series[n])
-        rows.append([tidy(poly.y_coefficient(k)) for k in range(poly.degree("y") + 1)])
+        rows.append([tidy(c) for c in poly.y_coefficients()])
     doc = OutputDoc(
         kind="series",
         rows=rows,

@@ -10,6 +10,14 @@ Pascal-like for every r.  Each family carries a triple of triangles:
   h_n(y) = sum_k gamma[n,k] y^k (1+y)^(n-2k) of the palindromic row
   polynomials.
 
+Each triangle is built from its row polynomials, which obey the three-term
+recurrence P_n = a P_{n-1} + c_n b P_{n-2} of their generating function:
+(a, b) = (1, ry) for gamma, (1+y, ry) for h and (2+y, r(1+y)) for f, with
+c_n = 1 for the ordinary flavor (GF 1/(1 - ax - bx^2)) and c_n = n - 1 for
+the exponential one (EGF exp(ax + bx^2/2)).  The Riordan route -- the
+array's matrix, the face product and gamma extraction -- is kept as their
+oracle (:func:`dense_family_triple`).
+
 Closed forms for all three of the ordinary family's triangles are provided
 alongside the constructions so each route can check the other:
 
@@ -81,20 +89,43 @@ def family_array(spec: FamilySpec, order: int = DEFAULT_ORDER) -> RiordanArray:
     return RiordanArray(g, f, Kind.EXPONENTIAL)
 
 
+def _row_recurrence(spec: FamilySpec, a: MultiPoly, b: MultiPoly, size_n: int) -> LowerTriMatrix:
+    """Rows 0..size_n of P_n = a P_{n-1} + c_n b P_{n-2}, P_0 = 1, P_1 = a,
+    with c_n = 1 (ordinary) or n - 1 (exponential)."""
+    rows = [MultiPoly.const(1), a]
+    for n in range(2, size_n + 1):
+        c = 1 if spec.flavor is Kind.ORDINARY else n - 1
+        rows.append(a * rows[-1] + c * b * rows[-2])
+    return triangle_from_series(TruncatedSeries(rows[: size_n + 1]))
+
+
 def h_matrix(spec: FamilySpec, size_n: int) -> LowerTriMatrix:
-    return family_array(spec, max(size_n, 1)).matrix(size_n)
+    r = MultiPoly.coerce(spec.r)
+    return _row_recurrence(spec, Y + 1, r * Y, size_n)
 
 
 def f_matrix(spec: FamilySpec, size_n: int) -> LowerTriMatrix:
-    return face_matrix(h_matrix(spec, size_n))
+    """The face matrix: row n is h_n(1 + y)."""
+    r = MultiPoly.coerce(spec.r)
+    return _row_recurrence(spec, Y + 2, r * (Y + 1), size_n)
 
 
 def gamma_matrix(spec: FamilySpec, size_n: int) -> LowerTriMatrix:
-    return gamma_from_h(h_matrix(spec, size_n))
+    r = MultiPoly.coerce(spec.r)
+    return _row_recurrence(spec, MultiPoly.const(1), r * Y, size_n)
 
 
 def family_triple(spec: FamilySpec, size_n: int) -> GammaHFTriple:
-    h = h_matrix(spec, size_n)
+    return GammaHFTriple(
+        gamma_matrix(spec, size_n), h_matrix(spec, size_n), f_matrix(spec, size_n)
+    )
+
+
+def dense_family_triple(spec: FamilySpec, size_n: int) -> GammaHFTriple:
+    """The same triple by the Riordan route: the array's matrix, its product
+    with the binomial matrix and gamma extraction.  Production builds the
+    triple from the row recurrences; this route is kept as their oracle."""
+    h = family_array(spec, max(size_n, 1)).matrix(size_n)
     return GammaHFTriple(gamma_from_h(h), h, face_matrix(h))
 
 

@@ -182,6 +182,14 @@ def binomial_transform(seq: Sequence, k: PolyLike) -> list:
 
 # -- expression parsing -----------------------------------------------------
 
+# Largest exponent literal the parser accepts; a larger one raises
+# ParseError before any arithmetic.  ``IndexPoly.__pow__`` multiplies once
+# per unit of exponent, so this bounds the multiplications of one ``^``:
+# ``(1+i+r+y)^32``, dense of degree 32 in three variables, takes about
+# 0.25 s.  It does not bound the degree of the base, so nested powers and
+# long products of powers can still grow large.
+MAX_EXPONENT = 32
+
 _TOKEN = re.compile(r"(\d+)|([iry])|([()+\-*^/])|(\S)")
 
 
@@ -252,6 +260,8 @@ class _Parser:
             kind, text, where = self.take()
             if kind != "int":
                 raise ParseError("exponent must be an integer literal", where)
+            if int(text) > MAX_EXPONENT:
+                raise ParseError(f"exponent {text} exceeds the maximum {MAX_EXPONENT}", where)
             return base ** int(text)
         return base
 

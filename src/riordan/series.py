@@ -120,9 +120,6 @@ class TruncatedSeries:
             raise ValueError(f"cannot extend a series from order {self.order} to {order}")
         return TruncatedSeries(self._coeffs[: order + 1])
 
-    def valuation_at_least(self, v: int) -> bool:
-        return all(c == 0 for c in self._coeffs[:v])
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TruncatedSeries):
             n = min(self.order, other.order)

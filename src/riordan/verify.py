@@ -9,7 +9,8 @@ from there.  Checks fall into three suites, all exact and all offline:
   each check draws from its own RNG, seeded from the run's seed and the
   check's name, so runs are reproducible and any check can run on its own;
 * ``props``  -- the named identities of the triangle families (face GFs,
-  closed forms, fraction triples, the polytope transfer map);
+  closed forms, fraction triples, the polytope transfer map), with the
+  Riordan-product route as a further oracle of the row recurrences;
 * ``oeis``   -- every embedded fixture regenerated from its construction.
 
 The suite functions filter the registry and return one :class:`CheckResult`
@@ -37,6 +38,7 @@ from .arrays import (
 )
 from .families import (
     FamilySpec,
+    dense_family_triple,
     f_closed,
     family_array,
     family_triple,
@@ -78,6 +80,7 @@ class Check:
     ``fn`` takes a ``random.Random`` seeded from the run's seed and the
     check's name in the group suite, and nothing elsewhere.  It returns a
     bool, or an OEIS :class:`CheckReport` whose message becomes the detail.
+    A check that raises fails, with the exception as its detail.
     """
 
     suite: str
@@ -85,12 +88,15 @@ class Check:
     fn: Callable
 
     def run(self, seed: int = DEFAULT_SEED) -> CheckResult:
-        if self.suite == "group":
-            # One stream per check and seed: checks draw independent
-            # instances, and each can run on its own.
-            outcome = self.fn(random.Random(f"{seed}/{self.name}"))
-        else:
-            outcome = self.fn()
+        try:
+            if self.suite == "group":
+                # One stream per check and seed: checks draw independent
+                # instances, and each can run on its own.
+                outcome = self.fn(random.Random(f"{seed}/{self.name}"))
+            else:
+                outcome = self.fn()
+        except Exception as exc:  # a check that raises has failed; the rest still run
+            return CheckResult(self.suite, self.name, False, f"{type(exc).__name__}: {exc}")
         if isinstance(outcome, CheckReport):
             return CheckResult(self.suite, self.name, outcome.ok, outcome.message())
         return CheckResult(self.suite, self.name, bool(outcome))
@@ -287,8 +293,9 @@ def _ordinary_face_gf() -> bool:
 def _ordinary_closed_forms() -> bool:
     cases = [(R, 12)] + [(rv, 8) for rv in range(6)]
     for r, size in cases:
-        fam = _family(FamilySpec(Kind.ORDINARY, r), size)
-        if not all(
+        spec = FamilySpec(Kind.ORDINARY, r)
+        fam = _family(spec, size)
+        if fam != dense_family_triple(spec, size) or not all(
             fam.h.entry(n, k) == h_closed(n, k, r)
             and fam.f.entry(n, k) == f_closed(n, k, r)
             and fam.gamma.entry(n, k) == gamma_closed(n, k, r)
@@ -330,6 +337,7 @@ def _exponential_fraction_triple() -> bool:
         triangle_from_series(gamma_frac.expand(10)) == fam.gamma
         and triangle_from_series(h_frac.expand(10)) == fam.h
         and triangle_from_series(f_frac.expand(10)) == fam.f.reversed()
+        and fam == dense_family_triple(_EXP, 10)
     )
 
 

@@ -27,14 +27,20 @@ def test_registry_shape():
     assert [c.suite for c in CHECKS] == sorted((c.suite for c in CHECKS), key=SUITES.index)
 
 
+def _raise():
+    raise ZeroDivisionError("boom")
+
+
 def test_verify_reports_a_failing_check(capsys, monkeypatch):
+    # A check fails by returning False or by raising; either way the rest run.
     failing = next(c for c in CHECKS if c.suite == "props")
-    monkeypatch.setattr(
-        verify, "CHECKS", [replace(c, fn=lambda: False) if c is failing else c for c in CHECKS]
-    )
-    status = main(["verify", "props"])
-    out = capsys.readouterr().out
-    assert status == 1
-    assert f"[FAIL] props :: {failing.name}" in out
-    assert out.count("[  ok]") == 11
-    assert out.endswith("11/12 checks passed\n")
+    for fn, detail in ((lambda: False, ""), (_raise, " -- ZeroDivisionError: boom")):
+        monkeypatch.setattr(
+            verify, "CHECKS", [replace(c, fn=fn) if c is failing else c for c in CHECKS]
+        )
+        status = main(["verify", "props"])
+        out = capsys.readouterr().out
+        assert status == 1
+        assert f"[FAIL] props :: {failing.name}{detail}\n" in out
+        assert out.count("[  ok]") == 11
+        assert out.endswith("11/12 checks passed\n")

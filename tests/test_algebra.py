@@ -67,14 +67,30 @@ def test_rendering_is_canonical():
 def test_inspection_helpers():
     p = R**2 * Y + 3 * Y + 7
     assert p.degree("r") == 2 and p.degree("y") == 1
-    assert p.y_coefficient(1) == R**2 + 3
-    assert p.y_coefficient(0) == 7
+    assert p.y_coefficients() == [7, R**2 + 3]
+    assert MultiPoly().y_coefficients() == [0]
     assert p.coefficient(2, 1) == 1
     assert (2 * R).has_integer_coefficients()
     assert not (R * Fraction(1, 2)).has_integer_coefficients()
     assert as_fraction(MultiPoly.const(Fraction(3, 4))) == Fraction(3, 4)
     with pytest.raises(ValueError):
         (R + Y).constant_value()
+
+
+@given(small_polys, small_polys)
+def test_integral_coefficients_are_stored_as_int(a, b):
+    assert all(type(c) is int for p in (a + b, a * b, a - b) for _, c in p.items())
+    assert all(type(c) is int for _, c in ((a + b) * Fraction(1, 3) * 3).items())
+
+
+def test_only_non_integral_coefficients_are_fractions():
+    half = (R + 1) * Fraction(1, 2)
+    assert type(half.coefficient(1, 0)) is Fraction
+    assert str(half) == "1/2*r + 1/2"
+    assert str(half * 2) == "r + 1"
+    two = MultiPoly({(0, 1): Fraction(6, 3)}).coefficient(0, 1)
+    assert two == 2 and type(two) is int
+    assert hash(MultiPoly({(1, 0): Fraction(3)})) == hash(3 * R)
 
 
 def test_power_and_hash():

@@ -7,6 +7,7 @@ from riordan.algebra import R
 from riordan.arrays import Kind
 from riordan.cli import main, parse_matrix_doc
 from riordan.families import FamilySpec, f_matrix
+from riordan.jfraction import MAX_EXPONENT
 
 from golden_cases import GOLDEN_CASES
 
@@ -58,9 +59,10 @@ def test_jf_aerated_double_factorials(capsys):
 
 
 def test_jf_parse_error_exit_code(capsys):
-    status, _, err = run(capsys, ["jf", "--alpha", "2*+", "--beta", "i", "--N", "4"])
-    assert status == 2
-    assert "position" in err
+    for alpha in ("2*+", f"y^{MAX_EXPONENT + 1}"):
+        status, _, err = run(capsys, ["jf", "--alpha", alpha, "--beta", "i", "--N", "4"])
+        assert status == 2
+        assert "position" in err
 
 
 def test_json_round_trip_symbolic(capsys, tmp_path):

@@ -1,8 +1,9 @@
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
-from riordan.algebra import R, Y
+from riordan.algebra import MultiPoly, R, Y
 from riordan.arrays import (
     Kind,
     LowerTriMatrix,
@@ -14,6 +15,7 @@ from riordan.arrays import (
 from riordan.families import (
     FamilySpec,
     NotPalindromic,
+    dense_family_triple,
     f_closed,
     f_matrix,
     family_array,
@@ -76,9 +78,35 @@ def test_f_closed_examples():
 
 @pytest.mark.parametrize("rv", range(6))
 def test_exponential_family_entries_are_integers(rv):
-    m = h_matrix(FamilySpec(Kind.EXPONENTIAL, rv), 12)  # raises NonIntegralEntry otherwise
+    # The Riordan route, whose n!/k! prefactor must cancel the 1/2 in x(1 + rx/2).
+    m = family_array(FamilySpec(Kind.EXPONENTIAL, rv), 12).matrix(12)  # raises NonIntegralEntry otherwise
     assert m.entry(2, 1) == rv + 2
     assert m.is_pascal_like()
+
+
+FLAVORS = (Kind.ORDINARY, Kind.EXPONENTIAL)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS, ids=[f.value for f in FLAVORS])
+@pytest.mark.parametrize("r", [R, 0, 1, 3, -2], ids=str)
+def test_row_recurrences_match_the_riordan_route(flavor, r):
+    spec = FamilySpec(flavor, r)
+    for size in (0, 1, 2, 12):
+        h = family_array(spec, max(size, 1)).matrix(size)
+        assert h_matrix(spec, size) == h
+        assert f_matrix(spec, size) == face_matrix(h)
+        assert gamma_matrix(spec, size) == gamma_from_h(h)
+        assert family_triple(spec, size) == dense_family_triple(spec, size)
+
+
+@given(st.sampled_from(FLAVORS), st.sampled_from(["gamma", "h", "f"]), st.integers(-3, 5), st.integers(0, 16))
+def test_specialisation_commutes_with_construction(flavor, which, value, size):
+    build = {"gamma": gamma_matrix, "h": h_matrix, "f": f_matrix}[which]
+    symbolic = build(FamilySpec(flavor, R), size)
+    specialised = LowerTriMatrix(
+        [[MultiPoly.coerce(e).substitute(r=value) for e in row] for row in symbolic.rows]
+    )
+    assert specialised == build(FamilySpec(flavor, value), size)
 
 
 def test_gamma_from_h_examples():
@@ -151,6 +179,18 @@ def _eulerian(n, k):
 def test_polytope_h_matches_its_closed_form_at_large_n(name, closed):
     h = named_triple(name).h_matrix(LARGE_N)
     assert all(h.entry(n, k) == closed(n, k) for n in range(LARGE_N + 1) for k in range(n + 1))
+
+
+CROSS_N = 60
+
+
+def test_ordinary_family_matches_its_closed_forms_at_large_n():
+    h, gamma = h_matrix(ORD, CROSS_N), gamma_matrix(ORD, CROSS_N)
+    pairs = [(n, k) for n in range(CROSS_N + 1) for k in range(n + 1)]
+    assert all(h.entry(n, k) == h_closed(n, k) for n, k in pairs)
+    assert all(gamma.entry(n, k) == gamma_closed(n, k) for n, k in pairs)
+    # f_closed's double sum is too slow here; the face product is the oracle.
+    assert f_matrix(ORD, CROSS_N) == face_matrix(h)
 
 
 def test_exponential_face_rows_are_a_fraction_at_large_n():

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from riordan.algebra import MultiPoly, R, Y
 from riordan.jfraction import (
+    MAX_EXPONENT,
     IndexPoly,
     JFraction,
     ParseError,
@@ -111,6 +113,22 @@ def test_parse_errors_carry_positions():
         parse_index_poly("i^y")
     with pytest.raises(ParseError):
         parse_index_poly("1/0")
+
+
+def test_parse_caps_exponents():
+    assert parse_index_poly(f"y^{MAX_EXPONENT}") == IndexPoly.constant(Y**MAX_EXPONENT)
+    # Rejected at the literal, before any arithmetic.
+    with pytest.raises(ParseError) as err:
+        parse_index_poly(f"y^{MAX_EXPONENT + 1}")
+    assert err.value.position == 2
+
+
+@given(st.text(alphabet="iry0123456789+-*^/() ", max_size=24))
+def test_parse_accepts_or_raises_parse_error(text):
+    try:
+        parse_index_poly(text)
+    except ParseError:
+        pass
 
 
 def test_parse_poly_rejects_the_index_variable():
