@@ -4,9 +4,11 @@ The package computes, entirely in exact arithmetic, the h-, f- (face) and
 gamma-matrices attached to two parameterized Pascal-like families -- the
 ordinary (1/(1-x), x(1+rx)/(1-x)) and exponential [e^x, x(1+rx/2)] -- plus
 the classical simplex/hypercube/associahedron/permutahedron instances.
-Triangles arrive by three independent routes (closed forms, Riordan group
-products, Jacobi continued fractions) that are cross-checked against each
-other and against embedded OEIS data.
+Every triangle is built by one of two routes -- three-term row recurrences
+(the two families, and the simplex and hypercube, which are the ordinary
+family at r = -1 and r = 0) or Jacobi continued fractions (associahedron,
+permutahedron) -- and cross-checked against closed forms, Riordan group
+products and embedded OEIS data.
 
 Modules: :mod:`~riordan.algebra` (integers, rationals, polynomials in r, y),
 :mod:`~riordan.series` (truncated power series), :mod:`~riordan.arrays`

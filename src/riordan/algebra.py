@@ -34,15 +34,6 @@ Scalar = Union[int, Fraction]
 Monomial = tuple[int, int]  # (power of r, power of y)
 
 
-def as_fraction(value: Scalar | "MultiPoly") -> Fraction:
-    """Coerce an exact scalar (or constant polynomial) to a Fraction."""
-    if isinstance(value, MultiPoly):
-        return value.constant_value()
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    raise TypeError(f"not an exact scalar: {value!r}")
-
-
 class MultiPoly:
     """Immutable sparse polynomial in r and y over the rationals."""
 

@@ -129,9 +129,6 @@ class LowerTriMatrix:
                 return False
         return True
 
-    def truncate(self, size: int) -> LowerTriMatrix:
-        return LowerTriMatrix(self._rows[:size])
-
     def __mul__(self, other: LowerTriMatrix) -> LowerTriMatrix:
         if not isinstance(other, LowerTriMatrix):
             return NotImplemented
@@ -296,27 +293,16 @@ def face_array(a: RiordanArray) -> RiordanArray:
     return a * binomial_array(a.kind, a.order)
 
 
-def triangle_from_series(
-    series: TruncatedSeries,
-    size_n: int | None = None,
-    *,
-    egf: bool = False,
-) -> LowerTriMatrix:
+def triangle_from_series(series: TruncatedSeries) -> LowerTriMatrix:
     """Rows of a bivariate series: row n lists the y-coefficients of [x^n].
 
-    With ``egf=True`` coefficient n is first rescaled by n!.  Every row
-    polynomial must have y-degree at most n, and every entry must be an
-    integer or an integer-coefficient polynomial (else NonIntegralEntry).
+    Every row polynomial must have y-degree at most n, and every entry must
+    be an integer or an integer-coefficient polynomial (else
+    NonIntegralEntry).
     """
-    if size_n is None:
-        size_n = series.order
-    if size_n > series.order:
-        raise IndexBeyondTruncation(f"size {size_n} beyond series order {series.order}")
     rows = []
-    for n in range(size_n + 1):
+    for n in range(series.order + 1):
         poly = MultiPoly.coerce(series[n])
-        if egf:
-            poly = poly * factorial(n)
         if poly.degree("y") > n:
             raise ValueError(f"coefficient of x^{n} has y-degree {poly.degree('y')} > n")
         entries = poly.y_coefficients()

@@ -31,12 +31,10 @@ from .arrays import Kind
 from .families import (
     POLYTOPE_NAMES,
     FamilySpec,
-    f_matrix,
-    gamma_matrix,
-    h_matrix,
-    named_triple,
+    family_matrix,
+    h_matrix,  # noqa: F401 -- perfbench's tracer test checks cli.h_matrix
 )
-from .jfraction import JFraction, parse_index_poly
+from .jfraction import JFraction, parse_index_poly, parse_poly
 from .oeis import (
     CACHE_DIR_ENV,
     FIXTURES,
@@ -44,7 +42,7 @@ from .oeis import (
     NetworkUnavailable,
     fetch_bfile,
 )
-from .series import DEFAULT_ORDER, tidy
+from .series import tidy
 from . import verify as verify_mod
 
 SAFE_INT = 2**53  # larger integers are emitted as JSON strings
@@ -130,8 +128,6 @@ def render_latex(rows: list[list]) -> str:
 
 def parse_matrix_doc(text: str) -> OutputDoc:
     """Inverse of the JSON rendering; entries come back as int/MultiPoly."""
-    from .jfraction import parse_poly
-
     raw = json.loads(text)
 
     def decode(entry):
@@ -182,17 +178,15 @@ def _matrix_doc(args) -> OutputDoc:
     if args.family == "parametric":
         flavor = args.flavor or "ordinary"
         r = "r" if args.r is None else args.r
-        spec = FamilySpec(Kind(flavor), R if r == "r" else r)
-        build = {"gamma": gamma_matrix, "h": h_matrix, "f": f_matrix}[args.which]
-        matrix = build(spec, args.N)
+        family = FamilySpec(Kind(flavor), R if r == "r" else r)
     elif args.flavor is not None or args.r is not None:
         raise ValueError(
             f"--flavor and --r apply only to the parametric family, not to {args.family}"
         )
     else:
         flavor = r = None
-        triple = named_triple(args.family, order=max(args.N, DEFAULT_ORDER))
-        matrix = getattr(triple, f"{args.which}_matrix")(args.N)
+        family = args.family
+    matrix = family_matrix(family, args.which, args.N)
     if args.reversed:
         matrix = matrix.reversed()
     return OutputDoc(
@@ -234,13 +228,9 @@ def _add_show_arguments(sub: argparse.ArgumentParser):
 
 
 def cmd_show(args) -> int:
-    sys.stdout.write(_matrix_doc(args).render(args.format))
-    return 0
-
-
-def cmd_export(args) -> int:
+    """``show``, and ``export``, which writes to ``--output`` unless it is '-'."""
     text = _matrix_doc(args).render(args.format)
-    if args.output == "-":
+    if getattr(args, "output", "-") == "-":
         sys.stdout.write(text)
     else:
         Path(args.output).write_text(text)
@@ -325,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_show_arguments(export)
     export.set_defaults(format="json")
     export.add_argument("--output", default="-", help="output path ('-' for stdout)")
-    export.set_defaults(func=cmd_export)
+    export.set_defaults(func=cmd_show)
 
     jf = sub.add_parser("jf", help="expand a Jacobi continued fraction")
     jf.add_argument("--alpha", required=True, help="level coefficients, e.g. '2*y+1'")

@@ -25,10 +25,13 @@ alongside the constructions so each route can check the other:
     h[n,k]     = sum_j C(k,j) C(n-j, n-k-j) r^j
     f[n,k]     = sum_i sum_j C(i,j) C(n-j, n-i-j) r^j C(i,k)
 
-Named triples for the simplex, hypercube, associahedron (type A) and
-permutahedron expose the classical instances: the first two as explicit
-Riordan constructions, the last two as Jacobi continued fractions whose
-expansions hit well-known OEIS triangles.
+Of the named polytopes, the simplex and the hypercube are the ordinary
+family at r = -1 (h-array (1/(1-x), x)) and at r = 0 (Pascal's triangle),
+so they take the row recurrences too.  The associahedron (type A) and the
+permutahedron are Jacobi continued fractions whose expansions hit
+well-known OEIS triangles; :func:`named_triple` returns these two fraction
+triples.  :func:`family_matrix` is the one place that picks a triangle's
+route.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .arrays import (
     LowerTriMatrix,
     RiordanArray,
     FACTORIAL_PAIR_WEIGHTS,
-    binomial_array,
     face_matrix,
     triangle_from_series,
 )
@@ -229,89 +231,55 @@ def plain_f_gf(spec: FamilySpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
 @dataclass(frozen=True)
 class PolytopeTriple:
-    """gamma/h/f data for a named polytope family.
+    """The gamma/h/f J-fractions of a named polytope family."""
 
-    For the simplex and hypercube the h- and f-matrices come from explicit
-    Riordan arrays; for the associahedron and permutahedron all three come
-    from Jacobi continued fractions.  ``fixtures`` names the OEIS triangle
-    that each component reproduces.
-    """
+    gamma_fraction: JFraction
+    h_fraction: JFraction
+    f_fraction: JFraction
 
-    name: str
-    fixtures: dict[str, str]
-    gamma_fraction: JFraction | None = None
-    h_fraction: JFraction | None = None
-    f_fraction: JFraction | None = None
-    h_array: RiordanArray | None = None
-    f_array: RiordanArray | None = None
-
-    def h_matrix(self, size_n: int) -> LowerTriMatrix:
-        if self.h_fraction is not None:
-            return triangle_from_series(self.h_fraction.expand(size_n))
-        return self.h_array.matrix(size_n)
-
-    def f_matrix(self, size_n: int) -> LowerTriMatrix:
-        if self.f_fraction is not None:
-            return triangle_from_series(self.f_fraction.expand(size_n))
-        return self.f_array.matrix(size_n)
-
-    def gamma_matrix(self, size_n: int) -> LowerTriMatrix:
-        if self.gamma_fraction is not None:
-            return triangle_from_series(self.gamma_fraction.expand(size_n))
-        return gamma_from_h(self.h_matrix(size_n))
+    def matrix(self, which: str, size_n: int) -> LowerTriMatrix:
+        """Rows 0..size_n of the ``which`` ('gamma', 'h' or 'f') matrix: row n
+        is the y-polynomial of the fraction's coefficient of x^n."""
+        return triangle_from_series(getattr(self, f"{which}_fraction").expand(size_n))
 
 
-def named_triple(name: str, order: int = DEFAULT_ORDER) -> PolytopeTriple:
-    """Triple for 'simplex', 'hypercube', 'associahedron' or 'permutahedron'."""
-    if name == "simplex":
-        return PolytopeTriple(
-            name=name,
-            fixtures={"f": "A135278", "f_reversed": "A074909"},
-            h_array=RiordanArray(
-                TruncatedSeries.ratio([1], [1, -1], order), TruncatedSeries.x(order)
-            ),
-            f_array=RiordanArray(
-                TruncatedSeries.ratio([1], [1, -2, 1], order),
-                TruncatedSeries.ratio([0, 1], [1, -1], order),
-            ),
-        )
-    if name == "hypercube":
-        b = binomial_array(Kind.ORDINARY, order)
-        return PolytopeTriple(
-            name=name,
-            fixtures={"h": "A007318", "f": "A038207", "f_reversed": "A013609"},
-            h_array=b,
-            f_array=b * b,
-        )
+def named_triple(name: str) -> PolytopeTriple:
+    """The fraction triple of 'associahedron' or 'permutahedron'."""
     if name == "associahedron":
         return PolytopeTriple(
-            name=name,
-            fixtures={"gamma": "A055151", "h": "A001263", "f": "A033282"},
-            gamma_fraction=JFraction(IndexPoly.constant(1), IndexPoly.constant(Y)),
-            h_fraction=JFraction(IndexPoly.constant(Y + 1), IndexPoly.constant(Y)),
-            f_fraction=JFraction(
-                IndexPoly.constant(2 * Y + 1), IndexPoly.constant(Y * (Y + 1))
-            ),
+            JFraction(IndexPoly.constant(1), IndexPoly.constant(Y)),
+            JFraction(IndexPoly.constant(Y + 1), IndexPoly.constant(Y)),
+            JFraction(IndexPoly.constant(2 * Y + 1), IndexPoly.constant(Y * (Y + 1))),
         )
     if name == "permutahedron":
         return PolytopeTriple(
-            name=name,
-            fixtures={"gamma": "A101280", "h": "A008292", "f": "A019538"},
-            gamma_fraction=JFraction(
-                IndexPoly.from_coeffs([1, 1]), IndexPoly.from_coeffs([0, Y, Y])
-            ),
-            h_fraction=JFraction(
-                IndexPoly.from_coeffs([Y + 1, Y + 1]), IndexPoly.from_coeffs([0, Y, Y])
-            ),
-            f_fraction=JFraction(
+            JFraction(IndexPoly.from_coeffs([1, 1]), IndexPoly.from_coeffs([0, Y, Y])),
+            JFraction(IndexPoly.from_coeffs([Y + 1, Y + 1]), IndexPoly.from_coeffs([0, Y, Y])),
+            JFraction(
                 IndexPoly.from_coeffs([2 * Y + 1, 2 * Y + 1]),
                 IndexPoly.from_coeffs([0, Y * (Y + 1), Y * (Y + 1)]),
             ),
         )
-    raise ValueError(f"unknown polytope family {name!r}")
+    raise ValueError(f"no fraction triple for {name!r}")
 
 
 POLYTOPE_NAMES = ("simplex", "hypercube", "associahedron", "permutahedron")
+
+# The polytopes that are members of the ordinary family.
+POLYTOPE_SPECS = {"simplex": FamilySpec(Kind.ORDINARY, -1), "hypercube": FamilySpec(Kind.ORDINARY, 0)}
+
+
+def family_matrix(family: FamilySpec | str, which: str, size_n: int) -> LowerTriMatrix:
+    """Rows 0..size_n of the ``which`` ('gamma', 'h' or 'f') matrix of a
+    family, given as a FamilySpec or as one of POLYTOPE_NAMES.
+
+    Family specs, the simplex and the hypercube take the row recurrences;
+    the associahedron and the permutahedron take their J-fractions.
+    """
+    spec = POLYTOPE_SPECS.get(family, family)
+    if isinstance(spec, str):
+        return named_triple(spec).matrix(which, size_n)
+    return {"gamma": gamma_matrix, "h": h_matrix, "f": f_matrix}[which](spec, size_n)
 
 
 def narayana_array(order: int = DEFAULT_ORDER) -> RiordanArray:

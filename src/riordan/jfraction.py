@@ -21,7 +21,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import add
 from typing import Sequence, Union
 
 from .algebra import MultiPoly
@@ -182,15 +183,37 @@ def binomial_transform(seq: Sequence, k: PolyLike) -> list:
 
 # -- expression parsing -----------------------------------------------------
 
-# Largest exponent literal the parser accepts; a larger one raises
-# ParseError before any arithmetic.  ``IndexPoly.__pow__`` multiplies once
-# per unit of exponent, so this bounds the multiplications of one ``^``:
-# ``(1+i+r+y)^32``, dense of degree 32 in three variables, takes about
-# 0.25 s.  It does not bound the degree of the base, so nested powers and
-# long products of powers can still grow large.
+# Bounds on what the parser builds, each a ParseError at the operator or
+# literal before any arithmetic.  The result of every product (explicit or
+# implicit) and power, bounded from its operands by ``_growth``, has total
+# degree in i, r, y at most MAX_EXPONENT and coefficients whose numerators
+# and denominators are at most 2^MAX_COEFF_BITS.  An exponent literal is at
+# most MAX_EXPONENT; an integer literal has at most MAX_LITERAL_DIGITS
+# digits (10^308 < 2^1024).  So each operation has bounded cost, and parsing
+# time grows at most linearly with the length of the text.
 MAX_EXPONENT = 32
+MAX_COEFF_BITS = 1024
+MAX_LITERAL_DIGITS = 308
 
 _TOKEN = re.compile(r"(\d+)|([iry])|([()+\-*^/])|(\S)")
+
+
+def _growth(p: IndexPoly) -> tuple[int, int, int]:
+    """Bounds that products add and a power scales: p's total degree in
+    i, r, y, then ceil(log2) of the sum of |numerators| of its coefficients
+    over their common denominator, and of that denominator."""
+    terms = [(k + a + b, c) for k, coeff in enumerate(p.coeffs) for (a, b), c in coeff.items()]
+    den = lcm(*(c.denominator for _, c in terms))
+    norm = sum(abs(c.numerator) * (den // c.denominator) for _, c in terms)
+    return max((d for d, _ in terms), default=0), (norm - 1).bit_length(), (den - 1).bit_length()
+
+
+def _check_growth(growth: tuple[int, int, int], where: int):
+    degree, numerator_bits, denominator_bits = growth
+    if degree > MAX_EXPONENT:
+        raise ParseError(f"degree {degree} exceeds the maximum {MAX_EXPONENT}", where)
+    if max(numerator_bits, denominator_bits) > MAX_COEFF_BITS:
+        raise ParseError(f"coefficients may exceed {MAX_COEFF_BITS} bits", where)
 
 
 class _Parser:
@@ -202,6 +225,8 @@ class _Parser:
         for m in _TOKEN.finditer(text):
             if m.group(4):
                 raise ParseError(f"unexpected character {m.group(4)!r}", m.start())
+            if m.group(1) and len(m.group(1)) > MAX_LITERAL_DIGITS:
+                raise ParseError(f"integer literal exceeds {MAX_LITERAL_DIGITS} digits", m.start())
             kind = "int" if m.group(1) else ("var" if m.group(2) else "op")
             self.tokens.append((kind, m.group(0), m.start()))
         self.pos = 0
@@ -242,27 +267,29 @@ class _Parser:
     def term(self) -> IndexPoly:
         value = self.power()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, where = self.peek()
             if kind == "op" and text == "*":
                 self.take()
-                value = value * self.power()
-            elif kind in ("int", "var") or (kind == "op" and text == "("):
-                # implicit product, e.g. "2y" or "i(i+1)"
-                value = value * self.power()
-            else:
+            elif not (kind in ("int", "var") or (kind == "op" and text == "(")):
                 return value
+            # an explicit product, or an implicit one such as "2y" or "i(i+1)"
+            rhs = self.power()
+            _check_growth(tuple(map(add, _growth(value), _growth(rhs))), where)
+            value = value * rhs
 
     def power(self) -> IndexPoly:
         base = self.atom()
         kind, text, where = self.peek()
         if kind == "op" and text == "^":
             self.take()
-            kind, text, where = self.take()
+            kind, text, literal_at = self.take()
             if kind != "int":
-                raise ParseError("exponent must be an integer literal", where)
-            if int(text) > MAX_EXPONENT:
-                raise ParseError(f"exponent {text} exceeds the maximum {MAX_EXPONENT}", where)
-            return base ** int(text)
+                raise ParseError("exponent must be an integer literal", literal_at)
+            exponent = int(text)
+            if exponent > MAX_EXPONENT:
+                raise ParseError(f"exponent {text} exceeds the maximum {MAX_EXPONENT}", literal_at)
+            _check_growth(tuple(exponent * v for v in _growth(base)), where)
+            return base**exponent
         return base
 
     def atom(self) -> IndexPoly:

@@ -19,8 +19,6 @@ from __future__ import annotations
 import enum
 import os
 import tempfile
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -229,6 +227,9 @@ def fetch_bfile(
         return parse_bfile(cached.read_text())
     if offline:
         raise CacheMiss(f"no cached b-file for {anumber} in {cache_dir}")
+    import urllib.error  # imported here: only a cache miss needs the network
+    import urllib.request
+
     url = bfile_url(anumber, base_url)
     try:
         with urllib.request.urlopen(url, timeout=timeout) as response:

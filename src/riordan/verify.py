@@ -41,6 +41,7 @@ from .families import (
     dense_family_triple,
     f_closed,
     family_array,
+    family_matrix,
     family_triple,
     gamma_closed,
     gamma_from_h,  # noqa: F401 -- perfbench's tracer test checks verify.gamma_from_h
@@ -246,24 +247,42 @@ def _aerated_double_factorials() -> tuple[int, ...]:
     return tuple(integer_coeffs(egf_to_ogf(half_square.exp())))
 
 
-def _polytope_fixture(name: str, component: str, anumber: str) -> CheckReport:
-    """A named triple's component (``f_reversed`` reads rows backwards), sized
-    to the fixture it should reproduce, compared against that fixture."""
-    size = len(FIXTURES[anumber].row_lengths) - 1
-    base, _, reading = component.partition("_")
-    matrix = getattr(named_triple(name), f"{base}_matrix")(size)
-    return check_triangle(matrix.reversed() if reading else matrix, FIXTURES[anumber])
+# Where each embedded fixture comes from: (family, matrix, rows read
+# reversed), or None for A001147, the even terms of the aerated double
+# factorials.  The order is that of the oeis suite.
+FIXTURE_SOURCES: dict[str, tuple[str, str, bool] | None] = {
+    "A135278": ("simplex", "f", False),
+    "A074909": ("simplex", "f", True),
+    "A038207": ("hypercube", "f", False),
+    "A013609": ("hypercube", "f", True),
+    "A007318": ("hypercube", "h", False),
+    "A001147": None,
+    "A055151": ("associahedron", "gamma", False),
+    "A001263": ("associahedron", "h", False),
+    "A033282": ("associahedron", "f", False),
+    "A101280": ("permutahedron", "gamma", False),
+    "A008292": ("permutahedron", "h", False),
+    "A019538": ("permutahedron", "f", False),
+}
+
+
+def _triangle_fixture(anumber: str) -> CheckReport:
+    """The fixture's source matrix, sized to the fixture, compared against it."""
+    family, which, reversed_rows = FIXTURE_SOURCES[anumber]
+    matrix = family_matrix(family, which, len(FIXTURES[anumber].row_lengths) - 1)
+    return check_triangle(matrix.reversed() if reversed_rows else matrix, FIXTURES[anumber])
 
 
 @_check("props", "simplex face matrix factors through the binomial array")
 def _simplex_factorization() -> bool:
-    simplex = named_triple("simplex", 16)
-    reduced = simplex.f_array * binomial_array(Kind.ORDINARY, 16).inverse()
+    h = RiordanArray(TruncatedSeries.ratio([1], [1, -1], 16), TruncatedSeries.x(16))
+    f = RiordanArray(TruncatedSeries.ratio([1], [1, -2, 1], 16), TruncatedSeries.ratio([0, 1], [1, -1], 16))
+    reduced = f * binomial_array(Kind.ORDINARY, 16).inverse()
     return (
-        reduced.g == simplex.h_array.g
-        and reduced.f == simplex.h_array.f
-        and reduced.matrix(6) == simplex.h_array.matrix(6)
-        and face_array(simplex.h_array).matrix(6) == simplex.f_array.matrix(6)
+        reduced.g == h.g
+        and reduced.f == h.f
+        and reduced.matrix(6) == h.matrix(6)
+        and face_array(h).matrix(6) == f.matrix(6)
     )
 
 
@@ -350,8 +369,9 @@ def _aerated_double_factorial_routes() -> bool:
 
 def _polytope_fixtures(name: str) -> bool:
     return all(
-        _polytope_fixture(name, component, anumber).ok
-        for component, anumber in named_triple(name).fixtures.items()
+        _triangle_fixture(anumber).ok
+        for anumber, source in FIXTURE_SOURCES.items()
+        if source and source[0] == name
     )
 
 
@@ -391,20 +411,8 @@ def _double_factorial_fixture(anumber: str) -> CheckReport:
     return check_sequence(_aerated_double_factorials()[::2], FIXTURES[anumber])
 
 
-for _anumber, _regenerate in (
-    ("A135278", partial(_polytope_fixture, "simplex", "f")),
-    ("A074909", partial(_polytope_fixture, "simplex", "f_reversed")),
-    ("A038207", partial(_polytope_fixture, "hypercube", "f")),
-    ("A013609", partial(_polytope_fixture, "hypercube", "f_reversed")),
-    ("A007318", partial(_polytope_fixture, "hypercube", "h")),
-    ("A001147", _double_factorial_fixture),
-    ("A055151", partial(_polytope_fixture, "associahedron", "gamma")),
-    ("A001263", partial(_polytope_fixture, "associahedron", "h")),
-    ("A033282", partial(_polytope_fixture, "associahedron", "f")),
-    ("A101280", partial(_polytope_fixture, "permutahedron", "gamma")),
-    ("A008292", partial(_polytope_fixture, "permutahedron", "h")),
-    ("A019538", partial(_polytope_fixture, "permutahedron", "f")),
-):
+for _anumber, _source in FIXTURE_SOURCES.items():
+    _regenerate = _triangle_fixture if _source else _double_factorial_fixture
     _check("oeis", _fixture_check_name(_anumber))(partial(_regenerate, _anumber))
 
 

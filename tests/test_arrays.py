@@ -24,7 +24,7 @@ from riordan.arrays import (
     series_from_triangle,
     triangle_from_series,
 )
-from riordan.series import TruncatedSeries
+from riordan.series import TruncatedSeries, egf_to_ogf
 
 S = TruncatedSeries
 ORDER = 12
@@ -139,7 +139,7 @@ def test_bgf_examples():
 
     efam = RiordanArray(S.x().exp(), S([0, 1, R * Fraction(1, 2)], 16), Kind.EXPONENTIAL)
     ef = efam * binomial_array(Kind.EXPONENTIAL)
-    assert triangle_from_series(ef.bgf(6), egf=True) == ef.matrix(6)
+    assert triangle_from_series(egf_to_ogf(ef.bgf(6))) == ef.matrix(6)
 
 
 def test_bgf_rows_match_matrix_rows():

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from riordan import families
 from riordan.algebra import R
-from riordan.arrays import Kind
+from riordan.arrays import Kind, LowerTriMatrix, RiordanArray
 from riordan.cli import main, parse_matrix_doc
 from riordan.families import FamilySpec, f_matrix
 from riordan.jfraction import MAX_EXPONENT
@@ -31,6 +32,19 @@ def test_show_pascal_rows(capsys):
     status, out, _ = run(capsys, ["show", "--flavor", "ordinary", "--r", "0", "--which", "h", "--N", "4"])
     assert status == 0
     assert out.splitlines() == ["1", "1  1", "1  2  1", "1  3  3  1", "1  4  6  4  1"]
+
+
+def test_simplex_and_hypercube_take_no_riordan_route(capsys, monkeypatch):
+    def riordan_route(*args, **kwargs):
+        raise AssertionError("the Riordan route ran outside its oracle role")
+
+    monkeypatch.setattr(RiordanArray, "matrix", riordan_route)
+    monkeypatch.setattr(LowerTriMatrix, "__mul__", riordan_route)
+    monkeypatch.setattr(families, "gamma_from_h", riordan_route)
+    for family in ("simplex", "hypercube"):
+        for which in ("gamma", "h", "f"):
+            status, out, _ = run(capsys, ["show", "--family", family, "--which", which, "--N", "12"])
+            assert status == 0 and len(out.splitlines()) == 13
 
 
 def test_show_gamma_table(capsys):

@@ -7,9 +7,10 @@ from riordan.algebra import MultiPoly, R, Y
 from riordan.arrays import (
     Kind,
     LowerTriMatrix,
+    RiordanArray,
     binomial_array,
     face_matrix,
-    series_from_triangle,
+    pascal_matrix,
     triangle_from_series,
 )
 from riordan.families import (
@@ -19,6 +20,7 @@ from riordan.families import (
     f_closed,
     f_matrix,
     family_array,
+    family_matrix,
     family_triple,
     gamma_closed,
     gamma_from_h,
@@ -28,7 +30,6 @@ from riordan.families import (
     h_matrix,
     named_triple,
     narayana_closed,
-    plain_f_gf,
 )
 from riordan.jfraction import IndexPoly, JFraction
 from riordan.oeis import FIXTURES, check_triangle
@@ -88,7 +89,7 @@ FLAVORS = (Kind.ORDINARY, Kind.EXPONENTIAL)
 
 
 @pytest.mark.parametrize("flavor", FLAVORS, ids=[f.value for f in FLAVORS])
-@pytest.mark.parametrize("r", [R, 0, 1, 3, -2], ids=str)
+@pytest.mark.parametrize("r", [R, 0, 1, 3, -1, -2], ids=str)
 def test_row_recurrences_match_the_riordan_route(flavor, r):
     spec = FamilySpec(flavor, r)
     for size in (0, 1, 2, 12):
@@ -120,22 +121,6 @@ def test_gamma_from_h_examples():
         gamma_from_h(LowerTriMatrix([[1], [2, 1]]))
 
 
-def test_gamma_matrix_matches_closed_form():
-    m = gamma_matrix(ORD, 8)
-    for n in range(9):
-        for k in range(n + 1):
-            assert m.entry(n, k) == gamma_closed(n, k)
-
-
-def test_gf_chain_ordinary():
-    chain = gf_chain(ORD, 10)
-    triple = family_triple(ORD, 10)
-    assert triangle_from_series(chain[0]) == triple.gamma
-    assert triangle_from_series(chain[1]) == triple.h
-    assert triangle_from_series(chain[2]) == triple.f.reversed()
-    assert plain_f_gf(ORD, 10) == series_from_triangle(triple.f)
-
-
 def test_gf_chain_collapses_at_r_zero():
     chain = gf_chain(FamilySpec(Kind.ORDINARY, 0), 8)
     assert chain[0] == TruncatedSeries.ratio([1], [1, -1], 8)
@@ -143,29 +128,14 @@ def test_gf_chain_collapses_at_r_zero():
     assert chain[2] == TruncatedSeries.ratio([1], [1, -(2 * Y + 1)], 8)
 
 
-def test_named_triples_hit_their_fixtures():
-    for name in ("simplex", "hypercube", "associahedron", "permutahedron"):
-        triple = named_triple(name)
-        for component, anumber in triple.fixtures.items():
-            fixture = FIXTURES[anumber]
-            size = len(fixture.row_lengths) - 1
-            if component.endswith("_reversed"):
-                matrix = getattr(triple, f"{component[:-9]}_matrix")(size).reversed()
-            else:
-                matrix = getattr(triple, f"{component}_matrix")(size)
-            report = check_triangle(matrix, fixture)
-            assert report.ok, report.message()
-
-
 def test_named_triple_details():
-    hypercube = named_triple("hypercube")
-    assert hypercube.f_matrix(2).rows[2] == (4, 4, 1)
-    assoc = named_triple("associahedron")
-    assert assoc.h_matrix(3).rows == ((1,), (1, 1), (1, 3, 1), (1, 6, 6, 1))
-    perm = named_triple("permutahedron")
-    assert perm.h_matrix(3).rows == ((1,), (1, 1), (1, 4, 1), (1, 11, 11, 1))
-    with pytest.raises(ValueError):
-        named_triple("cross-polytope")
+    assert family_matrix("hypercube", "h", 8) == pascal_matrix(8)
+    assert family_matrix("hypercube", "f", 2).rows[2] == (4, 4, 1)
+    assert family_matrix("associahedron", "h", 3).rows == ((1,), (1, 1), (1, 3, 1), (1, 6, 6, 1))
+    assert family_matrix("permutahedron", "h", 3).rows == ((1,), (1, 1), (1, 4, 1), (1, 11, 11, 1))
+    for name in ("simplex", "hypercube", "cross-polytope"):  # only the two fraction triples
+        with pytest.raises(ValueError):
+            named_triple(name)
 
 
 LARGE_N = 40  # far beyond the 9-11 rows that the OEIS fixtures reach
@@ -177,7 +147,7 @@ def _eulerian(n, k):
 
 @pytest.mark.parametrize("name, closed", [("associahedron", narayana_closed), ("permutahedron", _eulerian)])
 def test_polytope_h_matches_its_closed_form_at_large_n(name, closed):
-    h = named_triple(name).h_matrix(LARGE_N)
+    h = family_matrix(name, "h", LARGE_N)
     assert all(h.entry(n, k) == closed(n, k) for n in range(LARGE_N + 1) for k in range(n + 1))
 
 
@@ -199,8 +169,9 @@ def test_exponential_face_rows_are_a_fraction_at_large_n():
 
 
 def test_simplex_face_factorization_consistency():
-    simplex = named_triple("simplex")
-    assert face_matrix(simplex.h_array.matrix(8)) == simplex.f_array.matrix(8)
+    h = RiordanArray(TruncatedSeries.ratio([1], [1, -1]), TruncatedSeries.x()).matrix(8)
+    assert family_matrix("simplex", "h", 8) == h
+    assert family_matrix("simplex", "f", 8) == face_matrix(h)
 
 
 def test_exponential_face_matrix_via_spec():

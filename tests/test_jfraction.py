@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -117,10 +118,35 @@ def test_parse_errors_carry_positions():
 
 def test_parse_caps_exponents():
     assert parse_index_poly(f"y^{MAX_EXPONENT}") == IndexPoly.constant(Y**MAX_EXPONENT)
+    assert parse_index_poly("(1+i+r+y)^32").degree() == MAX_EXPONENT
+    assert parse_index_poly("(1/4294967296*y)^32") == IndexPoly.constant(Fraction(1, 2**1024) * Y**32)
+    assert parse_index_poly("i*(i+1)*r*y") == IndexPoly.from_coeffs([0, R * Y, R * Y])
+    for text in ("2*y+1", "i*r*y*(y+1)", "y+1", "i*r*y", "(i+1)*(2*y+1)", "i*(i+1)*y*(y+1)",
+                 "r*y*(y+1)", "1", "i+1", "i*(i+1)*r*y"):  # the benchmark's jf texts
+        parse_index_poly(text)
     # Rejected at the literal, before any arithmetic.
     with pytest.raises(ParseError) as err:
         parse_index_poly(f"y^{MAX_EXPONENT + 1}")
     assert err.value.position == 2
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("((1+i+r+y)^32)^2", 14),  # degree 64, at the outer ^
+        ("y*y^32", 1),  # degree 33, at the *
+        ("iy^32", 1),  # degree 33, at the implicit product
+        ("(((2^32)^32)^32)^32", 12),  # coefficient of 32768 bits
+        ("(1/4294967297*y)^32", 16),  # denominator of 1056 bits
+        ("1" * 5000, 0),  # literal beyond MAX_LITERAL_DIGITS
+    ],
+)
+def test_parse_bounds_every_intermediate(text, position):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse_index_poly(text)
+    assert err.value.position == position
+    assert time.perf_counter() - start < 1.0
 
 
 @given(st.text(alphabet="iry0123456789+-*^/() ", max_size=24))

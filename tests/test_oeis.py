@@ -1,8 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import riordan
 from riordan.algebra import R
 from riordan.arrays import LowerTriMatrix
 from riordan.oeis import (
@@ -163,3 +167,10 @@ def test_fetch_bfile_cache_flow(tmp_path):
         fetch_bfile("A000099", cache, offline=True)
     with pytest.raises(NetworkUnavailable):
         fetch_bfile("A000099", cache, base_url=base)
+
+
+def test_cli_import_leaves_the_network_stack_unloaded():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(riordan.__path__[0]))
+    code = "import sys, riordan.cli; print('urllib.request' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
