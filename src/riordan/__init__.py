@@ -14,71 +14,61 @@ Modules: :mod:`~riordan.algebra` (integers, rationals, polynomials in r, y),
 :mod:`~riordan.series` (truncated power series), :mod:`~riordan.arrays`
 (the Riordan group and lower-triangular matrices), :mod:`~riordan.jfraction`
 (Jacobi continued fractions), :mod:`~riordan.families` (the triangle
-families), :mod:`~riordan.oeis` (fixtures and b-files), :mod:`~riordan.cli`
-(the ``riordan`` command).
+families), :mod:`~riordan.oeis` (fixtures and b-files), :mod:`~riordan.verify`
+(the check battery), :mod:`~riordan.cli` (the ``riordan`` command).
+
+Importing the package imports none of them.  Each name in ``__all__`` is
+resolved on first use, from the one submodule that defines it, so a
+program (or a ``riordan`` subcommand) loads only the modules it uses.
 """
 
-from .algebra import MultiPoly, R, Y
-from .arrays import (
-    Kind,
-    LowerTriMatrix,
-    RiordanArray,
-    WeightSequence,
-    binomial_array,
-    face_array,
-    face_matrix,
-    identity_array,
-    pascal_matrix,
-    triangle_from_series,
-)
-from .families import (
-    FamilySpec,
-    GammaHFTriple,
-    PolytopeTriple,
-    family_array,
-    gamma_from_h,
-    gf_chain,
-    named_triple,
-)
-from .jfraction import IndexPoly, JFraction, binomial_transform, parse_index_poly, parse_poly
-from .oeis import FIXTURES, TriangleFixture, check_triangle, fetch_bfile, parse_bfile
-from .series import DEFAULT_ORDER, TruncatedSeries, egf_to_ogf
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_ORDER",
-    "FIXTURES",
-    "FamilySpec",
-    "GammaHFTriple",
-    "IndexPoly",
-    "JFraction",
-    "Kind",
-    "LowerTriMatrix",
-    "MultiPoly",
-    "PolytopeTriple",
-    "R",
-    "RiordanArray",
-    "TriangleFixture",
-    "TruncatedSeries",
-    "WeightSequence",
-    "Y",
-    "binomial_array",
-    "binomial_transform",
-    "check_triangle",
-    "egf_to_ogf",
-    "face_array",
-    "face_matrix",
-    "family_array",
-    "fetch_bfile",
-    "gamma_from_h",
-    "gf_chain",
-    "identity_array",
-    "named_triple",
-    "parse_bfile",
-    "parse_index_poly",
-    "parse_poly",
-    "pascal_matrix",
-    "triangle_from_series",
-    "__version__",
-]
+# The verify battery's suites and default seed.  They live here, not in
+# riordan.verify, so that the command line can offer them without loading
+# the battery.
+SUITES = ("group", "props", "oeis")
+DEFAULT_SEED = 20240831
+
+# Public name -> the submodule that defines it.  Nothing is imported until a
+# name is first looked up (PEP 562); ``from riordan import X`` then imports
+# X's module and what that module imports, and nothing else.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("algebra", "MultiPoly R Y"),
+        (
+            "arrays",
+            "Kind LowerTriMatrix RiordanArray WeightSequence binomial_array face_array "
+            "face_matrix identity_array pascal_matrix triangle_from_series",
+        ),
+        (
+            "families",
+            "FamilySpec GammaHFTriple PolytopeTriple family_array gamma_from_h gf_chain "
+            "named_triple",
+        ),
+        ("jfraction", "IndexPoly JFraction binomial_transform parse_index_poly parse_poly"),
+        ("oeis", "FIXTURES TriangleFixture check_triangle fetch_bfile parse_bfile"),
+        ("series", "DEFAULT_ORDER TruncatedSeries egf_to_ogf"),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    # Bound like an eager import: later lookups skip this function, and the
+    # name is in the module's __dict__.
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

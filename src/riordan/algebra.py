@@ -68,6 +68,34 @@ class MultiPoly:
     def coerce(cls, value: Scalar | MultiPoly) -> MultiPoly:
         return value if isinstance(value, MultiPoly) else cls.const(value)
 
+    @classmethod
+    def parse(cls, text: str) -> MultiPoly:
+        """The inverse of ``str``: read canonical text such as ``-3/2*r^2*y + 1``.
+
+        Unlike the ``jf`` expression parser it bounds nothing, so every
+        polynomial the package prints reads back exactly.  Text that ``str``
+        would not have produced raises ``ValueError``.
+        """
+        try:
+            terms: dict[Monomial, Scalar] = {}
+            for term in text.replace(" - ", " + -").split(" + "):
+                sign, body = (-1, term[1:]) if term.startswith("-") else (1, term)
+                coeff, powers = 1, [0, 0]
+                for factor in body.split("*"):
+                    name, _, power = factor.partition("^")
+                    if name in VARIABLES:
+                        powers[VARIABLES.index(name)] = int(power) if power else 1
+                    else:
+                        numerator, slash, denominator = factor.partition("/")
+                        coeff = Fraction(int(numerator), int(denominator)) if slash else int(numerator)
+                terms[tuple(powers)] = sign * coeff
+            poly = cls(terms)
+        except (ValueError, ZeroDivisionError):
+            poly = None
+        if poly is None or str(poly) != text:
+            raise ValueError(f"not a canonical polynomial: {text!r}")
+        return poly
+
     # -- inspection ------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Monomial, Scalar]]:

@@ -19,12 +19,12 @@ that fails to cancel is an error at this boundary.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Iterable, Sequence, Union
 
 from .algebra import MultiPoly, Y
+from .record import Frozen
 from .series import DEFAULT_ORDER, TruncatedSeries, tidy
 
 Entry = Union[int, MultiPoly]
@@ -52,16 +52,15 @@ class Kind(enum.Enum):
     GENERALIZED = "generalized"
 
 
-@dataclass(frozen=True)
-class WeightSequence:
+class WeightSequence(Frozen):
     """Nonzero weights c_n (with c_0 = 1) defining a generalized array."""
 
-    name: str
-    c: Callable[[int], int | Fraction]
+    __slots__ = ("name", "c")
 
-    def __post_init__(self):
-        if self.c(0) != 1:
+    def __init__(self, name: str, c: Callable[[int], int | Fraction]):
+        if c(0) != 1:
             raise ValueError("weight sequences are normalized so that c_0 = 1")
+        self._init(name=name, c=c)
 
     def __call__(self, n: int) -> int | Fraction:
         value = self.c(n)
@@ -171,24 +170,27 @@ def face_matrix(m: LowerTriMatrix) -> LowerTriMatrix:
     return m * pascal_matrix(m.size - 1)
 
 
-@dataclass(frozen=True)
-class RiordanArray:
+class RiordanArray(Frozen):
     """A Riordan array (g, f) of the given kind at fixed truncation order."""
 
-    g: TruncatedSeries
-    f: TruncatedSeries
-    kind: Kind = Kind.ORDINARY
-    weights: WeightSequence | None = field(default=None)
+    __slots__ = ("g", "f", "kind", "weights")
 
-    def __post_init__(self):
-        if self.g[0] != 1:
-            raise ValueError(f"g must have constant term 1, got {self.g[0]}")
-        if self.f[0] != 0:
+    def __init__(
+        self,
+        g: TruncatedSeries,
+        f: TruncatedSeries,
+        kind: Kind = Kind.ORDINARY,
+        weights: WeightSequence | None = None,
+    ):
+        if g[0] != 1:
+            raise ValueError(f"g must have constant term 1, got {g[0]}")
+        if f[0] != 0:
             raise ValueError("f must have zero constant term")
-        if self.f.order < 1 or self.f[1] == 0:
+        if f.order < 1 or f[1] == 0:
             raise ValueError("f must have a nonzero linear coefficient")
-        if self.kind is Kind.GENERALIZED and self.weights is None:
+        if kind is Kind.GENERALIZED and weights is None:
             raise ValueError("generalized arrays need a weight sequence")
+        self._init(g=g, f=f, kind=kind, weights=weights)
 
     @property
     def order(self) -> int:

@@ -18,14 +18,12 @@ usage or expression-parse errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import DEFAULT_SEED, SUITES
 from .algebra import MultiPoly, R
 from .arrays import Kind
 from .families import (
@@ -34,34 +32,43 @@ from .families import (
     family_matrix,
     h_matrix,  # noqa: F401 -- perfbench's tracer test checks cli.h_matrix
 )
-from .jfraction import JFraction, parse_index_poly, parse_poly
-from .oeis import (
-    CACHE_DIR_ENV,
-    FIXTURES,
-    CacheMiss,
-    NetworkUnavailable,
-    fetch_bfile,
-)
+from .jfraction import JFraction, parse_index_poly
+from .record import Record
 from .series import tidy
-from . import verify as verify_mod
+
+# What only some subcommands use (verify, oeis, json, csv) is imported where
+# it is used.  Without cached bytecode, every module a request imports is
+# compiled from source before the request can start.
 
 SAFE_INT = 2**53  # larger integers are emitted as JSON strings
 
 FORMATS = ("table", "json", "csv", "latex")
 
 
-@dataclass
-class OutputDoc:
+class OutputDoc(Record):
     """A rendered triangle or series expansion plus its metadata."""
 
-    kind: str  # "matrix" | "series"
-    rows: list[list]
-    family: str | None = None
-    flavor: str | None = None
-    r: int | str | None = None
-    size: int = 0
-    reversed_form: bool = False
-    extra: dict = field(default_factory=dict)
+    __slots__ = ("kind", "rows", "family", "flavor", "r", "size", "reversed_form", "extra")
+
+    def __init__(
+        self,
+        kind: str,  # "matrix" | "series"
+        rows: list[list],
+        family: str | None = None,
+        flavor: str | None = None,
+        r: int | str | None = None,
+        size: int = 0,
+        reversed_form: bool = False,
+        extra: dict | None = None,
+    ):
+        self.kind = kind
+        self.rows = rows
+        self.family = family
+        self.flavor = flavor
+        self.r = r
+        self.size = size
+        self.reversed_form = reversed_form
+        self.extra = {} if extra is None else extra
 
     def json_object(self) -> dict:
         def encode(entry):
@@ -84,6 +91,8 @@ class OutputDoc:
 
     def render(self, fmt: str) -> str:
         if fmt == "json":
+            import json
+
             return json.dumps(self.json_object(), indent=2) + "\n"
         if fmt == "table":
             return render_table(self.rows)
@@ -108,6 +117,8 @@ def render_table(rows: list[list]) -> str:
 
 
 def render_csv(rows: list[list]) -> str:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
     for row in rows:
@@ -127,7 +138,13 @@ def render_latex(rows: list[list]) -> str:
 
 
 def parse_matrix_doc(text: str) -> OutputDoc:
-    """Inverse of the JSON rendering; entries come back as int/MultiPoly."""
+    """Inverse of the JSON rendering; entries come back as int/MultiPoly.
+
+    Polynomial entries are read by :meth:`MultiPoly.parse`, which bounds
+    nothing, so every document ``export`` writes reads back exactly.
+    """
+    import json
+
     raw = json.loads(text)
 
     def decode(entry):
@@ -138,7 +155,7 @@ def parse_matrix_doc(text: str) -> OutputDoc:
             try:
                 return int(stripped)
             except ValueError:
-                return parse_poly(stripped)
+                return MultiPoly.parse(stripped)
         raise ValueError(f"cannot decode entry {entry!r}")
 
     return OutputDoc(
@@ -256,7 +273,9 @@ def cmd_jf(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify_mod.run_suite(args.suite, seed=args.seed)
+    from . import verify
+
+    results = verify.run_suite(args.suite, seed=args.seed)
     failures = 0
     for res in results:
         mark = "ok" if res.ok else "FAIL"
@@ -271,12 +290,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oeis_check(args) -> int:
+    from . import verify
+    from .oeis import FIXTURES
+
     anumbers = args.anumber or sorted(FIXTURES)
     unknown = [a for a in anumbers if a not in FIXTURES]
     if unknown:
         print(f"error: no fixture for {', '.join(unknown)}", file=sys.stderr)
         return 2
-    results = verify_mod.oeis_suite(anumbers)
+    repeated = sorted({a for a in anumbers if anumbers.count(a) > 1})
+    if repeated:
+        print(f"error: {', '.join(repeated)} given more than once", file=sys.stderr)
+        return 2
+    results = verify.oeis_suite(anumbers)
     failures = 0
     for res in results:
         print(f"[{'ok' if res.ok else 'FAIL':>4}] {res.detail}")
@@ -285,6 +311,8 @@ def cmd_oeis_check(args) -> int:
 
 
 def cmd_fetch_bfile(args) -> int:
+    from .oeis import CACHE_DIR_ENV, CacheMiss, NetworkUnavailable, fetch_bfile
+
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV) or (
         Path.home() / ".cache" / "riordan-oeis"
     )
@@ -326,9 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the verification suites")
     ver.add_argument(
-        "suite", nargs="?", default="all", choices=("all",) + verify_mod.SUITES
+        "suite", nargs="?", default="all", choices=("all",) + SUITES
     )
-    ver.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
+    ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
     ver.set_defaults(func=cmd_verify)
 
     oeis = sub.add_parser("oeis-check", help="check embedded OEIS fixtures")

@@ -36,10 +36,9 @@ route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Union
+from typing import NamedTuple, Union
 
 from .algebra import MultiPoly, R, Y
 from .arrays import (
@@ -50,6 +49,7 @@ from .arrays import (
     face_matrix,
     triangle_from_series,
 )
+from .record import Frozen
 from .series import DEFAULT_ORDER, TruncatedSeries
 from .jfraction import IndexPoly, JFraction
 
@@ -60,20 +60,18 @@ class NotPalindromic(ValueError):
     """gamma extraction needs palindromic rows."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Frozen):
     """Which family (ordinary/exponential) at which parameter value."""
 
-    flavor: Kind = Kind.ORDINARY
-    r: RValue = R
+    __slots__ = ("flavor", "r")
 
-    def __post_init__(self):
-        if self.flavor is Kind.GENERALIZED:
+    def __init__(self, flavor: Kind = Kind.ORDINARY, r: RValue = R):
+        if flavor is Kind.GENERALIZED:
             raise ValueError("families come in ordinary and exponential flavors only")
+        self._init(flavor=flavor, r=r)
 
 
-@dataclass(frozen=True)
-class GammaHFTriple:
+class GammaHFTriple(NamedTuple):
     gamma: LowerTriMatrix
     h: LowerTriMatrix
     f: LowerTriMatrix
@@ -229,8 +227,7 @@ def plain_f_gf(spec: FamilySpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 # -- named polytope triples ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolytopeTriple:
+class PolytopeTriple(NamedTuple):
     """The gamma/h/f J-fractions of a named polytope family."""
 
     gamma_fraction: JFraction

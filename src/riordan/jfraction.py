@@ -19,13 +19,13 @@ step at height k and ``b_{k+1}`` per fall from height k+1 to k.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from operator import add
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .algebra import MultiPoly
+from .record import Frozen
 from .series import TruncatedSeries
 
 PolyLike = Union[int, Fraction, MultiPoly]
@@ -39,11 +39,13 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class IndexPoly:
+class IndexPoly(Frozen):
     """Polynomial in the level index i with MultiPoly coefficients."""
 
-    coeffs: tuple[MultiPoly, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[MultiPoly, ...]):
+        self._init(coeffs=coeffs)
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[PolyLike]) -> IndexPoly:
@@ -126,8 +128,7 @@ class IndexPoly:
         return " + ".join(pieces)
 
 
-@dataclass(frozen=True)
-class JFraction:
+class JFraction(NamedTuple):
     """Level coefficients alpha_i (i >= 0) and weights beta_i (i >= 1)."""
 
     alpha: IndexPoly

@@ -19,11 +19,12 @@ from __future__ import annotations
 import enum
 import os
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .algebra import MultiPoly
 from .arrays import LowerTriMatrix
+from .record import Frozen
 
 DEFAULT_BASE_URL = "https://oeis.org"
 BASE_URL_ENV = "OEIS_BASE_URL"
@@ -55,22 +56,32 @@ class Reading(enum.Enum):
     BY_ROWS_REVERSED = "by-rows-reversed"
 
 
-@dataclass(frozen=True)
-class TriangleFixture:
+class TriangleFixture(Frozen):
     """Leading rows of an OEIS triangle, flat values plus reconstruction data."""
 
-    anumber: str
-    description: str
-    offset: int
-    reading: Reading
-    row_lengths: tuple[int, ...]
-    values: tuple[int, ...]
+    __slots__ = ("anumber", "description", "offset", "reading", "row_lengths", "values")
 
-    def __post_init__(self):
-        if not self.values:
+    def __init__(
+        self,
+        anumber: str,
+        description: str,
+        offset: int,
+        reading: Reading,
+        row_lengths: tuple[int, ...],
+        values: tuple[int, ...],
+    ):
+        if not values:
             raise ValueError("fixture values must be non-empty")
-        if sum(self.row_lengths) != len(self.values):
-            raise ValueError(f"{self.anumber}: row lengths do not add up")
+        if sum(row_lengths) != len(values):
+            raise ValueError(f"{anumber}: row lengths do not add up")
+        self._init(
+            anumber=anumber,
+            description=description,
+            offset=offset,
+            reading=reading,
+            row_lengths=row_lengths,
+            values=values,
+        )
 
     def rows(self) -> list[list[int]]:
         out, pos = [], 0
@@ -83,8 +94,7 @@ class TriangleFixture:
         return out
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(NamedTuple):
     """Parsed 'index value' lines of an OEIS b-file."""
 
     entries: tuple[tuple[int, int], ...]
@@ -118,8 +128,7 @@ def render_bfile(bfile: BFile) -> str:
     return "".join(f"{n} {v}\n" for n, v in bfile.entries)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of comparing generated rows against a fixture."""
 
     anumber: str

@@ -229,13 +229,23 @@ class TruncatedSeries:
         raise ArithmeticError("series reversion did not converge")  # pragma: no cover
 
     def exp(self) -> TruncatedSeries:
-        """Exponential sum(self**k / k!), requiring zero constant term."""
+        """Exponential sum(self**k / k!), requiring zero constant term.
+
+        e = exp(f) solves e' = f' e, so e_0 = 1 and
+        n e_n = sum_{k=1..n} k f_k e_{n-k}: O(order^2) coefficient products.
+        """
         if self._coeffs[0] != 0:
             raise NonzeroConstantTerm("exp needs a zero constant term")
-        result = TruncatedSeries.one(self.order)
-        for k in range(self.order, 0, -1):
-            result = result * self * Fraction(1, k) + 1
-        return result
+        scaled = [(k, k * c) for k, c in enumerate(self._coeffs) if k and c]
+        out: list[Coeff] = [1]
+        for n in range(1, self.order + 1):
+            acc = 0
+            for k, kc in scaled:
+                if k > n:
+                    break
+                acc = acc + kc * out[n - k]
+            out.append(acc * Fraction(1, n))
+        return TruncatedSeries(out)
 
 
 def tidy(value: Coeff) -> Coeff:

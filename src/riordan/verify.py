@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from functools import cache, partial
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
+from . import DEFAULT_SEED, SUITES
 from .algebra import MultiPoly, R, Y
 from .arrays import (
     Kind,
@@ -56,9 +56,6 @@ from .jfraction import IndexPoly, JFraction, binomial_transform
 from .oeis import FIXTURES, CheckReport, aerated, check_sequence, check_triangle
 from .series import TruncatedSeries, egf_to_ogf, integer_coeffs
 
-DEFAULT_SEED = 20240831
-SUITES = ("group", "props", "oeis")
-
 ROUNDS = 50  # random instances per group law
 ORDER = 10  # truncation order of the random series and arrays
 
@@ -66,16 +63,14 @@ _ORD = FamilySpec(Kind.ORDINARY, R)
 _EXP = FamilySpec(Kind.EXPONENTIAL, R)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One criterion of a suite.
 
     ``fn`` takes a ``random.Random`` seeded from the run's seed and the

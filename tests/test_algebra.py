@@ -128,3 +128,22 @@ def test_fractions_stay_reduced(a, b, c, d):
     total = Fraction(a, b) + Fraction(c, d)
     assert total.denominator > 0
     assert gcd(total.numerator, total.denominator) == 1
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 80), st.integers(0, 80)),
+        st.fractions(max_denominator=10**30) | st.integers(-(2**400), 2**400),
+        max_size=6,
+    ).map(MultiPoly)
+)
+def test_parse_reads_back_what_str_prints(p):
+    assert MultiPoly.parse(str(p)) == p
+
+
+@pytest.mark.parametrize(
+    "text", ["", "r+1", "1 + r", "1*r", "r^1", "r + r", "2*r*r", "-0", "x", " r", "1/0", "r^-1", "2/4"]
+)
+def test_parse_rejects_text_that_str_does_not_print(text):
+    with pytest.raises(ValueError, match="not a canonical polynomial"):
+        MultiPoly.parse(text)

@@ -1,13 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import riordan
 from riordan import families
 from riordan.algebra import R
 from riordan.arrays import Kind, LowerTriMatrix, RiordanArray
 from riordan.cli import main, parse_matrix_doc
-from riordan.families import FamilySpec, f_matrix
+from riordan.families import FamilySpec, f_matrix, family_matrix
 from riordan.jfraction import MAX_EXPONENT
 
 from golden_cases import GOLDEN_CASES
@@ -92,6 +96,16 @@ def test_json_round_trip_symbolic(capsys, tmp_path):
     assert [tuple(row) for row in doc.rows] == list(expected.rows)
 
 
+@pytest.mark.parametrize("flavor", ["ordinary", "exponential"])
+def test_json_round_trip_is_lossless_at_large_n(capsys, flavor):
+    # Row 100 holds r^50, beyond every bound of the jf expression parser.
+    status, out, _ = run(capsys, ["export", "--flavor", flavor, "--which", "h", "--N", "100"])
+    assert status == 0 and "r^50" in out
+    doc = parse_matrix_doc(out)
+    expected = family_matrix(FamilySpec(Kind(flavor), R), "h", 100)
+    assert [tuple(row) for row in doc.rows] == list(expected.rows)
+
+
 def test_json_round_trip_big_integers(capsys):
     status, out, _ = run(
         capsys,
@@ -161,14 +175,21 @@ def test_oeis_check_command(capsys):
     assert "no fixture" in err
 
 
-def test_oeis_check_failure_exit_code(capsys, monkeypatch):
-    from dataclasses import replace
+def test_oeis_check_rejects_a_repeated_a_number(capsys):
+    status, out, err = run(capsys, ["oeis-check", "A055151", "A008292", "A055151"])
+    assert status == 2 and out == ""
+    assert err == "error: A055151 given more than once\n"
 
+
+def test_oeis_check_failure_exit_code(capsys, monkeypatch):
     import riordan.verify as verify_mod
+    from riordan.oeis import TriangleFixture
 
     bad = dict(verify_mod.FIXTURES)
     fx = bad["A007318"]
-    bad["A007318"] = replace(fx, values=fx.values[:-1] + (999,))
+    bad["A007318"] = TriangleFixture(
+        fx.anumber, fx.description, fx.offset, fx.reading, fx.row_lengths, fx.values[:-1] + (999,)
+    )
     monkeypatch.setattr(verify_mod, "FIXTURES", bad)
 
     status, out, _ = run(capsys, ["oeis-check", "A007318"])
@@ -197,3 +218,42 @@ def test_fetch_bfile_via_file_url(capsys, tmp_path, monkeypatch):
     assert status == 0
     assert "5 terms" in out
     assert "0, 1, 1, 2, 3" in out
+
+
+def _fresh_interpreter(code: str) -> list[str]:
+    """Run code in a new interpreter without site packages; its stdout lines."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(riordan.__path__[0]))
+    argv = [sys.executable, "-S", "-c", code]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+
+
+def test_show_and_jf_load_only_the_modules_they_run():
+    # Without cached bytecode a request compiles every module it imports.
+    code = (
+        "import sys\n"
+        "import riordan.cli as cli\n"
+        "cli.main(['show', '--which', 'f', '--N', '4'])\n"
+        "cli.main(['jf', '--alpha', '2*y+1', '--beta', 'i*r*y*(y+1)', '--N', '4'])\n"
+        "unwanted = ('dataclasses', 'riordan.verify', 'riordan.oeis', 'json', 'csv')\n"
+        "print([name for name in unwanted if name in sys.modules])\n"
+    )
+    assert _fresh_interpreter(code)[-1] == "[]"
+
+
+def test_the_package_resolves_its_public_names_lazily():
+    code = (
+        "import sys, riordan\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('riordan.'))\n"
+        "print(loaded())\n"
+        "from riordan import MultiPoly\n"
+        "print(loaded())\n"
+        "from riordan import *\n"
+        "print(all(name in globals() for name in riordan.__all__))\n"
+    )
+    assert _fresh_interpreter(code) == ["[]", "['riordan.algebra']", "True"]
+    for name in riordan.__all__:
+        assert getattr(riordan, name) is not None, name
+    assert riordan.FamilySpec is families.FamilySpec
+    assert set(riordan.__all__) <= set(dir(riordan))
+    with pytest.raises(AttributeError):
+        riordan.no_such_name

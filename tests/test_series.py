@@ -122,6 +122,29 @@ def test_exp_examples():
         series_of([1, 1]).exp()
 
 
+def _exp_by_horner(s):
+    """sum(s**k / k!) by Horner's rule, one series product per term: the
+    definition, kept as the oracle of the recurrence in TruncatedSeries.exp."""
+    result = S.one(s.order)
+    for k in range(s.order, 0, -1):
+        result = result * s * Fraction(1, k) + 1
+    return result
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        S([0, 3, -1, 4, -2, 5, 0, 1], 12),
+        S([0, Fraction(1, 3), -2, Fraction(5, 7)], 12),
+        S([0, R, Y, R * Y + Fraction(1, 2)], 10),
+        S([0, 1, R * Fraction(1, 2)], 16),
+        S([0, 0, 0, 0, 2], 20),
+    ],
+)
+def test_exp_matches_its_definition(s):
+    assert s.exp().coeffs == _exp_by_horner(s).coeffs
+
+
 def test_egf_to_ogf_examples():
     # e^x is the EGF of the all-ones sequence ...
     assert integer_coeffs(egf_to_ogf(S.x(6).exp())) == [1] * 7
