@@ -109,7 +109,7 @@ class MultiPoly:
         split: list[dict[Monomial, Scalar]] = [{} for _ in range(self.degree("y") + 1)]
         for (i, j), c in self._terms.items():
             split[j][(i, 0)] = c
-        return [MultiPoly(terms) for terms in split]
+        return [_trusted(terms) for terms in split]
 
     def degree(self, name: str) -> int:
         """Largest exponent of the named variable (0 for the zero polynomial)."""
@@ -149,19 +149,23 @@ class MultiPoly:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: Scalar | MultiPoly) -> MultiPoly:
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(other)
-        elif not isinstance(other, MultiPoly):
+        if isinstance(other, MultiPoly):
+            terms = other._terms
+        elif type(other) is int:
+            terms = {(0, 0): other}
+        elif isinstance(other, (int, Fraction)):
+            terms = MultiPoly.const(other)._terms
+        else:
             return NotImplemented
         out = dict(self._terms)
-        for m, c in other._terms.items():
+        for m, c in terms.items():
             out[m] = out.get(m, 0) + c
-        return MultiPoly(out)
+        return _trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly({m: -c for m, c in self._terms.items()})
+        return _trusted({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: Scalar | MultiPoly) -> MultiPoly:
         return self + -other
@@ -170,16 +174,16 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other: Scalar | MultiPoly) -> MultiPoly:
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return _trusted({m: c * other for m, c in self._terms.items()})
         out: dict[Monomial, Scalar] = {}
         for (i1, j1), c1 in self._terms.items():
             for (i2, j2), c2 in other._terms.items():
                 m = (i1 + i2, j1 + j2)
                 out[m] = out.get(m, 0) + c1 * c2
-        return MultiPoly(out)
+        return _trusted(out)
 
     __rmul__ = __mul__
 
@@ -230,6 +234,22 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
+
+
+def _trusted(terms: dict[Monomial, Scalar]) -> MultiPoly:
+    """A MultiPoly from terms that ring operations computed from valid ones.
+
+    Their exponents are valid and their coefficients are ``int`` or
+    ``Fraction``, so unlike ``__init__`` this only drops zeros and stores
+    integral Fractions as ``int``.
+    """
+    poly = object.__new__(MultiPoly)
+    poly._terms = {
+        m: c if type(c) is int or c.denominator != 1 else c.numerator
+        for m, c in terms.items()
+        if c
+    }
+    return poly
 
 
 def _render_term(i: int, j: int, coeff: Scalar) -> str:

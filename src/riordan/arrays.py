@@ -81,12 +81,12 @@ def _normalize_entry(value) -> Entry:
     value = tidy(value)
     if isinstance(value, int):
         return value
-    if isinstance(value, Fraction):
-        raise NonIntegralEntry(f"entry is not an integer: {value}")
     if isinstance(value, MultiPoly):
         if not value.has_integer_coefficients():
             raise NonIntegralEntry(f"entry has non-integer coefficients: {value}")
         return value
+    if isinstance(value, Fraction):
+        raise NonIntegralEntry(f"entry is not an integer: {value}")
     raise TypeError(f"unsupported entry type: {value!r}")
 
 
@@ -220,11 +220,11 @@ class RiordanArray(Frozen):
             raise IndexBeyondTruncation(
                 f"size {size_n} beyond truncation order {self.order}"
             )
-        cols = []
-        p = self.g
-        for k in range(size_n + 1):
-            cols.append([p[n] for n in range(size_n + 1)])
-            p = p * self.f
+        # Rows beyond size_n never reach the matrix: build g * f**k to size_n.
+        f = self.f.truncate(size_n)
+        cols = [self.g.truncate(size_n)]
+        for _ in range(size_n):
+            cols.append(cols[-1] * f)
         return LowerTriMatrix(
             [
                 [_normalize_entry(self._prefactor(n, k) * cols[k][n]) for k in range(n + 1)]

@@ -158,6 +158,7 @@ def parse_matrix_doc(text: str) -> OutputDoc:
                 return MultiPoly.parse(stripped)
         raise ValueError(f"cannot decode entry {entry!r}")
 
+    fixed = ("kind", "rows", "family", "flavor", "r", "N", "reversed")
     return OutputDoc(
         kind=raw["kind"],
         rows=[[decode(e) for e in row] for row in raw["rows"]],
@@ -166,6 +167,7 @@ def parse_matrix_doc(text: str) -> OutputDoc:
         r=raw.get("r"),
         size=raw["N"],
         reversed_form=raw["reversed"],
+        extra={key: value for key, value in raw.items() if key not in fixed},
     )
 
 

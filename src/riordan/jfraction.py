@@ -172,12 +172,14 @@ class JFraction(NamedTuple):
 
 def binomial_transform(seq: Sequence, k: PolyLike) -> list:
     """b_n = sum_i C(n, i) k^(n-i) a_i, exactly, same length as the input."""
-    k = MultiPoly.coerce(k)
+    powers = [MultiPoly.const(1)]  # powers[j] == k**j
+    for _ in range(1, len(seq)):
+        powers.append(powers[-1] * k)
     out = []
     for n in range(len(seq)):
         acc = MultiPoly.coerce(seq[n]) if isinstance(seq[n], (int, Fraction)) else seq[n]
         for i in range(n):
-            acc = acc + comb(n, i) * (k ** (n - i)) * seq[i]
+            acc = acc + comb(n, i) * powers[n - i] * seq[i]
         out.append(acc)
     return out
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from operator import add, mul
 from typing import Sequence, Union
 
 from .algebra import MultiPoly
@@ -140,17 +141,13 @@ class TruncatedSeries:
 
     def __add__(self, other: Coeff | TruncatedSeries) -> TruncatedSeries:
         if isinstance(other, TruncatedSeries):
-            n = min(self.order, other.order)
-            return TruncatedSeries(
-                [self._coeffs[i] + other._coeffs[i] for i in range(n + 1)]
-            )
-        head = (self._coeffs[0] + other,) + self._coeffs[1:]
-        return TruncatedSeries(head)
+            return _trusted(map(add, self._coeffs, other._coeffs))
+        return _trusted((self._coeffs[0] + other,) + self._coeffs[1:])
 
     __radd__ = __add__
 
     def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries([-c for c in self._coeffs])
+        return _trusted([-c for c in self._coeffs])
 
     def __sub__(self, other: Coeff | TruncatedSeries) -> TruncatedSeries:
         return self + (-other)
@@ -160,16 +157,13 @@ class TruncatedSeries:
 
     def __mul__(self, other: Coeff | TruncatedSeries) -> TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
-            return TruncatedSeries([c * other for c in self._coeffs])
+            return _trusted([c * other for c in self._coeffs])
         n = min(self.order, other.order)
         a, b = self._coeffs, other._coeffs
-        out = []
-        for k in range(n + 1):
-            acc = a[0] * b[k]
-            for i in range(1, k + 1):
-                acc = acc + a[i] * b[k - i]
-            out.append(acc)
-        return TruncatedSeries(out)
+        rb = b[n::-1]  # rb[n - j] == b[j]
+        return _trusted(
+            [sum(map(mul, a[1 : k + 1], rb[n - k + 1 :]), a[0] * b[k]) for k in range(n + 1)]
+        )
 
     __rmul__ = __mul__
 
@@ -185,17 +179,26 @@ class TruncatedSeries:
             for i in range(2, n + 1):
                 acc = acc + a[i] * out[n - i]
             out.append(-acc * inv0)
-        return TruncatedSeries(out)
+        return _trusted(out)
 
     def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
-        """self(inner(x)), requiring inner(0) == 0.  Horner evaluation."""
+        """self(inner(x)), requiring inner(0) == 0.  Horner evaluation.
+
+        Step k computes r_k = c_k + x * r_{k+1} * (inner / x), and r_k is
+        later multiplied by inner**k, whose valuation is k, so only its
+        coefficients up to x**(n - k) can reach the result.  Each step keeps
+        one more coefficient than the last: composing at order n costs
+        n(n+1)(n+2)/6 coefficient products.
+        """
         if inner._coeffs[0] != 0:
             raise NonzeroConstantTerm("inner series must have zero constant term")
         n = min(self.order, inner.order)
-        inner = inner.truncate(n)
-        result = TruncatedSeries((self._coeffs[n],), n)
-        for k in range(n - 1, -1, -1):
-            result = result * inner + self._coeffs[k]
+        c = self._coeffs
+        result = _trusted((c[n],))
+        if n:
+            over_x = _trusted(inner._coeffs[1 : n + 1])
+            for k in range(n - 1, -1, -1):
+                result = _trusted((c[k],) + (result * over_x)._coeffs)
         return result
 
     def derivative(self) -> TruncatedSeries:
@@ -245,13 +248,24 @@ class TruncatedSeries:
                     break
                 acc = acc + kc * out[n - k]
             out.append(acc * Fraction(1, n))
-        return TruncatedSeries(out)
+        return _trusted(out)
+
+
+def _trusted(coeffs) -> TruncatedSeries:
+    """A series from the non-empty coefficients an operation computed,
+    without ``__init__``'s padding and checks."""
+    series = object.__new__(TruncatedSeries)
+    series._coeffs = tuple(coeffs)
+    return series
 
 
 def tidy(value: Coeff) -> Coeff:
     """Collapse integral Fractions to int and constant polynomials to scalars."""
     if isinstance(value, MultiPoly) and value.is_constant():
         value = value.constant_value()
+    # int and MultiPoly first: isinstance(value, Fraction) is an ABC check.
+    if type(value) is int or isinstance(value, MultiPoly):
+        return value
     if isinstance(value, Fraction) and value.denominator == 1:
         return int(value)
     return value

@@ -207,9 +207,9 @@ def _composition_associativity(rng: random.Random) -> bool:
 @_law("binomial shift matches the sequence transform", 20)
 def _binomial_shift(rng: random.Random) -> bool:
     frac = JFraction(_random_index_poly(rng), _random_index_poly(rng))
+    expansion = frac.expand(8).coeffs
     return all(
-        list(frac.binomial_shift(k).expand(8).coeffs)
-        == binomial_transform(frac.expand(8).coeffs, k)
+        list(frac.binomial_shift(k).expand(8).coeffs) == binomial_transform(expansion, k)
         for k in (1, 2, Y, Y + 1)
     )
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from riordan.algebra import MultiPoly, R, Y
 
@@ -81,6 +81,27 @@ def test_inspection_helpers():
 def test_integral_coefficients_are_stored_as_int(a, b):
     assert all(type(c) is int for p in (a + b, a * b, a - b) for _, c in p.items())
     assert all(type(c) is int for _, c in ((a + b) * Fraction(1, 3) * 3).items())
+
+
+rationals = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=4)
+rational_polys = st.dictionaries(monomials, rationals, max_size=5).map(MultiPoly)
+
+
+def _typed_terms(p):
+    return {m: (c, type(c)) for m, c in p.items()}
+
+
+@given(rational_polys, rationals | st.booleans() | rational_polys, st.integers(0, 3))
+@example(MultiPoly.const(Fraction(1, 2)), 2, 1)
+@example(MultiPoly.const(Fraction(1, 2)), MultiPoly.const(Fraction(-4)), 2)
+@example(MultiPoly({(1, 0): Fraction(1, 3)}), True, 3)
+def test_ring_results_are_canonical(p, other, exponent):
+    # Ring results skip __init__: each must hold exactly the terms, and
+    # coefficient types, that validating its terms again gives.
+    results = [p + other, other + p, p - other, other - p, p * other, other * p, -p, p**exponent]
+    for q in results + p.y_coefficients():
+        assert type(q) is MultiPoly
+        assert _typed_terms(q) == _typed_terms(MultiPoly(dict(q.items())))
 
 
 def test_only_non_integral_coefficients_are_fractions():

@@ -182,6 +182,25 @@ def test_entry_matches_matrix_everywhere():
     assert all(a.entry(n, k) == m.entry(n, k) for n in range(9) for k in range(n + 1))
 
 
+@pytest.mark.parametrize(
+    "array",
+    [
+        simplex_face_array(),
+        exp_array(2),
+        RiordanArray(
+            S([1, Fraction(1, 2), Fraction(1, 12), Fraction(1, 144)], 8),
+            S.x(8),
+            Kind.GENERALIZED,
+            FACTORIAL_PAIR_WEIGHTS,
+        ),
+        RiordanArray(S.ratio([1], [1, -R], 10), S.ratio([0, 1], [1, -1, -R * Y], 10)),
+    ],
+)
+def test_matrix_prefix_matches_the_full_order_matrix(array):
+    full = array.matrix(array.order).rows
+    assert all(array.matrix(m).rows == full[: m + 1] for m in range(array.order + 1))
+
+
 def test_matrix_validation():
     with pytest.raises(ValueError):
         LowerTriMatrix([[1], [1, 2, 3]])

@@ -96,6 +96,20 @@ def test_json_round_trip_symbolic(capsys, tmp_path):
     assert [tuple(row) for row in doc.rows] == list(expected.rows)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jf", "--alpha", "2*y+1", "--beta", "i*r*y*(y+1)", "--N", "3", "--format", "json"],
+        ["show", "--which", "f", "--N", "4", "--format", "json"],
+        ["show", "--family", "permutahedron", "--which", "h", "--N", "20", "--format", "json"],
+    ],
+)
+def test_json_documents_render_back_unchanged(capsys, argv):
+    status, out, _ = run(capsys, argv)
+    assert status == 0
+    assert parse_matrix_doc(out).render("json") == out
+
+
 @pytest.mark.parametrize("flavor", ["ordinary", "exponential"])
 def test_json_round_trip_is_lossless_at_large_n(capsys, flavor):
     # Row 100 holds r^50, beyond every bound of the jf expression parser.

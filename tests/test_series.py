@@ -145,6 +145,61 @@ def test_exp_matches_its_definition(s):
     assert s.exp().coeffs == _exp_by_horner(s).coeffs
 
 
+def _compose_at_full_order(outer, inner):
+    """Horner's rule with every step a full-order series product: the old
+    compose, kept as the oracle of the truncated steps."""
+    n = min(outer.order, inner.order)
+    inner = inner.truncate(n)
+    result = S((outer[n],), n)
+    for k in range(n - 1, -1, -1):
+        result = result * inner + outer[k]
+    return result
+
+
+coefficients = {
+    "int": st.integers(-4, 4),
+    "Fraction": st.fractions(-3, 3, max_denominator=5),
+    "MultiPoly": st.sampled_from([0, 1, -2, R, Y, R - 1]),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(coefficients))
+@given(data=st.data())
+def test_compose_matches_the_full_order_horner_loop(ring, data):
+    coeff = coefficients[ring]
+    outer_order, inner_order = data.draw(st.integers(0, 16)), data.draw(st.integers(0, 16))
+    outer = S(data.draw(st.lists(coeff, min_size=outer_order + 1, max_size=outer_order + 1)))
+    inner = S([0, *data.draw(st.lists(coeff, min_size=inner_order, max_size=inner_order))])
+    assert outer.compose(inner).coeffs == _compose_at_full_order(outer, inner).coeffs
+
+
+class Counted:
+    """An integer coefficient that tallies the products it takes part in."""
+
+    def __init__(self, value, tally):
+        self.value, self.tally = value, tally
+
+    def __mul__(self, other):
+        self.tally[0] += 1
+        return Counted(self.value * getattr(other, "value", other), self.tally)
+
+    def __add__(self, other):
+        return Counted(self.value + getattr(other, "value", other), self.tally)
+
+    __rmul__, __radd__ = __mul__, __add__
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_compose_takes_a_sixth_of_the_full_order_products(n):
+    tally = [0]
+    outer = S([Counted(k % 5 - 2, tally) for k in range(n + 1)])
+    inner = S([0] + [Counted(k % 3 + 1, tally) for k in range(1, n + 4)])
+    composed = outer.compose(inner)
+    assert tally[0] == n * (n + 1) * (n + 2) // 6
+    plain = _compose_at_full_order(S([c.value for c in outer]), S([getattr(c, "value", c) for c in inner]))
+    assert [c.value for c in composed] == list(plain.coeffs)
+
+
 def test_egf_to_ogf_examples():
     # e^x is the EGF of the all-ones sequence ...
     assert integer_coeffs(egf_to_ogf(S.x(6).exp())) == [1] * 7
