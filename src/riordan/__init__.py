@@ -8,7 +8,8 @@ Every triangle is built by one of two routes -- three-term row recurrences
 (the two families, and the simplex and hypercube, which are the ordinary
 family at r = -1 and r = 0) or Jacobi continued fractions (associahedron,
 permutahedron) -- and cross-checked against closed forms, Riordan group
-products and embedded OEIS data.
+products and embedded OEIS data.  Each triple stores only its gamma data;
+its h and f members are derived by the paper's maps on J-fractions.
 
 Modules: :mod:`~riordan.algebra` (integers, rationals, polynomials in r, y),
 :mod:`~riordan.series` (truncated power series), :mod:`~riordan.arrays`
@@ -44,11 +45,7 @@ _EXPORTS = {
             "Kind LowerTriMatrix RiordanArray WeightSequence binomial_array face_array "
             "face_matrix identity_array pascal_matrix triangle_from_series",
         ),
-        (
-            "families",
-            "FamilySpec GammaHFTriple PolytopeTriple family_array gamma_from_h gf_chain "
-            "named_triple",
-        ),
+        ("families", "FamilySpec GammaHFTriple family_array gamma_from_h named_triple"),
         ("jfraction", "IndexPoly JFraction binomial_transform parse_index_poly parse_poly"),
         ("oeis", "FIXTURES TriangleFixture check_triangle fetch_bfile parse_bfile"),
         ("series", "DEFAULT_ORDER TruncatedSeries egf_to_ogf"),

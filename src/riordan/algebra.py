@@ -127,24 +127,18 @@ class MultiPoly:
     def has_integer_coefficients(self) -> bool:
         return all(type(c) is int for c in self._terms.values())
 
-    def substitute(self, values: Mapping[str, Scalar] | None = None, **named: Scalar) -> MultiPoly:
-        """Substitute exact values for r and/or y; unassigned variables remain."""
+    def substitute(
+        self, values: Mapping[str, Scalar | MultiPoly] | None = None, **named: Scalar | MultiPoly
+    ) -> MultiPoly:
+        """Substitute exact values, or polynomials in r and y, for r and/or y;
+        unassigned variables remain.  ``p.substitute(y=Y + 1)`` is p(r, 1 + y)."""
         assign = dict(values or {})
         assign.update(named)
         unknown = set(assign) - set(VARIABLES)
         if unknown:
             raise ValueError(f"unknown variables {sorted(unknown)}")
-        out: dict[Monomial, Scalar] = {}
-        for (i, j), c in self._terms.items():
-            if "r" in assign:
-                c *= Fraction(assign["r"]) ** i
-                i = 0
-            if "y" in assign:
-                c *= Fraction(assign["y"]) ** j
-                j = 0
-            key = (i, j)
-            out[key] = out.get(key, 0) + c
-        return MultiPoly(out)
+        r, y = (MultiPoly.coerce(assign.get(name, MultiPoly.var(name))) for name in VARIABLES)
+        return sum((c * r**i * y**j for (i, j), c in self._terms.items()), MultiPoly())
 
     # -- ring operations -------------------------------------------------
 
@@ -196,8 +190,9 @@ class MultiPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __bool__(self) -> bool:

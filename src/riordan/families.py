@@ -10,28 +10,31 @@ Pascal-like for every r.  Each family carries a triple of triangles:
   h_n(y) = sum_k gamma[n,k] y^k (1+y)^(n-2k) of the palindromic row
   polynomials.
 
-Each triangle is built from its row polynomials, which obey the three-term
-recurrence P_n = a P_{n-1} + c_n b P_{n-2} of their generating function:
-(a, b) = (1, ry) for gamma, (1+y, ry) for h and (2+y, r(1+y)) for f, with
-c_n = 1 for the ordinary flavor (GF 1/(1 - ax - bx^2)) and c_n = n - 1 for
-the exponential one (EGF exp(ax + bx^2/2)).  The Riordan route -- the
-array's matrix, the face product and gamma extraction -- is kept as their
-oracle (:func:`dense_family_triple`).
+Every triple stores only its gamma data and derives h and f by the paper's
+maps on J-fractions (:meth:`JFraction.gamma_to_h`, :meth:`JFraction.h_to_f`,
+:meth:`JFraction.reversed`).  A family stores the level pair (a, b) =
+(1, ry), which the maps carry to (1+y, ry) for h and (2+y, r(1+y)) for f.
+Each triangle's rows obey the three-term recurrence
+P_n = a P_{n-1} + c_n b P_{n-2} of their generating function, with c_n = 1
+for the ordinary flavor (GF 1/(1 - ax - bx^2)) and c_n = n - 1 for the
+exponential one (the J-fraction with weights i*b, the OGF of the EGF
+exp(ax + bx^2/2)).  The Riordan route -- the array's matrix, the face
+product and gamma extraction -- is kept as their oracle
+(:func:`dense_family_triple`).
 
 Closed forms for all three of the ordinary family's triangles are provided
 alongside the constructions so each route can check the other:
 
     gamma[n,k] = C(n-k, n-2k) r^k
     h[n,k]     = sum_j C(k,j) C(n-j, n-k-j) r^j
-    f[n,k]     = sum_i sum_j C(i,j) C(n-j, n-i-j) r^j C(i,k)
+    f[n,k]     = sum_i h[n,i] C(i,k)
 
 Of the named polytopes, the simplex and the hypercube are the ordinary
 family at r = -1 (h-array (1/(1-x), x)) and at r = 0 (Pascal's triangle),
 so they take the row recurrences too.  The associahedron (type A) and the
-permutahedron are Jacobi continued fractions whose expansions hit
-well-known OEIS triangles; :func:`named_triple` returns these two fraction
-triples.  :func:`family_matrix` is the one place that picks a triangle's
-route.
+permutahedron store a gamma J-fraction each, whose derived expansions hit
+well-known OEIS triangles (:func:`named_triple`).
+:func:`family_matrix` is the one place that picks a triangle's route.
 """
 
 from __future__ import annotations
@@ -72,9 +75,12 @@ class FamilySpec(Frozen):
 
 
 class GammaHFTriple(NamedTuple):
-    gamma: LowerTriMatrix
-    h: LowerTriMatrix
-    f: LowerTriMatrix
+    """The gamma, h and f members of a triple: triangles, or the fractions
+    that expand to them."""
+
+    gamma: LowerTriMatrix | JFraction
+    h: LowerTriMatrix | JFraction
+    f: LowerTriMatrix | JFraction
 
 
 def family_array(spec: FamilySpec, order: int = DEFAULT_ORDER) -> RiordanArray:
@@ -89,9 +95,24 @@ def family_array(spec: FamilySpec, order: int = DEFAULT_ORDER) -> RiordanArray:
     return RiordanArray(g, f, Kind.EXPONENTIAL)
 
 
-def _row_recurrence(spec: FamilySpec, a: MultiPoly, b: MultiPoly, size_n: int) -> LowerTriMatrix:
+def family_fractions(spec: FamilySpec) -> GammaHFTriple:
+    """The family's level pairs (a, b) of gamma, h and f as constant
+    fractions: the stored gamma pair (1, ry) and what gamma_to_h and h_to_f
+    make of it.  The f pair is in plain form, row n being h_n(1 + y)."""
+    return _derived(JFraction(IndexPoly.constant(1), IndexPoly.constant(MultiPoly.coerce(spec.r) * Y)))
+
+
+def _derived(gamma: JFraction) -> GammaHFTriple:
+    h = gamma.gamma_to_h()
+    return GammaHFTriple(gamma, h, h.h_to_f())
+
+
+def _row_recurrence(spec: FamilySpec, which: str, size_n: int) -> LowerTriMatrix:
     """Rows 0..size_n of P_n = a P_{n-1} + c_n b P_{n-2}, P_0 = 1, P_1 = a,
-    with c_n = 1 (ordinary) or n - 1 (exponential)."""
+    for the ``which`` pair (a, b) of the family, with c_n = 1 (ordinary) or
+    n - 1 (exponential)."""
+    pair = getattr(family_fractions(spec), which)
+    a, b = pair.alpha(0), pair.beta(0)
     rows = [MultiPoly.const(1), a]
     for n in range(2, size_n + 1):
         c = 1 if spec.flavor is Kind.ORDINARY else n - 1
@@ -100,19 +121,16 @@ def _row_recurrence(spec: FamilySpec, a: MultiPoly, b: MultiPoly, size_n: int) -
 
 
 def h_matrix(spec: FamilySpec, size_n: int) -> LowerTriMatrix:
-    r = MultiPoly.coerce(spec.r)
-    return _row_recurrence(spec, Y + 1, r * Y, size_n)
+    return _row_recurrence(spec, "h", size_n)
 
 
 def f_matrix(spec: FamilySpec, size_n: int) -> LowerTriMatrix:
     """The face matrix: row n is h_n(1 + y)."""
-    r = MultiPoly.coerce(spec.r)
-    return _row_recurrence(spec, Y + 2, r * (Y + 1), size_n)
+    return _row_recurrence(spec, "f", size_n)
 
 
 def gamma_matrix(spec: FamilySpec, size_n: int) -> LowerTriMatrix:
-    r = MultiPoly.coerce(spec.r)
-    return _row_recurrence(spec, MultiPoly.const(1), r * Y, size_n)
+    return _row_recurrence(spec, "gamma", size_n)
 
 
 def family_triple(spec: FamilySpec, size_n: int) -> GammaHFTriple:
@@ -152,15 +170,10 @@ def h_closed(n: int, k: int, r: RValue = R) -> RValue:
 
 
 def f_closed(n: int, k: int, r: RValue = R) -> RValue:
+    """sum_i h[n,i] C(i,k), the coefficients of f_n(y) = h_n(1 + y)."""
     acc = 0
-    for i in range(n + 1):
-        cik = _binom(i, k)
-        if cik == 0:
-            continue
-        inner = 0
-        for j in range(i + 1):
-            inner = inner + _binom(i, j) * _binom(n - j, n - i - j) * r**j
-        acc = acc + inner * cik
+    for i in range(k, n + 1):
+        acc = acc + h_closed(n, i, r) * comb(i, k)
     return acc
 
 
@@ -191,73 +204,23 @@ def gamma_from_h(h: LowerTriMatrix) -> LowerTriMatrix:
     return LowerTriMatrix(rows)
 
 
-# -- generating-function chains ----------------------------------------------
-
-
-def gf_chain(spec: FamilySpec, order: int = DEFAULT_ORDER):
-    """The (gamma, h, f) generating functions of the family, reversed form.
-
-    Ordinary flavor: three closed rational series,
-    1/(1-x-ryx^2) -> 1/(1-(y+1)x-ryx^2) -> 1/(1-(2y+1)x-ry(y+1)x^2).
-    Exponential flavor: three Jacobi fractions with the same alphas and
-    level-proportional weights i*ry resp. i*ry(y+1).
-    """
-    r = MultiPoly.coerce(spec.r)
-    if spec.flavor is Kind.ORDINARY:
-        return (
-            TruncatedSeries.ratio([1], [1, -1, -(r * Y)], order),
-            TruncatedSeries.ratio([1], [1, -(Y + 1), -(r * Y)], order),
-            TruncatedSeries.ratio([1], [1, -(2 * Y + 1), -(r * Y * (Y + 1))], order),
-        )
-    return (
-        JFraction(IndexPoly.constant(1), IndexPoly.from_coeffs([0, r * Y])),
-        JFraction(IndexPoly.constant(Y + 1), IndexPoly.from_coeffs([0, r * Y])),
-        JFraction(IndexPoly.constant(2 * Y + 1), IndexPoly.from_coeffs([0, r * Y * (Y + 1)])),
-    )
-
-
-def plain_f_gf(spec: FamilySpec, order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Un-reversed face GF of the ordinary family: 1/(1-(y+2)x-r(y+1)x^2)."""
-    if spec.flavor is not Kind.ORDINARY:
-        raise ValueError("the closed rational face GF is for the ordinary flavor")
-    r = MultiPoly.coerce(spec.r)
-    return TruncatedSeries.ratio([1], [1, -(Y + 2), -(r * (Y + 1))], order)
-
-
 # -- named polytope triples ----------------------------------------------------
 
-
-class PolytopeTriple(NamedTuple):
-    """The gamma/h/f J-fractions of a named polytope family."""
-
-    gamma_fraction: JFraction
-    h_fraction: JFraction
-    f_fraction: JFraction
-
-    def matrix(self, which: str, size_n: int) -> LowerTriMatrix:
-        """Rows 0..size_n of the ``which`` ('gamma', 'h' or 'f') matrix: row n
-        is the y-polynomial of the fraction's coefficient of x^n."""
-        return triangle_from_series(getattr(self, f"{which}_fraction").expand(size_n))
+# The gamma fractions of the polytopes outside the ordinary family.
+POLYTOPE_GAMMAS = {
+    "associahedron": JFraction(IndexPoly.constant(1), IndexPoly.constant(Y)),
+    "permutahedron": JFraction(IndexPoly.from_coeffs([1, 1]), IndexPoly.from_coeffs([0, Y, Y])),
+}
 
 
-def named_triple(name: str) -> PolytopeTriple:
-    """The fraction triple of 'associahedron' or 'permutahedron'."""
-    if name == "associahedron":
-        return PolytopeTriple(
-            JFraction(IndexPoly.constant(1), IndexPoly.constant(Y)),
-            JFraction(IndexPoly.constant(Y + 1), IndexPoly.constant(Y)),
-            JFraction(IndexPoly.constant(2 * Y + 1), IndexPoly.constant(Y * (Y + 1))),
-        )
-    if name == "permutahedron":
-        return PolytopeTriple(
-            JFraction(IndexPoly.from_coeffs([1, 1]), IndexPoly.from_coeffs([0, Y, Y])),
-            JFraction(IndexPoly.from_coeffs([Y + 1, Y + 1]), IndexPoly.from_coeffs([0, Y, Y])),
-            JFraction(
-                IndexPoly.from_coeffs([2 * Y + 1, 2 * Y + 1]),
-                IndexPoly.from_coeffs([0, Y * (Y + 1), Y * (Y + 1)]),
-            ),
-        )
-    raise ValueError(f"no fraction triple for {name!r}")
+def named_triple(name: str) -> GammaHFTriple:
+    """The gamma, h and f J-fractions of 'associahedron' or 'permutahedron',
+    h and f derived from the stored gamma fraction.  The f-fraction is in
+    reversed form, the orientation of their OEIS face triangles."""
+    if name not in POLYTOPE_GAMMAS:
+        raise ValueError(f"no fraction triple for {name!r}")
+    gamma, h, f = _derived(POLYTOPE_GAMMAS[name])
+    return GammaHFTriple(gamma, h, f.reversed())
 
 
 POLYTOPE_NAMES = ("simplex", "hypercube", "associahedron", "permutahedron")
@@ -275,7 +238,7 @@ def family_matrix(family: FamilySpec | str, which: str, size_n: int) -> LowerTri
     """
     spec = POLYTOPE_SPECS.get(family, family)
     if isinstance(spec, str):
-        return named_triple(spec).matrix(which, size_n)
+        return triangle_from_series(getattr(named_triple(spec), which).expand(size_n))
     return {"gamma": gamma_matrix, "h": h_matrix, "f": f_matrix}[which](spec, size_n)
 
 

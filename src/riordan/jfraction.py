@@ -9,7 +9,10 @@ coefficients ``a_i`` for i >= 0 and ``beta`` gives the x^2 weights ``b_i``
 for i >= 1, so ``b_1`` is the weight paired with level 0.  Both are
 polynomials in the level index ``i`` whose coefficients are polynomials in
 r and y; every fraction in this package is of that shape, and the
-associahedron-to-permutahedron transfer map is closed on it.
+associahedron-to-permutahedron transfer map is closed on it.  So are the
+paper's three maps, which derive a polytope's h- and f-fractions from its
+gamma-fraction (:meth:`JFraction.gamma_to_h`, :meth:`JFraction.h_to_f`,
+and :meth:`JFraction.reversed` for rows read backwards).
 
 Expansion counts weighted Motzkin paths (Flajolet 1980): [x^n] sums, over
 the n-step paths from height 0 back to 0, the product of ``a_k`` per level
@@ -24,7 +27,7 @@ from math import comb, lcm
 from operator import add
 from typing import NamedTuple, Sequence, Union
 
-from .algebra import MultiPoly
+from .algebra import MultiPoly, Y
 from .record import Frozen
 from .series import TruncatedSeries
 
@@ -168,6 +171,35 @@ class JFraction(NamedTuple):
             IndexPoly.from_coeffs([1, 1]) * self.alpha,
             IndexPoly.from_coeffs([0, 1, 1]) * self.beta,
         )
+
+    def gamma_to_h(self) -> JFraction:
+        """alpha -> (1+y) alpha: the fraction with rows
+        h_n(y) = (1+y)^n gamma_n(y/(1+y)^2).  A level step then weighs
+        (1+y) alpha(y/(1+y)^2) and a rise and fall (1+y)^2 beta(y/(1+y)^2),
+        so alpha must be free of y and every term of beta of y-degree 1
+        (ValueError otherwise)."""
+        if any(c.degree("y") for c in self.alpha.coeffs):
+            raise ValueError(f"gamma_to_h needs alpha free of y, not {self.alpha}")
+        if any(j != 1 for c in self.beta.coeffs for (_, j), _ in c.items()):
+            raise ValueError(f"gamma_to_h needs every term of beta of y-degree 1, not {self.beta}")
+        return JFraction(self.alpha * (Y + 1), self.beta)
+
+    def h_to_f(self) -> JFraction:
+        """y -> 1+y in every coefficient: the fraction with rows f_n(y) = h_n(1+y)."""
+        return JFraction(*(IndexPoly.from_coeffs([c.substitute(y=Y + 1) for c in p.coeffs]) for p in self))
+
+    def reversed(self) -> JFraction:
+        """alpha -> y alpha(1/y), beta -> y^2 beta(1/y): the fraction with
+        rows y^n p_n(1/y), read backwards.  Needs deg_y alpha <= 1 and
+        deg_y beta <= 2 (ValueError otherwise)."""
+        return JFraction(_reflect(self.alpha, 1, "alpha"), _reflect(self.beta, 2, "beta"))
+
+
+def _reflect(p: IndexPoly, degree: int, name: str) -> IndexPoly:
+    """y^degree p(1/y), coefficient by coefficient."""
+    if any(c.degree("y") > degree for c in p.coeffs):
+        raise ValueError(f"row reversal needs {name} of y-degree at most {degree}, not {p}")
+    return IndexPoly.from_coeffs([MultiPoly({(i, degree - j): v for (i, j), v in c.items()}) for c in p.coeffs])
 
 
 def binomial_transform(seq: Sequence, k: PolyLike) -> list:

@@ -41,16 +41,15 @@ from .families import (
     dense_family_triple,
     f_closed,
     family_array,
+    family_fractions,
     family_matrix,
     family_triple,
     gamma_closed,
     gamma_from_h,  # noqa: F401 -- perfbench's tracer test checks verify.gamma_from_h
-    gf_chain,
     h_closed,
     named_triple,
     narayana_array,
     narayana_closed,
-    plain_f_gf,
 )
 from .jfraction import IndexPoly, JFraction, binomial_transform
 from .oeis import FIXTURES, CheckReport, aerated, check_sequence, check_triangle
@@ -296,11 +295,22 @@ def _hypercube_factorization() -> bool:
     )
 
 
+def _expansion(spec: FamilySpec, pair: JFraction, order: int) -> TruncatedSeries:
+    """The series of one of the family's derived level pairs (a, b), by the
+    fraction route: 1/(1 - ax - bx^2) for the ordinary flavor, the J-fraction
+    with weights i*b for the exponential one."""
+    a, b = pair.alpha(0), pair.beta(0)
+    if spec.flavor is Kind.ORDINARY:
+        return TruncatedSeries.ratio([1], [1, -a, -b], order)
+    return JFraction(pair.alpha, IndexPoly.from_coeffs([0, b])).expand(order)
+
+
 @_check("props", "ordinary family face GF (plain and reversed forms)")
 def _ordinary_face_gf() -> bool:
-    plain = face_array(family_array(_ORD, 12)).bgf(12) == plain_f_gf(_ORD, 12)
-    reversed_gf = gf_chain(_ORD, 12)[2]
-    return plain and triangle_from_series(reversed_gf) == _family(_ORD, 12).f.reversed()
+    f = family_fractions(_ORD).f
+    plain = face_array(family_array(_ORD, 12)).bgf(12) == _expansion(_ORD, f, 12)
+    reversed_rows = triangle_from_series(_expansion(_ORD, f.reversed(), 12))
+    return plain and reversed_rows == _family(_ORD, 12).f.reversed()
 
 
 @_check("props", "ordinary family closed forms match the constructions")
@@ -322,35 +332,33 @@ def _ordinary_closed_forms() -> bool:
 
 @_check("props", "ordinary family GF chain reproduces gamma/h/f rows")
 def _ordinary_gf_chain() -> bool:
-    gamma_gf, h_gf, f_gf = gf_chain(_ORD, 12)
+    gamma, h, f = family_fractions(_ORD)
     fam = _family(_ORD, 12)
     return (
-        triangle_from_series(gamma_gf) == fam.gamma
-        and triangle_from_series(h_gf) == fam.h
-        and triangle_from_series(f_gf) == fam.f.reversed()
+        triangle_from_series(_expansion(_ORD, gamma, 12)) == fam.gamma
+        and triangle_from_series(_expansion(_ORD, h, 12)) == fam.h
+        and triangle_from_series(_expansion(_ORD, f.reversed(), 12)) == fam.f.reversed()
     )
 
 
 @_check("props", "exponential family reversed face rows match the fraction")
 def _exponential_weighted_fraction() -> bool:
+    specs = [FamilySpec(Kind.EXPONENTIAL, r) for r in (R, 0, 1, 2, 3)]
     return all(
-        triangle_from_series(
-            JFraction(IndexPoly.constant(2 * Y + 1), IndexPoly.from_coeffs([0, r * Y * (Y + 1)]))
-            .expand(10)
-        )
-        == _family(FamilySpec(Kind.EXPONENTIAL, r), 10).f.reversed()
-        for r in (R, 0, 1, 2, 3)
+        triangle_from_series(_expansion(spec, family_fractions(spec).f.reversed(), 10))
+        == _family(spec, 10).f.reversed()
+        for spec in specs
     )
 
 
 @_check("props", "exponential family fraction triple (gamma, h, face)")
 def _exponential_fraction_triple() -> bool:
-    gamma_frac, h_frac, f_frac = gf_chain(_EXP)
+    gamma, h, f = family_fractions(_EXP)
     fam = _family(_EXP, 10)
     return (
-        triangle_from_series(gamma_frac.expand(10)) == fam.gamma
-        and triangle_from_series(h_frac.expand(10)) == fam.h
-        and triangle_from_series(f_frac.expand(10)) == fam.f.reversed()
+        triangle_from_series(_expansion(_EXP, gamma, 10)) == fam.gamma
+        and triangle_from_series(_expansion(_EXP, h, 10)) == fam.h
+        and triangle_from_series(_expansion(_EXP, f.reversed(), 10)) == fam.f.reversed()
         and fam == dense_family_triple(_EXP, 10)
     )
 
@@ -379,11 +387,7 @@ for _name in ("associahedron", "permutahedron"):
 @_check("props", "index transfer maps associahedron onto permutahedron")
 def _transfer_map() -> bool:
     assoc, perm = named_triple("associahedron"), named_triple("permutahedron")
-    return (
-        assoc.gamma_fraction.transfer() == perm.gamma_fraction
-        and assoc.h_fraction.transfer() == perm.h_fraction
-        and assoc.f_fraction.transfer() == perm.f_fraction
-    )
+    return all(a.transfer() == p for a, p in zip(assoc, perm))
 
 
 @_check("props", "weighted factorial-pair array gives Narayana numbers")

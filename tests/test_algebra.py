@@ -12,9 +12,8 @@ def poly(text_terms):
 
 monomials = st.tuples(st.integers(0, 2), st.integers(0, 2))
 small_polys = st.dictionaries(monomials, st.integers(-9, 9), max_size=5).map(MultiPoly)
-assignments = st.fixed_dictionaries(
-    {}, optional={"r": st.integers(-3, 3), "y": st.integers(-3, 3)}
-)
+values = st.integers(-3, 3) | st.dictionaries(monomials, st.integers(-3, 3), max_size=2).map(MultiPoly)
+assignments = st.fixed_dictionaries({}, optional={"r": values, "y": values})
 
 
 def test_zero_coefficients_are_dropped():
@@ -52,8 +51,23 @@ def test_partial_substitution_keeps_other_variable():
     p = R * Y**2 + 3 * Y + R
     assert p.substitute(r=2) == 2 * Y**2 + 3 * Y + 2
     assert p.substitute(y=1) == 2 * R + 3
+    assert p.substitute(y=Y + 1) == R * (Y + 1) ** 2 + 3 * (Y + 1) + R
+    assert p.substitute(r=Y, y=R) == Y * R**2 + 3 * R + Y
     with pytest.raises(ValueError):
         p.substitute(x=1)
+
+
+@pytest.mark.parametrize("k, products", [(0, 0), (1, 1), (2, 2), (15, 7), (16, 5)])
+def test_power_squares_only_while_exponent_bits_remain(monkeypatch, k, products):
+    base = 1 + R + Y
+    want = MultiPoly.const(1)
+    for _ in range(k):
+        want = want * base
+    calls = []
+    mul = MultiPoly.__mul__
+    monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: calls.append(b) or mul(a, b))
+    assert base**k == want
+    assert len(calls) == products
 
 
 def test_rendering_is_canonical():

@@ -20,12 +20,12 @@ from riordan.families import (
     f_closed,
     f_matrix,
     family_array,
+    family_fractions,
     family_matrix,
     family_triple,
     gamma_closed,
     gamma_from_h,
     gamma_matrix,
-    gf_chain,
     h_closed,
     h_matrix,
     named_triple,
@@ -122,10 +122,13 @@ def test_gamma_from_h_examples():
 
 
 def test_gf_chain_collapses_at_r_zero():
-    chain = gf_chain(FamilySpec(Kind.ORDINARY, 0), 8)
-    assert chain[0] == TruncatedSeries.ratio([1], [1, -1], 8)
-    assert chain[1] == TruncatedSeries.ratio([1], [1, -(Y + 1)], 8)
-    assert chain[2] == TruncatedSeries.ratio([1], [1, -(2 * Y + 1)], 8)
+    # With b = 0 the one-level fraction 1/(1 - ax - bx^2) and the J-fraction
+    # of the pair (a, b) are both 1/(1 - ax).
+    gamma, h, f = family_fractions(FamilySpec(Kind.ORDINARY, 0))
+    assert gamma.beta.is_zero() and h.beta.is_zero() and f.beta.is_zero()
+    assert gamma.expand(8) == TruncatedSeries.ratio([1], [1, -1], 8)
+    assert h.expand(8) == TruncatedSeries.ratio([1], [1, -(Y + 1)], 8)
+    assert f.reversed().expand(8) == TruncatedSeries.ratio([1], [1, -(2 * Y + 1)], 8)
 
 
 def test_named_triple_details():
@@ -136,6 +139,28 @@ def test_named_triple_details():
     for name in ("simplex", "hypercube", "cross-polytope"):  # only the two fraction triples
         with pytest.raises(ValueError):
             named_triple(name)
+
+
+def _fraction(alpha, beta):
+    return JFraction(IndexPoly.from_coeffs(alpha), IndexPoly.from_coeffs(beta))
+
+
+def test_maps_derive_the_classical_fraction_triples():
+    # The h and f members the maps derive from each stored gamma datum, with
+    # the polytopes' f in reversed form.
+    assert named_triple("associahedron") == (
+        _fraction([1], [Y]),
+        _fraction([Y + 1], [Y]),
+        _fraction([2 * Y + 1], [Y * (Y + 1)]),
+    )
+    assert named_triple("permutahedron") == (
+        _fraction([1, 1], [0, Y, Y]),
+        _fraction([Y + 1, Y + 1], [0, Y, Y]),
+        _fraction([2 * Y + 1, 2 * Y + 1], [0, Y * (Y + 1), Y * (Y + 1)]),
+    )
+    for r in (R, 0, -1, 3):
+        pairs = (_fraction([1], [r * Y]), _fraction([Y + 1], [r * Y]), _fraction([Y + 2], [r * (Y + 1)]))
+        assert all(family_fractions(FamilySpec(flavor, r)) == pairs for flavor in FLAVORS)
 
 
 LARGE_N = 40  # far beyond the 9-11 rows that the OEIS fixtures reach

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from riordan.algebra import MultiPoly, R, Y
+from riordan.arrays import triangle_from_series
 from riordan.jfraction import (
     MAX_EXPONENT,
     IndexPoly,
@@ -75,6 +76,65 @@ def test_transfer_scales_levels_pointwise():
     for i in range(6):
         assert moved.alpha(i) == (i + 1) * frac.alpha(i)
         assert moved.beta(i) == i * (i + 1) * frac.beta(i)
+
+
+DOMAIN_CASES = {
+    "gamma_to_h alpha has y": ("gamma_to_h", J(IndexPoly.constant(Y + 1), IndexPoly.constant(Y))),
+    "gamma_to_h beta term of y-degree 0": ("gamma_to_h", J(IndexPoly.constant(1), IndexPoly.from_coeffs([R * Y, R]))),
+    # A rise and fall would weigh (1+y)^2 beta(y/(1+y)^2) = y^2/(1+y)^2.
+    "gamma_to_h beta term of y-degree 2": ("gamma_to_h", J(IndexPoly.constant(1), IndexPoly.constant(Y**2))),
+    "reversed alpha of y-degree 2": ("reversed", J(IndexPoly.from_coeffs([1, Y**2]), IndexPoly.constant(Y))),
+    "reversed beta of y-degree 3": ("reversed", J(IndexPoly.constant(Y), IndexPoly.constant(Y**3))),
+}
+
+
+@pytest.mark.parametrize("mapping, frac", DOMAIN_CASES.values(), ids=DOMAIN_CASES)
+def test_maps_reject_fractions_outside_their_domain(mapping, frac):
+    with pytest.raises(ValueError):
+        getattr(frac, mapping)()
+
+
+def polys(y_degrees):
+    """Polynomials in r and y whose terms have their y-degree in y_degrees."""
+    terms = st.tuples(st.integers(0, 1), st.sampled_from(y_degrees))
+    return st.dictionaries(terms, st.integers(-2, 2), max_size=3).map(MultiPoly)
+
+
+def index_polys(coeffs):
+    return st.lists(coeffs, max_size=3).map(IndexPoly.from_coeffs)
+
+
+orders = st.integers(0, 10)
+
+
+def _rows(frac, order):
+    """The y-coefficients of each coefficient of the expansion."""
+    return [MultiPoly.coerce(c).y_coefficients() for c in frac.expand(order).coeffs]
+
+
+@given(index_polys(polys([0])), index_polys(polys([1])), orders)
+def test_gamma_to_h_gives_the_gamma_expansion_of_every_row(alpha, beta, order):
+    # h_n = sum_k gamma[n,k] y^k (1+y)^(n-2k)
+    gamma = J(alpha, beta)
+    h = gamma.gamma_to_h().expand(order).coeffs
+    for n, row in enumerate(_rows(gamma, order)):
+        assert h[n] == sum((c * Y**k * (1 + Y) ** (n - 2 * k) for k, c in enumerate(row)), MultiPoly())
+
+
+@given(index_polys(polys([0, 1, 2])), index_polys(polys([0, 1, 2])), orders)
+def test_h_to_f_evaluates_every_row_at_one_plus_y(alpha, beta, order):
+    # f_n(y) = h_n(1 + y)
+    h = J(alpha, beta)
+    f = h.h_to_f().expand(order).coeffs
+    for n, row in enumerate(_rows(h, order)):
+        assert f[n] == sum((c * (1 + Y) ** k for k, c in enumerate(row)), MultiPoly())
+
+
+@given(index_polys(polys([0, 1])), index_polys(polys([0, 1, 2])), orders)
+def test_reversed_reads_every_row_backwards(alpha, beta, order):
+    frac = J(alpha, beta)
+    rows = triangle_from_series(frac.expand(order))
+    assert triangle_from_series(frac.reversed().expand(order)) == rows.reversed()
 
 
 def test_index_poly_arithmetic():
