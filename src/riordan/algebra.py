@@ -21,11 +21,20 @@ descending (graded order with r below y).
 
 Values of the three domains mix freely in arithmetic; ``int`` and
 ``Fraction`` coerce into :class:`MultiPoly` on contact.
+
+The row recurrence of the family triangles (``families._row_recurrence``)
+computes on packed integers: a polynomial is the list of its
+y-coefficients, each a polynomial p in r held as the int p(2^width)
+(``_pack``).  Substituting r = 2^width (Kronecker substitution) is a ring
+homomorphism, so each ring product is one big-int product (``_fma``), and p
+is read back from its balanced base-2^width digits (``_unpack``), exactly
+when every |coefficient| < 2^(width-1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterator, Mapping, Union
 
 VARIABLES = ("r", "y")
@@ -245,6 +254,46 @@ def _trusted(terms: dict[Monomial, Scalar]) -> MultiPoly:
         if c
     }
     return poly
+
+
+def _pack(poly: MultiPoly, width: int) -> list[int]:
+    """The y-coefficients of an integer-coefficient poly, each at r = 2^width."""
+    packed = [0] * (poly.degree("y") + 1)
+    for (i, j), c in poly._terms.items():
+        packed[j] += c << (width * i)
+    return packed
+
+
+def _unpack(value: int, width: int) -> int | MultiPoly:
+    """The polynomial in r packed in value, as a triangle stores it: a
+    constant as an int."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    if -half <= value < half:
+        return value
+    terms: dict[Monomial, Scalar] = {}
+    # A top digit at slot t makes |value| > 2^(width*t - 2).
+    for i in range((abs(value).bit_length() + 1) // width + 1):
+        # The lowest balanced digit: the low bits, less 2^width from half up.
+        c = value & mask
+        value >>= width
+        if c >= half:
+            c -= mask + 1
+            value += 1
+        if c:
+            terms[i, 0] = c
+    poly = object.__new__(MultiPoly)  # nonzero int coefficients need no _trusted
+    poly._terms = terms
+    return poly
+
+
+def _fma(out: list[int], p: list[int], q: list[int]) -> list[int]:
+    """out += p * q for packed polynomials, extending out as needed."""
+    out.extend([0] * (len(p) + len(q) - 1 - len(out)))
+    for i, c in enumerate(p):
+        if c:
+            end = i + len(q)
+            out[i:end] = map(add, out[i:end], map(c.__mul__, q))
+    return out
 
 
 def _render_term(i: int, j: int, coeff: Scalar) -> str:

@@ -296,20 +296,25 @@ def face_array(a: RiordanArray) -> RiordanArray:
 
 
 def triangle_from_series(series: TruncatedSeries) -> LowerTriMatrix:
-    """Rows of a bivariate series: row n lists the y-coefficients of [x^n].
+    """Rows of a bivariate series: row n lists the y-coefficients of [x^n]."""
+    return triangle_from_rows(MultiPoly.coerce(c).y_coefficients() for c in series)
 
-    Every row polynomial must have y-degree at most n, and every entry must
+
+def triangle_from_rows(rows: Iterable[list[Entry]], normalize: bool = True) -> LowerTriMatrix:
+    """The triangle whose row n lists the y-coefficients of a row polynomial,
+    up to its last nonzero one, which must be at most y^n.  Every entry must
     be an integer or an integer-coefficient polynomial (else
-    NonIntegralEntry).
+    NonIntegralEntry); ``normalize=False`` skips that check for entries
+    already in that form.  Rows are checked in order, as they are produced.
     """
-    rows = []
-    for n in range(series.order + 1):
-        poly = MultiPoly.coerce(series[n])
-        if poly.degree("y") > n:
-            raise ValueError(f"coefficient of x^{n} has y-degree {poly.degree('y')} > n")
-        entries = poly.y_coefficients()
-        rows.append([_normalize_entry(e) for e in entries] + [0] * (n + 1 - len(entries)))
-    return LowerTriMatrix(rows)
+    out = []
+    for n, entries in enumerate(rows):
+        if len(entries) > n + 1:
+            raise ValueError(f"coefficient of x^{n} has y-degree {len(entries) - 1} > n")
+        if normalize:
+            entries = [_normalize_entry(e) for e in entries]
+        out.append(entries + [0] * (n + 1 - len(entries)))
+    return LowerTriMatrix(out)
 
 
 def series_from_triangle(m: LowerTriMatrix) -> TruncatedSeries:

@@ -11,8 +11,8 @@ Subcommands:
 * ``oeis-check``  -- regenerate embedded OEIS fixtures from constructions;
 * ``fetch-bfile`` -- download (and cache) an OEIS b-file.
 
-Exit codes: 0 on success, 1 when a verification/comparison fails, 2 on
-usage or expression-parse errors.
+Exit codes: 0 on success, 1 when a verification/comparison fails or a file
+cannot be read or written, 2 on usage or expression-parse errors.
 """
 
 from __future__ import annotations
@@ -43,6 +43,11 @@ from .series import tidy
 SAFE_INT = 2**53  # larger integers are emitted as JSON strings
 
 FORMATS = ("table", "json", "csv", "latex")
+
+# The largest --N of show, export and jf: at N = 100 the dearest measured
+# request (a jf expansion with symbolic r) takes about 6 s, and cost grows
+# steeply with N (see README).
+MAX_N = 100
 
 
 class OutputDoc(Record):
@@ -193,6 +198,13 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _order(text: str) -> int:
+    value = _nonnegative_int(text)
+    if value > MAX_N:
+        raise argparse.ArgumentTypeError(f"must be at most MAX_N = {MAX_N}, got {value}")
+    return value
+
+
 def _matrix_doc(args) -> OutputDoc:
     if args.family == "parametric":
         flavor = args.flavor or "ordinary"
@@ -238,7 +250,7 @@ def _add_show_arguments(sub: argparse.ArgumentParser):
         "literal 'r' for symbolic (default r)",
     )
     sub.add_argument("--which", choices=("gamma", "h", "f"), required=True)
-    sub.add_argument("--N", type=_nonnegative_int, default=8, help="largest row index (default 8)")
+    sub.add_argument("--N", type=_order, default=8, help=f"largest row index, at most {MAX_N} (default 8)")
     sub.add_argument("--reversed", action="store_true", help="reverse every row")
     sub.add_argument("--format", choices=FORMATS, default="table")
 
@@ -252,7 +264,11 @@ def cmd_show(args) -> int:
     if getattr(args, "output", "-") == "-":
         sys.stdout.write(text)
     else:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     return 0
 
 
@@ -350,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     jf = sub.add_parser("jf", help="expand a Jacobi continued fraction")
     jf.add_argument("--alpha", required=True, help="level coefficients, e.g. '2*y+1'")
     jf.add_argument("--beta", required=True, help="x^2 weights, e.g. 'i*r*y*(y+1)'")
-    jf.add_argument("--N", type=_nonnegative_int, default=10, help="expansion order (default 10)")
+    jf.add_argument("--N", type=_order, default=10, help=f"expansion order, at most {MAX_N} (default 10)")
     jf.add_argument("--format", choices=FORMATS, default="table")
     jf.set_defaults(func=cmd_jf)
 

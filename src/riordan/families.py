@@ -18,7 +18,10 @@ Each triangle's rows obey the three-term recurrence
 P_n = a P_{n-1} + c_n b P_{n-2} of their generating function, with c_n = 1
 for the ordinary flavor (GF 1/(1 - ax - bx^2)) and c_n = n - 1 for the
 exponential one (the J-fraction with weights i*b, the OGF of the EGF
-exp(ax + bx^2/2)).  The Riordan route -- the array's matrix, the face
+exp(ax + bx^2/2)).  The recurrence runs on packed integers, each entry of a
+row (a polynomial in r) one int in slots of a proven width, and its
+entries become MultiPoly only when the triangle is built
+(:func:`_row_recurrence`).  The Riordan route -- the array's matrix, the face
 product and gamma extraction -- is kept as their oracle
 (:func:`dense_family_triple`).
 
@@ -40,16 +43,17 @@ well-known OEIS triangles (:func:`named_triple`).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import NamedTuple, Union
 
-from .algebra import MultiPoly, R, Y
+from .algebra import MultiPoly, R, Y, _fma, _pack, _unpack
 from .arrays import (
     Kind,
     LowerTriMatrix,
     RiordanArray,
     FACTORIAL_PAIR_WEIGHTS,
     face_matrix,
+    triangle_from_rows,
     triangle_from_series,
 )
 from .record import Frozen
@@ -110,14 +114,36 @@ def _derived(gamma: JFraction) -> GammaHFTriple:
 def _row_recurrence(spec: FamilySpec, which: str, size_n: int) -> LowerTriMatrix:
     """Rows 0..size_n of P_n = a P_{n-1} + c_n b P_{n-2}, P_0 = 1, P_1 = a,
     for the ``which`` pair (a, b) of the family, with c_n = 1 (ordinary) or
-    n - 1 (exponential)."""
+    n - 1 (exponential).
+
+    The rows run on packed integers (see :mod:`riordan.algebra`), on D a
+    and D^2 b for the common denominator D of the pair, so row n is D^n
+    times the true one.  Run first on the sums of absolute coefficients of
+    those weights, the recurrence bounds every coefficient of every row;
+    the slot width is that bound's bits and a sign bit.
+    """
     pair = getattr(family_fractions(spec), which)
     a, b = pair.alpha(0), pair.beta(0)
-    rows = [MultiPoly.const(1), a]
-    for n in range(2, size_n + 1):
-        c = 1 if spec.flavor is Kind.ORDINARY else n - 1
-        rows.append(a * rows[-1] + c * b * rows[-2])
-    return triangle_from_series(TruncatedSeries(rows[: size_n + 1]))
+    den = lcm(*(c.denominator for p in (a, b) for _, c in p.items()))
+    a, b = a * den, b * den**2
+
+    def rows(a, b):
+        out = [[1], a]
+        for n in range(2, size_n + 1):
+            cb = b if spec.flavor is Kind.ORDINARY else [(n - 1) * v for v in b]
+            out.append(_fma(_fma([], a, out[-1]), cb, out[-2]))
+        return out[: size_n + 1]
+
+    width = max(row[0] for row in rows(*([sum(abs(c) for _, c in p.items())] for p in (a, b)))).bit_length() + 1
+    out = []
+    for n, row in enumerate(rows(_pack(a, width), _pack(b, width))):
+        while row and not row[-1]:  # the triangle pads rows with int zeros
+            row.pop()
+        polys = {v: _unpack(v, width) for v in set(row)}  # h rows are palindromes
+        if den != 1:
+            polys = {v: p * Fraction(1, den**n) for v, p in polys.items()}
+        out.append([polys[v] for v in row])
+    return triangle_from_rows(out, normalize=den != 1)
 
 
 def h_matrix(spec: FamilySpec, size_n: int) -> LowerTriMatrix:

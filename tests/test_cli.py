@@ -10,7 +10,8 @@ import riordan
 from riordan import families
 from riordan.algebra import R
 from riordan.arrays import Kind, LowerTriMatrix, RiordanArray
-from riordan.cli import main, parse_matrix_doc
+from riordan import cli
+from riordan.cli import MAX_N, main, parse_matrix_doc
 from riordan.families import FamilySpec, f_matrix, family_matrix
 from riordan.jfraction import MAX_EXPONENT
 
@@ -169,6 +170,27 @@ def test_negative_size_is_a_usage_error(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert f"{argv[-2]}: must be at least 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["show", "--which", "f"], ["export", "--which", "f"], ["jf", "--alpha", "0", "--beta", "i"]])
+def test_order_above_the_cap_is_a_usage_error(capsys, monkeypatch, command):
+    def no_computation(*args):
+        raise AssertionError("computed above the cap")
+
+    monkeypatch.setattr(cli, "family_matrix", no_computation)
+    monkeypatch.setattr(cli, "parse_index_poly", no_computation)
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--N", str(MAX_N + 1)])
+    assert exc.value.code == 2
+    assert f"--N: must be at most MAX_N = {MAX_N}, got {MAX_N + 1}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["missing/dir/x.json", "."])
+def test_export_write_failure_is_one_error_line(capsys, tmp_path, monkeypatch, target):
+    monkeypatch.chdir(tmp_path)
+    status, out, err = run(capsys, ["export", "--which", "h", "--N", "2", "--output", target])
+    assert status == 1 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag", [["--flavor", "exponential"], ["--r", "3"], ["--r", "r"]])
