@@ -37,6 +37,8 @@ from fractions import Fraction
 from operator import add
 from typing import Iterator, Mapping, Union
 
+from . import _cold
+
 VARIABLES = ("r", "y")
 
 Scalar = Union[int, Fraction]
@@ -85,25 +87,7 @@ class MultiPoly:
         polynomial the package prints reads back exactly.  Text that ``str``
         would not have produced raises ``ValueError``.
         """
-        try:
-            terms: dict[Monomial, Scalar] = {}
-            for term in text.replace(" - ", " + -").split(" + "):
-                sign, body = (-1, term[1:]) if term.startswith("-") else (1, term)
-                coeff, powers = 1, [0, 0]
-                for factor in body.split("*"):
-                    name, _, power = factor.partition("^")
-                    if name in VARIABLES:
-                        powers[VARIABLES.index(name)] = int(power) if power else 1
-                    else:
-                        numerator, slash, denominator = factor.partition("/")
-                        coeff = Fraction(int(numerator), int(denominator)) if slash else int(numerator)
-                terms[tuple(powers)] = sign * coeff
-            poly = cls(terms)
-        except (ValueError, ZeroDivisionError):
-            poly = None
-        if poly is None or str(poly) != text:
-            raise ValueError(f"not a canonical polynomial: {text!r}")
-        return poly
+        return _cold().parse_multipoly(text)
 
     # -- inspection ------------------------------------------------------
 

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import argparse
 import io
-import os
 import sys
 from pathlib import Path
 
-from . import DEFAULT_SEED, SUITES
+from . import DEFAULT_SEED, SUITES, _lazy_names
 from .algebra import MultiPoly, R
 from .arrays import Kind
 from .families import (
@@ -36,8 +35,9 @@ from .jfraction import JFraction, parse_index_poly
 from .record import Record
 from .series import tidy
 
-# What only some subcommands use (verify, oeis, json, csv) is imported where
-# it is used.  Without cached bytecode, every module a request imports is
+# What only some subcommands use (json, csv) is imported where it is used,
+# and the subcommands that no show, export or jf request runs live in
+# riordan.cold.  Without cached bytecode, every module a request imports is
 # compiled from source before the request can start.
 
 SAFE_INT = 2**53  # larger integers are emitted as JSON strings
@@ -140,40 +140,6 @@ def render_latex(rows: list[list]) -> str:
         lines.append(" " + " & ".join(padded) + r" \\")
     lines += [r"\end{array}", r"\right)"]
     return "\n".join(lines) + "\n"
-
-
-def parse_matrix_doc(text: str) -> OutputDoc:
-    """Inverse of the JSON rendering; entries come back as int/MultiPoly.
-
-    Polynomial entries are read by :meth:`MultiPoly.parse`, which bounds
-    nothing, so every document ``export`` writes reads back exactly.
-    """
-    import json
-
-    raw = json.loads(text)
-
-    def decode(entry):
-        if isinstance(entry, int):
-            return entry
-        if isinstance(entry, str):
-            stripped = entry.strip()
-            try:
-                return int(stripped)
-            except ValueError:
-                return MultiPoly.parse(stripped)
-        raise ValueError(f"cannot decode entry {entry!r}")
-
-    fixed = ("kind", "rows", "family", "flavor", "r", "N", "reversed")
-    return OutputDoc(
-        kind=raw["kind"],
-        rows=[[decode(e) for e in row] for row in raw["rows"]],
-        family=raw.get("family"),
-        flavor=raw.get("flavor"),
-        r=raw.get("r"),
-        size=raw["N"],
-        reversed_form=raw["reversed"],
-        extra={key: value for key, value in raw.items() if key not in fixed},
-    )
 
 
 # -- argument helpers ----------------------------------------------------------
@@ -290,61 +256,6 @@ def cmd_jf(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    from . import verify
-
-    results = verify.run_suite(args.suite, seed=args.seed)
-    failures = 0
-    for res in results:
-        mark = "ok" if res.ok else "FAIL"
-        line = f"[{mark:>4}] {res.suite} :: {res.name}"
-        if not res.ok and res.detail:
-            line += f" -- {res.detail}"
-        print(line)
-        failures += 0 if res.ok else 1
-    total = len(results)
-    print(f"{total - failures}/{total} checks passed")
-    return 0 if failures == 0 else 1
-
-
-def cmd_oeis_check(args) -> int:
-    from . import verify
-    from .oeis import FIXTURES
-
-    anumbers = args.anumber or sorted(FIXTURES)
-    unknown = [a for a in anumbers if a not in FIXTURES]
-    if unknown:
-        print(f"error: no fixture for {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    repeated = sorted({a for a in anumbers if anumbers.count(a) > 1})
-    if repeated:
-        print(f"error: {', '.join(repeated)} given more than once", file=sys.stderr)
-        return 2
-    results = verify.oeis_suite(anumbers)
-    failures = 0
-    for res in results:
-        print(f"[{'ok' if res.ok else 'FAIL':>4}] {res.detail}")
-        failures += 0 if res.ok else 1
-    return 0 if failures == 0 else 1
-
-
-def cmd_fetch_bfile(args) -> int:
-    from .oeis import CACHE_DIR_ENV, CacheMiss, NetworkUnavailable, fetch_bfile
-
-    cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV) or (
-        Path.home() / ".cache" / "riordan-oeis"
-    )
-    try:
-        bfile = fetch_bfile(args.anumber, cache_dir, offline=args.offline)
-    except (NetworkUnavailable, CacheMiss, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    values = bfile.values[: args.limit]
-    print(f"{args.anumber}: {len(bfile.entries)} terms cached in {cache_dir}")
-    print(", ".join(str(v) for v in values))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riordan",
@@ -355,38 +266,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     show = sub.add_parser("show", help="render a gamma/h/f triangle")
     _add_show_arguments(show)
-    show.set_defaults(func=cmd_show)
+    show.set_defaults(func="cmd_show")
 
     export = sub.add_parser("export", help="write a triangle to a file")
     _add_show_arguments(export)
     export.set_defaults(format="json")
     export.add_argument("--output", default="-", help="output path ('-' for stdout)")
-    export.set_defaults(func=cmd_show)
+    export.set_defaults(func="cmd_show")
 
     jf = sub.add_parser("jf", help="expand a Jacobi continued fraction")
     jf.add_argument("--alpha", required=True, help="level coefficients, e.g. '2*y+1'")
     jf.add_argument("--beta", required=True, help="x^2 weights, e.g. 'i*r*y*(y+1)'")
     jf.add_argument("--N", type=_order, default=10, help=f"expansion order, at most {MAX_N} (default 10)")
     jf.add_argument("--format", choices=FORMATS, default="table")
-    jf.set_defaults(func=cmd_jf)
+    jf.set_defaults(func="cmd_jf")
 
     ver = sub.add_parser("verify", help="run the verification suites")
     ver.add_argument(
         "suite", nargs="?", default="all", choices=("all",) + SUITES
     )
     ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ver.set_defaults(func=cmd_verify)
+    ver.set_defaults(func="cmd_verify")
 
     oeis = sub.add_parser("oeis-check", help="check embedded OEIS fixtures")
     oeis.add_argument("anumber", nargs="*", help="A-numbers (default: all fixtures)")
-    oeis.set_defaults(func=cmd_oeis_check)
+    oeis.set_defaults(func="cmd_oeis_check")
 
     fetch = sub.add_parser("fetch-bfile", help="download an OEIS b-file")
     fetch.add_argument("anumber")
     fetch.add_argument("--cache-dir", default=None)
     fetch.add_argument("--offline", action="store_true", help="only use the cache")
     fetch.add_argument("--limit", type=_nonnegative_int, default=12, help="terms to print")
-    fetch.set_defaults(func=cmd_fetch_bfile)
+    fetch.set_defaults(func="cmd_fetch_bfile")
 
     return parser
 
@@ -394,11 +305,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A subcommand is named, not referenced, so that the cold ones are
+    # imported (through __getattr__) only by the request that runs them.
+    func = getattr(sys.modules[__name__], args.func)
     try:
-        return args.func(args)
+        return func(args)
     except (ValueError, IndexError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+__getattr__ = _lazy_names(
+    globals(), ("cold", "cmd_fetch_bfile cmd_oeis_check cmd_verify parse_matrix_doc")
+)
 
 
 if __name__ == "__main__":

@@ -23,10 +23,11 @@ row (a polynomial in r) one int in slots of a proven width, and its
 entries become MultiPoly only when the triangle is built
 (:func:`_row_recurrence`).  The Riordan route -- the array's matrix, the face
 product and gamma extraction -- is kept as their oracle
-(:func:`dense_family_triple`).
+(:func:`~riordan.cold.dense_family_triple`).
 
-Closed forms for all three of the ordinary family's triangles are provided
-alongside the constructions so each route can check the other:
+Closed forms for all three of the ordinary family's triangles
+(:func:`~riordan.cold.gamma_closed`, ``h_closed``, ``f_closed``) check
+each route against the other:
 
     gamma[n,k] = C(n-k, n-2k) r^k
     h[n,k]     = sum_j C(k,j) C(n-j, n-k-j) r^j
@@ -38,33 +39,27 @@ so they take the row recurrences too.  The associahedron (type A) and the
 permutahedron store a gamma J-fraction each, whose derived expansions hit
 well-known OEIS triangles (:func:`named_triple`).
 :func:`family_matrix` is the one place that picks a triangle's route.
+
+No ``show``, ``export`` or ``jf`` request runs the oracles -- the
+family's Riordan array, the Riordan route, gamma extraction, the closed
+forms and the Narayana array -- so they live in :mod:`riordan.cold`, which
+only ``verify``, the library and the tests load.  Their names still import
+from here: this module resolves them on first use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import lcm
 from typing import NamedTuple, Union
 
+from . import _lazy_names
 from .algebra import MultiPoly, R, Y, _fma, _pack, _unpack
-from .arrays import (
-    Kind,
-    LowerTriMatrix,
-    RiordanArray,
-    FACTORIAL_PAIR_WEIGHTS,
-    face_matrix,
-    triangle_from_rows,
-    triangle_from_series,
-)
-from .record import Frozen
-from .series import DEFAULT_ORDER, TruncatedSeries
+from .arrays import Kind, LowerTriMatrix, triangle_from_rows, triangle_from_series
 from .jfraction import IndexPoly, JFraction
+from .record import Frozen
 
 RValue = Union[int, MultiPoly]
-
-
-class NotPalindromic(ValueError):
-    """gamma extraction needs palindromic rows."""
 
 
 class FamilySpec(Frozen):
@@ -85,18 +80,6 @@ class GammaHFTriple(NamedTuple):
     gamma: LowerTriMatrix | JFraction
     h: LowerTriMatrix | JFraction
     f: LowerTriMatrix | JFraction
-
-
-def family_array(spec: FamilySpec, order: int = DEFAULT_ORDER) -> RiordanArray:
-    """The Riordan array of the family at the given truncation order."""
-    r = spec.r
-    if spec.flavor is Kind.ORDINARY:
-        g = TruncatedSeries.ratio([1], [1, -1], order)
-        f = TruncatedSeries.ratio([0, 1, r], [1, -1], order)
-        return RiordanArray(g, f, Kind.ORDINARY)
-    g = TruncatedSeries.x(order).exp()
-    f = TruncatedSeries([0, 1, r * Fraction(1, 2)], order)
-    return RiordanArray(g, f, Kind.EXPONENTIAL)
 
 
 def family_fractions(spec: FamilySpec) -> GammaHFTriple:
@@ -165,71 +148,6 @@ def family_triple(spec: FamilySpec, size_n: int) -> GammaHFTriple:
     )
 
 
-def dense_family_triple(spec: FamilySpec, size_n: int) -> GammaHFTriple:
-    """The same triple by the Riordan route: the array's matrix, its product
-    with the binomial matrix and gamma extraction.  Production builds the
-    triple from the row recurrences; this route is kept as their oracle."""
-    h = family_array(spec, max(size_n, 1)).matrix(size_n)
-    return GammaHFTriple(gamma_from_h(h), h, face_matrix(h))
-
-
-# -- closed forms (ordinary family) -----------------------------------------
-
-
-def _binom(n: int, k: int) -> int:
-    """C(n, k) with the usual vanishing convention outside 0 <= k <= n."""
-    return comb(n, k) if 0 <= k <= n else 0
-
-
-def gamma_closed(n: int, k: int, r: RValue = R) -> RValue:
-    """C(n-k, n-2k) r^k; zero when 2k > n, matching the binomial convention."""
-    if 2 * k > n:
-        return 0
-    return comb(n - k, n - 2 * k) * r**k
-
-
-def h_closed(n: int, k: int, r: RValue = R) -> RValue:
-    acc = 0
-    for j in range(k + 1):
-        acc = acc + _binom(k, j) * _binom(n - j, n - k - j) * r**j
-    return acc
-
-
-def f_closed(n: int, k: int, r: RValue = R) -> RValue:
-    """sum_i h[n,i] C(i,k), the coefficients of f_n(y) = h_n(1 + y)."""
-    acc = 0
-    for i in range(k, n + 1):
-        acc = acc + h_closed(n, i, r) * comb(i, k)
-    return acc
-
-
-# -- gamma extraction --------------------------------------------------------
-
-
-def gamma_from_h(h: LowerTriMatrix) -> LowerTriMatrix:
-    """Solve h_n(y) = sum_k gamma[n,k] y^k (1+y)^(n-2k) row by row.
-
-    The expansion basis is triangular in k, so the coefficients are unique;
-    rows beyond k = n//2 are stored as zeros.  Raises NotPalindromic when a
-    row fails the palindromy requirement.
-    """
-    rows = []
-    for n, row in enumerate(h.rows):
-        if any(row[k] != row[n - k] for k in range(n + 1)):
-            raise NotPalindromic(f"row {n} is not palindromic: {row}")
-        work = list(row)
-        gamma = []
-        for k in range(n // 2 + 1):
-            c = work[k]
-            gamma.append(c)
-            for j in range(n - 2 * k + 1):
-                work[k + j] = work[k + j] - c * comb(n - 2 * k, j)
-        if any(bool(v) for v in work):  # pragma: no cover - palindromy forces this
-            raise NotPalindromic(f"row {n} escaped the gamma basis: {row}")
-        rows.append(gamma + [0] * (n + 1 - len(gamma)))
-    return LowerTriMatrix(rows)
-
-
 # -- named polytope triples ----------------------------------------------------
 
 # The gamma fractions of the polytopes outside the ordinary family.
@@ -268,16 +186,11 @@ def family_matrix(family: FamilySpec | str, which: str, size_n: int) -> LowerTri
     return {"gamma": gamma_matrix, "h": h_matrix, "f": f_matrix}[which](spec, size_n)
 
 
-def narayana_array(order: int = DEFAULT_ORDER) -> RiordanArray:
-    """The generalized array [sum_m x^m/(m!(m+1)!), x] with weights n!(n+1)!.
-
-    Its matrix is the Narayana triangle N[n,k] = C(n,k) C(n+1,k) / (k+1).
-    """
-    g = TruncatedSeries(
-        [Fraction(1, factorial(m) * factorial(m + 1)) for m in range(order + 1)]
-    )
-    return RiordanArray(g, TruncatedSeries.x(order), Kind.GENERALIZED, FACTORIAL_PAIR_WEIGHTS)
-
-
-def narayana_closed(n: int, k: int) -> int:
-    return comb(n, k) * comb(n + 1, k) // (k + 1)
+__getattr__ = _lazy_names(
+    globals(),
+    (
+        "cold",
+        "NotPalindromic dense_family_triple f_closed family_array gamma_closed gamma_from_h "
+        "h_closed narayana_array narayana_closed",
+    ),
+)

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from operator import add
 from typing import NamedTuple, Sequence, Union
 
+from . import _lazy_names
 from .algebra import MultiPoly, Y
 from .record import Frozen
 from .series import TruncatedSeries
@@ -202,20 +203,6 @@ def _reflect(p: IndexPoly, degree: int, name: str) -> IndexPoly:
     return IndexPoly.from_coeffs([MultiPoly({(i, degree - j): v for (i, j), v in c.items()}) for c in p.coeffs])
 
 
-def binomial_transform(seq: Sequence, k: PolyLike) -> list:
-    """b_n = sum_i C(n, i) k^(n-i) a_i, exactly, same length as the input."""
-    powers = [MultiPoly.const(1)]  # powers[j] == k**j
-    for _ in range(1, len(seq)):
-        powers.append(powers[-1] * k)
-    out = []
-    for n in range(len(seq)):
-        acc = MultiPoly.coerce(seq[n]) if isinstance(seq[n], (int, Fraction)) else seq[n]
-        for i in range(n):
-            acc = acc + comb(n, i) * powers[n - i] * seq[i]
-        out.append(acc)
-    return out
-
-
 # -- expression parsing -----------------------------------------------------
 
 # Bounds on what the parser builds, each a ParseError at the operator or
@@ -365,3 +352,8 @@ def parse_poly(text: str) -> MultiPoly:
     if value.degree() > 0:
         raise ParseError("the index variable i is not allowed here", text.find("i"))
     return value.coeffs[0] if value.coeffs else MultiPoly.const(0)
+
+
+# The binomial transform of a sequence checks the binomial shift in
+# ``verify`` and the tests; no request runs it.
+__getattr__ = _lazy_names(globals(), ("cold", "binomial_transform"))

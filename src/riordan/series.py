@@ -8,56 +8,27 @@ or :class:`~riordan.algebra.MultiPoly` and may be mixed within one series.
 Binary operations on series of different orders truncate to the shorter
 order, and equality likewise compares up to the common order.  All
 operations are pure; no floating point is ever involved.
+
+No ``show``, ``export`` or ``jf`` request inverts, composes, reverts,
+exponentiates or differentiates a series, so the bodies of those methods,
+their exceptions, :func:`~riordan.cold.egf_to_ogf` and
+:func:`~riordan.cold.integer_coeffs` live in :mod:`riordan.cold`, loaded
+on first use.  The methods stay here and delegate to it, and the other
+names still import from here: this module resolves them on first use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from operator import add, mul
 from typing import Sequence, Union
 
+from . import _cold, _lazy_names
 from .algebra import MultiPoly
 
 DEFAULT_ORDER = 16
 
 Coeff = Union[int, Fraction, MultiPoly]
-
-
-class NonUnitConstantTerm(ValueError):
-    """Series inversion needs an invertible constant term."""
-
-
-class NonzeroConstantTerm(ValueError):
-    """Composition/exp/reversion need a zero constant term."""
-
-
-class ZeroLinearTerm(ValueError):
-    """Reversion needs an invertible linear coefficient."""
-
-
-class NonIntegralResult(ValueError):
-    """A coefficient expected to be an integer is not."""
-
-
-def _unit_inverse(c: Coeff, error: type[ValueError], what: str) -> Coeff:
-    """Exact multiplicative inverse of a coefficient, or raise ``error``."""
-    if isinstance(c, MultiPoly):
-        if not c.is_constant() or not c:
-            raise error(f"{what} must be an invertible constant, got {c}")
-        value = c.constant_value()
-        return 1 / value if value.denominator != 1 else _unit_inverse(int(value), error, what)
-    if isinstance(c, Fraction):
-        if not c:
-            raise error(f"{what} is zero")
-        return 1 / c
-    if isinstance(c, int):
-        if c in (1, -1):
-            return c
-        if c == 0:
-            raise error(f"{what} is zero")
-        raise error(f"{what} must be a unit in the integers, got {c}")
-    raise TypeError(f"unsupported coefficient type: {c!r}")
 
 
 class TruncatedSeries:
@@ -171,84 +142,23 @@ class TruncatedSeries:
 
     def inverse(self) -> TruncatedSeries:
         """Multiplicative inverse: self * self.inverse() == 1 up to order."""
-        inv0 = _unit_inverse(self._coeffs[0], NonUnitConstantTerm, "constant term")
-        a = self._coeffs
-        out: list[Coeff] = [1 * inv0]
-        for n in range(1, self.order + 1):
-            acc = a[1] * out[n - 1]
-            for i in range(2, n + 1):
-                acc = acc + a[i] * out[n - i]
-            out.append(-acc * inv0)
-        return _trusted(out)
+        return _cold().series_inverse(self)
 
     def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
-        """self(inner(x)), requiring inner(0) == 0.  Horner evaluation.
-
-        Step k computes r_k = c_k + x * r_{k+1} * (inner / x), and r_k is
-        later multiplied by inner**k, whose valuation is k, so only its
-        coefficients up to x**(n - k) can reach the result.  Each step keeps
-        one more coefficient than the last: composing at order n costs
-        n(n+1)(n+2)/6 coefficient products.
-        """
-        if inner._coeffs[0] != 0:
-            raise NonzeroConstantTerm("inner series must have zero constant term")
-        n = min(self.order, inner.order)
-        c = self._coeffs
-        result = _trusted((c[n],))
-        if n:
-            over_x = _trusted(inner._coeffs[1 : n + 1])
-            for k in range(n - 1, -1, -1):
-                result = _trusted((c[k],) + (result * over_x)._coeffs)
-        return result
+        """self(inner(x)), requiring inner(0) == 0.  Horner evaluation."""
+        return _cold().series_compose(self, inner)
 
     def derivative(self) -> TruncatedSeries:
         """Formal derivative.  One order shorter, as the top term is unknown."""
-        if self.order == 0:
-            return TruncatedSeries((0,))
-        return TruncatedSeries([i * c for i, c in enumerate(self._coeffs)][1:])
+        return _cold().series_derivative(self)
 
     def revert(self) -> TruncatedSeries:
-        """Compositional inverse g with self(g(x)) == g(self(x)) == x.
-
-        Newton iteration on truncated series; exactness is certified by the
-        final composition check, which must hold coefficient-for-coefficient.
-        """
-        if self._coeffs[0] != 0:
-            raise NonzeroConstantTerm("can only revert a series with zero constant term")
-        if self.order < 1:
-            raise ZeroLinearTerm("no linear coefficient available")
-        inv1 = _unit_inverse(self._coeffs[1], ZeroLinearTerm, "linear coefficient")
-        n = self.order
-        ident = TruncatedSeries.x(n)
-        # Pad the derivative back to full order; the fabricated top
-        # coefficient only ever multiplies vanishing error terms.
-        deriv = TruncatedSeries(self.derivative().coeffs, n)
-        g = TruncatedSeries((0, inv1), n)
-        for _ in range(n + 2):
-            err = self.compose(g) - ident
-            if all(c == 0 for c in err.coeffs):
-                return g
-            g = g - err * deriv.compose(g).inverse()
-        raise ArithmeticError("series reversion did not converge")  # pragma: no cover
+        """Compositional inverse g with self(g(x)) == g(self(x)) == x."""
+        return _cold().series_revert(self)
 
     def exp(self) -> TruncatedSeries:
-        """Exponential sum(self**k / k!), requiring zero constant term.
-
-        e = exp(f) solves e' = f' e, so e_0 = 1 and
-        n e_n = sum_{k=1..n} k f_k e_{n-k}: O(order^2) coefficient products.
-        """
-        if self._coeffs[0] != 0:
-            raise NonzeroConstantTerm("exp needs a zero constant term")
-        scaled = [(k, k * c) for k, c in enumerate(self._coeffs) if k and c]
-        out: list[Coeff] = [1]
-        for n in range(1, self.order + 1):
-            acc = 0
-            for k, kc in scaled:
-                if k > n:
-                    break
-                acc = acc + kc * out[n - k]
-            out.append(acc * Fraction(1, n))
-        return _trusted(out)
+        """Exponential sum(self**k / k!), requiring zero constant term."""
+        return _cold().series_exp(self)
 
 
 def _trusted(coeffs) -> TruncatedSeries:
@@ -271,17 +181,11 @@ def tidy(value: Coeff) -> Coeff:
     return value
 
 
-def egf_to_ogf(series: TruncatedSeries) -> TruncatedSeries:
-    """Rescale coefficient n by n!, turning an EGF into its ordinary form."""
-    return TruncatedSeries([tidy(factorial(n) * c) for n, c in enumerate(series)])
-
-
-def integer_coeffs(series: TruncatedSeries) -> list[int]:
-    """Coefficients as plain ints; raises NonIntegralResult if any is not."""
-    out = []
-    for n, c in enumerate(series):
-        c = tidy(c)
-        if not isinstance(c, int):
-            raise NonIntegralResult(f"coefficient of x^{n} is not an integer: {c}")
-        out.append(c)
-    return out
+__getattr__ = _lazy_names(
+    globals(),
+    (
+        "cold",
+        "NonIntegralResult NonUnitConstantTerm NonzeroConstantTerm ZeroLinearTerm "
+        "egf_to_ogf integer_coeffs",
+    ),
+)

@@ -27,33 +27,29 @@ from typing import Callable, NamedTuple
 
 from . import DEFAULT_SEED, SUITES
 from .algebra import MultiPoly, R, Y
-from .arrays import (
-    Kind,
+from .arrays import Kind, triangle_from_series
+from .cold import (
     RiordanArray,
     binomial_array,
-    face_array,
-    identity_array,
-    pascal_matrix,
-    triangle_from_series,
-)
-from .families import (
-    FamilySpec,
+    binomial_transform,
     dense_family_triple,
+    egf_to_ogf,
     f_closed,
+    face_array,
     family_array,
-    family_fractions,
-    family_matrix,
-    family_triple,
     gamma_closed,
     gamma_from_h,  # noqa: F401 -- perfbench's tracer test checks verify.gamma_from_h
     h_closed,
-    named_triple,
+    identity_array,
+    integer_coeffs,
     narayana_array,
     narayana_closed,
+    pascal_matrix,
 )
-from .jfraction import IndexPoly, JFraction, binomial_transform
+from .families import FamilySpec, family_fractions, family_matrix, family_triple, named_triple
+from .jfraction import IndexPoly, JFraction
 from .oeis import FIXTURES, CheckReport, aerated, check_sequence, check_triangle
-from .series import TruncatedSeries, egf_to_ogf, integer_coeffs
+from .series import TruncatedSeries
 
 ROUNDS = 50  # random instances per group law
 ORDER = 10  # truncation order of the random series and arrays

@@ -265,15 +265,33 @@ def _fresh_interpreter(code: str) -> list[str]:
 
 def test_show_and_jf_load_only_the_modules_they_run():
     # Without cached bytecode a request compiles every module it imports.
+    # No show, export or jf request runs riordan.cold; verify does.
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "import riordan.cli as cli\n"
-        "cli.main(['show', '--which', 'f', '--N', '4'])\n"
-        "cli.main(['jf', '--alpha', '2*y+1', '--beta', 'i*r*y*(y+1)', '--N', '4'])\n"
-        "unwanted = ('dataclasses', 'riordan.verify', 'riordan.oeis', 'json', 'csv')\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        code = cli.main(list(argv))\n"
+        "    return code, out.getvalue().splitlines()[-1]\n"
+        "run('show', '--which', 'f', '--N', '4')\n"
+        "run('show', '--flavor', 'exponential', '--r', '2', '--which', 'gamma', '--N', '4')\n"
+        "run('show', '--family', 'permutahedron', '--which', 'f', '--N', '4', '--format', 'latex')\n"
+        "print(run('jf', '--alpha', '2*y+1', '--beta', 'i*r*y*(y+1)', '--N', '4'))\n"
+        "unwanted = ('dataclasses', 'riordan.cold', 'riordan.verify', 'riordan.oeis', 'json', 'csv')\n"
         "print([name for name in unwanted if name in sys.modules])\n"
+        "print(run('export', '--family', 'permutahedron', '--which', 'h', '--N', '4'))\n"
+        "print('riordan.cold' in sys.modules)\n"
+        "print(run('verify', 'oeis'))\n"
+        "print('riordan.cold' in sys.modules)\n"
     )
-    assert _fresh_interpreter(code)[-1] == "[]"
+    assert _fresh_interpreter(code) == [
+        "(0, '1  6*r + 8  3*r^2 + 30*r + 24  6*r^2 + 48*r + 32  3*r^2 + 24*r + 16')",
+        "[]",
+        "(0, '}')",
+        "False",
+        "(0, '12/12 checks passed')",
+        "True",
+    ]
 
 
 def test_the_package_resolves_its_public_names_lazily():

@@ -1,5 +1,6 @@
 """What code outside the package relies on: the README's library example,
-and the names that the benchmark's tracer (``perfbench/tracer.py``) wraps.
+the names that the benchmark's tracer (``perfbench/tracer.py``) wraps, and
+the old import paths of the names that moved to :mod:`riordan.cold`.
 
 The tracer looks its targets up by name when it is installed, so a renamed
 or removed one would fail only a traced benchmark run, never this suite.
@@ -10,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+import riordan
 from riordan import algebra, arrays, cli, families, jfraction, oeis, series, verify
+from test_cli import _fresh_interpreter
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -55,3 +58,54 @@ def test_traced_functions_are_bound_where_the_tracer_checks_them():
     # The tracer rebinds a function in every module that holds it by name.
     assert cli.h_matrix is families.h_matrix
     assert verify.gamma_from_h is families.gamma_from_h
+
+
+# The names each module defined before they moved to riordan.cold, which no
+# show, export or jf request loads.  Each still resolves at its old path.
+MOVED = {
+    "arrays": "FACTORIAL_PAIR_WEIGHTS FACTORIAL_WEIGHTS KindMismatch RiordanArray UNIT_WEIGHTS "
+    "UnsupportedKind WeightSequence binomial_array face_array face_matrix identity_array "
+    "pascal_matrix series_from_triangle",
+    "series": "NonIntegralResult NonUnitConstantTerm NonzeroConstantTerm ZeroLinearTerm egf_to_ogf integer_coeffs",
+    "families": "NotPalindromic dense_family_triple f_closed family_array gamma_closed gamma_from_h "
+    "h_closed narayana_array narayana_closed",
+    "jfraction": "binomial_transform",
+    "cli": "cmd_fetch_bfile cmd_oeis_check cmd_verify parse_matrix_doc",
+}
+
+
+def test_moved_names_resolve_lazily_to_the_cold_module_and_stay_bound():
+    # The tracer patches a name through its module's __dict__, so the first
+    # lookup must leave it there.
+    code = (
+        "import importlib, sys\n"
+        f"moved = {MOVED!r}\n"
+        "for module, names in moved.items():\n"
+        "    mod = importlib.import_module('riordan.' + module)\n"
+        "    print(module, any(name in mod.__dict__ for name in names.split()), 'riordan.cold' in sys.modules)\n"
+        "cold = importlib.import_module('riordan.cold')\n"
+        "for module, names in moved.items():\n"
+        "    mod = sys.modules['riordan.' + module]\n"
+        "    print(all(getattr(mod, n) is getattr(cold, n) and mod.__dict__[n] is getattr(cold, n)\n"
+        "              for n in names.split()))\n"
+    )
+    lines = _fresh_interpreter(code)
+    assert lines == [f"{module} False False" for module in MOVED] + ["True"] * len(MOVED)
+
+
+@pytest.mark.parametrize("module", [riordan, algebra, arrays, series, families, jfraction, cli])
+def test_unknown_names_still_raise_attribute_error(module):
+    with pytest.raises(AttributeError, match=f"module '{module.__name__}' has no attribute 'no_such_name'"):
+        module.no_such_name
+    assert getattr(module, "no_such_name", None) is None
+
+
+def test_a_moved_public_name_loads_only_its_module_and_that_modules_imports():
+    code = (
+        "import sys\n"
+        "from riordan import RiordanArray\n"
+        "print(sorted(m for m in sys.modules if m.startswith('riordan')))\n"
+        "print(RiordanArray.__module__)\n"
+    )
+    modules = "riordan riordan.algebra riordan.arrays riordan.cold riordan.families riordan.jfraction riordan.record riordan.series"
+    assert _fresh_interpreter(code) == [str(modules.split()), "riordan.cold"]
