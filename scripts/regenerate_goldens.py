@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the committed golden tables under tests/golden/.
+"""Regenerate the committed golden tables and usage texts under tests/golden/.
 
 Run from the repository root after a deliberate rendering change; review the
 diff before committing.
@@ -7,13 +7,14 @@ diff before committing.
 
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
-from golden_cases import GOLDEN_CASES  # noqa: E402
+from golden_cases import GOLDEN_CASES, USAGE_CASES, usage_text  # noqa: E402
 
 from riordan.cli import main  # noqa: E402
 
@@ -34,6 +35,10 @@ def regenerate() -> None:
         text = run(argv)
         (golden_dir / filename).write_text(text)
         print(f"wrote {filename} ({len(text.splitlines())} rows)")
+    os.environ["COLUMNS"] = "80"  # help texts wrap at the terminal width
+    for filename, argv in USAGE_CASES.items():
+        (golden_dir / filename).write_text(usage_text(argv))
+        print(f"wrote {filename}")
 
 
 if __name__ == "__main__":

@@ -16,29 +16,26 @@ Modules: :mod:`~riordan.algebra` (integers, rationals, polynomials in r, y),
 (lower-triangular matrices), :mod:`~riordan.jfraction` (Jacobi continued
 fractions), :mod:`~riordan.families` (the triangle families),
 :mod:`~riordan.cold` (the Riordan group and the other oracles, the cold
-series operations and the verify-only command-line code),
+series operations and ``fetch-bfile``'s command-line code),
 :mod:`~riordan.oeis` (fixtures and b-files), :mod:`~riordan.verify` (the
-check battery), :mod:`~riordan.cli` (the ``riordan`` command).
+fixture checks, the check suites and the ``verify`` and ``oeis-check``
+subcommands), :mod:`~riordan.battery` (the group and props checks),
+:mod:`~riordan.cli` (the ``riordan`` command).
 
 Importing the package imports none of them.  Each name in ``__all__`` is
 resolved on first use, from the one submodule that defines it, so a
 program (or a ``riordan`` subcommand) loads only the modules it uses.
 Without cached bytecode every module loaded is also compiled from source,
 so the code that no ``show``, ``export`` or ``jf`` request runs is kept
-in :mod:`~riordan.cold`; the modules it was moved from resolve its names on
-first use too (:func:`_lazy_names`), and their methods whose bodies moved
-delegate to it (:func:`_cold`).
+in :mod:`~riordan.cold`, and the checks that no ``oeis-check`` request runs
+in :mod:`~riordan.battery`; the modules their names were moved from resolve
+them on first use too (:func:`_lazy_names`), and the methods whose bodies
+moved delegate to :mod:`~riordan.cold` (:func:`_cold`).
 """
 
 import sys
 
 __version__ = "0.1.0"
-
-# The verify battery's suites and default seed.  They live here, not in
-# riordan.verify, so that the command line can offer them without loading
-# the battery.
-SUITES = ("group", "props", "oeis")
-DEFAULT_SEED = 20240831
 
 # The public names, by the submodule that defines them.  Nothing is imported
 # until a name is first looked up (PEP 562); ``from riordan import X`` then

@@ -22,7 +22,7 @@ import io
 import sys
 from pathlib import Path
 
-from . import DEFAULT_SEED, SUITES, _lazy_names
+from . import _lazy_names
 from .algebra import MultiPoly, R
 from .arrays import Kind
 from .families import (
@@ -37,8 +37,9 @@ from .series import tidy
 
 # What only some subcommands use (json, csv) is imported where it is used,
 # and the subcommands that no show, export or jf request runs live in
-# riordan.cold.  Without cached bytecode, every module a request imports is
-# compiled from source before the request can start.
+# riordan.verify (verify, oeis-check) and riordan.cold (fetch-bfile).
+# Without cached bytecode, every module a request imports is compiled from
+# source before the request can start.
 
 SAFE_INT = 2**53  # larger integers are emitted as JSON strings
 
@@ -256,57 +257,72 @@ def cmd_jf(args) -> int:
     return 0
 
 
+def _add_export_arguments(sub: argparse.ArgumentParser):
+    _add_show_arguments(sub)
+    sub.set_defaults(format="json")
+    sub.add_argument("--output", default="-", help="output path ('-' for stdout)")
+
+
+def _add_jf_arguments(sub: argparse.ArgumentParser):
+    sub.add_argument("--alpha", required=True, help="level coefficients, e.g. '2*y+1'")
+    sub.add_argument("--beta", required=True, help="x^2 weights, e.g. 'i*r*y*(y+1)'")
+    sub.add_argument("--N", type=_order, default=10, help=f"expansion order, at most {MAX_N} (default 10)")
+    sub.add_argument("--format", choices=FORMATS, default="table")
+
+
+# (name, help, the function that adds its arguments, the function that runs
+# it).  The functions are named, not referenced, so that those of the cold
+# subcommands are imported (through __getattr__) only by the request that
+# runs them.
+_SUBCOMMANDS = (
+    ("show", "render a gamma/h/f triangle", "_add_show_arguments", "cmd_show"),
+    ("export", "write a triangle to a file", "_add_export_arguments", "cmd_show"),
+    ("jf", "expand a Jacobi continued fraction", "_add_jf_arguments", "cmd_jf"),
+    ("verify", "run the verification suites", "add_verify_arguments", "cmd_verify"),
+    ("oeis-check", "check embedded OEIS fixtures", "add_oeis_check_arguments", "cmd_oeis_check"),
+    ("fetch-bfile", "download an OEIS b-file", "add_fetch_bfile_arguments", "cmd_fetch_bfile"),
+)
+
+
+class _Subparser(argparse.ArgumentParser):
+    """A subcommand's parser, built when it first parses.
+
+    A request runs one subcommand, and building the parsers of all six
+    costs more than the rest of the parse.  Until it parses, the parser is
+    only a name in its parent's choices, which is all the parent's help and
+    usage errors read; its own help and errors are printed while it parses,
+    so every text reads as if all six had been built up front.
+    """
+
+    def __init__(self, add_arguments: str, func: str, **kwargs):
+        # ArgumentParser.__init__ runs when the parser first parses.
+        self._pending = add_arguments, func, kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._pending is not None:
+            add_arguments, func, kwargs = self._pending
+            self._pending = None
+            super().__init__(**kwargs)
+            getattr(sys.modules[__name__], add_arguments)(self)
+            self.set_defaults(func=func)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riordan",
         description="Exact Pascal-like triangle calculus: Riordan arrays, "
         "continued fractions, OEIS cross-checks.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    show = sub.add_parser("show", help="render a gamma/h/f triangle")
-    _add_show_arguments(show)
-    show.set_defaults(func="cmd_show")
-
-    export = sub.add_parser("export", help="write a triangle to a file")
-    _add_show_arguments(export)
-    export.set_defaults(format="json")
-    export.add_argument("--output", default="-", help="output path ('-' for stdout)")
-    export.set_defaults(func="cmd_show")
-
-    jf = sub.add_parser("jf", help="expand a Jacobi continued fraction")
-    jf.add_argument("--alpha", required=True, help="level coefficients, e.g. '2*y+1'")
-    jf.add_argument("--beta", required=True, help="x^2 weights, e.g. 'i*r*y*(y+1)'")
-    jf.add_argument("--N", type=_order, default=10, help=f"expansion order, at most {MAX_N} (default 10)")
-    jf.add_argument("--format", choices=FORMATS, default="table")
-    jf.set_defaults(func="cmd_jf")
-
-    ver = sub.add_parser("verify", help="run the verification suites")
-    ver.add_argument(
-        "suite", nargs="?", default="all", choices=("all",) + SUITES
-    )
-    ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    ver.set_defaults(func="cmd_verify")
-
-    oeis = sub.add_parser("oeis-check", help="check embedded OEIS fixtures")
-    oeis.add_argument("anumber", nargs="*", help="A-numbers (default: all fixtures)")
-    oeis.set_defaults(func="cmd_oeis_check")
-
-    fetch = sub.add_parser("fetch-bfile", help="download an OEIS b-file")
-    fetch.add_argument("anumber")
-    fetch.add_argument("--cache-dir", default=None)
-    fetch.add_argument("--offline", action="store_true", help="only use the cache")
-    fetch.add_argument("--limit", type=_nonnegative_int, default=12, help="terms to print")
-    fetch.set_defaults(func="cmd_fetch_bfile")
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
+    for name, help_text, add_arguments, func in _SUBCOMMANDS:
+        sub.add_parser(name, help=help_text, add_arguments=add_arguments, func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # A subcommand is named, not referenced, so that the cold ones are
-    # imported (through __getattr__) only by the request that runs them.
     func = getattr(sys.modules[__name__], args.func)
     try:
         return func(args)
@@ -316,7 +332,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 __getattr__ = _lazy_names(
-    globals(), ("cold", "cmd_fetch_bfile cmd_oeis_check cmd_verify parse_matrix_doc")
+    globals(),
+    ("cold", "add_fetch_bfile_arguments cmd_fetch_bfile parse_matrix_doc"),
+    ("verify", "add_oeis_check_arguments add_verify_arguments cmd_oeis_check cmd_verify"),
 )
 
 

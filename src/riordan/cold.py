@@ -6,13 +6,15 @@ as the oracle that ``verify`` and the tests check them against, and lives
 here with the other code only they use: the Riordan group, the families'
 oracle routes (Riordan route, gamma extraction, closed forms, Narayana
 array), the bodies of the series operations inverse, compose, revert, exp
-and derivative, of :meth:`MultiPoly.parse` and of the matrix product, and
-the ``verify``, ``oeis-check`` and ``fetch-bfile`` subcommands.
+and derivative, of :meth:`MultiPoly.parse` and of the matrix product,
+``parse_matrix_doc`` and the ``fetch-bfile`` subcommand.
 
 Without cached bytecode a request compiles every module it imports, so
-no ``show``, ``export`` or ``jf`` request imports this one.  Each name here
-still imports from the module that defined it before (and the public ones
-from the package): those modules resolve it on first use.
+no ``show``, ``export`` or ``jf`` request imports this one, and neither
+does ``oeis-check`` of the triangle fixtures: of the oeis checks, only
+A001147's source, the exponential of x^2/2, runs code from here.  Each
+name here still imports from the module that defined it before (and the
+public ones from the package): those modules resolve it on first use.
 """
 
 from __future__ import annotations
@@ -561,42 +563,13 @@ def parse_matrix_doc(text: str):
     )
 
 
-def cmd_verify(args) -> int:
-    from . import verify
+def add_fetch_bfile_arguments(sub):
+    from .cli import _nonnegative_int
 
-    results = verify.run_suite(args.suite, seed=args.seed)
-    failures = 0
-    for res in results:
-        mark = "ok" if res.ok else "FAIL"
-        line = f"[{mark:>4}] {res.suite} :: {res.name}"
-        if not res.ok and res.detail:
-            line += f" -- {res.detail}"
-        print(line)
-        failures += 0 if res.ok else 1
-    total = len(results)
-    print(f"{total - failures}/{total} checks passed")
-    return 0 if failures == 0 else 1
-
-
-def cmd_oeis_check(args) -> int:
-    from . import verify
-    from .oeis import FIXTURES
-
-    anumbers = args.anumber or sorted(FIXTURES)
-    unknown = [a for a in anumbers if a not in FIXTURES]
-    if unknown:
-        print(f"error: no fixture for {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    repeated = sorted({a for a in anumbers if anumbers.count(a) > 1})
-    if repeated:
-        print(f"error: {', '.join(repeated)} given more than once", file=sys.stderr)
-        return 2
-    results = verify.oeis_suite(anumbers)
-    failures = 0
-    for res in results:
-        print(f"[{'ok' if res.ok else 'FAIL':>4}] {res.detail}")
-        failures += 0 if res.ok else 1
-    return 0 if failures == 0 else 1
+    sub.add_argument("anumber")
+    sub.add_argument("--cache-dir", default=None)
+    sub.add_argument("--offline", action="store_true", help="only use the cache")
+    sub.add_argument("--limit", type=_nonnegative_int, default=12, help="terms to print")
 
 
 def cmd_fetch_bfile(args) -> int:

@@ -1,8 +1,14 @@
-"""Golden-file cases: CLI argv -> committed table rendering.
+"""Golden-file cases: CLI argv -> committed table rendering, or help and
+usage-error text.
 
 Regenerate with ``python scripts/regenerate_goldens.py`` after a deliberate
 rendering change, and review the diff before committing.
 """
+
+import contextlib
+import io
+
+from riordan.cli import main
 
 GOLDEN_CASES = {
     # the six classical 7x7 triangles
@@ -25,3 +31,30 @@ GOLDEN_CASES = {
     "exponential_face_r1_reversed.txt": ["show", "--flavor", "exponential", "--r", "1", "--which", "f", "--N", "4", "--reversed"],
     "exponential_face_r2_reversed.txt": ["show", "--flavor", "exponential", "--r", "2", "--which", "f", "--N", "4", "--reversed"],
 }
+
+# Help texts and usage errors, rendered by usage_text at COLUMNS=80 (argparse
+# of Python 3.11).
+USAGE_CASES = {
+    "usage_help.txt": ["--help"],
+    "usage_show_help.txt": ["show", "--help"],
+    "usage_export_help.txt": ["export", "--help"],
+    "usage_jf_help.txt": ["jf", "--help"],
+    "usage_verify_help.txt": ["verify", "--help"],
+    "usage_oeis_check_help.txt": ["oeis-check", "--help"],
+    "usage_fetch_bfile_help.txt": ["fetch-bfile", "--help"],
+    "usage_no_command.txt": [],
+    "usage_bad_command.txt": ["frobnicate"],
+    "usage_show_without_which.txt": ["show", "--N", "3"],
+    "usage_verify_bad_suite.txt": ["verify", "everything"],
+}
+
+
+def usage_text(argv: list[str]) -> str:
+    """The exit code, stdout and stderr of ``riordan ARGV`` as one text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"

@@ -15,7 +15,7 @@ from riordan.cli import MAX_N, main, parse_matrix_doc
 from riordan.families import FamilySpec, f_matrix, family_matrix
 from riordan.jfraction import MAX_EXPONENT
 
-from golden_cases import GOLDEN_CASES
+from golden_cases import GOLDEN_CASES, USAGE_CASES, usage_text
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -31,6 +31,14 @@ def test_golden_tables(capsys, filename):
     status, out, _ = run(capsys, GOLDEN_CASES[filename])
     assert status == 0
     assert out == (GOLDEN_DIR / filename).read_text()
+
+
+@pytest.mark.parametrize("filename", sorted(USAGE_CASES))
+def test_help_and_usage_errors_match_their_goldens(monkeypatch, filename):
+    # The parser adds a subcommand's arguments only when that subcommand
+    # parses; every help text and usage error stays as when it built them all.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert usage_text(USAGE_CASES[filename]) == (GOLDEN_DIR / filename).read_text()
 
 
 def test_show_pascal_rows(capsys):
@@ -217,6 +225,22 @@ def test_oeis_check_rejects_a_repeated_a_number(capsys):
     assert err == "error: A055151 given more than once\n"
 
 
+def test_oeis_check_reads_a_numbers_as_fetch_bfile_does(capsys):
+    status, out, _ = run(capsys, ["oeis-check", "a55151", " A1263 "])
+    assert status == 0
+    assert out.splitlines() == [
+        "[  ok] A055151: 66 entries over 11 rows match",
+        "[  ok] A001263: 55 entries over 10 rows match",
+    ]
+    for argv, err in [
+        (["A55151", "A055151"], "error: A055151 given more than once\n"),
+        (["a1"], "error: no fixture for A000001\n"),
+        (["A055151", "55151"], "error: not an OEIS A-number: '55151'\n"),
+        (["A-1"], "error: not an OEIS A-number: 'A-1'\n"),
+    ]:
+        assert run(capsys, ["oeis-check", *argv]) == (2, "", err)
+
+
 def test_oeis_check_failure_exit_code(capsys, monkeypatch):
     import riordan.verify as verify_mod
     from riordan.oeis import TriangleFixture
@@ -281,16 +305,35 @@ def test_show_and_jf_load_only_the_modules_they_run():
         "print([name for name in unwanted if name in sys.modules])\n"
         "print(run('export', '--family', 'permutahedron', '--which', 'h', '--N', '4'))\n"
         "print('riordan.cold' in sys.modules)\n"
-        "print(run('verify', 'oeis'))\n"
-        "print('riordan.cold' in sys.modules)\n"
     )
     assert _fresh_interpreter(code) == [
         "(0, '1  6*r + 8  3*r^2 + 30*r + 24  6*r^2 + 48*r + 32  3*r^2 + 24*r + 16')",
         "[]",
         "(0, '}')",
         "False",
-        "(0, '12/12 checks passed')",
-        "True",
+    ]
+
+
+def test_check_commands_load_only_the_modules_they_run():
+    # The triangle fixtures need neither the group/props battery nor
+    # riordan.cold; A001147's source needs cold, and verify group needs both.
+    code = (
+        "import contextlib, io, sys\n"
+        "import riordan.cli as cli\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        code = cli.main(list(argv))\n"
+        "    lines = out.getvalue().splitlines()\n"
+        "    loaded = [m for m in ('riordan.battery', 'riordan.cold') if m in sys.modules]\n"
+        "    print(code, sum(line.startswith('[  ok]') for line in lines), lines[-1], loaded)\n"
+        "run('oeis-check', 'A055151', 'A135278')\n"
+        "run('oeis-check', 'A001147')\n"
+        "run('verify', 'group')\n"
+    )
+    assert _fresh_interpreter(code) == [
+        "0 2 [  ok] A055151: 66 entries over 11 rows match []",
+        "0 1 [  ok] A001147: 11 entries over 11 rows match ['riordan.cold']",
+        "0 10 10/10 checks passed ['riordan.battery', 'riordan.cold']",
     ]
 
 

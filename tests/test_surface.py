@@ -1,6 +1,7 @@
 """What code outside the package relies on: the README's library example,
 the names that the benchmark's tracer (``perfbench/tracer.py``) wraps, and
-the old import paths of the names that moved to :mod:`riordan.cold`.
+the old import paths of the names that moved to :mod:`riordan.cold` or
+:mod:`riordan.verify`.
 
 The tracer looks its targets up by name when it is installed, so a renamed
 or removed one would fail only a traced benchmark run, never this suite.
@@ -60,40 +61,51 @@ def test_traced_functions_are_bound_where_the_tracer_checks_them():
     assert verify.gamma_from_h is families.gamma_from_h
 
 
-# The names each module defined before they moved to riordan.cold, which no
-# show, export or jf request loads.  Each still resolves at its old path.
+def test_the_battery_binds_no_traced_function_by_name():
+    # riordan.battery may be first imported while the tracer is installed,
+    # and a traced function it bound by name then would keep its wrapper
+    # after the tracer is removed, counting calls made outside the trace.
+    from riordan import battery
+
+    traced = {name for _, names in TRACED_FUNCTIONS for name in names}
+    assert not traced & set(vars(battery))
+
+
+# The names each module defined before they moved to a module that no show,
+# export or jf request loads, by (old module, new module).  Each still
+# resolves at its old path.
 MOVED = {
-    "arrays": "FACTORIAL_PAIR_WEIGHTS FACTORIAL_WEIGHTS KindMismatch RiordanArray UNIT_WEIGHTS "
+    ("arrays", "cold"): "FACTORIAL_PAIR_WEIGHTS FACTORIAL_WEIGHTS KindMismatch RiordanArray UNIT_WEIGHTS "
     "UnsupportedKind WeightSequence binomial_array face_array face_matrix identity_array "
     "pascal_matrix series_from_triangle",
-    "series": "NonIntegralResult NonUnitConstantTerm NonzeroConstantTerm ZeroLinearTerm egf_to_ogf integer_coeffs",
-    "families": "NotPalindromic dense_family_triple f_closed family_array gamma_closed gamma_from_h "
+    ("series", "cold"): "NonIntegralResult NonUnitConstantTerm NonzeroConstantTerm ZeroLinearTerm egf_to_ogf integer_coeffs",
+    ("families", "cold"): "NotPalindromic dense_family_triple f_closed family_array gamma_closed gamma_from_h "
     "h_closed narayana_array narayana_closed",
-    "jfraction": "binomial_transform",
-    "cli": "cmd_fetch_bfile cmd_oeis_check cmd_verify parse_matrix_doc",
+    ("jfraction", "cold"): "binomial_transform",
+    ("cli", "cold"): "cmd_fetch_bfile parse_matrix_doc",
+    ("cli", "verify"): "cmd_oeis_check cmd_verify",
 }
 
 
-def test_moved_names_resolve_lazily_to_the_cold_module_and_stay_bound():
+def test_moved_names_resolve_lazily_to_their_new_module_and_stay_bound():
     # The tracer patches a name through its module's __dict__, so the first
     # lookup must leave it there.
     code = (
         "import importlib, sys\n"
         f"moved = {MOVED!r}\n"
-        "for module, names in moved.items():\n"
+        "for (module, home), names in moved.items():\n"
         "    mod = importlib.import_module('riordan.' + module)\n"
-        "    print(module, any(name in mod.__dict__ for name in names.split()), 'riordan.cold' in sys.modules)\n"
-        "cold = importlib.import_module('riordan.cold')\n"
-        "for module, names in moved.items():\n"
-        "    mod = sys.modules['riordan.' + module]\n"
-        "    print(all(getattr(mod, n) is getattr(cold, n) and mod.__dict__[n] is getattr(cold, n)\n"
+        "    print(module, any(name in mod.__dict__ for name in names.split()), 'riordan.' + home in sys.modules)\n"
+        "for (module, home), names in moved.items():\n"
+        "    mod, new = sys.modules['riordan.' + module], importlib.import_module('riordan.' + home)\n"
+        "    print(all(getattr(mod, n) is getattr(new, n) and mod.__dict__[n] is getattr(new, n)\n"
         "              for n in names.split()))\n"
     )
     lines = _fresh_interpreter(code)
-    assert lines == [f"{module} False False" for module in MOVED] + ["True"] * len(MOVED)
+    assert lines == [f"{module} False False" for module, _ in MOVED] + ["True"] * len(MOVED)
 
 
-@pytest.mark.parametrize("module", [riordan, algebra, arrays, series, families, jfraction, cli])
+@pytest.mark.parametrize("module", [riordan, algebra, arrays, series, families, jfraction, cli, verify])
 def test_unknown_names_still_raise_attribute_error(module):
     with pytest.raises(AttributeError, match=f"module '{module.__name__}' has no attribute 'no_such_name'"):
         module.no_such_name
