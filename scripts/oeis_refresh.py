@@ -13,13 +13,8 @@ import os
 import sys
 from pathlib import Path
 
-from riordan.oeis import (
-    CACHE_DIR_ENV,
-    FIXTURES,
-    CacheMiss,
-    NetworkUnavailable,
-    fetch_bfile,
-)
+from riordan.bfile import CACHE_DIR_ENV, CacheMiss, NetworkUnavailable, fetch_bfile
+from riordan.oeis import FIXTURES
 
 
 def main() -> int:

@@ -16,8 +16,9 @@ Modules: :mod:`~riordan.algebra` (integers, rationals, polynomials in r, y),
 (lower-triangular matrices), :mod:`~riordan.jfraction` (Jacobi continued
 fractions), :mod:`~riordan.families` (the triangle families),
 :mod:`~riordan.cold` (the Riordan group and the other oracles, the cold
-series operations and ``fetch-bfile``'s command-line code),
-:mod:`~riordan.oeis` (fixtures and b-files), :mod:`~riordan.verify` (the
+series operations and the export reader ``parse_matrix_doc``),
+:mod:`~riordan.oeis` (the OEIS fixtures), :mod:`~riordan.bfile` (OEIS
+b-files and the ``fetch-bfile`` subcommand), :mod:`~riordan.verify` (the
 fixture checks, the check suites and the ``verify`` and ``oeis-check``
 subcommands), :mod:`~riordan.battery` (the group and props checks),
 :mod:`~riordan.cli` (the ``riordan`` command).
@@ -27,8 +28,9 @@ resolved on first use, from the one submodule that defines it, so a
 program (or a ``riordan`` subcommand) loads only the modules it uses.
 Without cached bytecode every module loaded is also compiled from source,
 so the code that no ``show``, ``export`` or ``jf`` request runs is kept
-in :mod:`~riordan.cold`, and the checks that no ``oeis-check`` request runs
-in :mod:`~riordan.battery`; the modules their names were moved from resolve
+in :mod:`~riordan.cold`, the checks that no ``oeis-check`` request runs in
+:mod:`~riordan.battery`, and the b-file code that only ``fetch-bfile`` runs
+in :mod:`~riordan.bfile`; the modules their names were moved from resolve
 them on first use too (:func:`_lazy_names`), and the methods whose bodies
 moved delegate to :mod:`~riordan.cold` (:func:`_cold`).
 """
@@ -43,6 +45,7 @@ __version__ = "0.1.0"
 _EXPORTS = (
     ("algebra", "MultiPoly R Y"),
     ("arrays", "Kind LowerTriMatrix triangle_from_series"),
+    ("bfile", "fetch_bfile parse_bfile"),
     (
         "cold",
         "RiordanArray WeightSequence binomial_array binomial_transform egf_to_ogf "
@@ -50,7 +53,7 @@ _EXPORTS = (
     ),
     ("families", "FamilySpec GammaHFTriple named_triple"),
     ("jfraction", "IndexPoly JFraction parse_index_poly parse_poly"),
-    ("oeis", "FIXTURES TriangleFixture check_triangle fetch_bfile parse_bfile"),
+    ("oeis", "FIXTURES TriangleFixture check_triangle"),
     ("series", "DEFAULT_ORDER TruncatedSeries"),
 )
 

@@ -1,7 +1,7 @@
 """The group and props checks of the verify battery, and its full registry.
 
 :mod:`riordan.verify` holds the oeis checks and runs the suites; this
-module registers the ten group laws and the ten props identities and
+module registers the ten group laws and the twelve props identities and
 builds ``CHECKS``, which ``verify`` resolves from here on first lookup.  It
 loads, with :mod:`riordan.cold`, only for ``verify group``, ``props`` and
 ``all`` and for the tests.

@@ -37,7 +37,7 @@ from .series import tidy
 
 # What only some subcommands use (json, csv) is imported where it is used,
 # and the subcommands that no show, export or jf request runs live in
-# riordan.verify (verify, oeis-check) and riordan.cold (fetch-bfile).
+# riordan.verify (verify, oeis-check) and riordan.bfile (fetch-bfile).
 # Without cached bytecode, every module a request imports is compiled from
 # source before the request can start.
 
@@ -333,7 +333,8 @@ def main(argv: list[str] | None = None) -> int:
 
 __getattr__ = _lazy_names(
     globals(),
-    ("cold", "add_fetch_bfile_arguments cmd_fetch_bfile parse_matrix_doc"),
+    ("bfile", "add_fetch_bfile_arguments cmd_fetch_bfile"),
+    ("cold", "parse_matrix_doc"),
     ("verify", "add_oeis_check_arguments add_verify_arguments cmd_oeis_check cmd_verify"),
 )
 

@@ -7,7 +7,7 @@ here with the other code only they use: the Riordan group, the families'
 oracle routes (Riordan route, gamma extraction, closed forms, Narayana
 array), the bodies of the series operations inverse, compose, revert, exp
 and derivative, of :meth:`MultiPoly.parse` and of the matrix product,
-``parse_matrix_doc`` and the ``fetch-bfile`` subcommand.
+and ``parse_matrix_doc``.
 
 Without cached bytecode a request compiles every module it imports, so
 no ``show``, ``export`` or ``jf`` request imports this one, and neither
@@ -19,8 +19,6 @@ public ones from the package): those modules resolve it on first use.
 
 from __future__ import annotations
 
-import os
-import sys
 from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Sequence
@@ -523,7 +521,7 @@ def binomial_transform(seq: Sequence, k: PolyLike) -> list:
     return out
 
 
-# -- the command line's cold subcommands ---------------------------------------------
+# -- the command line's export reader ------------------------------------------------
 
 
 def parse_matrix_doc(text: str):
@@ -561,31 +559,3 @@ def parse_matrix_doc(text: str):
         reversed_form=raw["reversed"],
         extra={key: value for key, value in raw.items() if key not in fixed},
     )
-
-
-def add_fetch_bfile_arguments(sub):
-    from .cli import _nonnegative_int
-
-    sub.add_argument("anumber")
-    sub.add_argument("--cache-dir", default=None)
-    sub.add_argument("--offline", action="store_true", help="only use the cache")
-    sub.add_argument("--limit", type=_nonnegative_int, default=12, help="terms to print")
-
-
-def cmd_fetch_bfile(args) -> int:
-    from pathlib import Path
-
-    from .oeis import CACHE_DIR_ENV, CacheMiss, NetworkUnavailable, fetch_bfile
-
-    cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV) or (
-        Path.home() / ".cache" / "riordan-oeis"
-    )
-    try:
-        bfile = fetch_bfile(args.anumber, cache_dir, offline=args.offline)
-    except (NetworkUnavailable, CacheMiss, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    values = bfile.values[: args.limit]
-    print(f"{args.anumber}: {len(bfile.entries)} terms cached in {cache_dir}")
-    print(", ".join(str(v) for v in values))
-    return 0

@@ -217,7 +217,8 @@ MAX_EXPONENT = 32
 MAX_COEFF_BITS = 1024
 MAX_LITERAL_DIGITS = 308
 
-_TOKEN = re.compile(r"(\d+)|([iry])|([()+\-*^/])|(\S)")
+# Compiled (and cached by re) on the first parse: no other request pays for it.
+_TOKEN = r"(\d+)|([iry])|([()+\-*^/])|(\S)"
 
 
 def _growth(p: IndexPoly) -> tuple[int, int, int]:
@@ -244,7 +245,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens: list[tuple[str, str, int]] = []
-        for m in _TOKEN.finditer(text):
+        for m in re.finditer(_TOKEN, text):
             if m.group(4):
                 raise ParseError(f"unexpected character {m.group(4)!r}", m.start())
             if m.group(1) and len(m.group(1)) > MAX_LITERAL_DIGITS:

@@ -1,4 +1,4 @@
-"""OEIS triangle fixtures, b-file parsing, and an optional cached fetcher.
+"""OEIS triangle fixtures and the comparison of computed triangles with them.
 
 The embedded fixtures are the independent oracle for every sequence-level
 check in this package: each stores the leading rows of an OEIS triangle
@@ -8,47 +8,23 @@ A055151 has n//2 + 1 entries, not n + 1).  A001147 is a plain sequence and
 is stored with one value per row; its aerated form (zeros interleaved) is
 produced by the caller.
 
-Everything in the default test suite runs offline.  :func:`fetch_bfile` can
-refresh data from the public OEIS b-file endpoint into a local cache, but is
-never consulted implicitly: a cached copy always wins and the endpoint is
-only contacted when the cache misses and ``offline`` is not set.
+The b-file parser and the cached fetcher live in :mod:`riordan.bfile`,
+which only ``fetch-bfile`` loads; their names still import from here.
 """
 
 from __future__ import annotations
 
 import enum
-import os
-import tempfile
-from pathlib import Path
 from typing import NamedTuple
 
+from . import _lazy_names
 from .algebra import MultiPoly
 from .arrays import LowerTriMatrix
 from .record import Frozen
 
-DEFAULT_BASE_URL = "https://oeis.org"
-BASE_URL_ENV = "OEIS_BASE_URL"
-CACHE_DIR_ENV = "OEIS_CACHE_DIR"
-
-
-class MalformedLine(ValueError):
-    """A b-file line that is neither a comment nor an 'index value' pair."""
-
-    def __init__(self, message: str, line_number: int):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
-
 
 class SymbolicEntries(ValueError):
     """Triangle comparison needs fully numeric entries."""
-
-
-class NetworkUnavailable(OSError):
-    """The OEIS endpoint could not be reached and no cache exists."""
-
-
-class CacheMiss(FileNotFoundError):
-    """Offline fetch requested but the cache has no copy."""
 
 
 class Reading(enum.Enum):
@@ -92,40 +68,6 @@ class TriangleFixture(Frozen):
             out.append(row)
             pos += length
         return out
-
-
-class BFile(NamedTuple):
-    """Parsed 'index value' lines of an OEIS b-file."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(v for _, v in self.entries)
-
-
-def parse_bfile(text: str) -> BFile:
-    """Parse b-file text: 'index value' per line, '#' comments, blanks skipped."""
-    entries: list[tuple[int, int]] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise MalformedLine(f"expected 'index value', got {raw!r}", number)
-        try:
-            index, value = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise MalformedLine(f"non-integer field in {raw!r}", number) from None
-        if entries and index <= entries[-1][0]:
-            raise MalformedLine(f"index {index} not strictly increasing", number)
-        entries.append((index, value))
-    return BFile(tuple(entries))
-
-
-def render_bfile(bfile: BFile) -> str:
-    return "".join(f"{n} {v}\n" for n, v in bfile.entries)
 
 
 class CheckReport(NamedTuple):
@@ -199,7 +141,7 @@ def check_sequence(values, fixture: TriangleFixture) -> CheckReport:
     return CheckReport(fixture.anumber, compared, compared)
 
 
-# -- fetching ----------------------------------------------------------------
+# -- A-numbers ---------------------------------------------------------------
 
 
 def _normalize_anumber(anumber: str) -> str:
@@ -207,54 +149,6 @@ def _normalize_anumber(anumber: str) -> str:
     if not text.startswith("A") or not text[1:].isdigit():
         raise ValueError(f"not an OEIS A-number: {anumber!r}")
     return "A" + text[1:].zfill(6)
-
-
-def bfile_url(anumber: str, base_url: str | None = None) -> str:
-    anumber = _normalize_anumber(anumber)
-    base = (base_url or os.environ.get(BASE_URL_ENV) or DEFAULT_BASE_URL).rstrip("/")
-    return f"{base}/{anumber}/b{anumber[1:]}.txt"
-
-
-def fetch_bfile(
-    anumber: str,
-    cache_dir: str | Path,
-    *,
-    offline: bool = False,
-    base_url: str | None = None,
-    timeout: float = 30.0,
-) -> BFile:
-    """Return the b-file for an A-number, downloading at most once.
-
-    The cache (one verbatim file per A-number) always wins; the network is
-    only touched on a cache miss with ``offline`` unset.  Downloads are
-    written atomically so concurrent fetchers cannot see partial files.
-    """
-    anumber = _normalize_anumber(anumber)
-    cache_dir = Path(cache_dir)
-    cached = cache_dir / f"{anumber}.txt"
-    if cached.exists():
-        return parse_bfile(cached.read_text())
-    if offline:
-        raise CacheMiss(f"no cached b-file for {anumber} in {cache_dir}")
-    import urllib.error  # imported here: only a cache miss needs the network
-    import urllib.request
-
-    url = bfile_url(anumber, base_url)
-    try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
-            payload = response.read()
-    except (urllib.error.URLError, OSError) as exc:
-        raise NetworkUnavailable(f"could not fetch {url}: {exc}") from exc
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=cache_dir, prefix=f".{anumber}.")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-        os.replace(tmp_name, cached)
-    except BaseException:
-        os.unlink(tmp_name)
-        raise
-    return parse_bfile(payload.decode())
 
 
 # -- embedded fixtures ---------------------------------------------------------
@@ -479,3 +373,13 @@ def aerated(values, length: int | None = None) -> list[int]:
     if length is not None:
         out = out[:length]
     return out
+
+
+__getattr__ = _lazy_names(
+    globals(),
+    (
+        "bfile",
+        "BASE_URL_ENV BFile CACHE_DIR_ENV CacheMiss DEFAULT_BASE_URL MalformedLine "
+        "NetworkUnavailable bfile_url fetch_bfile parse_bfile render_bfile",
+    ),
+)

@@ -18,8 +18,10 @@ and the ``verify`` and ``oeis-check`` subcommands.  The group and props
 checks live in :mod:`riordan.battery`, and the oracles most of them test in
 :mod:`riordan.cold`.  Without cached bytecode a request compiles every
 module it imports, so the two load only when a check that uses them runs
-or ``CHECKS`` is first looked up: ``oeis-check`` and ``verify oeis`` load
-neither, except that A001147's source loads :mod:`riordan.cold`.
+or ``CHECKS`` is first looked up.  The oeis suite runs ``FIXTURE_CHECKS``,
+so ``oeis-check`` and ``verify oeis`` load neither, except that A001147's
+source loads :mod:`riordan.cold`; the group and props suites run
+``CHECKS``.
 
 The suite functions filter the registry and return one :class:`CheckResult`
 per check; the CLI renders one line per check and fails the run when any
@@ -137,10 +139,7 @@ FIXTURE_CHECKS = [
 
 
 def _run(suite: str, seed: int = DEFAULT_SEED, names: set[str] | None = None) -> list[CheckResult]:
-    if suite == "oeis" and "CHECKS" not in globals():
-        registry = FIXTURE_CHECKS  # the oeis suite alone needs no battery
-    else:
-        registry = sys.modules[__name__].CHECKS
+    registry = FIXTURE_CHECKS if suite == "oeis" else sys.modules[__name__].CHECKS
     return [
         check.run(seed)
         for check in registry

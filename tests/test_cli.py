@@ -316,7 +316,8 @@ def test_show_and_jf_load_only_the_modules_they_run():
 
 def test_check_commands_load_only_the_modules_they_run():
     # The triangle fixtures need neither the group/props battery nor
-    # riordan.cold; A001147's source needs cold, and verify group needs both.
+    # riordan.cold; A001147's source (so also verify oeis) needs cold, and
+    # verify group needs both.
     code = (
         "import contextlib, io, sys\n"
         "import riordan.cli as cli\n"
@@ -328,11 +329,13 @@ def test_check_commands_load_only_the_modules_they_run():
         "    print(code, sum(line.startswith('[  ok]') for line in lines), lines[-1], loaded)\n"
         "run('oeis-check', 'A055151', 'A135278')\n"
         "run('oeis-check', 'A001147')\n"
+        "run('verify', 'oeis')\n"
         "run('verify', 'group')\n"
     )
     assert _fresh_interpreter(code) == [
         "0 2 [  ok] A055151: 66 entries over 11 rows match []",
         "0 1 [  ok] A001147: 11 entries over 11 rows match ['riordan.cold']",
+        "0 12 12/12 checks passed ['riordan.cold']",
         "0 10 10/10 checks passed ['riordan.battery', 'riordan.cold']",
     ]
 

@@ -1,7 +1,7 @@
 """What code outside the package relies on: the README's library example,
 the names that the benchmark's tracer (``perfbench/tracer.py``) wraps, and
-the old import paths of the names that moved to :mod:`riordan.cold` or
-:mod:`riordan.verify`.
+the old import paths of the names that moved to :mod:`riordan.cold`,
+:mod:`riordan.verify` or :mod:`riordan.bfile`.
 
 The tracer looks its targets up by name when it is installed, so a renamed
 or removed one would fail only a traced benchmark run, never this suite.
@@ -82,8 +82,11 @@ MOVED = {
     ("families", "cold"): "NotPalindromic dense_family_triple f_closed family_array gamma_closed gamma_from_h "
     "h_closed narayana_array narayana_closed",
     ("jfraction", "cold"): "binomial_transform",
-    ("cli", "cold"): "cmd_fetch_bfile parse_matrix_doc",
+    ("cli", "cold"): "parse_matrix_doc",
     ("cli", "verify"): "cmd_oeis_check cmd_verify",
+    ("cli", "bfile"): "cmd_fetch_bfile",
+    ("oeis", "bfile"): "BASE_URL_ENV BFile CACHE_DIR_ENV CacheMiss DEFAULT_BASE_URL MalformedLine "
+    "NetworkUnavailable bfile_url fetch_bfile parse_bfile render_bfile",
 }
 
 
@@ -105,7 +108,7 @@ def test_moved_names_resolve_lazily_to_their_new_module_and_stay_bound():
     assert lines == [f"{module} False False" for module, _ in MOVED] + ["True"] * len(MOVED)
 
 
-@pytest.mark.parametrize("module", [riordan, algebra, arrays, series, families, jfraction, cli, verify])
+@pytest.mark.parametrize("module", [riordan, algebra, arrays, series, families, jfraction, cli, verify, oeis])
 def test_unknown_names_still_raise_attribute_error(module):
     with pytest.raises(AttributeError, match=f"module '{module.__name__}' has no attribute 'no_such_name'"):
         module.no_such_name
