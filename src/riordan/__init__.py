@@ -30,9 +30,12 @@ Without cached bytecode every module loaded is also compiled from source,
 so the code that no ``show``, ``export`` or ``jf`` request runs is kept
 in :mod:`~riordan.cold`, the checks that no ``oeis-check`` request runs in
 :mod:`~riordan.battery`, and the b-file code that only ``fetch-bfile`` runs
-in :mod:`~riordan.bfile`; the modules their names were moved from resolve
-them on first use too (:func:`_lazy_names`), and the methods whose bodies
-moved delegate to :mod:`~riordan.cold` (:func:`_cold`).
+in :mod:`~riordan.bfile`.  Each moved name imports only from its new
+module, except four that the benchmark's tracer wraps at their old paths
+(``arrays.RiordanArray``, ``arrays.face_matrix``, ``families.family_array``,
+``families.gamma_from_h``): those modules, and :mod:`~riordan.verify` for
+``CHECKS``, resolve them on first use (:func:`_lazy_names`).  The methods
+whose bodies moved delegate to :mod:`~riordan.cold` (:func:`_cold`).
 """
 
 import sys

@@ -130,24 +130,25 @@ def fetch_bfile(
 
 
 def add_fetch_bfile_arguments(sub):
-    from .cli import _nonnegative_int
-
     sub.add_argument("anumber")
     sub.add_argument("--cache-dir", default=None)
     sub.add_argument("--offline", action="store_true", help="only use the cache")
-    sub.add_argument("--limit", type=_nonnegative_int, default=12, help="terms to print")
+    sub.add_argument("--limit", type="count", default=12, help="terms to print")
 
 
 def cmd_fetch_bfile(args) -> int:
+    """Text that is no A-number raises ValueError (exit 2), as in
+    ``oeis-check``; a failed fetch or read exits 1."""
+    anumber = _normalize_anumber(args.anumber)
     cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV) or (
         Path.home() / ".cache" / "riordan-oeis"
     )
     try:
-        bfile = fetch_bfile(args.anumber, cache_dir, offline=args.offline)
+        bfile = fetch_bfile(anumber, cache_dir, offline=args.offline)
     except (NetworkUnavailable, CacheMiss, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     values = bfile.values[: args.limit]
-    print(f"{args.anumber}: {len(bfile.entries)} terms cached in {cache_dir}")
+    print(f"{anumber}: {len(bfile.entries)} terms cached in {cache_dir}")
     print(", ".join(str(v) for v in values))
     return 0

@@ -13,6 +13,10 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when a verification/comparison fails or a file
 cannot be read or written, 2 on usage or expression-parse errors.
+
+``show``, ``export`` and ``jf`` are defined here, ``verify`` and
+``oeis-check`` in :mod:`riordan.verify`, ``fetch-bfile`` in
+:mod:`riordan.bfile`; a request imports no other subcommand's module.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import io
 import sys
 from pathlib import Path
 
-from . import _lazy_names
+from . import _submodule
 from .algebra import MultiPoly, R
 from .arrays import Kind
 from .families import (
@@ -35,9 +39,7 @@ from .jfraction import JFraction, parse_index_poly
 from .record import Record
 from .series import tidy
 
-# What only some subcommands use (json, csv) is imported where it is used,
-# and the subcommands that no show, export or jf request runs live in
-# riordan.verify (verify, oeis-check) and riordan.bfile (fetch-bfile).
+# What only some subcommands use (json, csv) is imported where it is used.
 # Without cached bytecode, every module a request imports is compiled from
 # source before the request can start.
 
@@ -270,17 +272,17 @@ def _add_jf_arguments(sub: argparse.ArgumentParser):
     sub.add_argument("--format", choices=FORMATS, default="table")
 
 
-# (name, help, the function that adds its arguments, the function that runs
-# it).  The functions are named, not referenced, so that those of the cold
-# subcommands are imported (through __getattr__) only by the request that
-# runs them.
+# (name, help, the module that defines the subcommand, the function there
+# that adds its arguments, the function that runs it).  The functions are
+# named, not referenced, so that the modules of the cold subcommands are
+# imported only by the request that runs them.
 _SUBCOMMANDS = (
-    ("show", "render a gamma/h/f triangle", "_add_show_arguments", "cmd_show"),
-    ("export", "write a triangle to a file", "_add_export_arguments", "cmd_show"),
-    ("jf", "expand a Jacobi continued fraction", "_add_jf_arguments", "cmd_jf"),
-    ("verify", "run the verification suites", "add_verify_arguments", "cmd_verify"),
-    ("oeis-check", "check embedded OEIS fixtures", "add_oeis_check_arguments", "cmd_oeis_check"),
-    ("fetch-bfile", "download an OEIS b-file", "add_fetch_bfile_arguments", "cmd_fetch_bfile"),
+    ("show", "render a gamma/h/f triangle", "cli", "_add_show_arguments", "cmd_show"),
+    ("export", "write a triangle to a file", "cli", "_add_export_arguments", "cmd_show"),
+    ("jf", "expand a Jacobi continued fraction", "cli", "_add_jf_arguments", "cmd_jf"),
+    ("verify", "run the verification suites", "verify", "add_verify_arguments", "cmd_verify"),
+    ("oeis-check", "check embedded OEIS fixtures", "verify", "add_oeis_check_arguments", "cmd_oeis_check"),
+    ("fetch-bfile", "download an OEIS b-file", "bfile", "add_fetch_bfile_arguments", "cmd_fetch_bfile"),
 )
 
 
@@ -291,20 +293,27 @@ class _Subparser(argparse.ArgumentParser):
     costs more than the rest of the parse.  Until it parses, the parser is
     only a name in its parent's choices, which is all the parent's help and
     usage errors read; its own help and errors are printed while it parses,
-    so every text reads as if all six had been built up front.
+    so every text reads as if all six had been built up front.  The
+    argument type ``"count"`` is :func:`_nonnegative_int`, for the modules
+    that cannot import this one.
     """
 
-    def __init__(self, add_arguments: str, func: str, **kwargs):
+    def __init__(self, module: str, add_arguments: str, func: str, **kwargs):
         # ArgumentParser.__init__ runs when the parser first parses.
-        self._pending = add_arguments, func, kwargs
+        self._pending = module, add_arguments, func, kwargs
 
     def parse_known_args(self, args=None, namespace=None):
         if self._pending is not None:
-            add_arguments, func, kwargs = self._pending
+            module, add_arguments, func, kwargs = self._pending
             self._pending = None
             super().__init__(**kwargs)
-            getattr(sys.modules[__name__], add_arguments)(self)
-            self.set_defaults(func=func)
+            self.register("type", "count", _nonnegative_int)
+            # This module's own functions come from its globals: under
+            # ``python -m riordan.cli`` it runs as __main__, and importing
+            # riordan.cli would compile it a second time.
+            home = globals() if module == "cli" else vars(_submodule(module))
+            home[add_arguments](self)
+            self.set_defaults(func=home[func])
         return super().parse_known_args(args, namespace)
 
 
@@ -315,28 +324,19 @@ def build_parser() -> argparse.ArgumentParser:
         "continued fractions, OEIS cross-checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
-    for name, help_text, add_arguments, func in _SUBCOMMANDS:
-        sub.add_parser(name, help=help_text, add_arguments=add_arguments, func=func)
+    for name, help_text, module, add_arguments, func in _SUBCOMMANDS:
+        sub.add_parser(name, help=help_text, module=module, add_arguments=add_arguments, func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    func = getattr(sys.modules[__name__], args.func)
     try:
-        return func(args)
+        return args.func(args)
     except (ValueError, IndexError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-__getattr__ = _lazy_names(
-    globals(),
-    ("bfile", "add_fetch_bfile_arguments cmd_fetch_bfile"),
-    ("cold", "parse_matrix_doc"),
-    ("verify", "add_oeis_check_arguments add_verify_arguments cmd_oeis_check cmd_verify"),
-)
 
 
 if __name__ == "__main__":

@@ -12,9 +12,12 @@ and ``parse_matrix_doc``.
 Without cached bytecode a request compiles every module it imports, so
 no ``show``, ``export`` or ``jf`` request imports this one, and neither
 does ``oeis-check`` of the triangle fixtures: of the oeis checks, only
-A001147's source, the exponential of x^2/2, runs code from here.  Each
-name here still imports from the module that defined it before (and the
-public ones from the package): those modules resolve it on first use.
+A001147's source, the exponential of x^2/2, runs code from here.  Its
+names import from here (the public ones also from the package); of the
+modules that defined them before, only :mod:`~riordan.arrays`
+(``RiordanArray``, ``face_matrix``) and :mod:`~riordan.families`
+(``family_array``, ``gamma_from_h``) still resolve four of them, which the
+benchmark's tracer wraps there.
 """
 
 from __future__ import annotations

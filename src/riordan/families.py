@@ -43,8 +43,9 @@ well-known OEIS triangles (:func:`named_triple`).
 No ``show``, ``export`` or ``jf`` request runs the oracles -- the
 family's Riordan array, the Riordan route, gamma extraction, the closed
 forms and the Narayana array -- so they live in :mod:`riordan.cold`, which
-only ``verify``, the library and the tests load.  Their names still import
-from here: this module resolves them on first use.
+only ``verify``, the library and the tests load.  They import from there;
+only ``family_array`` and ``gamma_from_h``, which the benchmark's tracer
+wraps here, also resolve from this module, on first use.
 """
 
 from __future__ import annotations
@@ -186,11 +187,7 @@ def family_matrix(family: FamilySpec | str, which: str, size_n: int) -> LowerTri
     return {"gamma": gamma_matrix, "h": h_matrix, "f": f_matrix}[which](spec, size_n)
 
 
-__getattr__ = _lazy_names(
-    globals(),
-    (
-        "cold",
-        "NotPalindromic dense_family_triple f_closed family_array gamma_closed gamma_from_h "
-        "h_closed narayana_array narayana_closed",
-    ),
-)
+# perfbench/tracer.py's Tracer.install() wraps these two by looking them up
+# here (line 189); every other name moved to riordan.cold imports from there
+# only.
+__getattr__ = _lazy_names(globals(), ("cold", "family_array gamma_from_h"))

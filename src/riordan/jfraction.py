@@ -27,7 +27,6 @@ from math import lcm
 from operator import add
 from typing import NamedTuple, Sequence, Union
 
-from . import _lazy_names
 from .algebra import MultiPoly, Y
 from .record import Frozen
 from .series import TruncatedSeries
@@ -353,8 +352,3 @@ def parse_poly(text: str) -> MultiPoly:
     if value.degree() > 0:
         raise ParseError("the index variable i is not allowed here", text.find("i"))
     return value.coeffs[0] if value.coeffs else MultiPoly.const(0)
-
-
-# The binomial transform of a sequence checks the binomial shift in
-# ``verify`` and the tests; no request runs it.
-__getattr__ = _lazy_names(globals(), ("cold", "binomial_transform"))

@@ -9,7 +9,7 @@ is stored with one value per row; its aerated form (zeros interleaved) is
 produced by the caller.
 
 The b-file parser and the cached fetcher live in :mod:`riordan.bfile`,
-which only ``fetch-bfile`` loads; their names still import from here.
+which only ``fetch-bfile`` loads.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from . import _lazy_names
 from .algebra import MultiPoly
 from .arrays import LowerTriMatrix
 from .record import Frozen
@@ -146,7 +145,7 @@ def check_sequence(values, fixture: TriangleFixture) -> CheckReport:
 
 def _normalize_anumber(anumber: str) -> str:
     text = anumber.strip().upper()
-    if not text.startswith("A") or not text[1:].isdigit():
+    if not (text.startswith("A") and text[1:].isascii() and text[1:].isdigit()):
         raise ValueError(f"not an OEIS A-number: {anumber!r}")
     return "A" + text[1:].zfill(6)
 
@@ -373,13 +372,3 @@ def aerated(values, length: int | None = None) -> list[int]:
     if length is not None:
         out = out[:length]
     return out
-
-
-__getattr__ = _lazy_names(
-    globals(),
-    (
-        "bfile",
-        "BASE_URL_ENV BFile CACHE_DIR_ENV CacheMiss DEFAULT_BASE_URL MalformedLine "
-        "NetworkUnavailable bfile_url fetch_bfile parse_bfile render_bfile",
-    ),
-)

@@ -13,8 +13,8 @@ No ``show``, ``export`` or ``jf`` request inverts, composes, reverts,
 exponentiates or differentiates a series, so the bodies of those methods,
 their exceptions, :func:`~riordan.cold.egf_to_ogf` and
 :func:`~riordan.cold.integer_coeffs` live in :mod:`riordan.cold`, loaded
-on first use.  The methods stay here and delegate to it, and the other
-names still import from here: this module resolves them on first use.
+on first use.  The methods stay here and delegate to it; the other names
+import from there.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Sequence, Union
 
-from . import _cold, _lazy_names
+from . import _cold
 from .algebra import MultiPoly
 
 DEFAULT_ORDER = 16
@@ -179,13 +179,3 @@ def tidy(value: Coeff) -> Coeff:
     if isinstance(value, Fraction) and value.denominator == 1:
         return int(value)
     return value
-
-
-__getattr__ = _lazy_names(
-    globals(),
-    (
-        "cold",
-        "NonIntegralResult NonUnitConstantTerm NonzeroConstantTerm ZeroLinearTerm "
-        "egf_to_ogf integer_coeffs",
-    ),
-)

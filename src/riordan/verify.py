@@ -222,5 +222,5 @@ def cmd_oeis_check(args) -> int:
 
 
 # CHECKS, the full registry in suite order, is built by riordan.battery;
-# gamma_from_h is here for perfbench's tracer test.
+# gamma_from_h is here for perfbench/test_perfbench.py:156, which reads it.
 __getattr__ = _lazy_names(globals(), ("battery", "CHECKS"), ("cold", "gamma_from_h"))

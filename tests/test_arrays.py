@@ -4,27 +4,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from riordan.algebra import R, Y, MultiPoly
-from riordan.arrays import (
+from riordan.arrays import IndexBeyondTruncation, Kind, LowerTriMatrix, NonIntegralEntry, triangle_from_series
+from riordan.cold import (
     FACTORIAL_PAIR_WEIGHTS,
     FACTORIAL_WEIGHTS,
     UNIT_WEIGHTS,
-    IndexBeyondTruncation,
-    Kind,
     KindMismatch,
-    LowerTriMatrix,
-    NonIntegralEntry,
     RiordanArray,
     UnsupportedKind,
     WeightSequence,
     binomial_array,
+    egf_to_ogf,
     face_array,
     face_matrix,
     identity_array,
     pascal_matrix,
     series_from_triangle,
-    triangle_from_series,
 )
-from riordan.series import TruncatedSeries, egf_to_ogf
+from riordan.series import TruncatedSeries
 
 S = TruncatedSeries
 ORDER = 12

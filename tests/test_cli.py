@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 
 import riordan
-from riordan import families
+from riordan import cli, cold, families
 from riordan.algebra import R
-from riordan.arrays import Kind, LowerTriMatrix, RiordanArray
-from riordan import cli
-from riordan.cli import MAX_N, main, parse_matrix_doc
+from riordan.arrays import Kind, LowerTriMatrix
+from riordan.cli import MAX_N, main
+from riordan.cold import RiordanArray, parse_matrix_doc
 from riordan.families import FamilySpec, f_matrix, family_matrix
 from riordan.jfraction import MAX_EXPONENT
 
@@ -53,7 +53,7 @@ def test_simplex_and_hypercube_take_no_riordan_route(capsys, monkeypatch):
 
     monkeypatch.setattr(RiordanArray, "matrix", riordan_route)
     monkeypatch.setattr(LowerTriMatrix, "__mul__", riordan_route)
-    monkeypatch.setattr(families, "gamma_from_h", riordan_route)
+    monkeypatch.setattr(cold, "gamma_from_h", riordan_route)
     for family in ("simplex", "hypercube"):
         for which in ("gamma", "h", "f"):
             status, out, _ = run(capsys, ["show", "--family", family, "--which", which, "--N", "12"])
@@ -278,6 +278,55 @@ def test_fetch_bfile_via_file_url(capsys, tmp_path, monkeypatch):
     assert status == 0
     assert "5 terms" in out
     assert "0, 1, 1, 2, 3" in out
+
+
+def test_fetch_bfile_prints_the_normalized_a_number(capsys, tmp_path):
+    (tmp_path / "A000045.txt").write_text("0 0\n1 1\n2 1\n")
+    (tmp_path / "A000007.txt").write_text("0 1\nnot a pair here\n")
+    argv = ["--offline", "--cache-dir", str(tmp_path)]
+    assert run(capsys, ["fetch-bfile", "a45", *argv]) == (0, f"A000045: 3 terms cached in {tmp_path}\n0, 1, 1\n", "")
+    # A read that fails still exits 1.
+    err = "error: line 2: expected 'index value', got 'not a pair here'\n"
+    assert run(capsys, ["fetch-bfile", "A7", *argv]) == (1, "", err)
+
+
+@pytest.mark.parametrize("text", ["xyz", "A²", "A١٢"])
+def test_text_that_is_no_a_number_is_a_usage_error(capsys, tmp_path, text):
+    # Only ASCII digits make an A-number.  fetch-bfile exits 2 as oeis-check
+    # does, before it looks at the cache.
+    err = f"error: not an OEIS A-number: {text!r}\n"
+    assert run(capsys, ["oeis-check", text]) == (2, "", err)
+    assert run(capsys, ["fetch-bfile", text, "--offline", "--cache-dir", str(tmp_path / "cache")]) == (2, "", err)
+    assert not any(tmp_path.iterdir())
+
+
+# (argv, the module that defines the subcommand)
+DISPATCH_CASES = [
+    (["show", "--which", "f", "--N", "4"], "cli"),
+    (["jf", "--alpha", "2*y+1", "--beta", "i*r*y*(y+1)", "--N", "4"], "cli"),
+    (["verify", "oeis"], "verify"),
+    (["oeis-check", "A055151"], "verify"),
+    (["fetch-bfile", "A45", "--offline", "--cache-dir", "{cache}"], "bfile"),
+]
+
+
+@pytest.mark.parametrize("entry", ["riordan", "riordan.cli"])
+@pytest.mark.parametrize("argv, home", DISPATCH_CASES, ids=[argv[0] for argv, _ in DISPATCH_CASES])
+def test_each_subcommand_runs_from_its_module_under_python_m(capsys, tmp_path, entry, argv, home):
+    # Under ``python -m riordan.cli`` the cli module is __main__, and a
+    # subcommand that imported riordan.cli would compile it a second time.
+    (tmp_path / "A000045.txt").write_text("0 0\n1 1\n2 1\n3 2\n")
+    argv = [arg.format(cache=tmp_path) for arg in argv]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(riordan.__path__[0]))
+    command = [sys.executable, "-S", "-X", "importtime", "-m", entry, *argv]
+    res = subprocess.run(command, env=env, capture_output=True, text=True)
+    lines = res.stderr.splitlines(True)
+    err = "".join(line for line in lines if not line.startswith("import time:"))
+    loaded = [line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time: ")]
+    assert (res.returncode, res.stdout, err) == run(capsys, argv)
+    assert loaded.count("riordan.cli") == (entry == "riordan")
+    subcommand_modules = {m for m in loaded if m in ("riordan.verify", "riordan.bfile")}
+    assert subcommand_modules == ({f"riordan.{home}"} - {"riordan.cli"})
 
 
 def _fresh_interpreter(code: str) -> list[str]:

@@ -9,7 +9,8 @@ from hypothesis import example, given, strategies as st
 
 from riordan.algebra import MultiPoly, R, Y
 from riordan.arrays import Kind, triangle_from_series
-from riordan.families import FamilySpec, dense_family_triple, family_fractions, family_triple, family_matrix
+from riordan.cold import dense_family_triple
+from riordan.families import FamilySpec, family_fractions, family_triple, family_matrix
 from riordan.series import TruncatedSeries
 
 FLAVORS = (Kind.ORDINARY, Kind.EXPONENTIAL)

@@ -4,32 +4,30 @@ import pytest
 from hypothesis import given, strategies as st
 
 from riordan.algebra import MultiPoly, R, Y
-from riordan.arrays import (
-    Kind,
-    LowerTriMatrix,
+from riordan.arrays import Kind, LowerTriMatrix, triangle_from_series
+from riordan.cold import (
+    NotPalindromic,
     RiordanArray,
     binomial_array,
+    dense_family_triple,
+    f_closed,
     face_matrix,
+    family_array,
+    gamma_closed,
+    gamma_from_h,
+    h_closed,
+    narayana_closed,
     pascal_matrix,
-    triangle_from_series,
 )
 from riordan.families import (
     FamilySpec,
-    NotPalindromic,
-    dense_family_triple,
-    f_closed,
     f_matrix,
-    family_array,
     family_fractions,
     family_matrix,
     family_triple,
-    gamma_closed,
-    gamma_from_h,
     gamma_matrix,
-    h_closed,
     h_matrix,
     named_triple,
-    narayana_closed,
 )
 from riordan.jfraction import IndexPoly, JFraction
 from riordan.oeis import FIXTURES, check_triangle

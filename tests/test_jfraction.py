@@ -6,16 +6,15 @@ from hypothesis import given, strategies as st
 
 from riordan.algebra import MultiPoly, R, Y
 from riordan.arrays import triangle_from_series
+from riordan.cold import binomial_transform, integer_coeffs
 from riordan.jfraction import (
     MAX_EXPONENT,
     IndexPoly,
     JFraction,
     ParseError,
-    binomial_transform,
     parse_index_poly,
     parse_poly,
 )
-from riordan.series import integer_coeffs
 
 
 def J(alpha, beta):

@@ -9,21 +9,23 @@ from hypothesis import given, strategies as st
 import riordan
 from riordan.algebra import R
 from riordan.arrays import LowerTriMatrix
-from riordan.oeis import (
+from riordan.bfile import (
     BFile,
     CacheMiss,
-    FIXTURES,
     MalformedLine,
     NetworkUnavailable,
-    Reading,
-    SymbolicEntries,
-    TriangleFixture,
     bfile_url,
-    check_sequence,
-    check_triangle,
     fetch_bfile,
     parse_bfile,
     render_bfile,
+)
+from riordan.oeis import (
+    FIXTURES,
+    Reading,
+    SymbolicEntries,
+    TriangleFixture,
+    check_sequence,
+    check_triangle,
 )
 
 # Byte-stability pins: regenerate deliberately if fixture data ever changes.

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from riordan.algebra import R, Y
-from riordan.series import (
+from riordan.cold import (
     NonIntegralResult,
     NonUnitConstantTerm,
     NonzeroConstantTerm,
-    TruncatedSeries,
     ZeroLinearTerm,
     egf_to_ogf,
     integer_coeffs,
 )
+from riordan.series import TruncatedSeries
 
 S = TruncatedSeries
 

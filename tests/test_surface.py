@@ -1,19 +1,22 @@
 """What code outside the package relies on: the README's library example,
-the names that the benchmark's tracer (``perfbench/tracer.py``) wraps, and
-the old import paths of the names that moved to :mod:`riordan.cold`,
-:mod:`riordan.verify` or :mod:`riordan.bfile`.
+the names that the benchmark's tracer (``perfbench/tracer.py``) wraps, the
+package-root names, and which old import paths of the names that moved to
+:mod:`riordan.cold`, :mod:`riordan.verify`, :mod:`riordan.battery` or
+:mod:`riordan.bfile` still resolve.
 
 The tracer looks its targets up by name when it is installed, so a renamed
 or removed one would fail only a traced benchmark run, never this suite.
 """
 
+import importlib
 import re
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
 import riordan
-from riordan import algebra, arrays, cli, families, jfraction, oeis, series, verify
+from riordan import algebra, arrays, battery, bfile, cli, cold, families, jfraction, oeis, series, verify
 from test_cli import _fresh_interpreter
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -72,8 +75,8 @@ def test_the_battery_binds_no_traced_function_by_name():
 
 
 # The names each module defined before they moved to a module that no show,
-# export or jf request loads, by (old module, new module).  Each still
-# resolves at its old path.
+# export or jf request loads, by (old module, new module).  Each imports
+# from its new module only, except those in KEPT.
 MOVED = {
     ("arrays", "cold"): "FACTORIAL_PAIR_WEIGHTS FACTORIAL_WEIGHTS KindMismatch RiordanArray UNIT_WEIGHTS "
     "UnsupportedKind WeightSequence binomial_array face_array face_matrix identity_array "
@@ -83,11 +86,34 @@ MOVED = {
     "h_closed narayana_array narayana_closed",
     ("jfraction", "cold"): "binomial_transform",
     ("cli", "cold"): "parse_matrix_doc",
-    ("cli", "verify"): "cmd_oeis_check cmd_verify",
-    ("cli", "bfile"): "cmd_fetch_bfile",
+    ("cli", "verify"): "add_oeis_check_arguments add_verify_arguments cmd_oeis_check cmd_verify",
+    ("cli", "bfile"): "add_fetch_bfile_arguments cmd_fetch_bfile",
     ("oeis", "bfile"): "BASE_URL_ENV BFile CACHE_DIR_ENV CacheMiss DEFAULT_BASE_URL MalformedLine "
     "NetworkUnavailable bfile_url fetch_bfile parse_bfile render_bfile",
 }
+
+# The old paths that still resolve, by (module, the module that defines the
+# names).  The tracer looks the arrays and families names up there
+# (perfbench/tracer.py, Tracer.install), and perfbench's self-test reads
+# verify.gamma_from_h; verify.CHECKS is the registry riordan.battery builds.
+KEPT = {
+    ("arrays", "cold"): "RiordanArray face_matrix",
+    ("families", "cold"): "family_array gamma_from_h",
+    ("verify", "battery"): "CHECKS",
+    ("verify", "cold"): "gamma_from_h",
+}
+
+
+def test_removed_old_paths_raise_attribute_error():
+    kept = {(module, name) for (module, _), names in KEPT.items() for name in names.split()}
+    for (module, home), names in MOVED.items():
+        old, new = (importlib.import_module(f"riordan.{m}") for m in (module, home))
+        for name in names.split():
+            assert name in vars(new), (home, name)
+            if (module, name) not in kept:
+                with pytest.raises(AttributeError, match=f"module 'riordan.{module}' has no attribute '{name}'"):
+                    getattr(old, name)
+                assert name not in vars(old)
 
 
 def test_moved_names_resolve_lazily_to_their_new_module_and_stay_bound():
@@ -95,20 +121,34 @@ def test_moved_names_resolve_lazily_to_their_new_module_and_stay_bound():
     # lookup must leave it there.
     code = (
         "import importlib, sys\n"
-        f"moved = {MOVED!r}\n"
-        "for (module, home), names in moved.items():\n"
+        f"kept = {KEPT!r}\n"
+        "for (module, home), names in kept.items():\n"
         "    mod = importlib.import_module('riordan.' + module)\n"
-        "    print(module, any(name in mod.__dict__ for name in names.split()), 'riordan.' + home in sys.modules)\n"
-        "for (module, home), names in moved.items():\n"
-        "    mod, new = sys.modules['riordan.' + module], importlib.import_module('riordan.' + home)\n"
-        "    print(all(getattr(mod, n) is getattr(new, n) and mod.__dict__[n] is getattr(new, n)\n"
-        "              for n in names.split()))\n"
+        "    print(module, any(name in mod.__dict__ for name in names.split()),\n"
+        "          [m for m in ('riordan.battery', 'riordan.cold') if m in sys.modules])\n"
+        "for (module, home), names in kept.items():\n"
+        "    mod = sys.modules['riordan.' + module]\n"
+        "    found = [getattr(mod, n) for n in names.split()]\n"
+        "    new = sys.modules['riordan.' + home]\n"
+        "    print(all(f is getattr(new, n) is mod.__dict__[n] for f, n in zip(found, names.split())))\n"
     )
     lines = _fresh_interpreter(code)
-    assert lines == [f"{module} False False" for module, _ in MOVED] + ["True"] * len(MOVED)
+    assert lines == [f"{module} False []" for module, _ in KEPT] + ["True"] * len(KEPT)
 
 
-@pytest.mark.parametrize("module", [riordan, algebra, arrays, series, families, jfraction, cli, verify, oeis])
+def test_package_root_names_are_their_defining_modules_objects():
+    for module, names in riordan._EXPORTS:
+        home = importlib.import_module(f"riordan.{module}")
+        for name in names.split():
+            value = getattr(riordan, name)
+            assert value is vars(home)[name], name
+            if isinstance(value, (type, FunctionType)):
+                assert value.__module__ == home.__name__, name
+
+
+@pytest.mark.parametrize(
+    "module", [riordan, algebra, arrays, series, families, jfraction, cli, verify, oeis, bfile, cold, battery]
+)
 def test_unknown_names_still_raise_attribute_error(module):
     with pytest.raises(AttributeError, match=f"module '{module.__name__}' has no attribute 'no_such_name'"):
         module.no_such_name
