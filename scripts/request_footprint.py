@@ -9,14 +9,13 @@ if it starts with an option of this script.  The request runs once in a
 fresh interpreter with ``PYTHONDONTWRITEBYTECODE=1`` (its output is
 discarded), as the benchmark runs it: every module it imports is then
 compiled from source.  For each ``riordan`` module the request loaded, the
-script prints its code lines (lines holding code, not counting blank,
-comment and docstring lines) and its cold ``compile()`` time: the first
-compile of that source in a fresh interpreter, the median over K fresh
-interpreters (default 5).
+script prints its code lines (lines holding code: not blank lines, nor
+lines that hold only comments or string literals, such as docstrings) and
+its cold ``compile()`` time: the first compile of that source in a fresh
+interpreter, the median over K fresh interpreters (default 5).
 """
 
 import argparse
-import ast
 import json
 import os
 import statistics
@@ -50,26 +49,20 @@ for path in sys.argv[1:]:
 print(json.dumps(times))
 """
 
+# Tokens that hold no code: comments, layout and string literals.  A line
+# is a code line if it holds any other token, so docstrings and text data
+# (the OEIS fixture rows) count nothing: their compile cost is that of one
+# constant, however many lines they take.
 SKIPPED = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
-           tokenize.ENCODING, tokenize.ENDMARKER}
+           tokenize.ENCODING, tokenize.ENDMARKER, tokenize.STRING}
+SKIPPED |= {getattr(tokenize, name) for name in ("FSTRING_START", "FSTRING_MIDDLE", "FSTRING_END")
+            if hasattr(tokenize, name)}  # Python 3.12 splits f-strings into these
 
 
 def code_lines(path: str) -> int:
-    """Lines that hold a token other than a comment or a docstring."""
+    """Lines that hold a token other than a comment, layout or a string literal."""
     with open(path, "rb") as f:
-        lines = {
-            line
-            for tok in tokenize.tokenize(f.readline)
-            if tok.type not in SKIPPED
-            for line in range(tok.start[0], tok.end[0] + 1)
-        }
-    for node in ast.walk(ast.parse(Path(path).read_text())):
-        body = getattr(node, "body", None)
-        if isinstance(body, list) and body and isinstance(body[0], ast.Expr):
-            value = body[0].value
-            if isinstance(value, ast.Constant) and isinstance(value.value, str):
-                lines -= set(range(body[0].lineno, body[0].end_lineno + 1))
-    return len(lines)
+        return len({tok.start[0] for tok in tokenize.tokenize(f.readline) if tok.type not in SKIPPED})
 
 
 def fresh_python(code: str, args: list[str]) -> str:

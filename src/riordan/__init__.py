@@ -14,14 +14,16 @@ its h and f members are derived by the paper's maps on J-fractions.
 Modules: :mod:`~riordan.algebra` (integers, rationals, polynomials in r, y),
 :mod:`~riordan.series` (truncated power series), :mod:`~riordan.arrays`
 (lower-triangular matrices), :mod:`~riordan.jfraction` (Jacobi continued
-fractions), :mod:`~riordan.families` (the triangle families),
-:mod:`~riordan.cold` (the Riordan group and the other oracles, the cold
-series operations and the export reader ``parse_matrix_doc``),
-:mod:`~riordan.oeis` (the OEIS fixtures), :mod:`~riordan.bfile` (OEIS
-b-files and the ``fetch-bfile`` subcommand), :mod:`~riordan.verify` (the
-fixture checks, the check suites and the ``verify`` and ``oeis-check``
-subcommands), :mod:`~riordan.battery` (the group and props checks),
-:mod:`~riordan.cli` (the ``riordan`` command).
+fractions), :mod:`~riordan.expr` (the expression parser of ``jf``),
+:mod:`~riordan.families` (the triangle families), :mod:`~riordan.cold`
+(the Riordan group and the other oracles, the cold series operations and
+the export reader ``parse_matrix_doc``), :mod:`~riordan.oeis` (the OEIS
+fixtures), :mod:`~riordan.bfile` (OEIS b-files and the ``fetch-bfile``
+subcommand), :mod:`~riordan.verify` (the fixture checks, the check suites
+and the ``verify`` and ``oeis-check`` subcommands), :mod:`~riordan.battery`
+(the group and props checks), :mod:`~riordan.render` (the ``show``,
+``export`` and ``jf`` subcommands and their output formats),
+:mod:`~riordan.cli` (the ``riordan`` command's dispatcher).
 
 Importing the package imports none of them.  Each name in ``__all__`` is
 resolved on first use, from the one submodule that defines it, so a
@@ -29,13 +31,17 @@ program (or a ``riordan`` subcommand) loads only the modules it uses.
 Without cached bytecode every module loaded is also compiled from source,
 so the code that no ``show``, ``export`` or ``jf`` request runs is kept
 in :mod:`~riordan.cold`, the checks that no ``oeis-check`` request runs in
-:mod:`~riordan.battery`, and the b-file code that only ``fetch-bfile`` runs
-in :mod:`~riordan.bfile`.  Each moved name imports only from its new
-module, except four that the benchmark's tracer wraps at their old paths
+:mod:`~riordan.battery`, the b-file code that only ``fetch-bfile`` runs in
+:mod:`~riordan.bfile`, the code that only ``show``, ``export`` and ``jf``
+run in :mod:`~riordan.render`, and the parser that only ``jf`` runs in
+:mod:`~riordan.expr`.  Each moved name imports only from its new module,
+except eight that the benchmark reads at their old paths
 (``arrays.RiordanArray``, ``arrays.face_matrix``, ``families.family_array``,
-``families.gamma_from_h``): those modules, and :mod:`~riordan.verify` for
-``CHECKS``, resolve them on first use (:func:`_lazy_names`).  The methods
-whose bodies moved delegate to :mod:`~riordan.cold` (:func:`_cold`).
+``families.gamma_from_h``, ``jfraction.parse_index_poly``,
+``jfraction.parse_poly``, ``cli.OutputDoc``, ``cli.h_matrix``): those
+modules, and :mod:`~riordan.verify` for ``CHECKS``, resolve them on first
+use (:func:`_lazy_names`).  The methods whose bodies moved delegate to
+:mod:`~riordan.cold` (:func:`_cold`).
 """
 
 import sys
@@ -54,8 +60,9 @@ _EXPORTS = (
         "RiordanArray WeightSequence binomial_array binomial_transform egf_to_ogf "
         "face_array face_matrix family_array gamma_from_h identity_array pascal_matrix",
     ),
+    ("expr", "parse_index_poly parse_poly"),
     ("families", "FamilySpec GammaHFTriple named_triple"),
-    ("jfraction", "IndexPoly JFraction parse_index_poly parse_poly"),
+    ("jfraction", "IndexPoly JFraction"),
     ("oeis", "FIXTURES TriangleFixture check_triangle"),
     ("series", "DEFAULT_ORDER TruncatedSeries"),
 )

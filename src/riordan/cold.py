@@ -528,7 +528,7 @@ def binomial_transform(seq: Sequence, k: PolyLike) -> list:
 
 
 def parse_matrix_doc(text: str):
-    """Inverse of the JSON rendering of :class:`~riordan.cli.OutputDoc`;
+    """Inverse of the JSON rendering of :class:`~riordan.render.OutputDoc`;
     entries come back as int/MultiPoly.
 
     Polynomial entries are read by :meth:`MultiPoly.parse`, which bounds
@@ -536,7 +536,7 @@ def parse_matrix_doc(text: str):
     """
     import json
 
-    from .cli import OutputDoc
+    from .render import OutputDoc
 
     raw = json.loads(text)
 

@@ -153,14 +153,19 @@ def _normalize_anumber(anumber: str) -> str:
 # -- embedded fixtures ---------------------------------------------------------
 
 
-def _fixture(anumber, description, offset, rows, reading=Reading.BY_ROWS):
+def _fixture(anumber, description, offset, text, reading=Reading.BY_ROWS):
+    """A fixture whose rows are the lines of ``text``, each row's values
+    separated by spaces.  Text compiles to one constant, where a nested list
+    literal compiles every value: :mod:`riordan.verify` loads this module
+    for every check request."""
+    rows = [line.split() for line in text.strip().splitlines()]
     return TriangleFixture(
         anumber=anumber,
         description=description,
         offset=offset,
         reading=reading,
         row_lengths=tuple(len(row) for row in rows),
-        values=tuple(v for row in rows for v in row),
+        values=tuple(int(v) for row in rows for v in row),
     )
 
 
@@ -171,194 +176,206 @@ FIXTURES: dict[str, TriangleFixture] = {
             "A007318",
             "Pascal's triangle C(n,k)",
             0,
-            [
-                [1],
-                [1, 1],
-                [1, 2, 1],
-                [1, 3, 3, 1],
-                [1, 4, 6, 4, 1],
-                [1, 5, 10, 10, 5, 1],
-                [1, 6, 15, 20, 15, 6, 1],
-                [1, 7, 21, 35, 35, 21, 7, 1],
-                [1, 8, 28, 56, 70, 56, 28, 8, 1],
-                [1, 9, 36, 84, 126, 126, 84, 36, 9, 1],
-                [1, 10, 45, 120, 210, 252, 210, 120, 45, 10, 1],
-            ],
+            """
+            1
+            1 1
+            1 2 1
+            1 3 3 1
+            1 4 6 4 1
+            1 5 10 10 5 1
+            1 6 15 20 15 6 1
+            1 7 21 35 35 21 7 1
+            1 8 28 56 70 56 28 8 1
+            1 9 36 84 126 126 84 36 9 1
+            1 10 45 120 210 252 210 120 45 10 1
+            """,
         ),
         _fixture(
             "A135278",
             "face triangle of the simplex: C(n+1, k+1)",
             0,
-            [
-                [1],
-                [2, 1],
-                [3, 3, 1],
-                [4, 6, 4, 1],
-                [5, 10, 10, 5, 1],
-                [6, 15, 20, 15, 6, 1],
-                [7, 21, 35, 35, 21, 7, 1],
-                [8, 28, 56, 70, 56, 28, 8, 1],
-                [9, 36, 84, 126, 126, 84, 36, 9, 1],
-                [10, 45, 120, 210, 252, 210, 120, 45, 10, 1],
-            ],
+            """
+            1
+            2 1
+            3 3 1
+            4 6 4 1
+            5 10 10 5 1
+            6 15 20 15 6 1
+            7 21 35 35 21 7 1
+            8 28 56 70 56 28 8 1
+            9 36 84 126 126 84 36 9 1
+            10 45 120 210 252 210 120 45 10 1
+            """,
         ),
         _fixture(
             "A074909",
             "reversed face triangle of the simplex: C(n+1, k)",
             0,
-            [
-                [1],
-                [1, 2],
-                [1, 3, 3],
-                [1, 4, 6, 4],
-                [1, 5, 10, 10, 5],
-                [1, 6, 15, 20, 15, 6],
-                [1, 7, 21, 35, 35, 21, 7],
-                [1, 8, 28, 56, 70, 56, 28, 8],
-                [1, 9, 36, 84, 126, 126, 84, 36, 9],
-                [1, 10, 45, 120, 210, 252, 210, 120, 45, 10],
-            ],
+            """
+            1
+            1 2
+            1 3 3
+            1 4 6 4
+            1 5 10 10 5
+            1 6 15 20 15 6
+            1 7 21 35 35 21 7
+            1 8 28 56 70 56 28 8
+            1 9 36 84 126 126 84 36 9
+            1 10 45 120 210 252 210 120 45 10
+            """,
         ),
         _fixture(
             "A038207",
             "face triangle of the hypercube: C(n,k) 2^(n-k)",
             0,
-            [
-                [1],
-                [2, 1],
-                [4, 4, 1],
-                [8, 12, 6, 1],
-                [16, 32, 24, 8, 1],
-                [32, 80, 80, 40, 10, 1],
-                [64, 192, 240, 160, 60, 12, 1],
-                [128, 448, 672, 560, 280, 84, 14, 1],
-                [256, 1024, 1792, 1792, 1120, 448, 112, 16, 1],
-                [512, 2304, 4608, 5376, 4032, 2016, 672, 144, 18, 1],
-            ],
+            """
+            1
+            2 1
+            4 4 1
+            8 12 6 1
+            16 32 24 8 1
+            32 80 80 40 10 1
+            64 192 240 160 60 12 1
+            128 448 672 560 280 84 14 1
+            256 1024 1792 1792 1120 448 112 16 1
+            512 2304 4608 5376 4032 2016 672 144 18 1
+            """,
         ),
         _fixture(
             "A013609",
             "reversed face triangle of the hypercube: C(n,k) 2^k",
             0,
-            [
-                [1],
-                [1, 2],
-                [1, 4, 4],
-                [1, 6, 12, 8],
-                [1, 8, 24, 32, 16],
-                [1, 10, 40, 80, 80, 32],
-                [1, 12, 60, 160, 240, 192, 64],
-                [1, 14, 84, 280, 560, 672, 448, 128],
-                [1, 16, 112, 448, 1120, 1792, 1792, 1024, 256],
-                [1, 18, 144, 672, 2016, 4032, 5376, 4608, 2304, 512],
-            ],
+            """
+            1
+            1 2
+            1 4 4
+            1 6 12 8
+            1 8 24 32 16
+            1 10 40 80 80 32
+            1 12 60 160 240 192 64
+            1 14 84 280 560 672 448 128
+            1 16 112 448 1120 1792 1792 1024 256
+            1 18 144 672 2016 4032 5376 4608 2304 512
+            """,
         ),
         _fixture(
             "A001147",
             "double factorials (2n-1)!!; aerate with zeros for the EGF of exp(x^2/2)",
             0,
-            [[1], [1], [3], [15], [105], [945], [10395], [135135], [2027025], [34459425], [654729075]],
+            """
+            1
+            1
+            3
+            15
+            105
+            945
+            10395
+            135135
+            2027025
+            34459425
+            654729075
+            """,
         ),
         _fixture(
             "A001263",
             "Narayana triangle, h-triangle of the associahedron",
             1,
-            [
-                [1],
-                [1, 1],
-                [1, 3, 1],
-                [1, 6, 6, 1],
-                [1, 10, 20, 10, 1],
-                [1, 15, 50, 50, 15, 1],
-                [1, 21, 105, 175, 105, 21, 1],
-                [1, 28, 196, 490, 490, 196, 28, 1],
-                [1, 36, 336, 1176, 1764, 1176, 336, 36, 1],
-                [1, 45, 540, 2520, 5292, 5292, 2520, 540, 45, 1],
-            ],
+            """
+            1
+            1 1
+            1 3 1
+            1 6 6 1
+            1 10 20 10 1
+            1 15 50 50 15 1
+            1 21 105 175 105 21 1
+            1 28 196 490 490 196 28 1
+            1 36 336 1176 1764 1176 336 36 1
+            1 45 540 2520 5292 5292 2520 540 45 1
+            """,
         ),
         _fixture(
             "A008292",
             "Eulerian triangle, h-triangle of the permutahedron",
             1,
-            [
-                [1],
-                [1, 1],
-                [1, 4, 1],
-                [1, 11, 11, 1],
-                [1, 26, 66, 26, 1],
-                [1, 57, 302, 302, 57, 1],
-                [1, 120, 1191, 2416, 1191, 120, 1],
-                [1, 247, 4293, 15619, 15619, 4293, 247, 1],
-                [1, 502, 14608, 88234, 156190, 88234, 14608, 502, 1],
-                [1, 1013, 47840, 455192, 1310354, 1310354, 455192, 47840, 1013, 1],
-            ],
+            """
+            1
+            1 1
+            1 4 1
+            1 11 11 1
+            1 26 66 26 1
+            1 57 302 302 57 1
+            1 120 1191 2416 1191 120 1
+            1 247 4293 15619 15619 4293 247 1
+            1 502 14608 88234 156190 88234 14608 502 1
+            1 1013 47840 455192 1310354 1310354 455192 47840 1013 1
+            """,
         ),
         _fixture(
             "A019538",
             "k! S2(n,k), face triangle of the permutahedron",
             1,
-            [
-                [1],
-                [1, 2],
-                [1, 6, 6],
-                [1, 14, 36, 24],
-                [1, 30, 150, 240, 120],
-                [1, 62, 540, 1560, 1800, 720],
-                [1, 126, 1806, 8400, 16800, 15120, 5040],
-                [1, 254, 5796, 40824, 126000, 191520, 141120, 40320],
-                [1, 510, 18150, 186480, 834120, 1905120, 2328480, 1451520, 362880],
-            ],
+            """
+            1
+            1 2
+            1 6 6
+            1 14 36 24
+            1 30 150 240 120
+            1 62 540 1560 1800 720
+            1 126 1806 8400 16800 15120 5040
+            1 254 5796 40824 126000 191520 141120 40320
+            1 510 18150 186480 834120 1905120 2328480 1451520 362880
+            """,
         ),
         _fixture(
             "A033282",
             "polygon dissections, face triangle of the type-A associahedron",
             3,
-            [
-                [1],
-                [1, 2],
-                [1, 5, 5],
-                [1, 9, 21, 14],
-                [1, 14, 56, 84, 42],
-                [1, 20, 120, 300, 330, 132],
-                [1, 27, 225, 825, 1485, 1287, 429],
-                [1, 35, 385, 1925, 5005, 7007, 5005, 1430],
-                [1, 44, 616, 4004, 14014, 28028, 32032, 19448, 4862],
-            ],
+            """
+            1
+            1 2
+            1 5 5
+            1 9 21 14
+            1 14 56 84 42
+            1 20 120 300 330 132
+            1 27 225 825 1485 1287 429
+            1 35 385 1925 5005 7007 5005 1430
+            1 44 616 4004 14014 28028 32032 19448 4862
+            """,
         ),
         _fixture(
             "A055151",
             "Motzkin polynomial coefficients, gamma-triangle of the associahedron",
             0,
-            [
-                [1],
-                [1],
-                [1, 1],
-                [1, 3],
-                [1, 6, 2],
-                [1, 10, 10],
-                [1, 15, 30, 5],
-                [1, 21, 70, 35],
-                [1, 28, 140, 140, 14],
-                [1, 36, 252, 420, 126],
-                [1, 45, 420, 1050, 630, 42],
-            ],
+            """
+            1
+            1
+            1 1
+            1 3
+            1 6 2
+            1 10 10
+            1 15 30 5
+            1 21 70 35
+            1 28 140 140 14
+            1 36 252 420 126
+            1 45 420 1050 630 42
+            """,
         ),
         _fixture(
             "A101280",
             "gamma-triangle of the permutahedron (from Eulerian polynomials)",
             1,
-            [
-                [1],
-                [1],
-                [1, 2],
-                [1, 8],
-                [1, 22, 16],
-                [1, 52, 136],
-                [1, 114, 720, 272],
-                [1, 240, 3072, 3968],
-                [1, 494, 11616, 34304, 7936],
-                [1, 1004, 40776, 230144, 176896],
-            ],
+            """
+            1
+            1
+            1 2
+            1 8
+            1 22 16
+            1 52 136
+            1 114 720 272
+            1 240 3072 3968
+            1 494 11616 34304 7936
+            1 1004 40776 230144 176896
+            """,
         ),
     ]
 }

@@ -179,7 +179,8 @@ def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
 
 def add_verify_arguments(sub):
     sub.add_argument("suite", nargs="?", default="all", choices=("all",) + SUITES)
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    # None stands for DEFAULT_SEED, so that cmd_verify can tell a given seed.
+    sub.add_argument("--seed", type=int)
 
 
 def add_oeis_check_arguments(sub):
@@ -187,7 +188,11 @@ def add_oeis_check_arguments(sub):
 
 
 def cmd_verify(args) -> int:
-    results = run_suite(args.suite, seed=args.seed)
+    """Only the group suite draws random instances, so a ``--seed`` given
+    with the props or oeis suite is an error (exit 2), not ignored."""
+    if args.seed is not None and args.suite not in ("group", "all"):
+        raise ValueError(f"--seed applies only to the group and all suites, not to {args.suite}")
+    results = run_suite(args.suite, seed=DEFAULT_SEED if args.seed is None else args.seed)
     failures = 0
     for res in results:
         mark = "ok" if res.ok else "FAIL"

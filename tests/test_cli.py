@@ -7,13 +7,14 @@ from pathlib import Path
 import pytest
 
 import riordan
-from riordan import cli, cold, families
+from riordan import cold, expr, families
 from riordan.algebra import R
 from riordan.arrays import Kind, LowerTriMatrix
-from riordan.cli import MAX_N, main
+from riordan.cli import main
 from riordan.cold import RiordanArray, parse_matrix_doc
+from riordan.expr import MAX_DEPTH, MAX_EXPONENT
 from riordan.families import FamilySpec, f_matrix, family_matrix
-from riordan.jfraction import MAX_EXPONENT
+from riordan.render import MAX_N
 
 from golden_cases import GOLDEN_CASES, USAGE_CASES, usage_text
 
@@ -92,6 +93,13 @@ def test_jf_parse_error_exit_code(capsys):
         assert "position" in err
 
 
+@pytest.mark.parametrize("alpha", ["(" * 300 + "1" + ")" * 300, "-" * 3000 + "1"], ids=["parentheses", "minus-signs"])
+def test_deeply_nested_expressions_are_parse_errors(capsys, alpha):
+    status, out, err = run(capsys, ["jf", f"--alpha={alpha}", "--beta", "1", "--N", "2"])
+    assert (status, out) == (2, "")
+    assert err.startswith(f"error: nesting exceeds the maximum depth {MAX_DEPTH} (at position ")
+
+
 def test_json_round_trip_symbolic(capsys, tmp_path):
     target = tmp_path / "doc.json"
     status, _, _ = run(
@@ -164,6 +172,19 @@ def test_verify_named_suites(capsys):
     assert "12/12 checks passed" in out
 
 
+@pytest.mark.parametrize("suite", ["props", "oeis"])
+def test_verify_seed_applies_only_to_the_suites_that_draw(capsys, suite):
+    # Only the group suite draws random instances; a seed it would ignore
+    # is an error.
+    err = f"error: --seed applies only to the group and all suites, not to {suite}\n"
+    assert run(capsys, ["verify", suite, "--seed", "7"]) == (2, "", err)
+
+
+def test_verify_group_takes_a_seed(capsys):
+    status, out, _ = run(capsys, ["verify", "group", "--seed", "7"])
+    assert status == 0 and out.endswith("10/10 checks passed\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -185,8 +206,8 @@ def test_order_above_the_cap_is_a_usage_error(capsys, monkeypatch, command):
     def no_computation(*args):
         raise AssertionError("computed above the cap")
 
-    monkeypatch.setattr(cli, "family_matrix", no_computation)
-    monkeypatch.setattr(cli, "parse_index_poly", no_computation)
+    monkeypatch.setattr(families, "family_matrix", no_computation)
+    monkeypatch.setattr(expr, "parse_index_poly", no_computation)
     with pytest.raises(SystemExit) as exc:
         main(command + ["--N", str(MAX_N + 1)])
     assert exc.value.code == 2
@@ -302,8 +323,8 @@ def test_text_that_is_no_a_number_is_a_usage_error(capsys, tmp_path, text):
 
 # (argv, the module that defines the subcommand)
 DISPATCH_CASES = [
-    (["show", "--which", "f", "--N", "4"], "cli"),
-    (["jf", "--alpha", "2*y+1", "--beta", "i*r*y*(y+1)", "--N", "4"], "cli"),
+    (["show", "--which", "f", "--N", "4"], "render"),
+    (["jf", "--alpha", "2*y+1", "--beta", "i*r*y*(y+1)", "--N", "4"], "render"),
     (["verify", "oeis"], "verify"),
     (["oeis-check", "A055151"], "verify"),
     (["fetch-bfile", "A45", "--offline", "--cache-dir", "{cache}"], "bfile"),
@@ -325,8 +346,8 @@ def test_each_subcommand_runs_from_its_module_under_python_m(capsys, tmp_path, e
     loaded = [line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time: ")]
     assert (res.returncode, res.stdout, err) == run(capsys, argv)
     assert loaded.count("riordan.cli") == (entry == "riordan")
-    subcommand_modules = {m for m in loaded if m in ("riordan.verify", "riordan.bfile")}
-    assert subcommand_modules == ({f"riordan.{home}"} - {"riordan.cli"})
+    subcommand_modules = {m for m in loaded if m in ("riordan.render", "riordan.verify", "riordan.bfile")}
+    assert subcommand_modules == {f"riordan.{home}"}
 
 
 def _fresh_interpreter(code: str) -> list[str]:
@@ -336,37 +357,47 @@ def _fresh_interpreter(code: str) -> list[str]:
     return subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout.splitlines()
 
 
+_RUN = (
+    "import contextlib, io, sys\n"
+    "import riordan.cli as cli\n"
+    "def run(*argv):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+    "        code = cli.main(list(argv))\n"
+    "    return code, out.getvalue().splitlines()[-1]\n"
+    "def loaded(*names):\n"
+    "    return [name for name in names if name in sys.modules]\n"
+)
+
+
 def test_show_and_jf_load_only_the_modules_they_run():
     # Without cached bytecode a request compiles every module it imports.
-    # No show, export or jf request runs riordan.cold; verify does.
-    code = (
-        "import contextlib, io, sys\n"
-        "import riordan.cli as cli\n"
-        "def run(*argv):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-        "        code = cli.main(list(argv))\n"
-        "    return code, out.getvalue().splitlines()[-1]\n"
+    # No show, export or jf request runs riordan.cold; verify does.  show
+    # runs no expression parser (riordan.expr), and jf no family.
+    unwanted = "'dataclasses', 'riordan.cold', 'riordan.verify', 'riordan.oeis', 'json', 'csv'"
+    show_first = _RUN + (
         "run('show', '--which', 'f', '--N', '4')\n"
         "run('show', '--flavor', 'exponential', '--r', '2', '--which', 'gamma', '--N', '4')\n"
         "run('show', '--family', 'permutahedron', '--which', 'f', '--N', '4', '--format', 'latex')\n"
+        f"print(loaded('riordan.expr', {unwanted}))\n"
         "print(run('jf', '--alpha', '2*y+1', '--beta', 'i*r*y*(y+1)', '--N', '4'))\n"
-        "unwanted = ('dataclasses', 'riordan.cold', 'riordan.verify', 'riordan.oeis', 'json', 'csv')\n"
-        "print([name for name in unwanted if name in sys.modules])\n"
+        f"print(loaded({unwanted}))\n"
         "print(run('export', '--family', 'permutahedron', '--which', 'h', '--N', '4'))\n"
-        "print('riordan.cold' in sys.modules)\n"
+        "print(loaded('riordan.cold'))\n"
     )
-    assert _fresh_interpreter(code) == [
-        "(0, '1  6*r + 8  3*r^2 + 30*r + 24  6*r^2 + 48*r + 32  3*r^2 + 24*r + 16')",
-        "[]",
-        "(0, '}')",
-        "False",
-    ]
+    jf_row = "(0, '1  6*r + 8  3*r^2 + 30*r + 24  6*r^2 + 48*r + 32  3*r^2 + 24*r + 16')"
+    assert _fresh_interpreter(show_first) == ["[]", jf_row, "[]", "(0, '}')", "[]"]
+    jf_first = _RUN + (
+        "print(run('jf', '--alpha', '2*y+1', '--beta', 'i*r*y*(y+1)', '--N', '4'))\n"
+        f"print(loaded('riordan.families', 'riordan.arrays', {unwanted}))\n"
+    )
+    assert _fresh_interpreter(jf_first) == [jf_row, "[]"]
 
 
 def test_check_commands_load_only_the_modules_they_run():
     # The triangle fixtures need neither the group/props battery nor
     # riordan.cold; A001147's source (so also verify oeis) needs cold, and
-    # verify group needs both.
+    # verify group needs both.  No check loads the show/jf output code
+    # (riordan.render) or the expression parser (riordan.expr).
     code = (
         "import contextlib, io, sys\n"
         "import riordan.cli as cli\n"
@@ -374,7 +405,8 @@ def test_check_commands_load_only_the_modules_they_run():
         "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "        code = cli.main(list(argv))\n"
         "    lines = out.getvalue().splitlines()\n"
-        "    loaded = [m for m in ('riordan.battery', 'riordan.cold') if m in sys.modules]\n"
+        "    modules = ('riordan.battery', 'riordan.cold', 'riordan.render', 'riordan.expr')\n"
+        "    loaded = [m for m in modules if m in sys.modules]\n"
         "    print(code, sum(line.startswith('[  ok]') for line in lines), lines[-1], loaded)\n"
         "run('oeis-check', 'A055151', 'A135278')\n"
         "run('oeis-check', 'A001147')\n"

@@ -7,14 +7,8 @@ from hypothesis import given, strategies as st
 from riordan.algebra import MultiPoly, R, Y
 from riordan.arrays import triangle_from_series
 from riordan.cold import binomial_transform, integer_coeffs
-from riordan.jfraction import (
-    MAX_EXPONENT,
-    IndexPoly,
-    JFraction,
-    ParseError,
-    parse_index_poly,
-    parse_poly,
-)
+from riordan.expr import MAX_DEPTH, MAX_EXPONENT, ParseError, parse_index_poly, parse_poly
+from riordan.jfraction import IndexPoly, JFraction
 
 
 def J(alpha, beta):
@@ -198,6 +192,8 @@ def test_parse_caps_exponents():
         ("(((2^32)^32)^32)^32", 12),  # coefficient of 32768 bits
         ("(1/4294967297*y)^32", 16),  # denominator of 1056 bits
         ("1" * 5000, 0),  # literal beyond MAX_LITERAL_DIGITS
+        ("(" * 300 + "1" + ")" * 300, MAX_DEPTH),  # at the first '(' too deep
+        ("-" * 3000 + "1", MAX_DEPTH + 1),  # the first '-' is the sign of the sum
     ],
 )
 def test_parse_bounds_every_intermediate(text, position):
@@ -214,6 +210,11 @@ def test_parse_accepts_or_raises_parse_error(text):
         parse_index_poly(text)
     except ParseError:
         pass
+
+
+def test_parse_nests_up_to_max_depth():
+    assert parse_index_poly("(" * MAX_DEPTH + "y" + ")" * MAX_DEPTH) == IndexPoly.constant(Y)
+    assert parse_index_poly("-" * (MAX_DEPTH + 1) + "y") == IndexPoly.constant(-Y)
 
 
 def test_parse_poly_rejects_the_index_variable():

@@ -1,8 +1,9 @@
 """What code outside the package relies on: the README's library example,
 the names that the benchmark's tracer (``perfbench/tracer.py``) wraps, the
 package-root names, and which old import paths of the names that moved to
-:mod:`riordan.cold`, :mod:`riordan.verify`, :mod:`riordan.battery` or
-:mod:`riordan.bfile` still resolve.
+:mod:`riordan.cold`, :mod:`riordan.verify`, :mod:`riordan.battery`,
+:mod:`riordan.bfile`, :mod:`riordan.expr` or :mod:`riordan.render` still
+resolve.
 
 The tracer looks its targets up by name when it is installed, so a renamed
 or removed one would fail only a traced benchmark run, never this suite.
@@ -16,7 +17,7 @@ from types import FunctionType
 import pytest
 
 import riordan
-from riordan import algebra, arrays, battery, bfile, cli, cold, families, jfraction, oeis, series, verify
+from riordan import algebra, arrays, battery, bfile, cli, cold, expr, families, jfraction, oeis, render, series, verify
 from test_cli import _fresh_interpreter
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -74,9 +75,9 @@ def test_the_battery_binds_no_traced_function_by_name():
     assert not traced & set(vars(battery))
 
 
-# The names each module defined before they moved to a module that no show,
-# export or jf request loads, by (old module, new module).  Each imports
-# from its new module only, except those in KEPT.
+# The names each module defined before they moved to a module that fewer
+# requests load, by (old module, new module).  Each imports from its new
+# module only, except those in KEPT.
 MOVED = {
     ("arrays", "cold"): "FACTORIAL_PAIR_WEIGHTS FACTORIAL_WEIGHTS KindMismatch RiordanArray UNIT_WEIGHTS "
     "UnsupportedKind WeightSequence binomial_array face_array face_matrix identity_array "
@@ -88,17 +89,25 @@ MOVED = {
     ("cli", "cold"): "parse_matrix_doc",
     ("cli", "verify"): "add_oeis_check_arguments add_verify_arguments cmd_oeis_check cmd_verify",
     ("cli", "bfile"): "add_fetch_bfile_arguments cmd_fetch_bfile",
+    ("cli", "render"): "FORMATS MAX_N OutputDoc SAFE_INT _add_export_arguments _add_jf_arguments "
+    "_add_show_arguments _matrix_doc _r_value cmd_jf cmd_show render_csv render_latex render_table",
+    ("jfraction", "expr"): "MAX_COEFF_BITS MAX_EXPONENT MAX_LITERAL_DIGITS ParseError _Parser _TOKEN "
+    "_check_growth _growth parse_index_poly parse_poly",
     ("oeis", "bfile"): "BASE_URL_ENV BFile CACHE_DIR_ENV CacheMiss DEFAULT_BASE_URL MalformedLine "
     "NetworkUnavailable bfile_url fetch_bfile parse_bfile render_bfile",
 }
 
 # The old paths that still resolve, by (module, the module that defines the
-# names).  The tracer looks the arrays and families names up there
-# (perfbench/tracer.py, Tracer.install), and perfbench's self-test reads
-# verify.gamma_from_h; verify.CHECKS is the registry riordan.battery builds.
+# names).  The tracer looks the arrays, families and jfraction names and
+# cli.OutputDoc up there (perfbench/tracer.py, Tracer.install), and
+# perfbench's self-test reads verify.gamma_from_h and cli.h_matrix;
+# verify.CHECKS is the registry riordan.battery builds.
 KEPT = {
     ("arrays", "cold"): "RiordanArray face_matrix",
     ("families", "cold"): "family_array gamma_from_h",
+    ("jfraction", "expr"): "parse_index_poly parse_poly",
+    ("cli", "render"): "OutputDoc",
+    ("cli", "families"): "h_matrix",
     ("verify", "battery"): "CHECKS",
     ("verify", "cold"): "gamma_from_h",
 }
@@ -125,7 +134,8 @@ def test_moved_names_resolve_lazily_to_their_new_module_and_stay_bound():
         "for (module, home), names in kept.items():\n"
         "    mod = importlib.import_module('riordan.' + module)\n"
         "    print(module, any(name in mod.__dict__ for name in names.split()),\n"
-        "          [m for m in ('riordan.battery', 'riordan.cold') if m in sys.modules])\n"
+        "          [m for m in ('riordan.battery', 'riordan.cold', 'riordan.expr', 'riordan.render')\n"
+        "           if m in sys.modules])\n"
         "for (module, home), names in kept.items():\n"
         "    mod = sys.modules['riordan.' + module]\n"
         "    found = [getattr(mod, n) for n in names.split()]\n"
@@ -147,7 +157,8 @@ def test_package_root_names_are_their_defining_modules_objects():
 
 
 @pytest.mark.parametrize(
-    "module", [riordan, algebra, arrays, series, families, jfraction, cli, verify, oeis, bfile, cold, battery]
+    "module",
+    [riordan, algebra, arrays, series, families, jfraction, expr, render, cli, verify, oeis, bfile, cold, battery],
 )
 def test_unknown_names_still_raise_attribute_error(module):
     with pytest.raises(AttributeError, match=f"module '{module.__name__}' has no attribute 'no_such_name'"):
