@@ -12,7 +12,10 @@ compiled from source.  For each ``riordan`` module the request loaded, the
 script prints its code lines (lines holding code: not blank lines, nor
 lines that hold only comments or string literals, such as docstrings) and
 its cold ``compile()`` time: the first compile of that source in a fresh
-interpreter, the median over K fresh interpreters (default 5).
+interpreter, the median over K fresh interpreters (default 5).  Each of
+those interpreters compiles every module once, so its total is one sample
+of the request's compile time; after the table, the script prints the
+quartiles of those K totals, the spread to weigh a difference against.
 """
 
 import argparse
@@ -96,6 +99,10 @@ def main(argv: list[str] | None = None) -> int:
         total_ms += ms
         print(f"{name:22s} {lines:10d} {ms:10.2f}")
     print(f"{'total':22s} {int(total_lines):10d} {total_ms:10.2f}")
+    totals = sorted(1000 * sum(run) for run in runs)
+    quartiles = statistics.quantiles(totals, n=4, method="inclusive") if len(totals) > 1 else totals * 3
+    print(f"per-run total compile ms over {len(totals)} runs: "
+          f"q1 {quartiles[0]:.2f}, median {quartiles[1]:.2f}, q3 {quartiles[2]:.2f}")
     return 0
 
 

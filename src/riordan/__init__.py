@@ -12,9 +12,10 @@ products and embedded OEIS data.  Each triple stores only its gamma data;
 its h and f members are derived by the paper's maps on J-fractions.
 
 Modules: :mod:`~riordan.algebra` (integers, rationals, polynomials in r, y),
-:mod:`~riordan.series` (truncated power series), :mod:`~riordan.arrays`
-(lower-triangular matrices), :mod:`~riordan.jfraction` (Jacobi continued
-fractions), :mod:`~riordan.expr` (the expression parser of ``jf``),
+:mod:`~riordan.series` (truncated power series; reversion by Lagrange
+inversion), :mod:`~riordan.arrays` (lower-triangular matrices),
+:mod:`~riordan.jfraction` (Jacobi continued fractions),
+:mod:`~riordan.expr` (the expression parser of ``jf``),
 :mod:`~riordan.families` (the triangle families), :mod:`~riordan.cold`
 (the Riordan group and the other oracles, the cold series operations and
 the export reader ``parse_matrix_doc``), :mod:`~riordan.oeis` (the OEIS
@@ -29,8 +30,9 @@ Importing the package imports none of them.  Each name in ``__all__`` is
 resolved on first use, from the one submodule that defines it, so a
 program (or a ``riordan`` subcommand) loads only the modules it uses.
 Without cached bytecode every module loaded is also compiled from source,
-so the code that no ``show``, ``export`` or ``jf`` request runs is kept
-in :mod:`~riordan.cold`, the checks that no ``oeis-check`` request runs in
+so the code that no ``show``, ``export`` or ``jf`` request runs, and no
+fixture check either, is kept in :mod:`~riordan.cold`, the checks that no
+``oeis-check`` request runs in
 :mod:`~riordan.battery`, the b-file code that only ``fetch-bfile`` runs in
 :mod:`~riordan.bfile`, the code that only ``show``, ``export`` and ``jf``
 run in :mod:`~riordan.render`, and the parser that only ``jf`` runs in

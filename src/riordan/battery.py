@@ -27,6 +27,7 @@ from .cold import (
     binomial_array,
     binomial_transform,
     dense_family_triple,
+    egf_to_ogf,
     f_closed,
     face_array,
     gamma_closed,
@@ -284,9 +285,10 @@ def _exponential_fraction_triple() -> bool:
 
 @_check("props", "aerated double factorial expansion")
 def _aerated_double_factorial_routes() -> bool:
-    fraction = JFraction(IndexPoly.constant(0), IndexPoly.index()).expand(20)
+    """The oeis check's J-fraction (0; i) and the EGF exp(x^2/2), rescaled."""
+    exponential = TruncatedSeries([0, 0, Fraction(1, 2)], 20).exp()
     want = aerated(FIXTURES["A001147"].values, 21)
-    return list(_aerated_double_factorials()) == want and integer_coeffs(fraction) == want
+    return list(_aerated_double_factorials()) == want and integer_coeffs(egf_to_ogf(exponential)) == want
 
 
 def _polytope_fixtures(name: str) -> bool:

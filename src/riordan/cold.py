@@ -5,19 +5,18 @@ Production builds every triangle by row recurrences or J-fractions
 as the oracle that ``verify`` and the tests check them against, and lives
 here with the other code only they use: the Riordan group, the families'
 oracle routes (Riordan route, gamma extraction, closed forms, Narayana
-array), the bodies of the series operations inverse, compose, revert, exp
-and derivative, of :meth:`MultiPoly.parse` and of the matrix product,
-and ``parse_matrix_doc``.
+array), the bodies of the series operations inverse, compose, revert and
+exp, of :meth:`MultiPoly.parse` and of the matrix product, and
+``parse_matrix_doc``.
 
 Without cached bytecode a request compiles every module it imports, so
 no ``show``, ``export`` or ``jf`` request imports this one, and neither
-does ``oeis-check`` of the triangle fixtures: of the oeis checks, only
-A001147's source, the exponential of x^2/2, runs code from here.  Its
-names import from here (the public ones also from the package); of the
-modules that defined them before, only :mod:`~riordan.arrays`
-(``RiordanArray``, ``face_matrix``) and :mod:`~riordan.families`
-(``family_array``, ``gamma_from_h``) still resolve four of them, which the
-benchmark's tracer wraps there.
+does ``oeis-check`` or ``verify oeis``: no fixture check runs code from
+here.  Its names import from here (the public ones also from the
+package); of the modules that defined them before, only
+:mod:`~riordan.arrays` (``RiordanArray``, ``face_matrix``) and
+:mod:`~riordan.families` (``family_array``, ``gamma_from_h``) still
+resolve four of them, which the benchmark's tracer wraps there.
 """
 
 from __future__ import annotations
@@ -112,34 +111,24 @@ def series_compose(s: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSerie
     return result
 
 
-def series_derivative(s: TruncatedSeries) -> TruncatedSeries:
-    """The body of :meth:`TruncatedSeries.derivative`."""
-    if s.order == 0:
-        return TruncatedSeries((0,))
-    return TruncatedSeries([i * c for i, c in enumerate(s._coeffs)][1:])
-
-
 def series_revert(s: TruncatedSeries) -> TruncatedSeries:
-    """The body of :meth:`TruncatedSeries.revert`: Newton iteration on
-    truncated series; exactness is certified by the final composition
-    check, which must hold coefficient-for-coefficient."""
+    """The body of :meth:`TruncatedSeries.revert`, by Lagrange inversion
+    (Stanley, *EC2*, Thm 5.4.2): with h = x / s(x), the coefficient of x^k
+    in the reversion is [x^(k-1)] h^k / k.  One series inverse and n - 1
+    truncated products at order n - 1."""
     if s._coeffs[0] != 0:
         raise NonzeroConstantTerm("can only revert a series with zero constant term")
     if s.order < 1:
         raise ZeroLinearTerm("no linear coefficient available")
-    inv1 = _unit_inverse(s._coeffs[1], ZeroLinearTerm, "linear coefficient")
-    n = s.order
-    ident = TruncatedSeries.x(n)
-    # Pad the derivative back to full order; the fabricated top
-    # coefficient only ever multiplies vanishing error terms.
-    deriv = TruncatedSeries(s.derivative().coeffs, n)
-    g = TruncatedSeries((0, inv1), n)
-    for _ in range(n + 2):
-        err = s.compose(g) - ident
-        if all(c == 0 for c in err.coeffs):
-            return g
-        g = g - err * deriv.compose(g).inverse()
-    raise ArithmeticError("series reversion did not converge")  # pragma: no cover
+    # A non-unit linear coefficient is a ZeroLinearTerm, not the
+    # NonUnitConstantTerm that inverting s/x would raise.
+    _unit_inverse(s._coeffs[1], ZeroLinearTerm, "linear coefficient")
+    h = series_inverse(_trusted(s._coeffs[1:]))
+    out, power = [0, tidy(h._coeffs[0])], h
+    for k in range(2, s.order + 1):
+        power = power * h
+        out.append(tidy(power._coeffs[k - 1] * Fraction(1, k)))
+    return _trusted(out)
 
 
 def series_exp(s: TruncatedSeries) -> TruncatedSeries:

@@ -114,7 +114,9 @@ def render_csv(rows: list[list]) -> str:
 
 
 def render_latex(rows: list[list]) -> str:
-    size = len(rows)
+    # A triangle's rows are at most as long as it has rows; a jf row (the
+    # y-coefficients of one series coefficient) may be longer.
+    size = max([len(rows), *map(len, rows)])
     lines = [r"\left(", r"\begin{array}{" + "c" * size + "}"]
     for row in rows:
         padded = [str(tidy(e)).replace("*", " ") for e in row] + ["0"] * (size - len(row))
@@ -235,11 +237,17 @@ def cmd_show(args) -> int:
 
 
 def cmd_jf(args) -> int:
-    from .expr import parse_index_poly
+    """A parse error names its option: ``error: --beta: unexpected ...``."""
+    from .expr import ParseError, parse_index_poly
     from .jfraction import JFraction
 
-    alpha = parse_index_poly(args.alpha)
-    beta = parse_index_poly(args.beta)
+    weights = []
+    for option in ("alpha", "beta"):
+        try:
+            weights.append(parse_index_poly(getattr(args, option)))
+        except ParseError as exc:
+            raise ValueError(f"--{option}: {exc}") from None
+    alpha, beta = weights
     series = JFraction(alpha, beta).expand(args.N)
     rows = []
     for n in range(args.N + 1):

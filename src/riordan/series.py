@@ -9,12 +9,11 @@ Binary operations on series of different orders truncate to the shorter
 order, and equality likewise compares up to the common order.  All
 operations are pure; no floating point is ever involved.
 
-No ``show``, ``export`` or ``jf`` request inverts, composes, reverts,
-exponentiates or differentiates a series, so the bodies of those methods,
-their exceptions, :func:`~riordan.cold.egf_to_ogf` and
-:func:`~riordan.cold.integer_coeffs` live in :mod:`riordan.cold`, loaded
-on first use.  The methods stay here and delegate to it; the other names
-import from there.
+No ``show``, ``export`` or ``jf`` request inverts, composes, reverts or
+exponentiates a series, so the bodies of those methods, their exceptions,
+:func:`~riordan.cold.egf_to_ogf` and :func:`~riordan.cold.integer_coeffs`
+live in :mod:`riordan.cold`, loaded on first use.  The methods stay here
+and delegate to it; the other names import from there.
 """
 
 from __future__ import annotations
@@ -148,12 +147,9 @@ class TruncatedSeries:
         """self(inner(x)), requiring inner(0) == 0.  Horner evaluation."""
         return _cold().series_compose(self, inner)
 
-    def derivative(self) -> TruncatedSeries:
-        """Formal derivative.  One order shorter, as the top term is unknown."""
-        return _cold().series_derivative(self)
-
     def revert(self) -> TruncatedSeries:
-        """Compositional inverse g with self(g(x)) == g(self(x)) == x."""
+        """Compositional inverse g with self(g(x)) == g(self(x)) == x, by
+        Lagrange inversion, with canonical coefficients (see :func:`tidy`)."""
         return _cold().series_revert(self)
 
     def exp(self) -> TruncatedSeries:

@@ -19,9 +19,8 @@ checks live in :mod:`riordan.battery`, and the oracles most of them test in
 :mod:`riordan.cold`.  Without cached bytecode a request compiles every
 module it imports, so the two load only when a check that uses them runs
 or ``CHECKS`` is first looked up.  The oeis suite runs ``FIXTURE_CHECKS``,
-so ``oeis-check`` and ``verify oeis`` load neither, except that A001147's
-source loads :mod:`riordan.cold`; the group and props suites run
-``CHECKS``.
+so ``oeis-check`` and ``verify oeis`` load neither; the group and props
+suites run ``CHECKS``.
 
 The suite functions filter the registry and return one :class:`CheckResult`
 per check; the CLI renders one line per check and fails the run when any
@@ -33,13 +32,13 @@ from __future__ import annotations
 from functools import cache, partial
 import random
 import sys
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import _lazy_names
 from .families import family_matrix
+from .jfraction import IndexPoly, JFraction
 from .oeis import FIXTURES, CheckReport, _normalize_anumber, check_sequence, check_triangle
-from .series import TruncatedSeries
+from .series import tidy
 
 SUITES = ("group", "props", "oeis")
 DEFAULT_SEED = 20240831
@@ -110,11 +109,9 @@ def _triangle_fixture(anumber: str) -> CheckReport:
 
 @cache
 def _aerated_double_factorials() -> tuple[int, ...]:
-    """EGF exp(x^2/2), rescaled to x^20: 1, 0, 1, 0, 3, 0, 15, ..."""
-    from .cold import egf_to_ogf, integer_coeffs
-
-    half_square = TruncatedSeries([0, 0, Fraction(1, 2)], 20)
-    return tuple(integer_coeffs(egf_to_ogf(half_square.exp())))
+    """The J-fraction (0; i) expanded to x^20: 1, 0, 1, 0, 3, 0, 15, ..."""
+    series = JFraction(IndexPoly.constant(0), IndexPoly.index()).expand(20)
+    return tuple(tidy(c) for c in series)
 
 
 def _double_factorial_fixture(anumber: str) -> CheckReport:

@@ -90,14 +90,16 @@ def test_jf_parse_error_exit_code(capsys):
     for alpha in ("2*+", f"y^{MAX_EXPONENT + 1}"):
         status, _, err = run(capsys, ["jf", "--alpha", alpha, "--beta", "i", "--N", "4"])
         assert status == 2
-        assert "position" in err
+        assert err.startswith("error: --alpha: ") and "position" in err
+    status, out, err = run(capsys, ["jf", "--alpha", "1", "--beta", "y/3", "--N", "4"])
+    assert (status, out, err) == (2, "", "error: --beta: unexpected '/' (at position 1)\n")
 
 
 @pytest.mark.parametrize("alpha", ["(" * 300 + "1" + ")" * 300, "-" * 3000 + "1"], ids=["parentheses", "minus-signs"])
 def test_deeply_nested_expressions_are_parse_errors(capsys, alpha):
     status, out, err = run(capsys, ["jf", f"--alpha={alpha}", "--beta", "1", "--N", "2"])
     assert (status, out) == (2, "")
-    assert err.startswith(f"error: nesting exceeds the maximum depth {MAX_DEPTH} (at position ")
+    assert err.startswith(f"error: --alpha: nesting exceeds the maximum depth {MAX_DEPTH} (at position ")
 
 
 def test_json_round_trip_symbolic(capsys, tmp_path):
@@ -163,6 +165,11 @@ def test_latex_format(capsys):
     status, out, _ = run(capsys, ["show", "--r", "2", "--which", "h", "--N", "1", "--format", "latex"])
     assert status == 0
     assert out == "\\left(\n\\begin{array}{cc}\n 1 & 0 \\\\\n 1 & 1 \\\\\n\\end{array}\n\\right)\n"
+    # A jf row may hold more entries than the expansion has rows.
+    status, out, _ = run(capsys, ["jf", "--alpha", "y^5", "--beta", "0", "--N", "2", "--format", "latex"])
+    assert status == 0
+    rows = "".join(" " + " & ".join("01"[j == k] for j in range(11)) + " \\\\\n" for k in (0, 5, 10))
+    assert out == "\\left(\n\\begin{array}{" + "c" * 11 + "}\n" + rows + "\\end{array}\n\\right)\n"
 
 
 def test_verify_named_suites(capsys):
@@ -394,10 +401,10 @@ def test_show_and_jf_load_only_the_modules_they_run():
 
 
 def test_check_commands_load_only_the_modules_they_run():
-    # The triangle fixtures need neither the group/props battery nor
-    # riordan.cold; A001147's source (so also verify oeis) needs cold, and
-    # verify group needs both.  No check loads the show/jf output code
-    # (riordan.render) or the expression parser (riordan.expr).
+    # No fixture check (oeis-check, verify oeis) needs the group/props
+    # battery or riordan.cold; verify group needs both.  No check loads the
+    # show/jf output code (riordan.render) or the expression parser
+    # (riordan.expr).
     code = (
         "import contextlib, io, sys\n"
         "import riordan.cli as cli\n"
@@ -415,8 +422,8 @@ def test_check_commands_load_only_the_modules_they_run():
     )
     assert _fresh_interpreter(code) == [
         "0 2 [  ok] A055151: 66 entries over 11 rows match []",
-        "0 1 [  ok] A001147: 11 entries over 11 rows match ['riordan.cold']",
-        "0 12 12/12 checks passed ['riordan.cold']",
+        "0 1 [  ok] A001147: 11 entries over 11 rows match []",
+        "0 12 12/12 checks passed []",
         "0 10 10/10 checks passed ['riordan.battery', 'riordan.cold']",
     ]
 

@@ -1,6 +1,7 @@
 """The row recurrence on packed integers against the MultiPoly loop it
-replaced, and a Kronecker certificate of the symbolic triangles at large N
-against the Riordan route."""
+replaced, a Kronecker certificate of the symbolic triangles at large N
+against the Riordan route, and the Motzkin walk at large N against the row
+recurrence."""
 
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from riordan.algebra import MultiPoly, R, Y
 from riordan.arrays import Kind, triangle_from_series
 from riordan.cold import dense_family_triple
 from riordan.families import FamilySpec, family_fractions, family_triple, family_matrix
+from riordan.jfraction import IndexPoly, JFraction
 from riordan.series import TruncatedSeries
 
 FLAVORS = (Kind.ORDINARY, Kind.EXPONENTIAL)
@@ -95,3 +97,17 @@ def test_kronecker_certificate_at_large_n(flavor):
                 terms = [((0, 0), entry)] if isinstance(entry, int) else list(entry.items())
                 assert all(0 <= c < 2**bits for _, c in terms)
                 assert sum(c << (bits * i) for (i, _), c in terms) == value
+
+
+# The Motzkin walk (JFraction.expand) at large order against the packed row
+# recurrence, a different algorithm with its own slot bound: the exponential
+# family's fractions (1, i r y), (1 + y, i r y) and (2 + y, i r (1 + y)).
+MOTZKIN_N = {"gamma": 100, "h": 60, "f": 60}
+
+
+@pytest.mark.parametrize("which", sorted(MOTZKIN_N))
+def test_motzkin_walk_matches_the_row_recurrence_at_large_n(which):
+    spec = FamilySpec(Kind.EXPONENTIAL, R)
+    pair = getattr(family_fractions(spec), which)
+    walk = JFraction(pair.alpha, IndexPoly.from_coeffs([0, pair.beta(0)])).expand(MOTZKIN_N[which])
+    assert triangle_from_series(walk) == family_matrix(spec, which, MOTZKIN_N[which])

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from riordan.algebra import R, Y
+from riordan.algebra import MultiPoly, R, Y
 from riordan.cold import (
     NonIntegralResult,
     NonUnitConstantTerm,
@@ -27,9 +27,6 @@ unit_series = st.tuples(st.sampled_from([1, -1]), st.lists(st.integers(-5, 5), m
     lambda t: S((t[0], *t[1]))
 )
 zero_const_series = st.lists(st.integers(-5, 5), min_size=8, max_size=8).map(lambda c: S((0, *c)))
-revertible_series = st.tuples(
-    st.sampled_from([1, -1]), st.lists(st.integers(-4, 4), min_size=7, max_size=7)
-).map(lambda t: S((0, t[0], *t[1])))
 
 
 def test_mul_examples():
@@ -231,12 +228,25 @@ def test_inverse_identity(a):
     assert a * a.inverse() == TruncatedSeries.one(a.order)
 
 
-@given(revertible_series)
-def test_reversion_identity_both_directions(f):
+# Invertible linear coefficients of each ring; a Fraction need not be an
+# integer unit.
+linear_units = {
+    "int": st.sampled_from([1, -1]),
+    "Fraction": st.sampled_from([Fraction(1, 2), Fraction(-3, 2), Fraction(3)]),
+    "MultiPoly": st.sampled_from([-1, MultiPoly.const(1), MultiPoly.const(Fraction(-1, 2))]),
+}
+
+
+@given(st.sampled_from(sorted(coefficients)), st.integers(1, 20), st.data())
+def test_reversion_identity_both_directions(ring, order, data):
+    rest = data.draw(st.lists(coefficients[ring], min_size=order - 1, max_size=order - 1))
+    f = S([0, data.draw(linear_units[ring]), *rest])
     g = f.revert()
-    x = TruncatedSeries.x(f.order)
+    x = TruncatedSeries.x(order)
     assert f.compose(g) == x
     assert g.compose(f) == x
+    if ring == "int":
+        assert all(type(c) is int for c in g)
 
 
 @given(zero_const_series, zero_const_series)
