@@ -16,6 +16,12 @@ interpreter, the median over K fresh interpreters (default 5).  Each of
 those interpreters compiles every module once, so its total is one sample
 of the request's compile time; after the table, the script prints the
 quartiles of those K totals, the spread to weigh a difference against.
+
+Then it lists the standard-library modules the request imports that a bare
+``python -c pass`` does not, in the order ``python -X importtime`` reports
+them, with their import times: each module's own time and its cumulative
+time (with the modules it imported first), the medians over K more fresh
+runs of the request under ``-X importtime``.
 """
 
 import argparse
@@ -68,13 +74,37 @@ def code_lines(path: str) -> int:
         return len({tok.start[0] for tok in tokenize.tokenize(f.readline) if tok.type not in SKIPPED})
 
 
-def fresh_python(code: str, args: list[str]) -> str:
+# The request as the command line runs it, with no other import before it.
+REQUEST = "import sys\nfrom riordan.cli import main\nsys.exit(main(sys.argv[1:]))"
+
+
+def _env() -> dict:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def fresh_python(code: str, args: list[str]) -> str:
     result = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args], env=_env(), capture_output=True, text=True, check=True
     )
     return result.stdout.splitlines()[-1]
+
+
+def import_times(code: str, args: list[str]) -> dict[str, tuple[int, int]]:
+    """Each module that code imports in a fresh interpreter, in the order
+    ``-X importtime`` reports it: (own, cumulative) import time in µs.  The
+    code's exit status is not checked: a failing request imports too."""
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", code, *args],
+        env=_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    times = {}
+    for line in result.stderr.splitlines():
+        fields = line.removeprefix("import time:").split("|")
+        if line.startswith("import time:") and len(fields) == 3 and fields[0].strip().isdigit():
+            times[fields[2].strip()] = (int(fields[0]), int(fields[1]))
+    return times
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -103,6 +133,17 @@ def main(argv: list[str] | None = None) -> int:
     quartiles = statistics.quantiles(totals, n=4, method="inclusive") if len(totals) > 1 else totals * 3
     print(f"per-run total compile ms over {len(totals)} runs: "
           f"q1 {quartiles[0]:.2f}, median {quartiles[1]:.2f}, q3 {quartiles[2]:.2f}")
+
+    bare = import_times("pass", [])
+    samples = [import_times(REQUEST, request) for _ in range(args.repeats)]
+    stdlib = [name for name in samples[0] if name not in bare and name.split(".")[0] != "riordan"]
+    print(f"{'standard library':22s} {'import ms':>10s} {'cumul. ms':>10s}")
+    total_ms = 0.0
+    for name in stdlib:
+        own, cumulative = (statistics.median(s[name][i] for s in samples if name in s) / 1000 for i in (0, 1))
+        total_ms += own
+        print(f"{name:22s} {own:10.2f} {cumulative:10.2f}")
+    print(f"{'total':22s} {total_ms:10.2f}")
     return 0
 
 

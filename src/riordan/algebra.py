@@ -20,7 +20,10 @@ terms are ordered by total degree, then y-degree, then r-degree, all
 descending (graded order with r below y).
 
 Values of the three domains mix freely in arithmetic; ``int`` and
-``Fraction`` coerce into :class:`MultiPoly` on contact.
+``Fraction`` coerce into :class:`MultiPoly` on contact.  :mod:`fractions`
+is imported only where a ``Fraction`` is made: a request with integer
+data never loads it, and every type test reaches it, through
+:func:`_is_scalar`, only after ``int`` and ``MultiPoly``.
 
 The row recurrence of the family triangles (``families._row_recurrence``)
 computes on packed integers: a polynomial is the list of its
@@ -33,7 +36,7 @@ when every |coefficient| < 2^(width-1).
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from operator import add
 from typing import Iterator, Mapping, Union
 
@@ -41,7 +44,7 @@ from . import _cold
 
 VARIABLES = ("r", "y")
 
-Scalar = Union[int, Fraction]
+Scalar = Union[int, "Fraction"]
 Monomial = tuple[int, int]  # (power of r, power of y)
 
 
@@ -56,6 +59,8 @@ class MultiPoly:
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent in monomial {(i, j)}")
             if type(c) is not int:
+                from fractions import Fraction
+
                 c = Fraction(c)
                 if c.denominator == 1:
                     c = c.numerator
@@ -136,18 +141,24 @@ class MultiPoly:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: Scalar | MultiPoly) -> MultiPoly:
+        """One pass over other's terms: self's are canonical already, so
+        only the sums are made canonical, and the zeros they make dropped."""
         if isinstance(other, MultiPoly):
             terms = other._terms
         elif type(other) is int:
             terms = {(0, 0): other}
-        elif isinstance(other, (int, Fraction)):
+        elif _is_scalar(other):
             terms = MultiPoly.const(other)._terms
         else:
             return NotImplemented
         out = dict(self._terms)
         for m, c in terms.items():
-            out[m] = out.get(m, 0) + c
-        return _trusted(out)
+            c += out.get(m, 0)
+            if c:
+                out[m] = c if type(c) is int or c.denominator != 1 else c.numerator
+            else:
+                out.pop(m, None)
+        return _wrap(out)
 
     __radd__ = __add__
 
@@ -162,7 +173,7 @@ class MultiPoly:
 
     def __mul__(self, other: Scalar | MultiPoly) -> MultiPoly:
         if not isinstance(other, MultiPoly):
-            if not isinstance(other, (int, Fraction)):
+            if type(other) is not int and not _is_scalar(other):
                 return NotImplemented
             return _trusted({m: c * other for m, c in self._terms.items()})
         out: dict[Monomial, Scalar] = {}
@@ -194,7 +205,7 @@ class MultiPoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MultiPoly):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return self.is_constant() and self.constant_value() == other
         return NotImplemented
 
@@ -231,13 +242,22 @@ def _trusted(terms: dict[Monomial, Scalar]) -> MultiPoly:
     ``Fraction``, so unlike ``__init__`` this only drops zeros and stores
     integral Fractions as ``int``.
     """
+    return _wrap(
+        {m: c if type(c) is int or c.denominator != 1 else c.numerator for m, c in terms.items() if c}
+    )
+
+
+def _wrap(terms: dict[Monomial, Scalar]) -> MultiPoly:
+    """A MultiPoly holding terms, which must be canonical already."""
     poly = object.__new__(MultiPoly)
-    poly._terms = {
-        m: c if type(c) is int or c.denominator != 1 else c.numerator
-        for m, c in terms.items()
-        if c
-    }
+    poly._terms = terms
     return poly
+
+
+def _is_scalar(value) -> bool:
+    """An int or a Fraction.  No Fraction exists before :mod:`fractions` is
+    imported, so this test does not import it."""
+    return isinstance(value, int) or isinstance(value, getattr(sys.modules.get("fractions"), "Fraction", ()))
 
 
 def _pack(poly: MultiPoly, width: int) -> list[int]:
@@ -265,9 +285,7 @@ def _unpack(value: int, width: int) -> int | MultiPoly:
             value += 1
         if c:
             terms[i, 0] = c
-    poly = object.__new__(MultiPoly)  # nonzero int coefficients need no _trusted
-    poly._terms = terms
-    return poly
+    return _wrap(terms)  # nonzero int coefficients need no _trusted
 
 
 def _fma(out: list[int], p: list[int], q: list[int]) -> list[int]:

@@ -17,11 +17,10 @@ this module, on first use.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from . import _cold, _lazy_names
-from .algebra import MultiPoly
+from .algebra import MultiPoly, _is_scalar
 from .series import TruncatedSeries, tidy
 
 Entry = Union[int, MultiPoly]
@@ -43,6 +42,8 @@ class Kind(enum.Enum):
 
 def _normalize_entry(value) -> Entry:
     """Force an exact entry to int / integer-coefficient MultiPoly."""
+    if type(value) is int:
+        return value
     value = tidy(value)
     if isinstance(value, int):
         return value
@@ -50,7 +51,7 @@ def _normalize_entry(value) -> Entry:
         if not value.has_integer_coefficients():
             raise NonIntegralEntry(f"entry has non-integer coefficients: {value}")
         return value
-    if isinstance(value, Fraction):
+    if _is_scalar(value):  # a Fraction: tidy made every integral one an int
         raise NonIntegralEntry(f"entry is not an integer: {value}")
     raise TypeError(f"unsupported entry type: {value!r}")
 

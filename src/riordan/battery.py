@@ -28,10 +28,10 @@ from .cold import (
     binomial_transform,
     dense_family_triple,
     egf_to_ogf,
-    f_closed,
+    f_closed_row,
     face_array,
-    gamma_closed,
-    h_closed,
+    gamma_closed_row,
+    h_closed_row,
     identity_array,
     integer_coeffs,
     narayana_array,
@@ -240,11 +240,10 @@ def _ordinary_closed_forms() -> bool:
         spec = FamilySpec(Kind.ORDINARY, r)
         fam = _family(spec, size)
         if fam != dense_family_triple(spec, size) or not all(
-            fam.h.entry(n, k) == h_closed(n, k, r)
-            and fam.f.entry(n, k) == f_closed(n, k, r)
-            and fam.gamma.entry(n, k) == gamma_closed(n, k, r)
+            list(fam.h.rows[n]) == h_closed_row(n, r)
+            and list(fam.f.rows[n]) == f_closed_row(n, r)
+            and list(fam.gamma.rows[n]) == gamma_closed_row(n, r)
             for n in range(size + 1)
-            for k in range(n + 1)
         ):
             return False
     return True

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
+from operator import mul
 from typing import Callable, Sequence
 
 from .algebra import VARIABLES, Monomial, MultiPoly, R, Scalar, Y
@@ -133,19 +134,24 @@ def series_revert(s: TruncatedSeries) -> TruncatedSeries:
 
 def series_exp(s: TruncatedSeries) -> TruncatedSeries:
     """The body of :meth:`TruncatedSeries.exp`: e = exp(f) solves e' = f' e,
-    so e_0 = 1 and n e_n = sum_{k=1..n} k f_k e_{n-k}: O(order^2)
-    coefficient products."""
+    so n e_n = sum_{k=1..n} k f_k e_{n-k}.  It runs in Hurwitz form: with
+    E_n = n! e_n and F_k = k! f_k, E_0 = 1 and
+    E_n = sum_{k=1..n} C(n-1, k-1) F_k E_{n-k}, which stays integral for
+    integral F.  O(order^2) coefficient products, and one product by
+    1/n! for each coefficient."""
     if s._coeffs[0] != 0:
         raise NonzeroConstantTerm("exp needs a zero constant term")
-    scaled = [(k, k * c) for k, c in enumerate(s._coeffs) if k and c]
+    scaled = [(k, factorial(k) * c) for k, c in enumerate(s._coeffs) if k and c]
+    hurwitz: list[Coeff] = [1]
     out: list[Coeff] = [1]
     for n in range(1, s.order + 1):
         acc = 0
-        for k, kc in scaled:
+        for k, fk in scaled:  # fk = F_k
             if k > n:
                 break
-            acc = acc + kc * out[n - k]
-        out.append(acc * Fraction(1, n))
+            acc = acc + comb(n - 1, k - 1) * fk * hurwitz[n - k]
+        hurwitz.append(acc)
+        out.append(acc * Fraction(1, factorial(n)))
     return _trusted(out)
 
 
@@ -195,19 +201,15 @@ def parse_multipoly(text: str) -> MultiPoly:
 
 
 def tri_mul(a: LowerTriMatrix, b: LowerTriMatrix) -> LowerTriMatrix:
-    """The body of :meth:`LowerTriMatrix.__mul__`."""
+    """The body of :meth:`LowerTriMatrix.__mul__`: entry (n, k) is one
+    sum over j = k..n of a[n, j] b[j, k], with b's column k read from
+    row k down once, before the products."""
     if a.size != b.size:
         raise ValueError("matrix product needs equal sizes")
-    rows = []
-    for n in range(a.size):
-        row = []
-        for k in range(n + 1):
-            acc = a._rows[n][k] * b._rows[k][k]
-            for j in range(k + 1, n + 1):
-                acc = acc + a._rows[n][j] * b._rows[j][k]
-            row.append(tidy(acc))
-        rows.append(row)
-    return LowerTriMatrix(rows)
+    cols = [[row[k] for row in b._rows[k:]] for k in range(b.size)]
+    return LowerTriMatrix(
+        [tidy(sum(map(mul, row[k:], cols[k]))) for k in range(n + 1)] for n, row in enumerate(a._rows)
+    )
 
 
 def pascal_matrix(size_n: int) -> LowerTriMatrix:
@@ -322,22 +324,32 @@ class RiordanArray(Frozen):
         return _normalize_entry(self._prefactor(n, k) * p[n])
 
     def matrix(self, size_n: int) -> LowerTriMatrix:
-        """Lower triangle of entries for n, k = 0..size_n."""
+        """Lower triangle of entries for n, k = 0..size_n.
+
+        Column k is g * f**k, which is zero below x**k, so only its
+        coefficients k..size_n are built: column k is column k - 1 times
+        f/x, one coefficient shorter.  An exponential row n takes its
+        prefactors n!/k! from one table; an ordinary row takes none."""
         if size_n > self.order:
             raise IndexBeyondTruncation(
                 f"size {size_n} beyond truncation order {self.order}"
             )
-        # Rows beyond size_n never reach the matrix: build g * f**k to size_n.
-        f = self.f.truncate(size_n)
-        cols = [self.g.truncate(size_n)]
+        over_x = _trusted(self.f._coeffs[1 : size_n + 1])  # f/x, order size_n - 1
+        cols = [self.g._coeffs[: size_n + 1]]  # cols[k][m] = [x^(k+m)] g f^k
         for _ in range(size_n):
-            cols.append(cols[-1] * f)
-        return LowerTriMatrix(
-            [
-                [_normalize_entry(self._prefactor(n, k) * cols[k][n]) for k in range(n + 1)]
-                for n in range(size_n + 1)
-            ]
-        )
+            cols.append((_trusted(cols[-1][:-1]) * over_x)._coeffs)
+        rows = []
+        for n in range(size_n + 1):
+            row = [cols[k][n - k] for k in range(n + 1)]
+            if self.kind is Kind.EXPONENTIAL:
+                scale = [1] * (n + 1)  # scale[k] = n!/k!
+                for k in range(n, 0, -1):
+                    scale[k - 1] = scale[k] * k
+                row = map(mul, scale, row)
+            elif self.kind is Kind.GENERALIZED:
+                row = [self._prefactor(n, k) * e for k, e in enumerate(row)]
+            rows.append([_normalize_entry(e) for e in row])
+        return LowerTriMatrix(rows)
 
     # -- group structure ---------------------------------------------------
 
@@ -430,34 +442,38 @@ def dense_family_triple(spec: FamilySpec, size_n: int) -> GammaHFTriple:
     return GammaHFTriple(gamma_from_h(h), h, face_matrix(h))
 
 
-# Closed forms of the ordinary family's three triangles.
+# Closed forms of the ordinary family's three triangles, a row at a time.
 
 
-def _binom(n: int, k: int) -> int:
-    """C(n, k) with the usual vanishing convention outside 0 <= k <= n."""
-    return comb(n, k) if 0 <= k <= n else 0
+def _powers(r: RValue, n: int) -> list[RValue]:
+    """r**0 .. r**n, each one product from the last."""
+    powers = [r**0]
+    for _ in range(n):
+        powers.append(powers[-1] * r)
+    return powers
 
 
-def gamma_closed(n: int, k: int, r: RValue = R) -> RValue:
-    """C(n-k, n-2k) r^k; zero when 2k > n, matching the binomial convention."""
-    if 2 * k > n:
-        return 0
-    return comb(n - k, n - 2 * k) * r**k
+def gamma_closed_row(n: int, r: RValue = R) -> list[RValue]:
+    """Row n of gamma: C(n-k, n-2k) r^k, and zero when 2k > n."""
+    powers = _powers(r, n // 2)
+    return [comb(n - k, n - 2 * k) * powers[k] if 2 * k <= n else 0 for k in range(n + 1)]
 
 
-def h_closed(n: int, k: int, r: RValue = R) -> RValue:
-    acc = 0
-    for j in range(k + 1):
-        acc = acc + _binom(k, j) * _binom(n - j, n - k - j) * r**j
-    return acc
+def h_closed_row(n: int, r: RValue = R) -> list[RValue]:
+    """Row n of h: sum_j C(k,j) C(n-j, n-k-j) r^j, over j <= min(k, n-k),
+    where the second binomial is nonzero."""
+    powers = _powers(r, n // 2)
+    return [
+        sum(comb(k, j) * comb(n - j, n - k - j) * powers[j] for j in range(min(k, n - k) + 1))
+        for k in range(n + 1)
+    ]
 
 
-def f_closed(n: int, k: int, r: RValue = R) -> RValue:
-    """sum_i h[n,i] C(i,k), the coefficients of f_n(y) = h_n(1 + y)."""
-    acc = 0
-    for i in range(k, n + 1):
-        acc = acc + h_closed(n, i, r) * comb(i, k)
-    return acc
+def f_closed_row(n: int, r: RValue = R) -> list[RValue]:
+    """Row n of f: sum_i h[n,i] C(i,k), the coefficients of f_n(y) =
+    h_n(1 + y), from one h row."""
+    h = h_closed_row(n, r)
+    return [sum(h[i] * comb(i, k) for i in range(k, n + 1)) for k in range(n + 1)]
 
 
 def gamma_from_h(h: LowerTriMatrix) -> LowerTriMatrix:
@@ -500,16 +516,15 @@ def narayana_closed(n: int, k: int) -> int:
 
 
 def binomial_transform(seq: Sequence, k: PolyLike) -> list:
-    """b_n = sum_i C(n, i) k^(n-i) a_i, exactly, same length as the input."""
-    powers = [MultiPoly.const(1)]  # powers[j] == k**j
-    for _ in range(1, len(seq)):
-        powers.append(powers[-1] * k)
+    """b_n = sum_i C(n, i) k^(n-i) a_i, exactly, same length as the input,
+    each a MultiPoly.  By a difference table: row 0 is the input, row m+1
+    has entries row_m[i+1] + k row_m[i], and b_m = row_m[0], so the only
+    products are by k."""
+    row = [MultiPoly.coerce(a) for a in seq]
     out = []
-    for n in range(len(seq)):
-        acc = MultiPoly.coerce(seq[n]) if isinstance(seq[n], (int, Fraction)) else seq[n]
-        for i in range(n):
-            acc = acc + comb(n, i) * powers[n - i] * seq[i]
-        out.append(acc)
+    while row:
+        out.append(row[0])
+        row = [b + a * k for a, b in zip(row, row[1:])]
     return out
 
 
@@ -541,12 +556,13 @@ def parse_matrix_doc(text: str):
         raise ValueError(f"cannot decode entry {entry!r}")
 
     fixed = ("kind", "rows", "family", "flavor", "r", "N", "reversed")
+    r = raw.get("r")
     return OutputDoc(
         kind=raw["kind"],
         rows=[[decode(e) for e in row] for row in raw["rows"]],
         family=raw.get("family"),
         flavor=raw.get("flavor"),
-        r=raw.get("r"),
+        r=r if r in (None, "r") else decode(r),  # |r| >= 2^53 is a string
         size=raw["N"],
         reversed_form=raw["reversed"],
         extra={key: value for key, value in raw.items() if key not in fixed},

@@ -11,7 +11,6 @@ expression raises :class:`ParseError`, which names its position.  Only
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import lcm
 from operator import add
 
@@ -145,14 +144,16 @@ class _Parser:
     def atom(self) -> IndexPoly:
         kind, text, where = self.take()
         if kind == "int":
-            value = Fraction(int(text))
+            value = int(text)
             nxt_kind, nxt_text, _ = self.peek()
             if nxt_kind == "op" and nxt_text == "/":
                 self.take()
                 dkind, dtext, dwhere = self.take()
                 if dkind != "int" or int(dtext) == 0:
                     raise ParseError("denominator must be a nonzero integer", dwhere)
-                value /= int(dtext)
+                from fractions import Fraction
+
+                value = Fraction(value, int(dtext))
             return IndexPoly.constant(value)
         if kind == "var":
             if text == "i":

@@ -25,9 +25,9 @@ entries become MultiPoly only when the triangle is built
 product and gamma extraction -- is kept as their oracle
 (:func:`~riordan.cold.dense_family_triple`).
 
-Closed forms for all three of the ordinary family's triangles
-(:func:`~riordan.cold.gamma_closed`, ``h_closed``, ``f_closed``) check
-each route against the other:
+Closed forms for all three of the ordinary family's triangles, a row at
+a time (:func:`~riordan.cold.gamma_closed_row`, ``h_closed_row``,
+``f_closed_row``), check each route against the other:
 
     gamma[n,k] = C(n-k, n-2k) r^k
     h[n,k]     = sum_j C(k,j) C(n-j, n-k-j) r^j
@@ -50,7 +50,6 @@ wraps here, also resolve from this module, on first use.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Union
 
@@ -125,6 +124,8 @@ def _row_recurrence(spec: FamilySpec, which: str, size_n: int) -> LowerTriMatrix
             row.pop()
         polys = {v: _unpack(v, width) for v in set(row)}  # h rows are palindromes
         if den != 1:
+            from fractions import Fraction
+
             polys = {v: p * Fraction(1, den**n) for v, p in polys.items()}
         out.append([polys[v] for v in row])
     return triangle_from_rows(out, normalize=den != 1)

@@ -21,7 +21,6 @@ step at height k and ``b_{k+1}`` per fall from height k+1 to k.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple, Sequence, Union
 
 from . import _lazy_names
@@ -29,7 +28,7 @@ from .algebra import MultiPoly, Y
 from .record import Frozen
 from .series import TruncatedSeries
 
-PolyLike = Union[int, Fraction, MultiPoly]
+PolyLike = Union[int, "Fraction", MultiPoly]
 
 
 class IndexPoly(Frozen):

@@ -67,7 +67,7 @@ class OutputDoc(Record):
             "kind": self.kind,
             "family": self.family,
             "flavor": self.flavor,
-            "r": self.r,
+            "r": encode(self.r) if isinstance(self.r, int) else self.r,
             "N": self.size,
             "reversed": self.reversed_form,
             "rows": [[encode(e) for e in row] for row in self.rows],

@@ -18,16 +18,15 @@ and delegate to it; the other names import from there.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add, mul
 from typing import Sequence, Union
 
 from . import _cold
-from .algebra import MultiPoly
+from .algebra import MultiPoly, _is_scalar
 
 DEFAULT_ORDER = 16
 
-Coeff = Union[int, Fraction, MultiPoly]
+Coeff = Union[int, "Fraction", MultiPoly]
 
 
 class TruncatedSeries:
@@ -95,7 +94,7 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             n = min(self.order, other.order)
             return all(self._coeffs[i] == other._coeffs[i] for i in range(n + 1))
-        if isinstance(other, (int, Fraction, MultiPoly)):
+        if isinstance(other, MultiPoly) or _is_scalar(other):
             return self._coeffs[0] == other and all(c == 0 for c in self._coeffs[1:])
         return NotImplemented
 
@@ -169,9 +168,9 @@ def tidy(value: Coeff) -> Coeff:
     """Collapse integral Fractions to int and constant polynomials to scalars."""
     if isinstance(value, MultiPoly) and value.is_constant():
         value = value.constant_value()
-    # int and MultiPoly first: isinstance(value, Fraction) is an ABC check.
+    # int and MultiPoly first: the Fraction test is an ABC check.
     if type(value) is int or isinstance(value, MultiPoly):
         return value
-    if isinstance(value, Fraction) and value.denominator == 1:
+    if _is_scalar(value) and value.denominator == 1:
         return int(value)
     return value

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from riordan.algebra import MultiPoly, R, Y
+from canonical import typed
+from riordan.algebra import MultiPoly, R, Y, _trusted
 
 
 def poly(text_terms):
@@ -116,6 +117,26 @@ def test_ring_results_are_canonical(p, other, exponent):
     for q in results + p.y_coefficients():
         assert type(q) is MultiPoly
         assert _typed_terms(q) == _typed_terms(MultiPoly(dict(q.items())))
+
+
+def _add_in_two_passes(p, other):
+    """Sum every term of other into a copy of p's terms, then rescan them
+    all: the add that the one-pass MultiPoly.__add__ replaced, kept as its
+    oracle."""
+    terms = other if isinstance(other, MultiPoly) else MultiPoly.const(other)
+    out = dict(p.items())
+    for m, c in terms.items():
+        out[m] = out.get(m, 0) + c
+    return _trusted(out)
+
+
+@given(rational_polys, rationals | st.booleans() | rational_polys)
+@example(MultiPoly({(1, 0): Fraction(1, 2), (0, 0): 3}), MultiPoly({(1, 0): Fraction(1, 2), (0, 0): -3}))
+@example(R + 1, 0)
+def test_add_matches_the_two_pass_add(p, other):
+    want = typed(_add_in_two_passes(p, other))
+    assert typed(p + other) == typed(other + p) == want
+    assert typed(p - other) == typed(_add_in_two_passes(p, -other))
 
 
 def test_only_non_integral_coefficients_are_fractions():

@@ -3,8 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from canonical import typed_all
 from riordan.algebra import R, Y, MultiPoly
-from riordan.arrays import IndexBeyondTruncation, Kind, LowerTriMatrix, NonIntegralEntry, triangle_from_series
+from riordan.arrays import (
+    IndexBeyondTruncation,
+    Kind,
+    LowerTriMatrix,
+    NonIntegralEntry,
+    _normalize_entry,
+    triangle_from_series,
+)
 from riordan.cold import (
     FACTORIAL_PAIR_WEIGHTS,
     FACTORIAL_WEIGHTS,
@@ -21,7 +29,7 @@ from riordan.cold import (
     pascal_matrix,
     series_from_triangle,
 )
-from riordan.series import TruncatedSeries
+from riordan.series import TruncatedSeries, tidy
 
 S = TruncatedSeries
 ORDER = 12
@@ -235,3 +243,80 @@ def test_product_is_matrix_product(a, b):
 def test_inverse_is_matrix_inverse(a):
     n = a.order
     assert (a * a.inverse()).matrix(n) == identity_array(order=n).matrix(n)
+
+
+# Coefficients of one ring per example: int, Fraction or MultiPoly.
+rings = st.sampled_from([
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    st.sampled_from([0, 1, -2, R, Y, R - 1, 2 * R * Y + 3]),
+])
+
+
+def _typed_rows(m):
+    return [typed_all(row) for row in m.rows]
+
+
+def _tri_mul_by_loops(a, b):
+    """Entry (n, k) summed one product at a time over j = k..n: the triple
+    loop that the matrix product replaced, kept as its oracle."""
+    rows = []
+    for n in range(a.size):
+        row = []
+        for k in range(n + 1):
+            acc = a.rows[n][k] * b.rows[k][k]
+            for j in range(k + 1, n + 1):
+                acc = acc + a.rows[n][j] * b.rows[j][k]
+            row.append(tidy(acc))
+        rows.append(row)
+    return LowerTriMatrix(rows)
+
+
+@given(rings, st.data())
+def test_matrix_product_matches_the_triple_loop(ring, data):
+    size = data.draw(st.integers(0, 6))
+    a, b = (
+        LowerTriMatrix([data.draw(st.lists(ring, min_size=n + 1, max_size=n + 1)) for n in range(size)])
+        for _ in "ab"
+    )
+    assert _typed_rows(a * b) == _typed_rows(_tri_mul_by_loops(a, b))
+
+
+def _matrix_by_full_columns(array, size_n):
+    """Column k as the full series product g * f**k, every entry times its
+    prefactor: the matrix that RiordanArray.matrix replaced, kept as its
+    oracle."""
+    f = array.f.truncate(size_n)
+    cols = [array.g.truncate(size_n)]
+    for _ in range(size_n):
+        cols.append(cols[-1] * f)
+    return LowerTriMatrix(
+        [_normalize_entry(array._prefactor(n, k) * cols[k][n]) for k in range(n + 1)] for n in range(size_n + 1)
+    )
+
+
+def _outcome(build):
+    """A triangle's typed rows, or the NonIntegralEntry its build raised."""
+    try:
+        return _typed_rows(build())
+    except NonIntegralEntry as exc:
+        return str(exc)
+
+
+KINDS = [(Kind.ORDINARY, None), (Kind.EXPONENTIAL, None), (Kind.GENERALIZED, FACTORIAL_PAIR_WEIGHTS)]
+
+
+@given(st.sampled_from(KINDS), rings, st.data())
+def test_matrix_matches_the_full_column_products_and_entry(kind_weights, ring, data):
+    kind, weights = kind_weights
+    order = data.draw(st.integers(1, 7))
+    values = st.lists(ring, min_size=order, max_size=order)
+    lead = data.draw(ring.filter(bool))
+    g, f = S([1, *data.draw(values)]), S([0, lead, *data.draw(values)[1:]], order)
+    array = RiordanArray(g, f, kind, weights)
+    size_n = data.draw(st.integers(0, order))
+    want = _outcome(lambda: _matrix_by_full_columns(array, size_n))
+    assert _outcome(lambda: array.matrix(size_n)) == want
+    if not isinstance(want, str):
+        entries = LowerTriMatrix([array.entry(n, k) for k in range(n + 1)] for n in range(size_n + 1))
+        assert _typed_rows(entries) == want

@@ -102,6 +102,14 @@ def test_deeply_nested_expressions_are_parse_errors(capsys, alpha):
     assert err.startswith(f"error: --alpha: nesting exceeds the maximum depth {MAX_DEPTH} (at position ")
 
 
+def test_jf_prints_rational_weights_exactly(capsys):
+    # Only a literal followed by '/' makes a Fraction.
+    status, out, _ = run(capsys, ["jf", "--alpha", "1/2", "--beta", "0", "--N", "3"])
+    assert (status, out.split()) == (0, ["1", "1/2", "1/4", "1/8"])
+    status, out, _ = run(capsys, ["jf", "--alpha", "4/2", "--beta=-3/6", "--N", "3"])  # 8 - 3 paths of 2 * -1/2
+    assert (status, out.split()) == (0, ["1", "2", "7/2", "5"])
+
+
 def test_json_round_trip_symbolic(capsys, tmp_path):
     target = tmp_path / "doc.json"
     status, _, _ = run(
@@ -137,6 +145,17 @@ def test_json_round_trip_is_lossless_at_large_n(capsys, flavor):
     doc = parse_matrix_doc(out)
     expected = family_matrix(FamilySpec(Kind(flavor), R), "h", 100)
     assert [tuple(row) for row in doc.rows] == list(expected.rows)
+
+
+@pytest.mark.parametrize("r", [2**53 - 1, 2**53, -(2**53), 99999999999999999999])
+def test_json_round_trip_big_r(capsys, r):
+    # r is encoded as every integer is: a JSON number below 2^53, else a string.
+    status, out, _ = run(capsys, ["show", "--which", "h", "--N", "2", "--r", str(r), "--format", "json"])
+    assert status == 0
+    assert json.loads(out)["r"] == (r if abs(r) < 2**53 else str(r))
+    doc = parse_matrix_doc(out)
+    assert type(doc.r) is int and doc.r == r
+    assert doc.render("json") == out
 
 
 def test_json_round_trip_big_integers(capsys):
@@ -379,8 +398,9 @@ _RUN = (
 def test_show_and_jf_load_only_the_modules_they_run():
     # Without cached bytecode a request compiles every module it imports.
     # No show, export or jf request runs riordan.cold; verify does.  show
-    # runs no expression parser (riordan.expr), and jf no family.
-    unwanted = "'dataclasses', 'riordan.cold', 'riordan.verify', 'riordan.oeis', 'json', 'csv'"
+    # runs no expression parser (riordan.expr), and jf no family.  None of
+    # them makes a Fraction, so none loads fractions.
+    unwanted = "'dataclasses', 'fractions', 'riordan.cold', 'riordan.verify', 'riordan.oeis', 'json', 'csv'"
     show_first = _RUN + (
         "run('show', '--which', 'f', '--N', '4')\n"
         "run('show', '--flavor', 'exponential', '--r', '2', '--which', 'gamma', '--N', '4')\n"
@@ -402,9 +422,9 @@ def test_show_and_jf_load_only_the_modules_they_run():
 
 def test_check_commands_load_only_the_modules_they_run():
     # No fixture check (oeis-check, verify oeis) needs the group/props
-    # battery or riordan.cold; verify group needs both.  No check loads the
-    # show/jf output code (riordan.render) or the expression parser
-    # (riordan.expr).
+    # battery, riordan.cold or a Fraction; verify group needs all three.  No
+    # check loads the show/jf output code (riordan.render) or the expression
+    # parser (riordan.expr).
     code = (
         "import contextlib, io, sys\n"
         "import riordan.cli as cli\n"
@@ -412,7 +432,7 @@ def test_check_commands_load_only_the_modules_they_run():
         "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "        code = cli.main(list(argv))\n"
         "    lines = out.getvalue().splitlines()\n"
-        "    modules = ('riordan.battery', 'riordan.cold', 'riordan.render', 'riordan.expr')\n"
+        "    modules = ('riordan.battery', 'riordan.cold', 'riordan.render', 'riordan.expr', 'fractions')\n"
         "    loaded = [m for m in modules if m in sys.modules]\n"
         "    print(code, sum(line.startswith('[  ok]') for line in lines), lines[-1], loaded)\n"
         "run('oeis-check', 'A055151', 'A135278')\n"
@@ -424,7 +444,7 @@ def test_check_commands_load_only_the_modules_they_run():
         "0 2 [  ok] A055151: 66 entries over 11 rows match []",
         "0 1 [  ok] A001147: 11 entries over 11 rows match []",
         "0 12 12/12 checks passed []",
-        "0 10 10/10 checks passed ['riordan.battery', 'riordan.cold']",
+        "0 10 10/10 checks passed ['riordan.battery', 'riordan.cold', 'fractions']",
     ]
 
 

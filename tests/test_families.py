@@ -10,12 +10,12 @@ from riordan.cold import (
     RiordanArray,
     binomial_array,
     dense_family_triple,
-    f_closed,
+    f_closed_row,
     face_matrix,
     family_array,
-    gamma_closed,
+    gamma_closed_row,
     gamma_from_h,
-    h_closed,
+    h_closed_row,
     narayana_closed,
     pascal_matrix,
 )
@@ -53,26 +53,38 @@ def test_family_rows_are_pascal_like():
     assert h_matrix(ORD, 8).is_pascal_like()
     assert h_matrix(EXP, 8).is_pascal_like()
     assert h_matrix(FamilySpec(Kind.ORDINARY, 3), 8).is_pascal_like()
-    assert h_matrix(ORD, 8).entry(4, 1) == h_closed(4, 1) == 3 * R + 4
+    assert h_matrix(ORD, 8).entry(4, 1) == h_closed_row(4)[1] == 3 * R + 4
 
 
 def test_gamma_closed_examples():
-    assert gamma_closed(4, 1) == 3 * R
-    assert all(gamma_closed(n, 0) == 1 for n in range(10))
-    assert gamma_closed(4, 2) == R**2
-    assert gamma_closed(3, 2) == 0  # 2k > n falls outside the support
+    assert gamma_closed_row(4) == [1, 3 * R, R**2, 0, 0]
+    assert all(gamma_closed_row(n)[0] == 1 for n in range(10))
+    assert gamma_closed_row(3) == [1, 2 * R, 0, 0]  # 2k > n falls outside the support
 
 
 def test_h_closed_examples():
-    assert h_closed(2, 1) == R + 2
-    assert all(h_closed(n, 0) == 1 for n in range(10))
-    assert all(h_closed(n, n) == 1 for n in range(10))
+    assert h_closed_row(2) == [1, R + 2, 1]
+    assert all(h_closed_row(n)[0] == h_closed_row(n)[n] == 1 for n in range(10))
 
 
 def test_f_closed_examples():
-    assert f_closed(4, 0) == R**2 + 12 * R + 16
-    assert f_closed(3, 2) == 2 * R + 6
-    assert all(f_closed(n, n) == 1 for n in range(10))
+    assert f_closed_row(4)[0] == R**2 + 12 * R + 16
+    assert f_closed_row(3)[2] == 2 * R + 6
+    assert all(f_closed_row(n)[n] == 1 for n in range(10))
+
+
+def _h_entry(n, k, r):
+    """h[n,k] = sum_j C(k,j) C(n-j, n-k-j) r^j, one entry at a time: the
+    closed form's per-entry sum, kept as the oracle of its rows."""
+    return sum(comb(k, j) * comb(n - j, n - k - j) * r**j for j in range(k + 1) if j <= n - k)
+
+
+@given(st.sampled_from([R, 0, 1, -1, 3, R - 2, R * Y]), st.integers(0, 12))
+def test_closed_rows_match_their_entry_sums(r, n):
+    h = [_h_entry(n, k, r) for k in range(n + 1)]
+    assert h_closed_row(n, r) == h
+    assert f_closed_row(n, r) == [sum(h[i] * comb(i, k) for i in range(n + 1)) for k in range(n + 1)]
+    assert gamma_closed_row(n, r) == [comb(n - k, n - 2 * k) * r**k if 2 * k <= n else 0 for k in range(n + 1)]
 
 
 @pytest.mark.parametrize("rv", range(6))
@@ -179,11 +191,11 @@ CROSS_N = 60
 
 def test_ordinary_family_matches_its_closed_forms_at_large_n():
     h, gamma = h_matrix(ORD, CROSS_N), gamma_matrix(ORD, CROSS_N)
-    pairs = [(n, k) for n in range(CROSS_N + 1) for k in range(n + 1)]
-    assert all(h.entry(n, k) == h_closed(n, k) for n, k in pairs)
-    assert all(gamma.entry(n, k) == gamma_closed(n, k) for n, k in pairs)
-    # f_closed's double sum is too slow here; the face product is the oracle.
-    assert f_matrix(ORD, CROSS_N) == face_matrix(h)
+    assert all(list(h.rows[n]) == h_closed_row(n) for n in range(CROSS_N + 1))
+    assert all(list(gamma.rows[n]) == gamma_closed_row(n) for n in range(CROSS_N + 1))
+    f = f_matrix(ORD, CROSS_N)
+    assert all(list(f.rows[n]) == f_closed_row(n) for n in range(CROSS_N + 1))
+    assert f == face_matrix(h)
 
 
 def test_exponential_face_rows_are_a_fraction_at_large_n():

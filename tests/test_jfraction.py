@@ -1,9 +1,11 @@
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
+from canonical import typed_all
 from riordan.algebra import MultiPoly, R, Y
 from riordan.arrays import triangle_from_series
 from riordan.cold import binomial_transform, integer_coeffs
@@ -45,6 +47,35 @@ def test_binomial_transform_examples():
     assert binomial_transform([1, 0, 1, 0, 3], 1) == [1, 1, 2, 4, 10]
     data = [5, -1, 7, MultiPoly.const(3)]
     assert binomial_transform(data, 0) == data
+
+
+def _binomial_transform_by_sums(seq, k):
+    """b_n = sum_i C(n, i) k^(n-i) a_i, term by term over the powers of k:
+    the sum that the difference table replaced, kept as its oracle."""
+    powers = [MultiPoly.const(1)]  # powers[j] == k**j
+    for _ in range(1, len(seq)):
+        powers.append(powers[-1] * k)
+    out = []
+    for n in range(len(seq)):
+        acc = MultiPoly.coerce(seq[n])
+        for i in range(n):
+            acc = acc + comb(n, i) * powers[n - i] * seq[i]
+        out.append(acc)
+    return out
+
+
+# Values of one ring per example: int, Fraction or MultiPoly.
+rings = st.sampled_from([
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+    st.sampled_from([0, 1, -2, R, Y, Y + 1, R * Fraction(1, 2) - Y]),
+])
+
+
+@given(rings, st.data())
+def test_binomial_transform_matches_the_direct_sum(ring, data):
+    seq, k = data.draw(st.lists(ring, max_size=9)), data.draw(ring)
+    assert typed_all(binomial_transform(seq, k)) == typed_all(_binomial_transform_by_sums(seq, k))
 
 
 def test_transfer_examples():

@@ -5,21 +5,70 @@ import subprocess
 import sys
 from pathlib import Path
 
+from riordan.verify import FIXTURE_SOURCES
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 code_lines = runpy.run_path(str(SCRIPTS / "request_footprint.py"))["code_lines"]
 
 
-def test_request_footprint_lists_the_modules_of_an_oeis_check():
-    argv = [sys.executable, str(SCRIPTS / "request_footprint.py"), "--repeats", "1", "oeis-check", "A055151"]
+def _footprint(*request):
+    """The footprint script's riordan table, its quartile line and its
+    standard-library table, each as lines, for one run of the request."""
+    argv = [sys.executable, str(SCRIPTS / "request_footprint.py"), "--repeats", "1", *request]
     lines = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.splitlines()
-    assert lines[:2] == ["riordan oeis-check A055151", f"{'module':22s} {'code lines':>10s} {'compile ms':>10s}"]
-    modules = [line.split()[0] for line in lines[2:-1]]
+    quartiles = next(i for i, line in enumerate(lines) if line.startswith("per-run total compile ms"))
+    return lines[:quartiles], lines[quartiles], lines[quartiles + 1 :]
+
+
+def test_request_footprint_lists_the_modules_of_an_oeis_check():
+    table, quartiles, stdlib = _footprint("oeis-check", "A055151")
+    assert table[:2] == ["riordan oeis-check A055151", f"{'module':22s} {'code lines':>10s} {'compile ms':>10s}"]
+    modules = [line.split()[0] for line in table[2:]]
     assert {"riordan.oeis", "riordan.verify"} <= set(modules)
     assert "riordan.cold" not in modules
     assert modules[-1] == "total"
     # One run is one sample: its three quartiles are its total.
-    total = lines[-2].split()[-1]
-    assert lines[-1] == f"per-run total compile ms over 1 runs: q1 {total}, median {total}, q3 {total}"
+    total = table[-1].split()[-1]
+    assert quartiles == f"per-run total compile ms over 1 runs: q1 {total}, median {total}, q3 {total}"
+    # The standard library beyond a bare interpreter's: argparse, but no
+    # fractions, which no fixture check needs.
+    assert stdlib[0] == f"{'standard library':22s} {'import ms':>10s} {'cumul. ms':>10s}"
+    names = [line.split()[0] for line in stdlib[1:-1]]
+    assert "argparse" in names and "fractions" not in names
+    assert not [name for name in names if name.startswith("riordan")]
+    assert stdlib[-1].split()[0] == "total"
+
+
+def test_request_footprint_shows_what_a_fraction_costs():
+    _, _, stdlib = _footprint("jf", "--alpha", "1/2", "--beta", "0", "--N", "2")
+    times = {line.split()[0]: tuple(map(float, line.split()[1:])) for line in stdlib[1:-1]}
+    # fractions and what it imports, each listed before the module importing it.
+    assert list(times).index("decimal") < list(times).index("fractions")
+    assert {"numbers", "decimal"} < set(times)
+    assert all(0 <= own <= cumulative for own, cumulative in times.values())
+    own, cumulative = times["fractions"]
+    assert cumulative > own > 0
+    label, total = stdlib[-1].split()
+    assert label == "total" and abs(float(total) - sum(own for own, _ in times.values())) <= 0.005 * len(times)
+
+
+def _check_times(suite):
+    argv = [sys.executable, str(SCRIPTS / "check_times.py"), suite, "--repeats", "1"]
+    return subprocess.run(argv, capture_output=True, text=True, check=True).stdout.splitlines()
+
+
+def test_check_times_prints_each_check_of_the_suite():
+    lines = _check_times("oeis")
+    assert lines[:2] == ["riordan verify oeis: cold CPU ms per check, median over 1 runs", f"{'ms':>9s}  check"]
+    rows = [line.split(None, 1) for line in lines[2:-1]]
+    assert [name for _, name in rows] == [
+        f"oeis :: {anumber} regenerated from its construction" for anumber in FIXTURE_SOURCES
+    ]
+    total = sum(float(ms) for ms, _ in rows)
+    q1, median, q3 = (float(part.split()[-1]) for part in lines[-1].split(":", 1)[1].split(","))
+    assert lines[-1].startswith("per-run suite total CPU ms over 1 runs: q1 ")
+    # One run is one sample: its quartiles are its total, the sum of its checks.
+    assert q1 == median == q3 and abs(median - total) <= 0.01 * len(rows)
 
 
 def test_code_lines_skip_comments_docstrings_and_text_data(tmp_path):

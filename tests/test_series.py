@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from canonical import typed_all
 from riordan.algebra import MultiPoly, R, Y
 from riordan.cold import (
     NonIntegralResult,
@@ -140,6 +141,36 @@ def _exp_by_horner(s):
 )
 def test_exp_matches_its_definition(s):
     assert s.exp().coeffs == _exp_by_horner(s).coeffs
+
+
+def _exp_by_recurrence(s):
+    """n e_n = sum_k k f_k e_{n-k}, one Fraction product per term: the loop
+    that the Hurwitz form in TruncatedSeries.exp replaced, kept as its oracle."""
+    scaled = [(k, k * c) for k, c in enumerate(s) if k and c]
+    out = [1]
+    for n in range(1, s.order + 1):
+        acc = 0
+        for k, kc in scaled:
+            if k > n:
+                break
+            acc = acc + kc * out[n - k]
+        out.append(acc * Fraction(1, n))
+    return out
+
+
+# Coefficients of one ring per example: int, Fraction or MultiPoly.
+rings = st.sampled_from([
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+    st.sampled_from([0, 1, -2, R, Y, R - 1, R * Fraction(1, 2), Y * Fraction(-2, 3) + 1]),
+])
+
+
+@given(rings, st.data())
+def test_exp_matches_the_recurrence_it_replaced(ring, data):
+    order = data.draw(st.integers(0, 12))
+    s = S([0, *data.draw(st.lists(ring, min_size=order, max_size=order))])
+    assert typed_all(s.exp()) == typed_all(_exp_by_recurrence(s))
 
 
 def _compose_at_full_order(outer, inner):

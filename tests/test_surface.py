@@ -83,8 +83,8 @@ MOVED = {
     "UnsupportedKind WeightSequence binomial_array face_array face_matrix identity_array "
     "pascal_matrix series_from_triangle",
     ("series", "cold"): "NonIntegralResult NonUnitConstantTerm NonzeroConstantTerm ZeroLinearTerm egf_to_ogf integer_coeffs",
-    ("families", "cold"): "NotPalindromic dense_family_triple f_closed family_array gamma_closed gamma_from_h "
-    "h_closed narayana_array narayana_closed",
+    ("families", "cold"): "NotPalindromic dense_family_triple f_closed_row family_array gamma_closed_row "
+    "gamma_from_h h_closed_row narayana_array narayana_closed",
     ("jfraction", "cold"): "binomial_transform",
     ("cli", "cold"): "parse_matrix_doc",
     ("cli", "verify"): "add_oeis_check_arguments add_verify_arguments cmd_oeis_check cmd_verify",
