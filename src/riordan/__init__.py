@@ -24,7 +24,9 @@ subcommand), :mod:`~riordan.verify` (the fixture checks, the check suites
 and the ``verify`` and ``oeis-check`` subcommands), :mod:`~riordan.battery`
 (the group and props checks), :mod:`~riordan.render` (the ``show``,
 ``export`` and ``jf`` subcommands and their output formats),
-:mod:`~riordan.cli` (the ``riordan`` command's dispatcher).
+:mod:`~riordan.cli` (the ``riordan`` command's dispatcher and its
+option-table parser), :mod:`~riordan.usage` (the command's argparse
+parser, for help texts and usage errors).
 
 Importing the package imports none of them.  Each name in ``__all__`` is
 resolved on first use, from the one submodule that defines it, so a
@@ -35,8 +37,10 @@ fixture check either, is kept in :mod:`~riordan.cold`, the checks that no
 ``oeis-check`` request runs in
 :mod:`~riordan.battery`, the b-file code that only ``fetch-bfile`` runs in
 :mod:`~riordan.bfile`, the code that only ``show``, ``export`` and ``jf``
-run in :mod:`~riordan.render`, and the parser that only ``jf`` runs in
-:mod:`~riordan.expr`.  Each moved name imports only from its new module,
+run in :mod:`~riordan.render`, the parser that only ``jf`` runs in
+:mod:`~riordan.expr`, and argparse, which only help, usage errors and the
+spellings that only argparse takes (such as ``--N=6``) need, in
+:mod:`~riordan.usage`.  Each moved name imports only from its new module,
 except eight that the benchmark reads at their old paths
 (``arrays.RiordanArray``, ``arrays.face_matrix``, ``families.family_array``,
 ``families.gamma_from_h``, ``jfraction.parse_index_poly``,
@@ -99,6 +103,18 @@ def _lazy_names(namespace: dict, *exports: tuple[str, str]):
 
 
 __getattr__ = _lazy_names(globals(), *_EXPORTS)
+
+
+def _count(text: str) -> int:
+    """The type of an option that counts (``--N``, ``--limit``): an integer
+    of at least 0, else ValueError with the text of the usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise ValueError(f"must be at least 0, got {value}")
+    return value
 
 
 def _cold():

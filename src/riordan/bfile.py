@@ -18,6 +18,7 @@ import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
+from . import _count
 from .oeis import _normalize_anumber
 
 DEFAULT_BASE_URL = "https://oeis.org"
@@ -129,11 +130,13 @@ def fetch_bfile(
 # -- the command line's fetch-bfile subcommand -------------------------------
 
 
-def add_fetch_bfile_arguments(sub):
-    sub.add_argument("anumber")
-    sub.add_argument("--cache-dir", default=None)
-    sub.add_argument("--offline", action="store_true", help="only use the cache")
-    sub.add_argument("--limit", type="count", default=12, help="terms to print")
+def fetch_bfile_options():
+    return (
+        ("anumber", dict()),
+        ("--cache-dir", dict(default=None)),
+        ("--offline", dict(action="store_true", help="only use the cache")),
+        ("--limit", dict(type=_count, default=12, help="terms to print")),
+    )
 
 
 def cmd_fetch_bfile(args) -> int:

@@ -12,90 +12,129 @@ Subcommands:
 * ``fetch-bfile`` -- download (and cache) an OEIS b-file.
 
 Exit codes: 0 on success, 1 when a verification/comparison fails or a file
-cannot be read or written, 2 on usage or expression-parse errors.
+cannot be read or written, 2 on usage or expression-parse errors, and on
+any ValueError or IndexError a computation raises (see README).
 
 This module is only the dispatcher.  ``show``, ``export`` and ``jf`` are
 defined in :mod:`riordan.render`, ``verify`` and ``oeis-check`` in
 :mod:`riordan.verify`, ``fetch-bfile`` in :mod:`riordan.bfile`, and a
 request imports only its own subcommand's module: importing this one loads
-none of them.
+none of them.  Each of those modules declares its subcommands' options as
+data, (name, argparse keyword arguments) pairs, and :func:`main` parses a
+request from them without argparse (:func:`_parse`).  Only an argv that
+parser leaves (help, a usage error, or a spelling such as ``--N=6`` that
+only argparse takes) goes to the argparse parser that :mod:`riordan.usage`
+builds from the same tables, so only those requests load ``argparse``,
+``gettext`` and ``locale``.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from . import _lazy_names, _submodule
 
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
-
-
 # (name, help, the module that defines the subcommand, the function there
-# that adds its arguments, the function that runs it).  The functions are
+# that returns its options, the function that runs it).  The functions are
 # named, not referenced, so that a request imports only the module of the
 # subcommand it runs.
 _SUBCOMMANDS = (
-    ("show", "render a gamma/h/f triangle", "render", "_add_show_arguments", "cmd_show"),
-    ("export", "write a triangle to a file", "render", "_add_export_arguments", "cmd_show"),
-    ("jf", "expand a Jacobi continued fraction", "render", "_add_jf_arguments", "cmd_jf"),
-    ("verify", "run the verification suites", "verify", "add_verify_arguments", "cmd_verify"),
-    ("oeis-check", "check embedded OEIS fixtures", "verify", "add_oeis_check_arguments", "cmd_oeis_check"),
-    ("fetch-bfile", "download an OEIS b-file", "bfile", "add_fetch_bfile_arguments", "cmd_fetch_bfile"),
+    ("show", "render a gamma/h/f triangle", "render", "show_options", "cmd_show"),
+    ("export", "write a triangle to a file", "render", "export_options", "cmd_show"),
+    ("jf", "expand a Jacobi continued fraction", "render", "jf_options", "cmd_jf"),
+    ("verify", "run the verification suites", "verify", "verify_options", "cmd_verify"),
+    ("oeis-check", "check embedded OEIS fixtures", "verify", "oeis_check_options", "cmd_oeis_check"),
+    ("fetch-bfile", "download an OEIS b-file", "bfile", "fetch_bfile_options", "cmd_fetch_bfile"),
 )
 
 
-class _Subparser(argparse.ArgumentParser):
-    """A subcommand's parser, built when it first parses.
+class _Args:
+    """A request's options as attributes, as argparse's Namespace holds them."""
 
-    A request runs one subcommand, and building the parsers of all six
-    costs more than the rest of the parse.  Until it parses, the parser is
-    only a name in its parent's choices, which is all the parent's help and
-    usage errors read; its own help and errors are printed while it parses,
-    so every text reads as if all six had been built up front.  The
-    argument type ``"count"`` is :func:`_nonnegative_int`, for the modules
-    that cannot import this one.
-    """
-
-    def __init__(self, module: str, add_arguments: str, func: str, **kwargs):
-        # ArgumentParser.__init__ runs when the parser first parses.
-        self._pending = module, add_arguments, func, kwargs
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._pending is not None:
-            module, add_arguments, func, kwargs = self._pending
-            self._pending = None
-            super().__init__(**kwargs)
-            self.register("type", "count", _nonnegative_int)
-            home = vars(_submodule(module))
-            home[add_arguments](self)
-            self.set_defaults(func=home[func])
-        return super().parse_known_args(args, namespace)
+    def __init__(self, values: dict):
+        self.__dict__.update(values)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="riordan",
-        description="Exact Pascal-like triangle calculus: Riordan arrays, "
-        "continued fractions, OEIS cross-checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
-    for name, help_text, module, add_arguments, func in _SUBCOMMANDS:
-        sub.add_parser(name, help=help_text, module=module, add_arguments=add_arguments, func=func)
-    return parser
+def _convert(kw: dict, text: str):
+    """text as an option with argparse keywords kw takes it: converted by
+    its type and checked against its choices, else ValueError."""
+    value = kw["type"](text) if "type" in kw else text
+    if "choices" in kw and value not in kw["choices"]:
+        raise ValueError(f"invalid choice {value!r}")
+    return value
+
+
+def _positional(kw: dict, words: list[str]):
+    """The value of a positional argument (nargs None, '?' or '*') from its words."""
+    nargs = kw.get("nargs")
+    if nargs == "*":
+        return [_convert(kw, word) for word in words]
+    if len(words) > 1 or not words and nargs is None:
+        raise ValueError(f"{len(words)} positional words")
+    return _convert(kw, words[0]) if words else kw.get("default")
+
+
+def _values(options, argv: list[str]) -> dict:
+    """The options' values in a subcommand's argv, as argparse sets them,
+    for the argv that this parser takes; else ValueError.
+
+    It takes the positional words first, then the options, each named in
+    full and at most once, and each but a flag (``store_true``) followed by
+    a value that does not start with '-'; and every required option."""
+    split = next((i for i, arg in enumerate(argv) if arg.startswith("-")), len(argv))
+    words, values, flags = argv[:split], {}, {}
+    for name, kw in options:  # at most one positional argument
+        if name.startswith("-"):
+            flags[name] = kw
+            values[name[2:].replace("-", "_")] = False if kw.get("action") == "store_true" else kw.get("default")
+        else:
+            values[name], words = _positional(kw, words), []
+    if words:
+        raise ValueError(f"unexpected {words[0]!r}")
+    given = set()
+    args = iter(argv[split:])
+    for arg in args:
+        if arg not in flags or arg in given:
+            raise ValueError(f"not taken here: {arg!r}")
+        given.add(arg)
+        kw = flags[arg]
+        if kw.get("action") == "store_true":
+            value = True
+        elif (text := next(args, "-")).startswith("-"):
+            raise ValueError(f"{arg} without a value")
+        else:
+            value = _convert(kw, text)
+        values[arg[2:].replace("-", "_")] = value
+    if any(kw.get("required") and name not in given for name, kw in flags.items()):
+        raise ValueError("a required option is missing")
+    return values
+
+
+def _parse(argv: list[str]) -> _Args | None:
+    """The namespace argparse would parse from ``argv``, built from the
+    subcommand's option table without argparse; or None where argparse
+    must parse it: for help, a usage error, or a spelling that only
+    argparse takes (``--N=6``, an abbreviation, a repeated option, a value
+    that starts with '-')."""
+    entry = next((e for e in _SUBCOMMANDS if argv[:1] == [e[0]]), None)
+    if entry is None:
+        return None
+    name, _, module, options, func = entry
+    home = vars(_submodule(module))
+    try:
+        values = _values(home[options](), argv[1:])
+    except ValueError:
+        return None
+    return _Args({"command": name, "func": home[func], **values})
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = _parse(argv)
+    if args is None:
+        from .usage import parse_args
+
+        args = parse_args(argv, _SUBCOMMANDS)
     try:
         return args.func(args)
     except (ValueError, IndexError) as exc:  # ParseError is a ValueError

@@ -151,7 +151,7 @@ def series_exp(s: TruncatedSeries) -> TruncatedSeries:
                 break
             acc = acc + comb(n - 1, k - 1) * fk * hurwitz[n - k]
         hurwitz.append(acc)
-        out.append(acc * Fraction(1, factorial(n)))
+        out.append(tidy(acc * Fraction(1, factorial(n))))
     return _trusted(out)
 
 

@@ -12,11 +12,11 @@ for their formats.
 
 from __future__ import annotations
 
-import argparse
 import io
 import sys
 from pathlib import Path
 
+from . import _count
 from .algebra import MultiPoly, R
 from .record import Record
 from .series import tidy
@@ -125,7 +125,12 @@ def render_latex(rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- arguments -------------------------------------------------------------------
+# -- options ---------------------------------------------------------------------
+#
+# Each subcommand's options, as (name, argparse keyword arguments) pairs:
+# riordan.cli parses a request from them, and riordan.usage builds the
+# argparse parser of help texts and usage errors from the same pairs.  A type
+# raises ValueError with the text that follows "argument --X: ".
 
 
 def _r_value(text: str):
@@ -134,60 +139,46 @@ def _r_value(text: str):
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"--r takes an integer or the literal 'r', got {text!r}")
+        raise ValueError(f"--r takes an integer or the literal 'r', got {text!r}") from None
 
 
-class _Order(argparse.Action):
-    """Stores ``--N``, a ``"count"`` (the type the parser registers), if it
-    is at most MAX_N; a larger one is a usage error, as a bad count is."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        if value > MAX_N:
-            raise argparse.ArgumentError(self, f"must be at most MAX_N = {MAX_N}, got {value}")
-        setattr(namespace, self.dest, value)
+def _order(text: str) -> int:
+    """``--N``: a count of at most MAX_N."""
+    value = _count(text)
+    if value > MAX_N:
+        raise ValueError(f"must be at most MAX_N = {MAX_N}, got {value}")
+    return value
 
 
-def _add_show_arguments(sub: argparse.ArgumentParser):
+def show_options():
     from .families import POLYTOPE_NAMES
 
-    sub.add_argument(
-        "--family",
-        choices=("parametric",) + POLYTOPE_NAMES,
-        default="parametric",
-        help="triangle family (default: the parameterized family)",
+    family_help = "triangle family (default: the parameterized family)"
+    flavor_help = "flavor of the parameterized family (default ordinary)"
+    r_help = "parameter of the parameterized family: an integer or the literal 'r' for symbolic (default r)"
+    return (
+        ("--family", dict(choices=("parametric",) + POLYTOPE_NAMES, default="parametric", help=family_help)),
+        ("--flavor", dict(choices=("ordinary", "exponential"), help=flavor_help)),
+        ("--r", dict(type=_r_value, help=r_help)),
+        ("--which", dict(choices=("gamma", "h", "f"), required=True)),
+        ("--N", dict(type=_order, default=8, help=f"largest row index, at most {MAX_N} (default 8)")),
+        ("--reversed", dict(action="store_true", help="reverse every row")),
+        ("--format", dict(choices=FORMATS, default="table")),
     )
-    sub.add_argument(
-        "--flavor",
-        choices=("ordinary", "exponential"),
-        help="flavor of the parameterized family (default ordinary)",
-    )
-    sub.add_argument(
-        "--r",
-        type=_r_value,
-        help="parameter of the parameterized family: an integer or the "
-        "literal 'r' for symbolic (default r)",
-    )
-    sub.add_argument("--which", choices=("gamma", "h", "f"), required=True)
-    sub.add_argument(
-        "--N", type="count", action=_Order, default=8, help=f"largest row index, at most {MAX_N} (default 8)"
-    )
-    sub.add_argument("--reversed", action="store_true", help="reverse every row")
-    sub.add_argument("--format", choices=FORMATS, default="table")
 
 
-def _add_export_arguments(sub: argparse.ArgumentParser):
-    _add_show_arguments(sub)
-    sub.set_defaults(format="json")
-    sub.add_argument("--output", default="-", help="output path ('-' for stdout)")
+def export_options():
+    options = tuple((name, dict(kw, default="json") if name == "--format" else kw) for name, kw in show_options())
+    return options + (("--output", dict(default="-", help="output path ('-' for stdout)")),)
 
 
-def _add_jf_arguments(sub: argparse.ArgumentParser):
-    sub.add_argument("--alpha", required=True, help="level coefficients, e.g. '2*y+1'")
-    sub.add_argument("--beta", required=True, help="x^2 weights, e.g. 'i*r*y*(y+1)'")
-    sub.add_argument(
-        "--N", type="count", action=_Order, default=10, help=f"expansion order, at most {MAX_N} (default 10)"
+def jf_options():
+    return (
+        ("--alpha", dict(required=True, help="level coefficients, e.g. '2*y+1'")),
+        ("--beta", dict(required=True, help="x^2 weights, e.g. 'i*r*y*(y+1)'")),
+        ("--N", dict(type=_order, default=10, help=f"expansion order, at most {MAX_N} (default 10)")),
+        ("--format", dict(choices=FORMATS, default="table")),
     )
-    sub.add_argument("--format", choices=FORMATS, default="table")
 
 
 # -- subcommands -----------------------------------------------------------------

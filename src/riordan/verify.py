@@ -174,14 +174,13 @@ def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
 # -- the command line's check subcommands ------------------------------------------
 
 
-def add_verify_arguments(sub):
-    sub.add_argument("suite", nargs="?", default="all", choices=("all",) + SUITES)
-    # None stands for DEFAULT_SEED, so that cmd_verify can tell a given seed.
-    sub.add_argument("--seed", type=int)
+def verify_options():
+    # A --seed of None stands for DEFAULT_SEED, so that cmd_verify can tell a given seed.
+    return (("suite", dict(nargs="?", default="all", choices=("all",) + SUITES)), ("--seed", dict(type=int)))
 
 
-def add_oeis_check_arguments(sub):
-    sub.add_argument("anumber", nargs="*", help="A-numbers (default: all fixtures)")
+def oeis_check_options():
+    return (("anumber", dict(nargs="*", help="A-numbers (default: all fixtures)")),)
 
 
 def cmd_verify(args) -> int:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import riordan
-from riordan import cold, expr, families
+from riordan import cli, cold, expr, families
 from riordan.algebra import R
 from riordan.arrays import Kind, LowerTriMatrix
 from riordan.cli import main
@@ -399,8 +399,13 @@ def test_show_and_jf_load_only_the_modules_they_run():
     # Without cached bytecode a request compiles every module it imports.
     # No show, export or jf request runs riordan.cold; verify does.  show
     # runs no expression parser (riordan.expr), and jf no family.  None of
-    # them makes a Fraction, so none loads fractions.
-    unwanted = "'dataclasses', 'fractions', 'riordan.cold', 'riordan.verify', 'riordan.oeis', 'json', 'csv'"
+    # them makes a Fraction, so none loads fractions, and none needs help or
+    # a usage error, so none loads argparse (nor gettext and locale, which
+    # argparse loads).
+    unwanted = (
+        "'dataclasses', 'fractions', 'riordan.cold', 'riordan.verify', 'riordan.oeis', 'json', 'csv', "
+        "'argparse', 'gettext', 'locale', 'riordan.usage'"
+    )
     show_first = _RUN + (
         "run('show', '--which', 'f', '--N', '4')\n"
         "run('show', '--flavor', 'exponential', '--r', '2', '--which', 'gamma', '--N', '4')\n"
@@ -423,8 +428,9 @@ def test_show_and_jf_load_only_the_modules_they_run():
 def test_check_commands_load_only_the_modules_they_run():
     # No fixture check (oeis-check, verify oeis) needs the group/props
     # battery, riordan.cold or a Fraction; verify group needs all three.  No
-    # check loads the show/jf output code (riordan.render) or the expression
-    # parser (riordan.expr).
+    # check loads the show/jf output code (riordan.render), the expression
+    # parser (riordan.expr) or argparse, which with gettext and locale only
+    # help and usage errors load.
     code = (
         "import contextlib, io, sys\n"
         "import riordan.cli as cli\n"
@@ -432,7 +438,8 @@ def test_check_commands_load_only_the_modules_they_run():
         "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "        code = cli.main(list(argv))\n"
         "    lines = out.getvalue().splitlines()\n"
-        "    modules = ('riordan.battery', 'riordan.cold', 'riordan.render', 'riordan.expr', 'fractions')\n"
+        "    modules = ('riordan.battery', 'riordan.cold', 'riordan.render', 'riordan.expr', 'fractions',\n"
+        "               'argparse', 'gettext', 'locale', 'riordan.usage')\n"
         "    loaded = [m for m in modules if m in sys.modules]\n"
         "    print(code, sum(line.startswith('[  ok]') for line in lines), lines[-1], loaded)\n"
         "run('oeis-check', 'A055151', 'A135278')\n"
@@ -446,6 +453,51 @@ def test_check_commands_load_only_the_modules_they_run():
         "0 12 12/12 checks passed []",
         "0 10 10/10 checks passed ['riordan.battery', 'riordan.cold', 'fractions']",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["show", "--help"], 0), (["show", "--N", "3"], 2), (["jf", "--alpha", "0", "--N", "x"], 2)],
+)
+def test_help_and_usage_errors_load_argparse(argv, code):
+    run_usage = (
+        "import contextlib, io, sys\n"
+        "import riordan.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        f"        cli.main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        print(exc.code, file=sys.__stdout__)\n"
+        "print([m for m in ('argparse', 'gettext', 'locale', 'riordan.usage') if m in sys.modules])\n"
+    )
+    assert _fresh_interpreter(run_usage) == [str(code), "['argparse', 'gettext', 'locale', 'riordan.usage']"]
+
+
+# (a spelling of a request that only argparse takes, the spelling that the
+# option tables take)
+ARGPARSE_SPELLINGS = {
+    "equals": (["show", "--which", "f", "--N=6"], ["show", "--which", "f", "--N", "6"]),
+    "abbreviation": (
+        ["show", "--which", "h", "--N", "6", "--form", "table"],
+        ["show", "--which", "h", "--N", "6", "--format", "table"],
+    ),
+    "repeat": (["show", "--which", "gamma", "--which", "f", "--N", "6"], ["show", "--which", "f", "--N", "6"]),
+    "negative": (
+        ["show", "--flavor", "ordinary", "--r", "-1", "--which", "f", "--N", "6"],
+        ["show", "--family", "simplex", "--which", "f", "--N", "6"],
+    ),
+}
+
+
+@pytest.mark.parametrize("spelling, canonical", ARGPARSE_SPELLINGS.values(), ids=list(ARGPARSE_SPELLINGS))
+def test_spellings_only_argparse_takes_print_what_the_table_spelling_prints(capsys, spelling, canonical):
+    assert cli._parse(spelling) is None and cli._parse(canonical) is not None
+    status, out, err = run(capsys, canonical)
+    assert status == 0 and len(out.splitlines()) == 7 and err == ""
+    assert run(capsys, spelling) == (status, out, err)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(riordan.__path__[0]))
+    res = subprocess.run([sys.executable, "-m", "riordan", *spelling], env=env, capture_output=True, text=True)
+    assert (res.returncode, res.stdout, res.stderr) == (status, out, err)
 
 
 def test_the_package_resolves_its_public_names_lazily():

@@ -38,7 +38,7 @@ def outcome(build):
     return result, [type(e) for row in result.rows for e in row]
 
 
-coefficients = st.integers(-5, 5) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
+coefficients = st.integers(-5, 5) | st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
 
 
 def polys(r_degree, y_degrees):

@@ -30,11 +30,12 @@ def test_request_footprint_lists_the_modules_of_an_oeis_check():
     # One run is one sample: its three quartiles are its total.
     total = table[-1].split()[-1]
     assert quartiles == f"per-run total compile ms over 1 runs: q1 {total}, median {total}, q3 {total}"
-    # The standard library beyond a bare interpreter's: argparse, but no
-    # fractions, which no fixture check needs.
+    # The standard library beyond a bare interpreter's: neither argparse,
+    # which only help and usage errors need, nor fractions, which no fixture
+    # check needs.
     assert stdlib[0] == f"{'standard library':22s} {'import ms':>10s} {'cumul. ms':>10s}"
     names = [line.split()[0] for line in stdlib[1:-1]]
-    assert "argparse" in names and "fractions" not in names
+    assert "argparse" not in names and "fractions" not in names
     assert not [name for name in names if name.startswith("riordan")]
     assert stdlib[-1].split()[0] == "total"
 

@@ -87,10 +87,10 @@ MOVED = {
     "gamma_from_h h_closed_row narayana_array narayana_closed",
     ("jfraction", "cold"): "binomial_transform",
     ("cli", "cold"): "parse_matrix_doc",
-    ("cli", "verify"): "add_oeis_check_arguments add_verify_arguments cmd_oeis_check cmd_verify",
-    ("cli", "bfile"): "add_fetch_bfile_arguments cmd_fetch_bfile",
-    ("cli", "render"): "FORMATS MAX_N OutputDoc SAFE_INT _add_export_arguments _add_jf_arguments "
-    "_add_show_arguments _matrix_doc _r_value cmd_jf cmd_show render_csv render_latex render_table",
+    ("cli", "verify"): "cmd_oeis_check cmd_verify oeis_check_options verify_options",
+    ("cli", "bfile"): "cmd_fetch_bfile fetch_bfile_options",
+    ("cli", "render"): "FORMATS MAX_N OutputDoc SAFE_INT _matrix_doc _r_value cmd_jf cmd_show export_options "
+    "jf_options render_csv render_latex render_table show_options",
     ("jfraction", "expr"): "MAX_COEFF_BITS MAX_EXPONENT MAX_LITERAL_DIGITS ParseError _Parser _TOKEN "
     "_check_growth _growth parse_index_poly parse_poly",
     ("oeis", "bfile"): "BASE_URL_ENV BFile CACHE_DIR_ENV CacheMiss DEFAULT_BASE_URL MalformedLine "
