@@ -25,13 +25,15 @@ is imported only where a ``Fraction`` is made: a request with integer
 data never loads it, and every type test reaches it, through
 :func:`_is_scalar`, only after ``int`` and ``MultiPoly``.
 
-The row recurrence of the family triangles (``families._row_recurrence``)
-computes on packed integers: a polynomial is the list of its
-y-coefficients, each a polynomial p in r held as the int p(2^width)
-(``_pack``).  Substituting r = 2^width (Kronecker substitution) is a ring
-homomorphism, so each ring product is one big-int product (``_fma``), and p
-is read back from its balanced base-2^width digits (``_unpack``), exactly
-when every |coefficient| < 2^(width-1).
+The row recurrence of the shaped J-fractions, the family triangles' among
+them (``jfraction._row_recurrence``), computes on packed integers: a
+polynomial is the list of its y-coefficients, each a polynomial p in r held
+as the int p(2^width).  Substituting r = 2^width (Kronecker substitution)
+is a ring homomorphism.  A weight keeps its terms c r^i as pairs
+(c, width*i) (``_pack``), so its product with a packed polynomial is a
+small product and a shift per term (``_fma``), however far apart its
+powers of r are.  p is read back from its balanced base-2^width digits
+(``_unpack``), exactly when every |coefficient| < 2^(width-1).
 """
 
 from __future__ import annotations
@@ -260,11 +262,12 @@ def _is_scalar(value) -> bool:
     return isinstance(value, int) or isinstance(value, getattr(sys.modules.get("fractions"), "Fraction", ()))
 
 
-def _pack(poly: MultiPoly, width: int) -> list[int]:
-    """The y-coefficients of an integer-coefficient poly, each at r = 2^width."""
-    packed = [0] * (poly.degree("y") + 1)
+def _pack(poly: MultiPoly, width: int) -> list[list[tuple[int, int]]]:
+    """The y-coefficients of an integer-coefficient poly, each as the pairs
+    (c, width*i) of its terms c r^i: at r = 2^width, the sum of c << width*i."""
+    packed: list[list[tuple[int, int]]] = [[] for _ in range(poly.degree("y") + 1)]
     for (i, j), c in poly._terms.items():
-        packed[j] += c << (width * i)
+        packed[j].append((c, width * i))
     return packed
 
 
@@ -274,9 +277,18 @@ def _unpack(value: int, width: int) -> int | MultiPoly:
     half, mask = 1 << (width - 1), (1 << width) - 1
     if -half <= value < half:
         return value
-    terms: dict[Monomial, Scalar] = {}
     # A top digit at slot t makes |value| > 2^(width*t - 2).
-    for i in range((abs(value).bit_length() + 1) // width + 1):
+    slots = (abs(value).bit_length() + 1) // width + 1
+    if slots > 64:
+        # Many slots: add half to every slot, so that each balanced digit d
+        # is the unsigned slot d + half, and read the slots from the sum's
+        # bytes (the width is a whole number of bytes), in time linear in
+        # value's size; the digit loop below shifts all of value per digit.
+        size = width // 8
+        data = (value + int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")).to_bytes(slots * size, "little")
+        return _wrap({(i, 0): c for i in range(slots) if (c := int.from_bytes(data[i * size : (i + 1) * size], "little") - half)})
+    terms: dict[Monomial, Scalar] = {}
+    for i in range(slots):
         # The lowest balanced digit: the low bits, less 2^width from half up.
         c = value & mask
         value >>= width
@@ -288,13 +300,14 @@ def _unpack(value: int, width: int) -> int | MultiPoly:
     return _wrap(terms)  # nonzero int coefficients need no _trusted
 
 
-def _fma(out: list[int], p: list[int], q: list[int]) -> list[int]:
-    """out += p * q for packed polynomials, extending out as needed."""
+def _fma(out: list[int], p: list[list[tuple[int, int]]], q: list[int]) -> list[int]:
+    """out += p * q for p as _pack gives it and q packed, extending out as
+    needed."""
     out.extend([0] * (len(p) + len(q) - 1 - len(out)))
-    for i, c in enumerate(p):
-        if c:
-            end = i + len(q)
-            out[i:end] = map(add, out[i:end], map(c.__mul__, q))
+    for i, terms in enumerate(p):
+        end = i + len(q)
+        for c, shift in terms:
+            out[i:end] = map(add, out[i:end], map(shift.__rlshift__, map(c.__mul__, q)))
     return out
 
 

@@ -185,6 +185,7 @@ def _defining_equation(rng: random.Random) -> bool:
 
 
 _family = cache(family_triple)  # gamma/h/f rows shared by the checks that use them
+_fractions = cache(family_fractions)
 
 
 @_check("props", "simplex face matrix factors through the binomial array")
@@ -215,22 +216,19 @@ def _hypercube_factorization() -> bool:
     )
 
 
-def _expansion(spec: FamilySpec, pair: JFraction, order: int) -> TruncatedSeries:
-    """The series of one of the family's derived level pairs (a, b), by the
-    fraction route: 1/(1 - ax - bx^2) for the ordinary flavor, the J-fraction
-    with weights i*b for the exponential one."""
-    a, b = pair.alpha(0), pair.beta(0)
-    if spec.flavor is Kind.ORDINARY:
-        return TruncatedSeries.ratio([1], [1, -a, -b], order)
-    return JFraction(pair.alpha, IndexPoly.from_coeffs([0, b])).expand(order)
+def _walk_matches(spec: FamilySpec, which: str, order: int) -> bool:
+    """The walk of the family's ``which`` fraction gives its triangle, f in
+    reversed form, the orientation of the OEIS face triangles."""
+    frac, triangle = getattr(_fractions(spec), which), getattr(_family(spec, order), which)
+    if which == "f":
+        frac, triangle = frac.reversed(), triangle.reversed()
+    return arrays.triangle_from_series(frac.expand(order)) == triangle
 
 
 @_check("props", "ordinary family face GF (plain and reversed forms)")
 def _ordinary_face_gf() -> bool:
-    f = family_fractions(_ORD).f
-    plain = face_array(cold.family_array(_ORD, 12)).bgf(12) == _expansion(_ORD, f, 12)
-    reversed_rows = arrays.triangle_from_series(_expansion(_ORD, f.reversed(), 12))
-    return plain and reversed_rows == _family(_ORD, 12).f.reversed()
+    plain = face_array(cold.family_array(_ORD, 12)).bgf(12) == _fractions(_ORD).f.expand(12)
+    return plain and _walk_matches(_ORD, "f", 12)
 
 
 @_check("props", "ordinary family closed forms match the constructions")
@@ -251,35 +249,18 @@ def _ordinary_closed_forms() -> bool:
 
 @_check("props", "ordinary family GF chain reproduces gamma/h/f rows")
 def _ordinary_gf_chain() -> bool:
-    gamma, h, f = family_fractions(_ORD)
-    fam = _family(_ORD, 12)
-    return (
-        arrays.triangle_from_series(_expansion(_ORD, gamma, 12)) == fam.gamma
-        and arrays.triangle_from_series(_expansion(_ORD, h, 12)) == fam.h
-        and arrays.triangle_from_series(_expansion(_ORD, f.reversed(), 12)) == fam.f.reversed()
-    )
+    return all(_walk_matches(_ORD, which, 12) for which in ("gamma", "h", "f"))
 
 
 @_check("props", "exponential family reversed face rows match the fraction")
 def _exponential_weighted_fraction() -> bool:
-    specs = [FamilySpec(Kind.EXPONENTIAL, r) for r in (R, 0, 1, 2, 3)]
-    return all(
-        arrays.triangle_from_series(_expansion(spec, family_fractions(spec).f.reversed(), 10))
-        == _family(spec, 10).f.reversed()
-        for spec in specs
-    )
+    return all(_walk_matches(FamilySpec(Kind.EXPONENTIAL, r), "f", 10) for r in (R, 0, 1, 2, 3))
 
 
 @_check("props", "exponential family fraction triple (gamma, h, face)")
 def _exponential_fraction_triple() -> bool:
-    gamma, h, f = family_fractions(_EXP)
-    fam = _family(_EXP, 10)
-    return (
-        arrays.triangle_from_series(_expansion(_EXP, gamma, 10)) == fam.gamma
-        and arrays.triangle_from_series(_expansion(_EXP, h, 10)) == fam.h
-        and arrays.triangle_from_series(_expansion(_EXP, f.reversed(), 10)) == fam.f.reversed()
-        and fam == dense_family_triple(_EXP, 10)
-    )
+    walks = all(_walk_matches(_EXP, which, 10) for which in ("gamma", "h", "f"))
+    return walks and _family(_EXP, 10) == dense_family_triple(_EXP, 10)
 
 
 @_check("props", "aerated double factorial expansion")

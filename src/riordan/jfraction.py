@@ -16,17 +16,23 @@ and :meth:`JFraction.reversed` for rows read backwards).
 
 Expansion counts weighted Motzkin paths (Flajolet 1980): [x^n] sums, over
 the n-step paths from height 0 back to 0, the product of ``a_k`` per level
-step at height k and ``b_{k+1}`` per fall from height k+1 to k.
+step at height k and ``b_{k+1}`` per fall from height k+1 to k
+(:meth:`JFraction.expand`, the walk, O(N^2) height-steps).  Two shapes need
+only O(N) rows, a three-term recurrence on packed integers: a fraction that
+stops at level 1 (alpha(1) = beta(2) = 0) and the Hermite fraction (alpha
+free of i, beta = i*b).  :meth:`JFraction.rows` picks the engine from the
+fraction's shape, for ``jf`` and the family triangles alike.
 """
 
 from __future__ import annotations
 
+from math import lcm
 from typing import NamedTuple, Sequence, Union
 
 from . import _lazy_names
-from .algebra import MultiPoly, Y
+from .algebra import MultiPoly, Y, _fma, _pack, _unpack
 from .record import Frozen
-from .series import TruncatedSeries
+from .series import TruncatedSeries, tidy
 
 PolyLike = Union[int, "Fraction", MultiPoly]
 
@@ -145,6 +151,24 @@ class JFraction(NamedTuple):
             coeffs.append(t[0])
         return TruncatedSeries(coeffs)
 
+    def rows(self, order: int) -> list[list]:
+        """Rows 0..order of the expansion, row n the y-coefficients of [x^n]
+        up to its last nonzero one: each an int, a Fraction or a MultiPoly in r.
+
+        Two shapes of fraction expand by a three-term row recurrence
+        (:func:`_row_recurrence`) with a = alpha(0) and b = beta(1):
+        alpha(1) = beta(2) = 0 stops the fraction at level 1, so its GF is
+        1/(1 - ax - bx^2) (c_n = 1); alpha free of i and beta = i*b is the
+        Hermite fraction, the OGF of the EGF exp(ax + bx^2/2) (c_n = n - 1).
+        Every other fraction takes the walk (:meth:`expand`).
+        """
+        alpha, beta = self
+        if not alpha(1) and not beta(2):
+            return _row_recurrence(alpha(0), beta(1), False, order)
+        if not alpha.degree() and beta.degree() <= 1 and not beta(0):
+            return _row_recurrence(alpha(0), beta(1), True, order)
+        return [[tidy(c) for c in MultiPoly.coerce(s).y_coefficients()] for s in self.expand(order)]
+
     def binomial_shift(self, k: PolyLike) -> JFraction:
         """The k-th binomial transform: every alpha shifted by k."""
         return JFraction(self.alpha + MultiPoly.coerce(k), self.beta)
@@ -182,6 +206,41 @@ class JFraction(NamedTuple):
         rows y^n p_n(1/y), read backwards.  Needs deg_y alpha <= 1 and
         deg_y beta <= 2 (ValueError otherwise)."""
         return JFraction(_reflect(self.alpha, 1, "alpha"), _reflect(self.beta, 2, "beta"))
+
+
+def _row_recurrence(a: MultiPoly, b: MultiPoly, hermite: bool, order: int) -> list[list]:
+    """Rows 0..order of P_n = a P_{n-1} + c_n b P_{n-2}, P_0 = 1, P_1 = a,
+    with c_n = n - 1 if ``hermite`` and 1 otherwise, as :meth:`JFraction.rows`
+    returns them.
+
+    The rows run on packed integers (see :mod:`riordan.algebra`), on D a
+    and D^2 b for the common denominator D of a and b, so row n is D^n
+    times the true one.  Run first on the sums of absolute coefficients of
+    those weights, the recurrence bounds every coefficient of every row;
+    the slot width is that bound's bits and a sign bit, in whole bytes.
+    """
+    den = lcm(*(c.denominator for p in (a, b) for _, c in p.items()))
+    a, b = a * den, b * den**2
+
+    def rows(a, b):
+        out = [[1], _fma([], a, [1])]
+        for n in range(2, order + 1):
+            out.append(_fma(_fma([], a, out[-1]), [[((n - 1) * c, s) for c, s in t] for t in b] if hermite else b, out[-2]))
+        return out[: order + 1]
+
+    bound = max(row[0] for row in rows(*([[(sum(abs(c) for _, c in p.items()), 0)]] for p in (a, b))))
+    width = (bound.bit_length() + 8) // 8 * 8
+    out = []
+    for n, row in enumerate(rows(_pack(a, width), _pack(b, width))):
+        while len(row) > 1 and not row[-1]:
+            row.pop()
+        polys = {v: _unpack(v, width) for v in set(row)}  # h rows are palindromes
+        if den != 1:
+            from fractions import Fraction
+
+            polys = {v: tidy(p * Fraction(1, den**n)) for v, p in polys.items()}
+        out.append([polys[v] for v in row])
+    return out
 
 
 def _reflect(p: IndexPoly, degree: int, name: str) -> IndexPoly:

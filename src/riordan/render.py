@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import _count
-from .algebra import MultiPoly, R
+from .algebra import R
 from .record import Record
 from .series import tidy
 
@@ -26,8 +26,8 @@ SAFE_INT = 2**53  # larger integers are emitted as JSON strings
 FORMATS = ("table", "json", "csv", "latex")
 
 # The largest --N of show, export and jf: at N = 100 the dearest measured
-# request (a jf expansion with symbolic r) takes about 6 s, and cost grows
-# steeply with N (see README).
+# request (a jf expansion whose fraction takes the walk, with symbolic r)
+# takes about 6 s, and cost grows steeply with N (see README).
 MAX_N = 100
 
 
@@ -239,14 +239,9 @@ def cmd_jf(args) -> int:
         except ParseError as exc:
             raise ValueError(f"--{option}: {exc}") from None
     alpha, beta = weights
-    series = JFraction(alpha, beta).expand(args.N)
-    rows = []
-    for n in range(args.N + 1):
-        poly = MultiPoly.coerce(series[n])
-        rows.append([tidy(c) for c in poly.y_coefficients()])
     doc = OutputDoc(
         kind="series",
-        rows=rows,
+        rows=JFraction(alpha, beta).rows(args.N),
         size=args.N,
         extra={"alpha": str(alpha), "beta": str(beta)},
     )

@@ -32,6 +32,19 @@ GOLDEN_CASES = {
     "exponential_face_r2_reversed.txt": ["show", "--flavor", "exponential", "--r", "2", "--which", "f", "--N", "4", "--reversed"],
 }
 
+# jf expansions, one per engine a fraction's shape picks: the Hermite shape
+# (exp-face), the Motzkin walk (const-face), a fraction that stops at level 1,
+# and a rational Hermite fraction; each in table and latex.
+_JF_FRACTIONS = {
+    "exp_face": ("2*y+1", "i*r*y*(y+1)"),
+    "const_face": ("2*y+1", "r*y*(y+1)"),
+    "level_one": ("1-i", "r*y*(2-i)"),
+    "rational_hermite": ("1/2*y", "1/3*i*r"),
+}
+for _name, (_alpha, _beta) in _JF_FRACTIONS.items():
+    for _fmt, _suffix in (("table", ""), ("latex", "_latex")):
+        GOLDEN_CASES[f"jf_{_name}{_suffix}.txt"] = ["jf", "--alpha", _alpha, "--beta", _beta, "--N", "9", "--format", _fmt]
+
 # Help texts and usage errors, rendered by usage_text at COLUMNS=80 (argparse
 # of Python 3.11).
 USAGE_CASES = {

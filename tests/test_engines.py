@@ -1,32 +1,31 @@
-"""The row recurrence on packed integers against the MultiPoly loop it
-replaced, a Kronecker certificate of the symbolic triangles at large N
-against the Riordan route, and the Motzkin walk at large N against the row
-recurrence."""
+"""The engines of JFraction.rows against the Motzkin walk (JFraction.expand)
+they replace: on hypothesis-drawn fractions of each shape and near misses,
+on the family fractions, and through the CLI, where ``jf`` of a family's
+fraction prints the rows ``show`` prints; a Kronecker certificate of the
+symbolic triangles at large N against the Riordan route; and a pin of which
+requests take the walk."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from canonical import typed_all
 from riordan.algebra import MultiPoly, R, Y
 from riordan.arrays import Kind, triangle_from_series
+from riordan.cli import main
 from riordan.cold import dense_family_triple
 from riordan.families import FamilySpec, family_fractions, family_triple, family_matrix
 from riordan.jfraction import IndexPoly, JFraction
-from riordan.series import TruncatedSeries
+from riordan.series import tidy
 
 FLAVORS = (Kind.ORDINARY, Kind.EXPONENTIAL)
 
 
 def oracle_rows(spec, which, size_n):
-    """The row recurrence on MultiPoly entries, as the engine ran before."""
-    pair = getattr(family_fractions(spec), which)
-    a, b = pair.alpha(0), pair.beta(0)
-    rows = [MultiPoly.const(1), a]
-    for n in range(2, size_n + 1):
-        c = 1 if spec.flavor is Kind.ORDINARY else n - 1
-        rows.append(a * rows[-1] + c * b * rows[-2])
-    return triangle_from_series(TruncatedSeries(rows[: size_n + 1]))
+    """The walk on the family's fraction."""
+    return triangle_from_series(getattr(family_fractions(spec), which).expand(size_n))
 
 
 def outcome(build):
@@ -72,14 +71,10 @@ def test_a_slot_holds_a_coefficient_as_large_as_the_bound(weight, scale):
 CERTIFIED_N = {Kind.ORDINARY: 100, Kind.EXPONENTIAL: 70}
 
 
-def _row_sums(spec, which, size_n):
-    """The rows at r = y = 1: the recurrence of the pair's values there."""
-    pair = getattr(family_fractions(spec), which)
-    a, b = (p(0).substitute(r=1, y=1).constant_value() for p in pair)
-    sums = [1, a]
-    for n in range(2, size_n + 1):
-        sums.append(a * sums[-1] + (1 if spec.flavor is Kind.ORDINARY else n - 1) * b * sums[-2])
-    return sums
+def _row_sums(frac, size_n):
+    """The rows at r = y = 1, by the walk."""
+    at_one = JFraction(*(IndexPoly.from_coeffs([c.substitute(r=1, y=1) for c in p.coeffs]) for p in frac))
+    return [MultiPoly.coerce(s).constant_value() for s in at_one.expand(size_n)]
 
 
 @pytest.mark.parametrize("flavor", FLAVORS, ids=[f.value for f in FLAVORS])
@@ -89,7 +84,7 @@ def test_kronecker_certificate_at_large_n(flavor):
     # Riordan route at that one integer fixes every coefficient.
     size_n = CERTIFIED_N[flavor]
     symbolic = family_triple(FamilySpec(flavor, R), size_n)
-    bits = 1 + max(max(_row_sums(FamilySpec(flavor, R), which, size_n)) for which in ("gamma", "h", "f")).bit_length()
+    bits = 1 + max(max(_row_sums(frac, size_n)) for frac in family_fractions(FamilySpec(flavor, R))).bit_length()
     dense = dense_family_triple(FamilySpec(flavor, 2**bits), size_n)
     for sym, den in zip(symbolic, dense):
         for sym_row, den_row in zip(sym.rows, den.rows):
@@ -99,15 +94,90 @@ def test_kronecker_certificate_at_large_n(flavor):
                 assert sum(c << (bits * i) for (i, _), c in terms) == value
 
 
-# The Motzkin walk (JFraction.expand) at large order against the packed row
-# recurrence, a different algorithm with its own slot bound: the exponential
-# family's fractions (1, i r y), (1 + y, i r y) and (2 + y, i r (1 + y)).
-MOTZKIN_N = {"gamma": 100, "h": 60, "f": 60}
+# The walk at large order against the row recurrence, a different algorithm
+# with its own slot bound, on each flavour's gamma, h and f fractions.
+MOTZKIN_N = {Kind.EXPONENTIAL: {"gamma": 100, "h": 60, "f": 60}, Kind.ORDINARY: {"gamma": 40, "h": 40, "f": 40}}
 
 
-@pytest.mark.parametrize("which", sorted(MOTZKIN_N))
+@pytest.mark.parametrize("which", ["f", "gamma", "h"])
 def test_motzkin_walk_matches_the_row_recurrence_at_large_n(which):
-    spec = FamilySpec(Kind.EXPONENTIAL, R)
-    pair = getattr(family_fractions(spec), which)
-    walk = JFraction(pair.alpha, IndexPoly.from_coeffs([0, pair.beta(0)])).expand(MOTZKIN_N[which])
-    assert triangle_from_series(walk) == family_matrix(spec, which, MOTZKIN_N[which])
+    for flavor, sizes in MOTZKIN_N.items():
+        spec = FamilySpec(flavor, R)
+        walk = getattr(family_fractions(spec), which).expand(sizes[which])
+        assert triangle_from_series(walk) == family_matrix(spec, which, sizes[which])
+
+
+# -- the shape routes of JFraction.rows against the walk ------------------------
+
+I = IndexPoly.index()
+weights = polys(2, [0, 1, 2])  # signed, rational and y-dependent, zero included
+nonzero = weights.map(lambda p: p or MultiPoly.const(1))
+# alpha(1) = beta(2) = 0: the fraction stops at level 1, whatever its other terms.
+level_one = st.builds(
+    lambda a, b, e, g: JFraction((-I + 1) * a + (I * I - I) * e, (-I + 2) * b + (I * I - 2 * I) * g),
+    weights, weights, weights, weights,
+)
+hermite = st.builds(lambda a, b: JFraction(IndexPoly.constant(a), I * b), weights, weights)
+near_misses = st.one_of(
+    st.builds(lambda a, b, d: JFraction((-I + 1) * a + d, (-I + 2) * b), weights, weights, nonzero),  # alpha(1) = d
+    st.builds(lambda a, b, c: JFraction(IndexPoly.constant(a), I * b + c), weights, weights, nonzero),  # beta(0) = c
+    st.builds(lambda a, b, d: JFraction(IndexPoly.constant(a), I * b + I * I * d), weights, weights, nonzero),
+)
+
+
+def walk_rows(frac, order):
+    return [[tidy(c) for c in MultiPoly.coerce(s).y_coefficients()] for s in frac.expand(order)]
+
+
+@given(st.one_of(level_one, hermite, near_misses), st.integers(0, 10))
+@example(JFraction(IndexPoly.constant(0), I), 6)  # the aerated double factorials
+@example(JFraction(-I + 1, (-I + 2) * (R * Y)), 6)  # the ordinary family's gamma fraction
+# Sparse weights of high degree in r: entries of more than 64 slots.
+@example(JFraction(IndexPoly.constant(Y - 3), I * (2**64 * R - R**30)), 12)
+@example(JFraction((-I + 1) * (R**40 + 1), (-I + 2) * (Fraction(1, 3) * R * Y - 2**70 * R**33)), 12)
+def test_rows_match_the_walk(frac, order):
+    assert [typed_all(row) for row in frac.rows(order)] == [typed_all(row) for row in walk_rows(frac, order)]
+
+
+def _cli_rows(capsys, argv):
+    assert main(argv + ["--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["rows"]
+
+
+@pytest.mark.parametrize("flavor", [k.value for k in FLAVORS])
+@pytest.mark.parametrize("which, reversed_form", [("gamma", False), ("h", False), ("f", False), ("f", True)])
+def test_jf_of_a_family_fraction_prints_the_rows_show_prints(capsys, flavor, which, reversed_form):
+    # The fraction reaches jf as IndexPoly.__str__ renders it.
+    frac = getattr(family_fractions(FamilySpec(Kind(flavor), R)), which)
+    if reversed_form:
+        frac = frac.reversed()
+    show = _cli_rows(capsys, ["show", "--flavor", flavor, "--which", which, "--N", "12"] + ["--reversed"] * reversed_form)
+    for row in show:  # a gamma row is padded to n + 1 entries with zeros
+        while len(row) > 1 and row[-1] == 0:
+            row.pop()
+    assert _cli_rows(capsys, ["jf", "--alpha", str(frac.alpha), "--beta", str(frac.beta), "--N", "12"]) == show
+
+
+JF_TEMPLATES = {
+    "exp-face": ("2*y+1", "i*r*y*(y+1)"),
+    "exp-h": ("y+1", "i*r*y"),
+    "exp-gamma": ("1", "i*r*y"),
+    "perm-face": ("(i+1)*(2*y+1)", "i*(i+1)*y*(y+1)"),
+    "const-face": ("2*y+1", "r*y*(y+1)"),
+}
+WALKS = {  # JFraction.expand calls per request; the benchmark's sizes cannot tell them apart
+    **{f"show {family}": (["show", "--which", "f", "--N", "16"] + extra, 0) for family, extra in (
+        ("ordinary", []), ("exponential", ["--flavor", "exponential"]),
+        ("simplex", ["--family", "simplex"]), ("hypercube", ["--family", "hypercube"]))},
+    **{f"show {name}": (["show", "--family", name, "--which", "f", "--N", "16"], 1) for name in ("associahedron", "permutahedron")},
+    **{f"jf {name}": (["jf", "--alpha", a, "--beta", b, "--N", "16"], int(not name.startswith("exp"))) for name, (a, b) in JF_TEMPLATES.items()},
+}
+
+
+@pytest.mark.parametrize("argv, walks", WALKS.values(), ids=list(WALKS))
+def test_each_request_takes_the_walk_only_where_no_shape_fits(capsys, monkeypatch, argv, walks):
+    calls = []
+    walk = JFraction.expand
+    monkeypatch.setattr(JFraction, "expand", lambda frac, order: calls.append(order) or walk(frac, order))
+    assert main(argv) == 0
+    assert len(calls) == walks

@@ -132,8 +132,7 @@ def test_gamma_from_h_examples():
 
 
 def test_gf_chain_collapses_at_r_zero():
-    # With b = 0 the one-level fraction 1/(1 - ax - bx^2) and the J-fraction
-    # of the pair (a, b) are both 1/(1 - ax).
+    # With b = 0 the fraction (a(1 - i); b(2 - i)) is 1/(1 - ax).
     gamma, h, f = family_fractions(FamilySpec(Kind.ORDINARY, 0))
     assert gamma.beta.is_zero() and h.beta.is_zero() and f.beta.is_zero()
     assert gamma.expand(8) == TruncatedSeries.ratio([1], [1, -1], 8)
@@ -168,9 +167,12 @@ def test_maps_derive_the_classical_fraction_triples():
         _fraction([Y + 1, Y + 1], [0, Y, Y]),
         _fraction([2 * Y + 1, 2 * Y + 1], [0, Y * (Y + 1), Y * (Y + 1)]),
     )
+    # The ordinary family's fractions (a(1 - i); b(2 - i)) stop at level 1;
+    # the exponential family's (a; i b) are Hermite fractions.
     for r in (R, 0, -1, 3):
-        pairs = (_fraction([1], [r * Y]), _fraction([Y + 1], [r * Y]), _fraction([Y + 2], [r * (Y + 1)]))
-        assert all(family_fractions(FamilySpec(flavor, r)) == pairs for flavor in FLAVORS)
+        pairs = ((1, r * Y), (Y + 1, r * Y), (Y + 2, r * (Y + 1)))
+        assert family_fractions(FamilySpec(Kind.ORDINARY, r)) == tuple(_fraction([a, -a], [2 * b, -b]) for a, b in pairs)
+        assert family_fractions(FamilySpec(Kind.EXPONENTIAL, r)) == tuple(_fraction([a], [0, b]) for a, b in pairs)
 
 
 LARGE_N = 40  # far beyond the 9-11 rows that the OEIS fixtures reach
