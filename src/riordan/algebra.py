@@ -26,14 +26,16 @@ data never loads it, and every type test reaches it, through
 :func:`_is_scalar`, only after ``int`` and ``MultiPoly``.
 
 The row recurrence of the shaped J-fractions, the family triangles' among
-them (``jfraction._row_recurrence``), computes on packed integers: a
-polynomial is the list of its y-coefficients, each a polynomial p in r held
-as the int p(2^width).  Substituting r = 2^width (Kronecker substitution)
-is a ring homomorphism.  A weight keeps its terms c r^i as pairs
-(c, width*i) (``_pack``), so its product with a packed polynomial is a
-small product and a shift per term (``_fma``), however far apart its
-powers of r are.  p is read back from its balanced base-2^width digits
-(``_unpack``), exactly when every |coefficient| < 2^(width-1).
+them (``jfraction._row_recurrence``), computes on packed integers when its
+rows fill at least half of their slots of at most 2048 bits: a polynomial
+is the list of its y-coefficients, each a polynomial p in r held as the int
+p(2^width).
+Substituting r = 2^width (Kronecker substitution) is a ring homomorphism.
+A weight keeps its terms c r^i as pairs (c, width*i) (``_pack``), so its
+product with a packed polynomial is a small product and a shift per term
+(``_fma``), however far apart its powers of r are.  p is read back from its
+balanced base-2^width digits (``_unpack``), exactly when every
+|coefficient| < 2^(width-1).
 """
 
 from __future__ import annotations
@@ -283,7 +285,11 @@ def _unpack(value: int, width: int) -> int | MultiPoly:
         # Many slots: add half to every slot, so that each balanced digit d
         # is the unsigned slot d + half, and read the slots from the sum's
         # bytes (the width is a whole number of bytes), in time linear in
-        # value's size; the digit loop below shifts all of value per digit.
+        # value's size.  The digit loop below shifts all of value per digit
+        # but has less overhead: measured, it is 1.5-2x faster at 16 slots of
+        # 16-512 bits, the lead changes sides between 32 and 96 slots (the
+        # wider the slots, the sooner), and the bytes are 1.3-4x faster from
+        # 96 slots of 128 bits or more.
         size = width // 8
         data = (value + int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")).to_bytes(slots * size, "little")
         return _wrap({(i, 0): c for i in range(slots) if (c := int.from_bytes(data[i * size : (i + 1) * size], "little") - half)})

@@ -16,8 +16,8 @@ paper's maps on J-fractions (:meth:`JFraction.gamma_to_h`,
 family's gamma fraction (1 - i; ry(2 - i)) stops at level 1, so its GF is
 1/(1 - x - ry x^2); the exponential family's (1; i ry) is the Hermite
 fraction, the OGF of the EGF exp(x + ry x^2/2).  The maps keep both shapes,
-and :meth:`JFraction.rows` expands either shape by its three-term row
-recurrence on packed integers.  The Riordan route -- the array's matrix, the
+and :meth:`JFraction.triangle` expands either shape by its three-term row
+recurrence.  The Riordan route -- the array's matrix, the
 face product and gamma extraction -- is kept as their oracle
 (:func:`~riordan.cold.dense_family_triple`); so is the Motzkin walk
 (:meth:`JFraction.expand`), which expands every fraction of another shape.
@@ -36,7 +36,7 @@ so they take the row recurrences too.  The associahedron (type A) and the
 permutahedron store a gamma J-fraction each, whose derived expansions hit
 well-known OEIS triangles (:func:`named_triple`); theirs fit neither shape,
 so they take the walk.  :func:`family_matrix` takes every triangle from its
-fraction's rows.
+fraction (:meth:`JFraction.triangle`).
 
 No ``show``, ``export`` or ``jf`` request runs the oracles -- the
 family's Riordan array, the Riordan route, gamma extraction, the closed
@@ -52,7 +52,7 @@ from typing import NamedTuple, Union
 
 from . import _lazy_names
 from .algebra import MultiPoly, R, Y
-from .arrays import Kind, LowerTriMatrix, triangle_from_rows
+from .arrays import Kind, LowerTriMatrix
 from .jfraction import IndexPoly, JFraction
 from .record import Frozen
 
@@ -112,7 +112,7 @@ def gamma_matrix(spec: FamilySpec, size_n: int) -> LowerTriMatrix:
 
 
 def family_triple(spec: FamilySpec, size_n: int) -> GammaHFTriple:
-    return GammaHFTriple(*(_triangle(frac, size_n) for frac in family_fractions(spec)))
+    return GammaHFTriple(*(frac.triangle(size_n) for frac in family_fractions(spec)))
 
 
 # -- named polytope triples ----------------------------------------------------
@@ -147,15 +147,7 @@ def family_matrix(family: FamilySpec | str, which: str, size_n: int) -> LowerTri
     """
     spec = POLYTOPE_SPECS.get(family, family)
     fractions = named_triple(spec) if isinstance(spec, str) else family_fractions(spec)
-    return _triangle(getattr(fractions, which), size_n)
-
-
-def _triangle(frac: JFraction, size_n: int) -> LowerTriMatrix:
-    """Rows 0..size_n of the fraction as a triangle.  Only a fraction with a
-    non-integer coefficient can have non-integer rows, so only its triangle
-    checks every entry."""
-    rational = any(type(c) is not int for p in frac for m in p.coeffs for _, c in m.items())
-    return triangle_from_rows(frac.rows(size_n), normalize=rational)
+    return getattr(fractions, which).triangle(size_n)
 
 
 # perfbench/tracer.py's Tracer.install() wraps these two by looking them up

@@ -17,6 +17,7 @@ from riordan.arrays import Kind, triangle_from_series
 from riordan.cli import main
 from riordan.cold import dense_family_triple
 from riordan.families import FamilySpec, family_fractions, family_triple, family_matrix
+from riordan import jfraction
 from riordan.jfraction import IndexPoly, JFraction
 from riordan.series import tidy
 
@@ -132,11 +133,37 @@ def walk_rows(frac, order):
 @given(st.one_of(level_one, hermite, near_misses), st.integers(0, 10))
 @example(JFraction(IndexPoly.constant(0), I), 6)  # the aerated double factorials
 @example(JFraction(-I + 1, (-I + 2) * (R * Y)), 6)  # the ordinary family's gamma fraction
-# Sparse weights of high degree in r: entries of more than 64 slots.
+# Sparse weights of high degree in r: rows on MultiPoly.
 @example(JFraction(IndexPoly.constant(Y - 3), I * (2**64 * R - R**30)), 12)
 @example(JFraction((-I + 1) * (R**40 + 1), (-I + 2) * (Fraction(1, 3) * R * Y - 2**70 * R**33)), 12)
+# Dense rows of high degree in r: packed entries of more than 64 slots.
+@example(JFraction(IndexPoly.constant(Y - 3), I * (2**64 * R**3 - R**4)), 34)
+@example(JFraction((-I + 1) * (R**3 + 1), (-I + 2) * (R * Y - 2**70 * R**2)), 24)
 def test_rows_match_the_walk(frac, order):
     assert [typed_all(row) for row in frac.rows(order)] == [typed_all(row) for row in walk_rows(frac, order)]
+
+
+EXP_R = family_fractions(FamilySpec(Kind.EXPONENTIAL, R))
+ORD_R = family_fractions(FamilySpec(Kind.ORDINARY, R))
+PACKING = {  # fraction, order, whether its rows run packed
+    "sparse hermite": (JFraction(IndexPoly.constant(1), I * (2**64 * R - R**30)), 40, False),
+    "sparse level one": (JFraction((-I + 1) * (R**40 + 1), (-I + 2) * (R * Y - 2**70 * R**33)), 12, False),
+    "exponential gamma": (EXP_R.gamma, 16, False),  # one term per y-coefficient
+    "ordinary gamma": (ORD_R.gamma, 16, False),
+    "wide slots": (JFraction(IndexPoly.constant(1), I * (2**1000 * R + R**2)), 12, False),
+    "exponential h": (EXP_R.h, 16, True),
+    "ordinary f": (ORD_R.f, 16, True),
+    "dense hermite": (JFraction(IndexPoly.constant(1), I * (2**64 * R**3 - R**4)), 34, True),
+}
+
+
+@pytest.mark.parametrize("frac, order, packed", PACKING.values(), ids=list(PACKING))
+def test_rows_pack_only_dense_rows_of_narrow_slots(monkeypatch, frac, order, packed):
+    calls = []
+    pack = jfraction._pack
+    monkeypatch.setattr(jfraction, "_pack", lambda *args: calls.append(1) or pack(*args))
+    assert frac.rows(order) == walk_rows(frac, order)
+    assert bool(calls) == packed
 
 
 def _cli_rows(capsys, argv):
