@@ -1,0 +1,183 @@
+#!/usr/bin/env python3
+"""Compare what ``riordan`` prints under this tree's ``src/`` and another tree's.
+
+usage: python scripts/compare_outputs.py BASELINE_SRC
+
+BASELINE_SRC is the ``src`` directory of another source tree, for example of
+one made with ``git worktree add ../parent HEAD~1``.  The script runs a
+built-in sweep of commands (:func:`sweep`) under each tree, in one fresh
+interpreter per tree that calls ``riordan.cli.main`` for each command in
+turn, and records per command its exit code, its standard output and error,
+and the file an ``export`` wrote.  It prints the number of commands and each
+command whose record differs between the trees, and exits 1 on any
+difference, 0 otherwise.
+
+The sweep covers ``show`` for both flavours at r in {r, 0, -1, 3, 2^60}, every
+``--which``, plain and reversed, at N in {0, 1, 2, 12, 36, 100}, in all four
+formats; ``export`` to a file; the four polytopes; the six ``jf`` templates
+of the benchmark and rational, sparse, wide and dense high-degree fractions;
+and parse and usage errors.  Both trees run at once, one process each; the
+sweep takes about a minute per tree on a 2-core x86-64 machine.
+"""
+
+import json
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# The file an export command writes, relative to the runner's working
+# directory, so that both trees print the same path.
+OUTPUT = "export.out"
+
+# Runs the commands it reads as JSON from stdin and prints one JSON record
+# per command: [exit code, stdout digest, stderr, digest of OUTPUT or None].
+# Outputs are kept as digests: the largest are tens of MB.
+RUNNER = """
+import contextlib, hashlib, io, json, os, sys
+import riordan.cli as cli
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    written = None
+    if os.path.exists(%(output)r):
+        with open(%(output)r) as f:
+            written = digest(f.read())
+        os.remove(%(output)r)
+    print(json.dumps([code, digest(out.getvalue()), err.getvalue(), written]), flush=True)
+""" % {"output": OUTPUT}
+
+FORMATS = ("table", "json", "csv", "latex")
+
+# The benchmark's six jf templates (the fifth's rows are too sparse to pack),
+# then fractions on each side of the row recurrence's other engine choices:
+# rational weights, a weight too wide to pack, entries of more than 64 packed
+# slots, slots of about 1300 bits, and dense weights of high degree.
+JF_FRACTIONS = (
+    ("2*y+1", "i*r*y*(y+1)"),
+    ("y+1", "i*r*y"),
+    ("(i+1)*(2*y+1)", "i*(i+1)*y*(y+1)"),
+    ("2*y+1", "r*y*(y+1)"),
+    ("1", "i*r*y"),
+    ("i+1", "i*(i+1)*r*y"),
+    ("1/2+y", "(1/3)*i*r*y"),
+    ("1", "i*(18446744073709551616*r-r^30)"),
+    ("y-3", "i*(1024*r^3-r^4)"),
+    ("y+1", "i*1048576*r*y"),
+    ("(1+i+r+y)^3", "(1+i+r+y)^3"),
+)
+
+ERRORS = (
+    ["jf", "--alpha", "2*", "--beta", "0"],
+    ["jf", "--alpha", "x", "--beta", "0"],
+    ["jf", "--alpha", "1", "--beta", "r^100000"],
+    ["jf", "--alpha", "(" * 300 + "1" + ")" * 300, "--beta", "0"],
+    ["jf", "--alpha", "1", "--beta", "0", "--N", "x"],
+    ["jf", "--alpha", "1"],
+    ["show", "--which", "f", "--N", "-1"],
+    ["show", "--which", "f", "--N", "101"],
+    ["show", "--which", "q"],
+    ["show", "--N", "3"],
+    ["show", "--which", "f", "--r", "x"],
+    ["show", "--family", "simplex", "--r", "2", "--which", "h"],
+    ["show", "--family", "permutahedron", "--flavor", "ordinary", "--which", "h"],
+    ["show", "--which", "f", "--N=6"],
+    ["show", "--which", "f", "--format", "xml"],
+    ["export", "--which", "f", "--output", "no/such/dir/out.json"],
+    ["verify", "nothing"],
+    ["bogus"],
+    [],
+    ["--help"],
+    ["show", "--help"],
+    ["jf", "--help"],
+)
+
+
+def sweep() -> list[list[str]]:
+    """The commands both trees run."""
+    commands = []
+    for flavor in ("ordinary", "exponential"):
+        for r in ("r", "0", "-1", "3", str(2**60)):
+            for which in ("gamma", "h", "f"):
+                for n in (0, 1, 2, 12, 36, 100):
+                    for fmt in FORMATS:
+                        argv = ["show", "--flavor", flavor, "--r", r, "--which", which, "--N", str(n), "--format", fmt]
+                        commands += [argv, argv + ["--reversed"]]
+    for fmt in FORMATS:
+        commands.append(["export", "--which", "f", "--N", "12", "--format", fmt, "--output", OUTPUT])
+    commands.append(
+        ["export", "--flavor", "exponential", "--which", "h", "--N", "36", "--reversed", "--output", OUTPUT]
+    )
+    commands.append(["export", "--family", "permutahedron", "--which", "gamma", "--N", "12"])
+    for family in ("simplex", "hypercube", "associahedron", "permutahedron"):
+        for which in ("gamma", "h", "f"):
+            for n in (0, 1, 2, 12, 36, 100):
+                argv = ["show", "--family", family, "--which", which, "--N", str(n)]
+                commands += [argv, argv + ["--reversed"]]
+            argv = ["show", "--family", family, "--which", which, "--N", "12", "--format"]
+            commands += [argv + [fmt] for fmt in FORMATS[1:]]
+    for alpha, beta in JF_FRACTIONS:
+        for n in (0, 1, 2, 13, 40):
+            commands.append(["jf", "--alpha", alpha, "--beta", beta, "--N", str(n)])
+        commands += [["jf", "--alpha", alpha, "--beta", beta, "--N", "13", "--format", fmt] for fmt in FORMATS[1:]]
+    for alpha, beta in (JF_FRACTIONS[0], JF_FRACTIONS[4]):
+        commands.append(["jf", "--alpha", alpha, "--beta", beta, "--N", "100"])
+    return commands + [list(argv) for argv in ERRORS]
+
+
+def run(src: Path, commands: list[list[str]], workdir: str) -> subprocess.Popen:
+    """Start one interpreter that runs the commands under the tree ``src`` in
+    ``workdir``, writing its records to the file ``records`` there."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    with open(os.path.join(workdir, "records"), "w") as out:
+        argv = [sys.executable, "-c", RUNNER]
+        process = subprocess.Popen(argv, cwd=workdir, env=env, stdin=subprocess.PIPE, stdout=out, text=True)
+    process.stdin.write(json.dumps(commands))
+    process.stdin.close()
+    return process
+
+
+def differences(baseline: Path, commands: list[list[str]], src: Path = SRC) -> list[str]:
+    """One line per command whose record differs between the two trees."""
+    with tempfile.TemporaryDirectory() as ours, tempfile.TemporaryDirectory() as theirs:
+        workdirs = (ours, theirs)
+        for process in [run(tree, commands, workdir) for tree, workdir in zip((src, baseline), workdirs)]:
+            if process.wait():
+                raise RuntimeError(f"the runner exited with {process.returncode}")
+        records = [[json.loads(line) for line in open(os.path.join(workdir, "records"))] for workdir in workdirs]
+    parts = ("exit code", "stdout", "stderr", "written file")
+    out = []
+    for argv, a, b in zip(commands, *records):
+        if a != b:
+            what = ", ".join(part for part, x, y in zip(parts, a, b) if x != y)
+            out.append(f"riordan {shlex.join(argv)}: {what} differ")
+    return out
+
+
+def main(argv: list[str] | None = None, commands: list[list[str]] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1 or args[0].startswith("-"):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    commands = sweep() if commands is None else commands
+    found = differences(Path(args[0]).resolve(), commands)
+    print(f"{len(commands)} commands, {len(found)} differ")
+    for line in found:
+        print(line)
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -59,7 +59,7 @@ __version__ = "0.1.0"
 # imports X's module and what that module imports, and nothing else.
 _EXPORTS = (
     ("algebra", "MultiPoly R Y"),
-    ("arrays", "Kind LowerTriMatrix triangle_from_series"),
+    ("arrays", "LowerTriMatrix triangle_from_series"),
     ("bfile", "fetch_bfile parse_bfile"),
     (
         "cold",
@@ -67,7 +67,7 @@ _EXPORTS = (
         "face_array face_matrix family_array gamma_from_h identity_array pascal_matrix",
     ),
     ("expr", "parse_index_poly parse_poly"),
-    ("families", "FamilySpec GammaHFTriple named_triple"),
+    ("families", "FamilySpec GammaHFTriple Kind named_triple"),
     ("jfraction", "IndexPoly JFraction"),
     ("oeis", "FIXTURES TriangleFixture check_triangle"),
     ("series", "DEFAULT_ORDER TruncatedSeries"),

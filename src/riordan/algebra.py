@@ -20,7 +20,9 @@ terms are ordered by total degree, then y-degree, then r-degree, all
 descending (graded order with r below y).
 
 Values of the three domains mix freely in arithmetic; ``int`` and
-``Fraction`` coerce into :class:`MultiPoly` on contact.  :mod:`fractions`
+``Fraction`` coerce into :class:`MultiPoly` on contact, and :func:`tidy`
+gives a value its canonical form, a constant polynomial as its scalar and
+an integral ``Fraction`` as its ``int``.  :mod:`fractions`
 is imported only where a ``Fraction`` is made: a request with integer
 data never loads it, and every type test reaches it, through
 :func:`_is_scalar`, only after ``int`` and ``MultiPoly``.
@@ -34,8 +36,9 @@ Substituting r = 2^width (Kronecker substitution) is a ring homomorphism.
 A weight keeps its terms c r^i as pairs (c, width*i) (``_pack``), so its
 product with a packed polynomial is a small product and a shift per term
 (``_fma``), however far apart its powers of r are.  p is read back from its
-balanced base-2^width digits (``_unpack``), exactly when every
-|coefficient| < 2^(width-1).
+balanced base-2^width digits (``_digits``), exactly when every
+|coefficient| < 2^(width-1): into a MultiPoly (``_unpack``), or, for
+``show`` and ``jf``, straight into its text (``riordan.render._write``).
 """
 
 from __future__ import annotations
@@ -264,6 +267,16 @@ def _is_scalar(value) -> bool:
     return isinstance(value, int) or isinstance(value, getattr(sys.modules.get("fractions"), "Fraction", ()))
 
 
+def tidy(value: Scalar | MultiPoly) -> Scalar | MultiPoly:
+    """The canonical form of a coefficient: a constant polynomial as its
+    scalar, an integral Fraction as its int."""
+    if isinstance(value, MultiPoly):
+        if not value.is_constant():
+            return value
+        value = value.constant_value()
+    return value if type(value) is int or getattr(value, "denominator", 0) != 1 else value.numerator
+
+
 def _pack(poly: MultiPoly, width: int) -> list[list[tuple[int, int]]]:
     """The y-coefficients of an integer-coefficient poly, each as the pairs
     (c, width*i) of its terms c r^i: at r = 2^width, the sum of c << width*i."""
@@ -276,9 +289,15 @@ def _pack(poly: MultiPoly, width: int) -> list[list[tuple[int, int]]]:
 def _unpack(value: int, width: int) -> int | MultiPoly:
     """The polynomial in r packed in value, as a triangle stores it: a
     constant as an int."""
-    half, mask = 1 << (width - 1), (1 << width) - 1
-    if -half <= value < half:
+    if -(1 << (width - 1)) <= value < 1 << (width - 1):
         return value
+    return _wrap({(i, 0): c for i, c in enumerate(_digits(value, width)) if c})  # nonzero ints need no _trusted
+
+
+def _digits(value: int, width: int) -> list[int]:
+    """The balanced base-2^width digits of value, lowest first, each in
+    [-2^(width-1), 2^(width-1)); the top ones may be 0."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
     # A top digit at slot t makes |value| > 2^(width*t - 2).
     slots = (abs(value).bit_length() + 1) // width + 1
     if slots > 64:
@@ -292,18 +311,17 @@ def _unpack(value: int, width: int) -> int | MultiPoly:
         # 96 slots of 128 bits or more.
         size = width // 8
         data = (value + int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")).to_bytes(slots * size, "little")
-        return _wrap({(i, 0): c for i in range(slots) if (c := int.from_bytes(data[i * size : (i + 1) * size], "little") - half)})
-    terms: dict[Monomial, Scalar] = {}
-    for i in range(slots):
+        return [int.from_bytes(data[i : i + size], "little") - half for i in range(0, slots * size, size)]
+    digits = []
+    for _ in range(slots):
         # The lowest balanced digit: the low bits, less 2^width from half up.
         c = value & mask
         value >>= width
         if c >= half:
             c -= mask + 1
             value += 1
-        if c:
-            terms[i, 0] = c
-    return _wrap(terms)  # nonzero int coefficients need no _trusted
+        digits.append(c)
+    return digits
 
 
 def _fma(out: list[int], p: list[list[tuple[int, int]]], q: list[int]) -> list[int]:

@@ -2,7 +2,10 @@
 
 All matrices are dense lower triangles with exact entries (``int`` or
 :class:`~riordan.algebra.MultiPoly` with integer coefficients); rationality
-that fails to cancel is an error at this boundary.
+that fails to cancel is an error at this boundary.  The library, the
+oracles and the fixture checks build triangles; ``show`` writes its rows
+straight from their fraction and loads neither this module nor
+:mod:`riordan.series`, which this one names only in an annotation.
 
 The Riordan group (:class:`~riordan.cold.RiordanArray`, its weight
 sequences, the identity, binomial and face arrays), the binomial and face
@@ -16,12 +19,10 @@ this module, on first use.
 
 from __future__ import annotations
 
-import enum
 from typing import Iterable, Sequence, Union
 
 from . import _cold, _lazy_names
-from .algebra import MultiPoly, _is_scalar
-from .series import TruncatedSeries, tidy
+from .algebra import MultiPoly, _is_scalar, tidy
 
 Entry = Union[int, MultiPoly]
 
@@ -32,12 +33,6 @@ class IndexBeyondTruncation(IndexError):
 
 class NonIntegralEntry(ValueError):
     """A matrix entry failed the integrality check."""
-
-
-class Kind(enum.Enum):
-    ORDINARY = "ordinary"
-    EXPONENTIAL = "exponential"
-    GENERALIZED = "generalized"
 
 
 def _normalize_entry(value) -> Entry:

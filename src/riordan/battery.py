@@ -21,7 +21,6 @@ from functools import cache, partial
 
 from . import arrays, cold, families, oeis
 from .algebra import MultiPoly, R, Y
-from .arrays import Kind
 from .cold import (
     RiordanArray,
     binomial_array,
@@ -38,7 +37,7 @@ from .cold import (
     narayana_closed,
     pascal_matrix,
 )
-from .families import FamilySpec, family_fractions, family_triple
+from .families import FamilySpec, Kind, family_fractions, family_triple
 from .jfraction import IndexPoly, JFraction
 from .oeis import FIXTURES, aerated
 from .series import TruncatedSeries

@@ -26,18 +26,12 @@ from math import comb, factorial
 from operator import mul
 from typing import Callable, Sequence
 
-from .algebra import VARIABLES, Monomial, MultiPoly, R, Scalar, Y
-from .arrays import (
-    Entry,
-    IndexBeyondTruncation,
-    Kind,
-    LowerTriMatrix,
-    _normalize_entry,
-)
-from .families import FamilySpec, GammaHFTriple, RValue
+from .algebra import VARIABLES, Monomial, MultiPoly, R, Scalar, Y, tidy
+from .arrays import Entry, IndexBeyondTruncation, LowerTriMatrix, _normalize_entry
+from .families import FamilySpec, GammaHFTriple, Kind, RValue
 from .jfraction import PolyLike
 from .record import Frozen
-from .series import DEFAULT_ORDER, Coeff, TruncatedSeries, _trusted, tidy
+from .series import DEFAULT_ORDER, Coeff, TruncatedSeries, _trusted
 
 # -- truncated series -----------------------------------------------------------
 

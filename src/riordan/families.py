@@ -16,7 +16,7 @@ paper's maps on J-fractions (:meth:`JFraction.gamma_to_h`,
 family's gamma fraction (1 - i; ry(2 - i)) stops at level 1, so its GF is
 1/(1 - x - ry x^2); the exponential family's (1; i ry) is the Hermite
 fraction, the OGF of the EGF exp(x + ry x^2/2).  The maps keep both shapes,
-and :meth:`JFraction.triangle` expands either shape by its three-term row
+and :meth:`JFraction.rows` expands either shape by its three-term row
 recurrence.  The Riordan route -- the array's matrix, the
 face product and gamma extraction -- is kept as their oracle
 (:func:`~riordan.cold.dense_family_triple`); so is the Motzkin walk
@@ -35,8 +35,12 @@ family at r = -1 (h-array (1/(1-x), x)) and at r = 0 (Pascal's triangle),
 so they take the row recurrences too.  The associahedron (type A) and the
 permutahedron store a gamma J-fraction each, whose derived expansions hit
 well-known OEIS triangles (:func:`named_triple`); theirs fit neither shape,
-so they take the walk.  :func:`family_matrix` takes every triangle from its
-fraction (:meth:`JFraction.triangle`).
+so they take the walk.  :func:`member_fraction` gives any member's
+fraction, which ``show`` writes out row by row, and :func:`family_matrix`
+its triangle (:meth:`JFraction.triangle`) for ``verify`` and the library.
+:class:`Kind` names the flavours.  This module names
+:class:`~riordan.arrays.LowerTriMatrix` only in annotations, which are not
+evaluated, so ``show`` loads no :mod:`riordan.arrays`.
 
 No ``show``, ``export`` or ``jf`` request runs the oracles -- the
 family's Riordan array, the Riordan route, gamma extraction, the closed
@@ -48,15 +52,24 @@ wraps here, also resolve from this module, on first use.
 
 from __future__ import annotations
 
+import enum
 from typing import NamedTuple, Union
 
 from . import _lazy_names
 from .algebra import MultiPoly, R, Y
-from .arrays import Kind, LowerTriMatrix
 from .jfraction import IndexPoly, JFraction
 from .record import Frozen
 
 RValue = Union[int, MultiPoly]
+
+
+class Kind(enum.Enum):
+    """The flavour of a family, and of a Riordan array
+    (:class:`~riordan.cold.RiordanArray`)."""
+
+    ORDINARY = "ordinary"
+    EXPONENTIAL = "exponential"
+    GENERALIZED = "generalized"
 
 
 class FamilySpec(Frozen):
@@ -140,14 +153,17 @@ POLYTOPE_NAMES = ("simplex", "hypercube", "associahedron", "permutahedron")
 POLYTOPE_SPECS = {"simplex": FamilySpec(Kind.ORDINARY, -1), "hypercube": FamilySpec(Kind.ORDINARY, 0)}
 
 
-def family_matrix(family: FamilySpec | str, which: str, size_n: int) -> LowerTriMatrix:
-    """Rows 0..size_n of the ``which`` ('gamma', 'h' or 'f') matrix of a
-    family, given as a FamilySpec or as one of POLYTOPE_NAMES: the rows of
-    its J-fraction, whose shape picks the engine (:meth:`JFraction.rows`).
-    """
+def member_fraction(family: FamilySpec | str, which: str) -> JFraction:
+    """The J-fraction of the ``which`` ('gamma', 'h' or 'f') member of a
+    family, given as a FamilySpec or as one of POLYTOPE_NAMES."""
     spec = POLYTOPE_SPECS.get(family, family)
-    fractions = named_triple(spec) if isinstance(spec, str) else family_fractions(spec)
-    return getattr(fractions, which).triangle(size_n)
+    return getattr(named_triple(spec) if isinstance(spec, str) else family_fractions(spec), which)
+
+
+def family_matrix(family: FamilySpec | str, which: str, size_n: int) -> LowerTriMatrix:
+    """Rows 0..size_n of that member's matrix: the rows of its J-fraction,
+    whose shape picks the engine (:meth:`JFraction.rows`)."""
+    return member_fraction(family, which).triangle(size_n)
 
 
 # perfbench/tracer.py's Tracer.install() wraps these two by looking them up

@@ -23,7 +23,9 @@ dense and its slots narrow, else on MultiPoly): a fraction that stops at
 level 1 (alpha(1) =
 beta(2) = 0) and the Hermite fraction (alpha free of i, beta = i*b).
 :meth:`JFraction.rows` picks the engine from the fraction's shape, for
-``jf`` and the family triangles (:meth:`JFraction.triangle`) alike.
+``jf``, ``show`` and the family triangles (:meth:`JFraction.triangle`)
+alike; ``show`` and ``jf`` have the packed rows written as text.  Only the
+walk imports :mod:`riordan.series`.
 """
 
 from __future__ import annotations
@@ -34,9 +36,8 @@ from math import lcm
 from typing import NamedTuple, Sequence, Union
 
 from . import _lazy_names
-from .algebra import MultiPoly, Y, _fma, _pack, _unpack
+from .algebra import MultiPoly, Y, _fma, _pack, _unpack, tidy
 from .record import Frozen
-from .series import TruncatedSeries, tidy
 
 PolyLike = Union[int, "Fraction", MultiPoly]
 
@@ -138,6 +139,8 @@ class JFraction(NamedTuple):
         coefficient n is t[0] after n steps.  Heights above min(n, order - n)
         cannot return to 0 by x^order and are dropped.
         """
+        from .series import TruncatedSeries
+
         if order < 0:
             raise ValueError("order must be non-negative")
         a = [self.alpha(k) for k in range(order // 2 + 1)]
@@ -149,9 +152,13 @@ class JFraction(NamedTuple):
             coeffs.append(t[0])
         return TruncatedSeries(coeffs)
 
-    def rows(self, order: int) -> list[list]:
+    def rows(self, order: int, read=_unpack) -> list[list]:
         """Rows 0..order of the expansion, row n the y-coefficients of [x^n]
         up to its last nonzero one: each an int, a Fraction or a MultiPoly in r.
+        Where the rows run on packed integers (:func:`_row_recurrence`),
+        ``read(v, width)`` reads each distinct entry v of a row: by default
+        :func:`~riordan.algebra._unpack`, the MultiPoly; ``show`` and ``jf``
+        pass a writer of its text (:func:`riordan.render._write`).
 
         Two shapes of fraction expand by a three-term row recurrence
         (:func:`_row_recurrence`) with a = alpha(0) and b = beta(1):
@@ -163,7 +170,7 @@ class JFraction(NamedTuple):
         alpha, beta = self
         level_one = not alpha(1) and not beta(2)
         if level_one or not alpha.degree() and beta.degree() <= 1 and not beta(0):
-            return _row_recurrence(alpha(0), beta(1), not level_one, order)
+            return _row_recurrence(alpha(0), beta(1), not level_one, order, read)
         return [[tidy(c) for c in MultiPoly.coerce(s).y_coefficients()] for s in self.expand(order)]
 
     def triangle(self, order: int) -> "LowerTriMatrix":
@@ -172,7 +179,12 @@ class JFraction(NamedTuple):
         checked."""
         from .arrays import triangle_from_rows
 
-        return triangle_from_rows(self.rows(order), normalize=_denominator(*self.alpha.coeffs, *self.beta.coeffs) != 1)
+        return triangle_from_rows(self.rows(order), normalize=not self.is_integral())
+
+    def is_integral(self) -> bool:
+        """Whether every coefficient of alpha and beta is an integer, and so
+        every entry of the expansion."""
+        return _denominator(*self.alpha.coeffs, *self.beta.coeffs) == 1
 
     def binomial_shift(self, k: PolyLike) -> JFraction:
         """The k-th binomial transform: every alpha shifted by k."""
@@ -213,10 +225,10 @@ class JFraction(NamedTuple):
         return JFraction(_reflect(self.alpha, 1, "alpha"), _reflect(self.beta, 2, "beta"))
 
 
-def _row_recurrence(a: MultiPoly, b: MultiPoly, hermite: bool, order: int) -> list[list]:
+def _row_recurrence(a: MultiPoly, b: MultiPoly, hermite: bool, order: int, read) -> list[list]:
     """Rows 0..order of P_n = a P_{n-1} + c_n b P_{n-2}, P_0 = 1, P_1 = a,
     with c_n = n - 1 if ``hermite`` and 1 otherwise, as :meth:`JFraction.rows`
-    returns them.
+    returns them, packed entries read by ``read``.
 
     The rows run on packed integers (see :mod:`riordan.algebra`), on D a
     and D^2 b for the common denominator D of a and b, so row n is D^n
@@ -256,12 +268,12 @@ def _row_recurrence(a: MultiPoly, b: MultiPoly, hermite: bool, order: int) -> li
     for n, row in enumerate(rows(_pack(a * den, width), _pack(b * den**2, width))):
         while len(row) > 1 and not row[-1]:
             row.pop()
-        polys = {v: _unpack(v, width) for v in set(row)}  # h rows are palindromes
+        entries = {v: read(v, width) if den == 1 else _unpack(v, width) for v in set(row)}  # h rows are palindromes
         if den != 1:
             from fractions import Fraction
 
-            polys = {v: tidy(p * Fraction(1, den**n)) for v, p in polys.items()}
-        out.append([polys[v] for v in row])
+            entries = {v: tidy(p * Fraction(1, den**n)) for v, p in entries.items()}
+        out.append([entries[v] for v in row])
     return out
 
 

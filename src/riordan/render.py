@@ -6,22 +6,35 @@ Jacobi continued fraction (``jf``), as a table, JSON, CSV or LaTeX.  Only
 these three subcommands load this module.  Without cached bytecode a
 request compiles every module it imports, so what only one of them runs is
 imported where it is used: the families for ``show`` and ``export``, the
-expression parser (:mod:`riordan.expr`) for ``jf``, ``json`` and ``csv``
-for their formats.
+expression parser (:mod:`riordan.expr`) for ``jf``, ``json`` for its
+format.
+
+A request goes from fraction to text.  :meth:`JFraction.rows
+<riordan.jfraction.JFraction.rows>` picks the engine; where the rows run on
+packed integers, :func:`_write` writes each distinct entry's text straight
+from its digits, and :func:`cells` makes the other entries text and refuses
+a number of more than MAX_DIGITS digits.  ``show`` builds no triangle
+(:mod:`riordan.arrays`), and no format runs ``tidy`` or
+``MultiPoly.__str__`` on an entry again: every format writes from the
+cells, CSV without the ``csv`` module.
 """
 
 from __future__ import annotations
 
-import io
 import sys
 from pathlib import Path
 
 from . import _count
-from .algebra import R
+from .algebra import MultiPoly, R, _digits
 from .record import Record
-from .series import tidy
 
 SAFE_INT = 2**53  # larger integers are emitted as JSON strings
+
+# The most decimal digits a number in an output may have: the interpreter's
+# default limit on writing an int as text (sys.get_int_max_str_digits()).  A
+# request whose rows hold a longer one is refused before any output.
+MAX_DIGITS = 4300
+_DIGITS_BOUND = 10**MAX_DIGITS
 
 FORMATS = ("table", "json", "csv", "latex")
 
@@ -32,7 +45,9 @@ MAX_N = 100
 
 
 class OutputDoc(Record):
-    """A rendered triangle or series expansion plus its metadata."""
+    """A rendered triangle or series expansion plus its metadata.  Its rows
+    hold cells (:func:`cells`); any entry whose ``str`` is its text will do,
+    as the MultiPoly entries of :func:`~riordan.cold.parse_matrix_doc`."""
 
     __slots__ = ("kind", "rows", "family", "flavor", "r", "size", "reversed_form", "extra")
 
@@ -58,7 +73,6 @@ class OutputDoc(Record):
 
     def json_object(self) -> dict:
         def encode(entry):
-            entry = tidy(entry)
             if isinstance(entry, int):
                 return entry if abs(entry) < SAFE_INT else str(entry)
             return str(entry)
@@ -90,7 +104,7 @@ class OutputDoc(Record):
 
 
 def render_table(rows: list[list]) -> str:
-    cells = [[str(tidy(e)) for e in row] for row in rows]
+    cells = [[str(e) for e in row] for row in rows]
     widths: list[int] = []
     for row in cells:
         for k, text in enumerate(row):
@@ -103,14 +117,13 @@ def render_table(rows: list[list]) -> str:
 
 
 def render_csv(rows: list[list]) -> str:
-    import csv
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
-    for row in rows:
-        cells = [tidy(e) for e in row]
-        writer.writerow([c if isinstance(c, int) else str(c) for c in cells])
-    return buffer.getvalue()
+    """The rows as ``csv.writer(quoting=csv.QUOTE_NONNUMERIC,
+    lineterminator="\\n")`` writes ints and strings: every cell but an int
+    quoted, with its quotes doubled."""
+    return "".join(
+        ",".join([str(e) if isinstance(e, int) else '"' + str(e).replace('"', '""') + '"' for e in row]) + "\n"
+        for row in rows
+    )
 
 
 def render_latex(rows: list[list]) -> str:
@@ -119,10 +132,52 @@ def render_latex(rows: list[list]) -> str:
     size = max([len(rows), *map(len, rows)])
     lines = [r"\left(", r"\begin{array}{" + "c" * size + "}"]
     for row in rows:
-        padded = [str(tidy(e)).replace("*", " ") for e in row] + ["0"] * (size - len(row))
+        padded = [str(e).replace("*", " ") for e in row] + ["0"] * (size - len(row))
         lines.append(" " + " & ".join(padded) + r" \\")
     lines += [r"\end{array}", r"\right)"]
     return "\n".join(lines) + "\n"
+
+
+# -- cells -----------------------------------------------------------------------
+
+
+def cells(rows: list[list]) -> list[list]:
+    """The rows of :meth:`JFraction.rows <riordan.jfraction.JFraction.rows>`,
+    read by :func:`_write`, as cells, in place: a polynomial as its text, an
+    int or a Fraction as itself, so that JSON and CSV still tell numbers from
+    text.  ValueError names the first row holding a number of more than
+    MAX_DIGITS digits."""
+    for n, row in enumerate(rows):
+        for k, entry in enumerate(row):
+            if type(entry) is str:  # written from its digits, of at most 2048 bits each
+                continue
+            poly = isinstance(entry, MultiPoly)
+            numbers = [c for _, c in entry.items()] if poly else [entry]
+            if not all(-_DIGITS_BOUND < part < _DIGITS_BOUND for c in numbers for part in (c.numerator, c.denominator)):
+                raise ValueError(
+                    f"row {n} holds a number of more than MAX_DIGITS = {MAX_DIGITS} decimal digits"
+                    + (f" (--N {n - 1} prints the rows before it)" if n else "")
+                )
+            if poly:
+                row[k] = str(entry)
+    return rows
+
+
+def _write(value: int, width: int) -> int | str:
+    """``str(tidy(_unpack(value, width)))``, written from the balanced
+    digits top slot first, with no MultiPoly and no sort; a constant stays
+    an int."""
+    if -(1 << (width - 1)) <= value < 1 << (width - 1):
+        return value
+    digits = _digits(value, width)
+    terms = [f" - {-c}*r^{i}" if c < 0 else f" + {c}*r^{i}" for i, c in enumerate(digits) if c and i > 1]
+    terms.reverse()
+    if digits[1]:
+        terms.append(f" - {-digits[1]}*r" if digits[1] < 0 else f" + {digits[1]}*r")
+    if digits[0]:
+        terms.append(f" - {-digits[0]}" if digits[0] < 0 else f" + {digits[0]}")
+    text = "".join(terms).replace(" 1*", " ")  # a coefficient 1 is not written
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 # -- options ---------------------------------------------------------------------
@@ -185,8 +240,7 @@ def jf_options():
 
 
 def _matrix_doc(args) -> OutputDoc:
-    from .arrays import Kind
-    from .families import FamilySpec, family_matrix
+    from .families import FamilySpec, Kind, member_fraction
 
     if args.family == "parametric":
         flavor = args.flavor or "ordinary"
@@ -199,12 +253,18 @@ def _matrix_doc(args) -> OutputDoc:
     else:
         flavor = r = None
         family = args.family
-    matrix = family_matrix(family, args.which, args.N)
-    if args.reversed:
-        matrix = matrix.reversed()
+    fraction = member_fraction(family, args.which)
+    # A non-integer coefficient would need every entry checked, as a triangle does.
+    rows = fraction.rows(args.N, _write) if fraction.is_integral() else list(map(list, fraction.triangle(args.N).rows))
+    for n, row in enumerate(cells(rows)):
+        if len(row) > n + 1:
+            raise ValueError(f"coefficient of x^{n} has y-degree {len(row) - 1} > n")
+        row += [0] * (n + 1 - len(row))
+        if args.reversed:
+            row.reverse()
     return OutputDoc(
         kind="matrix",
-        rows=[list(row) for row in matrix.rows],
+        rows=rows,
         family=args.family,
         flavor=flavor,
         r=r,
@@ -241,7 +301,7 @@ def cmd_jf(args) -> int:
     alpha, beta = weights
     doc = OutputDoc(
         kind="series",
-        rows=JFraction(alpha, beta).rows(args.N),
+        rows=cells(JFraction(alpha, beta).rows(args.N, _write)),
         size=args.N,
         extra={"alpha": str(alpha), "beta": str(beta)},
     )

@@ -9,8 +9,10 @@ Binary operations on series of different orders truncate to the shorter
 order, and equality likewise compares up to the common order.  All
 operations are pure; no floating point is ever involved.
 
-No ``show``, ``export`` or ``jf`` request inverts, composes, reverts or
-exponentiates a series, so the bodies of those methods, their exceptions,
+Of the ``show``, ``export`` and ``jf`` requests, only those whose fraction
+takes the Motzkin walk (:meth:`~riordan.jfraction.JFraction.expand`) load
+this module, and none inverts, composes, reverts or exponentiates a
+series, so the bodies of those methods, their exceptions,
 :func:`~riordan.cold.egf_to_ogf` and :func:`~riordan.cold.integer_coeffs`
 live in :mod:`riordan.cold`, loaded on first use.  The methods stay here
 and delegate to it; the other names import from there.
@@ -148,7 +150,8 @@ class TruncatedSeries:
 
     def revert(self) -> TruncatedSeries:
         """Compositional inverse g with self(g(x)) == g(self(x)) == x, by
-        Lagrange inversion, with canonical coefficients (see :func:`tidy`)."""
+        Lagrange inversion, with canonical coefficients (see
+        :func:`~riordan.algebra.tidy`)."""
         return _cold().series_revert(self)
 
     def exp(self) -> TruncatedSeries:
@@ -163,14 +166,3 @@ def _trusted(coeffs) -> TruncatedSeries:
     series._coeffs = tuple(coeffs)
     return series
 
-
-def tidy(value: Coeff) -> Coeff:
-    """Collapse integral Fractions to int and constant polynomials to scalars."""
-    if isinstance(value, MultiPoly) and value.is_constant():
-        value = value.constant_value()
-    # int and MultiPoly first: the Fraction test is an ABC check.
-    if type(value) is int or isinstance(value, MultiPoly):
-        return value
-    if _is_scalar(value) and value.denominator == 1:
-        return int(value)
-    return value

@@ -35,10 +35,10 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import _lazy_names
+from .algebra import tidy
 from .families import family_matrix
 from .jfraction import IndexPoly, JFraction
 from .oeis import FIXTURES, CheckReport, _normalize_anumber, check_sequence, check_triangle
-from .series import tidy
 
 SUITES = ("group", "props", "oeis")
 DEFAULT_SEED = 20240831

@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from canonical import typed_all
-from riordan.algebra import R, Y, MultiPoly
+from riordan.algebra import R, Y, MultiPoly, tidy
 from riordan.arrays import (
     IndexBeyondTruncation,
-    Kind,
     LowerTriMatrix,
     NonIntegralEntry,
     _normalize_entry,
@@ -29,7 +28,8 @@ from riordan.cold import (
     pascal_matrix,
     series_from_triangle,
 )
-from riordan.series import TruncatedSeries, tidy
+from riordan.families import Kind
+from riordan.series import TruncatedSeries
 
 S = TruncatedSeries
 ORDER = 12

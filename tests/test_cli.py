@@ -9,12 +9,12 @@ import pytest
 import riordan
 from riordan import cli, cold, expr, families
 from riordan.algebra import R
-from riordan.arrays import Kind, LowerTriMatrix
+from riordan.arrays import LowerTriMatrix
 from riordan.cli import main
 from riordan.cold import RiordanArray, parse_matrix_doc
 from riordan.expr import MAX_DEPTH, MAX_EXPONENT
-from riordan.families import FamilySpec, f_matrix, family_matrix
-from riordan.render import MAX_N
+from riordan.families import FamilySpec, Kind, f_matrix, family_matrix
+from riordan.render import MAX_DIGITS, MAX_N
 
 from golden_cases import GOLDEN_CASES, USAGE_CASES, usage_text
 
@@ -172,6 +172,28 @@ def test_json_round_trip_big_integers(capsys):
     from math import factorial
 
     assert sum(doc.rows[20]) == factorial(21)  # Eulerian row sums
+
+
+LONG = {  # requests whose rows outgrow MAX_DIGITS, and the first row that does
+    "r of 1000 digits": (["show", "--r", "9" * 1000, "--which", "h", "--N", "12"], 10),
+    "weight of 302 digits": (["jf", "--alpha", "1", "--beta", f"i*({2**1000}*r-r^30)", "--N", "40"], 30),
+    "r of MAX_DIGITS digits": (["show", "--r", "9" * MAX_DIGITS, "--which", "h", "--N", "2"], 2),  # r + 2 in row 2
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("argv, row", LONG.values(), ids=list(LONG))
+def test_numbers_of_more_than_max_digits_are_refused_by_row(capsys, argv, row, fmt):
+    status, out, err = run(capsys, argv + ["--format", fmt])
+    assert (status, out) == (2, "")
+    assert err == f"error: row {row} holds a number of more than MAX_DIGITS = 4300 decimal digits (--N {row - 1} prints the rows before it)\n"
+    status, out, _ = run(capsys, argv[:-1] + [str(row - 1), "--format", fmt])
+    assert status == 0 and out
+
+
+def test_a_number_of_max_digits_digits_is_printed(capsys):
+    status, out, _ = run(capsys, ["show", "--r", "9" * MAX_DIGITS, "--which", "gamma", "--N", "2", "--format", "json"])
+    assert status == 0 and json.loads(out)["rows"][2] == [1, "9" * MAX_DIGITS, 0]
 
 
 def test_csv_format(capsys):
@@ -401,14 +423,18 @@ def test_show_and_jf_load_only_the_modules_they_run():
     # runs no expression parser (riordan.expr), and jf no family.  None of
     # them makes a Fraction, so none loads fractions, and none needs help or
     # a usage error, so none loads argparse (nor gettext and locale, which
-    # argparse loads).
+    # argparse loads).  A parametric show in any format runs neither series
+    # nor triangles (riordan.series, riordan.arrays): its fraction takes a
+    # row recurrence and its rows go straight to text, CSV without csv.
     unwanted = (
-        "'dataclasses', 'fractions', 'riordan.cold', 'riordan.verify', 'riordan.oeis', 'json', 'csv', "
+        "'dataclasses', 'fractions', 'riordan.cold', 'riordan.verify', 'riordan.oeis', 'csv', "
         "'argparse', 'gettext', 'locale', 'riordan.usage'"
     )
     show_first = _RUN + (
-        "run('show', '--which', 'f', '--N', '4')\n"
-        "run('show', '--flavor', 'exponential', '--r', '2', '--which', 'gamma', '--N', '4')\n"
+        "for fmt in ('table', 'csv', 'latex', 'json'):\n"
+        "    run('show', '--which', 'f', '--N', '4', '--format', fmt)\n"
+        "    run('show', '--flavor', 'exponential', '--r', '2', '--which', 'gamma', '--N', '4', '--format', fmt)\n"
+        "    print(fmt, loaded('riordan.series', 'riordan.arrays', 'json', 'riordan.expr', " + unwanted + "))\n"
         "run('show', '--family', 'permutahedron', '--which', 'f', '--N', '4', '--format', 'latex')\n"
         f"print(loaded('riordan.expr', {unwanted}))\n"
         "print(run('jf', '--alpha', '2*y+1', '--beta', 'i*r*y*(y+1)', '--N', '4'))\n"
@@ -417,10 +443,12 @@ def test_show_and_jf_load_only_the_modules_they_run():
         "print(loaded('riordan.cold'))\n"
     )
     jf_row = "(0, '1  6*r + 8  3*r^2 + 30*r + 24  6*r^2 + 48*r + 32  3*r^2 + 24*r + 16')"
-    assert _fresh_interpreter(show_first) == ["[]", jf_row, "[]", "(0, '}')", "[]"]
+    formats = ["table []", "csv []", "latex []", "json ['json']"]
+    assert _fresh_interpreter(show_first) == formats + ["[]", jf_row, "[]", "(0, '}')", "[]"]
+    # A Hermite fraction takes the row recurrence: no walk, so no series.
     jf_first = _RUN + (
         "print(run('jf', '--alpha', '2*y+1', '--beta', 'i*r*y*(y+1)', '--N', '4'))\n"
-        f"print(loaded('riordan.families', 'riordan.arrays', {unwanted}))\n"
+        f"print(loaded('riordan.families', 'riordan.arrays', 'riordan.series', 'json', {unwanted}))\n"
     )
     assert _fresh_interpreter(jf_first) == [jf_row, "[]"]
 

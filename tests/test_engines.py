@@ -12,14 +12,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from canonical import typed_all
-from riordan.algebra import MultiPoly, R, Y
-from riordan.arrays import Kind, triangle_from_series
+from riordan.algebra import MultiPoly, R, Y, tidy
+from riordan.arrays import triangle_from_series
 from riordan.cli import main
 from riordan.cold import dense_family_triple
-from riordan.families import FamilySpec, family_fractions, family_triple, family_matrix
+from riordan.families import FamilySpec, Kind, family_fractions, family_triple, family_matrix
 from riordan import jfraction
 from riordan.jfraction import IndexPoly, JFraction
-from riordan.series import tidy
 
 FLAVORS = (Kind.ORDINARY, Kind.EXPONENTIAL)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from riordan.algebra import MultiPoly, R, Y
-from riordan.arrays import Kind, LowerTriMatrix, triangle_from_series
+from riordan.arrays import LowerTriMatrix, triangle_from_series
 from riordan.cold import (
     NotPalindromic,
     RiordanArray,
@@ -21,6 +21,7 @@ from riordan.cold import (
 )
 from riordan.families import (
     FamilySpec,
+    Kind,
     f_matrix,
     family_fractions,
     family_matrix,

@@ -1,6 +1,7 @@
 """Smoke tests of the tools under ``scripts/``."""
 
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -91,3 +92,36 @@ def test_code_lines_skip_comments_docstrings_and_text_data(tmp_path):
     )
     # ROWS = parse(, the line closing the text with its comma, ), def, return
     assert code_lines(str(source)) == 5
+
+
+compare = runpy.run_path(str(SCRIPTS / "compare_outputs.py"))
+COMPARED = [
+    ["show", "--which", "f", "--N", "3"],
+    ["show", "--which", "f", "--N", "3", "--format", "json"],
+    ["export", "--which", "h", "--N", "3", "--format", "csv", "--output", compare["OUTPUT"]],
+    ["jf", "--alpha", "2*", "--beta", "0"],
+]
+
+
+def _compare(capsys, baseline):
+    code = compare["main"]([str(baseline)], commands=COMPARED)
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_compare_outputs_finds_no_difference_between_a_tree_and_itself(capsys):
+    assert _compare(capsys, SCRIPTS.parent / "src") == (0, ["4 commands, 0 differ"])
+
+
+def test_compare_outputs_reports_each_command_whose_output_changed(capsys, tmp_path):
+    shutil.copytree(SCRIPTS.parent / "src" / "riordan", tmp_path / "riordan", ignore=shutil.ignore_patterns("__pycache__"))
+    render = tmp_path / "riordan" / "render.py"
+    # Tables lose a space between columns, CSV quotes a second time.
+    render.write_text(render.read_text().replace('"  ".join(', '" ".join(').replace("'\"' + str(e)", "'\"\"' + str(e)"))
+    assert _compare(capsys, tmp_path) == (
+        1,
+        [
+            "4 commands, 2 differ",
+            "riordan show --which f --N 3: stdout differ",
+            "riordan export --which h --N 3 --format csv --output export.out: written file differ",
+        ],
+    )

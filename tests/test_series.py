@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from canonical import typed_all
-from riordan.algebra import MultiPoly, R, Y
+from riordan.algebra import MultiPoly, R, Y, tidy
 from riordan.cold import (
     NonIntegralResult,
     NonUnitConstantTerm,
@@ -14,7 +14,7 @@ from riordan.cold import (
     egf_to_ogf,
     integer_coeffs,
 )
-from riordan.series import TruncatedSeries, tidy
+from riordan.series import TruncatedSeries
 
 S = TruncatedSeries
 

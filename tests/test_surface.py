@@ -75,9 +75,10 @@ def test_the_battery_binds_no_traced_function_by_name():
     assert not traced & set(vars(battery))
 
 
-# The names each module defined before they moved to a module that fewer
-# requests load, by (old module, new module).  Each imports from its new
-# module only, except those in KEPT.
+# The names each module defined before they moved, by (old module, new
+# module): most to a module that fewer requests load, tidy and Kind out of
+# the modules a show request skips.  Each imports from its new module only,
+# except those in KEPT.
 MOVED = {
     ("arrays", "cold"): "FACTORIAL_PAIR_WEIGHTS FACTORIAL_WEIGHTS KindMismatch RiordanArray UNIT_WEIGHTS "
     "UnsupportedKind WeightSequence binomial_array face_array face_matrix identity_array "
@@ -85,6 +86,8 @@ MOVED = {
     ("series", "cold"): "NonIntegralResult NonUnitConstantTerm NonzeroConstantTerm ZeroLinearTerm egf_to_ogf integer_coeffs",
     ("families", "cold"): "NotPalindromic dense_family_triple f_closed_row family_array gamma_closed_row "
     "gamma_from_h h_closed_row narayana_array narayana_closed",
+    ("series", "algebra"): "tidy",
+    ("arrays", "families"): "Kind",
     ("jfraction", "cold"): "binomial_transform",
     ("cli", "cold"): "parse_matrix_doc",
     ("cli", "verify"): "cmd_oeis_check cmd_verify oeis_check_options verify_options",
