@@ -222,6 +222,9 @@ class MultiPoly:
     # -- rendering -------------------------------------------------------
 
     def __str__(self) -> str:
+        # render._write writes a packed entry's text without this method and
+        # must give the same text; tests/test_render.py's
+        # test_write_is_the_text_of_the_unpacked_polynomial holds them together.
         if not self._terms:
             return "0"
         ordered = sorted(

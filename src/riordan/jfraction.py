@@ -156,9 +156,11 @@ class JFraction(NamedTuple):
         """Rows 0..order of the expansion, row n the y-coefficients of [x^n]
         up to its last nonzero one: each an int, a Fraction or a MultiPoly in r.
         Where the rows run on packed integers (:func:`_row_recurrence`),
-        ``read(v, width)`` reads each distinct entry v of a row: by default
-        :func:`~riordan.algebra._unpack`, the MultiPoly; ``show`` and ``jf``
-        pass a writer of its text (:func:`riordan.render._write`).
+        ``read(v, width)`` reads each distinct entry v of a packed integer
+        row: by default :func:`~riordan.algebra._unpack`, the MultiPoly;
+        ``show`` and ``jf`` pass a writer of its text
+        (:func:`riordan.render._write`).  ``read`` is used for nothing else:
+        every other entry comes back as an int, a Fraction or a MultiPoly.
 
         Two shapes of fraction expand by a three-term row recurrence
         (:func:`_row_recurrence`) with a = alpha(0) and b = beta(1):
@@ -228,7 +230,10 @@ class JFraction(NamedTuple):
 def _row_recurrence(a: MultiPoly, b: MultiPoly, hermite: bool, order: int, read) -> list[list]:
     """Rows 0..order of P_n = a P_{n-1} + c_n b P_{n-2}, P_0 = 1, P_1 = a,
     with c_n = n - 1 if ``hermite`` and 1 otherwise, as :meth:`JFraction.rows`
-    returns them, packed entries read by ``read``.
+    returns them.  ``read`` reads the entries only when the rows run packed
+    with D = 1; with D != 1 they are unpacked and divided by D^n, and rows
+    run on MultiPoly give their coefficients, so those entries come back
+    as ints, Fractions or MultiPolys whatever ``read`` is.
 
     The rows run on packed integers (see :mod:`riordan.algebra`), on D a
     and D^2 b for the common denominator D of a and b, so row n is D^n
@@ -264,11 +269,11 @@ def _row_recurrence(a: MultiPoly, b: MultiPoly, hermite: bool, order: int, read)
         for n in range(2, order + 1):
             polys.append(a * polys[-1] + b * (n - 1 if hermite else 1) * polys[-2])
         return [[tidy(c) for c in p.y_coefficients()] for p in polys[: order + 1]]
-    out = []
+    out, read = [], read if den == 1 else _unpack
     for n, row in enumerate(rows(_pack(a * den, width), _pack(b * den**2, width))):
         while len(row) > 1 and not row[-1]:
             row.pop()
-        entries = {v: read(v, width) if den == 1 else _unpack(v, width) for v in set(row)}  # h rows are palindromes
+        entries = {v: read(v, width) for v in set(row)}  # h rows are palindromes
         if den != 1:
             from fractions import Fraction
 
