@@ -15,6 +15,8 @@ Modules: :mod:`~riordan.algebra` (integers, rationals, polynomials in r, y),
 :mod:`~riordan.series` (truncated power series; reversion by Lagrange
 inversion), :mod:`~riordan.arrays` (lower-triangular matrices),
 :mod:`~riordan.jfraction` (Jacobi continued fractions),
+:mod:`~riordan.recurrence` and :mod:`~riordan.walk` (their two engines:
+the three-term row recurrence and the Motzkin walk),
 :mod:`~riordan.expr` (the expression parser of ``jf``),
 :mod:`~riordan.families` (the triangle families), :mod:`~riordan.cold`
 (the Riordan group and the other oracles, the cold series operations and

@@ -28,10 +28,10 @@ data never loads it, and every type test reaches it, through
 :func:`_is_scalar`, only after ``int`` and ``MultiPoly``.
 
 The row recurrence of the shaped J-fractions, the family triangles' among
-them (``jfraction._row_recurrence``), computes on packed integers when its
-rows fill at least half of their slots of at most 2048 bits: a polynomial
-is the list of its y-coefficients, each a polynomial p in r held as the int
-p(2^width).
+them (``recurrence._row_recurrence``), computes on packed integers when its
+rows fill at least half of their slots of at most ``MAX_WIDTH`` = 2048
+bits: a polynomial is the list of its y-coefficients, each a polynomial p
+in r held as the int p(2^width).
 Substituting r = 2^width (Kronecker substitution) is a ring homomorphism.
 A weight keeps its terms c r^i as pairs (c, width*i) (``_pack``), so its
 product with a packed polynomial is a small product and a shift per term
@@ -39,6 +39,10 @@ product with a packed polynomial is a small product and a shift per term
 balanced base-2^width digits (``_digits``), exactly when every
 |coefficient| < 2^(width-1): into a MultiPoly (``_unpack``), or, for
 ``show`` and ``jf``, straight into its text (``riordan.render._write``).
+The Motzkin walk of an integral fraction free of r (:mod:`riordan.walk`)
+and four integer chains of the Riordan oracle (:mod:`riordan.cold`) pack
+their polynomials in y or series in x the same way, within the same
+``MAX_WIDTH``, and read them with ``_digits`` too.
 """
 
 from __future__ import annotations
@@ -50,6 +54,11 @@ from typing import Iterator, Mapping, Union
 from . import _cold
 
 VARIABLES = ("r", "y")
+
+# The widest slot a packed engine uses, in bits.  One width serves every
+# coefficient, so past it the slots of the small ones are mostly zeros and
+# the engines compute on MultiPoly, Fraction or plain ints instead.
+MAX_WIDTH = 2048
 
 Scalar = Union[int, "Fraction"]
 Monomial = tuple[int, int]  # (power of r, power of y)

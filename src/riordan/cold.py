@@ -9,6 +9,16 @@ array), the bodies of the series operations inverse, compose, revert and
 exp, of :meth:`MultiPoly.parse` and of the matrix product, and
 ``parse_matrix_doc``.
 
+``verify group`` spends most of its time here, on integer series of order
+8 to 12.  So four chains run on one packed int per series, by Kronecker
+substitution (Schoenhage 1982; Harvey 2009), when every coefficient is an
+int: the Horner steps of :func:`series_compose`, the powers of
+:func:`series_revert` and the columns of :meth:`RiordanArray.matrix` at
+x = 2^width, and :func:`binomial_transform` on polynomials free of r at
+y = 2^width.  Each proves its width from its inputs, in whole bytes and at
+most ``algebra.MAX_WIDTH`` bits; otherwise it computes on the coefficients
+(see "packed integer chains" below).
+
 Without cached bytecode a request compiles every module it imports, so
 no ``show``, ``export`` or ``jf`` request imports this one, and neither
 does ``oeis-check`` or ``verify oeis``: no fixture check runs code from
@@ -26,12 +36,13 @@ from math import comb, factorial
 from operator import mul
 from typing import Callable, Sequence
 
-from .algebra import VARIABLES, Monomial, MultiPoly, R, Scalar, Y, tidy
+from .algebra import MAX_WIDTH, VARIABLES, Monomial, MultiPoly, R, Scalar, Y, _digits, tidy
 from .arrays import Entry, IndexBeyondTruncation, LowerTriMatrix, _normalize_entry
 from .families import FamilySpec, GammaHFTriple, Kind, RValue
 from .jfraction import PolyLike
 from .record import Frozen
 from .series import DEFAULT_ORDER, Coeff, TruncatedSeries, _trusted
+from .walk import _unpack_y
 
 # -- truncated series -----------------------------------------------------------
 
@@ -50,6 +61,48 @@ class ZeroLinearTerm(ValueError):
 
 class NonIntegralResult(ValueError):
     """A coefficient expected to be an integer is not."""
+
+
+# -- packed integer chains ----------------------------------------------------
+#
+# Kronecker substitution is a ring homomorphism, so a product of packed
+# ints is the packed product.  A truncation at x^m keeps the value's low m
+# slots (_low), exact when each kept coefficient fits its slot, whatever
+# the dropped ones are.  Each chain bounds every coefficient it keeps from
+# its inputs and takes the width from that bound (_width).  One width
+# serves every slot, so past MAX_WIDTH (as for the ordinary family at
+# r = 2^B in tests/test_engines.py, whose columns mix coefficients of very
+# different sizes) the chain computes on its coefficients, as it does for
+# a Fraction or MultiPoly coefficient.
+
+
+def _width(bound: int) -> int | None:
+    """The slot width for coefficients of absolute value at most bound: its
+    bits and a sign bit, in whole bytes (which ``_digits`` reads by bytes
+    from 65 slots on); None past MAX_WIDTH."""
+    width = (bound.bit_length() + 8) // 8 * 8
+    return width if width <= MAX_WIDTH else None
+
+
+def _ints(*coeffs) -> bool:
+    return set(map(type, coeffs)) <= {int}
+
+
+def _pack_x(coeffs: Sequence[int], width: int) -> int:
+    """The polynomial with these coefficients, lowest first, at x = 2^width."""
+    return sum(map(int.__lshift__, coeffs, range(0, width * len(coeffs), width)))
+
+
+def _low(value: int, bits: int) -> int:
+    """value's low bits read as a balanced number, in [-2^(bits-1),
+    2^(bits-1)): a packed value's low slots, when each fits its slot."""
+    value &= (1 << bits) - 1
+    return value - (value >> bits - 1 << bits)
+
+
+def _read(value: int, width: int, n: int) -> list[int]:
+    """The n coefficients packed in value, lowest first."""
+    return (_digits(value, width) + [0] * n)[:n]
 
 
 def _unit_inverse(c: Coeff, error: type[ValueError], what: str) -> Coeff:
@@ -92,15 +145,23 @@ def series_compose(s: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSerie
     multiplied by inner**k, whose valuation is k, so only its coefficients
     up to x**(n - k) can reach the result.  Each step keeps one more
     coefficient than the last: composing at order n costs n(n+1)(n+2)/6
-    coefficient products.
+    coefficient products, or n products of packed ints for integer series.
     """
     if inner._coeffs[0] != 0:
         raise NonzeroConstantTerm("inner series must have zero constant term")
     n = min(s.order, inner.order)
-    c = s._coeffs
+    c, over_x = s._coeffs[: n + 1], inner._coeffs[1 : n + 1]
+    # Step k's coefficients are those of sum_{j >= k} c_j inner^(j - k), at
+    # most |s|(F) <= |s|(1) F^n for F = max(1, |inner|(1)).
+    width = _ints(*c, *over_x) and _width(sum(map(abs, c)) * max(1, sum(map(abs, over_x))) ** n)
+    if width:
+        result, over_x = c[n], _pack_x(over_x, width)
+        for k in range(n - 1, -1, -1):
+            result = c[k] + (_low(result * over_x, width * (n - k)) << width)
+        return _trusted(_read(result, width, n + 1))
     result = _trusted((c[n],))
     if n:
-        over_x = _trusted(inner._coeffs[1 : n + 1])
+        over_x = _trusted(over_x)
         for k in range(n - 1, -1, -1):
             result = _trusted((c[k],) + (result * over_x)._coeffs)
     return result
@@ -110,7 +171,8 @@ def series_revert(s: TruncatedSeries) -> TruncatedSeries:
     """The body of :meth:`TruncatedSeries.revert`, by Lagrange inversion
     (Stanley, *EC2*, Thm 5.4.2): with h = x / s(x), the coefficient of x^k
     in the reversion is [x^(k-1)] h^k / k.  One series inverse and n - 1
-    truncated products at order n - 1."""
+    truncated products at order n - 1, on packed ints for integer h, each
+    power read at its one slot k - 1."""
     if s._coeffs[0] != 0:
         raise NonzeroConstantTerm("can only revert a series with zero constant term")
     if s.order < 1:
@@ -119,10 +181,21 @@ def series_revert(s: TruncatedSeries) -> TruncatedSeries:
     # NonUnitConstantTerm that inverting s/x would raise.
     _unit_inverse(s._coeffs[1], ZeroLinearTerm, "linear coefficient")
     h = series_inverse(_trusted(s._coeffs[1:]))
-    out, power = [0, tidy(h._coeffs[0])], h
-    for k in range(2, s.order + 1):
-        power = power * h
-        out.append(tidy(power._coeffs[k - 1] * Fraction(1, k)))
+    out, power, n = [0, tidy(h._coeffs[0])], h, s.order
+    # The coefficients of h^k are at most |h|(1)^k, and |h|(1) >= |h_0| = 1.
+    width = _ints(*h._coeffs) and _width(sum(map(abs, h._coeffs)) ** n)
+    if width:
+        power = h = _pack_x(h._coeffs, width)
+    for k in range(2, n + 1):
+        if width:
+            # Coefficient k - 1 is the low slot of power rounded down by
+            # k - 1 slots, which adds the borrow of the balanced slots below.
+            power = _low(power * h, width * n)
+            c = _low(power + (1 << width * (k - 1) - 1) >> width * (k - 1), width)
+        else:
+            power = power * h
+            c = power._coeffs[k - 1]
+        out.append(tidy(c * Fraction(1, k)))
     return _trusted(out)
 
 
@@ -322,16 +395,26 @@ class RiordanArray(Frozen):
 
         Column k is g * f**k, which is zero below x**k, so only its
         coefficients k..size_n are built: column k is column k - 1 times
-        f/x, one coefficient shorter.  An exponential row n takes its
-        prefactors n!/k! from one table; an ordinary row takes none."""
+        f/x, one coefficient shorter, one product of packed ints for
+        integer g and f.  An exponential row n takes its prefactors n!/k!
+        from one table; an ordinary row takes none."""
         if size_n > self.order:
             raise IndexBeyondTruncation(
                 f"size {size_n} beyond truncation order {self.order}"
             )
-        over_x = _trusted(self.f._coeffs[1 : size_n + 1])  # f/x, order size_n - 1
+        over_x = self.f._coeffs[1 : size_n + 1]  # f/x, order size_n - 1
         cols = [self.g._coeffs[: size_n + 1]]  # cols[k][m] = [x^(k+m)] g f^k
-        for _ in range(size_n):
-            cols.append((_trusted(cols[-1][:-1]) * over_x)._coeffs)
+        # Column k's coefficients are at most |g|(1) |f/x|(1)^k, and |f/x|(1) >= 1.
+        width = _ints(*cols[0], *over_x) and _width(sum(map(abs, cols[0])) * sum(map(abs, over_x)) ** size_n)
+        if width:
+            col, over_x = _pack_x(cols[0], width), _pack_x(over_x, width)
+            for k in range(1, size_n + 1):
+                col = _low(col * over_x, width * (size_n + 1 - k))
+                cols.append(_read(col, width, size_n + 1 - k))
+        else:
+            over_x = _trusted(over_x)
+            for _ in range(size_n):
+                cols.append((_trusted(cols[-1][:-1]) * over_x)._coeffs)
         rows = []
         for n in range(size_n + 1):
             row = [cols[k][n - k] for k in range(n + 1)]
@@ -513,13 +596,28 @@ def binomial_transform(seq: Sequence, k: PolyLike) -> list:
     """b_n = sum_i C(n, i) k^(n-i) a_i, exactly, same length as the input,
     each a MultiPoly.  By a difference table: row 0 is the input, row m+1
     has entries row_m[i+1] + k row_m[i], and b_m = row_m[0], so the only
-    products are by k."""
-    row = [MultiPoly.coerce(a) for a in seq]
+    products are by k.  Polynomials free of r with integer coefficients run
+    packed at y = 2^width: |b_n|(1) <= max_i |a_i|(1) (1 + |k|(1))^n."""
+    row, k = [MultiPoly.coerce(a) for a in seq], MultiPoly.coerce(k)
+    if all(not i and type(c) is int for p in row + [k] for (i, _), c in p.items()):
+        width = _width(max(map(_norm, row), default=0) * (1 + _norm(k)) ** len(row))
+        if width:
+            pack = [sum(c << width * j for (_, j), c in p.items()) for p in row + [k]]
+            return [_unpack_y(v, width) for v in _difference_table(pack[:-1], pack[-1])]
+    return _difference_table(row, k)
+
+
+def _difference_table(row: list, k) -> list:
     out = []
     while row:
         out.append(row[0])
         row = [b + a * k for a, b in zip(row, row[1:])]
     return out
+
+
+def _norm(p: MultiPoly) -> int:
+    """|p|(1): the sum of the absolute values of p's coefficients."""
+    return sum(abs(c) for _, c in p.items())
 
 
 # -- the command line's export reader ------------------------------------------------

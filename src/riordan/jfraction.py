@@ -17,15 +17,18 @@ and :meth:`JFraction.reversed` for rows read backwards).
 Expansion counts weighted Motzkin paths (Flajolet 1980): [x^n] sums, over
 the n-step paths from height 0 back to 0, the product of ``a_k`` per level
 step at height k and ``b_{k+1}`` per fall from height k+1 to k
-(:meth:`JFraction.expand`, the walk, O(N^2) height-steps).  Two shapes need
-only O(N) rows, a three-term recurrence (on packed integers if its rows are
-dense and its slots narrow, else on MultiPoly): a fraction that stops at
-level 1 (alpha(1) =
-beta(2) = 0) and the Hermite fraction (alpha free of i, beta = i*b).
-:meth:`JFraction.rows` picks the engine from the fraction's shape, for
-``jf``, ``show`` and the family triangles (:meth:`JFraction.triangle`)
-alike; ``show`` and ``jf`` have the packed rows written as text.  Only the
-walk imports :mod:`riordan.series`.
+(:meth:`JFraction.expand`, the walk, O(N^2) height-steps, on packed
+integers for an integral fraction free of r, else on MultiPoly).  Two
+shapes need only O(N) rows, a three-term recurrence (on packed integers if
+its rows are dense and its slots narrow, else on MultiPoly): a fraction
+that stops at level 1 (alpha(1) = beta(2) = 0) and the Hermite fraction
+(alpha free of i, beta = i*b).  :meth:`JFraction.rows` picks the engine
+from the fraction's shape, for ``jf``, ``show`` and the family triangles
+(:meth:`JFraction.triangle`) alike; ``show`` and ``jf`` have the packed
+rows written as text.  Each engine is a module of its own, which only the
+expansions that take it import: the recurrence :mod:`riordan.recurrence`,
+the walk :mod:`riordan.walk` (with :mod:`riordan.series`).  This module
+holds the fractions, their maps and the choice.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from math import lcm
 from typing import NamedTuple, Sequence, Union
 
 from . import _lazy_names
-from .algebra import MultiPoly, Y, _fma, _pack, _unpack, tidy
+from .algebra import MultiPoly, Y, _unpack, tidy
 from .record import Frozen
 
 PolyLike = Union[int, "Fraction", MultiPoly]
@@ -132,30 +135,23 @@ class JFraction(NamedTuple):
     beta: IndexPoly
 
     def expand(self, order: int) -> TruncatedSeries:
-        """Truncated expansion as a series in x over MultiPoly.
-
-        t[k] weighs the paths so far that end at height k.  A step maps it to
+        """Truncated expansion as a series in x over MultiPoly, by the
+        Motzkin walk (:func:`riordan.walk.expand`, which holds its body):
+        t[k] weighs the paths so far that end at height k, a step maps it to
         t'[k] = t[k-1] + alpha(k) t[k] + beta(k+1) t[k+1], from t = [1], and
-        coefficient n is t[0] after n steps.  Heights above min(n, order - n)
-        cannot return to 0 by x^order and are dropped.
+        coefficient n is t[0] after n steps.  An integral fraction free of r
+        walks on packed integers, every other one on MultiPoly.  This method
+        is the walk's one entry point.
         """
-        from .series import TruncatedSeries
+        from .walk import expand
 
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        a = [self.alpha(k) for k in range(order // 2 + 1)]
-        b = [self.beta(k + 1) for k in range(order // 2 + 1)]
-        t, coeffs = [1], [1]
-        for n in range(1, order + 1):
-            t = [0] + t + [0, 0]
-            t = [t[k] + a[k] * t[k + 1] + b[k] * t[k + 2] for k in range(min(n, order - n) + 1)]
-            coeffs.append(t[0])
-        return TruncatedSeries(coeffs)
+        return expand(self, order)
 
     def rows(self, order: int, read=_unpack) -> list[list]:
         """Rows 0..order of the expansion, row n the y-coefficients of [x^n]
         up to its last nonzero one: each an int, a Fraction or a MultiPoly in r.
-        Where the rows run on packed integers (:func:`_row_recurrence`),
+        Where the rows run on packed integers
+        (:func:`riordan.recurrence._row_recurrence`),
         ``read(v, width)`` reads each distinct entry v of a packed integer
         row: by default :func:`~riordan.algebra._unpack`, the MultiPoly;
         ``show`` and ``jf`` pass a writer of its text
@@ -163,7 +159,7 @@ class JFraction(NamedTuple):
         every other entry comes back as an int, a Fraction or a MultiPoly.
 
         Two shapes of fraction expand by a three-term row recurrence
-        (:func:`_row_recurrence`) with a = alpha(0) and b = beta(1):
+        (:func:`~riordan.recurrence._row_recurrence`) with a = alpha(0) and b = beta(1):
         alpha(1) = beta(2) = 0 stops the fraction at level 1, so its GF is
         1/(1 - ax - bx^2) (c_n = 1); alpha free of i and beta = i*b is the
         Hermite fraction, the OGF of the EGF exp(ax + bx^2/2) (c_n = n - 1).
@@ -172,6 +168,8 @@ class JFraction(NamedTuple):
         alpha, beta = self
         level_one = not alpha(1) and not beta(2)
         if level_one or not alpha.degree() and beta.degree() <= 1 and not beta(0):
+            from .recurrence import _row_recurrence
+
             return _row_recurrence(alpha(0), beta(1), not level_one, order, read)
         return [[tidy(c) for c in MultiPoly.coerce(s).y_coefficients()] for s in self.expand(order)]
 
@@ -225,61 +223,6 @@ class JFraction(NamedTuple):
         rows y^n p_n(1/y), read backwards.  Needs deg_y alpha <= 1 and
         deg_y beta <= 2 (ValueError otherwise)."""
         return JFraction(_reflect(self.alpha, 1, "alpha"), _reflect(self.beta, 2, "beta"))
-
-
-def _row_recurrence(a: MultiPoly, b: MultiPoly, hermite: bool, order: int, read) -> list[list]:
-    """Rows 0..order of P_n = a P_{n-1} + c_n b P_{n-2}, P_0 = 1, P_1 = a,
-    with c_n = n - 1 if ``hermite`` and 1 otherwise, as :meth:`JFraction.rows`
-    returns them.  ``read`` reads the entries only when the rows run packed
-    with D = 1; with D != 1 they are unpacked and divided by D^n, and rows
-    run on MultiPoly give their coefficients, so those entries come back
-    as ints, Fractions or MultiPolys whatever ``read`` is.
-
-    The rows run on packed integers (see :mod:`riordan.algebra`), on D a
-    and D^2 b for the common denominator D of a and b, so row n is D^n
-    times the true one.  Run first on the sums of absolute coefficients of
-    those weights, the recurrence bounds every coefficient of every row;
-    the slot width is that bound's bits and a sign bit, in whole bytes.
-    Run with | for + on a bitset (bit i + j*stride for r^i y^j), it finds
-    the terms the last row can have.  Packing gives every slot r^0..r^i of
-    a y-coefficient the full width, so the rows run on MultiPoly instead
-    when those terms fill fewer than half of their slots or the width
-    exceeds 2048 bits, where coefficients of very different sizes share
-    it.  Measured at N = 36-100, packing was 1.6-5x faster on dense rows
-    of slots up to 1500 bits, 0.7-1x as fast at 1800-2300 bits, and up to
-    12x slower from 2600 bits or on sparse rows.
-    """
-    den = _denominator(a, b)
-
-    def rows(a, b):
-        out = [[1], _fma([], a, [1])]
-        for n in range(2, order + 1):
-            out.append(_fma(_fma([], a, out[-1]), [[((n - 1) * c, s) for c, s in t] for t in b] if hermite else b, out[-2]))
-        return out[: order + 1]
-
-    bound = max(row[0] for row in rows(*([[(sum(abs(c) for _, c in p.items()), 0)]] for p in (a * den, b * den**2))))
-    width = (bound.bit_length() + 8) // 8 * 8
-    stride = order * max(a.degree("r"), b.degree("r")) + 1
-    masks = [0, 1]  # P_{-1} = 0, P_0 = 1; each term r^i y^j of a shifts P_{n-1}'s, each of b P_{n-2}'s
-    for _ in range(order):
-        masks.append(reduce(int.__or__, [masks[-1 - k] << i + j * stride for k, w in enumerate((a, b)) for (i, j), _ in w.items()], 0))
-    slots = sum((masks[-1] >> s & (1 << stride) - 1).bit_length() for s in range(0, masks[-1].bit_length(), stride))
-    if width > 2048 or 2 * masks[-1].bit_count() < slots:
-        polys = [MultiPoly.const(1), a]
-        for n in range(2, order + 1):
-            polys.append(a * polys[-1] + b * (n - 1 if hermite else 1) * polys[-2])
-        return [[tidy(c) for c in p.y_coefficients()] for p in polys[: order + 1]]
-    out, read = [], read if den == 1 else _unpack
-    for n, row in enumerate(rows(_pack(a * den, width), _pack(b * den**2, width))):
-        while len(row) > 1 and not row[-1]:
-            row.pop()
-        entries = {v: read(v, width) for v in set(row)}  # h rows are palindromes
-        if den != 1:
-            from fractions import Fraction
-
-            entries = {v: tidy(p * Fraction(1, den**n)) for v, p in entries.items()}
-        out.append([entries[v] for v in row])
-    return out
 
 
 def _denominator(*polys: MultiPoly) -> int:

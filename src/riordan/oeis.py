@@ -18,7 +18,6 @@ import enum
 from typing import NamedTuple
 
 from .algebra import MultiPoly
-from .arrays import LowerTriMatrix
 from .record import Frozen
 
 
@@ -92,7 +91,9 @@ class CheckReport(NamedTuple):
 
 
 def _plain_rows(triangle) -> list[list]:
-    rows = triangle.rows if isinstance(triangle, LowerTriMatrix) else triangle
+    """The rows of a LowerTriMatrix, or a list of rows, each entry as an int
+    or a Fraction."""
+    rows = getattr(triangle, "rows", triangle)
     out = []
     for row in rows:
         clean = []

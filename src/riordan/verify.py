@@ -20,7 +20,9 @@ checks live in :mod:`riordan.battery`, and the oracles most of them test in
 module it imports, so the two load only when a check that uses them runs
 or ``CHECKS`` is first looked up.  The oeis suite runs ``FIXTURE_CHECKS``,
 so ``oeis-check`` and ``verify oeis`` load neither; the group and props
-suites run ``CHECKS``.
+suites run ``CHECKS``.  A fixture check compares the rows of its source's
+J-fraction, as ``show`` reads them, so it builds no triangle and loads no
+:mod:`riordan.arrays`.
 
 The suite functions filter the registry and return one :class:`CheckResult`
 per check; the CLI renders one line per check and fails the run when any
@@ -36,7 +38,7 @@ from typing import Callable, NamedTuple
 
 from . import _lazy_names
 from .algebra import tidy
-from .families import family_matrix
+from .families import member_fraction
 from .jfraction import IndexPoly, JFraction
 from .oeis import FIXTURES, CheckReport, _normalize_anumber, check_sequence, check_triangle
 
@@ -101,10 +103,12 @@ FIXTURE_SOURCES: dict[str, tuple[str, str, bool] | None] = {
 
 
 def _triangle_fixture(anumber: str) -> CheckReport:
-    """The fixture's source matrix, sized to the fixture, compared against it."""
+    """The rows of the fixture's source fraction, sized to the fixture, each
+    padded to n + 1 entries as a triangle stores them, compared against it."""
     family, which, reversed_rows = FIXTURE_SOURCES[anumber]
-    matrix = family_matrix(family, which, len(FIXTURES[anumber].row_lengths) - 1)
-    return check_triangle(matrix.reversed() if reversed_rows else matrix, FIXTURES[anumber])
+    rows = member_fraction(family, which).rows(len(FIXTURES[anumber].row_lengths) - 1)
+    rows = [row + [0] * (n + 1 - len(row)) for n, row in enumerate(rows)]
+    return check_triangle([row[::-1] for row in rows] if reversed_rows else rows, FIXTURES[anumber])
 
 
 @cache

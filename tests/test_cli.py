@@ -462,7 +462,8 @@ def test_show_and_jf_load_only_the_modules_they_run():
 
 def test_check_commands_load_only_the_modules_they_run():
     # No fixture check (oeis-check, verify oeis) needs the group/props
-    # battery, riordan.cold or a Fraction; verify group needs all three.  No
+    # battery, riordan.cold, a triangle (riordan.arrays) or a Fraction: it
+    # compares the rows of its fraction.  verify group needs all four.  No
     # check loads the show/jf output code (riordan.render), the expression
     # parser (riordan.expr) or argparse, which with gettext and locale only
     # help and usage errors load.
@@ -473,7 +474,7 @@ def test_check_commands_load_only_the_modules_they_run():
         "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "        code = cli.main(list(argv))\n"
         "    lines = out.getvalue().splitlines()\n"
-        "    modules = ('riordan.battery', 'riordan.cold', 'riordan.render', 'riordan.expr', 'fractions',\n"
+        "    modules = ('riordan.battery', 'riordan.cold', 'riordan.arrays', 'riordan.render', 'riordan.expr', 'fractions',\n"
         "               'argparse', 'gettext', 'locale', 'riordan.usage')\n"
         "    loaded = [m for m in modules if m in sys.modules]\n"
         "    print(code, sum(line.startswith('[  ok]') for line in lines), lines[-1], loaded)\n"
@@ -486,7 +487,7 @@ def test_check_commands_load_only_the_modules_they_run():
         "0 2 [  ok] A055151: 66 entries over 11 rows match []",
         "0 1 [  ok] A001147: 11 entries over 11 rows match []",
         "0 12 12/12 checks passed []",
-        "0 10 10/10 checks passed ['riordan.battery', 'riordan.cold', 'fractions']",
+        "0 10 10/10 checks passed ['riordan.battery', 'riordan.cold', 'riordan.arrays', 'fractions']",
     ]
 
 

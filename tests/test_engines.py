@@ -17,7 +17,7 @@ from riordan.arrays import triangle_from_series
 from riordan.cli import main
 from riordan.cold import dense_family_triple
 from riordan.families import FamilySpec, Kind, family_fractions, family_triple, family_matrix
-from riordan import jfraction
+from riordan import recurrence
 from riordan.jfraction import IndexPoly, JFraction
 
 FLAVORS = (Kind.ORDINARY, Kind.EXPONENTIAL)
@@ -66,9 +66,10 @@ def test_a_slot_holds_a_coefficient_as_large_as_the_bound(weight, scale):
     assert family_matrix(FamilySpec(Kind.ORDINARY, r), "gamma", 2).rows[2] == (1, r, 0)
 
 
-# The exponential Riordan route runs on Fraction coefficients: at N = 100
-# it alone takes about 3 s, so that flavour is certified at N = 70.
-CERTIFIED_N = {Kind.ORDINARY: 100, Kind.EXPONENTIAL: 70}
+# Both flavours are certified at N = 100.  The exponential Riordan route
+# runs on Fraction coefficients (f = x + r x^2/2) and takes most of its
+# test's time, about 1.6 s on a 2-core x86-64 host.
+CERTIFIED_N = {Kind.ORDINARY: 100, Kind.EXPONENTIAL: 100}
 
 
 def _row_sums(frac, size_n):
@@ -159,8 +160,8 @@ PACKING = {  # fraction, order, whether its rows run packed
 @pytest.mark.parametrize("frac, order, packed", PACKING.values(), ids=list(PACKING))
 def test_rows_pack_only_dense_rows_of_narrow_slots(monkeypatch, frac, order, packed):
     calls = []
-    pack = jfraction._pack
-    monkeypatch.setattr(jfraction, "_pack", lambda *args: calls.append(1) or pack(*args))
+    pack = recurrence._pack
+    monkeypatch.setattr(recurrence, "_pack", lambda *args: calls.append(1) or pack(*args))
     assert frac.rows(order) == walk_rows(frac, order)
     assert bool(calls) == packed
 

@@ -54,8 +54,8 @@ def test_request_footprint_shows_what_a_fraction_costs():
     assert label == "total" and abs(float(total) - sum(own for own, _ in times.values())) <= 0.005 * len(times)
 
 
-def _check_times(suite):
-    argv = [sys.executable, str(SCRIPTS / "check_times.py"), suite, "--repeats", "1"]
+def _check_times(suite, *options):
+    argv = [sys.executable, str(SCRIPTS / "check_times.py"), suite, "--repeats", "1", *options]
     return subprocess.run(argv, capture_output=True, text=True, check=True).stdout.splitlines()
 
 
@@ -71,6 +71,33 @@ def test_check_times_prints_each_check_of_the_suite():
     assert lines[-1].startswith("per-run suite total CPU ms over 1 runs: q1 ")
     # One run is one sample: its quartiles are its total, the sum of its checks.
     assert q1 == median == q3 and abs(median - total) <= 0.01 * len(rows)
+
+
+def test_check_times_compares_a_tree_against_a_baseline():
+    # This tree against itself: one alternating run of each.
+    lines = _check_times("oeis", "--baseline", str(SCRIPTS.parent / "src"))
+    assert lines[:2] == [
+        "riordan verify oeis: cold CPU ms per check, median over 1 alternating runs of each tree",
+        f"{'baseline':>9s} {'this':>9s} {'ratio':>6s}  check",
+    ]
+    rows = [line.split(None, 3) for line in lines[2:-3]]
+    assert [name for *_, name in rows] == [
+        f"oeis :: {anumber} regenerated from its construction" for anumber in FIXTURE_SOURCES
+    ]
+    for base, this, ratio, _ in rows:
+        # The ratio is of the unrounded medians, printed to two decimals.
+        base, this, ratio = float(base), float(this), float(ratio)
+        assert (this - 0.005) / (base + 0.005) - 0.0005 <= ratio <= (this + 0.005) / (base - 0.005) + 0.0005
+    medians = []
+    for line, tree, column in ((lines[-3], "baseline", 0), (lines[-2], "this tree", 1)):
+        assert line.startswith(f"per-run suite total CPU ms over 1 runs: {tree} q1 ")
+        q1, median, q3 = (float(part.split()[-1]) for part in line.split(":", 1)[1].split(","))
+        # One run is one sample: its quartiles are its total, the sum of its checks.
+        assert q1 == median == q3 and abs(median - sum(float(row[column]) for row in rows)) <= 0.01 * len(rows)
+        medians.append(median)
+    label, ratio = lines[-1].rsplit(" ", 1)
+    assert label == "ratio of the median totals (this tree over baseline):"
+    assert abs(float(ratio) - medians[1] / medians[0]) <= 0.0005 + 0.01 / medians[0]
 
 
 def test_code_lines_skip_comments_docstrings_and_text_data(tmp_path):
