@@ -80,6 +80,11 @@ def _quartile_text(q: list[float]) -> str:
     return f"q1 {q[0]:.2f}, median {q[1]:.2f}, q3 {q[2]:.2f}"
 
 
+def _ms(ms: float | None) -> str:
+    """A median in the baseline table's column, "-" for a check the tree lacks."""
+    return f"{ms:9.2f}" if ms is not None else f"{'-':>9s}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("suite", choices=SUITES)
@@ -103,20 +108,19 @@ def main(argv: list[str] | None = None) -> int:
     for _ in range(args.repeats):
         base_runs.append(run_suite(args.suite, args.baseline))
         runs.append(run_suite(args.suite))
-    print(f"riordan verify {args.suite}: cold CPU ms per check, median over {args.repeats} alternating runs of each tree")
+    print(f"riordan verify {args.suite}: cold CPU ms per check, "
+          f"median over {args.repeats} alternating runs of each tree")
     print(f"{'baseline':>9s} {'this':>9s} {'ratio':>6s}  check")
     base, this = medians(base_runs), medians(runs)
-    for name in list(base) + [name for name in this if name not in base]:
+    for name in {**base, **this}:
         (b, b_ok), (t, t_ok) = base.get(name, (None, True)), this.get(name, (None, True))
-        cells = [f"{b:9.2f}" if b is not None else f"{'-':>9s}", f"{t:9.2f}" if t is not None else f"{'-':>9s}"]
         ratio = f"{t / b:6.3f}" if b and t is not None else f"{'-':>6s}"
-        print(f"{cells[0]} {cells[1]} {ratio}  {name}{'' if b_ok and t_ok else '  [FAIL]'}")
+        print(f"{_ms(b)} {_ms(t)} {ratio}  {name}{'' if b_ok and t_ok else '  [FAIL]'}")
     bq, tq = quartiles(base_runs), quartiles(runs)
     print(f"per-run suite total CPU ms over {args.repeats} runs: baseline {_quartile_text(bq)}")
     print(f"per-run suite total CPU ms over {args.repeats} runs: this tree {_quartile_text(tq)}")
     print(f"ratio of the median totals (this tree over baseline): {tq[1] / bq[1]:.3f}")
-    failed = [ok for _, ok in list(base.values()) + list(this.values()) if not ok]
-    return 1 if failed else 0
+    return 0 if all(ok for _, ok in [*base.values(), *this.values()]) else 1
 
 
 if __name__ == "__main__":

@@ -58,7 +58,7 @@ def test_compose_packs_and_matches_the_horner_loop(s, inner):
     assert typed_all(packed) == typed_all(plain)
 
 
-@given(st.builds(lambda unit, rest: TruncatedSeries((0, unit, *rest)), st.sampled_from([1, -1]), st.lists(small, max_size=12)))
+@given(st.builds(lambda u, rest: TruncatedSeries((0, u, *rest)), st.sampled_from([1, -1]), st.lists(small, max_size=12)))
 @example(TruncatedSeries([0, 1]))
 @example(TruncatedSeries([0, -1, 0, 0]))  # h = -1, all other coefficients zero
 @example(TruncatedSeries([0, 1, 1] + [0] * 68))  # powers of 70 slots
@@ -99,7 +99,9 @@ def test_binomial_transform_packs_and_matches_the_difference_table(seq, k):
     assert typed_all(packed) == typed_all(plain)
 
 
-@pytest.mark.parametrize("seq, k", [([R, 1], 2), ([1, 2], R), ([Fraction(1, 2), 1], 1)], ids=["r", "r in k", "fraction"])
+@pytest.mark.parametrize(
+    "seq, k", [([R, 1], 2), ([1, 2], R), ([Fraction(1, 2), 1], 1)], ids=["r", "r in k", "fraction"]
+)
 def test_binomial_transform_packs_only_integer_polynomials_free_of_r(seq, k):
     packed, widths, plain = packed_and_unpacked(lambda: binomial_transform(seq, k))
     assert widths == [] and typed_all(packed) == typed_all(plain)
