@@ -28,8 +28,9 @@ sign bit, in whole bytes, so that :func:`~riordan.algebra._digits` reads
 each coefficient back exactly.  Past ``MAX_WIDTH`` bits, or with weights in
 r or with a non-integer coefficient, the walk runs on MultiPoly.  Packing r
 as well would give every power of y the slots of every power of r, most of
-them empty (the skewed layout of ROADMAP item 3 is what would avoid that),
-so weights with r keep the MultiPoly walk.
+them empty (a skewed layout, r^i y^j at slot q*i - p*j for the least
+ratio p/q of the weights' powers, would avoid that), so weights with r keep
+the MultiPoly walk.
 """
 
 from functools import partial
