@@ -18,8 +18,20 @@ formats; ``export`` to a file; the four polytopes; the six ``jf`` templates
 of the benchmark and rational, sparse, wide and dense high-degree fractions;
 and parse and usage errors.  Both trees run at once, one process each; the
 sweep takes about a minute per tree on a 2-core x86-64 machine.
+
+That sweep never reaches the entry a ``riordan`` process starts from, which
+ends the process.  So a sample of about 40 commands (:data:`PROCESSES`)
+then runs as ``python -m riordan``, one process per command and tree, the
+two trees' processes of a command one after the other: every subcommand,
+every exit code, every format, a 20 MB output and three requests whose
+stdout is a pipe already closed.  Their streams are buffered
+(``PYTHONUNBUFFERED`` is unset), as a terminal's or a pipe's are by
+default, and the tree's path in stderr reads ``SRC``.  The script prints
+the number of those commands and each whose exit code, stdout, stderr or
+written file differs; this pass takes about ten seconds.
 """
 
+import hashlib
 import json
 import os
 import shlex
@@ -105,6 +117,51 @@ ERRORS = (
 )
 
 
+# (argv, whether stdout is a closed pipe) for the commands run as processes.
+PROCESSES = [(argv, False) for argv in (
+    ["show", "--which", "f", "--N", "12"],
+    ["show", "--flavor", "exponential", "--r", "3", "--which", "h", "--N", "36", "--format", "json"],
+    ["show", "--which", "gamma", "--N", "12", "--reversed", "--format", "csv"],
+    ["show", "--r", "-1", "--which", "f", "--N", "12", "--format", "latex"],
+    ["show", "--flavor", "exponential", "--which", "f", "--N", "100"],
+    ["show", "--family", "associahedron", "--which", "f", "--N", "36"],
+    ["show", "--family", "permutahedron", "--which", "gamma", "--N", "12", "--format", "json"],
+    ["show", "--which", "f", "--N=6"],
+    ["show", "--which", "f", "--N", "101"],
+    ["show", "--family", "simplex", "--r", "2", "--which", "h"],
+    ["export", "--which", "f", "--N", "12", "--output", OUTPUT],
+    ["export", "--which", "h", "--N", "12", "--format", "latex", "--output", OUTPUT],
+    ["export", "--which", "f", "--N", "12", "--format", "csv"],
+    ["export", "--which", "f", "--output", "no/such/dir/out.json"],
+    ["jf", "--alpha", "2*y+1", "--beta", "i*r*y*(y+1)", "--N", "13"],
+    ["jf", "--alpha", "(i+1)*(2*y+1)", "--beta", "i*(i+1)*y*(y+1)", "--N", "40", "--format", "csv"],
+    ["jf", "--alpha", "2*y+1", "--beta", "r*y*(y+1)", "--N", "13", "--format", "json"],
+    ["jf", "--alpha", "y^32", "--beta", "y", "--N", "40"],
+    ["jf", "--alpha", "1/2+y", "--beta", "(1/3)*i*r*y", "--N", "13", "--format", "latex"],
+    ["jf", "--alpha", "2*", "--beta", "0"],
+    ["jf", "--alpha", "1", "--beta", "r^100000"],
+    ["jf", "--alpha", "1"],
+    ["verify", "oeis"],
+    ["verify", "props"],
+    ["verify", "props", "--seed", "7"],
+    ["verify", "group"],
+    ["verify", "nothing"],
+    ["oeis-check", "A055151", "A135278"],
+    ["oeis-check", "xyz"],
+    ["fetch-bfile", "A000045", "--offline", "--cache-dir", "cache"],
+    ["fetch-bfile", "xyz", "--offline", "--cache-dir", "cache"],
+    ["bogus"],
+    [],
+    ["--help"],
+    ["show", "--help"],
+    ["verify", "--help"],
+)] + [(argv, True) for argv in (
+    ["show", "--which", "f", "--N", "3"],
+    ["jf", "--alpha", "1", "--beta", "i*y", "--N", "6"],
+    ["oeis-check", "A055151"],
+)]
+
+
 def sweep() -> list[list[str]]:
     """The commands both trees run."""
     commands = []
@@ -157,26 +214,71 @@ def differences(baseline: Path, commands: list[list[str]], src: Path = SRC) -> l
             if process.wait():
                 raise RuntimeError(f"the runner exited with {process.returncode}")
         records = [[json.loads(line) for line in open(os.path.join(workdir, "records"))] for workdir in workdirs]
+    return [f"riordan {shlex.join(argv)}: {_what_differs(a, b)} differ" for argv, a, b in zip(commands, *records) if a != b]
+
+
+def _what_differs(a: list, b: list) -> str:
+    """The parts in which two records differ."""
     parts = ("exit code", "stdout", "stderr", "written file")
+    return ", ".join(part for part, x, y in zip(parts, a, b) if x != y)
+
+
+def run_process(src: Path, argv: list[str], closed: bool, workdir: str) -> list:
+    """Run ``python -m riordan ARGV`` under the tree ``src`` in ``workdir``:
+    [exit code, stdout digest (None if closed), stderr, digest of OUTPUT or None]."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONUNBUFFERED", None)
+    stdout = subprocess.PIPE
+    if closed:
+        read, stdout = os.pipe()
+        os.close(read)
+    try:
+        command = [sys.executable, "-m", "riordan", *argv]
+        res = subprocess.run(command, cwd=workdir, env=env, stdout=stdout, stderr=subprocess.PIPE)
+    finally:
+        if closed:
+            os.close(stdout)
+    written = os.path.join(workdir, OUTPUT)
+    digest = None
+    if os.path.exists(written):
+        with open(written, "rb") as f:
+            digest = hashlib.sha256(f.read()).hexdigest()
+        os.remove(written)
+    out = None if closed else hashlib.sha256(res.stdout).hexdigest()
+    return [res.returncode, out, res.stderr.decode().replace(str(src), "SRC"), digest]
+
+
+def process_differences(baseline: Path, processes, src: Path = SRC) -> list[str]:
+    """One line per process command whose record differs between the trees."""
     out = []
-    for argv, a, b in zip(commands, *records):
-        if a != b:
-            what = ", ".join(part for part, x, y in zip(parts, a, b) if x != y)
-            out.append(f"riordan {shlex.join(argv)}: {what} differ")
+    with tempfile.TemporaryDirectory() as ours, tempfile.TemporaryDirectory() as theirs:
+        for argv, closed in processes:
+            a, b = (run_process(tree, argv, closed, workdir) for tree, workdir in ((src, ours), (baseline, theirs)))
+            if a != b:
+                how = "as a process, stdout closed" if closed else "as a process"
+                out.append(f"riordan {shlex.join(argv)} ({how}): {_what_differs(a, b)} differ")
     return out
 
 
-def main(argv: list[str] | None = None, commands: list[list[str]] | None = None) -> int:
+def main(
+    argv: list[str] | None = None,
+    commands: list[list[str]] | None = None,
+    processes: list[tuple[list[str], bool]] | None = None,
+) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1 or args[0].startswith("-"):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     commands = sweep() if commands is None else commands
-    found = differences(Path(args[0]).resolve(), commands)
+    processes = PROCESSES if processes is None else processes
+    baseline = Path(args[0]).resolve()
+    found = differences(baseline, commands)
+    by_process = process_differences(baseline, processes)
     print(f"{len(commands)} commands, {len(found)} differ")
-    for line in found:
+    print(f"{len(processes)} commands as processes, {len(by_process)} differ")
+    for line in found + by_process:
         print(line)
-    return 1 if found else 0
+    return 1 if found or by_process else 0
 
 
 if __name__ == "__main__":

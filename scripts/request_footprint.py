@@ -22,14 +22,26 @@ Then it lists the standard-library modules the request imports that a bare
 them, with their import times: each module's own time and its cumulative
 time (with the modules it imported first), the medians over K more fresh
 runs of the request under ``-X importtime``.
+
+Last it splits the request's wall time into four stages, each the median
+over K more fresh processes: start (from spawning the interpreter to its
+first statement), imports (``import riordan.cli``), run (``cli.main``) and
+exit (from ``main``'s return to the process's end).  The request ends
+through ``riordan.cli.run``, as ``python -m riordan`` ends it; a second row
+ends it with ``sys.exit``, whose exit stage is the interpreter's full
+finalization, and a third splits a bare ``python -c pass`` (no imports, an
+empty run) the same way.  The stages are read on ``time.monotonic``, whose
+clock the processes of one machine share.
 """
 
 import argparse
+import ast
 import json
 import os
 import statistics
 import subprocess
 import sys
+import time
 import tokenize
 from pathlib import Path
 
@@ -76,6 +88,50 @@ def code_lines(path: str) -> int:
 
 # The request as the command line runs it, with no other import before it.
 REQUEST = "import sys\nfrom riordan.cli import main\nsys.exit(main(sys.argv[1:]))"
+
+# The request, writing the times it reaches each stage to the file
+# descriptor argv[1]; argv[2] is how it ends: "run", "sys.exit", or "pass"
+# for a bare interpreter that imports and runs nothing.
+STAGES = """
+import os, sys, time
+marks = [time.monotonic()]
+fd, how = int(sys.argv.pop(1)), sys.argv.pop(1)
+if how == "pass":
+    marks *= 3  # no imports, an empty run
+else:
+    import riordan.cli as cli
+    marks.append(time.monotonic())
+    main = cli.main
+    def timed(argv=None):
+        try:
+            return main(argv)
+        finally:
+            marks.append(time.monotonic())
+            os.write(fd, repr(marks).encode())
+    cli.main = timed
+    if how == "run":
+        cli.run()
+    sys.exit(cli.main())
+os.write(fd, repr(marks).encode())
+"""
+
+STAGE_NAMES = ("start", "imports", "run", "exit")
+
+
+def stages(request: list[str], how: str) -> list[float]:
+    """The four stages of one fresh process of the request, in seconds."""
+    read, write = os.pipe()
+    try:
+        command = [sys.executable, "-c", STAGES, str(write), how, *request]
+        start = time.monotonic()
+        subprocess.run(command, env=_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, pass_fds=(write,))
+        end = time.monotonic()
+    finally:
+        os.close(write)
+    with os.fdopen(read) as f:
+        marks = ast.literal_eval(f.read())
+    points = [start, *marks, end]
+    return [b - a for a, b in zip(points, points[1:])]
 
 
 def _env() -> dict:
@@ -144,6 +200,18 @@ def main(argv: list[str] | None = None) -> int:
         total_ms += own
         print(f"{name:22s} {own:10.2f} {cumulative:10.2f}")
     print(f"{'total':22s} {total_ms:10.2f}")
+
+    rows = (("riordan.cli.run", "run"), ("sys.exit", "sys.exit"), ("python -c pass", "pass"))
+    samples = {how: [] for _, how in rows}
+    for _ in range(args.repeats):  # the three alternate, so that drift reaches each alike
+        for how in samples:
+            samples[how].append(stages(request, how))
+    print(f"wall ms, medians over {args.repeats} runs")
+    print(f"{'ends by':22s}" + "".join(f" {name:>8s}" for name in (*STAGE_NAMES, "total")))
+    for label, how in rows:
+        medians = [1000 * statistics.median(run[i] for run in samples[how]) for i in range(4)]
+        total = 1000 * statistics.median(sum(run) for run in samples[how])
+        print(f"{label:22s}" + "".join(f" {ms:8.2f}" for ms in (*medians, total)))
     return 0
 
 

@@ -1,0 +1,149 @@
+"""How a ``riordan`` process ends: through :func:`riordan.cli.run`.
+
+Each case runs the entry as a subprocess and expects what ``cli.main``
+prints in-process, or what the interpreter printed before the entry
+skipped its finalization: the same stdout, stderr and exit code.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import riordan
+from riordan.cli import main
+
+ENTRIES = ["riordan", "riordan.cli"]
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _env() -> dict:
+    # Buffered streams, as a terminal or a pipe gets them by default, so
+    # that the last flush is the entry's.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(riordan.__path__[0]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _process(argv, entry="riordan", **kw) -> tuple[int, str, str]:
+    res = subprocess.run([sys.executable, "-m", entry, *argv], env=_env(), capture_output=True, text=True, **kw)
+    return res.returncode, res.stdout, res.stderr
+
+
+def _in_process(capsys, argv) -> tuple[int, str, str]:
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse: help and usage errors
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# name: (argv, exit code)
+CASES = {
+    "ok": (["show", "--which", "f", "--N", "4"], 0),
+    "a failed write": (["export", "--which", "f", "--N", "3", "--output", "no/such/dir/out.json"], 1),
+    "a computation's ValueError": (["show", "--family", "simplex", "--r", "2", "--which", "h"], 2),
+    "a parse error": (["jf", "--alpha", "2*", "--beta", "0"], 2),
+    "a usage error": (["show", "--which", "q"], 2),
+    "help": (["jf", "--help"], 0),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("argv, code", CASES.values(), ids=list(CASES))
+def test_the_entry_prints_and_exits_as_main_does(capsys, tmp_path, entry, argv, code):
+    expected = _in_process(capsys, argv)
+    assert expected[0] == code
+    assert _process(argv, entry, cwd=tmp_path) == expected
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_a_large_output_reaches_a_pipe_whole(capsys, entry):
+    argv = ["show", "--flavor", "exponential", "--which", "f", "--N", "100"]
+    code, out, err = _in_process(capsys, argv)
+    assert code == 0 and len(out) > 20_000_000
+    res = subprocess.run([sys.executable, "-m", entry, *argv], env=_env(), stdout=subprocess.PIPE)
+    assert res.returncode == 0 and res.stdout == out.encode()
+
+
+def test_an_exported_file_is_complete(capsys, tmp_path):
+    argv = ["export", "--flavor", "exponential", "--which", "f", "--N", "60", "--format", "csv", "--output"]
+    assert _in_process(capsys, argv + [str(tmp_path / "in.csv")]) == (0, "", "")
+    assert _process(argv + [str(tmp_path / "out.csv")]) == (0, "", "")
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "in.csv").read_bytes()
+
+
+def test_exit_handlers_run_before_the_streams_flush(capsys):
+    argv = ["show", "--which", "h", "--N", "3"]
+    _, out, _ = _in_process(capsys, argv)
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'an exit handler ran')\n"
+        f"sys.argv = ['riordan', *{argv!r}]\n"
+        "runpy.run_module('riordan', run_name='__main__')\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True)
+    assert (res.returncode, res.stdout, res.stderr) == (0, out + "an exit handler ran\n", "")
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_the_interpreter_is_not_torn_down(entry):
+    # An object that only finalization destroys: its __del__ never runs.
+    code = (
+        "import os, runpy, sys\n"
+        "class Witness:\n"
+        "    def __del__(self):\n"
+        "        os.write(2, b'finalized')\n"
+        "witness = Witness()\n"
+        "sys.argv = ['riordan', 'show', '--which', 'h', '--N', '1']\n"
+        f"runpy.run_module({entry!r}, run_name='__main__', alter_sys=True)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True)
+    assert (res.returncode, res.stderr) == (0, "")
+    res = subprocess.run([sys.executable, "-c", code.replace("runpy.run_module", "(lambda *a, **k: None)")],
+                         env=_env(), capture_output=True, text=True)
+    assert res.stderr == "finalized"  # the witness works: without the entry, it is destroyed
+
+
+def _closed_stdout(argv, entry="riordan") -> tuple[int, str]:
+    """Run the entry with its stdout a pipe whose reading end is closed."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        res = subprocess.run([sys.executable, "-m", entry, *argv], env=_env(), stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    return res.returncode, res.stderr
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_a_closed_stdout_is_reported_as_the_interpreter_reports_it(entry):
+    # The output fits the stream's buffer, so the final flush is the first
+    # write to fail: exit 120, as ``sys.exit`` ends it.
+    code, err = _closed_stdout(["show", "--which", "f", "--N", "3"], entry)
+    assert code == 120
+    assert re.fullmatch(r"Exception ignored in: <_io\.TextIOWrapper name='<stdout>' [^\n]*>\n"
+                        r"BrokenPipeError: \[Errno 32\] Broken pipe\n", err)
+
+
+def test_a_write_to_a_closed_stdout_inside_main_propagates():
+    # A write that fails inside main raises out of the entry unchanged.
+    code, err = _closed_stdout(["show", "--which", "f", "--N", "30"])
+    assert code == 1
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert "BrokenPipeError: [Errno 32] Broken pipe\n" in err
+
+
+def test_the_console_script_runs_the_entry(capsys):
+    text = (ROOT / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+    assert scripts.splitlines() == ['riordan = "riordan.cli:run"']
+    # What the installed script does: sys.exit of the target's result.
+    argv = ["show", "--which", "gamma", "--N", "5"]
+    code = f"import sys\nfrom riordan.cli import run\nsys.argv = ['riordan', *{argv!r}]\nsys.exit(run())\n"
+    res = subprocess.run([sys.executable, "-c", code], env=_env(), capture_output=True, text=True)
+    assert (res.returncode, res.stdout, res.stderr) == _in_process(capsys, argv)

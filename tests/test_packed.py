@@ -135,7 +135,11 @@ def walk_packed_and_unpacked(frac, order):
 @example(IndexPoly.constant(32768 * Y**32), IndexPoly.constant(1), 30)  # y^32 takes slot 1
 @example(IndexPoly.constant(Y**6 - Y**3), I * Y**9, 24)  # powers of y^3
 def test_walk_on_packed_ints_matches_the_multipoly_walk(alpha, beta, order):
-    packed, reads, plain = walk_packed_and_unpacked(JFraction(alpha, beta), order)
+    # Packed however few of its slots the powers of y fill (a walk of y^n
+    # alone fills one in n + 1): which walk production takes is tested below.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walk, "_sparse", lambda *args: False)
+        packed, reads, plain = walk_packed_and_unpacked(JFraction(alpha, beta), order)
     assert reads == order
     assert typed_all(packed) == typed_all(plain)
 
@@ -161,3 +165,24 @@ def test_the_polytope_walks_run_packed_at_large_n(frac):
 def test_the_walk_packs_only_integral_weights_free_of_r_in_narrow_slots(frac):
     packed, reads, plain = walk_packed_and_unpacked(frac, 12)
     assert reads == 0 and typed_all(packed) == typed_all(plain)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, order, packs",
+    [
+        (IndexPoly.constant(Y**32), IndexPoly.constant(Y), 60, False),  # one slot in 64 filled
+        (IndexPoly.constant(Y**16), I * Y, 60, False),  # one in 32
+        (IndexPoly.constant(Y**8), I * Y, 60, True),  # one in 16
+        (IndexPoly.constant(1 + Y**32), IndexPoly.constant(Y), 60, True),  # sparse weights whose sums fill the slots
+        (IndexPoly.constant(Y**16 + Y**17), IndexPoly.constant(Y), 40, True),
+        (IndexPoly.constant(Y), IndexPoly(()), 16, False),  # y^n alone: one slot in n + 1
+    ],
+)
+def test_the_walk_packs_only_powers_of_y_that_fill_a_sixteenth_of_their_slots(alpha, beta, order, packs):
+    frac = JFraction(alpha, beta)
+    packed, reads, plain = walk_packed_and_unpacked(frac, order)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walk, "_sparse", lambda *args: False)
+        forced = frac.expand(order)
+    assert reads == order * packs
+    assert typed_all(packed) == typed_all(plain) == typed_all(forced)

@@ -13,16 +13,18 @@ code_lines = runpy.run_path(str(SCRIPTS / "request_footprint.py"))["code_lines"]
 
 
 def _footprint(*request):
-    """The footprint script's riordan table, its quartile line and its
-    standard-library table, each as lines, for one run of the request."""
+    """The footprint script's riordan table, its quartile line, its
+    standard-library table and its wall-time table, each as lines, for one
+    run of the request."""
     argv = [sys.executable, str(SCRIPTS / "request_footprint.py"), "--repeats", "1", *request]
     lines = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.splitlines()
     quartiles = next(i for i, line in enumerate(lines) if line.startswith("per-run total compile ms"))
-    return lines[:quartiles], lines[quartiles], lines[quartiles + 1 :]
+    wall = next(i for i, line in enumerate(lines) if line.startswith("wall ms"))
+    return lines[:quartiles], lines[quartiles], lines[quartiles + 1 : wall], lines[wall:]
 
 
 def test_request_footprint_lists_the_modules_of_an_oeis_check():
-    table, quartiles, stdlib = _footprint("oeis-check", "A055151")
+    table, quartiles, stdlib, _ = _footprint("oeis-check", "A055151")
     assert table[:2] == ["riordan oeis-check A055151", f"{'module':22s} {'code lines':>10s} {'compile ms':>10s}"]
     modules = [line.split()[0] for line in table[2:]]
     assert {"riordan.oeis", "riordan.verify"} <= set(modules)
@@ -42,7 +44,7 @@ def test_request_footprint_lists_the_modules_of_an_oeis_check():
 
 
 def test_request_footprint_shows_what_a_fraction_costs():
-    _, _, stdlib = _footprint("jf", "--alpha", "1/2", "--beta", "0", "--N", "2")
+    _, _, stdlib, _ = _footprint("jf", "--alpha", "1/2", "--beta", "0", "--N", "2")
     times = {line.split()[0]: tuple(map(float, line.split()[1:])) for line in stdlib[1:-1]}
     # fractions and what it imports, each listed before the module importing it.
     assert list(times).index("decimal") < list(times).index("fractions")
@@ -52,6 +54,19 @@ def test_request_footprint_shows_what_a_fraction_costs():
     assert cumulative > own > 0
     label, total = stdlib[-1].split()
     assert label == "total" and abs(float(total) - sum(own for own, _ in times.values())) <= 0.005 * len(times)
+
+
+def test_request_footprint_splits_the_wall_time_of_a_request():
+    *_, wall = _footprint("show", "--which", "f", "--N", "3")
+    assert wall[:2] == ["wall ms, medians over 1 runs", f"{'ends by':22s}" + "".join(
+        f" {name:>8s}" for name in ("start", "imports", "run", "exit", "total"))]
+    rows = {line[:22].strip(): [float(ms) for ms in line[22:].split()] for line in wall[2:]}
+    assert list(rows) == ["riordan.cli.run", "sys.exit", "python -c pass"]
+    for *stages, total in rows.values():
+        # One run is one sample: its total is the sum of its stages.
+        assert all(ms >= 0 for ms in stages) and abs(total - sum(stages)) <= 0.02
+    assert rows["python -c pass"][1:3] == [0, 0]  # no imports, an empty run
+    assert all(rows[label][1] > 0 and rows[label][2] > 0 for label in ("riordan.cli.run", "sys.exit"))
 
 
 def _check_times(suite, *options):
@@ -130,25 +145,52 @@ COMPARED = [
 ]
 
 
+# (argv, whether stdout is a closed pipe), run as processes.
+PROCESSES = [(["show", "--which", "f", "--N", "3"], False), (["show", "--which", "f", "--N", "3"], True)]
+
+
 def _compare(capsys, baseline):
-    code = compare["main"]([str(baseline)], commands=COMPARED)
+    code = compare["main"]([str(baseline)], commands=COMPARED, processes=PROCESSES)
     return code, capsys.readouterr().out.splitlines()
 
 
+def _copy_src(tmp_path):
+    shutil.copytree(SCRIPTS.parent / "src" / "riordan", tmp_path / "riordan", ignore=shutil.ignore_patterns("__pycache__"))
+    return tmp_path / "riordan"
+
+
 def test_compare_outputs_finds_no_difference_between_a_tree_and_itself(capsys):
-    assert _compare(capsys, SCRIPTS.parent / "src") == (0, ["4 commands, 0 differ"])
+    assert _compare(capsys, SCRIPTS.parent / "src") == (0, ["4 commands, 0 differ", "2 commands as processes, 0 differ"])
 
 
 def test_compare_outputs_reports_each_command_whose_output_changed(capsys, tmp_path):
-    shutil.copytree(SCRIPTS.parent / "src" / "riordan", tmp_path / "riordan", ignore=shutil.ignore_patterns("__pycache__"))
-    render = tmp_path / "riordan" / "render.py"
+    render = _copy_src(tmp_path) / "render.py"
     # Tables lose a space between columns, CSV quotes a second time.
     render.write_text(render.read_text().replace('"  ".join(', '" ".join(').replace("'\"' + str(e)", "'\"\"' + str(e)"))
     assert _compare(capsys, tmp_path) == (
         1,
         [
             "4 commands, 2 differ",
+            "2 commands as processes, 1 differ",
             "riordan show --which f --N 3: stdout differ",
             "riordan export --which h --N 3 --format csv --output export.out: written file differ",
+            "riordan show --which f --N 3 (as a process): stdout differ",
+        ],
+    )
+
+
+def test_compare_outputs_sees_how_a_process_ends(capsys, tmp_path):
+    # An entry that ends without flushing stdout: in-process nothing
+    # differs, but its process prints nothing, and exits 0 where the pipe
+    # is closed instead of reporting the failed flush.
+    cli = _copy_src(tmp_path) / "cli.py"
+    cli.write_text(cli.read_text().replace("sys.stdout.flush()", "pass"))
+    assert _compare(capsys, tmp_path) == (
+        1,
+        [
+            "4 commands, 0 differ",
+            "2 commands as processes, 2 differ",
+            "riordan show --which f --N 3 (as a process): stdout differ",
+            "riordan show --which f --N 3 (as a process, stdout closed): exit code, stderr differ",
         ],
     )
