@@ -23,7 +23,7 @@ That sweep never reaches the entry a ``riordan`` process starts from, which
 ends the process.  So a sample of about 40 commands (:data:`PROCESSES`)
 then runs as ``python -m riordan``, one process per command and tree, the
 two trees' processes of a command one after the other: every subcommand,
-every exit code, every format, a 20 MB output and three requests whose
+every exit code, every format, a 20 MB output and four requests whose
 stdout is a pipe already closed.  Their streams are buffered
 (``PYTHONUNBUFFERED`` is unset), as a terminal's or a pipe's are by
 default, and the tree's path in stderr reads ``SRC``.  The script prints
@@ -157,6 +157,7 @@ PROCESSES = [(argv, False) for argv in (
     ["verify", "--help"],
 )] + [(argv, True) for argv in (
     ["show", "--which", "f", "--N", "3"],
+    ["show", "--which", "f", "--N", "30"],
     ["jf", "--alpha", "1", "--beta", "i*y", "--N", "6"],
     ["oeis-check", "A055151"],
 )]

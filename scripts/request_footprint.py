@@ -2,8 +2,12 @@
 """Which ``riordan`` modules one request loads, and what compiling them costs.
 
 usage: python scripts/request_footprint.py [--repeats K] ARGV...
+       python scripts/request_footprint.py --tree
 
 for example ``python scripts/request_footprint.py show --which f --N 30``.
+With ``--tree`` it prints instead the code lines (as counted below) of each
+module under ``src/riordan`` and ``tests/``, with the total of each
+directory and of both: the repository's net line count.
 ARGV is the request's command line after ``riordan``; put ``--`` before it
 if it starts with an option of this script.  The request runs once in a
 fresh interpreter with ``PYTHONDONTWRITEBYTECODE=1`` (its output is
@@ -163,11 +167,28 @@ def import_times(code: str, args: list[str]) -> dict[str, tuple[int, int]]:
     return times
 
 
+def tree() -> None:
+    """Print the code lines of each module under src/riordan and tests/,
+    with the total of each directory and of both."""
+    root, total = SRC.parent, 0
+    for directory in (SRC / "riordan", root / "tests"):
+        counts = {path.relative_to(root).as_posix(): code_lines(str(path)) for path in sorted(directory.rglob("*.py"))}
+        for name, lines in counts.items():
+            print(f"{name:40s} {lines:6d}")
+        print(f"{directory.relative_to(root).as_posix() + ' total':40s} {sum(counts.values()):6d}")
+        total += sum(counts.values())
+    print(f"{'total':40s} {total:6d}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5, help="fresh interpreters per compile timing")
+    parser.add_argument("--tree", action="store_true", help="print the code lines of src/riordan and tests/ instead")
     parser.add_argument("request", nargs=argparse.REMAINDER, help="the request's argv after 'riordan'")
     args = parser.parse_args(argv)
+    if args.tree:
+        tree()
+        return 0
     request = args.request[1:] if args.request[:1] == ["--"] else args.request
     if not request or args.repeats < 1:
         parser.error("give the request's argv, and --repeats of at least 1")

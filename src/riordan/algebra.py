@@ -27,27 +27,40 @@ is imported only where a ``Fraction`` is made: a request with integer
 data never loads it, and every type test reaches it, through
 :func:`_is_scalar`, only after ``int`` and ``MultiPoly``.
 
-The row recurrence of the shaped J-fractions, the family triangles' among
-them (``recurrence._row_recurrence``), computes on packed integers when its
-rows fill at least half of their slots of at most ``MAX_WIDTH`` = 2048
-bits: a polynomial is the list of its y-coefficients, each a polynomial p
-in r held as the int p(2^width).
-Substituting r = 2^width (Kronecker substitution) is a ring homomorphism.
-A weight keeps its terms c r^i as pairs (c, width*i) (``_pack``), so its
-product with a packed polynomial is a small product and a shift per term
-(``_fma``), however far apart its powers of r are.  p is read back from its
-balanced base-2^width digits (``_digits``), exactly when every
-|coefficient| < 2^(width-1): into a MultiPoly (``_unpack``), or, for
-``show`` and ``jf``, straight into its text (``riordan.render._write``).
-The Motzkin walk of an integral fraction free of r (:mod:`riordan.walk`)
-and four integer chains of the Riordan oracle (:mod:`riordan.cold`) pack
-their polynomials in y or series in x the same way, within the same
-``MAX_WIDTH``, and read them with ``_digits`` too.
+The packed engines -- the row recurrence of the shaped J-fractions, the
+family triangles' among them (``recurrence._row_recurrence``), the Motzkin
+walk of an integral fraction free of r (:mod:`riordan.walk`) and four
+integer chains of the Riordan oracle (:mod:`riordan.cold`) -- compute on
+Kronecker-packed integers (Schoenhage 1982; Harvey 2009): a polynomial in
+one variable with integer coefficients is the int it takes where that
+variable is 2^width.  Substituting 2^width is a ring homomorphism, so a
+product of packed ints is the packed product.  The recurrence packs r,
+a polynomial being the list of its y-coefficients; the walk packs y; the
+chains pack x.  The rules they share are written here once:
+
+* the norm |p|(1), the sum of the absolute values of p's coefficients,
+  that every engine's coefficient bound starts from (``_norm``);
+* the slot width for a bound: its bits and a sign bit, in whole bytes, at
+  most ``MAX_WIDTH`` = 2048 bits (``_width``);
+* the fill (``_fill``): the terms the last value of a recurrence
+  v_n = (level) v_{n-1} + (fall) v_{n-2} can hold, found by running it with
+  | for + on bitsets.  Packing gives every slot x^0..x^i of a packed int
+  the full width, so the recurrence and the walk, whose values can leave
+  most slots empty, pack only where the fill fills a share of its slots
+  that each of them measured (``_width``'s ``share``);
+* a weight's terms c x^i as pairs (c, width*i) (``_pack``), so that its
+  product with a packed value is a small product and a shift per term
+  (``_fma``), however far apart its powers are;
+* the read back: p from its balanced base-2^width digits (``_digits``),
+  exact when every |coefficient| < 2^(width-1), into a MultiPoly
+  (``_unpack``), or, for ``show`` and ``jf``, straight into its text
+  (``riordan.render._write``).
 """
 
 from __future__ import annotations
 
 import sys
+from functools import reduce
 from operator import add
 from typing import Iterator, Mapping, Union
 
@@ -55,9 +68,10 @@ from . import _cold
 
 VARIABLES = ("r", "y")
 
-# The widest slot a packed engine uses, in bits.  One width serves every
-# coefficient, so past it the slots of the small ones are mostly zeros and
-# the engines compute on MultiPoly, Fraction or plain ints instead.
+# The widest slot a packed engine uses, in bits (``_width``).  One width
+# serves every coefficient, so past it the slots of the small ones are
+# mostly zeros and the engines compute on MultiPoly, Fraction or plain ints
+# instead.
 MAX_WIDTH = 2048
 
 Scalar = Union[int, "Fraction"]
@@ -287,6 +301,35 @@ def tidy(value: Scalar | MultiPoly) -> Scalar | MultiPoly:
             return value
         value = value.constant_value()
     return value if type(value) is int or getattr(value, "denominator", 0) != 1 else value.numerator
+
+
+def _norm(p: MultiPoly) -> int:
+    """|p|(1): the sum of the absolute values of p's coefficients."""
+    return sum(map(abs, p._terms.values()))
+
+
+def _width(bound: int, fill=(), share: int = 1) -> int | None:
+    """The slot width for coefficients of absolute value at most bound: its
+    bits and a sign bit, in whole bytes (which ``_digits`` reads by bytes
+    from 65 slots on).  None past MAX_WIDTH, or where the terms of fill, as
+    ``_fill`` gives them, fill fewer than 1/share of their slots."""
+    width = (bound.bit_length() + 8) // 8 * 8
+    dense = share * sum(map(int.bit_count, fill)) >= sum(map(int.bit_length, fill))
+    return width if width <= MAX_WIDTH and dense else None
+
+
+def _fill(steps, order: int) -> list[int]:
+    """Where value ``order`` of v_n = L v_{n-1} + F v_{n-2}, from
+    v_{-1} = 0 and v_0 = 1, can have terms: for each power z^j in turn, the
+    bitset of the powers x^i, x the packed variable, that its coefficient of
+    z^j can hold.  ``steps`` holds the exponent pairs (i, j) of the terms
+    x^i z^j of L, then of F.  The recurrence runs on bitsets with | for +,
+    bit i + j*stride for x^i z^j, so a term that may cancel counts too, and
+    the stride exceeds every i of the last value."""
+    stride, fill = order * max((i for s in steps for i, _ in s), default=0) + 1, [0, 1]
+    for _ in range(order):
+        fill.append(reduce(int.__or__, [fill[-1 - k] << i + j * stride for k, s in enumerate(steps) for i, j in s], 0))
+    return [fill[-1] >> s & (1 << stride) - 1 for s in range(0, fill[-1].bit_length(), stride)]
 
 
 def _pack(poly: MultiPoly, width: int) -> list[list[tuple[int, int]]]:

@@ -153,12 +153,17 @@ def run() -> None:
     took about 10 ms of every request on a 2-core x86-64 machine.  Where a
     flush fails (a closed pipe, a full disk, a stream that is closed or
     None), it exits through ``sys.exit``, so that the interpreter reports
-    the failure as it always has (exit 120 for a closed pipe).  What
-    ``main`` raises propagates unchanged."""
+    the failure as it always has (exit 120 for a closed pipe).  A write
+    inside ``main`` to a stdout whose reader has gone (an output larger
+    than the stream's buffer, or any output unbuffered) ends the same way,
+    with code 120; anything else ``main`` raises propagates unchanged."""
     import atexit
     import os
 
-    code = main()
+    try:
+        code = main()
+    except BrokenPipeError:
+        code = 120
     atexit._run_exitfuncs()
     try:
         sys.stdout.flush()

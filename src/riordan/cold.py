@@ -15,9 +15,10 @@ substitution (Schoenhage 1982; Harvey 2009), when every coefficient is an
 int: the Horner steps of :func:`series_compose`, the powers of
 :func:`series_revert` and the columns of :meth:`RiordanArray.matrix` at
 x = 2^width, and :func:`binomial_transform` on polynomials free of r at
-y = 2^width.  Each proves its width from its inputs, in whole bytes and at
-most ``algebra.MAX_WIDTH`` bits; otherwise it computes on the coefficients
-(see "packed integer chains" below).
+y = 2^width.  Each proves a bound on its coefficients from its inputs and
+takes the width :mod:`riordan.algebra`'s packing rules give that bound;
+past ``MAX_WIDTH`` it computes on the coefficients (see "packed integer
+chains" below).
 
 Without cached bytecode a request compiles every module it imports, so
 no ``show``, ``export`` or ``jf`` request imports this one, and neither
@@ -36,7 +37,7 @@ from math import comb, factorial
 from operator import mul
 from typing import Callable, Sequence
 
-from .algebra import MAX_WIDTH, VARIABLES, Monomial, MultiPoly, R, Scalar, Y, _digits, tidy
+from .algebra import VARIABLES, Monomial, MultiPoly, R, Scalar, Y, _digits, _norm, _width, tidy
 from .arrays import Entry, IndexBeyondTruncation, LowerTriMatrix, _normalize_entry
 from .families import FamilySpec, GammaHFTriple, Kind, RValue
 from .jfraction import PolyLike
@@ -65,23 +66,15 @@ class NonIntegralResult(ValueError):
 
 # -- packed integer chains ----------------------------------------------------
 #
-# Kronecker substitution is a ring homomorphism, so a product of packed
-# ints is the packed product.  A truncation at x^m keeps the value's low m
-# slots (_low), exact when each kept coefficient fits its slot, whatever
-# the dropped ones are.  Each chain bounds every coefficient it keeps from
-# its inputs and takes the width from that bound (_width).  One width
+# The packing rules (the norm, the slot width and the read back) are
+# riordan.algebra's.  A truncation at x^m keeps the value's low m slots
+# (_low), exact when each kept coefficient fits its slot, whatever the
+# dropped ones are.  Each chain bounds every coefficient it keeps from its
+# inputs and takes the width from that bound (algebra._width).  One width
 # serves every slot, so past MAX_WIDTH (as for the ordinary family at
 # r = 2^B in tests/test_engines.py, whose columns mix coefficients of very
 # different sizes) the chain computes on its coefficients, as it does for
 # a Fraction or MultiPoly coefficient.
-
-
-def _width(bound: int) -> int | None:
-    """The slot width for coefficients of absolute value at most bound: its
-    bits and a sign bit, in whole bytes (which ``_digits`` reads by bytes
-    from 65 slots on); None past MAX_WIDTH."""
-    width = (bound.bit_length() + 8) // 8 * 8
-    return width if width <= MAX_WIDTH else None
 
 
 def _ints(*coeffs) -> bool:
@@ -613,11 +606,6 @@ def _difference_table(row: list, k) -> list:
         out.append(row[0])
         row = [b + a * k for a, b in zip(row, row[1:])]
     return out
-
-
-def _norm(p: MultiPoly) -> int:
-    """|p|(1): the sum of the absolute values of p's coefficients."""
-    return sum(abs(c) for _, c in p.items())
 
 
 # -- the command line's export reader ------------------------------------------------

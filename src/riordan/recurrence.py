@@ -10,9 +10,7 @@ the Motzkin walk, which expands every other fraction, is
 
 from __future__ import annotations
 
-from functools import reduce
-
-from .algebra import MAX_WIDTH, MultiPoly, _fma, _pack, _unpack, tidy
+from .algebra import MultiPoly, _fill, _fma, _norm, _pack, _unpack, _width, tidy
 from .jfraction import _denominator
 
 
@@ -24,19 +22,18 @@ def _row_recurrence(a: MultiPoly, b: MultiPoly, hermite: bool, order: int, read)
     run on MultiPoly give their coefficients, so those entries come back
     as ints, Fractions or MultiPolys whatever ``read`` is.
 
-    The rows run on packed integers (see :mod:`riordan.algebra`), on D a
-    and D^2 b for the common denominator D of a and b, so row n is D^n
-    times the true one.  Run first on the sums of absolute coefficients of
-    those weights, the recurrence bounds every coefficient of every row;
-    the slot width is that bound's bits and a sign bit, in whole bytes.
-    Run with | for + on a bitset (bit i + j*stride for r^i y^j), it finds
-    the terms the last row can have.  Packing gives every slot r^0..r^i of
-    a y-coefficient the full width, so the rows run on MultiPoly instead
-    when those terms fill fewer than half of their slots or the width
-    exceeds MAX_WIDTH bits, where coefficients of very different sizes share
-    it.  Measured at N = 36-100, packing was 1.6-5x faster on dense rows
-    of slots up to 1500 bits, 0.7-1x as fast at 1800-2300 bits, and up to
-    12x slower from 2600 bits or on sparse rows.
+    The rows run on packed integers, r -> 2^width (see
+    :mod:`riordan.algebra`, which holds the packing rules), on D a and
+    D^2 b for the common denominator D of a and b, so row n is D^n times
+    the true one.  Run first on the norms of those weights, the recurrence
+    bounds every coefficient of every row, and the slot width is
+    ``_width`` of that bound.  The rows run on MultiPoly instead where the
+    terms the last row can hold (``_fill``, r packed and y the row's
+    index) fill fewer than half of their slots, or past ``MAX_WIDTH``,
+    where coefficients of very different sizes share a width.  Measured at
+    N = 36-100, packing was 1.6-5x faster on dense rows of slots up to
+    1500 bits, 0.7-1x as fast at 1800-2300 bits, and up to 12x slower from
+    2600 bits or on sparse rows.
     """
     den = _denominator(a, b)
 
@@ -46,14 +43,9 @@ def _row_recurrence(a: MultiPoly, b: MultiPoly, hermite: bool, order: int, read)
             out.append(_fma(_fma([], a, out[-1]), [[((n - 1) * c, s) for c, s in t] for t in b] if hermite else b, out[-2]))
         return out[: order + 1]
 
-    bound = max(row[0] for row in rows(*([[(sum(abs(c) for _, c in p.items()), 0)]] for p in (a * den, b * den**2))))
-    width = (bound.bit_length() + 8) // 8 * 8
-    stride = order * max(a.degree("r"), b.degree("r")) + 1
-    masks = [0, 1]  # P_{-1} = 0, P_0 = 1; each term r^i y^j of a shifts P_{n-1}'s, each of b P_{n-2}'s
-    for _ in range(order):
-        masks.append(reduce(int.__or__, [masks[-1 - k] << i + j * stride for k, w in enumerate((a, b)) for (i, j), _ in w.items()], 0))
-    slots = sum((masks[-1] >> s & (1 << stride) - 1).bit_length() for s in range(0, masks[-1].bit_length(), stride))
-    if width > MAX_WIDTH or 2 * masks[-1].bit_count() < slots:
+    bound = max(row[0] for row in rows(*([[(_norm(p), 0)]] for p in (a * den, b * den**2))))
+    width = _width(bound, _fill([[m for m, _ in w.items()] for w in (a, b)], order), 2)
+    if width is None:
         polys = [MultiPoly.const(1), a]
         for n in range(2, order + 1):
             polys.append(a * polys[-1] + b * (n - 1 if hermite else 1) * polys[-2])

@@ -253,9 +253,9 @@ def _matrix_doc(args) -> OutputDoc:
     else:
         flavor = r = None
         family = args.family
-    fraction = member_fraction(family, args.which)
-    # A non-integer coefficient would need every entry checked, as a triangle does.
-    rows = fraction.rows(args.N, _write) if fraction.is_integral() else list(map(list, fraction.triangle(args.N).rows))
+    # Every fraction a show can request is integral, so its rows are read
+    # straight into text (tests/test_render.py pins this).
+    rows = member_fraction(family, args.which).rows(args.N, _write)
     for n, row in enumerate(cells(rows)):
         if len(row) > n + 1:
             raise ValueError(f"coefficient of x^{n} has y-degree {len(row) - 1} > n")

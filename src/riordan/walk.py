@@ -14,32 +14,33 @@ coefficient n is t[0] after n steps.  Heights above min(n, order - n)
 cannot return to 0 by x^order and are dropped, so the walk takes O(N^2)
 height-steps.
 
-An integral fraction free of r walks on packed integers: each t[k], a
-polynomial in y, is the int t[k](2^width) (Kronecker substitution
-y -> 2^width, a ring homomorphism), and each level weight is evaluated once
-into the pairs (c, width*j) of its y-coefficients c of y^j, so its product
-with a packed value is a small product and a shift per term, however far
-apart its powers of y are.  When every power of y in the weights is a
-power of y^g, y^j takes slot j/g (y^g -> 2^width).  The width is
-proved before the walk: the same walk on plain ints, each weight replaced
-by the sum of the absolute values of its coefficients, bounds every
-coefficient of every t[0] read, and the width is that bound's bits and a
-sign bit, in whole bytes, so that :func:`~riordan.algebra._digits` reads
-each coefficient back exactly.  Past ``MAX_WIDTH`` bits, or with weights in
-r or with a non-integer coefficient, the walk runs on MultiPoly; so it does
-where the powers of y a coefficient can hold fill fewer than 1/16 of its
-slots (:func:`_sparse`): with weights y^32 and y, each coefficient fills
-one slot in 64 and the packed walk took 2.6x as long.  Packing r
-as well would give every power of y the slots of every power of r, most of
-them empty (a skewed layout, r^i y^j at slot q*i - p*j for the least
-ratio p/q of the weights' powers, would avoid that), so weights with r keep
-the MultiPoly walk.
+An integral fraction free of r walks on packed integers, y -> 2^width
+(see :mod:`riordan.algebra`, which holds the packing rules): each t[k] is
+the int t[k](2^width), and each level weight is evaluated once into the
+pairs (c, width*j) of its y-coefficients c of y^j, so its product with a
+packed value is a small product and a shift per term (:func:`_times`).
+When every power of y in the weights is a power of y^g, y^j takes slot
+j/g (y^g -> 2^width).  The width is proved before the walk: the same walk
+on plain ints, each weight replaced by its norm, bounds every coefficient
+of every t[0] read, and the width is ``_width`` of that bound.  Past
+``MAX_WIDTH`` bits, or with weights in r or with a non-integer
+coefficient, the walk runs on MultiPoly; so it does where the powers of
+y^g a coefficient can hold (``_fill``, a level step adding a power of
+some alpha(k), a step up and back down one of some beta(k)) fill fewer
+than 1/16 of its slots: with weights y^32 and y, each coefficient fills
+one slot in 64 and the packed walk took 2.6x as long.  Measured at
+N = 40-100 on a 2-core x86-64 machine, the MultiPoly walk overtakes the
+packed one between a fill of 1/16 (packed 1.4x faster) and 1/32 (1.5x
+slower).  Packing r as well would give every power of y the slots of
+every power of r, most of them empty (a skewed layout, r^i y^j at slot
+q*i - p*j for the least ratio p/q of the weights' powers, would avoid
+that), so weights with r keep the MultiPoly walk.
 """
 
-from functools import partial, reduce
+from functools import partial
 from math import gcd
 
-from .algebra import MAX_WIDTH, _digits, _wrap
+from .algebra import _digits, _fill, _width, _wrap
 from .series import TruncatedSeries
 
 
@@ -52,11 +53,11 @@ def expand(frac, order: int) -> TruncatedSeries:
     if all(not i and type(c) is int for p in frac for q in p.coeffs for (i, _), c in q.items()):
         weights = [[_y_terms(p, k) for k in ks] for p, ks in zip(frac, levels)]
         bound = max(_walk(*([sum(abs(c) for c, _ in w).__mul__ for w in ws] for ws in weights), order))
-        width = (bound.bit_length() + 8) // 8 * 8
         # Every power of y is one of y^g, the gcd of the weights' powers, so
         # y^j takes slot j/g: weights in y^32 alone leave no slot empty.
         g = gcd(*(j for ws in weights for w in ws for _, j in w)) or 1
-        if width <= MAX_WIDTH and not _sparse(weights, g, order):
+        width = _width(bound, _fill([{(j // g, 0) for w in ws for _, j in w} for ws in weights], order), 16)
+        if width:
             packed = _walk(*([partial(_times, [(c, width * j // g) for c, j in w]) for w in ws] for ws in weights), order)
             return TruncatedSeries([1] + [_unpack_y(v, width, g) for v in packed[1:]])
     return TruncatedSeries(_walk(*([p(k).__mul__ for k in ks] for p, ks in zip(frac, levels)), order))
@@ -72,21 +73,6 @@ def _walk(a, b, order: int) -> list:
         t = [t[k] + a[k](t[k + 1]) + b[k](t[k + 2]) for k in range(min(n, order - n) + 1)]
         out.append(t[0])
     return out
-
-
-def _sparse(weights, g: int, order: int) -> bool:
-    """Whether the powers of y^g that coefficient ``order`` can hold fill
-    fewer than 1/16 of its slots.  As ``_row_recurrence`` does, it runs the
-    walk's recurrence on a bitset, bit j for y^(g*j): a level step adds a
-    power of some alpha(k), a step up and back down one of some beta(k).
-    Measured at N = 40-100 on a 2-core x86-64 machine, the MultiPoly walk
-    overtakes the packed one between a fill of 1/16 (packed 1.4x faster)
-    and 1/32 (1.5x slower)."""
-    steps = [{j // g for w in ws for _, j in w} for ws in weights]
-    reach = [0, 1]
-    for _ in range(order):
-        reach.append(reduce(int.__or__, [reach[-1 - k] << j for k, s in enumerate(steps) for j in s], 0))
-    return 16 * reach[-1].bit_count() < reach[-1].bit_length()
 
 
 def _y_terms(p, k: int) -> list[tuple[int, int]]:

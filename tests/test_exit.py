@@ -2,7 +2,8 @@
 
 Each case runs the entry as a subprocess and expects what ``cli.main``
 prints in-process, or what the interpreter printed before the entry
-skipped its finalization: the same stdout, stderr and exit code.
+skipped its finalization: the same stdout, stderr and exit code.  A stdout
+whose reader has gone ends every request with exit 120 and no traceback.
 """
 
 import os
@@ -109,12 +110,13 @@ def test_the_interpreter_is_not_torn_down(entry):
     assert res.stderr == "finalized"  # the witness works: without the entry, it is destroyed
 
 
-def _closed_stdout(argv, entry="riordan") -> tuple[int, str]:
+def _closed_stdout(argv, entry="riordan", unbuffered=False) -> tuple[int, str]:
     """Run the entry with its stdout a pipe whose reading end is closed."""
+    env = dict(_env(), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
     read, write = os.pipe()
     os.close(read)
     try:
-        res = subprocess.run([sys.executable, "-m", entry, *argv], env=_env(), stdout=write, stderr=subprocess.PIPE, text=True)
+        res = subprocess.run([sys.executable, "-m", entry, *argv], env=env, stdout=write, stderr=subprocess.PIPE, text=True)
     finally:
         os.close(write)
     return res.returncode, res.stderr
@@ -130,12 +132,14 @@ def test_a_closed_stdout_is_reported_as_the_interpreter_reports_it(entry):
                         r"BrokenPipeError: \[Errno 32\] Broken pipe\n", err)
 
 
-def test_a_write_to_a_closed_stdout_inside_main_propagates():
-    # A write that fails inside main raises out of the entry unchanged.
-    code, err = _closed_stdout(["show", "--which", "f", "--N", "30"])
-    assert code == 1
-    assert err.startswith("Traceback (most recent call last):\n")
-    assert "BrokenPipeError: [Errno 32] Broken pipe\n" in err
+@pytest.mark.parametrize("size, unbuffered", [("30", False), ("3", True), ("30", True)],
+                         ids=["large", "unbuffered", "large unbuffered"])
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_a_write_to_a_closed_stdout_inside_main_exits_120(entry, size, unbuffered):
+    # Larger than the stream's buffer, or unbuffered, the output's write
+    # fails inside main, which leaves nothing for the final flush to fail
+    # on: exit 120, with no traceback.
+    assert _closed_stdout(["show", "--which", "f", "--N", size], entry, unbuffered) == (120, "")
 
 
 def test_the_console_script_runs_the_entry(capsys):

@@ -5,7 +5,10 @@ y-packed Motzkin walk (riordan.walk).  Each runs once as it runs in
 production, asserted packed, and once with packing switched off, where it
 computes on its coefficients as before; the two must agree value for value
 and type for type.  Sizes of more than 64 slots reach the byte read of
-``algebra._digits``."""
+``algebra._digits``.  Last, the packing rules the engines share: the slot
+width (``algebra._width``) read back by ``_digits`` at byte edges and at
+``MAX_WIDTH``, and the fill bitset (``algebra._fill``) against the terms
+the row recurrence and the walk compute."""
 
 from fractions import Fraction
 
@@ -14,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from canonical import typed_all
 from riordan import cold, walk
-from riordan.algebra import MultiPoly, R, Y
+from riordan.algebra import MultiPoly, R, Y, _digits, _fill, _width
 from riordan.cold import RiordanArray, binomial_transform
 from riordan.families import FamilySpec, Kind, family_fractions, named_triple
 from riordan.jfraction import IndexPoly, JFraction
@@ -122,7 +125,7 @@ def walk_packed_and_unpacked(frac, order):
         mp.setattr(walk, "_unpack_y", lambda *args: reads.append(1) or real(*args))
         packed = frac.expand(order)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(walk, "MAX_WIDTH", 0)
+        mp.setattr(walk, "_width", lambda *args: None)
         return packed, len(reads), frac.expand(order)
 
 
@@ -138,7 +141,7 @@ def test_walk_on_packed_ints_matches_the_multipoly_walk(alpha, beta, order):
     # Packed however few of its slots the powers of y fill (a walk of y^n
     # alone fills one in n + 1): which walk production takes is tested below.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(walk, "_sparse", lambda *args: False)
+        mp.setattr(walk, "_width", lambda bound, fill, share: _width(bound))
         packed, reads, plain = walk_packed_and_unpacked(JFraction(alpha, beta), order)
     assert reads == order
     assert typed_all(packed) == typed_all(plain)
@@ -182,7 +185,62 @@ def test_the_walk_packs_only_powers_of_y_that_fill_a_sixteenth_of_their_slots(al
     frac = JFraction(alpha, beta)
     packed, reads, plain = walk_packed_and_unpacked(frac, order)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(walk, "_sparse", lambda *args: False)
+        mp.setattr(walk, "_width", lambda bound, fill, share: _width(bound))
         forced = frac.expand(order)
     assert reads == order * packs
     assert typed_all(packed) == typed_all(plain) == typed_all(forced)
+
+
+# -- the packing rules the engines share (riordan.algebra) ---------------------------
+
+@pytest.mark.parametrize("k", [0, 6, 7, 8, 15, 16, 63, 64, 1023, 2039, 2040, 2046, 2047])
+@pytest.mark.parametrize("d", [-1, 0, 1])
+def test_digits_read_back_the_bound_at_its_width(k, d):
+    bound = 2**k + d
+    width = _width(bound)
+    assert (width is None) == (bound >= 2**2047)  # 2048 bits hold a sign bit and 2047 more
+    if width:
+        # The fewest whole bytes that hold the bound and a sign bit.
+        assert width % 8 == 0 and bound < 2 ** (width - 1) and (width == 8 or bound >= 2 ** (width - 9))
+        digits = [bound, -bound, 0, -bound] * 17 + [bound]  # 69 slots: the byte read
+        for n in (1, 4, len(digits)):
+            value = sum(c << width * i for i, c in enumerate(digits[:n]))
+            assert (_digits(value, width) + [0] * n)[:n] == digits[:n]
+
+
+def fill_set(fill):
+    """The pairs (i, j) of the bits of _fill's bitsets: x^i in the value's z^j."""
+    return {(i, j) for j, bits in enumerate(fill) for i in range(bits.bit_length()) if bits >> i & 1}
+
+
+rz_weights = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)), st.integers(-3, 3), max_size=4).map(MultiPoly)
+
+
+@given(rz_weights, rz_weights, st.booleans(), st.integers(0, 12))
+@example(1 + R * Y, R**3 * Y, False, 12)  # positive weights: the fill is the support
+@example(MultiPoly(), Y + 2, True, 7)  # a = 0: odd rows are zero
+def test_the_fill_holds_every_term_of_the_last_row(a, b, hermite, order):
+    # The row recurrence packs r: bit i + j*stride stands for r^i y^j.
+    frac = JFraction(IndexPoly.constant(a), I * b) if hermite else JFraction((-I + 1) * a, (-I + 2) * b)
+    last = frac.rows(order)[-1]
+    support = {(i, j) for j, c in enumerate(last) for (i, _), _ in MultiPoly.coerce(c).items()}
+    filled = fill_set(_fill([[m for m, _ in w.items()] for w in (a, b)], order))
+    assert support <= filled
+    if all(c > 0 for w in (a, b) for _, c in w.items()):  # nothing cancels
+        assert support == filled
+
+
+@given(index_polys, index_polys, st.integers(0, 30))
+@example(IndexPoly.constant(1 + Y**3), IndexPoly.constant(Y**5), 20)  # positive weights: the fill is the support
+@example(IndexPoly.constant(Y**32), IndexPoly.constant(Y), 30)
+def test_the_fill_holds_every_power_of_y_of_the_walk(alpha, beta, order):
+    # The walk packs y, in one int: bit j stands for y^j.  A path of order
+    # steps back to height 0 climbs to order // 2 at most.
+    levels = (range(order // 2 + 1), range(1, order // 2 + 1))
+    steps = [{(j, 0) for k in ks for (_, j), _ in p(k).items()} for p, ks in zip((alpha, beta), levels)]
+    coefficient = MultiPoly.coerce(JFraction(alpha, beta).expand(order)[order])
+    support = {(j, 0) for (_, j), _ in coefficient.items()}
+    filled = fill_set(_fill(steps, order))
+    assert support <= filled
+    if all(not p.degree() and all(c > 0 for _, c in p(0).items()) for p in (alpha, beta)):  # free of i, nothing cancels
+        assert support == filled

@@ -86,6 +86,19 @@ def test_show_prints_the_cells_of_its_triangle(family, flavor, r, which, reverse
     assert [typed_all(row) for row in _matrix_doc(args).rows] == [typed_all(row) for row in as_cells(rows)]
 
 
+SHOWABLE = {f"{flavor} {r}": FamilySpec(Kind(flavor), R if r == "r" else r)
+            for flavor in ("ordinary", "exponential") for r in ("r", -7, -1, 0, 3, 2**60)}
+SHOWABLE.update({name: name for name in POLYTOPE_NAMES})
+
+
+@pytest.mark.parametrize("family", SHOWABLE.values(), ids=list(SHOWABLE))
+@pytest.mark.parametrize("which", ["gamma", "h", "f"])
+def test_every_fraction_show_can_request_is_integral(family, which):
+    # _matrix_doc writes the rows of a show's fraction straight into text,
+    # which only an integral fraction's rows allow: --r takes only integers.
+    assert member_fraction(family, which).is_integral()
+
+
 @given(st.lists(st.lists(st.integers(-(10**30), 10**30) | st.text('ab,"r*^ -\n', max_size=6), min_size=1), min_size=1))
 @example([[1, "r", 'say "r"', "a,b", "", -3]])
 def test_csv_is_what_the_csv_module_writes(rows):

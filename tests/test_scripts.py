@@ -69,6 +69,20 @@ def test_request_footprint_splits_the_wall_time_of_a_request():
     assert all(rows[label][1] > 0 and rows[label][2] > 0 for label in ("riordan.cli.run", "sys.exit"))
 
 
+def test_request_footprint_counts_the_code_lines_of_the_tree():
+    argv = [sys.executable, str(SCRIPTS / "request_footprint.py"), "--tree"]
+    lines = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.splitlines()
+    counts = {name.strip(): int(n) for name, n in (line.rsplit(None, 1) for line in lines)}
+    root, expected = SCRIPTS.parent, []
+    for directory in ("src/riordan", "tests"):
+        modules = sorted(path.relative_to(root).as_posix() for path in (root / directory).rglob("*.py"))
+        assert all(counts[name] == code_lines(str(root / name)) for name in modules)
+        assert counts[f"{directory} total"] == sum(counts[name] for name in modules)
+        expected += [*modules, f"{directory} total"]
+    assert list(counts) == expected + ["total"] and {"src/riordan/cli.py", "tests/test_scripts.py"} < set(counts)
+    assert counts["total"] == counts["src/riordan total"] + counts["tests total"]
+
+
 def _check_times(suite, *options):
     argv = [sys.executable, str(SCRIPTS / "check_times.py"), suite, "--repeats", "1", *options]
     return subprocess.run(argv, capture_output=True, text=True, check=True).stdout.splitlines()
