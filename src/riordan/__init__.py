@@ -28,7 +28,9 @@ and the ``verify`` and ``oeis-check`` subcommands), :mod:`~riordan.battery`
 ``export`` and ``jf`` subcommands and their output formats),
 :mod:`~riordan.cli` (the ``riordan`` command's dispatcher and its
 option-table parser), :mod:`~riordan.usage` (the command's argparse
-parser, for help texts and usage errors).
+parser, for help texts and usage errors).  The package itself holds
+:class:`Frozen`, the base class of the value records, beside the helpers
+the modules share (:func:`_count`, :func:`_cold`, :func:`_lazy_names`).
 
 Importing the package imports none of them.  Each name in ``__all__`` is
 resolved on first use, from the one submodule that defines it, so a
@@ -117,6 +119,49 @@ def _count(text: str) -> int:
     if value < 0:
         raise ValueError(f"must be at least 0, got {value}")
     return value
+
+
+class Frozen:
+    """An immutable record that compares, hashes and prints by its fields.
+
+    The package's records are plain classes rather than standard-library
+    data classes, whose module loads ``inspect``, ``ast``, ``dis`` and
+    ``tokenize``: a request that compiles its modules from source would
+    spend more on that import than on all of its records.  A record class
+    lists its fields in ``__slots__`` and writes its own ``__init__``, with
+    the signature and defaults that callers see, which sets every field
+    once, through :meth:`_init`; assigning or deleting a field afterwards
+    raises ``AttributeError``.  Records that validate nothing and define no
+    operators, so that acting as tuples does them no harm, are
+    ``typing.NamedTuple`` classes instead.
+    """
+
+    __slots__ = ()
+
+    def _init(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
 
 
 def _cold():

@@ -53,8 +53,8 @@ chains pack x.  The rules they share are written here once:
   (``_fma``), however far apart its powers are;
 * the read back: p from its balanced base-2^width digits (``_digits``),
   exact when every |coefficient| < 2^(width-1), into a MultiPoly
-  (``_unpack``), or, for ``show`` and ``jf``, straight into its text
-  (``riordan.render._write``).
+  (``_unpack`` for r, ``_unpack_y`` for y), or, for ``show`` and ``jf``,
+  straight into its text (``riordan.render._write``).
 """
 
 from __future__ import annotations
@@ -347,6 +347,11 @@ def _unpack(value: int, width: int) -> int | MultiPoly:
     if -(1 << (width - 1)) <= value < 1 << (width - 1):
         return value
     return _wrap({(i, 0): c for i, c in enumerate(_digits(value, width)) if c})  # nonzero ints need no _trusted
+
+
+def _unpack_y(value: int, width: int, g: int = 1) -> MultiPoly:
+    """The polynomial in y packed in value at y^g = 2^width, a MultiPoly."""
+    return _wrap({(0, g * j): c for j, c in enumerate(_digits(value, width)) if c})  # nonzero ints need no _trusted
 
 
 def _digits(value: int, width: int) -> list[int]:

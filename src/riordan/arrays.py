@@ -2,26 +2,26 @@
 
 All matrices are dense lower triangles with exact entries (``int`` or
 :class:`~riordan.algebra.MultiPoly` with integer coefficients); rationality
-that fails to cancel is an error at this boundary.  The library, the
-oracles and the fixture checks build triangles; ``show`` writes its rows
-straight from their fraction and loads neither this module nor
-:mod:`riordan.series`, which this one names only in an annotation.
+that fails to cancel is an error at this boundary.  The library and the
+oracles build triangles; ``show`` writes its rows straight from their
+fraction and loads neither this module nor :mod:`riordan.series`, which
+this one names only in an annotation.
 
 The Riordan group (:class:`~riordan.cold.RiordanArray`, its weight
 sequences, the identity, binomial and face arrays), the binomial and face
 matrices and :func:`~riordan.cold.series_from_triangle` serve only as the
 oracle of ``verify`` and the tests, so they live in :mod:`riordan.cold`,
-which no ``show``, ``export`` or ``jf`` request loads, and so does the body
-of the matrix product.  They import from there; only ``RiordanArray`` and
-``face_matrix``, which the benchmark's tracer wraps here, also resolve from
-this module, on first use.
+which no ``show``, ``export`` or ``jf`` request loads.  They import from
+there; only ``RiordanArray`` and ``face_matrix``, which the benchmark's
+tracer wraps here, also resolve from this module, on first use.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Sequence, Union
 
-from . import _cold, _lazy_names
+from . import _lazy_names
 from .algebra import MultiPoly, _is_scalar, tidy
 
 Entry = Union[int, MultiPoly]
@@ -90,9 +90,17 @@ class LowerTriMatrix:
         return True
 
     def __mul__(self, other: LowerTriMatrix) -> LowerTriMatrix:
+        """Entry (n, k) is one sum over j = k..n of self[n, j] other[j, k],
+        with other's column k read from row k down once, before the
+        products."""
         if not isinstance(other, LowerTriMatrix):
             return NotImplemented
-        return _cold().tri_mul(self, other)
+        if self.size != other.size:
+            raise ValueError("matrix product needs equal sizes")
+        cols = [[row[k] for row in other._rows[k:]] for k in range(other.size)]
+        return LowerTriMatrix(
+            [tidy(sum(map(mul, row[k:], cols[k]))) for k in range(n + 1)] for n, row in enumerate(self._rows)
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LowerTriMatrix):

@@ -33,6 +33,7 @@ builds from the same tables, so only those requests load ``argparse``,
 from __future__ import annotations
 
 import sys
+from types import SimpleNamespace
 
 from . import _lazy_names, _submodule
 
@@ -48,13 +49,6 @@ _SUBCOMMANDS = (
     ("oeis-check", "check embedded OEIS fixtures", "verify", "oeis_check_options", "cmd_oeis_check"),
     ("fetch-bfile", "download an OEIS b-file", "bfile", "fetch_bfile_options", "cmd_fetch_bfile"),
 )
-
-
-class _Args:
-    """A request's options as attributes, as argparse's Namespace holds them."""
-
-    def __init__(self, values: dict):
-        self.__dict__.update(values)
 
 
 def _convert(kw: dict, text: str):
@@ -112,7 +106,7 @@ def _values(options, argv: list[str]) -> dict:
     return values
 
 
-def _parse(argv: list[str]) -> _Args | None:
+def _parse(argv: list[str]) -> SimpleNamespace | None:
     """The namespace argparse would parse from ``argv``, built from the
     subcommand's option table without argparse; or None where argparse
     must parse it: for help, a usage error, or a spelling that only
@@ -127,7 +121,7 @@ def _parse(argv: list[str]) -> _Args | None:
         values = _values(home[options](), argv[1:])
     except ValueError:
         return None
-    return _Args({"command": name, "func": home[func], **values})
+    return SimpleNamespace(command=name, func=home[func], **values)
 
 
 def main(argv: list[str] | None = None) -> int:

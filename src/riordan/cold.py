@@ -6,8 +6,7 @@ as the oracle that ``verify`` and the tests check them against, and lives
 here with the other code only they use: the Riordan group, the families'
 oracle routes (Riordan route, gamma extraction, closed forms, Narayana
 array), the bodies of the series operations inverse, compose, revert and
-exp, of :meth:`MultiPoly.parse` and of the matrix product, and
-``parse_matrix_doc``.
+exp and of :meth:`MultiPoly.parse`, and ``parse_matrix_doc``.
 
 ``verify group`` spends most of its time here, on integer series of order
 8 to 12.  So four chains run on one packed int per series, by Kronecker
@@ -37,13 +36,12 @@ from math import comb, factorial
 from operator import mul
 from typing import Callable, Sequence
 
-from .algebra import VARIABLES, Monomial, MultiPoly, R, Scalar, Y, _digits, _norm, _width, tidy
+from . import Frozen
+from .algebra import VARIABLES, Monomial, MultiPoly, R, Scalar, Y, _digits, _norm, _unpack_y, _width, tidy
 from .arrays import Entry, IndexBeyondTruncation, LowerTriMatrix, _normalize_entry
 from .families import FamilySpec, GammaHFTriple, Kind, RValue
 from .jfraction import PolyLike
-from .record import Frozen
 from .series import DEFAULT_ORDER, Coeff, TruncatedSeries, _trusted
-from .walk import _unpack_y
 
 # -- truncated series -----------------------------------------------------------
 
@@ -258,18 +256,6 @@ def parse_multipoly(text: str) -> MultiPoly:
 
 
 # -- lower-triangular matrices ------------------------------------------------------
-
-
-def tri_mul(a: LowerTriMatrix, b: LowerTriMatrix) -> LowerTriMatrix:
-    """The body of :meth:`LowerTriMatrix.__mul__`: entry (n, k) is one
-    sum over j = k..n of a[n, j] b[j, k], with b's column k read from
-    row k down once, before the products."""
-    if a.size != b.size:
-        raise ValueError("matrix product needs equal sizes")
-    cols = [[row[k] for row in b._rows[k:]] for k in range(b.size)]
-    return LowerTriMatrix(
-        [tidy(sum(map(mul, row[k:], cols[k]))) for k in range(n + 1)] for n, row in enumerate(a._rows)
-    )
 
 
 def pascal_matrix(size_n: int) -> LowerTriMatrix:

@@ -55,10 +55,9 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple, Union
 
-from . import _lazy_names
+from . import Frozen, _lazy_names
 from .algebra import MultiPoly, R, Y
 from .jfraction import IndexPoly, JFraction
-from .record import Frozen
 
 RValue = Union[int, MultiPoly]
 

@@ -38,9 +38,8 @@ from itertools import zip_longest
 from math import lcm
 from typing import NamedTuple, Sequence, Union
 
-from . import _lazy_names
+from . import Frozen, _lazy_names
 from .algebra import MultiPoly, Y, _unpack, tidy
-from .record import Frozen
 
 PolyLike = Union[int, "Fraction", MultiPoly]
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .algebra import MultiPoly
-from .record import Frozen
+from . import Frozen
+from .algebra import MultiPoly, tidy
 
 
 class SymbolicEntries(ValueError):
@@ -93,19 +93,11 @@ class CheckReport(NamedTuple):
 def _plain_rows(triangle) -> list[list]:
     """The rows of a LowerTriMatrix, or a list of rows, each entry as an int
     or a Fraction."""
-    rows = getattr(triangle, "rows", triangle)
-    out = []
-    for row in rows:
-        clean = []
-        for e in row:
-            if isinstance(e, MultiPoly):
-                if not e.is_constant():
-                    raise SymbolicEntries(f"symbolic entry {e}; specialize first")
-                e = e.constant_value()
-                e = int(e) if e.denominator == 1 else e
-            clean.append(e)
-        out.append(clean)
-    return out
+    rows = [[tidy(e) for e in row] for row in getattr(triangle, "rows", triangle)]
+    symbolic = next((e for row in rows for e in row if isinstance(e, MultiPoly)), None)
+    if symbolic is not None:
+        raise SymbolicEntries(f"symbolic entry {symbolic}; specialize first")
+    return rows
 
 
 def check_triangle(triangle, fixture: TriangleFixture) -> CheckReport:

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import _count
 from .algebra import MultiPoly, R, _digits
-from .record import Record
 
 SAFE_INT = 2**53  # larger integers are emitted as JSON strings
 
@@ -44,32 +44,19 @@ FORMATS = ("table", "json", "csv", "latex")
 MAX_N = 100
 
 
-class OutputDoc(Record):
+class OutputDoc(NamedTuple):
     """A rendered triangle or series expansion plus its metadata.  Its rows
     hold cells (:func:`cells`); any entry whose ``str`` is its text will do,
     as the MultiPoly entries of :func:`~riordan.cold.parse_matrix_doc`."""
 
-    __slots__ = ("kind", "rows", "family", "flavor", "r", "size", "reversed_form", "extra")
-
-    def __init__(
-        self,
-        kind: str,  # "matrix" | "series"
-        rows: list[list],
-        family: str | None = None,
-        flavor: str | None = None,
-        r: int | str | None = None,
-        size: int = 0,
-        reversed_form: bool = False,
-        extra: dict | None = None,
-    ):
-        self.kind = kind
-        self.rows = rows
-        self.family = family
-        self.flavor = flavor
-        self.r = r
-        self.size = size
-        self.reversed_form = reversed_form
-        self.extra = {} if extra is None else extra
+    kind: str  # "matrix" | "series"
+    rows: list[list]
+    family: str | None = None
+    flavor: str | None = None
+    r: int | str | None = None
+    size: int = 0
+    reversed_form: bool = False
+    extra: dict | None = None  # more top-level JSON keys
 
     def json_object(self) -> dict:
         def encode(entry):
@@ -86,7 +73,7 @@ class OutputDoc(Record):
             "reversed": self.reversed_form,
             "rows": [[encode(e) for e in row] for row in self.rows],
         }
-        doc.update(self.extra)
+        doc.update(self.extra or {})
         return doc
 
     def render(self, fmt: str) -> str:

@@ -40,7 +40,7 @@ that), so weights with r keep the MultiPoly walk.
 from functools import partial
 from math import gcd
 
-from .algebra import _digits, _fill, _width, _wrap
+from .algebra import _fill, _unpack_y, _width
 from .series import TruncatedSeries
 
 
@@ -90,8 +90,3 @@ def _times(terms: list[tuple[int, int]], value: int) -> int:
     for c, shift in terms:
         out += c * value << shift
     return out
-
-
-def _unpack_y(value: int, width: int, g: int = 1):
-    """The polynomial in y packed in value at y^g = 2^width, a MultiPoly."""
-    return _wrap({(0, g * j): c for j, c in enumerate(_digits(value, width)) if c})  # nonzero ints need no _trusted

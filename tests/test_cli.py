@@ -414,7 +414,15 @@ _RUN = (
     "    return code, out.getvalue().splitlines()[-1]\n"
     "def loaded(*names):\n"
     "    return [name for name in names if name in sys.modules]\n"
+    "def package():\n"
+    "    return sorted(name for name in sys.modules if name.startswith('riordan'))\n"
 )
+
+
+def _package(*names: str) -> str:
+    """What ``package()`` prints when the riordan modules loaded are names
+    and the three that every request loads."""
+    return str(sorted(["riordan", "riordan.algebra", "riordan.cli", *names]))
 
 
 def test_show_and_jf_load_only_the_modules_they_run():
@@ -426,15 +434,19 @@ def test_show_and_jf_load_only_the_modules_they_run():
     # argparse loads).  A parametric show in any format runs neither series
     # nor triangles (riordan.series, riordan.arrays): its fraction takes a
     # row recurrence and its rows go straight to text, CSV without csv.
+    # The first show, the first jf of each engine and the first check each
+    # print their whole set of riordan modules, so that no module creeps in.
     unwanted = (
         "'dataclasses', 'fractions', 'riordan.cold', 'riordan.verify', 'riordan.oeis', 'csv', "
         "'argparse', 'gettext', 'locale', 'riordan.usage'"
     )
     parametric = (
         "    run('show', '--which', 'f', '--N', '4', '--format', fmt)\n"
+        "    print(package())\n"
         "    run('show', '--flavor', 'exponential', '--r', '2', '--which', 'gamma', '--N', '4', '--format', fmt)\n"
         "    print(fmt, loaded('riordan.series', 'riordan.arrays', 'json', 'riordan.expr', " + unwanted + "))\n"
     )
+    show = _package("riordan.families", "riordan.jfraction", "riordan.recurrence", "riordan.render")
     # Every show but the JSON one runs in one interpreter, the walk-shaped
     # permutahedron among them, so none of them may load json.
     show_first = _RUN + (
@@ -448,16 +460,22 @@ def test_show_and_jf_load_only_the_modules_they_run():
         "print(loaded('riordan.cold'))\n"
     )
     jf_row = "(0, '1  6*r + 8  3*r^2 + 30*r + 24  6*r^2 + 48*r + 32  3*r^2 + 24*r + 16')"
-    formats = ["table []", "csv []", "latex []"]
+    formats = [show, "table []", show, "csv []", show, "latex []"]
     assert _fresh_interpreter(show_first) == formats + ["[]", jf_row, "[]", "(0, '}')", "[]"]
     json_first = _RUN + "for fmt in ('json',):\n" + parametric
-    assert _fresh_interpreter(json_first) == ["json ['json']"]
+    assert _fresh_interpreter(json_first) == [show, "json ['json']"]
     # A Hermite fraction takes the row recurrence: no walk, so no series.
     jf_first = _RUN + (
         "print(run('jf', '--alpha', '2*y+1', '--beta', 'i*r*y*(y+1)', '--N', '4'))\n"
+        "print(package())\n"
         f"print(loaded('riordan.families', 'riordan.arrays', 'riordan.series', 'json', {unwanted}))\n"
     )
-    assert _fresh_interpreter(jf_first) == [jf_row, "[]"]
+    hermite = _package("riordan.expr", "riordan.jfraction", "riordan.recurrence", "riordan.render")
+    assert _fresh_interpreter(jf_first) == [jf_row, hermite, "[]"]
+    # A fraction of neither shape takes the walk, on series, and no recurrence.
+    walk_first = _RUN + "run('jf', '--alpha', '2*y+1', '--beta', 'r*y*(y+1)', '--N', '4')\nprint(package())\n"
+    walking = _package("riordan.expr", "riordan.jfraction", "riordan.render", "riordan.series", "riordan.walk")
+    assert _fresh_interpreter(walk_first) == [walking]
 
 
 def test_check_commands_load_only_the_modules_they_run():
@@ -466,7 +484,9 @@ def test_check_commands_load_only_the_modules_they_run():
     # compares the rows of its fraction.  verify group needs all four.  No
     # check loads the show/jf output code (riordan.render), the expression
     # parser (riordan.expr) or argparse, which with gettext and locale only
-    # help and usage errors load.
+    # help and usage errors load.  Each check prints the riordan modules
+    # loaded so far (verify group adds its three to those of the fixture
+    # checks), so that no module creeps in.
     code = (
         "import contextlib, io, sys\n"
         "import riordan.cli as cli\n"
@@ -478,16 +498,24 @@ def test_check_commands_load_only_the_modules_they_run():
         "               'argparse', 'gettext', 'locale', 'riordan.usage')\n"
         "    loaded = [m for m in modules if m in sys.modules]\n"
         "    print(code, sum(line.startswith('[  ok]') for line in lines), lines[-1], loaded)\n"
+        "    print(sorted(name for name in sys.modules if name.startswith('riordan')))\n"
+        "run('verify', 'oeis')\n"
         "run('oeis-check', 'A055151', 'A135278')\n"
         "run('oeis-check', 'A001147')\n"
-        "run('verify', 'oeis')\n"
         "run('verify', 'group')\n"
     )
+    checks = "families jfraction oeis recurrence series verify walk"
+    fixtures = _package(*(f"riordan.{name}" for name in checks.split()))
+    group = _package(*(f"riordan.{name}" for name in f"{checks} arrays battery cold".split()))
     assert _fresh_interpreter(code) == [
-        "0 2 [  ok] A055151: 66 entries over 11 rows match []",
-        "0 1 [  ok] A001147: 11 entries over 11 rows match []",
         "0 12 12/12 checks passed []",
+        fixtures,
+        "0 2 [  ok] A055151: 66 entries over 11 rows match []",
+        fixtures,
+        "0 1 [  ok] A001147: 11 entries over 11 rows match []",
+        fixtures,
         "0 10 10/10 checks passed ['riordan.battery', 'riordan.cold', 'riordan.arrays', 'fractions']",
+        group,
     ]
 
 
