@@ -2,12 +2,17 @@
 """Which ``riordan`` modules one request loads, and what compiling them costs.
 
 usage: python scripts/request_footprint.py [--repeats K] ARGV...
-       python scripts/request_footprint.py --tree
+       python scripts/request_footprint.py --tree [--baseline SRC]
 
 for example ``python scripts/request_footprint.py show --which f --N 30``.
 With ``--tree`` it prints instead the code lines (as counted below) of each
 module under ``src/riordan`` and ``tests/``, with the total of each
-directory and of both: the repository's net line count.
+directory and of both: the repository's net line count.  With
+``--baseline SRC`` as well (the ``src`` directory of another tree, such as
+a checkout of the parent commit, whose tests are read from the ``tests``
+beside it), each row gives the module's code lines in that tree, in this
+one and the change, "-" where a tree lacks the module: a change's net line
+count in one command.
 ARGV is the request's command line after ``riordan``; put ``--`` before it
 if it starts with an option of this script.  The request runs once in a
 fresh interpreter with ``PYTHONDONTWRITEBYTECODE=1`` (its output is
@@ -167,27 +172,52 @@ def import_times(code: str, args: list[str]) -> dict[str, tuple[int, int]]:
     return times
 
 
-def tree() -> None:
+DIRECTORIES = ("src/riordan", "tests")
+
+
+def _modules(root: Path) -> dict[str, int]:
+    """The code lines of each module under root's DIRECTORIES, by path."""
+    return {
+        path.relative_to(root).as_posix(): code_lines(str(path))
+        for directory in DIRECTORIES
+        for path in sorted((root / directory).rglob("*.py"))
+    }
+
+
+def tree(baseline: Path | None = None) -> None:
     """Print the code lines of each module under src/riordan and tests/,
-    with the total of each directory and of both."""
-    root, total = SRC.parent, 0
-    for directory in (SRC / "riordan", root / "tests"):
-        counts = {path.relative_to(root).as_posix(): code_lines(str(path)) for path in sorted(directory.rglob("*.py"))}
-        for name, lines in counts.items():
-            print(f"{name:40s} {lines:6d}")
-        print(f"{directory.relative_to(root).as_posix() + ' total':40s} {sum(counts.values()):6d}")
-        total += sum(counts.values())
-    print(f"{'total':40s} {total:6d}")
+    with the total of each directory and of both; with a baseline (the src
+    directory of another tree), a column of its lines before this tree's,
+    and the change."""
+    trees = [_modules(SRC.parent)] if baseline is None else [_modules(baseline.parent), _modules(SRC.parent)]
+
+    def row(label: str, counts: list[int | None]) -> None:
+        cells = ["-" if c is None else str(c) for c in counts]
+        if baseline is not None:
+            cells.append(f"{(counts[1] or 0) - (counts[0] or 0):+d}")
+        print(f"{label:40s}" + "".join(f" {cell:>6s}" for cell in cells))
+
+    if baseline is not None:
+        print(f"{'module':40s} {'base':>6s} {'this':>6s} {'delta':>6s}")
+    for directory in DIRECTORIES:
+        inside = [{name: n for name, n in t.items() if name.startswith(directory + "/")} for t in trees]
+        for name in sorted(set().union(*inside)):
+            row(name, [t.get(name) for t in inside])
+        row(f"{directory} total", [sum(t.values()) for t in inside])
+    row("total", [sum(t.values()) for t in trees])
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5, help="fresh interpreters per compile timing")
     parser.add_argument("--tree", action="store_true", help="print the code lines of src/riordan and tests/ instead")
+    parser.add_argument("--baseline", type=Path, help="with --tree: the src directory of a tree to compare against")
     parser.add_argument("request", nargs=argparse.REMAINDER, help="the request's argv after 'riordan'")
     args = parser.parse_args(argv)
+    if args.baseline is not None and not (args.tree and (args.baseline / "riordan").is_dir()):
+        parser.error("--baseline needs --tree and the src directory of a tree, holding riordan/")
     if args.tree:
-        tree()
+        tree(args.baseline)
         return 0
     request = args.request[1:] if args.request[:1] == ["--"] else args.request
     if not request or args.repeats < 1:

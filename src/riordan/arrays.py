@@ -5,7 +5,11 @@ All matrices are dense lower triangles with exact entries (``int`` or
 that fails to cancel is an error at this boundary.  The library and the
 oracles build triangles; ``show`` writes its rows straight from their
 fraction and loads neither this module nor :mod:`riordan.series`, which
-this one names only in an annotation.
+this one names only in an annotation.  How rows of y-coefficients become a
+triangle's rows (zero-padded, none deeper in y than its index) is written
+once, in :func:`riordan.jfraction._triangle_rows`, which a fraction's
+:meth:`~riordan.jfraction.JFraction.triangle`, :func:`triangle_from_series`,
+``show`` and the fixture checks share.
 
 The Riordan group (:class:`~riordan.cold.RiordanArray`, its weight
 sequences, the identity, binomial and face arrays), the binomial and face
@@ -119,25 +123,14 @@ class LowerTriMatrix:
 
 
 def triangle_from_series(series: TruncatedSeries) -> LowerTriMatrix:
-    """Rows of a bivariate series: row n lists the y-coefficients of [x^n]."""
-    return triangle_from_rows(MultiPoly.coerce(c).y_coefficients() for c in series)
+    """Rows of a bivariate series: row n lists the y-coefficients of [x^n],
+    each an integer or an integer-coefficient polynomial (else
+    NonIntegralEntry), shaped as :func:`riordan.jfraction._triangle_rows`
+    shapes a fraction's rows."""
+    from .jfraction import _triangle_rows
 
-
-def triangle_from_rows(rows: Iterable[list[Entry]], normalize: bool = True) -> LowerTriMatrix:
-    """The triangle whose row n lists the y-coefficients of a row polynomial,
-    up to its last nonzero one, which must be at most y^n.  Every entry must
-    be an integer or an integer-coefficient polynomial (else
-    NonIntegralEntry); ``normalize=False`` skips that check for entries
-    already in that form.  Rows are checked in order, as they are produced.
-    """
-    out = []
-    for n, entries in enumerate(rows):
-        if len(entries) > n + 1:
-            raise ValueError(f"coefficient of x^{n} has y-degree {len(entries) - 1} > n")
-        if normalize:
-            entries = [_normalize_entry(e) for e in entries]
-        out.append(entries + [0] * (n + 1 - len(entries)))
-    return LowerTriMatrix(out)
+    rows = [list(map(_normalize_entry, MultiPoly.coerce(c).y_coefficients())) for c in series]
+    return LowerTriMatrix(_triangle_rows(rows))
 
 
 # perfbench/tracer.py's Tracer.install() wraps these two by looking them up

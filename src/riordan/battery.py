@@ -215,6 +215,7 @@ def _hypercube_factorization() -> bool:
     )
 
 
+@cache  # the face GF and the GF chain share a walk, as the exponential checks do
 def _walk_matches(spec: FamilySpec, which: str, order: int) -> bool:
     """The walk of the family's ``which`` fraction gives its triangle, f in
     reversed form, the orientation of the OEIS face triangles."""

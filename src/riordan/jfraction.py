@@ -173,12 +173,14 @@ class JFraction(NamedTuple):
         return [[tidy(c) for c in MultiPoly.coerce(s).y_coefficients()] for s in self.expand(order)]
 
     def triangle(self, order: int) -> "LowerTriMatrix":
-        """:meth:`rows` as a triangle.  Integer weights give integer rows, so
-        only a fraction with a non-integer coefficient has every entry
-        checked."""
-        from .arrays import triangle_from_rows
+        """:meth:`rows` as a triangle (:func:`_triangle_rows`).  Integer
+        weights give integer rows, so only a fraction with a non-integer
+        coefficient has every entry checked
+        (:class:`~riordan.arrays.NonIntegralEntry`)."""
+        from .arrays import LowerTriMatrix, _normalize_entry
 
-        return triangle_from_rows(self.rows(order), normalize=not self.is_integral())
+        rows = _triangle_rows(self.rows(order))
+        return LowerTriMatrix(rows if self.is_integral() else (map(_normalize_entry, row) for row in rows))
 
     def is_integral(self) -> bool:
         """Whether every coefficient of alpha and beta is an integer, and so
@@ -222,6 +224,19 @@ class JFraction(NamedTuple):
         rows y^n p_n(1/y), read backwards.  Needs deg_y alpha <= 1 and
         deg_y beta <= 2 (ValueError otherwise)."""
         return JFraction(_reflect(self.alpha, 1, "alpha"), _reflect(self.beta, 2, "beta"))
+
+
+def _triangle_rows(rows: list[list]) -> list[list]:
+    """Rows 0, 1, ... of a triangle, in place, from the y-coefficients of its
+    row polynomials, each up to its last nonzero one: row n padded with
+    zeros to n + 1 entries.  Rows are checked in order, and the first of
+    y-degree above n raises ValueError.  ``show``, the fixture checks and
+    every triangle built from a fraction or a series shape their rows here."""
+    for n, row in enumerate(rows):
+        if len(row) > n + 1:
+            raise ValueError(f"coefficient of x^{n} has y-degree {len(row) - 1} > n")
+        row += [0] * (n + 1 - len(row))
+    return rows
 
 
 def _denominator(*polys: MultiPoly) -> int:

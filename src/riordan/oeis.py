@@ -4,9 +4,11 @@ The embedded fixtures are the independent oracle for every sequence-level
 check in this package: each stores the leading rows of an OEIS triangle
 verbatim, together with its offset (the OEIS index of the first stored row)
 and explicit row lengths, since several gamma-triangles are ragged (row n of
-A055151 has n//2 + 1 entries, not n + 1).  A001147 is a plain sequence and
-is stored with one value per row; its aerated form (zeros interleaved) is
-produced by the caller.
+A055151 has n//2 + 1 entries, not n + 1).  Each row is stored as OEIS reads
+it, row by row; which of those triangles a construction gives read
+backwards is said once, in :data:`riordan.verify.FIXTURE_SOURCES`.
+A001147 is a plain sequence and is stored with one value per row; its
+aerated form (zeros interleaved) is produced by the caller.
 
 The b-file parser and the cached fetcher live in :mod:`riordan.bfile`,
 which only ``fetch-bfile`` loads.
@@ -14,7 +16,6 @@ which only ``fetch-bfile`` loads.
 
 from __future__ import annotations
 
-import enum
 from typing import NamedTuple
 
 from . import Frozen
@@ -25,22 +26,16 @@ class SymbolicEntries(ValueError):
     """Triangle comparison needs fully numeric entries."""
 
 
-class Reading(enum.Enum):
-    BY_ROWS = "by-rows"
-    BY_ROWS_REVERSED = "by-rows-reversed"
-
-
 class TriangleFixture(Frozen):
     """Leading rows of an OEIS triangle, flat values plus reconstruction data."""
 
-    __slots__ = ("anumber", "description", "offset", "reading", "row_lengths", "values")
+    __slots__ = ("anumber", "description", "offset", "row_lengths", "values")
 
     def __init__(
         self,
         anumber: str,
         description: str,
         offset: int,
-        reading: Reading,
         row_lengths: tuple[int, ...],
         values: tuple[int, ...],
     ):
@@ -52,7 +47,6 @@ class TriangleFixture(Frozen):
             anumber=anumber,
             description=description,
             offset=offset,
-            reading=reading,
             row_lengths=row_lengths,
             values=values,
         )
@@ -60,10 +54,7 @@ class TriangleFixture(Frozen):
     def rows(self) -> list[list[int]]:
         out, pos = [], 0
         for length in self.row_lengths:
-            row = list(self.values[pos : pos + length])
-            if self.reading is Reading.BY_ROWS_REVERSED:
-                row.reverse()
-            out.append(row)
+            out.append(list(self.values[pos : pos + length]))
             pos += length
         return out
 
@@ -146,7 +137,7 @@ def _normalize_anumber(anumber: str) -> str:
 # -- embedded fixtures ---------------------------------------------------------
 
 
-def _fixture(anumber, description, offset, text, reading=Reading.BY_ROWS):
+def _fixture(anumber, description, offset, text):
     """A fixture whose rows are the lines of ``text``, each row's values
     separated by spaces.  Text compiles to one constant, where a nested list
     literal compiles every value: :mod:`riordan.verify` loads this module
@@ -156,7 +147,6 @@ def _fixture(anumber, description, offset, text, reading=Reading.BY_ROWS):
         anumber=anumber,
         description=description,
         offset=offset,
-        reading=reading,
         row_lengths=tuple(len(row) for row in rows),
         values=tuple(int(v) for row in rows for v in row),
     )

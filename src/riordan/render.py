@@ -228,6 +228,7 @@ def jf_options():
 
 def _matrix_doc(args) -> OutputDoc:
     from .families import FamilySpec, Kind, member_fraction
+    from .jfraction import _triangle_rows
 
     if args.family == "parametric":
         flavor = args.flavor or "ordinary"
@@ -242,13 +243,9 @@ def _matrix_doc(args) -> OutputDoc:
         family = args.family
     # Every fraction a show can request is integral, so its rows are read
     # straight into text (tests/test_render.py pins this).
-    rows = member_fraction(family, args.which).rows(args.N, _write)
-    for n, row in enumerate(cells(rows)):
-        if len(row) > n + 1:
-            raise ValueError(f"coefficient of x^{n} has y-degree {len(row) - 1} > n")
-        row += [0] * (n + 1 - len(row))
-        if args.reversed:
-            row.reverse()
+    rows = _triangle_rows(cells(member_fraction(family, args.which).rows(args.N, _write)))
+    if args.reversed:
+        rows = [row[::-1] for row in rows]
     return OutputDoc(
         kind="matrix",
         rows=rows,

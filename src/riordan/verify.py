@@ -21,8 +21,11 @@ module it imports, so the two load only when a check that uses them runs
 or ``CHECKS`` is first looked up.  The oeis suite runs ``FIXTURE_CHECKS``,
 so ``oeis-check`` and ``verify oeis`` load neither; the group and props
 suites run ``CHECKS``.  A fixture check compares the rows of its source's
-J-fraction, as ``show`` reads them, so it builds no triangle and loads no
-:mod:`riordan.arrays`.
+J-fraction, shaped as ``show`` shapes them
+(:func:`riordan.jfraction._triangle_rows`), so it builds no triangle and
+loads no :mod:`riordan.arrays`; A001147's rows are one constant each.
+Which fixtures read their construction's rows backwards is said only in
+``FIXTURE_SOURCES``: every fixture stores its rows as OEIS reads them.
 
 The suite functions filter the registry and return one :class:`CheckResult`
 per check; the CLI renders one line per check and fails the run when any
@@ -37,9 +40,8 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import _lazy_names
-from .algebra import tidy
 from .families import member_fraction
-from .jfraction import IndexPoly, JFraction
+from .jfraction import IndexPoly, JFraction, _triangle_rows
 from .oeis import FIXTURES, CheckReport, _normalize_anumber, check_sequence, check_triangle
 
 SUITES = ("group", "props", "oeis")
@@ -85,7 +87,8 @@ class Check(NamedTuple):
 
 # Where each embedded fixture comes from: (family, matrix, rows read
 # reversed), or None for A001147, the even terms of the aerated double
-# factorials.  The order is that of the oeis suite.
+# factorials.  The order is that of the oeis suite.  This is the one record
+# of a fixture's orientation.
 FIXTURE_SOURCES: dict[str, tuple[str, str, bool] | None] = {
     "A135278": ("simplex", "f", False),
     "A074909": ("simplex", "f", True),
@@ -103,19 +106,19 @@ FIXTURE_SOURCES: dict[str, tuple[str, str, bool] | None] = {
 
 
 def _triangle_fixture(anumber: str) -> CheckReport:
-    """The rows of the fixture's source fraction, sized to the fixture, each
-    padded to n + 1 entries as a triangle stores them, compared against it."""
+    """The rows of the fixture's source fraction, sized to the fixture and
+    shaped as a triangle stores them (:func:`_triangle_rows`), compared
+    against it."""
     family, which, reversed_rows = FIXTURE_SOURCES[anumber]
-    rows = member_fraction(family, which).rows(len(FIXTURES[anumber].row_lengths) - 1)
-    rows = [row + [0] * (n + 1 - len(row)) for n, row in enumerate(rows)]
+    rows = _triangle_rows(member_fraction(family, which).rows(len(FIXTURES[anumber].row_lengths) - 1))
     return check_triangle([row[::-1] for row in rows] if reversed_rows else rows, FIXTURES[anumber])
 
 
 @cache
 def _aerated_double_factorials() -> tuple[int, ...]:
-    """The J-fraction (0; i) expanded to x^20: 1, 0, 1, 0, 3, 0, 15, ..."""
-    series = JFraction(IndexPoly.constant(0), IndexPoly.index()).expand(20)
-    return tuple(tidy(c) for c in series)
+    """The rows 0..20 of the J-fraction (0; i), each one constant:
+    1, 0, 1, 0, 3, 0, 15, ..."""
+    return tuple(row[0] for row in JFraction(IndexPoly.constant(0), IndexPoly.index()).rows(20))
 
 
 def _double_factorial_fixture(anumber: str) -> CheckReport:

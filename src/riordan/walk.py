@@ -4,8 +4,8 @@
 and delegates to :func:`expand` here.  Only the expansions that take the
 walk import this module (and :mod:`riordan.series`, for the series it
 returns): the associahedron and the permutahedron, every ``jf`` whose
-fraction is of neither shape of :mod:`riordan.recurrence`, the fixture
-check of A001147, and the checks and tests that walk on purpose.
+fraction is of neither shape of :mod:`riordan.recurrence`, and the checks
+and tests that walk on purpose.
 
 The walk counts weighted Motzkin paths (Flajolet 1980).  t[k] weighs the
 paths so far that end at height k; a step maps it to
@@ -31,10 +31,15 @@ than 1/16 of its slots: with weights y^32 and y, each coefficient fills
 one slot in 64 and the packed walk took 2.6x as long.  Measured at
 N = 40-100 on a 2-core x86-64 machine, the MultiPoly walk overtakes the
 packed one between a fill of 1/16 (packed 1.4x faster) and 1/32 (1.5x
-slower).  Packing r as well would give every power of y the slots of
-every power of r, most of them empty (a skewed layout, r^i y^j at slot
-q*i - p*j for the least ratio p/q of the weights' powers, would avoid
-that), so weights with r keep the MultiPoly walk.
+slower).  Packing r as well, r^i y^j at slot i + stride*j/g with
+``_fill``'s stride and the same 1/16 rule over the whole int, gave the
+same rows in a probe at N = 40 (same machine): about 3x faster on dense
+weights in r (const-face 104-121 -> 34-44 ms, the ordinary family's f
+fraction 90 -> 27-30 ms), 2x slower on wide ones
+(``1; i*(2^64*r - r^30)``: 38-43 -> 83-93 ms), and refused by its
+density rule where the powers of r and y rise together (perm-gamma,
+from N = 16), which a skewed layout (r^i y^j at slot q*i - p*j for the
+least ratio p/q of the weights' powers) would keep dense.
 """
 
 from functools import partial

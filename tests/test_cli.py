@@ -316,9 +316,7 @@ def test_oeis_check_failure_exit_code(capsys, monkeypatch):
 
     bad = dict(verify_mod.FIXTURES)
     fx = bad["A007318"]
-    bad["A007318"] = TriangleFixture(
-        fx.anumber, fx.description, fx.offset, fx.reading, fx.row_lengths, fx.values[:-1] + (999,)
-    )
+    bad["A007318"] = TriangleFixture(fx.anumber, fx.description, fx.offset, fx.row_lengths, fx.values[:-1] + (999,))
     monkeypatch.setattr(verify_mod, "FIXTURES", bad)
 
     status, out, _ = run(capsys, ["oeis-check", "A007318"])

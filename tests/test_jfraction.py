@@ -161,6 +161,15 @@ def test_reversed_reads_every_row_backwards(alpha, beta, order):
     assert triangle_from_series(frac.reversed().expand(order)) == rows.reversed()
 
 
+@pytest.mark.parametrize(
+    "alpha", [IndexPoly.constant(Y**2), IndexPoly.from_coeffs([Y**2, 1])], ids=["row recurrence", "walk"]
+)
+def test_triangle_refuses_a_row_deeper_in_y_than_its_index(alpha):
+    # Row 1 is alpha(0) = y^2, of y-degree 2, whichever engine expands it.
+    with pytest.raises(ValueError, match=r"^coefficient of x\^1 has y-degree 2 > n$"):
+        J(alpha, IndexPoly.index()).triangle(4)
+
+
 def test_index_poly_arithmetic():
     i = IndexPoly.index()
     assert (i + 1) * i == IndexPoly.from_coeffs([0, 1, 1])

@@ -21,7 +21,6 @@ from riordan.bfile import (
 )
 from riordan.oeis import (
     FIXTURES,
-    Reading,
     SymbolicEntries,
     TriangleFixture,
     check_sequence,
@@ -50,7 +49,7 @@ def canonical(fx: TriangleFixture) -> str:
         [
             fx.anumber,
             str(fx.offset),
-            fx.reading.value,
+            "by-rows",  # every fixture is read by rows; the pinned digests include it
             ",".join(map(str, fx.row_lengths)),
             ",".join(map(str, fx.values)),
         ]
@@ -118,18 +117,6 @@ def test_check_triangle_rejects_symbolic_entries():
         check_triangle([[1], [R, 1]], FIXTURES["A007318"])
 
 
-def test_check_triangle_reversed_reading():
-    fx = TriangleFixture(
-        anumber="A999999",
-        description="synthetic",
-        offset=0,
-        reading=Reading.BY_ROWS_REVERSED,
-        row_lengths=(1, 2),
-        values=(1, 5, 2),
-    )
-    assert check_triangle([[1], [2, 5]], fx).ok
-
-
 def test_check_sequence():
     fx = FIXTURES["A001147"]
     assert check_sequence([1, 1, 3, 15], fx).ok
@@ -138,9 +125,9 @@ def test_check_sequence():
 
 def test_fixture_shape_validation():
     with pytest.raises(ValueError):
-        TriangleFixture("A0", "bad", 0, Reading.BY_ROWS, (2,), (1,))
+        TriangleFixture("A0", "bad", 0, (2,), (1,))
     with pytest.raises(ValueError):
-        TriangleFixture("A0", "empty", 0, Reading.BY_ROWS, (), ())
+        TriangleFixture("A0", "empty", 0, (), ())
 
 
 def test_bfile_url_and_anumber_normalization():

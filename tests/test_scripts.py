@@ -69,10 +69,13 @@ def test_request_footprint_splits_the_wall_time_of_a_request():
     assert all(rows[label][1] > 0 and rows[label][2] > 0 for label in ("riordan.cli.run", "sys.exit"))
 
 
+def _tree(*options):
+    argv = [sys.executable, str(SCRIPTS / "request_footprint.py"), "--tree", *options]
+    return subprocess.run(argv, capture_output=True, text=True, check=True).stdout.splitlines()
+
+
 def test_request_footprint_counts_the_code_lines_of_the_tree():
-    argv = [sys.executable, str(SCRIPTS / "request_footprint.py"), "--tree"]
-    lines = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.splitlines()
-    counts = {name.strip(): int(n) for name, n in (line.rsplit(None, 1) for line in lines)}
+    counts = {name.strip(): int(n) for name, n in (line.rsplit(None, 1) for line in _tree())}
     root, expected = SCRIPTS.parent, []
     for directory in ("src/riordan", "tests"):
         modules = sorted(path.relative_to(root).as_posix() for path in (root / directory).rglob("*.py"))
@@ -81,6 +84,32 @@ def test_request_footprint_counts_the_code_lines_of_the_tree():
         expected += [*modules, f"{directory} total"]
     assert list(counts) == expected + ["total"] and {"src/riordan/cli.py", "tests/test_scripts.py"} < set(counts)
     assert counts["total"] == counts["src/riordan total"] + counts["tests total"]
+
+
+def test_request_footprint_compares_the_code_lines_of_two_trees(tmp_path):
+    # A baseline tree of two modules: cli.py, which this tree has too, and
+    # one that this tree lacks; its tests/ is empty.
+    (tmp_path / "src" / "riordan").mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "riordan" / "cli.py").write_text('"""Docstring."""\n\nx = 1\n')
+    (tmp_path / "src" / "riordan" / "gone.py").write_text("x = 1\ny = 2\n")
+    lines = _tree("--baseline", str(tmp_path / "src"))
+    assert lines[0] == f"{'module':40s} {'base':>6s} {'this':>6s} {'delta':>6s}"
+    rows = {line[:40].strip(): line[40:].split() for line in lines[1:]}
+    this = {name.strip(): int(n) for name, n in (line.rsplit(None, 1) for line in _tree())}
+    # The rows are this tree's, with the baseline's module in its sorted place.
+    assert [name for name in rows if name != "src/riordan/gone.py"] == list(this)
+    assert list(rows).index("src/riordan/gone.py") == list(rows).index("src/riordan/families.py") + 1
+    assert rows["src/riordan/cli.py"] == ["1", str(this["src/riordan/cli.py"]), f"{this['src/riordan/cli.py'] - 1:+d}"]
+    assert rows["src/riordan/gone.py"] == ["2", "-", "-2"]
+    assert rows["src/riordan/algebra.py"] == ["-", str(this["src/riordan/algebra.py"]), f"+{this['src/riordan/algebra.py']}"]
+    assert rows["src/riordan total"][0] == "3" and rows["tests total"][0] == "0" and rows["total"][0] == "3"
+    for base, ours, delta in rows.values():
+        assert int(delta) == (0 if ours == "-" else int(ours)) - (0 if base == "-" else int(base))
+    # The tree against itself: the same counts twice, and no change.
+    same = [[line[:40].strip(), *line[40:].split()] for line in _tree("--baseline", str(SCRIPTS.parent / "src"))[1:]]
+    assert [(name, int(base)) for name, base, *_ in same] == list(this.items())
+    assert all(base == ours and delta == "+0" for _, base, ours, delta in same)
 
 
 def _check_times(suite, *options):
