@@ -2,9 +2,11 @@
 they replace: on hypothesis-drawn fractions of each shape and near misses,
 on the family fractions, and through the CLI, where ``jf`` of a family's
 fraction prints the rows ``show`` prints; a Kronecker certificate of the
-symbolic triangles at large N against the Riordan route; and a pin of which
-requests take the walk."""
+symbolic triangles at large N against the Riordan route; a value of r
+written into a fraction against its symbolic rows at that value; and a pin
+of which requests take the walk."""
 
+import functools
 import json
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from riordan.algebra import MultiPoly, R, Y, tidy
 from riordan.arrays import triangle_from_series
 from riordan.cli import main
 from riordan.cold import dense_family_triple
+from riordan.expr import parse_index_poly
 from riordan.families import FamilySpec, Kind, family_fractions, family_triple, family_matrix
 from riordan import recurrence
 from riordan.jfraction import IndexPoly, JFraction
@@ -208,3 +211,40 @@ def test_each_request_takes_the_walk_only_where_no_shape_fits(capsys, monkeypatc
     monkeypatch.setattr(JFraction, "expand", lambda frac, order: calls.append(order) or walk(frac, order))
     assert main(argv) == 0
     assert len(calls) == walks
+
+
+# -- specialising r commutes with every engine ----------------------------------
+
+# A weight with r and the same weight at a value of r usually take different
+# engines (a MultiPoly walk against a y-packed one, r-packed rows against
+# plain-int rows), so each case checks two code paths against each other.
+# At r = 0 const-face's beta is empty: its rows leave the walk for the row
+# recurrence.
+SPECIALISED = {  # alpha, beta with r, N
+    "exp-face": ("2*y+1", "i*r*y*(y+1)", 100),  # Hermite rows
+    "perm-gamma": ("i+1", "i*(i+1)*r*y", 100),  # the MultiPoly walk, as are the rest
+    "const-face": ("2*y+1", "r*y*(y+1)", 40),
+    "perm-face with r": ("(i+1)*(2*y+1)", "i*(i+1)*r*y*(y+1)", 40),
+    "shifted exp-face": ("i+2*y+1", "i*r*y*(y+1)", 40),
+}
+
+
+@functools.lru_cache(maxsize=1)  # the values of one fraction are tested one after the other
+def _symbolic_rows(alpha, beta, size_n):
+    return JFraction(parse_index_poly(alpha), parse_index_poly(beta)).rows(size_n)
+
+
+@pytest.mark.parametrize("value", [-3, 0, 2**64], ids=["-3", "0", "2^64"])
+@pytest.mark.parametrize("alpha, beta, size_n", SPECIALISED.values(), ids=list(SPECIALISED))
+def test_specialising_r_commutes_with_every_engine(alpha, beta, size_n, value):
+    # Each symbolic entry is evaluated as the sum of c * value^i over its
+    # terms: MultiPoly.substitute takes seconds on one fraction at N = 100.
+    # Row n has degree at most n in r.
+    powers, expected = [value**i for i in range(size_n + 1)], []
+    for row in _symbolic_rows(alpha, beta, size_n):
+        row = [sum(c * powers[i] for (i, _), c in MultiPoly.coerce(e).items()) for e in row]
+        while len(row) > 1 and not row[-1]:  # each row ends at its last nonzero entry
+            row.pop()
+        expected.append(typed_all(row))
+    at = JFraction(*(parse_index_poly(text.replace("r", f"({value})")) for text in (alpha, beta)))
+    assert [typed_all(row) for row in at.rows(size_n)] == expected

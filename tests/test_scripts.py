@@ -1,23 +1,35 @@
 """Smoke tests of the tools under ``scripts/``."""
 
+import contextlib
+import functools
+import io
 import runpy
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 from riordan.verify import FIXTURE_SOURCES
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-code_lines = runpy.run_path(str(SCRIPTS / "request_footprint.py"))["code_lines"]
+_script = functools.cache(lambda name: runpy.run_path(str(SCRIPTS / name)))
+code_lines = _script("request_footprint.py")["code_lines"]
+
+
+@functools.cache
+def _run(script, *argv):
+    """The stdout lines of one run of a script's ``main(argv)`` in this
+    process, which must exit 0; each argv runs once, for every test that
+    reads it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert _script(script)["main"](list(argv)) == 0
+    return out.getvalue().splitlines()
 
 
 def _footprint(*request):
     """The footprint script's riordan table, its quartile line, its
     standard-library table and its wall-time table, each as lines, for one
     run of the request."""
-    argv = [sys.executable, str(SCRIPTS / "request_footprint.py"), "--repeats", "1", *request]
-    lines = subprocess.run(argv, capture_output=True, text=True, check=True).stdout.splitlines()
+    lines = _run("request_footprint.py", "--repeats", "1", *request)
     quartiles = next(i for i, line in enumerate(lines) if line.startswith("per-run total compile ms"))
     wall = next(i for i, line in enumerate(lines) if line.startswith("wall ms"))
     return lines[:quartiles], lines[quartiles], lines[quartiles + 1 : wall], lines[wall:]
@@ -57,7 +69,8 @@ def test_request_footprint_shows_what_a_fraction_costs():
 
 
 def test_request_footprint_splits_the_wall_time_of_a_request():
-    *_, wall = _footprint("show", "--which", "f", "--N", "3")
+    # The assertions hold for any request: they read the oeis-check's run.
+    *_, wall = _footprint("oeis-check", "A055151")
     assert wall[:2] == ["wall ms, medians over 1 runs", f"{'ends by':22s}" + "".join(
         f" {name:>8s}" for name in ("start", "imports", "run", "exit", "total"))]
     rows = {line[:22].strip(): [float(ms) for ms in line[22:].split()] for line in wall[2:]}
@@ -69,9 +82,7 @@ def test_request_footprint_splits_the_wall_time_of_a_request():
     assert all(rows[label][1] > 0 and rows[label][2] > 0 for label in ("riordan.cli.run", "sys.exit"))
 
 
-def _tree(*options):
-    argv = [sys.executable, str(SCRIPTS / "request_footprint.py"), "--tree", *options]
-    return subprocess.run(argv, capture_output=True, text=True, check=True).stdout.splitlines()
+_tree = functools.partial(_run, "request_footprint.py", "--tree")
 
 
 def test_request_footprint_counts_the_code_lines_of_the_tree():
@@ -112,9 +123,7 @@ def test_request_footprint_compares_the_code_lines_of_two_trees(tmp_path):
     assert all(base == ours and delta == "+0" for _, base, ours, delta in same)
 
 
-def _check_times(suite, *options):
-    argv = [sys.executable, str(SCRIPTS / "check_times.py"), suite, "--repeats", "1", *options]
-    return subprocess.run(argv, capture_output=True, text=True, check=True).stdout.splitlines()
+_check_times = functools.partial(_run, "check_times.py", "--repeats", "1")
 
 
 def test_check_times_prints_each_check_of_the_suite():
@@ -179,7 +188,7 @@ def test_code_lines_skip_comments_docstrings_and_text_data(tmp_path):
     assert code_lines(str(source)) == 5
 
 
-compare = runpy.run_path(str(SCRIPTS / "compare_outputs.py"))
+compare = _script("compare_outputs.py")
 COMPARED = [
     ["show", "--which", "f", "--N", "3"],
     ["show", "--which", "f", "--N", "3", "--format", "json"],

@@ -1,6 +1,7 @@
 """What code outside the package relies on: the README's library example,
-the names that the benchmark's tracer (``perfbench/tracer.py``) wraps, the
-package-root names, and which old import paths of the names that moved to
+the oldest Python that ``pyproject.toml`` declares, the names that the
+benchmark's tracer (``perfbench/tracer.py``) wraps, the package-root
+names, and which old import paths of the names that moved to
 :mod:`riordan.cold`, :mod:`riordan.verify`, :mod:`riordan.battery`,
 :mod:`riordan.bfile`, :mod:`riordan.expr` or :mod:`riordan.render` still
 resolve.
@@ -9,6 +10,7 @@ The tracer looks its targets up by name when it is installed, so a renamed
 or removed one would fail only a traced benchmark run, never this suite.
 """
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -29,6 +31,13 @@ def test_readme_example_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "12*r^2 + 72*r + 80"
     assert lines[-3:] == ["True"] * 3
+
+
+def test_every_module_parses_as_the_oldest_python_it_requires():
+    text = (README.parent / "pyproject.toml").read_text()
+    (minor,) = re.findall(r'^requires-python = ">=3\.(\d+)"$', text, re.M)
+    for path in sorted(Path(riordan.__file__).parent.rglob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, int(minor)))
 
 
 # (class, the attributes the tracer replaces in the class's own __dict__)
