@@ -29,6 +29,10 @@ stdout is a pipe already closed.  Their streams are buffered
 default, and the tree's path in stderr reads ``SRC``.  The script prints
 the number of those commands and each whose exit code, stdout, stderr or
 written file differs; this pass takes about ten seconds.
+
+Called again in one interpreter (``main`` takes the command lists as
+arguments), the script reuses this tree's records of each command list and
+process command, and runs only the baseline's.
 """
 
 import hashlib
@@ -207,15 +211,23 @@ def run(src: Path, commands: list[list[str]], workdir: str) -> subprocess.Popen:
     return process
 
 
+# This tree's records, per command list or process command: computed once
+# per interpreter, where the baseline's are computed on every call.
+_OURS = {}
+
+
 def differences(baseline: Path, commands: list[list[str]], src: Path = SRC) -> list[str]:
     """One line per command whose record differs between the two trees."""
-    with tempfile.TemporaryDirectory() as ours, tempfile.TemporaryDirectory() as theirs:
-        workdirs = (ours, theirs)
-        for process in [run(tree, commands, workdir) for tree, workdir in zip((src, baseline), workdirs)]:
+    key = (str(src), json.dumps(commands))
+    with tempfile.TemporaryDirectory() as theirs, tempfile.TemporaryDirectory() as ours:
+        trees = [(baseline, theirs)] + [(src, ours)] * (key not in _OURS)
+        for process in [run(tree, commands, workdir) for tree, workdir in trees]:
             if process.wait():
                 raise RuntimeError(f"the runner exited with {process.returncode}")
-        records = [[json.loads(line) for line in open(os.path.join(workdir, "records"))] for workdir in workdirs]
-    return [f"riordan {shlex.join(argv)}: {_what_differs(a, b)} differ" for argv, a, b in zip(commands, *records) if a != b]
+        records = [[json.loads(line) for line in Path(workdir, "records").read_text().splitlines()] for _, workdir in trees]
+    if key not in _OURS:
+        _OURS[key] = records.pop()
+    return [f"riordan {shlex.join(argv)}: {_what_differs(a, b)} differ" for argv, a, b in zip(commands, _OURS[key], records[0]) if a != b]
 
 
 def _what_differs(a: list, b: list) -> str:
@@ -224,27 +236,25 @@ def _what_differs(a: list, b: list) -> str:
     return ", ".join(part for part, x, y in zip(parts, a, b) if x != y)
 
 
-def run_process(src: Path, argv: list[str], closed: bool, workdir: str) -> list:
-    """Run ``python -m riordan ARGV`` under the tree ``src`` in ``workdir``:
-    [exit code, stdout digest (None if closed), stderr, digest of OUTPUT or None]."""
+def run_process(src: Path, argv: list[str], closed: bool) -> list:
+    """Run ``python -m riordan ARGV`` under the tree ``src`` in a new working
+    directory: [exit code, stdout digest (None if closed), stderr, digest of
+    OUTPUT or None]."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONUNBUFFERED", None)
     stdout = subprocess.PIPE
     if closed:
         read, stdout = os.pipe()
         os.close(read)
-    try:
-        command = [sys.executable, "-m", "riordan", *argv]
-        res = subprocess.run(command, cwd=workdir, env=env, stdout=stdout, stderr=subprocess.PIPE)
-    finally:
-        if closed:
-            os.close(stdout)
-    written = os.path.join(workdir, OUTPUT)
-    digest = None
-    if os.path.exists(written):
-        with open(written, "rb") as f:
-            digest = hashlib.sha256(f.read()).hexdigest()
-        os.remove(written)
+    with tempfile.TemporaryDirectory() as workdir:
+        try:
+            command = [sys.executable, "-m", "riordan", *argv]
+            res = subprocess.run(command, cwd=workdir, env=env, stdout=stdout, stderr=subprocess.PIPE)
+        finally:
+            if closed:
+                os.close(stdout)
+        written = Path(workdir, OUTPUT)
+        digest = hashlib.sha256(written.read_bytes()).hexdigest() if written.exists() else None
     out = None if closed else hashlib.sha256(res.stdout).hexdigest()
     return [res.returncode, out, res.stderr.decode().replace(str(src), "SRC"), digest]
 
@@ -252,12 +262,14 @@ def run_process(src: Path, argv: list[str], closed: bool, workdir: str) -> list:
 def process_differences(baseline: Path, processes, src: Path = SRC) -> list[str]:
     """One line per process command whose record differs between the trees."""
     out = []
-    with tempfile.TemporaryDirectory() as ours, tempfile.TemporaryDirectory() as theirs:
-        for argv, closed in processes:
-            a, b = (run_process(tree, argv, closed, workdir) for tree, workdir in ((src, ours), (baseline, theirs)))
-            if a != b:
-                how = "as a process, stdout closed" if closed else "as a process"
-                out.append(f"riordan {shlex.join(argv)} ({how}): {_what_differs(a, b)} differ")
+    for argv, closed in processes:
+        key = (str(src), json.dumps([argv, closed]))
+        if key not in _OURS:
+            _OURS[key] = run_process(src, argv, closed)
+        ours, theirs = _OURS[key], run_process(baseline, argv, closed)
+        if ours != theirs:
+            how = "as a process, stdout closed" if closed else "as a process"
+            out.append(f"riordan {shlex.join(argv)} ({how}): {_what_differs(ours, theirs)} differ")
     return out
 
 

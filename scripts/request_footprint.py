@@ -6,13 +6,13 @@ usage: python scripts/request_footprint.py [--repeats K] ARGV...
 
 for example ``python scripts/request_footprint.py show --which f --N 30``.
 With ``--tree`` it prints instead the code lines (as counted below) of each
-module under ``src/riordan`` and ``tests/``, with the total of each
-directory and of both: the repository's net line count.  With
+module under ``scripts/``, ``src/riordan`` and ``tests/``, with the total of
+each directory and of all three: the repository's net line count.  With
 ``--baseline SRC`` as well (the ``src`` directory of another tree, such as
-a checkout of the parent commit, whose tests are read from the ``tests``
-beside it), each row gives the module's code lines in that tree, in this
-one and the change, "-" where a tree lacks the module: a change's net line
-count in one command.
+a checkout of the parent commit, whose scripts and tests are read from the
+``scripts`` and ``tests`` beside it), each row gives the module's code
+lines in that tree, in this one and the change, "-" where a tree lacks the
+module: a change's net line count in one command.
 ARGV is the request's command line after ``riordan``; put ``--`` before it
 if it starts with an option of this script.  The request runs once in a
 fresh interpreter with ``PYTHONDONTWRITEBYTECODE=1`` (its output is
@@ -45,6 +45,7 @@ clock the processes of one machine share.
 
 import argparse
 import ast
+import functools
 import json
 import os
 import statistics
@@ -172,11 +173,13 @@ def import_times(code: str, args: list[str]) -> dict[str, tuple[int, int]]:
     return times
 
 
-DIRECTORIES = ("src/riordan", "tests")
+DIRECTORIES = ("scripts", "src/riordan", "tests")
 
 
+@functools.cache
 def _modules(root: Path) -> dict[str, int]:
-    """The code lines of each module under root's DIRECTORIES, by path."""
+    """The code lines of each module under root's DIRECTORIES, by path;
+    each tree is counted once per interpreter."""
     return {
         path.relative_to(root).as_posix(): code_lines(str(path))
         for directory in DIRECTORIES
@@ -185,10 +188,10 @@ def _modules(root: Path) -> dict[str, int]:
 
 
 def tree(baseline: Path | None = None) -> None:
-    """Print the code lines of each module under src/riordan and tests/,
-    with the total of each directory and of both; with a baseline (the src
-    directory of another tree), a column of its lines before this tree's,
-    and the change."""
+    """Print the code lines of each module under scripts/, src/riordan and
+    tests/, with the total of each directory and of all three; with a
+    baseline (the src directory of another tree), a column of its lines
+    before this tree's, and the change."""
     trees = [_modules(SRC.parent)] if baseline is None else [_modules(baseline.parent), _modules(SRC.parent)]
 
     def row(label: str, counts: list[int | None]) -> None:
@@ -210,7 +213,7 @@ def tree(baseline: Path | None = None) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5, help="fresh interpreters per compile timing")
-    parser.add_argument("--tree", action="store_true", help="print the code lines of src/riordan and tests/ instead")
+    parser.add_argument("--tree", action="store_true", help="print the code lines of scripts/, src/riordan and tests/ instead")
     parser.add_argument("--baseline", type=Path, help="with --tree: the src directory of a tree to compare against")
     parser.add_argument("request", nargs=argparse.REMAINDER, help="the request's argv after 'riordan'")
     args = parser.parse_args(argv)

@@ -56,7 +56,7 @@ def expand(frac, order: int) -> TruncatedSeries:
         raise ValueError("order must be non-negative")
     levels = (range(order // 2 + 1), range(1, order // 2 + 2))  # alpha(0..), beta(1..)
     if all(not i and type(c) is int for p in frac for q in p.coeffs for (i, _), c in q.items()):
-        weights = [[_y_terms(p, k) for k in ks] for p, ks in zip(frac, levels)]
+        weights = [[[(c, j) for (_, j), c in p(k).items()] for k in ks] for p, ks in zip(frac, levels)]
         bound = max(_walk(*([sum(abs(c) for c, _ in w).__mul__ for w in ws] for ws in weights), order))
         # Every power of y is one of y^g, the gcd of the weights' powers, so
         # y^j takes slot j/g: weights in y^32 alone leave no slot empty.
@@ -78,14 +78,6 @@ def _walk(a, b, order: int) -> list:
         t = [t[k] + a[k](t[k + 1]) + b[k](t[k + 2]) for k in range(min(n, order - n) + 1)]
         out.append(t[0])
     return out
-
-
-def _y_terms(p, k: int) -> list[tuple[int, int]]:
-    """p(k) for an IndexPoly p with integer coefficients free of r: the
-    pairs (c, j) of its nonzero y-coefficients c of y^j."""
-    powers = {j for q in p.coeffs for (_, j), _ in q.items()}
-    sums = {j: sum(q.coefficient(0, j) * k**i for i, q in enumerate(p.coeffs)) for j in powers}
-    return [(c, j) for j, c in sums.items() if c]
 
 
 def _times(terms: list[tuple[int, int]], value: int) -> int:

@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +14,7 @@ from riordan.families import FamilySpec, Kind, f_matrix, family_matrix
 from riordan.render import MAX_DIGITS, MAX_N
 
 from golden_cases import GOLDEN_CASES, USAGE_CASES, usage_text
+from process import fresh_interpreter, python
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -367,42 +365,6 @@ def test_text_that_is_no_a_number_is_a_usage_error(capsys, tmp_path, text):
     assert not any(tmp_path.iterdir())
 
 
-# (argv, the module that defines the subcommand)
-DISPATCH_CASES = [
-    (["show", "--which", "f", "--N", "4"], "render"),
-    (["jf", "--alpha", "2*y+1", "--beta", "i*r*y*(y+1)", "--N", "4"], "render"),
-    (["verify", "oeis"], "verify"),
-    (["oeis-check", "A055151"], "verify"),
-    (["fetch-bfile", "A45", "--offline", "--cache-dir", "{cache}"], "bfile"),
-]
-
-
-@pytest.mark.parametrize("entry", ["riordan", "riordan.cli"])
-@pytest.mark.parametrize("argv, home", DISPATCH_CASES, ids=[argv[0] for argv, _ in DISPATCH_CASES])
-def test_each_subcommand_runs_from_its_module_under_python_m(capsys, tmp_path, entry, argv, home):
-    # Under ``python -m riordan.cli`` the cli module is __main__, and a
-    # subcommand that imported riordan.cli would compile it a second time.
-    (tmp_path / "A000045.txt").write_text("0 0\n1 1\n2 1\n3 2\n")
-    argv = [arg.format(cache=tmp_path) for arg in argv]
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(riordan.__path__[0]))
-    command = [sys.executable, "-S", "-X", "importtime", "-m", entry, *argv]
-    res = subprocess.run(command, env=env, capture_output=True, text=True)
-    lines = res.stderr.splitlines(True)
-    err = "".join(line for line in lines if not line.startswith("import time:"))
-    loaded = [line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time: ")]
-    assert (res.returncode, res.stdout, err) == run(capsys, argv)
-    assert loaded.count("riordan.cli") == (entry == "riordan")
-    subcommand_modules = {m for m in loaded if m in ("riordan.render", "riordan.verify", "riordan.bfile")}
-    assert subcommand_modules == {f"riordan.{home}"}
-
-
-def _fresh_interpreter(code: str) -> list[str]:
-    """Run code in a new interpreter without site packages; its stdout lines."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(riordan.__path__[0]))
-    argv = [sys.executable, "-S", "-c", code]
-    return subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout.splitlines()
-
-
 _RUN = (
     "import contextlib, io, sys\n"
     "import riordan.cli as cli\n"
@@ -459,9 +421,9 @@ def test_show_and_jf_load_only_the_modules_they_run():
     )
     jf_row = "(0, '1  6*r + 8  3*r^2 + 30*r + 24  6*r^2 + 48*r + 32  3*r^2 + 24*r + 16')"
     formats = [show, "table []", show, "csv []", show, "latex []"]
-    assert _fresh_interpreter(show_first) == formats + ["[]", jf_row, "[]", "(0, '}')", "[]"]
+    assert fresh_interpreter(show_first) == formats + ["[]", jf_row, "[]", "(0, '}')", "[]"]
     json_first = _RUN + "for fmt in ('json',):\n" + parametric
-    assert _fresh_interpreter(json_first) == [show, "json ['json']"]
+    assert fresh_interpreter(json_first) == [show, "json ['json']"]
     # A Hermite fraction takes the row recurrence: no walk, so no series.
     jf_first = _RUN + (
         "print(run('jf', '--alpha', '2*y+1', '--beta', 'i*r*y*(y+1)', '--N', '4'))\n"
@@ -469,11 +431,11 @@ def test_show_and_jf_load_only_the_modules_they_run():
         f"print(loaded('riordan.families', 'riordan.arrays', 'riordan.series', 'json', {unwanted}))\n"
     )
     hermite = _package("riordan.expr", "riordan.jfraction", "riordan.recurrence", "riordan.render")
-    assert _fresh_interpreter(jf_first) == [jf_row, hermite, "[]"]
+    assert fresh_interpreter(jf_first) == [jf_row, hermite, "[]"]
     # A fraction of neither shape takes the walk, on series, and no recurrence.
     walk_first = _RUN + "run('jf', '--alpha', '2*y+1', '--beta', 'r*y*(y+1)', '--N', '4')\nprint(package())\n"
     walking = _package("riordan.expr", "riordan.jfraction", "riordan.render", "riordan.series", "riordan.walk")
-    assert _fresh_interpreter(walk_first) == [walking]
+    assert fresh_interpreter(walk_first) == [walking]
 
 
 def test_check_commands_load_only_the_modules_they_run():
@@ -505,7 +467,7 @@ def test_check_commands_load_only_the_modules_they_run():
     checks = "families jfraction oeis recurrence series verify walk"
     fixtures = _package(*(f"riordan.{name}" for name in checks.split()))
     group = _package(*(f"riordan.{name}" for name in f"{checks} arrays battery cold".split()))
-    assert _fresh_interpreter(code) == [
+    assert fresh_interpreter(code) == [
         "0 12 12/12 checks passed []",
         fixtures,
         "0 2 [  ok] A055151: 66 entries over 11 rows match []",
@@ -515,24 +477,6 @@ def test_check_commands_load_only_the_modules_they_run():
         "0 10 10/10 checks passed ['riordan.battery', 'riordan.cold', 'riordan.arrays', 'fractions']",
         group,
     ]
-
-
-@pytest.mark.parametrize(
-    "argv, code",
-    [(["--help"], 0), (["show", "--help"], 0), (["show", "--N", "3"], 2), (["jf", "--alpha", "0", "--N", "x"], 2)],
-)
-def test_help_and_usage_errors_load_argparse(argv, code):
-    run_usage = (
-        "import contextlib, io, sys\n"
-        "import riordan.cli as cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        "    try:\n"
-        f"        cli.main({argv!r})\n"
-        "    except SystemExit as exc:\n"
-        "        print(exc.code, file=sys.__stdout__)\n"
-        "print([m for m in ('argparse', 'gettext', 'locale', 'riordan.usage') if m in sys.modules])\n"
-    )
-    assert _fresh_interpreter(run_usage) == [str(code), "['argparse', 'gettext', 'locale', 'riordan.usage']"]
 
 
 # (a spelling of a request that only argparse takes, the spelling that the
@@ -557,9 +501,7 @@ def test_spellings_only_argparse_takes_print_what_the_table_spelling_prints(caps
     status, out, err = run(capsys, canonical)
     assert status == 0 and len(out.splitlines()) == 7 and err == ""
     assert run(capsys, spelling) == (status, out, err)
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(riordan.__path__[0]))
-    res = subprocess.run([sys.executable, "-m", "riordan", *spelling], env=env, capture_output=True, text=True)
-    assert (res.returncode, res.stdout, res.stderr) == (status, out, err)
+    assert python("-m", "riordan", *spelling) == (status, out, err)
 
 
 def test_the_package_resolves_its_public_names_lazily():
@@ -572,7 +514,7 @@ def test_the_package_resolves_its_public_names_lazily():
         "from riordan import *\n"
         "print(all(name in globals() for name in riordan.__all__))\n"
     )
-    assert _fresh_interpreter(code) == ["[]", "['riordan.algebra']", "True"]
+    assert fresh_interpreter(code) == ["[]", "['riordan.algebra']", "True"]
     for name in riordan.__all__:
         assert getattr(riordan, name) is not None, name
     assert riordan.FamilySpec is families.FamilySpec

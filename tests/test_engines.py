@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from canonical import typed_all
 from riordan.algebra import MultiPoly, R, Y, tidy
@@ -234,17 +234,55 @@ def _symbolic_rows(alpha, beta, size_n):
     return JFraction(parse_index_poly(alpha), parse_index_poly(beta)).rows(size_n)
 
 
+def _at(rows, value) -> list:
+    """Symbolic rows at r = value, typed, each row up to its last nonzero
+    entry.  Each entry is evaluated as the sum of c * value^i over its
+    terms: MultiPoly.substitute takes seconds on one fraction at N = 100."""
+    power, out = functools.cache(value.__pow__), []
+    for row in rows:
+        row = [sum(c * power(i) for (i, _), c in MultiPoly.coerce(e).items()) for e in row]
+        while len(row) > 1 and not row[-1]:
+            row.pop()
+        out.append(typed_all(row))
+    return out
+
+
 @pytest.mark.parametrize("value", [-3, 0, 2**64], ids=["-3", "0", "2^64"])
 @pytest.mark.parametrize("alpha, beta, size_n", SPECIALISED.values(), ids=list(SPECIALISED))
 def test_specialising_r_commutes_with_every_engine(alpha, beta, size_n, value):
-    # Each symbolic entry is evaluated as the sum of c * value^i over its
-    # terms: MultiPoly.substitute takes seconds on one fraction at N = 100.
-    # Row n has degree at most n in r.
-    powers, expected = [value**i for i in range(size_n + 1)], []
-    for row in _symbolic_rows(alpha, beta, size_n):
-        row = [sum(c * powers[i] for (i, _), c in MultiPoly.coerce(e).items()) for e in row]
-        while len(row) > 1 and not row[-1]:  # each row ends at its last nonzero entry
-            row.pop()
-        expected.append(typed_all(row))
     at = JFraction(*(parse_index_poly(text.replace("r", f"({value})")) for text in (alpha, beta)))
-    assert [typed_all(row) for row in at.rows(size_n)] == expected
+    assert [typed_all(row) for row in at.rows(size_n)] == _at(_symbolic_rows(alpha, beta, size_n), value)
+
+
+def _in_r(powers, scale=1):
+    """Integral weights in the powers of r given and y^0..y^2."""
+    terms = st.tuples(st.sampled_from(powers), st.integers(0, 2))
+    return st.dictionaries(terms, st.integers(-5, 5).map(scale.__mul__), min_size=1, max_size=4).map(MultiPoly)
+
+
+def _specialisable(w):
+    """Fractions of each engine's shape, their weights drawn from w."""
+    return st.one_of(
+        st.builds(lambda a, b: JFraction(IndexPoly.constant(a), I * b), w, w),  # Hermite rows
+        st.builds(lambda a, b: JFraction((-I + 1) * a, (-I + 2) * b), w, w),  # stops at level 1
+        st.builds(lambda a, b: JFraction(IndexPoly.constant(a), IndexPoly.constant(b)), w, w),  # walks
+        st.builds(lambda a, b, c: JFraction(a + I * c, I * (I + 1) * b), w, w, w),  # walks
+    )
+
+
+# Weights in r on each side of the engines' thresholds: dense and small
+# (rows packed), sparse (rows on MultiPoly by density) and wide (rows on
+# MultiPoly by width).  At a value of r the walk runs packed, or on
+# MultiPoly past MAX_WIDTH (r = 2^2100); at r = 0 a level-independent
+# fraction whose beta holds r, such as const-face, leaves the walk for the
+# row recurrence.
+specialisable = st.one_of(_specialisable(_in_r([0, 1, 2])), _specialisable(_in_r([0, 4])), _specialisable(_in_r([0, 1], 2**1000)))
+
+
+@given(specialisable, st.sampled_from([0, -3, 2**64, 2**2100]), st.integers(0, 12))
+@example(JFraction(IndexPoly.constant(2 * Y + 1), IndexPoly.constant(R * Y * (Y + 1))), 0, 12)  # const-face
+@example(JFraction(I + 1, I * (I + 1) * R * Y), 2**2100, 12)  # perm-gamma
+@settings(max_examples=30)  # 0.1-0.4 s on a 2-core x86-64 host
+def test_specialising_r_commutes_with_every_engine_on_drawn_fractions(frac, value, size_n):
+    at = JFraction(*(IndexPoly.from_coeffs([c.substitute(r=value) for c in p.coeffs]) for p in frac))
+    assert [typed_all(row) for row in at.rows(size_n)] == _at(frac.rows(size_n), value)

@@ -4,43 +4,23 @@ Each case runs the entry as a subprocess and expects what ``cli.main``
 prints in-process, or what the interpreter printed before the entry
 skipped its finalization: the same stdout, stderr and exit code.  A stdout
 whose reader has gone ends every request with exit 120 and no traceback.
+Each request of the table runs once per entry it is checked under, with
+``-X importtime``, so that the same run shows which modules it loads.
 """
 
 import contextlib
 import functools
 import io
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import riordan
+from process import python
 from riordan.cli import main
 
 ENTRIES = ["riordan", "riordan.cli"]
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def _process(*args, cwd=None, closed=False, unbuffered=False) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of ``python ARGS`` (``-m ENTRY ARGV`` or
-    ``-c CODE``).  Its streams are buffered, as a terminal or a pipe gets
-    them by default, so that the last flush is the entry's, unless
-    ``unbuffered`` sets PYTHONUNBUFFERED=1.  With ``closed``, its stdout is
-    a pipe whose reading end is closed, and reads as ""."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(riordan.__path__[0]), PYTHONUNBUFFERED="1")
-    if not unbuffered:
-        del env["PYTHONUNBUFFERED"]
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        res = subprocess.run([sys.executable, *args], env=env, cwd=cwd,
-                             stdout=write if closed else subprocess.PIPE, stderr=subprocess.PIPE)
-    finally:
-        os.close(write)
-    return res.returncode, (res.stdout or b"").decode(), res.stderr.decode()
 
 
 # The entries of one argv are tested one after the other, so the last
@@ -58,23 +38,49 @@ def _in_process(*argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-# name: (argv, exit code)
+# The modules whose loading a request shows: the one module of its
+# subcommand, and what only help and usage errors load.
+WATCHED = {"riordan.render", "riordan.verify", "riordan.bfile", "argparse", "gettext", "locale", "riordan.usage"}
+USAGE = "argparse gettext locale riordan.usage"
+
+# name: (argv, exit code, the watched modules it loads, the entries it runs under)
 CASES = {
-    "ok": (["show", "--which", "f", "--N", "4"], 0),
-    "a failed write": (["export", "--which", "f", "--N", "3", "--output", "no/such/dir/out.json"], 1),
-    "a computation's ValueError": (["show", "--family", "simplex", "--r", "2", "--which", "h"], 2),
-    "a parse error": (["jf", "--alpha", "2*", "--beta", "0"], 2),
-    "a usage error": (["show", "--which", "q"], 2),
-    "help": (["jf", "--help"], 0),
+    "ok": (["show", "--which", "f", "--N", "4"], 0, "riordan.render", ENTRIES),
+    "a failed write": (["export", "--which", "f", "--N", "3", "--output", "no/such/dir/out.json"], 1, "riordan.render", ENTRIES),
+    "a computation's ValueError": (["show", "--family", "simplex", "--r", "2", "--which", "h"], 2, "riordan.render", ENTRIES),
+    "a parse error": (["jf", "--alpha", "2*", "--beta", "0"], 2, "riordan.render", ENTRIES),
+    "a usage error": (["show", "--which", "q"], 2, f"riordan.render {USAGE}", ENTRIES),
+    "help": (["jf", "--help"], 0, f"riordan.render {USAGE}", ENTRIES),
+    "jf": (["jf", "--alpha", "2*y+1", "--beta", "i*r*y*(y+1)", "--N", "4"], 0, "riordan.render", ENTRIES),
+    "verify": (["verify", "oeis"], 0, "riordan.verify", ENTRIES),
+    "oeis-check": (["oeis-check", "A055151"], 0, "riordan.verify", ENTRIES),
+    "fetch-bfile": (["fetch-bfile", "A45", "--offline", "--cache-dir", "."], 0, "riordan.bfile", ENTRIES),
+    "top-level help": (["--help"], 0, USAGE, ENTRIES[:1]),
+    "subcommand help": (["show", "--help"], 0, f"riordan.render {USAGE}", ENTRIES[:1]),
+    "a missing option": (["show", "--N", "3"], 2, f"riordan.render {USAGE}", ENTRIES[:1]),
+    "a bad --N": (["jf", "--alpha", "0", "--N", "x"], 2, f"riordan.render {USAGE}", ENTRIES[:1]),
 }
 
 
-@pytest.mark.parametrize("entry", ENTRIES)
-@pytest.mark.parametrize("argv, code", CASES.values(), ids=list(CASES))
-def test_the_entry_prints_and_exits_as_main_does(tmp_path, entry, argv, code):
+@pytest.mark.parametrize("argv, code, modules, entry", [
+    pytest.param(argv, code, modules, entry, id=f"{name}-{entry}")
+    for name, (argv, code, modules, entries) in CASES.items() for entry in entries
+])
+def test_the_entry_prints_and_exits_as_main_does(tmp_path, monkeypatch, argv, code, modules, entry):
+    # Under ``python -m riordan.cli`` the cli module is __main__, and a
+    # subcommand that imported riordan.cli would compile it a second time.
+    # A request loads its subcommand's module alone, and argparse only for
+    # help and usage errors.
+    (tmp_path / "A000045.txt").write_text("0 0\n1 1\n2 1\n3 2\n")
+    monkeypatch.chdir(tmp_path)
     expected = _in_process(*argv)
     assert expected[0] == code
-    assert _process("-m", entry, *argv, cwd=tmp_path) == expected
+    status, out, err = python("-X", "importtime", "-m", entry, *argv, cwd=tmp_path)
+    lines = err.splitlines(True)
+    loaded = [line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time: ")]
+    assert (status, out, "".join(line for line in lines if not line.startswith("import time:"))) == expected
+    assert loaded.count("riordan.cli") == (entry == "riordan")
+    assert WATCHED.intersection(loaded) == set(modules.split())
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
@@ -82,49 +88,64 @@ def test_a_large_output_reaches_a_pipe_whole(entry):
     argv = ["show", "--flavor", "exponential", "--which", "f", "--N", "100"]
     expected = _in_process(*argv)
     assert expected[0] == 0 and len(expected[1]) > 20_000_000
-    assert _process("-m", entry, *argv) == expected
+    assert python("-m", entry, *argv) == expected
 
 
 def test_an_exported_file_is_complete(tmp_path):
     argv = ["export", "--flavor", "exponential", "--which", "f", "--N", "60", "--format", "csv", "--output"]
     assert _in_process(*argv, str(tmp_path / "in.csv")) == (0, "", "")
-    assert _process("-m", "riordan", *argv, str(tmp_path / "out.csv")) == (0, "", "")
+    assert python("-m", "riordan", *argv, str(tmp_path / "out.csv")) == (0, "", "")
     assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "in.csv").read_bytes()
 
 
-def test_exit_handlers_run_before_the_streams_flush():
-    argv = ["show", "--which", "h", "--N", "3"]
-    code = (
-        "import atexit, runpy, sys\n"
-        "atexit.register(print, 'an exit handler ran')\n"
-        f"sys.argv = ['riordan', *{argv!r}]\n"
-        "runpy.run_module('riordan', run_name='__main__')\n"
-    )
-    assert _process("-c", code) == (0, _in_process(*argv)[1] + "an exit handler ran\n", "")
+# ARGV started from ``-c`` code: as ``python -m`` starts each entry, as the
+# installed console script does (sys.exit of the target's result), and not
+# at all (the control).
+ARGV = ["show", "--which", "h", "--N", "3"]
+LAUNCHES = {
+    **{entry: f"runpy.run_module({entry!r}, run_name='__main__', alter_sys=True)" for entry in ENTRIES},
+    "the console script": "from riordan.cli import run\nsys.exit(run())",
+    "no entry": "pass",
+}
 
 
-@pytest.mark.parametrize("entry", ENTRIES)
-def test_the_interpreter_is_not_torn_down(entry):
-    # An object that only finalization destroys: its __del__ never runs.
+@functools.cache
+def _launched(how) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ARGV launched ``how``, in a process
+    that first registers an exit handler, which prints, and makes an object
+    that only finalization destroys: its __del__ writes 'finalized'."""
     code = (
-        "import os, runpy, sys\n"
+        "import atexit, os, runpy, sys\n"
         "class Witness:\n"
         "    def __del__(self):\n"
         "        os.write(2, b'finalized')\n"
         "witness = Witness()\n"
-        "sys.argv = ['riordan', 'show', '--which', 'h', '--N', '1']\n"
-        f"runpy.run_module({entry!r}, run_name='__main__', alter_sys=True)\n"
+        "atexit.register(print, 'an exit handler ran')\n"
+        f"sys.argv = ['riordan', *{ARGV!r}]\n"
+        f"{LAUNCHES[how]}\n"
     )
-    assert _process("-c", code) == _in_process("show", "--which", "h", "--N", "1")
+    return python("-c", code)
+
+
+def test_exit_handlers_run_before_the_streams_flush():
+    code, out, _ = _in_process(*ARGV)
+    for how in (*ENTRIES, "the console script"):
+        assert _launched(how)[:2] == (code, out + "an exit handler ran\n")
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_the_interpreter_is_not_torn_down(entry):
+    # The witness is never destroyed.
+    assert _launched(entry)[2] == _in_process(*ARGV)[2]
     # The witness works: without the entry, it is destroyed.
-    assert _process("-c", code.replace("runpy.run_module", "(lambda *a, **k: None)"))[2] == "finalized"
+    assert _launched("no entry") == (0, "an exit handler ran\n", "finalized")
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_a_closed_stdout_is_reported_as_the_interpreter_reports_it(entry):
     # The output fits the stream's buffer, so the final flush is the first
     # write to fail: exit 120, as ``sys.exit`` ends it.
-    code, _, err = _process("-m", entry, "show", "--which", "f", "--N", "3", closed=True)
+    code, _, err = python("-m", entry, "show", "--which", "f", "--N", "3", closed=True)
     assert code == 120
     assert re.fullmatch(r"Exception ignored in: <_io\.TextIOWrapper name='<stdout>' [^\n]*>\n"
                         r"BrokenPipeError: \[Errno 32\] Broken pipe\n", err)
@@ -137,14 +158,12 @@ def test_a_write_to_a_closed_stdout_inside_main_exits_120(entry, size, unbuffere
     # Larger than the stream's buffer, or unbuffered, the output's write
     # fails inside main, which leaves nothing for the final flush to fail
     # on: exit 120, with no traceback.
-    assert _process("-m", entry, "show", "--which", "f", "--N", size, closed=True, unbuffered=unbuffered) == (120, "", "")
+    assert python("-m", entry, "show", "--which", "f", "--N", size, closed=True, unbuffered=unbuffered) == (120, "", "")
 
 
 def test_the_console_script_runs_the_entry():
     text = (ROOT / "pyproject.toml").read_text()
     scripts = text.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
     assert scripts.splitlines() == ['riordan = "riordan.cli:run"']
-    # What the installed script does: sys.exit of the target's result.
-    argv = ["show", "--which", "gamma", "--N", "5"]
-    code = f"import sys\nfrom riordan.cli import run\nsys.argv = ['riordan', *{argv!r}]\nsys.exit(run())\n"
-    assert _process("-c", code) == _in_process(*argv)
+    code, out, err = _in_process(*ARGV)
+    assert _launched("the console script") == (code, out + "an exit handler ran\n", err)

@@ -1,12 +1,8 @@
 import hashlib
-import os
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-import riordan
 from riordan.algebra import R
 from riordan.arrays import LowerTriMatrix
 from riordan.bfile import (
@@ -26,6 +22,8 @@ from riordan.oeis import (
     check_sequence,
     check_triangle,
 )
+
+from process import fresh_interpreter
 
 # Byte-stability pins: regenerate deliberately if fixture data ever changes.
 FIXTURE_CHECKSUMS = {
@@ -159,7 +157,5 @@ def test_fetch_bfile_cache_flow(tmp_path):
 
 
 def test_cli_import_leaves_the_network_stack_unloaded():
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(riordan.__path__[0]))
     code = "import sys, riordan.cli; print('urllib.request' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert fresh_interpreter(code) == ["False"]

@@ -5,7 +5,9 @@ import functools
 import io
 import runpy
 import shutil
+import subprocess
 from pathlib import Path
+from unittest import mock
 
 from riordan.verify import FIXTURE_SOURCES
 
@@ -88,18 +90,19 @@ _tree = functools.partial(_run, "request_footprint.py", "--tree")
 def test_request_footprint_counts_the_code_lines_of_the_tree():
     counts = {name.strip(): int(n) for name, n in (line.rsplit(None, 1) for line in _tree())}
     root, expected = SCRIPTS.parent, []
-    for directory in ("src/riordan", "tests"):
+    for directory in ("scripts", "src/riordan", "tests"):
         modules = sorted(path.relative_to(root).as_posix() for path in (root / directory).rglob("*.py"))
         assert all(counts[name] == code_lines(str(root / name)) for name in modules)
         assert counts[f"{directory} total"] == sum(counts[name] for name in modules)
         expected += [*modules, f"{directory} total"]
-    assert list(counts) == expected + ["total"] and {"src/riordan/cli.py", "tests/test_scripts.py"} < set(counts)
-    assert counts["total"] == counts["src/riordan total"] + counts["tests total"]
+    assert list(counts) == expected + ["total"]
+    assert {"scripts/request_footprint.py", "src/riordan/cli.py", "tests/test_scripts.py"} < set(counts)
+    assert counts["total"] == counts["scripts total"] + counts["src/riordan total"] + counts["tests total"]
 
 
 def test_request_footprint_compares_the_code_lines_of_two_trees(tmp_path):
     # A baseline tree of two modules: cli.py, which this tree has too, and
-    # one that this tree lacks; its tests/ is empty.
+    # one that this tree lacks; its tests/ is empty, and it has no scripts/.
     (tmp_path / "src" / "riordan").mkdir(parents=True)
     (tmp_path / "tests").mkdir()
     (tmp_path / "src" / "riordan" / "cli.py").write_text('"""Docstring."""\n\nx = 1\n')
@@ -114,7 +117,9 @@ def test_request_footprint_compares_the_code_lines_of_two_trees(tmp_path):
     assert rows["src/riordan/cli.py"] == ["1", str(this["src/riordan/cli.py"]), f"{this['src/riordan/cli.py'] - 1:+d}"]
     assert rows["src/riordan/gone.py"] == ["2", "-", "-2"]
     assert rows["src/riordan/algebra.py"] == ["-", str(this["src/riordan/algebra.py"]), f"+{this['src/riordan/algebra.py']}"]
-    assert rows["src/riordan total"][0] == "3" and rows["tests total"][0] == "0" and rows["total"][0] == "3"
+    assert rows["scripts/compare_outputs.py"] == ["-", str(this["scripts/compare_outputs.py"]), f"+{this['scripts/compare_outputs.py']}"]
+    assert rows["scripts total"][0] == rows["tests total"][0] == "0"
+    assert rows["src/riordan total"][0] == rows["total"][0] == "3"
     for base, ours, delta in rows.values():
         assert int(delta) == (0 if ours == "-" else int(ours)) - (0 if base == "-" else int(base))
     # The tree against itself: the same counts twice, and no change.
@@ -201,9 +206,24 @@ COMPARED = [
 PROCESSES = [(["show", "--which", "f", "--N", "3"], False), (["show", "--which", "f", "--N", "3"], True)]
 
 
-def _compare(capsys, baseline):
-    code = compare["main"]([str(baseline)], commands=COMPARED, processes=PROCESSES)
-    return code, capsys.readouterr().out.splitlines()
+def _compare(baseline):
+    """Exit code and stdout lines of compare_outputs on COMPARED and
+    PROCESSES against baseline, and the number of processes it started.
+    This tree's side runs only in the first call in this interpreter,
+    :func:`_itself`, which every compare test makes first: a later call
+    starts only the baseline's runner and processes."""
+    out, starts, start = io.StringIO(), [], subprocess.Popen.__init__
+
+    def counted(self, *args, **kwargs):
+        starts.append(args)
+        start(self, *args, **kwargs)
+
+    with mock.patch.object(subprocess.Popen, "__init__", counted), contextlib.redirect_stdout(out):
+        code = compare["main"]([str(baseline)], commands=COMPARED, processes=PROCESSES)
+    return code, out.getvalue().splitlines(), len(starts)
+
+
+_itself = functools.cache(lambda: _compare(SCRIPTS.parent / "src"))
 
 
 def _copy_src(tmp_path):
@@ -211,15 +231,17 @@ def _copy_src(tmp_path):
     return tmp_path / "riordan"
 
 
-def test_compare_outputs_finds_no_difference_between_a_tree_and_itself(capsys):
-    assert _compare(capsys, SCRIPTS.parent / "src") == (0, ["4 commands, 0 differ", "2 commands as processes, 0 differ"])
+def test_compare_outputs_finds_no_difference_between_a_tree_and_itself():
+    # Both trees' runners and processes start.
+    assert _itself() == (0, ["4 commands, 0 differ", "2 commands as processes, 0 differ"], 2 + 2 * len(PROCESSES))
 
 
-def test_compare_outputs_reports_each_command_whose_output_changed(capsys, tmp_path):
+def test_compare_outputs_reports_each_command_whose_output_changed(tmp_path):
+    _itself()  # this tree's side has run: only the baseline's starts below
     render = _copy_src(tmp_path) / "render.py"
     # Tables lose a space between columns, CSV quotes a second time.
     render.write_text(render.read_text().replace('"  ".join(', '" ".join(').replace("'\"' + str(e)", "'\"\"' + str(e)"))
-    assert _compare(capsys, tmp_path) == (
+    assert _compare(tmp_path) == (
         1,
         [
             "4 commands, 2 differ",
@@ -228,16 +250,18 @@ def test_compare_outputs_reports_each_command_whose_output_changed(capsys, tmp_p
             "riordan export --which h --N 3 --format csv --output export.out: written file differ",
             "riordan show --which f --N 3 (as a process): stdout differ",
         ],
+        1 + len(PROCESSES),
     )
 
 
-def test_compare_outputs_sees_how_a_process_ends(capsys, tmp_path):
+def test_compare_outputs_sees_how_a_process_ends(tmp_path):
+    _itself()  # this tree's side has run: only the baseline's starts below
     # An entry that ends without flushing stdout: in-process nothing
     # differs, but its process prints nothing, and exits 0 where the pipe
     # is closed instead of reporting the failed flush.
     cli = _copy_src(tmp_path) / "cli.py"
     cli.write_text(cli.read_text().replace("sys.stdout.flush()", "pass"))
-    assert _compare(capsys, tmp_path) == (
+    assert _compare(tmp_path) == (
         1,
         [
             "4 commands, 0 differ",
@@ -245,4 +269,5 @@ def test_compare_outputs_sees_how_a_process_ends(capsys, tmp_path):
             "riordan show --which f --N 3 (as a process): stdout differ",
             "riordan show --which f --N 3 (as a process, stdout closed): exit code, stderr differ",
         ],
+        1 + len(PROCESSES),
     )

@@ -20,7 +20,7 @@ import pytest
 
 import riordan
 from riordan import algebra, arrays, battery, bfile, cli, cold, expr, families, jfraction, oeis, render, series, verify
-from test_cli import _fresh_interpreter
+from process import fresh_interpreter
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -154,7 +154,7 @@ def test_moved_names_resolve_lazily_to_their_new_module_and_stay_bound():
         "    new = sys.modules['riordan.' + home]\n"
         "    print(all(f is getattr(new, n) is mod.__dict__[n] for f, n in zip(found, names.split())))\n"
     )
-    lines = _fresh_interpreter(code)
+    lines = fresh_interpreter(code)
     assert lines == [f"{module} False []" for module, _ in KEPT] + ["True"] * len(KEPT)
 
 
@@ -186,4 +186,4 @@ def test_a_moved_public_name_loads_only_its_module_and_that_modules_imports():
         "print(RiordanArray.__module__)\n"
     )
     modules = "riordan riordan.algebra riordan.arrays riordan.cold riordan.families riordan.jfraction riordan.series"
-    assert _fresh_interpreter(code) == [str(modules.split()), "riordan.cold"]
+    assert fresh_interpreter(code) == [str(modules.split()), "riordan.cold"]
