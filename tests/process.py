@@ -1,6 +1,7 @@
 """How every Tier-1 test starts a Python process: on this tree, without site
 packages, its streams buffered unless asked otherwise."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -33,3 +34,14 @@ def fresh_interpreter(code: str) -> list[str]:
     status, out, err = python("-c", code)
     assert status == 0, err
     return out.splitlines()
+
+
+@functools.cache
+def request(cwd, entry: str, *argv: str) -> tuple[int, str, str, tuple[str, ...]]:
+    """Exit code, stdout and stderr (its import lines dropped) of
+    ``python -S -X importtime -m ENTRY ARGV`` run in cwd, and the modules it
+    imported, in order.  Each request runs once, however many tests read it."""
+    status, out, err = python("-X", "importtime", "-m", entry, *argv, cwd=cwd)
+    lines = err.splitlines(True)
+    loaded = tuple(line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time: "))
+    return status, out, "".join(line for line in lines if not line.startswith("import time:")), loaded

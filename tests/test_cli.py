@@ -14,7 +14,7 @@ from riordan.families import FamilySpec, Kind, f_matrix, family_matrix
 from riordan.render import MAX_DIGITS, MAX_N
 
 from golden_cases import GOLDEN_CASES, USAGE_CASES, usage_text
-from process import fresh_interpreter, python
+from process import fresh_interpreter, python, request
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -363,6 +363,39 @@ def test_text_that_is_no_a_number_is_a_usage_error(capsys, tmp_path, text):
     assert run(capsys, ["oeis-check", text]) == (2, "", err)
     assert run(capsys, ["fetch-bfile", text, "--offline", "--cache-dir", str(tmp_path / "cache")]) == (2, "", err)
     assert not any(tmp_path.iterdir())
+
+
+# (argv, the module that defines the subcommand)
+DISPATCH_CASES = [
+    (["show", "--which", "f", "--N", "4"], "render"),
+    (["jf", "--alpha", "2*y+1", "--beta", "i*r*y*(y+1)", "--N", "4"], "render"),
+    (["verify", "oeis"], "verify"),
+    (["oeis-check", "A055151"], "verify"),
+    (["fetch-bfile", "A45", "--offline", "--cache-dir", "."], "bfile"),
+]
+USAGE_MODULES = ["argparse", "gettext", "locale", "riordan.usage"]
+WATCHED = {"riordan.render", "riordan.verify", "riordan.bfile", *USAGE_MODULES}
+
+
+@pytest.mark.parametrize("entry", ["riordan", "riordan.cli"])
+@pytest.mark.parametrize("argv, home", DISPATCH_CASES, ids=[argv[0] for argv, _ in DISPATCH_CASES])
+def test_each_subcommand_runs_from_its_module_under_python_m(capsys, monkeypatch, request_dir, entry, argv, home):
+    # Under ``python -m riordan.cli`` the cli module is __main__, and a
+    # subcommand that imported riordan.cli would compile it a second time.
+    # The show request is test_exit's "ok" case, and runs once for both.
+    monkeypatch.chdir(request_dir)
+    status, out, err, loaded = request(request_dir, entry, *argv)
+    assert (status, out, err) == run(capsys, argv)
+    assert loaded.count("riordan.cli") == (entry == "riordan")
+    assert WATCHED.intersection(loaded) == {f"riordan.{home}"}
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["show", "--help"], 0), (["show", "--N", "3"], 2), (["jf", "--alpha", "0", "--N", "x"], 2)])
+def test_help_and_usage_errors_load_argparse(request_dir, argv, code):
+    status, out, err, loaded = request(request_dir, "riordan", *argv)
+    assert (status, usage_text(argv)) == (code, f"exit {code}\n--- stdout\n{out}--- stderr\n{err}")
+    # A subcommand's help or usage error also loads its module; the top-level help none.
+    assert WATCHED.intersection(loaded) == {*USAGE_MODULES, *(["riordan.render"] if argv != ["--help"] else [])}
 
 
 _RUN = (

@@ -4,8 +4,8 @@ Each case runs the entry as a subprocess and expects what ``cli.main``
 prints in-process, or what the interpreter printed before the entry
 skipped its finalization: the same stdout, stderr and exit code.  A stdout
 whose reader has gone ends every request with exit 120 and no traceback.
-Each request of the table runs once per entry it is checked under, with
-``-X importtime``, so that the same run shows which modules it loads.
+Each request of the table runs once per entry, with ``-X importtime``, so
+that the same run shows which modules it loads.
 """
 
 import contextlib
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from process import python
+from process import python, request
 from riordan.cli import main
 
 ENTRIES = ["riordan", "riordan.cli"]
@@ -43,42 +43,28 @@ def _in_process(*argv) -> tuple[int, str, str]:
 WATCHED = {"riordan.render", "riordan.verify", "riordan.bfile", "argparse", "gettext", "locale", "riordan.usage"}
 USAGE = "argparse gettext locale riordan.usage"
 
-# name: (argv, exit code, the watched modules it loads, the entries it runs under)
+# name: (argv, exit code, the watched modules it loads)
 CASES = {
-    "ok": (["show", "--which", "f", "--N", "4"], 0, "riordan.render", ENTRIES),
-    "a failed write": (["export", "--which", "f", "--N", "3", "--output", "no/such/dir/out.json"], 1, "riordan.render", ENTRIES),
-    "a computation's ValueError": (["show", "--family", "simplex", "--r", "2", "--which", "h"], 2, "riordan.render", ENTRIES),
-    "a parse error": (["jf", "--alpha", "2*", "--beta", "0"], 2, "riordan.render", ENTRIES),
-    "a usage error": (["show", "--which", "q"], 2, f"riordan.render {USAGE}", ENTRIES),
-    "help": (["jf", "--help"], 0, f"riordan.render {USAGE}", ENTRIES),
-    "jf": (["jf", "--alpha", "2*y+1", "--beta", "i*r*y*(y+1)", "--N", "4"], 0, "riordan.render", ENTRIES),
-    "verify": (["verify", "oeis"], 0, "riordan.verify", ENTRIES),
-    "oeis-check": (["oeis-check", "A055151"], 0, "riordan.verify", ENTRIES),
-    "fetch-bfile": (["fetch-bfile", "A45", "--offline", "--cache-dir", "."], 0, "riordan.bfile", ENTRIES),
-    "top-level help": (["--help"], 0, USAGE, ENTRIES[:1]),
-    "subcommand help": (["show", "--help"], 0, f"riordan.render {USAGE}", ENTRIES[:1]),
-    "a missing option": (["show", "--N", "3"], 2, f"riordan.render {USAGE}", ENTRIES[:1]),
-    "a bad --N": (["jf", "--alpha", "0", "--N", "x"], 2, f"riordan.render {USAGE}", ENTRIES[:1]),
+    "ok": (["show", "--which", "f", "--N", "4"], 0, "riordan.render"),
+    "a failed write": (["export", "--which", "f", "--N", "3", "--output", "no/such/dir/out.json"], 1, "riordan.render"),
+    "a computation's ValueError": (["show", "--family", "simplex", "--r", "2", "--which", "h"], 2, "riordan.render"),
+    "a parse error": (["jf", "--alpha", "2*", "--beta", "0"], 2, "riordan.render"),
+    "a usage error": (["show", "--which", "q"], 2, f"riordan.render {USAGE}"),
+    "help": (["jf", "--help"], 0, f"riordan.render {USAGE}"),
 }
 
 
-@pytest.mark.parametrize("argv, code, modules, entry", [
-    pytest.param(argv, code, modules, entry, id=f"{name}-{entry}")
-    for name, (argv, code, modules, entries) in CASES.items() for entry in entries
-])
-def test_the_entry_prints_and_exits_as_main_does(tmp_path, monkeypatch, argv, code, modules, entry):
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("argv, code, modules", CASES.values(), ids=list(CASES))
+def test_the_entry_prints_and_exits_as_main_does(request_dir, entry, argv, code, modules):
     # Under ``python -m riordan.cli`` the cli module is __main__, and a
     # subcommand that imported riordan.cli would compile it a second time.
     # A request loads its subcommand's module alone, and argparse only for
     # help and usage errors.
-    (tmp_path / "A000045.txt").write_text("0 0\n1 1\n2 1\n3 2\n")
-    monkeypatch.chdir(tmp_path)
     expected = _in_process(*argv)
     assert expected[0] == code
-    status, out, err = python("-X", "importtime", "-m", entry, *argv, cwd=tmp_path)
-    lines = err.splitlines(True)
-    loaded = [line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time: ")]
-    assert (status, out, "".join(line for line in lines if not line.startswith("import time:"))) == expected
+    status, out, err, loaded = request(request_dir, entry, *argv)
+    assert (status, out, err) == expected
     assert loaded.count("riordan.cli") == (entry == "riordan")
     assert WATCHED.intersection(loaded) == set(modules.split())
 
