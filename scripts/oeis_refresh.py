@@ -2,18 +2,17 @@
 """Compare the embedded OEIS fixtures against freshly fetched b-files.
 
 Purely optional: the test suite never touches the network.  Downloads go
-through the cache in ``--cache-dir`` (or $OEIS_CACHE_DIR), so repeated runs
-are cheap; point $OEIS_BASE_URL at a mirror if needed.
+through the cache in ``--cache-dir`` (or $OEIS_CACHE_DIR, or
+``~/.cache/riordan-oeis``), so repeated runs are cheap; point
+$OEIS_BASE_URL at a mirror if needed.
 
 usage: python scripts/oeis_refresh.py [--cache-dir DIR] [--offline]
 """
 
 import argparse
-import os
 import sys
-from pathlib import Path
 
-from riordan.bfile import CACHE_DIR_ENV, CacheMiss, NetworkUnavailable, fetch_bfile
+from riordan.bfile import CacheMiss, NetworkUnavailable, fetch_bfile, resolve_cache_dir
 from riordan.oeis import FIXTURES
 
 
@@ -23,9 +22,7 @@ def main() -> int:
     parser.add_argument("--offline", action="store_true")
     args = parser.parse_args()
 
-    cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV) or (
-        Path.home() / ".cache" / "riordan-oeis"
-    )
+    cache_dir = resolve_cache_dir(args.cache_dir)
 
     failures = 0
     for anumber in sorted(FIXTURES):

@@ -3,6 +3,7 @@
 
 usage: python scripts/request_footprint.py [--repeats K] ARGV...
        python scripts/request_footprint.py --tree [--baseline SRC]
+       python scripts/request_footprint.py --checks SUITE [--repeats K] [--baseline SRC]
 
 for example ``python scripts/request_footprint.py show --which f --N 30``.
 With ``--tree`` it prints instead the code lines (as counted below) of each
@@ -13,6 +14,22 @@ a checkout of the parent commit, whose scripts and tests are read from the
 ``scripts`` and ``tests`` beside it), each row gives the module's code
 lines in that tree, in this one and the change, "-" where a tree lacks the
 module: a change's net line count in one command.
+
+With ``--checks SUITE`` (group, props, oeis or all) it prints instead the
+cold CPU time of each check of that ``riordan verify`` suite.  The suite
+runs K times, each in a fresh interpreter as below.  Each run imports the
+suite's registry first, so compiling the package counts in no check, and
+then runs every check once, in suite order, timing ``Check.run`` by
+``time.process_time``: each time is cold, since no check runs twice in one
+interpreter.  The script prints each check's median time over the K runs,
+then the quartiles of the K suite totals, the spread to weigh a difference
+against; it exits 1 if a check failed in any run.  With ``--baseline SRC``
+the runs alternate, SRC's first, between SRC and this tree, K runs of
+each.  Each check then gets SRC's median, this tree's median and their
+ratio (this tree over SRC; "-" for a check that only one tree has), and
+the quartiles of both trees' suite totals follow, with the ratio of their
+medians.
+
 ARGV is the request's command line after ``riordan``; put ``--`` before it
 if it starts with an option of this script.  The request runs once in a
 fresh interpreter with ``PYTHONDONTWRITEBYTECODE=1`` (its output is
@@ -56,6 +73,7 @@ import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SUITES = ("group", "props", "oeis", "all")
 
 LOADED = """
 import contextlib, io, json, sys
@@ -77,6 +95,22 @@ for path in sys.argv[1:]:
     start = time.perf_counter()
     compile(source, path, "exec")
     times.append(time.perf_counter() - start)
+print(json.dumps(times))
+"""
+
+# One cold run of a verify suite (argv[1]): (check, ok, CPU s) for each check.
+CHECK_TIMES = """
+import json, sys, time
+from riordan import verify
+suite = sys.argv[1]
+# verify oeis runs the fixture checks alone; the other suites read CHECKS.
+registry = verify.FIXTURE_CHECKS if suite == "oeis" else verify.CHECKS
+times = []
+for check in registry:
+    if suite in ("all", check.suite):
+        start = time.process_time()
+        ok = check.run().ok
+        times.append((f"{check.suite} :: {check.name}", ok, time.process_time() - start))
 print(json.dumps(times))
 """
 
@@ -144,17 +178,26 @@ def stages(request: list[str], how: str) -> list[float]:
     return [b - a for a, b in zip(points, points[1:])]
 
 
-def _env() -> dict:
+def _env(src: Path = SRC) -> dict:
+    """The environment of a fresh interpreter of the package under src, which
+    compiles every module it imports from source."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     return env
 
 
-def fresh_python(code: str, args: list[str]) -> str:
+def fresh_python(code: str, args: list[str], src: Path = SRC) -> str:
+    """The last stdout line of code run in a fresh interpreter of src's package."""
     result = subprocess.run(
-        [sys.executable, "-c", code, *args], env=_env(), capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args], env=_env(src), capture_output=True, text=True, check=True
     )
     return result.stdout.splitlines()[-1]
+
+
+def quartiles(totals: list[float]) -> str:
+    """q1, median and q3 of per-run totals, in ms."""
+    q = statistics.quantiles(totals, n=4, method="inclusive") if len(totals) > 1 else totals * 3
+    return f"q1 {q[0]:.2f}, median {q[1]:.2f}, q3 {q[2]:.2f}"
 
 
 def import_times(code: str, args: list[str]) -> dict[str, tuple[int, int]]:
@@ -210,21 +253,64 @@ def tree(baseline: Path | None = None) -> None:
     row("total", [sum(t.values()) for t in trees])
 
 
+def _medians(runs) -> dict[str, tuple[float, bool]]:
+    """Each check's median ms over one tree's runs, and whether it passed in all."""
+    names = [name for name, _, _ in runs[0]]
+    return {
+        name: (1000 * statistics.median(run[i][2] for run in runs), all(run[i][1] for run in runs))
+        for i, name in enumerate(names)
+    }
+
+
+def checks(suite: str, repeats: int, baseline: Path | None = None) -> int:
+    """Print the cold CPU time of each check of the suite, in this tree or,
+    with a baseline, in both trees; 1 if a check failed in any run."""
+    srcs = [SRC] if baseline is None else [baseline, SRC]
+    runs = [[] for _ in srcs]  # one list per tree: the baseline may be this tree
+    for _ in range(repeats):  # the trees alternate, the baseline first
+        for src, tree_runs in zip(srcs, runs):
+            tree_runs.append(json.loads(fresh_python(CHECK_TIMES, [suite], src)))
+    tables = [_medians(tree_runs) for tree_runs in runs]
+    each = "runs" if baseline is None else "alternating runs of each tree"
+    print(f"riordan verify {suite}: cold CPU ms per check, median over {repeats} {each}")
+    print(f"{'ms':>9s}  check" if baseline is None else f"{'baseline':>9s} {'this':>9s} {'ratio':>6s}  check")
+    for name in {name: None for table in tables for name in table}:
+        ms = [table[name][0] if name in table else None for table in tables]
+        cells = [f"{'-':>9s}" if m is None else f"{m:9.2f}" for m in ms]  # "-": a check the tree lacks
+        if baseline is not None:
+            cells.append(f"{ms[1] / ms[0]:6.3f}" if ms[0] and ms[1] is not None else f"{'-':>6s}")
+        ok = all(table[name][1] for table in tables if name in table)
+        print(" ".join(cells) + f"  {name}{'' if ok else '  [FAIL]'}")
+    totals = [[1000 * sum(t for _, _, t in run) for run in tree_runs] for tree_runs in runs]
+    for label, tree_totals in zip([""] if baseline is None else ["baseline ", "this tree "], totals):
+        print(f"per-run suite total CPU ms over {repeats} runs: {label}{quartiles(tree_totals)}")
+    if baseline is not None:
+        ratio = statistics.median(totals[1]) / statistics.median(totals[0])
+        print(f"ratio of the median totals (this tree over baseline): {ratio:.3f}")
+    return 0 if all(ok for table in tables for _, ok in table.values()) else 1
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--repeats", type=int, default=5, help="fresh interpreters per compile timing")
-    parser.add_argument("--tree", action="store_true", help="print the code lines of scripts/, src/riordan and tests/ instead")
-    parser.add_argument("--baseline", type=Path, help="with --tree: the src directory of a tree to compare against")
+    parser.add_argument("--repeats", type=int, default=5, help="fresh interpreters per timing")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--tree", action="store_true", help="print the code lines of scripts/, src/riordan and tests/ instead")
+    mode.add_argument("--checks", choices=SUITES, help="time each check of this verify suite instead")
+    parser.add_argument("--baseline", type=Path, help="with --tree or --checks: the src directory of a tree to compare against")
     parser.add_argument("request", nargs=argparse.REMAINDER, help="the request's argv after 'riordan'")
     args = parser.parse_args(argv)
-    if args.baseline is not None and not (args.tree and (args.baseline / "riordan").is_dir()):
-        parser.error("--baseline needs --tree and the src directory of a tree, holding riordan/")
+    if args.baseline is not None and not ((args.tree or args.checks) and (args.baseline / "riordan").is_dir()):
+        parser.error("--baseline needs --tree or --checks and the src directory of a tree, holding riordan/")
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
     if args.tree:
         tree(args.baseline)
         return 0
+    if args.checks:
+        return checks(args.checks, args.repeats, args.baseline)
     request = args.request[1:] if args.request[:1] == ["--"] else args.request
-    if not request or args.repeats < 1:
-        parser.error("give the request's argv, and --repeats of at least 1")
+    if not request:
+        parser.error("give the request's argv")
 
     modules = [(name, path) for name, path in json.loads(fresh_python(LOADED, request))]
     paths = [path for _, path in modules]
@@ -239,10 +325,7 @@ def main(argv: list[str] | None = None) -> int:
         total_ms += ms
         print(f"{name:22s} {lines:10d} {ms:10.2f}")
     print(f"{'total':22s} {int(total_lines):10d} {total_ms:10.2f}")
-    totals = sorted(1000 * sum(run) for run in runs)
-    quartiles = statistics.quantiles(totals, n=4, method="inclusive") if len(totals) > 1 else totals * 3
-    print(f"per-run total compile ms over {len(totals)} runs: "
-          f"q1 {quartiles[0]:.2f}, median {quartiles[1]:.2f}, q3 {quartiles[2]:.2f}")
+    print(f"per-run total compile ms over {len(runs)} runs: {quartiles([1000 * sum(run) for run in runs])}")
 
     bare = import_times("pass", [])
     samples = [import_times(REQUEST, request) for _ in range(args.repeats)]

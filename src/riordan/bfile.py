@@ -127,6 +127,12 @@ def fetch_bfile(
     return parse_bfile(payload.decode())
 
 
+def resolve_cache_dir(cache_dir: str | Path | None) -> str | Path:
+    """The b-file cache: cache_dir if given, else $OEIS_CACHE_DIR, else
+    ``~/.cache/riordan-oeis``."""
+    return cache_dir or os.environ.get(CACHE_DIR_ENV) or Path.home() / ".cache" / "riordan-oeis"
+
+
 # -- the command line's fetch-bfile subcommand -------------------------------
 
 
@@ -143,9 +149,7 @@ def cmd_fetch_bfile(args) -> int:
     """Text that is no A-number raises ValueError (exit 2), as in
     ``oeis-check``; a failed fetch or read exits 1."""
     anumber = _normalize_anumber(args.anumber)
-    cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV) or (
-        Path.home() / ".cache" / "riordan-oeis"
-    )
+    cache_dir = resolve_cache_dir(args.cache_dir)
     try:
         bfile = fetch_bfile(anumber, cache_dir, offline=args.offline)
     except (NetworkUnavailable, CacheMiss, ValueError) as exc:

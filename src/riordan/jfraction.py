@@ -157,6 +157,12 @@ class JFraction(NamedTuple):
         (:func:`riordan.render._write`).  ``read`` is used for nothing else:
         every other entry comes back as an int, a Fraction or a MultiPoly.
 
+        A fraction with a non-integer coefficient is cleared of the common
+        denominator D of its coefficients first: row n is row n of the
+        integral fraction (D alpha; D^2 beta), whose GF is the fraction's at
+        Dx, divided by D^n.  So every engine runs on integer coefficients,
+        and ``read`` reads no such fraction's entries.
+
         Two shapes of fraction expand by a three-term row recurrence
         (:func:`~riordan.recurrence._row_recurrence`) with a = alpha(0) and b = beta(1):
         alpha(1) = beta(2) = 0 stops the fraction at level 1, so its GF is
@@ -165,6 +171,12 @@ class JFraction(NamedTuple):
         Every other fraction takes the walk (:meth:`expand`).
         """
         alpha, beta = self
+        den = _denominator(*alpha.coeffs, *beta.coeffs)
+        if den != 1:
+            from fractions import Fraction
+
+            rows = JFraction(alpha * den, beta * den**2).rows(order)
+            return [[tidy(c * Fraction(1, den**n)) for c in row] for n, row in enumerate(rows)]
         level_one = not alpha(1) and not beta(2)
         if level_one or not alpha.degree() and beta.degree() <= 1 and not beta(0):
             from .recurrence import _row_recurrence

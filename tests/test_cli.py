@@ -355,6 +355,13 @@ def test_fetch_bfile_prints_the_normalized_a_number(capsys, tmp_path):
     assert run(capsys, ["fetch-bfile", "A7", *argv]) == (1, "", err)
 
 
+def test_fetch_bfile_reads_the_cache_named_by_the_environment(capsys, tmp_path, monkeypatch):
+    # With no --cache-dir, $OEIS_CACHE_DIR names the cache.
+    (tmp_path / "A000045.txt").write_text("0 0\n1 1\n2 1\n")
+    monkeypatch.setenv("OEIS_CACHE_DIR", str(tmp_path))
+    assert run(capsys, ["fetch-bfile", "A000045", "--offline"]) == (0, f"A000045: 3 terms cached in {tmp_path}\n0, 1, 1\n", "")
+
+
 @pytest.mark.parametrize("text", ["xyz", "A²", "A١٢"])
 def test_text_that_is_no_a_number_is_a_usage_error(capsys, tmp_path, text):
     # Only ASCII digits make an A-number.  fetch-bfile exits 2 as oeis-check

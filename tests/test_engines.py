@@ -20,7 +20,7 @@ from riordan.cli import main
 from riordan.cold import dense_family_triple
 from riordan.expr import parse_index_poly
 from riordan.families import FamilySpec, Kind, family_fractions, family_triple, family_matrix
-from riordan import recurrence
+from riordan import recurrence, walk
 from riordan.jfraction import IndexPoly, JFraction
 
 FLAVORS = (Kind.ORDINARY, Kind.EXPONENTIAL)
@@ -157,6 +157,7 @@ PACKING = {  # fraction, order, whether its rows run packed
     "exponential h": (EXP_R.h, 16, True),
     "ordinary f": (ORD_R.f, 16, True),
     "dense hermite": (JFraction(IndexPoly.constant(1), I * (2**64 * R**3 - R**4)), 34, True),
+    "rational hermite": (JFraction(IndexPoly.constant(Fraction(1, 2) * Y + 1), I * (Fraction(1, 3) * R * Y)), 16, True),
 }
 
 
@@ -167,6 +168,16 @@ def test_rows_pack_only_dense_rows_of_narrow_slots(monkeypatch, frac, order, pac
     monkeypatch.setattr(recurrence, "_pack", lambda *args: calls.append(1) or pack(*args))
     assert frac.rows(order) == walk_rows(frac, order)
     assert bool(calls) == packed
+
+
+def test_a_rational_fraction_walks_on_packed_ints(monkeypatch):
+    # rows clears the common denominator, 6, so these rows walk on packed
+    # ints, where the oracle's expansion walks on Fraction coefficients.
+    frac = JFraction((I + 1) * (Fraction(1, 2) + Y), I * (I + 1) * (Fraction(1, 3) * Y * (Y + 1)))
+    reads, unpack = [], walk._unpack_y
+    monkeypatch.setattr(walk, "_unpack_y", lambda *args: reads.append(1) or unpack(*args))
+    rows = frac.rows(20)
+    assert len(reads) == 20 and [typed_all(row) for row in rows] == [typed_all(row) for row in walk_rows(frac, 20)]
 
 
 def _cli_rows(capsys, argv):

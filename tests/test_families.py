@@ -121,17 +121,27 @@ def test_specialisation_commutes_with_construction(flavor, which, value, size):
     assert specialised == build(FamilySpec(flavor, value), size)
 
 
+def _assert_specialisation_commutes(flavor, which, value, size):
+    # Each entry is evaluated as the sum of c * value^i over its terms:
+    # MultiPoly.substitute takes seconds on one triangle at these sizes.
+    # Row n has degree at most n in r.
+    build = {"gamma": gamma_matrix, "h": h_matrix, "f": f_matrix}[which]
+    symbolic, powers = build(FamilySpec(flavor, R), size), [value**i for i in range(size + 1)]
+    specialised = [[sum(c * powers[i] for (i, _), c in MultiPoly.coerce(e).items()) for e in row] for row in symbolic.rows]
+    assert LowerTriMatrix(specialised) == build(FamilySpec(flavor, value), size)
+
+
 @pytest.mark.parametrize("value", [-3, 2**64], ids=["-3", "2^64"])
 @pytest.mark.parametrize("which", ["gamma", "h", "f"])
 @pytest.mark.parametrize("flavor", FLAVORS, ids=[f.value for f in FLAVORS])
 def test_specialisation_commutes_with_construction_at_large_n(flavor, which, value):
-    # Each entry is evaluated as the sum of c * value^i over its terms:
-    # MultiPoly.substitute takes seconds on one triangle at this size.
-    # Row n has degree at most n in r.
-    build = {"gamma": gamma_matrix, "h": h_matrix, "f": f_matrix}[which]
-    symbolic, powers = build(FamilySpec(flavor, R), 60), [value**i for i in range(61)]
-    specialised = [[sum(c * powers[i] for (i, _), c in MultiPoly.coerce(e).items()) for e in row] for row in symbolic.rows]
-    assert LowerTriMatrix(specialised) == build(FamilySpec(flavor, value), 60)
+    _assert_specialisation_commutes(flavor, which, value, 60)
+
+
+@pytest.mark.parametrize("which", ["gamma", "h", "f"])
+@pytest.mark.parametrize("flavor", FLAVORS, ids=[f.value for f in FLAVORS])
+def test_specialisation_commutes_with_construction_at_n_100(flavor, which):
+    _assert_specialisation_commutes(flavor, which, 2**64, 100)
 
 
 def test_gamma_from_h_examples():

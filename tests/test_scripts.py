@@ -9,6 +9,8 @@ import subprocess
 from pathlib import Path
 from unittest import mock
 
+import pytest
+
 from riordan.verify import FIXTURE_SOURCES
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -128,7 +130,13 @@ def test_request_footprint_compares_the_code_lines_of_two_trees(tmp_path):
     assert all(base == ours and delta == "+0" for _, base, ours, delta in same)
 
 
-_check_times = functools.partial(_run, "check_times.py", "--repeats", "1")
+def test_request_footprint_takes_a_baseline_only_with_tree_or_checks():
+    with pytest.raises(SystemExit) as refused:
+        _script("request_footprint.py")["main"](["--baseline", str(SCRIPTS.parent / "src"), "show"])
+    assert refused.value.code == 2
+
+
+_check_times = functools.partial(_run, "request_footprint.py", "--repeats", "1", "--checks")
 
 
 def test_check_times_prints_each_check_of_the_suite():
