@@ -15,9 +15,10 @@ difference, 0 otherwise.
 The sweep covers ``show`` for both flavours at r in {r, 0, -1, 3, 2^60}, every
 ``--which``, plain and reversed, at N in {0, 1, 2, 12, 36, 100}, in all four
 formats; ``export`` to a file; the four polytopes; the six ``jf`` templates
-of the benchmark and rational, sparse, wide and dense high-degree fractions;
-and parse and usage errors.  Both trees run at once, one process each; the
-sweep takes about a minute per tree on a 2-core x86-64 machine.
+of the benchmark; rational, sparse, wide and dense high-degree fractions,
+with levels in i and free of i; and parse and usage errors.  Both trees run
+at once, one process each; the sweep takes about a minute per tree on a
+2-core x86-64 machine.
 
 That sweep never reaches the entry a ``riordan`` process starts from, which
 ends the process.  So a sample of about 40 commands (:data:`PROCESSES`)
@@ -80,7 +81,10 @@ FORMATS = ("table", "json", "csv", "latex")
 # The benchmark's six jf templates (the fifth's rows are too sparse to pack),
 # then fractions on each side of the row recurrence's other engine choices:
 # rational weights, a weight too wide to pack, entries of more than 64 packed
-# slots, slots of about 1300 bits, and dense weights of high degree.
+# slots, slots of about 1300 bits, and dense weights of high degree; last,
+# fractions whose levels are free of i on each branch of their rows: packed
+# with signed weights, on MultiPoly by density and by width, rational, and
+# sparse in y.
 JF_FRACTIONS = (
     ("2*y+1", "i*r*y*(y+1)"),
     ("y+1", "i*r*y"),
@@ -93,6 +97,11 @@ JF_FRACTIONS = (
     ("y-3", "i*(1024*r^3-r^4)"),
     ("y+1", "i*1048576*r*y"),
     ("(1+i+r+y)^3", "(1+i+r+y)^3"),
+    ("3*y-2", "5*r^2*y-7"),
+    ("1", "18446744073709551616*r-r^30"),
+    ("1", "10715086071862673209484250490600018105614048117055336074437503883703510511249361224931983788156958581275946729175531468251871452856923140435984577574698574803934567774824230985421074605062371141877954182153046474983581941267398767559165543946077062914571196477686542167660429831652624386837205668069376*r+r^2"),
+    ("1/2+y", "1/3*r*y"),
+    ("y^32", "y"),
 )
 
 ERRORS = (
@@ -194,7 +203,7 @@ def sweep() -> list[list[str]]:
         for n in (0, 1, 2, 13, 40):
             commands.append(["jf", "--alpha", alpha, "--beta", beta, "--N", str(n)])
         commands += [["jf", "--alpha", alpha, "--beta", beta, "--N", "13", "--format", fmt] for fmt in FORMATS[1:]]
-    for alpha, beta in (JF_FRACTIONS[0], JF_FRACTIONS[4]):
+    for alpha, beta in JF_FRACTIONS[0], JF_FRACTIONS[3], JF_FRACTIONS[4]:
         commands.append(["jf", "--alpha", alpha, "--beta", beta, "--N", "100"])
     return commands + [list(argv) for argv in ERRORS]
 

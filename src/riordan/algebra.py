@@ -384,14 +384,14 @@ def _digits(value: int, width: int) -> list[int]:
     return digits
 
 
-def _fma(out: list[int], p: list[list[tuple[int, int]]], q: list[int]) -> list[int]:
-    """out += p * q for p as _pack gives it and q packed, extending out as
-    needed."""
+def _fma(out: list[int], p: list[list[tuple[int, int]]], q: list[int], k: int = 1) -> list[int]:
+    """out += k * p * q for p as _pack gives it, q packed and k an int,
+    extending out as needed."""
     out.extend([0] * (len(p) + len(q) - 1 - len(out)))
     for i, terms in enumerate(p):
         end = i + len(q)
         for c, shift in terms:
-            out[i:end] = map(add, out[i:end], map(shift.__rlshift__, map(c.__mul__, q)))
+            out[i:end] = map(add, out[i:end], map(shift.__rlshift__, map((k * c).__mul__, q)))
     return out
 
 

@@ -34,8 +34,9 @@ Of the named polytopes, the simplex and the hypercube are the ordinary
 family at r = -1 (h-array (1/(1-x), x)) and at r = 0 (Pascal's triangle),
 so they take the row recurrences too.  The associahedron (type A) and the
 permutahedron store a gamma J-fraction each, whose derived expansions hit
-well-known OEIS triangles (:func:`named_triple`); theirs fit neither shape,
-so they take the walk.  :func:`member_fraction` gives any member's
+well-known OEIS triangles (:func:`named_triple`).  The associahedron's
+three fractions have levels free of i, so they take a row recurrence as
+well; the permutahedron's fit no shape, so they take the walk.  :func:`member_fraction` gives any member's
 fraction, which ``show`` writes out row by row, and :func:`family_matrix`
 its triangle (:meth:`JFraction.triangle`) for ``verify`` and the library.
 :class:`Kind` names the flavours.  This module names

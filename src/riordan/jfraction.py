@@ -18,17 +18,19 @@ Expansion counts weighted Motzkin paths (Flajolet 1980): [x^n] sums, over
 the n-step paths from height 0 back to 0, the product of ``a_k`` per level
 step at height k and ``b_{k+1}`` per fall from height k+1 to k
 (:meth:`JFraction.expand`, the walk, O(N^2) height-steps, on packed
-integers for an integral fraction free of r, else on MultiPoly).  Two
+integers for an integral fraction free of r, else on MultiPoly).  Three
 shapes need only O(N) rows, a three-term recurrence (on packed integers if
 its rows are dense and its slots narrow, else on MultiPoly): a fraction
-that stops at level 1 (alpha(1) = beta(2) = 0) and the Hermite fraction
-(alpha free of i, beta = i*b).  :meth:`JFraction.rows` picks the engine
-from the fraction's shape, for ``jf``, ``show`` and the family triangles
-(:meth:`JFraction.triangle`) alike; ``show`` and ``jf`` have the packed
-rows written as text.  Each engine is a module of its own, which only the
-expansions that take it import: the recurrence :mod:`riordan.recurrence`,
-the walk :mod:`riordan.walk` (with :mod:`riordan.series`).  This module
-holds the fractions, their maps and the choice.
+that stops at level 1 (alpha(1) = beta(2) = 0), the Hermite fraction
+(alpha free of i, beta = i*b) and a fraction whose alpha and beta are both
+free of i, such as the associahedron's.  :meth:`JFraction.rows` picks the
+engine from the fraction's shape, for ``jf``, ``show`` and the family
+triangles (:meth:`JFraction.triangle`) alike; ``show`` and ``jf`` have the
+packed rows written as text.  Each engine is a module of its own, which
+only the expansions that take it import: the recurrence
+:mod:`riordan.recurrence`, the walk :mod:`riordan.walk` (with
+:mod:`riordan.series`).  This module holds the fractions, their maps and
+the choice.
 """
 
 from __future__ import annotations
@@ -163,12 +165,15 @@ class JFraction(NamedTuple):
         Dx, divided by D^n.  So every engine runs on integer coefficients,
         and ``read`` reads no such fraction's entries.
 
-        Two shapes of fraction expand by a three-term row recurrence
-        (:func:`~riordan.recurrence._row_recurrence`) with a = alpha(0) and b = beta(1):
+        Three shapes of fraction expand by a three-term row recurrence
+        (:func:`~riordan.recurrence._row_recurrence`) with a = alpha(0) and
+        b = beta(1), each named by its row of ``recurrence.SHAPES``:
         alpha(1) = beta(2) = 0 stops the fraction at level 1, so its GF is
-        1/(1 - ax - bx^2) (c_n = 1); alpha free of i and beta = i*b is the
-        Hermite fraction, the OGF of the EGF exp(ax + bx^2/2) (c_n = n - 1).
-        Every other fraction takes the walk (:meth:`expand`).
+        1/(1 - ax - bx^2) ("level one"); alpha free of i and beta = i*b is
+        the Hermite fraction, the OGF of the EGF exp(ax + bx^2/2)
+        ("hermite"); alpha and beta both free of i give the GF
+        S = 1/(1 - ax - bx^2 S) ("level-independent").  Every other
+        fraction takes the walk (:meth:`expand`).
         """
         alpha, beta = self
         den = _denominator(*alpha.coeffs, *beta.coeffs)
@@ -177,11 +182,12 @@ class JFraction(NamedTuple):
 
             rows = JFraction(alpha * den, beta * den**2).rows(order)
             return [[tidy(c * Fraction(1, den**n)) for c in row] for n, row in enumerate(rows)]
-        level_one = not alpha(1) and not beta(2)
-        if level_one or not alpha.degree() and beta.degree() <= 1 and not beta(0):
+        level_one, hermite = not alpha(1) and not beta(2), beta.degree() == 1 and not beta(0)
+        if level_one or not alpha.degree() and (hermite or not beta.degree()):
             from .recurrence import _row_recurrence
 
-            return _row_recurrence(alpha(0), beta(1), not level_one, order, read)
+            shape = "level one" if level_one else "hermite" if hermite else "level-independent"
+            return _row_recurrence(alpha(0), beta(1), shape, order, read)
         return [[tidy(c) for c in MultiPoly.coerce(s).y_coefficients()] for s in self.expand(order)]
 
     def triangle(self, order: int) -> "LowerTriMatrix":

@@ -3,9 +3,9 @@
 :meth:`~riordan.jfraction.JFraction.expand` is the walk's one entry point
 and delegates to :func:`expand` here.  Only the expansions that take the
 walk import this module (and :mod:`riordan.series`, for the series it
-returns): the associahedron and the permutahedron, every ``jf`` whose
-fraction is of neither shape of :mod:`riordan.recurrence`, and the checks
-and tests that walk on purpose.
+returns): the permutahedron, every ``jf`` whose fraction has levels in i
+and is of no shape of :mod:`riordan.recurrence`, and the checks and tests
+that walk on purpose.
 
 The walk counts weighted Motzkin paths (Flajolet 1980).  t[k] weighs the
 paths so far that end at height k; a step maps it to
@@ -27,8 +27,9 @@ of every t[0] read, and the width is ``_width`` of that bound.  Past
 coefficient, the walk runs on MultiPoly; so it does where the powers of
 y^g a coefficient can hold (``_fill``, a level step adding a power of
 some alpha(k), a step up and back down one of some beta(k)) fill fewer
-than 1/16 of its slots: with weights y^32 and y, each coefficient fills
-one slot in 64 and the packed walk took 2.6x as long.  Measured at
+than 1/16 of its slots: with weights y^32 and y (a fraction free of i,
+which ``rows`` expands by the row recurrence instead), each coefficient
+fills one slot in 64 and the packed walk took 2.6x as long.  Measured at
 N = 40-100 on a 2-core x86-64 machine, the MultiPoly walk overtakes the
 packed one between a fill of 1/16 (packed 1.4x faster) and 1/32 (1.5x
 slower).  Packing r as well, r^i y^j at slot i + stride*j/g with

@@ -464,16 +464,20 @@ def test_show_and_jf_load_only_the_modules_they_run():
     assert fresh_interpreter(show_first) == formats + ["[]", jf_row, "[]", "(0, '}')", "[]"]
     json_first = _RUN + "for fmt in ('json',):\n" + parametric
     assert fresh_interpreter(json_first) == [show, "json ['json']"]
-    # A Hermite fraction takes the row recurrence: no walk, so no series.
+    # A fraction free of i (const-face) and a Hermite fraction take the row
+    # recurrence: no walk, so no series.
     jf_first = _RUN + (
+        "run('jf', '--alpha', '2*y+1', '--beta', 'r*y*(y+1)', '--N', '4')\n"
+        "print(package())\n"
         "print(run('jf', '--alpha', '2*y+1', '--beta', 'i*r*y*(y+1)', '--N', '4'))\n"
         "print(package())\n"
         f"print(loaded('riordan.families', 'riordan.arrays', 'riordan.series', 'json', {unwanted}))\n"
     )
-    hermite = _package("riordan.expr", "riordan.jfraction", "riordan.recurrence", "riordan.render")
-    assert fresh_interpreter(jf_first) == [jf_row, hermite, "[]"]
-    # A fraction of neither shape takes the walk, on series, and no recurrence.
-    walk_first = _RUN + "run('jf', '--alpha', '2*y+1', '--beta', 'r*y*(y+1)', '--N', '4')\nprint(package())\n"
+    rows = _package("riordan.expr", "riordan.jfraction", "riordan.recurrence", "riordan.render")
+    assert fresh_interpreter(jf_first) == [rows, jf_row, rows, "[]"]
+    # A fraction of no shape (perm-gamma, whose levels hold i) takes the
+    # walk, on series, and no recurrence.
+    walk_first = _RUN + "run('jf', '--alpha', 'i+1', '--beta', 'i*(i+1)*r*y', '--N', '4')\nprint(package())\n"
     walking = _package("riordan.expr", "riordan.jfraction", "riordan.render", "riordan.series", "riordan.walk")
     assert fresh_interpreter(walk_first) == [walking]
 

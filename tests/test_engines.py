@@ -2,7 +2,8 @@
 they replace: on hypothesis-drawn fractions of each shape and near misses,
 on the family fractions, and through the CLI, where ``jf`` of a family's
 fraction prints the rows ``show`` prints; a Kronecker certificate of the
-symbolic triangles at large N against the Riordan route; a value of r
+symbolic triangles at large N against the Riordan route; the fraction given
+back by its rows, through their moments at a Kronecker point; a value of r
 written into a fraction against its symbolic rows at that value; and a pin
 of which requests take the walk."""
 
@@ -19,7 +20,7 @@ from riordan.arrays import triangle_from_series
 from riordan.cli import main
 from riordan.cold import dense_family_triple
 from riordan.expr import parse_index_poly
-from riordan.families import FamilySpec, Kind, family_fractions, family_triple, family_matrix
+from riordan.families import FamilySpec, Kind, family_fractions, family_triple, family_matrix, member_fraction, named_triple
 from riordan import recurrence, walk
 from riordan.jfraction import IndexPoly, JFraction
 
@@ -99,16 +100,90 @@ def test_kronecker_certificate_at_large_n(flavor):
 
 
 # The walk at large order against the row recurrence, a different algorithm
-# with its own slot bound, on each flavour's gamma, h and f fractions.
-MOTZKIN_N = {Kind.EXPONENTIAL: {"gamma": 100, "h": 60, "f": 60}, Kind.ORDINARY: {"gamma": 40, "h": 40, "f": 40}}
+# with its own slot bound, on each flavour's gamma, h and f fractions and on
+# the associahedron's, whose levels are free of i (f reversed).  The
+# associahedron's walk runs packed, as it is free of r.
+MOTZKIN_N = {
+    FamilySpec(Kind.EXPONENTIAL, R): {"gamma": 100, "h": 60, "f": 60},
+    FamilySpec(Kind.ORDINARY, R): {"gamma": 40, "h": 40, "f": 40},
+    "associahedron": {"gamma": 100, "h": 100, "f": 100},
+}
 
 
 @pytest.mark.parametrize("which", ["f", "gamma", "h"])
 def test_motzkin_walk_matches_the_row_recurrence_at_large_n(which):
-    for flavor, sizes in MOTZKIN_N.items():
-        spec = FamilySpec(flavor, R)
-        walk = getattr(family_fractions(spec), which).expand(sizes[which])
-        assert triangle_from_series(walk) == family_matrix(spec, which, sizes[which])
+    for family, sizes in MOTZKIN_N.items():
+        walk = member_fraction(family, which).expand(sizes[which])
+        assert triangle_from_series(walk) == family_matrix(family, which, sizes[which])
+
+
+# -- the fraction given back by its rows ---------------------------------------
+
+
+def _chebyshev(moments):
+    """alpha_0, beta_1, alpha_1, beta_2, ...: the levels and weights of the
+    J-fraction whose expansion begins with the moments m_0..m_N (N >= 1),
+    by Chebyshev's recursion on the modified moments
+    s_k(l) = s_{k-1}(l+1) - alpha_{k-1} s_{k-1}(l) - beta_{k-1} s_{k-2}(l)
+    (W. Gautschi, SIAM J. Sci. Stat. Comput. 3, 1982).  Value j is fixed by
+    m_0..m_{j+1}, so the N values use every moment, and each comes as soon
+    as the moments fix it."""
+    top = len(moments) - 1
+    before, now = [0] * (top + 1), [Fraction(m) for m in moments]
+    alpha, beta = now[1] / now[0], 0
+    yield alpha
+    for k in range(1, top // 2 + 1):
+        after = [None] * k + [now[l + 1] - alpha * now[l] - beta * before[l] for l in range(k, top - k + 1)]
+        beta = after[k] / now[k - 1]
+        yield beta
+        if 2 * k < top:
+            alpha = after[k + 1] / after[k] - now[k] / now[k - 1]
+            yield alpha
+        before, now = now, after
+
+
+def _first_wrong_level(frac, rows):
+    """Where the rows' moments first give back a level or weight
+    (alpha_0, beta_1, alpha_1, ... as :func:`_chebyshev` yields them) other
+    than the fraction's own, or None, at one Kronecker point: r = 2^B and
+    y = 2^(B (deg_r + 1)), B above every coefficient's bit length, so that
+    each moment is an injective image of its row."""
+    terms = [(i, c) for row in rows for e in row for (i, _), c in MultiPoly.coerce(e).items()]
+    bits, stride = 2 + max(abs(c).bit_length() for _, c in terms), 1 + max(i for i, _ in terms)
+
+    def at(poly, shift=0):
+        return sum(c << bits * (i + stride * (j + shift)) for (i, j), c in MultiPoly.coerce(poly).items())
+
+    moments = [sum(at(e, j) for j, e in enumerate(row)) for row in rows]
+    own = [at(frac.beta(j // 2 + 1) if j % 2 else frac.alpha(j // 2)) for j in range(len(rows) - 1)]
+    return next((j for j, (got, want) in enumerate(zip(_chebyshev(moments), own, strict=True)) if got != want), None)
+
+
+CERTIFIED = {  # alpha, beta: one fraction of each shape of row recurrence
+    "const-face": ("2*y+1", "r*y*(y+1)"),
+    "signed": ("3*y-2", "5*r^2*y-7"),
+    "exp-face": ("2*y+1", "i*r*y*(y+1)"),
+    **{f"associahedron {which}": tuple(map(str, getattr(named_triple("associahedron"), which))) for which in ("gamma", "h", "f")},
+}
+
+
+@pytest.mark.parametrize("alpha, beta", CERTIFIED.values(), ids=list(CERTIFIED))
+def test_the_rows_give_back_their_fraction(alpha, beta):
+    # A certificate that shares no code with the engines: the moments of a
+    # J-fraction fix its levels one by one while every weight is nonzero
+    # (Flajolet 1980).  The signed fraction takes about half of the 1.2 s,
+    # on a 2-core x86-64 host.
+    frac = JFraction(parse_index_poly(alpha), parse_index_poly(beta))
+    assert _first_wrong_level(frac, frac.rows(40)) is None
+
+
+def test_a_wrong_cell_of_the_last_row_gives_back_another_fraction():
+    # A +1 in row N changes moment N, and so only the last weight given
+    # back, beta_20, value 39.
+    frac = JFraction(*map(parse_index_poly, CERTIFIED["const-face"]))
+    rows = frac.rows(40)
+    rows[40][20] += 1
+    assert _first_wrong_level(frac, rows) == 39
 
 
 # -- the shape routes of JFraction.rows against the walk ------------------------
@@ -122,10 +197,12 @@ level_one = st.builds(
     weights, weights, weights, weights,
 )
 hermite = st.builds(lambda a, b: JFraction(IndexPoly.constant(a), I * b), weights, weights)
+level_independent = st.builds(lambda a, b: JFraction(IndexPoly.constant(a), IndexPoly.constant(b)), weights, weights)
 near_misses = st.one_of(
     st.builds(lambda a, b, d: JFraction((-I + 1) * a + d, (-I + 2) * b), weights, weights, nonzero),  # alpha(1) = d
     st.builds(lambda a, b, c: JFraction(IndexPoly.constant(a), I * b + c), weights, weights, nonzero),  # beta(0) = c
     st.builds(lambda a, b, d: JFraction(IndexPoly.constant(a), I * b + I * I * d), weights, weights, nonzero),
+    st.builds(lambda a, b, d: JFraction(a + I * d, IndexPoly.constant(b)), weights, nonzero, nonzero),  # alpha has i
 )
 
 
@@ -133,8 +210,10 @@ def walk_rows(frac, order):
     return [[tidy(c) for c in MultiPoly.coerce(s).y_coefficients()] for s in frac.expand(order)]
 
 
-@given(st.one_of(level_one, hermite, near_misses), st.integers(0, 10))
+@given(st.one_of(level_one, hermite, level_independent, near_misses), st.integers(0, 10))
 @example(JFraction(IndexPoly.constant(0), I), 6)  # the aerated double factorials
+@example(JFraction(IndexPoly.constant(1), IndexPoly.constant(1)), 10)  # the Motzkin numbers
+@example(JFraction(I + 1, IndexPoly.constant(Y)), 6)  # level 1 weighs 2, not 1
 @example(JFraction(-I + 1, (-I + 2) * (R * Y)), 6)  # the ordinary family's gamma fraction
 # Sparse weights of high degree in r: rows on MultiPoly.
 @example(JFraction(IndexPoly.constant(Y - 3), I * (2**64 * R - R**30)), 12)
@@ -158,6 +237,8 @@ PACKING = {  # fraction, order, whether its rows run packed
     "ordinary f": (ORD_R.f, 16, True),
     "dense hermite": (JFraction(IndexPoly.constant(1), I * (2**64 * R**3 - R**4)), 34, True),
     "rational hermite": (JFraction(IndexPoly.constant(Fraction(1, 2) * Y + 1), I * (Fraction(1, 3) * R * Y)), 16, True),
+    "sparse free of i": (JFraction(IndexPoly.constant(1), IndexPoly.constant(2**64 * R - R**30)), 40, False),
+    "const-face": (JFraction(IndexPoly.constant(2 * Y + 1), IndexPoly.constant(R * Y * (Y + 1))), 16, True),
 }
 
 
@@ -199,19 +280,20 @@ def test_jf_of_a_family_fraction_prints_the_rows_show_prints(capsys, flavor, whi
     assert _cli_rows(capsys, ["jf", "--alpha", str(frac.alpha), "--beta", str(frac.beta), "--N", "12"]) == show
 
 
-JF_TEMPLATES = {
-    "exp-face": ("2*y+1", "i*r*y*(y+1)"),
-    "exp-h": ("y+1", "i*r*y"),
-    "exp-gamma": ("1", "i*r*y"),
-    "perm-face": ("(i+1)*(2*y+1)", "i*(i+1)*y*(y+1)"),
-    "const-face": ("2*y+1", "r*y*(y+1)"),
+JF_TEMPLATES = {  # alpha, beta, JFraction.expand calls
+    "exp-face": ("2*y+1", "i*r*y*(y+1)", 0),  # Hermite rows
+    "exp-h": ("y+1", "i*r*y", 0),
+    "exp-gamma": ("1", "i*r*y", 0),
+    "perm-face": ("(i+1)*(2*y+1)", "i*(i+1)*y*(y+1)", 1),
+    "perm-gamma": ("i+1", "i*(i+1)*r*y", 1),
+    "const-face": ("2*y+1", "r*y*(y+1)", 0),  # levels free of i
 }
 WALKS = {  # JFraction.expand calls per request; the benchmark's sizes cannot tell them apart
     **{f"show {family}": (["show", "--which", "f", "--N", "16"] + extra, 0) for family, extra in (
         ("ordinary", []), ("exponential", ["--flavor", "exponential"]),
         ("simplex", ["--family", "simplex"]), ("hypercube", ["--family", "hypercube"]))},
-    **{f"show {name}": (["show", "--family", name, "--which", "f", "--N", "16"], 1) for name in ("associahedron", "permutahedron")},
-    **{f"jf {name}": (["jf", "--alpha", a, "--beta", b, "--N", "16"], int(not name.startswith("exp"))) for name, (a, b) in JF_TEMPLATES.items()},
+    **{f"show {name}": (["show", "--family", name, "--which", "f", "--N", "16"], walks) for name, walks in (("associahedron", 0), ("permutahedron", 1))},
+    **{f"jf {name}": (["jf", "--alpha", a, "--beta", b, "--N", "16"], walks) for name, (a, b, walks) in JF_TEMPLATES.items()},
 }
 
 
@@ -229,12 +311,11 @@ def test_each_request_takes_the_walk_only_where_no_shape_fits(capsys, monkeypatc
 # A weight with r and the same weight at a value of r usually take different
 # engines (a MultiPoly walk against a y-packed one, r-packed rows against
 # plain-int rows), so each case checks two code paths against each other.
-# At r = 0 const-face's beta is empty: its rows leave the walk for the row
-# recurrence.
+# At r = 0 const-face's beta is empty, and its rows are the powers of alpha.
 SPECIALISED = {  # alpha, beta with r, N
     "exp-face": ("2*y+1", "i*r*y*(y+1)", 100),  # Hermite rows
+    "const-face": ("2*y+1", "r*y*(y+1)", 40),  # rows of a fraction free of i
     "perm-gamma": ("i+1", "i*(i+1)*r*y", 100),  # the MultiPoly walk, as are the rest
-    "const-face": ("2*y+1", "r*y*(y+1)", 40),
     "perm-face with r": ("(i+1)*(2*y+1)", "i*(i+1)*r*y*(y+1)", 40),
     "shifted exp-face": ("i+2*y+1", "i*r*y*(y+1)", 40),
 }
@@ -276,7 +357,7 @@ def _specialisable(w):
     return st.one_of(
         st.builds(lambda a, b: JFraction(IndexPoly.constant(a), I * b), w, w),  # Hermite rows
         st.builds(lambda a, b: JFraction((-I + 1) * a, (-I + 2) * b), w, w),  # stops at level 1
-        st.builds(lambda a, b: JFraction(IndexPoly.constant(a), IndexPoly.constant(b)), w, w),  # walks
+        st.builds(lambda a, b: JFraction(IndexPoly.constant(a), IndexPoly.constant(b)), w, w),  # levels free of i
         st.builds(lambda a, b, c: JFraction(a + I * c, I * (I + 1) * b), w, w, w),  # walks
     )
 
@@ -284,9 +365,8 @@ def _specialisable(w):
 # Weights in r on each side of the engines' thresholds: dense and small
 # (rows packed), sparse (rows on MultiPoly by density) and wide (rows on
 # MultiPoly by width).  At a value of r the walk runs packed, or on
-# MultiPoly past MAX_WIDTH (r = 2^2100); at r = 0 a level-independent
-# fraction whose beta holds r, such as const-face, leaves the walk for the
-# row recurrence.
+# MultiPoly past MAX_WIDTH (r = 2^2100); at r = 0 a weight that holds r in
+# every term vanishes, as const-face's beta does.
 specialisable = st.one_of(_specialisable(_in_r([0, 1, 2])), _specialisable(_in_r([0, 4])), _specialisable(_in_r([0, 1], 2**1000)))
 
 

@@ -131,3 +131,20 @@ def test_examples_of_argv_that_only_argparse_takes():
         assert table_vars(argv) is None and argparse_vars(argv) is not None, argv
     for argv in [[], ["-h"], ["show"], ["show", "--which", "f", "--N", "101"], ["jf", "--alpha", "1"], ["verify", "all", "x"]]:
         assert table_vars(argv) is None and argparse_vars(argv) is None, argv
+
+
+def test_a_weight_that_starts_with_a_minus_needs_an_equals_sign_or_a_space():
+    # Both parsers read a token that starts with "-" and is no plain number
+    # as an option, so "--alpha -1+y" is a usage error ("expected one
+    # argument"), where "--r -1" is not; "--alpha=-1+y" (argparse) and
+    # "--alpha ' -1+y'" (the table parser) print the rows of y - 1.
+    assert table_vars(["jf", "--alpha", "-1+y", "--beta", "y"]) is None
+    assert argparse_vars(["jf", "--alpha", "-1+y", "--beta", "y"]) is None
+
+    def printed(*alpha):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["jf", *alpha, "--beta", "y", "--N", "3"]) == 0
+        return out.getvalue()
+
+    assert printed("--alpha=-1+y") == printed("--alpha", " -1+y") == printed("--alpha", "y-1")

@@ -216,12 +216,20 @@ def fill_set(fill):
 rz_weights = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)), st.integers(-3, 3), max_size=4).map(MultiPoly)
 
 
-@given(rz_weights, rz_weights, st.booleans(), st.integers(0, 12))
-@example(1 + R * Y, R**3 * Y, False, 12)  # positive weights: the fill is the support
-@example(MultiPoly(), Y + 2, True, 7)  # a = 0: odd rows are zero
-def test_the_fill_holds_every_term_of_the_last_row(a, b, hermite, order):
+SHAPES = {  # a fraction of each shape of row recurrence, from its weights a and b
+    "level one": lambda a, b: JFraction((-I + 1) * a, (-I + 2) * b),
+    "hermite": lambda a, b: JFraction(IndexPoly.constant(a), I * b),
+    "level-independent": lambda a, b: JFraction(IndexPoly.constant(a), IndexPoly.constant(b)),
+}
+
+
+@given(rz_weights, rz_weights, st.sampled_from(list(SHAPES)), st.integers(0, 12))
+@example(1 + R * Y, R**3 * Y, "level one", 12)  # positive weights: the fill is the support
+@example(1 + R * Y, R**3 * Y, "level-independent", 12)
+@example(MultiPoly(), Y + 2, "hermite", 7)  # a = 0: odd rows are zero
+def test_the_fill_holds_every_term_of_the_last_row(a, b, shape, order):
     # The row recurrence packs r: bit i + j*stride stands for r^i y^j.
-    frac = JFraction(IndexPoly.constant(a), I * b) if hermite else JFraction((-I + 1) * a, (-I + 2) * b)
+    frac = SHAPES[shape](a, b)
     last = frac.rows(order)[-1]
     support = {(i, j) for j, c in enumerate(last) for (i, _), _ in MultiPoly.coerce(c).items()}
     filled = fill_set(_fill([[m for m, _ in w.items()] for w in (a, b)], order))
