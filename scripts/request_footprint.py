@@ -49,6 +49,12 @@ them, with their import times: each module's own time and its cumulative
 time (with the modules it imported first), the medians over K more fresh
 runs of the request under ``-X importtime``.
 
+For ``show``, ``export`` and ``jf`` it prints first the plan of the
+fraction the request expands (:meth:`riordan.jfraction.JFraction.plan`, read
+in the same fresh interpreter): its engine, its layout, its slot width and
+the bit length of its proven bound ("-" where the plan has none), and a
+rational fraction's common denominator.
+
 Last it splits the request's wall time into four stages, each the median
 over K more fresh processes: start (from spawning the interpreter to its
 first statement), imports (``import riordan.cli``), run (``cli.main``) and
@@ -75,16 +81,28 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 SUITES = ("group", "props", "oeis", "all")
 
+# The request's riordan modules, then, for show, export and jf, the plan
+# (JFraction.plan) of the fraction it expanded: the request runs again with
+# the plans recorded, after its modules are listed.  A rational fraction's
+# plan is made from its cleared fraction's, so the last plan is the request's.
 LOADED = """
 import contextlib, io, json, sys
 import riordan.cli
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    try:
-        riordan.cli.main(sys.argv[1:])
-    except SystemExit:
-        pass
-print(json.dumps(sorted((name, m.__file__) for name, m in sys.modules.items()
-                        if name.split(".")[0] == "riordan")))
+def request():
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            riordan.cli.main(sys.argv[1:])
+        except SystemExit:
+            pass
+request()
+modules = sorted((name, m.__file__) for name, m in sys.modules.items() if name.split(".")[0] == "riordan")
+plans = []
+if sys.argv[1] in ("show", "export", "jf") and "riordan.jfraction" in sys.modules:
+    from riordan.jfraction import JFraction
+    plan = JFraction.plan
+    JFraction.plan = lambda frac, order: plans.append(plan(frac, order)) or plans[-1]
+    request()
+print(json.dumps([modules, plans[-1:]]))
 """
 
 COMPILE = """
@@ -312,10 +330,14 @@ def main(argv: list[str] | None = None) -> int:
     if not request:
         parser.error("give the request's argv")
 
-    modules = [(name, path) for name, path in json.loads(fresh_python(LOADED, request))]
+    modules, plans = json.loads(fresh_python(LOADED, request))
     paths = [path for _, path in modules]
     runs = [json.loads(fresh_python(COMPILE, paths)) for _ in range(args.repeats)]
     print(f"riordan {' '.join(request)}")
+    for engine, layout, width, bound, gap, den in plans:
+        layout += f" with gap {gap}" if gap != 1 else ""
+        width, bound = (f"{n} bits" if n else "-" for n in (width, bound and bound.bit_length()))
+        print(f"plan: {engine}, {layout}, width {width}, bound {bound}" + (f", denominator {den}" if den != 1 else ""))
     print(f"{'module':22s} {'code lines':>10s} {'compile ms':>10s}")
     total_lines = total_ms = 0.0
     for i, (name, path) in enumerate(modules):

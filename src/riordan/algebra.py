@@ -57,8 +57,6 @@ chains pack x.  The rules they share are written here once:
   straight into its text (``riordan.render._write``).
 """
 
-from __future__ import annotations
-
 import sys
 from functools import reduce
 from operator import add
@@ -99,11 +97,11 @@ class MultiPoly:
         self._terms = clean
 
     @classmethod
-    def const(cls, value: Scalar) -> MultiPoly:
+    def const(cls, value: Scalar) -> "MultiPoly":
         return cls({(0, 0): value})
 
     @classmethod
-    def var(cls, name: str) -> MultiPoly:
+    def var(cls, name: str) -> "MultiPoly":
         if name == "r":
             return cls({(1, 0): 1})
         if name == "y":
@@ -111,11 +109,11 @@ class MultiPoly:
         raise ValueError(f"unknown variable {name!r}; universe is {VARIABLES}")
 
     @classmethod
-    def coerce(cls, value: Scalar | MultiPoly) -> MultiPoly:
+    def coerce(cls, value: "Scalar | MultiPoly") -> "MultiPoly":
         return value if isinstance(value, MultiPoly) else cls.const(value)
 
     @classmethod
-    def parse(cls, text: str) -> MultiPoly:
+    def parse(cls, text: str) -> "MultiPoly":
         """The inverse of ``str``: read canonical text such as ``-3/2*r^2*y + 1``.
 
         Unlike the ``jf`` expression parser it bounds nothing, so every
@@ -132,7 +130,7 @@ class MultiPoly:
     def coefficient(self, rpow: int = 0, ypow: int = 0) -> Scalar:
         return self._terms.get((rpow, ypow), 0)
 
-    def y_coefficients(self) -> list[MultiPoly]:
+    def y_coefficients(self) -> "list[MultiPoly]":
         """The coefficients of y**0 .. y**degree("y"), as polynomials in r."""
         split: list[dict[Monomial, Scalar]] = [{} for _ in range(self.degree("y") + 1)]
         for (i, j), c in self._terms.items():
@@ -156,8 +154,8 @@ class MultiPoly:
         return all(type(c) is int for c in self._terms.values())
 
     def substitute(
-        self, values: Mapping[str, Scalar | MultiPoly] | None = None, **named: Scalar | MultiPoly
-    ) -> MultiPoly:
+        self, values: "Mapping[str, Scalar | MultiPoly] | None" = None, **named: "Scalar | MultiPoly"
+    ) -> "MultiPoly":
         """Substitute exact values, or polynomials in r and y, for r and/or y;
         unassigned variables remain.  ``p.substitute(y=Y + 1)`` is p(r, 1 + y)."""
         assign = dict(values or {})
@@ -170,7 +168,7 @@ class MultiPoly:
 
     # -- ring operations -------------------------------------------------
 
-    def __add__(self, other: Scalar | MultiPoly) -> MultiPoly:
+    def __add__(self, other: "Scalar | MultiPoly") -> "MultiPoly":
         """One pass over other's terms: self's are canonical already, so
         only the sums are made canonical, and the zeros they make dropped."""
         if isinstance(other, MultiPoly):
@@ -192,16 +190,16 @@ class MultiPoly:
 
     __radd__ = __add__
 
-    def __neg__(self) -> MultiPoly:
+    def __neg__(self) -> "MultiPoly":
         return _trusted({m: -c for m, c in self._terms.items()})
 
-    def __sub__(self, other: Scalar | MultiPoly) -> MultiPoly:
+    def __sub__(self, other: "Scalar | MultiPoly") -> "MultiPoly":
         return self + -other
 
-    def __rsub__(self, other: Scalar) -> MultiPoly:
+    def __rsub__(self, other: Scalar) -> "MultiPoly":
         return (-self) + other
 
-    def __mul__(self, other: Scalar | MultiPoly) -> MultiPoly:
+    def __mul__(self, other: "Scalar | MultiPoly") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             if type(other) is not int and not _is_scalar(other):
                 return NotImplemented
@@ -215,17 +213,15 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> MultiPoly:
+    def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = MultiPoly.const(1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
+        result, base = MultiPoly.const(1), self
+        while exponent:
+            if exponent & 1:
                 result = result * base
-            n >>= 1
-            if n:
+            exponent >>= 1
+            if exponent:
                 base = base * base
         return result
 
@@ -311,8 +307,9 @@ def _norm(p: MultiPoly) -> int:
 def _width(bound: int, fill=(), share: int = 1) -> int | None:
     """The slot width for coefficients of absolute value at most bound: its
     bits and a sign bit, in whole bytes (which ``_digits`` reads by bytes
-    from 65 slots on).  None past MAX_WIDTH, or where the terms of fill, as
-    ``_fill`` gives them, fill fewer than 1/share of their slots."""
+    where there are many slots of many bits).  None past MAX_WIDTH, or
+    where the terms of fill, as ``_fill`` gives them, fill fewer than
+    1/share of their slots."""
     width = (bound.bit_length() + 8) // 8 * 8
     dense = share * sum(map(int.bit_count, fill)) >= sum(map(int.bit_length, fill))
     return width if width <= MAX_WIDTH and dense else None
@@ -360,15 +357,21 @@ def _digits(value: int, width: int) -> list[int]:
     half, mask = 1 << (width - 1), (1 << width) - 1
     # A top digit at slot t makes |value| > 2^(width*t - 2).
     slots = (abs(value).bit_length() + 1) // width + 1
-    if slots > 64:
-        # Many slots: add half to every slot, so that each balanced digit d
-        # is the unsigned slot d + half, and read the slots from the sum's
-        # bytes (the width is a whole number of bytes), in time linear in
-        # value's size.  The digit loop below shifts all of value per digit
-        # but has less overhead: measured, it is 1.5-2x faster at 16 slots of
-        # 16-512 bits, the lead changes sides between 32 and 96 slots (the
-        # wider the slots, the sooner), and the bytes are 1.3-4x faster from
-        # 96 slots of 128 bits or more.
+    if slots * slots * width > 1 << 21:
+        # Many slots of many bits: add half to every slot, so that each
+        # balanced digit d is the unsigned slot d + half, and read the slots
+        # from the sum's bytes (the width is a whole number of bytes), in
+        # time linear in value's size.  The digit loop below shifts all of
+        # value per digit, so its time grows as slots times value's bits,
+        # about slots^2 * width, but it costs less per slot, and less still
+        # where no digit is negative (no carry), as in a positive triangle's
+        # rows.  Measured on a 2-core x86-64 machine at 16-2048 bits, the
+        # reads broke even at slots^2 * width of 2^18-2^19 on signed digits
+        # and of 2^20-2^22 on non-negative ones; at 2^21 the bytes took
+        # 0.4-0.7x the loop's time on signed digits and 0.8-1.35x on
+        # non-negative ones.  On the rows of exponential show --which f
+        # --N 100 (up to 51 slots of 344 bits, none negative) the bytes
+        # took 1.1-3.4x the loop's time.
         size = width // 8
         data = (value + int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")).to_bytes(slots * size, "little")
         return [int.from_bytes(data[i : i + size], "little") - half for i in range(0, slots * size, size)]

@@ -20,8 +20,6 @@ there; only ``RiordanArray`` and ``face_matrix``, which the benchmark's
 tracer wraps here, also resolve from this module, on first use.
 """
 
-from __future__ import annotations
-
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -80,7 +78,7 @@ class LowerTriMatrix:
             raise IndexBeyondTruncation(f"row {n} beyond stored size {self.size}")
         return self._rows[n][k] if k <= n else 0
 
-    def reversed(self) -> LowerTriMatrix:
+    def reversed(self) -> "LowerTriMatrix":
         """Row-wise reversal within the triangular support."""
         return LowerTriMatrix(tuple(reversed(row)) for row in self._rows)
 
@@ -93,7 +91,7 @@ class LowerTriMatrix:
                 return False
         return True
 
-    def __mul__(self, other: LowerTriMatrix) -> LowerTriMatrix:
+    def __mul__(self, other: "LowerTriMatrix") -> "LowerTriMatrix":
         """Entry (n, k) is one sum over j = k..n of self[n, j] other[j, k],
         with other's column k read from row k down once, before the
         products."""
@@ -122,7 +120,7 @@ class LowerTriMatrix:
         return f"LowerTriMatrix({self.size} rows)"
 
 
-def triangle_from_series(series: TruncatedSeries) -> LowerTriMatrix:
+def triangle_from_series(series: "TruncatedSeries") -> LowerTriMatrix:
     """Rows of a bivariate series: row n lists the y-coefficients of [x^n],
     each an integer or an integer-coefficient polynomial (else
     NonIntegralEntry), shaped as :func:`riordan.jfraction._triangle_rows`

@@ -13,8 +13,6 @@ installed, and a name bound then would keep the tracer's wrapper after it
 is removed.
 """
 
-from __future__ import annotations
-
 import random
 from fractions import Fraction
 from functools import cache, partial

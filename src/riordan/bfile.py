@@ -10,8 +10,6 @@ this code is kept out of :mod:`riordan.oeis`, which every ``verify`` and
 ``oeis-check`` request loads: only ``fetch-bfile`` loads this module.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 import tempfile

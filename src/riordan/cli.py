@@ -30,8 +30,6 @@ builds from the same tables, so only those requests load ``argparse``,
 ``gettext`` and ``locale``.
 """
 
-from __future__ import annotations
-
 import sys
 from types import SimpleNamespace
 

@@ -29,8 +29,6 @@ package); of the modules that defined them before, only
 resolve four of them, which the benchmark's tracer wraps there.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import comb, factorial
 from operator import mul
@@ -413,7 +411,7 @@ class RiordanArray(Frozen):
         if self.kind is Kind.GENERALIZED:
             raise UnsupportedKind("generalized arrays do not support group operations")
 
-    def __mul__(self, other: RiordanArray) -> RiordanArray:
+    def __mul__(self, other: "RiordanArray") -> "RiordanArray":
         if not isinstance(other, RiordanArray):
             return NotImplemented
         self._require_group_kind()
@@ -424,7 +422,7 @@ class RiordanArray(Frozen):
             self.g * other.g.compose(self.f), other.f.compose(self.f), self.kind
         )
 
-    def inverse(self) -> RiordanArray:
+    def inverse(self) -> "RiordanArray":
         self._require_group_kind()
         fbar = self.f.revert()
         return RiordanArray(self.g.compose(fbar).inverse(), fbar, self.kind)

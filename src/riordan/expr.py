@@ -8,8 +8,6 @@ expression raises :class:`ParseError`, which names its position.  Only
 ``jf`` requests load this module.
 """
 
-from __future__ import annotations
-
 import re
 from math import lcm
 from operator import add
@@ -97,12 +95,10 @@ class _Parser:
 
     def expr(self) -> IndexPoly:
         kind, text, _ = self.peek()
-        negate = False
         if kind == "op" and text in "+-":
             self.take()
-            negate = text == "-"
         value = self.term()
-        if negate:
+        if kind == "op" and text == "-":
             value = -value
         while True:
             kind, text, _ = self.peek()
@@ -156,9 +152,7 @@ class _Parser:
                 value = Fraction(value, int(dtext))
             return IndexPoly.constant(value)
         if kind == "var":
-            if text == "i":
-                return IndexPoly.index()
-            return IndexPoly.constant(MultiPoly.var(text))
+            return IndexPoly.index() if text == "i" else IndexPoly.constant(MultiPoly.var(text))
         if kind == "op" and text in "-(":
             self.depth += 1
             if self.depth > MAX_DEPTH:

@@ -51,8 +51,6 @@ only ``family_array`` and ``gamma_from_h``, which the benchmark's tracer
 wraps here, also resolve from this module, on first use.
 """
 
-from __future__ import annotations
-
 import enum
 from typing import NamedTuple, Union
 
@@ -87,9 +85,9 @@ class GammaHFTriple(NamedTuple):
     """The gamma, h and f members of a triple: triangles, or the fractions
     that expand to them."""
 
-    gamma: LowerTriMatrix | JFraction
-    h: LowerTriMatrix | JFraction
-    f: LowerTriMatrix | JFraction
+    gamma: "LowerTriMatrix | JFraction"
+    h: "LowerTriMatrix | JFraction"
+    f: "LowerTriMatrix | JFraction"
 
 
 def family_fractions(spec: FamilySpec) -> GammaHFTriple:
@@ -111,16 +109,16 @@ def _derived(gamma: JFraction) -> GammaHFTriple:
     return GammaHFTriple(gamma, h, h.h_to_f())
 
 
-def h_matrix(spec: FamilySpec, size_n: int) -> LowerTriMatrix:
+def h_matrix(spec: FamilySpec, size_n: int) -> "LowerTriMatrix":
     return family_matrix(spec, "h", size_n)
 
 
-def f_matrix(spec: FamilySpec, size_n: int) -> LowerTriMatrix:
+def f_matrix(spec: FamilySpec, size_n: int) -> "LowerTriMatrix":
     """The face matrix: row n is h_n(1 + y)."""
     return family_matrix(spec, "f", size_n)
 
 
-def gamma_matrix(spec: FamilySpec, size_n: int) -> LowerTriMatrix:
+def gamma_matrix(spec: FamilySpec, size_n: int) -> "LowerTriMatrix":
     return family_matrix(spec, "gamma", size_n)
 
 
@@ -160,9 +158,9 @@ def member_fraction(family: FamilySpec | str, which: str) -> JFraction:
     return getattr(named_triple(spec) if isinstance(spec, str) else family_fractions(spec), which)
 
 
-def family_matrix(family: FamilySpec | str, which: str, size_n: int) -> LowerTriMatrix:
+def family_matrix(family: FamilySpec | str, which: str, size_n: int) -> "LowerTriMatrix":
     """Rows 0..size_n of that member's matrix: the rows of its J-fraction,
-    whose shape picks the engine (:meth:`JFraction.rows`)."""
+    whose plan picks the engine (:meth:`JFraction.plan`)."""
     return member_fraction(family, which).triangle(size_n)
 
 

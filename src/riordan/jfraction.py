@@ -23,17 +23,18 @@ shapes need only O(N) rows, a three-term recurrence (on packed integers if
 its rows are dense and its slots narrow, else on MultiPoly): a fraction
 that stops at level 1 (alpha(1) = beta(2) = 0), the Hermite fraction
 (alpha free of i, beta = i*b) and a fraction whose alpha and beta are both
-free of i, such as the associahedron's.  :meth:`JFraction.rows` picks the
-engine from the fraction's shape, for ``jf``, ``show`` and the family
-triangles (:meth:`JFraction.triangle`) alike; ``show`` and ``jf`` have the
-packed rows written as text.  Each engine is a module of its own, which
-only the expansions that take it import: the recurrence
-:mod:`riordan.recurrence`, the walk :mod:`riordan.walk` (with
+free of i, such as the associahedron's.  :meth:`JFraction.plan` decides,
+in one place and before any row is computed, how an expansion runs: its
+engine from the fraction's shape, its layout and slot width from the
+engine's module, and the common denominator it clears first (a
+:class:`Plan`).  :meth:`JFraction.rows` runs the plan, for ``jf``,
+``show`` and the family triangles (:meth:`JFraction.triangle`) alike;
+``show`` and ``jf`` have the packed rows written as text.  Each engine is a
+module of its own, which only the expansions that take it import: the
+recurrence :mod:`riordan.recurrence`, the walk :mod:`riordan.walk` (with
 :mod:`riordan.series`).  This module holds the fractions, their maps and
-the choice.
+the plan.
 """
-
-from __future__ import annotations
 
 from functools import reduce
 from itertools import zip_longest
@@ -55,18 +56,18 @@ class IndexPoly(Frozen):
         self._init(coeffs=coeffs)
 
     @classmethod
-    def from_coeffs(cls, coeffs: Sequence[PolyLike]) -> IndexPoly:
+    def from_coeffs(cls, coeffs: Sequence[PolyLike]) -> "IndexPoly":
         clean = [MultiPoly.coerce(c) for c in coeffs]
         while clean and not clean[-1]:
             clean.pop()
         return cls(tuple(clean))
 
     @classmethod
-    def constant(cls, value: PolyLike) -> IndexPoly:
+    def constant(cls, value: PolyLike) -> "IndexPoly":
         return cls.from_coeffs([value])
 
     @classmethod
-    def index(cls) -> IndexPoly:
+    def index(cls) -> "IndexPoly":
         """The polynomial i itself."""
         return cls.from_coeffs([0, 1])
 
@@ -82,24 +83,22 @@ class IndexPoly(Frozen):
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: IndexPoly | PolyLike) -> IndexPoly:
+    def __add__(self, other: "IndexPoly | PolyLike") -> "IndexPoly":
         if not isinstance(other, IndexPoly):
             other = IndexPoly.constant(other)
         return IndexPoly.from_coeffs([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     __radd__ = __add__
 
-    def __neg__(self) -> IndexPoly:
+    def __neg__(self) -> "IndexPoly":
         return IndexPoly.from_coeffs([-c for c in self.coeffs])
 
-    def __sub__(self, other: IndexPoly | PolyLike) -> IndexPoly:
+    def __sub__(self, other: "IndexPoly | PolyLike") -> "IndexPoly":
         return self + (-other if isinstance(other, IndexPoly) else -MultiPoly.coerce(other))
 
-    def __mul__(self, other: IndexPoly | PolyLike) -> IndexPoly:
+    def __mul__(self, other: "IndexPoly | PolyLike") -> "IndexPoly":
         if not isinstance(other, IndexPoly):
             other = IndexPoly.constant(other)
-        if self.is_zero() or other.is_zero():
-            return IndexPoly(())
         out = [MultiPoly.const(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
@@ -108,25 +107,32 @@ class IndexPoly(Frozen):
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> IndexPoly:
+    def __pow__(self, exponent: int) -> "IndexPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a non-negative integer")
         return reduce(IndexPoly.__mul__, [self] * exponent, IndexPoly.constant(1))
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
         pieces = []
-        for power in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[power]
-            if not c:
-                continue
-            mono = "" if power == 0 else ("i" if power == 1 else f"i^{power}")
-            text = str(c)
-            if mono:
-                text = mono if text == "1" else (f"({text})*{mono}" if (" " in text or text.startswith("-")) else f"{text}*{mono}")
-            pieces.append(text)
-        return " + ".join(pieces)
+        for power, c in reversed(list(enumerate(self.coeffs))):
+            text, mono = str(c), "i" if power == 1 else f"i^{power}"
+            if c and power:
+                text = mono if text == "1" else f"({text})*{mono}" if " " in text or text[0] == "-" else f"{text}*{mono}"
+            if c:
+                pieces.append(text)
+        return " + ".join(pieces) or "0"
+
+
+class Plan(NamedTuple):
+    """How :meth:`JFraction.rows` expands a fraction to an order, every
+    number of it decided before any row is computed (:meth:`JFraction.plan`)."""
+
+    engine: str  # a row of recurrence.SHAPES, or "walk"
+    layout: str  # "r-packed", "y-packed" or "MultiPoly"
+    width: "int | None"  # the slot width in bits; None on MultiPoly
+    bound: "int | None"  # of every |coefficient| of every row; None for a walk with r
+    gap: int = 1  # a y-packed walk packs y^gap into one slot
+    den: int = 1  # the common denominator D, cleared before the engine runs
 
 
 class JFraction(NamedTuple):
@@ -135,35 +141,31 @@ class JFraction(NamedTuple):
     alpha: IndexPoly
     beta: IndexPoly
 
-    def expand(self, order: int) -> TruncatedSeries:
+    def expand(self, order: int, plan: "Plan | None" = None) -> "TruncatedSeries":
         """Truncated expansion as a series in x over MultiPoly, by the
         Motzkin walk (:func:`riordan.walk.expand`, which holds its body):
         t[k] weighs the paths so far that end at height k, a step maps it to
         t'[k] = t[k-1] + alpha(k) t[k] + beta(k+1) t[k+1], from t = [1], and
-        coefficient n is t[0] after n steps.  An integral fraction free of r
-        walks on packed integers, every other one on MultiPoly.  This method
-        is the walk's one entry point.
+        coefficient n is t[0] after n steps.  It walks in the layout of
+        ``plan``, a walk's plan; by default in the one that
+        :func:`riordan.walk._layout` gives, the function :meth:`plan` calls
+        too: on packed integers for an integral fraction free of r, else on
+        MultiPoly.  This method is the walk's one entry point.
         """
-        from .walk import expand
+        from .walk import _layout, expand
 
-        return expand(self, order)
+        return expand(self, order, plan or Plan("walk", *_layout(self, order)))
 
-    def rows(self, order: int, read=_unpack) -> list[list]:
-        """Rows 0..order of the expansion, row n the y-coefficients of [x^n]
-        up to its last nonzero one: each an int, a Fraction or a MultiPoly in r.
-        Where the rows run on packed integers
-        (:func:`riordan.recurrence._row_recurrence`),
-        ``read(v, width)`` reads each distinct entry v of a packed integer
-        row: by default :func:`~riordan.algebra._unpack`, the MultiPoly;
-        ``show`` and ``jf`` pass a writer of its text
-        (:func:`riordan.render._write`).  ``read`` is used for nothing else:
-        every other entry comes back as an int, a Fraction or a MultiPoly.
+    def plan(self, order: int) -> Plan:
+        """How :meth:`rows` expands the fraction to x^order: its engine, its
+        layout and slot width, the bound that proves the width and the
+        common denominator D.
 
         A fraction with a non-integer coefficient is cleared of the common
         denominator D of its coefficients first: row n is row n of the
         integral fraction (D alpha; D^2 beta), whose GF is the fraction's at
         Dx, divided by D^n.  So every engine runs on integer coefficients,
-        and ``read`` reads no such fraction's entries.
+        and the plan is the cleared fraction's, with its D.
 
         Three shapes of fraction expand by a three-term row recurrence
         (:func:`~riordan.recurrence._row_recurrence`) with a = alpha(0) and
@@ -173,22 +175,48 @@ class JFraction(NamedTuple):
         the Hermite fraction, the OGF of the EGF exp(ax + bx^2/2)
         ("hermite"); alpha and beta both free of i give the GF
         S = 1/(1 - ax - bx^2 S) ("level-independent").  Every other
-        fraction takes the walk (:meth:`expand`).
+        fraction takes the walk (:meth:`expand`).  Each engine's module
+        gives its layout: :func:`riordan.recurrence._layout` and
+        :func:`riordan.walk._layout`.
         """
         alpha, beta = self
-        den = _denominator(*alpha.coeffs, *beta.coeffs)
+        den = lcm(*(c.denominator for p in (*alpha.coeffs, *beta.coeffs) for _, c in p.items()))
         if den != 1:
-            from fractions import Fraction
-
-            rows = JFraction(alpha * den, beta * den**2).rows(order)
-            return [[tidy(c * Fraction(1, den**n)) for c in row] for n, row in enumerate(rows)]
+            return JFraction(alpha * den, beta * den**2).plan(order)._replace(den=den)
         level_one, hermite = not alpha(1) and not beta(2), beta.degree() == 1 and not beta(0)
         if level_one or not alpha.degree() and (hermite or not beta.degree()):
-            from .recurrence import _row_recurrence
+            from .recurrence import _layout
 
             shape = "level one" if level_one else "hermite" if hermite else "level-independent"
-            return _row_recurrence(alpha(0), beta(1), shape, order, read)
-        return [[tidy(c) for c in MultiPoly.coerce(s).y_coefficients()] for s in self.expand(order)]
+            return Plan(shape, *_layout(alpha(0), beta(1), shape, order))
+        from .walk import _layout
+
+        return Plan("walk", *_layout(self, order))
+
+    def rows(self, order: int, read=_unpack, plan: "Plan | None" = None) -> list[list]:
+        """Rows 0..order of the expansion, row n the y-coefficients of [x^n]
+        up to its last nonzero one: each an int, a Fraction or a MultiPoly in r.
+        They run as ``plan`` says, by default as :meth:`plan` says.
+        Where the rows run on packed integers
+        (:func:`riordan.recurrence._row_recurrence`),
+        ``read(v, width)`` reads each distinct entry v of a packed integer
+        row: by default :func:`~riordan.algebra._unpack`, the MultiPoly;
+        ``show`` and ``jf`` pass a writer of its text
+        (:func:`riordan.render._write`).  ``read`` is used for nothing else:
+        every other entry comes back as an int, a Fraction or a MultiPoly,
+        and so does every entry of a fraction with a denominator D.
+        """
+        plan = plan or self.plan(order)
+        if plan.den != 1:
+            from fractions import Fraction
+
+            rows = JFraction(self.alpha * plan.den, self.beta * plan.den**2).rows(order, plan=plan._replace(den=1))
+            return [[tidy(c * Fraction(1, plan.den**n)) for c in row] for n, row in enumerate(rows)]
+        if plan.engine == "walk":
+            return [[tidy(c) for c in MultiPoly.coerce(s).y_coefficients()] for s in self.expand(order, plan)]
+        from .recurrence import _row_recurrence
+
+        return _row_recurrence(self.alpha(0), self.beta(1), plan.engine, plan.width, order, read)
 
     def triangle(self, order: int) -> "LowerTriMatrix":
         """:meth:`rows` as a triangle (:func:`_triangle_rows`).  Integer
@@ -197,19 +225,15 @@ class JFraction(NamedTuple):
         (:class:`~riordan.arrays.NonIntegralEntry`)."""
         from .arrays import LowerTriMatrix, _normalize_entry
 
-        rows = _triangle_rows(self.rows(order))
-        return LowerTriMatrix(rows if self.is_integral() else (map(_normalize_entry, row) for row in rows))
+        plan = self.plan(order)
+        rows = _triangle_rows(self.rows(order, plan=plan))
+        return LowerTriMatrix(rows if plan.den == 1 else (map(_normalize_entry, row) for row in rows))
 
-    def is_integral(self) -> bool:
-        """Whether every coefficient of alpha and beta is an integer, and so
-        every entry of the expansion."""
-        return _denominator(*self.alpha.coeffs, *self.beta.coeffs) == 1
-
-    def binomial_shift(self, k: PolyLike) -> JFraction:
+    def binomial_shift(self, k: PolyLike) -> "JFraction":
         """The k-th binomial transform: every alpha shifted by k."""
         return JFraction(self.alpha + MultiPoly.coerce(k), self.beta)
 
-    def transfer(self) -> JFraction:
+    def transfer(self) -> "JFraction":
         """Scale level i's alpha by (i+1) and weight beta_i by i(i+1).
 
         On the displayed sequences this is (a0, a1, a2, ...; b1, b2, b3, ...)
@@ -221,7 +245,7 @@ class JFraction(NamedTuple):
             IndexPoly.from_coeffs([0, 1, 1]) * self.beta,
         )
 
-    def gamma_to_h(self) -> JFraction:
+    def gamma_to_h(self) -> "JFraction":
         """alpha -> (1+y) alpha: the fraction with rows
         h_n(y) = (1+y)^n gamma_n(y/(1+y)^2).  A level step then weighs
         (1+y) alpha(y/(1+y)^2) and a rise and fall (1+y)^2 beta(y/(1+y)^2),
@@ -233,11 +257,11 @@ class JFraction(NamedTuple):
             raise ValueError(f"gamma_to_h needs every term of beta of y-degree 1, not {self.beta}")
         return JFraction(self.alpha * (Y + 1), self.beta)
 
-    def h_to_f(self) -> JFraction:
+    def h_to_f(self) -> "JFraction":
         """y -> 1+y in every coefficient: the fraction with rows f_n(y) = h_n(1+y)."""
         return JFraction(*(IndexPoly.from_coeffs([c.substitute(y=Y + 1) for c in p.coeffs]) for p in self))
 
-    def reversed(self) -> JFraction:
+    def reversed(self) -> "JFraction":
         """alpha -> y alpha(1/y), beta -> y^2 beta(1/y): the fraction with
         rows y^n p_n(1/y), read backwards.  Needs deg_y alpha <= 1 and
         deg_y beta <= 2 (ValueError otherwise)."""
@@ -255,11 +279,6 @@ def _triangle_rows(rows: list[list]) -> list[list]:
             raise ValueError(f"coefficient of x^{n} has y-degree {len(row) - 1} > n")
         row += [0] * (n + 1 - len(row))
     return rows
-
-
-def _denominator(*polys: MultiPoly) -> int:
-    """The least common denominator of the polynomials' coefficients."""
-    return lcm(*(c.denominator for p in polys for _, c in p.items()))
 
 
 def _reflect(p: IndexPoly, degree: int, name: str) -> IndexPoly:

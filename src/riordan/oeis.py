@@ -14,8 +14,6 @@ The b-file parser and the cached fetcher live in :mod:`riordan.bfile`,
 which only ``fetch-bfile`` loads.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from . import Frozen

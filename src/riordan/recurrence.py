@@ -7,10 +7,10 @@ whose levels are free of i.  ``SHAPES`` holds each shape's row of the
 recurrence.  They are the family triangles of ``show``, the simplex, the
 hypercube and the associahedron, and every ``jf`` of those shapes.  Only
 those expansions import this module; the Motzkin walk, which expands every
-other fraction, is :mod:`riordan.walk`.
+other fraction, is :mod:`riordan.walk`.  :meth:`JFraction.plan` picks the
+shape, and the layout and slot width with :func:`_layout`;
+:func:`_row_recurrence` runs the rows in them.
 """
-
-from __future__ import annotations
 
 from .algebra import MultiPoly, _fill, _fma, _norm, _pack, _width, _wrap, tidy
 
@@ -25,46 +25,56 @@ SHAPES = {
 }
 
 
-def _row_recurrence(a: MultiPoly, b: MultiPoly, shape: str, order: int, read) -> list[list]:
+def _layout(a: MultiPoly, b: MultiPoly, shape: str, order: int) -> tuple:
+    """The layout, slot width and bound of rows 0..order of the shape, as
+    :class:`~riordan.jfraction.Plan` holds them: ("r-packed", width, bound)
+    or ("MultiPoly", None, bound), for a and b of integer coefficients.
+
+    Packed rows are integers, r -> 2^width (see :mod:`riordan.algebra`,
+    which holds the packing rules).  Packing is a ring homomorphism, so a
+    row's undivided packed int is p0(n) times its packed P_n and ``// p0(n)``
+    is exact, however narrow the slots.  Run first on |a|(1) and |b|(1), the
+    weights of a fraction whose paths (:mod:`riordan.walk`) weigh at least
+    the norm of each path of this one, and on the B the table computes from
+    those (the norm of B itself can bound too low: for a = 1 + y and b = y
+    it is 4, against 2^2 - 4 = 0), the recurrence bounds every coefficient
+    of every row, and the slot width is ``_width`` of that bound.  The rows
+    run on MultiPoly instead where the terms the last row can hold
+    (``_fill``, r packed and y the row's index) fill fewer than half of
+    their slots, or past ``MAX_WIDTH``, where coefficients of very
+    different sizes share a width.  Measured at N = 36-100, packing was
+    1.6-5x faster on dense rows of slots up to 1500 bits, 0.7-1x as fast at
+    1800-2300 bits, and up to 12x slower from 2600 bits or on sparse rows.
+    """
+    multipliers, weight = SHAPES[shape]
+    bound = max(row[0] for row in _rows(multipliers, [[(_norm(a), 0)]], [[(weight(_norm(a), _norm(b)), 0)]], order))
+    width = _width(bound, _fill([[m for m, _ in w.items()] for w in (a, b)], order), 2)
+    return ("r-packed" if width else "MultiPoly"), width, bound
+
+
+def _rows(multipliers, a: list, B: list, order: int) -> list[list[int]]:
+    """Rows 0..order of the recurrence of a shape's ``multipliers`` on
+    packed ints, for a and B as ``_pack`` gives them.  Multipliers of 1 are
+    skipped: dividing each row of the other shapes by 1 took 4-7% longer at
+    N = 100."""
+    out = [[1], _fma([], a, [1])]
+    for n in range(2, order + 1):
+        p0, p1, p2 = multipliers(n)
+        row = _fma(_fma([], a, out[-1], p1), B, out[-2], p2)
+        out.append(row if p0 == 1 else [v // p0 for v in row])
+    return out[: order + 1]
+
+
+def _row_recurrence(a: MultiPoly, b: MultiPoly, shape: str, width: "int | None", order: int, read) -> list[list]:
     """Rows 0..order of p0(n) P_n = p1(n) a P_{n-1} + p2(n) B P_{n-2},
     P_0 = 1, P_1 = a, with ``SHAPES[shape]`` giving p0, p1, p2 and B, as
     :meth:`JFraction.rows` returns them, for a and b of integer
-    coefficients.  ``read`` reads the entries only when the rows run
-    packed; rows run on MultiPoly give their coefficients, ints or
-    MultiPolys whatever ``read`` is.
-
-    The rows run on packed integers, r -> 2^width (see
-    :mod:`riordan.algebra`, which holds the packing rules).  Packing is a
-    ring homomorphism, so a row's undivided packed int is p0(n) times its
-    packed P_n and ``// p0(n)`` is exact, however narrow the slots.  Run
-    first on |a|(1) and |b|(1), the weights of a fraction whose paths
-    (:mod:`riordan.walk`) weigh at least the norm of each path of this one,
-    and on the B the table computes from those (the norm of B itself can
-    bound too low: for a = 1 + y and b = y it is 4, against 2^2 - 4 = 0),
-    the recurrence bounds every coefficient of every row, and the slot
-    width is ``_width`` of that bound.  The rows run on MultiPoly instead
-    where the terms the last row can hold (``_fill``, r packed and y the
-    row's index) fill fewer than half of their slots, or past
-    ``MAX_WIDTH``, where coefficients of very different sizes share a
-    width.  Measured at N = 36-100, packing was 1.6-5x faster on dense rows
-    of slots up to 1500 bits, 0.7-1x as fast at 1800-2300 bits, and up to
-    12x slower from 2600 bits or on sparse rows.  Multipliers of 1 are
-    skipped: dividing each row of the other shapes by 1 took 4-7% longer
-    at N = 100.
+    coefficients: packed in slots of ``width`` bits, or on MultiPoly where
+    width is None, as the plan's :func:`_layout` gives it.  ``read`` reads
+    the entries only when the rows run packed; rows run on MultiPoly give
+    their coefficients, ints or MultiPolys whatever ``read`` is.
     """
     multipliers, weight = SHAPES[shape]
-
-    def rows(a, B):
-        out = [[1], _fma([], a, [1])]
-        for n in range(2, order + 1):
-            p0, p1, p2 = multipliers(n)
-            row = _fma(_fma([], a, out[-1], p1), B, out[-2], p2)
-            out.append(row if p0 == 1 else [v // p0 for v in row])
-        return out[: order + 1]
-
-    norms = _norm(a), _norm(b)
-    bound = max(row[0] for row in rows([[(norms[0], 0)]], [[(weight(*norms), 0)]]))
-    width = _width(bound, _fill([[m for m, _ in w.items()] for w in (a, b)], order), 2)
     if width is None:
         polys, B = [MultiPoly.const(1), a], weight(a, b)
         for n in range(2, order + 1):
@@ -73,7 +83,7 @@ def _row_recurrence(a: MultiPoly, b: MultiPoly, shape: str, order: int, read) ->
             polys.append(v if p0 == 1 else _wrap({m: c // p0 for m, c in v.items()}))
         return [[tidy(c) for c in p.y_coefficients()] for p in polys[: order + 1]]
     out = []
-    for row in rows(_pack(a, width), _pack(weight(a, b), width)):
+    for row in _rows(multipliers, _pack(a, width), _pack(weight(a, b), width), order):
         while len(row) > 1 and not row[-1]:
             row.pop()
         entries = {v: read(v, width) for v in set(row)}  # h rows are palindromes

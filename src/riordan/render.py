@@ -10,7 +10,8 @@ expression parser (:mod:`riordan.expr`) for ``jf``, ``json`` for its
 format.
 
 A request goes from fraction to text.  :meth:`JFraction.rows
-<riordan.jfraction.JFraction.rows>` picks the engine; where the rows run on
+<riordan.jfraction.JFraction.rows>` runs the fraction's plan (its engine and
+layout, :meth:`~riordan.jfraction.JFraction.plan`); where the rows run on
 packed integers, :func:`_write` writes each distinct entry's text straight
 from its digits, and :func:`cells` makes the other entries text and refuses
 a number of more than MAX_DIGITS digits.  ``show`` builds no triangle
@@ -18,8 +19,6 @@ a number of more than MAX_DIGITS digits.  ``show`` builds no triangle
 ``MultiPoly.__str__`` on an entry again: every format writes from the
 cells, CSV without the ``csv`` module.
 """
-
-from __future__ import annotations
 
 import sys
 from pathlib import Path

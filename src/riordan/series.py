@@ -18,8 +18,6 @@ live in :mod:`riordan.cold`, loaded on first use.  The methods stay here
 and delegate to it; the other names import from there.
 """
 
-from __future__ import annotations
-
 from operator import add, mul
 from typing import Sequence, Union
 
@@ -50,15 +48,15 @@ class TruncatedSeries:
         self._coeffs = coeffs
 
     @classmethod
-    def zero(cls, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    def zero(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
         return cls((0,), order)
 
     @classmethod
-    def one(cls, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    def one(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
         return cls((1,), order)
 
     @classmethod
-    def x(cls, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    def x(cls, order: int = DEFAULT_ORDER) -> "TruncatedSeries":
         return cls((0, 1), order)
 
     @classmethod
@@ -67,7 +65,7 @@ class TruncatedSeries:
         numerator: Sequence[Coeff],
         denominator: Sequence[Coeff],
         order: int = DEFAULT_ORDER,
-    ) -> TruncatedSeries:
+    ) -> "TruncatedSeries":
         """Expand a rational function given by polynomial coefficient lists."""
         return cls(numerator, order) * cls(denominator, order).inverse()
 
@@ -87,7 +85,7 @@ class TruncatedSeries:
     def __iter__(self):
         return iter(self._coeffs)
 
-    def truncate(self, order: int) -> TruncatedSeries:
+    def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError(f"cannot extend a series from order {self.order} to {order}")
         return TruncatedSeries(self._coeffs[: order + 1])
@@ -110,23 +108,23 @@ class TruncatedSeries:
 
     # -- linear structure ----------------------------------------------------
 
-    def __add__(self, other: Coeff | TruncatedSeries) -> TruncatedSeries:
+    def __add__(self, other: "Coeff | TruncatedSeries") -> "TruncatedSeries":
         if isinstance(other, TruncatedSeries):
             return _trusted(map(add, self._coeffs, other._coeffs))
         return _trusted((self._coeffs[0] + other,) + self._coeffs[1:])
 
     __radd__ = __add__
 
-    def __neg__(self) -> TruncatedSeries:
+    def __neg__(self) -> "TruncatedSeries":
         return _trusted([-c for c in self._coeffs])
 
-    def __sub__(self, other: Coeff | TruncatedSeries) -> TruncatedSeries:
+    def __sub__(self, other: "Coeff | TruncatedSeries") -> "TruncatedSeries":
         return self + (-other)
 
-    def __rsub__(self, other: Coeff) -> TruncatedSeries:
+    def __rsub__(self, other: Coeff) -> "TruncatedSeries":
         return (-self) + other
 
-    def __mul__(self, other: Coeff | TruncatedSeries) -> TruncatedSeries:
+    def __mul__(self, other: "Coeff | TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return _trusted([c * other for c in self._coeffs])
         n = min(self.order, other.order)
@@ -140,21 +138,21 @@ class TruncatedSeries:
 
     # -- multiplicative / compositional structure ----------------------------
 
-    def inverse(self) -> TruncatedSeries:
+    def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse: self * self.inverse() == 1 up to order."""
         return _cold().series_inverse(self)
 
-    def compose(self, inner: TruncatedSeries) -> TruncatedSeries:
+    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(x)), requiring inner(0) == 0.  Horner evaluation."""
         return _cold().series_compose(self, inner)
 
-    def revert(self) -> TruncatedSeries:
+    def revert(self) -> "TruncatedSeries":
         """Compositional inverse g with self(g(x)) == g(self(x)) == x, by
         Lagrange inversion, with canonical coefficients (see
         :func:`~riordan.algebra.tidy`)."""
         return _cold().series_revert(self)
 
-    def exp(self) -> TruncatedSeries:
+    def exp(self) -> "TruncatedSeries":
         """Exponential sum(self**k / k!), requiring zero constant term."""
         return _cold().series_exp(self)
 

@@ -8,8 +8,6 @@ from the same tables.  Only such requests import this module, and with it
 ``argparse`` and the ``gettext`` and ``locale`` that argparse loads.
 """
 
-from __future__ import annotations
-
 import argparse
 
 from . import _submodule

@@ -32,8 +32,6 @@ per check; the CLI renders one line per check and fails the run when any
 check fails.
 """
 
-from __future__ import annotations
-
 from functools import cache, partial
 import random
 import sys

@@ -5,7 +5,10 @@ and delegates to :func:`expand` here.  Only the expansions that take the
 walk import this module (and :mod:`riordan.series`, for the series it
 returns): the permutahedron, every ``jf`` whose fraction has levels in i
 and is of no shape of :mod:`riordan.recurrence`, and the checks and tests
-that walk on purpose.
+that walk on purpose.  The walk decides nothing itself: :func:`_layout`
+gives its layout and slot width, which :meth:`JFraction.plan` holds for
+the rows and :meth:`JFraction.expand` takes by default, and :func:`expand`
+walks in the layout it is given.
 
 The walk counts weighted Motzkin paths (Flajolet 1980).  t[k] weighs the
 paths so far that end at height k; a step maps it to
@@ -43,30 +46,51 @@ from N = 16), which a skewed layout (r^i y^j at slot q*i - p*j for the
 least ratio p/q of the weights' powers) would keep dense.
 """
 
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd
 
 from .algebra import _fill, _unpack_y, _width
 from .series import TruncatedSeries
 
 
-def expand(frac, order: int) -> TruncatedSeries:
+def _layout(frac, order: int) -> tuple:
+    """The walk's layout, slot width, bound and gap for coefficients
+    0..order of the fraction, as :class:`~riordan.jfraction.Plan` holds
+    them: ("y-packed", width, bound, g), ("MultiPoly", None, bound, g) where
+    the slots would be too sparse or too wide, or ("MultiPoly", None, None,
+    1) for weights in r or with a non-integer coefficient, which are not
+    packed.  :meth:`JFraction.plan` and :meth:`JFraction.expand` both take
+    the walk's layout from here."""
+    if not all(not i and type(c) is int for p in frac for q in p.coeffs for (i, _), c in q.items()):
+        return "MultiPoly", None, None, 1
+    weights = [[[(c, j) for (_, j), c in w.items()] for w in ws] for ws in _levels(frac, order)]
+    bound = max(_walk(*([sum(abs(c) for c, _ in w).__mul__ for w in ws] for ws in weights), order))
+    # Every power of y is one of y^g, the gcd of the weights' powers, so
+    # y^j takes slot j/g: weights in y^32 alone leave no slot empty.
+    g = gcd(*(j for ws in weights for w in ws for _, j in w)) or 1
+    width = _width(bound, _fill([{(j // g, 0) for w in ws for _, j in w} for ws in weights], order), 16)
+    return ("y-packed" if width else "MultiPoly"), width, bound, g
+
+
+def expand(frac, order: int, plan) -> TruncatedSeries:
     """The body of :meth:`JFraction.expand`: coefficients 0..order of the
-    fraction, the first the int 1 and each other a MultiPoly."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    levels = (range(order // 2 + 1), range(1, order // 2 + 2))  # alpha(0..), beta(1..)
-    if all(not i and type(c) is int for p in frac for q in p.coeffs for (i, _), c in q.items()):
-        weights = [[[(c, j) for (_, j), c in p(k).items()] for k in ks] for p, ks in zip(frac, levels)]
-        bound = max(_walk(*([sum(abs(c) for c, _ in w).__mul__ for w in ws] for ws in weights), order))
-        # Every power of y is one of y^g, the gcd of the weights' powers, so
-        # y^j takes slot j/g: weights in y^32 alone leave no slot empty.
-        g = gcd(*(j for ws in weights for w in ws for _, j in w)) or 1
-        width = _width(bound, _fill([{(j // g, 0) for w in ws for _, j in w} for ws in weights], order), 16)
-        if width:
-            packed = _walk(*([partial(_times, [(c, width * j // g) for c, j in w]) for w in ws] for ws in weights), order)
-            return TruncatedSeries([1] + [_unpack_y(v, width, g) for v in packed[1:]])
-    return TruncatedSeries(_walk(*([p(k).__mul__ for k in ks] for p, ks in zip(frac, levels)), order))
+    fraction, the first the int 1 and each other a MultiPoly, walked in
+    the plan's layout (:func:`_layout`): packed at y^gap -> 2^width, or on
+    MultiPoly where its width is None.  The series refuses a negative
+    order (ValueError)."""
+    levels, width, g = _levels(frac, order), plan.width, plan.gap
+    if not width:
+        return TruncatedSeries(_walk(*([w.__mul__ for w in ws] for ws in levels), order), order)
+    packed = _walk(*([partial(_times, [(c, width * j // g) for (_, j), c in w.items()]) for w in ws] for ws in levels), order)
+    return TruncatedSeries([1] + [_unpack_y(v, width, g) for v in packed[1:]], order)
+
+
+@lru_cache(maxsize=1)
+def _levels(frac, order: int) -> list[list]:
+    """alpha(0..) and beta(1..) at every level a walk to x^order reaches.
+    The last fraction's are kept: the rows' plan (:func:`_layout`) and then
+    :func:`expand` ask for the same levels, and neither changes them."""
+    return [[p(k) for k in ks] for p, ks in zip(frac, (range(order // 2 + 1), range(1, order // 2 + 2)))]
 
 
 def _walk(a, b, order: int) -> list:

@@ -4,8 +4,8 @@ on the family fractions, and through the CLI, where ``jf`` of a family's
 fraction prints the rows ``show`` prints; a Kronecker certificate of the
 symbolic triangles at large N against the Riordan route; the fraction given
 back by its rows, through their moments at a Kronecker point; a value of r
-written into a fraction against its symbolic rows at that value; and a pin
-of which requests take the walk."""
+written into a fraction against its symbolic rows at that value; and the
+plan (JFraction.plan) of each request kind the benchmark decks send."""
 
 import functools
 import json
@@ -21,10 +21,17 @@ from riordan.cli import main
 from riordan.cold import dense_family_triple
 from riordan.expr import parse_index_poly
 from riordan.families import FamilySpec, Kind, family_fractions, family_triple, family_matrix, member_fraction, named_triple
-from riordan import recurrence, walk
 from riordan.jfraction import IndexPoly, JFraction
 
 FLAVORS = (Kind.ORDINARY, Kind.EXPONENTIAL)
+JF_TEMPLATES = {  # the benchmark's jf fractions: alpha, beta, the (engine, layout) of their plan
+    "exp-face": ("2*y+1", "i*r*y*(y+1)", ("hermite", "r-packed")),
+    "exp-h": ("y+1", "i*r*y", ("hermite", "r-packed")),
+    "exp-gamma": ("1", "i*r*y", ("hermite", "MultiPoly")),  # under half its slots filled
+    "perm-face": ("(i+1)*(2*y+1)", "i*(i+1)*y*(y+1)", ("walk", "y-packed")),
+    "perm-gamma": ("i+1", "i*(i+1)*r*y", ("walk", "MultiPoly")),  # its weights hold r
+    "const-face": ("2*y+1", "r*y*(y+1)", ("level-independent", "r-packed")),
+}
 
 
 def oracle_rows(spec, which, size_n):
@@ -159,11 +166,11 @@ def _first_wrong_level(frac, rows):
     return next((j for j, (got, want) in enumerate(zip(_chebyshev(moments), own, strict=True)) if got != want), None)
 
 
-CERTIFIED = {  # alpha, beta: one fraction of each shape of row recurrence
-    "const-face": ("2*y+1", "r*y*(y+1)"),
+CERTIFIED = {  # alpha, beta: fractions of every engine and layout a plan names but level one's
     "signed": ("3*y-2", "5*r^2*y-7"),
-    "exp-face": ("2*y+1", "i*r*y*(y+1)"),
-    **{f"associahedron {which}": tuple(map(str, getattr(named_triple("associahedron"), which))) for which in ("gamma", "h", "f")},
+    **{name: (alpha, beta) for name, (alpha, beta, _) in JF_TEMPLATES.items()},
+    **{f"{polytope} {which}": tuple(map(str, getattr(named_triple(polytope), which)))
+       for polytope in ("associahedron", "permutahedron") for which in ("gamma", "h", "f")},
 }
 
 
@@ -171,8 +178,8 @@ CERTIFIED = {  # alpha, beta: one fraction of each shape of row recurrence
 def test_the_rows_give_back_their_fraction(alpha, beta):
     # A certificate that shares no code with the engines: the moments of a
     # J-fraction fix its levels one by one while every weight is nonzero
-    # (Flajolet 1980).  The signed fraction takes about half of the 1.2 s,
-    # on a 2-core x86-64 host.
+    # (Flajolet 1980).  A level-one fraction has a zero weight, beta_2.  The
+    # signed fraction takes about half of the 1.5 s, on a 2-core x86-64 host.
     frac = JFraction(parse_index_poly(alpha), parse_index_poly(beta))
     assert _first_wrong_level(frac, frac.rows(40)) is None
 
@@ -214,6 +221,7 @@ def walk_rows(frac, order):
 @example(JFraction(IndexPoly.constant(0), I), 6)  # the aerated double factorials
 @example(JFraction(IndexPoly.constant(1), IndexPoly.constant(1)), 10)  # the Motzkin numbers
 @example(JFraction(I + 1, IndexPoly.constant(Y)), 6)  # level 1 weighs 2, not 1
+@example(JFraction(IndexPoly.constant(Y), I * R + 1), 6)  # beta(0) = 1: no Hermite fraction
 @example(JFraction(-I + 1, (-I + 2) * (R * Y)), 6)  # the ordinary family's gamma fraction
 # Sparse weights of high degree in r: rows on MultiPoly.
 @example(JFraction(IndexPoly.constant(Y - 3), I * (2**64 * R - R**30)), 12)
@@ -243,22 +251,36 @@ PACKING = {  # fraction, order, whether its rows run packed
 
 
 @pytest.mark.parametrize("frac, order, packed", PACKING.values(), ids=list(PACKING))
-def test_rows_pack_only_dense_rows_of_narrow_slots(monkeypatch, frac, order, packed):
-    calls = []
-    pack = recurrence._pack
-    monkeypatch.setattr(recurrence, "_pack", lambda *args: calls.append(1) or pack(*args))
+def test_rows_pack_only_dense_rows_of_narrow_slots(frac, order, packed):
+    assert frac.plan(order).layout == ("r-packed" if packed else "MultiPoly")
     assert frac.rows(order) == walk_rows(frac, order)
-    assert bool(calls) == packed
 
 
-def test_a_rational_fraction_walks_on_packed_ints(monkeypatch):
+def test_a_rational_fraction_walks_on_packed_ints():
     # rows clears the common denominator, 6, so these rows walk on packed
     # ints, where the oracle's expansion walks on Fraction coefficients.
     frac = JFraction((I + 1) * (Fraction(1, 2) + Y), I * (I + 1) * (Fraction(1, 3) * Y * (Y + 1)))
-    reads, unpack = [], walk._unpack_y
-    monkeypatch.setattr(walk, "_unpack_y", lambda *args: reads.append(1) or unpack(*args))
-    rows = frac.rows(20)
-    assert len(reads) == 20 and [typed_all(row) for row in rows] == [typed_all(row) for row in walk_rows(frac, 20)]
+    plan = frac.plan(20)
+    assert (plan.engine, plan.layout, plan.den) == ("walk", "y-packed", 6)
+    assert [typed_all(row) for row in frac.rows(20)] == [typed_all(row) for row in walk_rows(frac, 20)]
+
+
+TOO_NARROW = {  # a fraction whose rows hold coefficients above 127, and its engine
+    "r-packed rows": (JFraction(IndexPoly.constant(2 * Y + 1), IndexPoly.constant(R * Y * (Y + 1))), "level-independent"),
+    "y-packed walk": (JFraction((I + 1) * (2 * Y + 1), I * (I + 1) * Y * (Y + 1)), "walk"),
+}
+
+
+@pytest.mark.parametrize("frac, engine", TOO_NARROW.values(), ids=list(TOO_NARROW))
+def test_the_engines_take_their_width_from_the_plan(frac, engine):
+    # Each engine packs at the plan's width and decides nothing itself: in
+    # slots of 8 bits the rows' coefficients wrap, and on MultiPoly they
+    # come out whole.
+    plan = frac.plan(12)
+    assert plan.engine == engine and plan.width > 8
+    rows = frac.rows(12)
+    assert frac.rows(12, plan=plan._replace(width=8)) != rows
+    assert frac.rows(12, plan=plan._replace(layout="MultiPoly", width=None)) == rows == walk_rows(frac, 12)
 
 
 def _cli_rows(capsys, argv):
@@ -280,30 +302,44 @@ def test_jf_of_a_family_fraction_prints_the_rows_show_prints(capsys, flavor, whi
     assert _cli_rows(capsys, ["jf", "--alpha", str(frac.alpha), "--beta", str(frac.beta), "--N", "12"]) == show
 
 
-JF_TEMPLATES = {  # alpha, beta, JFraction.expand calls
-    "exp-face": ("2*y+1", "i*r*y*(y+1)", 0),  # Hermite rows
-    "exp-h": ("y+1", "i*r*y", 0),
-    "exp-gamma": ("1", "i*r*y", 0),
-    "perm-face": ("(i+1)*(2*y+1)", "i*(i+1)*y*(y+1)", 1),
-    "perm-gamma": ("i+1", "i*(i+1)*r*y", 1),
-    "const-face": ("2*y+1", "r*y*(y+1)", 0),  # levels free of i
-}
-WALKS = {  # JFraction.expand calls per request; the benchmark's sizes cannot tell them apart
-    **{f"show {family}": (["show", "--which", "f", "--N", "16"] + extra, 0) for family, extra in (
-        ("ordinary", []), ("exponential", ["--flavor", "exponential"]),
-        ("simplex", ["--family", "simplex"]), ("hypercube", ["--family", "hypercube"]))},
-    **{f"show {name}": (["show", "--family", name, "--which", "f", "--N", "16"], walks) for name, walks in (("associahedron", 0), ("permutahedron", 1))},
-    **{f"jf {name}": (["jf", "--alpha", a, "--beta", b, "--N", "16"], walks) for name, (a, b, walks) in JF_TEMPLATES.items()},
+# The plan of each request kind that the benchmark decks send, at each --N
+# they send it (symbolic show 20-36, jf 10-16, the named polytopes 14-22),
+# as the pair (engine, layout) of each fraction the request expands: each
+# member of a show's family, and a jf's one fraction.  The simplex and the
+# hypercube, which no deck sends, are pinned at N = 16.
+DECK_N = {"show": range(20, 37), "jf": range(10, 17), "named": range(14, 23), "other": [16]}
+DECK_PLANS = {
+    # A gamma fraction's rows fill under half their slots: one term per y-coefficient.
+    "show ordinary": ("show", FamilySpec(Kind.ORDINARY, R),
+                      {"gamma": ("level one", "MultiPoly"), "h": ("level one", "r-packed"), "f": ("level one", "r-packed")}),
+    "show exponential": ("show", FamilySpec(Kind.EXPONENTIAL, R),
+                         {"gamma": ("hermite", "MultiPoly"), "h": ("hermite", "r-packed"), "f": ("hermite", "r-packed")}),
+    "show simplex": ("other", "simplex", dict.fromkeys(("gamma", "h", "f"), ("level one", "r-packed"))),
+    "show hypercube": ("other", "hypercube", dict.fromkeys(("gamma", "h", "f"), ("level one", "r-packed"))),
+    "show associahedron": ("named", "associahedron", dict.fromkeys(("gamma", "h", "f"), ("level-independent", "r-packed"))),
+    "show permutahedron": ("named", "permutahedron", dict.fromkeys(("gamma", "h", "f"), ("walk", "y-packed"))),
+    **{f"jf {name}": ("jf", (alpha, beta), {"jf": plan}) for name, (alpha, beta, plan) in JF_TEMPLATES.items()},
 }
 
 
-@pytest.mark.parametrize("argv, walks", WALKS.values(), ids=list(WALKS))
-def test_each_request_takes_the_walk_only_where_no_shape_fits(capsys, monkeypatch, argv, walks):
-    calls = []
-    walk = JFraction.expand
-    monkeypatch.setattr(JFraction, "expand", lambda frac, order: calls.append(order) or walk(frac, order))
-    assert main(argv) == 0
-    assert len(calls) == walks
+def _request_fractions(family):
+    """The fractions a request expands: a show's family members (as ``show``
+    builds them, :func:`member_fraction`), or a jf's (alpha, beta)."""
+    if isinstance(family, tuple):
+        return {"jf": JFraction(*map(parse_index_poly, family))}
+    return {which: member_fraction(family, which) for which in ("gamma", "h", "f")}
+
+
+@pytest.mark.parametrize("deck, family, plans", DECK_PLANS.values(), ids=list(DECK_PLANS))
+def test_each_request_takes_the_walk_only_where_no_shape_fits(deck, family, plans):
+    for which, frac in _request_fractions(family).items():
+        assert {frac.plan(n)[:2] for n in DECK_N[deck]} == {plans[which]}, which
+
+
+def test_each_engine_and_layout_has_a_request_of_the_decks():
+    branches = {("walk" if engine == "walk" else "rows", layout)
+                for deck, _, plans in DECK_PLANS.values() if deck != "other" for engine, layout in plans.values()}
+    assert branches == {("rows", "r-packed"), ("rows", "MultiPoly"), ("walk", "y-packed"), ("walk", "MultiPoly")}
 
 
 # -- specialising r commutes with every engine ----------------------------------

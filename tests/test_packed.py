@@ -2,15 +2,17 @@
 inputs: the four series chains of the Riordan oracle (riordan.cold: compose,
 revert, the columns of RiordanArray.matrix and binomial_transform) and the
 y-packed Motzkin walk (riordan.walk).  Each runs once as it runs in
-production, asserted packed, and once with packing switched off, where it
-computes on its coefficients as before; the two must agree value for value
-and type for type.  Sizes of more than 64 slots reach the byte read of
+production, asserted packed (the walk by its plan), and once with packing
+switched off (the walk by a MultiPoly plan), where it computes on its
+coefficients as before; the two must agree value for value and type for
+type.  Entries of many slots of many bits reach the byte read of
 ``algebra._digits``.  Last, the packing rules the engines share: the slot
 width (``algebra._width``) read back by ``_digits`` at byte edges and at
 ``MAX_WIDTH``, and the fill bitset (``algebra._fill``) against the terms
 the row recurrence and the walk compute."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,7 +22,7 @@ from riordan import cold, walk
 from riordan.algebra import MultiPoly, R, Y, _digits, _fill, _width
 from riordan.cold import RiordanArray, binomial_transform
 from riordan.families import FamilySpec, Kind, family_fractions, named_triple
-from riordan.jfraction import IndexPoly, JFraction
+from riordan.jfraction import IndexPoly, JFraction, Plan
 from riordan.series import TruncatedSeries
 
 
@@ -118,15 +120,17 @@ index_polys = st.lists(y_weights, max_size=3).map(IndexPoly.from_coeffs)  # i-de
 
 
 def walk_packed_and_unpacked(frac, order):
-    """frac.expand(order) as production runs it, the number of coefficients
-    it read from packed ints, and the MultiPoly walk's expansion."""
-    reads, real = [], walk._unpack_y
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(walk, "_unpack_y", lambda *args: reads.append(1) or real(*args))
-        packed = frac.expand(order)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(walk, "_width", lambda *args: None)
-        return packed, len(reads), frac.expand(order)
+    """frac.expand(order) as production runs it, the walk's plan for it
+    (the layout that JFraction.expand takes by default), and the MultiPoly
+    walk's expansion."""
+    plan = Plan("walk", *walk._layout(frac, order))
+    return frac.expand(order), plan, frac.expand(order, plan._replace(layout="MultiPoly", width=None))
+
+
+def forced_packed(frac, order, plan):
+    """The walk in slots for the plan's bound, however few of them the
+    powers of y fill."""
+    return frac.expand(order, plan._replace(layout="y-packed", width=_width(plan.bound)))
 
 
 @settings(deadline=None)
@@ -140,11 +144,9 @@ def walk_packed_and_unpacked(frac, order):
 def test_walk_on_packed_ints_matches_the_multipoly_walk(alpha, beta, order):
     # Packed however few of its slots the powers of y fill (a walk of y^n
     # alone fills one in n + 1): which walk production takes is tested below.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(walk, "_width", lambda bound, fill, share: _width(bound))
-        packed, reads, plain = walk_packed_and_unpacked(JFraction(alpha, beta), order)
-    assert reads == order
-    assert typed_all(packed) == typed_all(plain)
+    frac = JFraction(alpha, beta)
+    _, plan, plain = walk_packed_and_unpacked(frac, order)
+    assert typed_all(forced_packed(frac, order, plan)) == typed_all(plain)
 
 
 NAMED = [*named_triple("associahedron"), *named_triple("permutahedron")]
@@ -152,8 +154,8 @@ NAMED = [*named_triple("associahedron"), *named_triple("permutahedron")]
 
 @pytest.mark.parametrize("frac", NAMED, ids=[f"{p} {w}" for p in ("assoc", "perm") for w in ("gamma", "h", "f")])
 def test_the_polytope_walks_run_packed_at_large_n(frac):
-    packed, reads, plain = walk_packed_and_unpacked(frac, 60)
-    assert reads == 60 and typed_all(packed) == typed_all(plain)
+    packed, plan, plain = walk_packed_and_unpacked(frac, 60)
+    assert plan.layout == "y-packed" and typed_all(packed) == typed_all(plain)
 
 
 @pytest.mark.parametrize(
@@ -166,8 +168,8 @@ def test_the_polytope_walks_run_packed_at_large_n(frac):
     ids=["r", "fraction", "wide"],
 )
 def test_the_walk_packs_only_integral_weights_free_of_r_in_narrow_slots(frac):
-    packed, reads, plain = walk_packed_and_unpacked(frac, 12)
-    assert reads == 0 and typed_all(packed) == typed_all(plain)
+    packed, plan, plain = walk_packed_and_unpacked(frac, 12)
+    assert plan.layout == "MultiPoly" and typed_all(packed) == typed_all(plain)
 
 
 @pytest.mark.parametrize(
@@ -183,12 +185,9 @@ def test_the_walk_packs_only_integral_weights_free_of_r_in_narrow_slots(frac):
 )
 def test_the_walk_packs_only_powers_of_y_that_fill_a_sixteenth_of_their_slots(alpha, beta, order, packs):
     frac = JFraction(alpha, beta)
-    packed, reads, plain = walk_packed_and_unpacked(frac, order)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(walk, "_width", lambda bound, fill, share: _width(bound))
-        forced = frac.expand(order)
-    assert reads == order * packs
-    assert typed_all(packed) == typed_all(plain) == typed_all(forced)
+    packed, plan, plain = walk_packed_and_unpacked(frac, order)
+    assert plan.layout == ("y-packed" if packs else "MultiPoly")
+    assert typed_all(packed) == typed_all(plain) == typed_all(forced_packed(frac, order, plan))
 
 
 # -- the packing rules the engines share (riordan.algebra) ---------------------------
@@ -202,10 +201,17 @@ def test_digits_read_back_the_bound_at_its_width(k, d):
     if width:
         # The fewest whole bytes that hold the bound and a sign bit.
         assert width % 8 == 0 and bound < 2 ** (width - 1) and (width == 8 or bound >= 2 ** (width - 9))
-        digits = [bound, -bound, 0, -bound] * 17 + [bound]  # 69 slots: the byte read
+        digits = [bound, -bound, 0, -bound] * 17 + [bound]  # 69 slots: the byte read from 448 bits
         for n in (1, 4, len(digits)):
             value = sum(c << width * i for i, c in enumerate(digits[:n]))
             assert (_digits(value, width) + [0] * n)[:n] == digits[:n]
+        # The most slots the digit loop reads at this width, and one more,
+        # the fewest the byte read does (slots^2 * width > 2^21).
+        edge = isqrt((1 << 21) // width)
+        for n in (edge, edge + 1):
+            cells = ([bound, -bound, 0, -bound] * n)[: n - 1] + [bound]
+            value = sum(c << width * i for i, c in enumerate(cells))
+            assert (_digits(value, width) + [0] * n)[:n] == cells
 
 
 def fill_set(fill):
