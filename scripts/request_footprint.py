@@ -51,8 +51,8 @@ runs of the request under ``-X importtime``.
 
 For ``show``, ``export`` and ``jf`` it prints first the plan of the
 fraction the request expands (:meth:`riordan.jfraction.JFraction.plan`, read
-in the same fresh interpreter): its engine, its layout, its slot width and
-the bit length of its proven bound ("-" where the plan has none), and a
+in the same fresh interpreter): its engine, its layout (``Plan.layout``),
+its slot width ("-" on MultiPoly), the bit length of its proven bound and a
 rational fraction's common denominator.
 
 Last it splits the request's wall time into four stages, each the median
@@ -102,7 +102,7 @@ if sys.argv[1] in ("show", "export", "jf") and "riordan.jfraction" in sys.module
     plan = JFraction.plan
     JFraction.plan = lambda frac, order: plans.append(plan(frac, order)) or plans[-1]
     request()
-print(json.dumps([modules, plans[-1:]]))
+print(json.dumps([modules, [[p.layout, *p] for p in plans[-1:]]]))
 """
 
 COMPILE = """
@@ -334,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     paths = [path for _, path in modules]
     runs = [json.loads(fresh_python(COMPILE, paths)) for _ in range(args.repeats)]
     print(f"riordan {' '.join(request)}")
-    for engine, layout, width, bound, gap, den in plans:
+    for layout, engine, width, bound, gap, den in plans:
         layout += f" with gap {gap}" if gap != 1 else ""
         width, bound = (f"{n} bits" if n else "-" for n in (width, bound and bound.bit_length()))
         print(f"plan: {engine}, {layout}, width {width}, bound {bound}" + (f", denominator {den}" if den != 1 else ""))
@@ -375,4 +375,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone, as after `| head -3`: end quietly with the
+        # code riordan.cli.run gives a closed pipe, without the flush at
+        # exit, which would fail again.
+        os._exit(120)
+    sys.exit(code)

@@ -54,7 +54,8 @@ chains pack x.  The rules they share are written here once:
 * the read back: p from its balanced base-2^width digits (``_digits``),
   exact when every |coefficient| < 2^(width-1), into a MultiPoly
   (``_unpack`` for r, ``_unpack_y`` for y), or, for ``show`` and ``jf``,
-  straight into its text (``riordan.render._write``).
+  straight into its text (``riordan.render._write``), joined by the one
+  rule that ``MultiPoly.__str__`` joins its terms by (``_text``).
 """
 
 import sys
@@ -241,27 +242,28 @@ class MultiPoly:
     # -- rendering -------------------------------------------------------
 
     def __str__(self) -> str:
-        # render._write writes a packed entry's text without this method and
-        # must give the same text; tests/test_render.py's
-        # test_write_is_the_text_of_the_unpacked_polynomial holds them together.
         if not self._terms:
             return "0"
-        ordered = sorted(
-            self._terms.items(),
-            key=lambda item: (item[0][0] + item[0][1], item[0][1], item[0][0]),
-            reverse=True,
-        )
-        pieces: list[str] = []
-        for idx, ((i, j), c) in enumerate(ordered):
-            body = _render_term(i, j, abs(c))
-            if idx == 0:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append((" + " if c > 0 else " - ") + body)
-        return "".join(pieces)
+        terms = []
+        # Graded order with r below y, highest first.
+        ordered = sorted(self._terms.items(), key=lambda item: (item[0][0] + item[0][1], item[0][1], item[0][0]), reverse=True)
+        for (i, j), c in ordered:
+            m = ("*r" if i == 1 else f"*r^{i}" if i else "") + ("*y" if j == 1 else f"*y^{j}" if j else "")
+            terms.append(f" - {-c}{m}" if c < 0 else f" + {c}{m}")
+        return _text(terms)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
+
+
+def _text(terms: list[str]) -> str:
+    """A polynomial's text from its terms, highest first, each " + c*m" or
+    " - |c|*m" for a monomial m ("c" alone for the constant): a coefficient
+    1 is not written, and the first term's sign is "" or "-".  Both writers
+    of the text end here: ``MultiPoly.__str__`` and, for a packed entry,
+    ``riordan.render._write``."""
+    text = "".join(terms).replace(" 1*", " ")
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def _trusted(terms: dict[Monomial, Scalar]) -> MultiPoly:
@@ -396,19 +398,6 @@ def _fma(out: list[int], p: list[list[tuple[int, int]]], q: list[int], k: int = 
         for c, shift in terms:
             out[i:end] = map(add, out[i:end], map(shift.__rlshift__, map((k * c).__mul__, q)))
     return out
-
-
-def _render_term(i: int, j: int, coeff: Scalar) -> str:
-    factors = []
-    if i:
-        factors.append("r" if i == 1 else f"r^{i}")
-    if j:
-        factors.append("y" if j == 1 else f"y^{j}")
-    if not factors:
-        return str(coeff)
-    if coeff != 1:
-        factors.insert(0, str(coeff))
-    return "*".join(factors)
 
 
 R = MultiPoly.var("r")

@@ -80,9 +80,6 @@ class IndexPoly(Frozen):
     def degree(self) -> int:
         return max(len(self.coeffs) - 1, 0)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __add__(self, other: "IndexPoly | PolyLike") -> "IndexPoly":
         if not isinstance(other, IndexPoly):
             other = IndexPoly.constant(other)
@@ -128,11 +125,17 @@ class Plan(NamedTuple):
     number of it decided before any row is computed (:meth:`JFraction.plan`)."""
 
     engine: str  # a row of recurrence.SHAPES, or "walk"
-    layout: str  # "r-packed", "y-packed" or "MultiPoly"
     width: "int | None"  # the slot width in bits; None on MultiPoly
-    bound: "int | None"  # of every |coefficient| of every row; None for a walk with r
+    bound: "int | None"  # of every |coefficient| of every row; None only for a walk with a non-integer coefficient
     gap: int = 1  # a y-packed walk packs y^gap into one slot
     den: int = 1  # the common denominator D, cleared before the engine runs
+
+    @property
+    def layout(self) -> str:
+        """What the engine computes on, which its width alone decides:
+        "MultiPoly" where it is None, else packed ints, "y-packed" for the
+        walk and "r-packed" for the rows."""
+        return "MultiPoly" if self.width is None else "y-packed" if self.engine == "walk" else "r-packed"
 
 
 class JFraction(NamedTuple):
@@ -158,8 +161,8 @@ class JFraction(NamedTuple):
 
     def plan(self, order: int) -> Plan:
         """How :meth:`rows` expands the fraction to x^order: its engine, its
-        layout and slot width, the bound that proves the width and the
-        common denominator D.
+        slot width (and so its layout), the bound that proves the width and
+        the common denominator D.
 
         A fraction with a non-integer coefficient is cleared of the common
         denominator D of its coefficients first: row n is row n of the
@@ -176,8 +179,9 @@ class JFraction(NamedTuple):
         ("hermite"); alpha and beta both free of i give the GF
         S = 1/(1 - ax - bx^2 S) ("level-independent").  Every other
         fraction takes the walk (:meth:`expand`).  Each engine's module
-        gives its layout: :func:`riordan.recurrence._layout` and
-        :func:`riordan.walk._layout`.
+        gives its slot width, which decides the layout, and its bound:
+        :func:`riordan.recurrence._layout` and :func:`riordan.walk._layout`.
+        Every integral fraction's plan has a bound.
         """
         alpha, beta = self
         den = lcm(*(c.denominator for p in (*alpha.coeffs, *beta.coeffs) for _, c in p.items()))

@@ -8,7 +8,7 @@ recurrence.  They are the family triangles of ``show``, the simplex, the
 hypercube and the associahedron, and every ``jf`` of those shapes.  Only
 those expansions import this module; the Motzkin walk, which expands every
 other fraction, is :mod:`riordan.walk`.  :meth:`JFraction.plan` picks the
-shape, and the layout and slot width with :func:`_layout`;
+shape, and the slot width, and so the layout, with :func:`_layout`;
 :func:`_row_recurrence` runs the rows in them.
 """
 
@@ -26,9 +26,9 @@ SHAPES = {
 
 
 def _layout(a: MultiPoly, b: MultiPoly, shape: str, order: int) -> tuple:
-    """The layout, slot width and bound of rows 0..order of the shape, as
-    :class:`~riordan.jfraction.Plan` holds them: ("r-packed", width, bound)
-    or ("MultiPoly", None, bound), for a and b of integer coefficients.
+    """The slot width and bound of rows 0..order of the shape, as
+    :class:`~riordan.jfraction.Plan` holds them: (width, bound) packed, or
+    (None, bound) on MultiPoly, for a and b of integer coefficients.
 
     Packed rows are integers, r -> 2^width (see :mod:`riordan.algebra`,
     which holds the packing rules).  Packing is a ring homomorphism, so a
@@ -48,8 +48,7 @@ def _layout(a: MultiPoly, b: MultiPoly, shape: str, order: int) -> tuple:
     """
     multipliers, weight = SHAPES[shape]
     bound = max(row[0] for row in _rows(multipliers, [[(_norm(a), 0)]], [[(weight(_norm(a), _norm(b)), 0)]], order))
-    width = _width(bound, _fill([[m for m, _ in w.items()] for w in (a, b)], order), 2)
-    return ("r-packed" if width else "MultiPoly"), width, bound
+    return _width(bound, _fill([[m for m, _ in w.items()] for w in (a, b)], order), 2), bound
 
 
 def _rows(multipliers, a: list, B: list, order: int) -> list[list[int]]:

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import _count
-from .algebra import MultiPoly, R, _digits
+from .algebra import MultiPoly, R, _digits, _text
 
 SAFE_INT = 2**53  # larger integers are emitted as JSON strings
 
@@ -151,8 +151,9 @@ def cells(rows: list[list]) -> list[list]:
 
 def _write(value: int, width: int) -> int | str:
     """``str(tidy(_unpack(value, width)))``, written from the balanced
-    digits top slot first, with no MultiPoly and no sort; a constant stays
-    an int."""
+    digits top slot first, with no MultiPoly and no sort, and joined by the
+    rule ``MultiPoly.__str__`` joins by (``algebra._text``); a constant
+    stays an int."""
     if -(1 << (width - 1)) <= value < 1 << (width - 1):
         return value
     digits = _digits(value, width)
@@ -162,8 +163,7 @@ def _write(value: int, width: int) -> int | str:
         terms.append(f" - {-digits[1]}*r" if digits[1] < 0 else f" + {digits[1]}*r")
     if digits[0]:
         terms.append(f" - {-digits[0]}" if digits[0] < 0 else f" + {digits[0]}")
-    text = "".join(terms).replace(" 1*", " ")  # a coefficient 1 is not written
-    return text[3:] if text[1] == "+" else "-" + text[3:]
+    return _text(terms)
 
 
 # -- options ---------------------------------------------------------------------

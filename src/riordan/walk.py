@@ -25,7 +25,9 @@ packed value is a small product and a shift per term (:func:`_times`).
 When every power of y in the weights is a power of y^g, y^j takes slot
 j/g (y^g -> 2^width).  The width is proved before the walk: the same walk
 on plain ints, each weight replaced by its norm, bounds every coefficient
-of every t[0] read, and the width is ``_width`` of that bound.  Past
+of every t[0] read, and the width is ``_width`` of that bound.  The
+same walk bounds the coefficients of every integral fraction, weights
+in r included, so every integral plan has a bound.  Past
 ``MAX_WIDTH`` bits, or with weights in r or with a non-integer
 coefficient, the walk runs on MultiPoly; so it does where the powers of
 y^g a coefficient can hold (``_fill``, a level step adding a power of
@@ -49,27 +51,33 @@ least ratio p/q of the weights' powers) would keep dense.
 from functools import lru_cache, partial
 from math import gcd
 
-from .algebra import _fill, _unpack_y, _width
+from .algebra import _fill, _norm, _unpack_y, _width
 from .series import TruncatedSeries
 
 
 def _layout(frac, order: int) -> tuple:
-    """The walk's layout, slot width, bound and gap for coefficients
-    0..order of the fraction, as :class:`~riordan.jfraction.Plan` holds
-    them: ("y-packed", width, bound, g), ("MultiPoly", None, bound, g) where
-    the slots would be too sparse or too wide, or ("MultiPoly", None, None,
-    1) for weights in r or with a non-integer coefficient, which are not
-    packed.  :meth:`JFraction.plan` and :meth:`JFraction.expand` both take
-    the walk's layout from here."""
-    if not all(not i and type(c) is int for p in frac for q in p.coeffs for (i, _), c in q.items()):
-        return "MultiPoly", None, None, 1
-    weights = [[[(c, j) for (_, j), c in w.items()] for w in ws] for ws in _levels(frac, order)]
-    bound = max(_walk(*([sum(abs(c) for c, _ in w).__mul__ for w in ws] for ws in weights), order))
+    """The walk's slot width, bound and gap for coefficients 0..order of
+    the fraction, as :class:`~riordan.jfraction.Plan` holds them: (width,
+    bound, g) packed at y^g -> 2^width, or on MultiPoly (None, bound, g)
+    where the slots would be too sparse or too wide and (None, bound, 1)
+    for weights in r.
+    Only a fraction with a non-integer coefficient, which only
+    :meth:`JFraction.expand`'s rational oracle walks, has no bound: (None,
+    None, 1).  :meth:`JFraction.plan` and :meth:`JFraction.expand` both
+    take the walk's layout from here."""
+    terms = [term for p in frac for q in p.coeffs for term in q.items()]
+    if not all(type(c) is int for _, c in terms):
+        return None, None, 1
+    levels = _levels(frac, order)
+    # The norm walk: each weight replaced by its norm bounds every
+    # coefficient of every t[0] read, in r and y alike.
+    bound = max(_walk(*([_norm(w).__mul__ for w in ws] for ws in levels), order))
+    if any(i for (i, _), _ in terms):
+        return None, bound, 1
     # Every power of y is one of y^g, the gcd of the weights' powers, so
     # y^j takes slot j/g: weights in y^32 alone leave no slot empty.
-    g = gcd(*(j for ws in weights for w in ws for _, j in w)) or 1
-    width = _width(bound, _fill([{(j // g, 0) for w in ws for _, j in w} for ws in weights], order), 16)
-    return ("y-packed" if width else "MultiPoly"), width, bound, g
+    g = gcd(*(j for ws in levels for w in ws for (_, j), _ in w.items())) or 1
+    return _width(bound, _fill([{(j // g, 0) for w in ws for (_, j), _ in w.items()} for ws in levels], order), 16), bound, g
 
 
 def expand(frac, order: int, plan) -> TruncatedSeries:

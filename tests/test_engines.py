@@ -280,7 +280,7 @@ def test_the_engines_take_their_width_from_the_plan(frac, engine):
     assert plan.engine == engine and plan.width > 8
     rows = frac.rows(12)
     assert frac.rows(12, plan=plan._replace(width=8)) != rows
-    assert frac.rows(12, plan=plan._replace(layout="MultiPoly", width=None)) == rows == walk_rows(frac, 12)
+    assert frac.rows(12, plan=plan._replace(width=None)) == rows == walk_rows(frac, 12)
 
 
 def _cli_rows(capsys, argv):
@@ -333,7 +333,7 @@ def _request_fractions(family):
 @pytest.mark.parametrize("deck, family, plans", DECK_PLANS.values(), ids=list(DECK_PLANS))
 def test_each_request_takes_the_walk_only_where_no_shape_fits(deck, family, plans):
     for which, frac in _request_fractions(family).items():
-        assert {frac.plan(n)[:2] for n in DECK_N[deck]} == {plans[which]}, which
+        assert {(plan.engine, plan.layout) for plan in map(frac.plan, DECK_N[deck])} == {plans[which]}, which
 
 
 def test_each_engine_and_layout_has_a_request_of_the_decks():
@@ -413,3 +413,28 @@ specialisable = st.one_of(_specialisable(_in_r([0, 1, 2])), _specialisable(_in_r
 def test_specialising_r_commutes_with_every_engine_on_drawn_fractions(frac, value, size_n):
     at = JFraction(*(IndexPoly.from_coeffs([c.substitute(r=value) for c in p.coeffs]) for p in frac))
     assert [typed_all(row) for row in at.rows(size_n)] == _at(frac.rows(size_n), value)
+
+
+# -- the plan's bound -------------------------------------------------------------
+
+
+def _bound_covers_the_rows(frac, order):
+    """Whether the plan's bound is an int at least every |coefficient| of
+    the rows it plans, in r and y alike."""
+    plan = frac.plan(order)
+    rows = frac.rows(order, plan=plan)
+    return type(plan.bound) is int and all(abs(c) <= plan.bound for row in rows for e in row for _, c in MultiPoly.coerce(e).items())
+
+
+@pytest.mark.parametrize("alpha, beta", CERTIFIED.values(), ids=list(CERTIFIED))
+def test_every_integral_plan_bounds_its_rows(alpha, beta):
+    # The bound is what a request can be refused by before any row is
+    # computed, so every engine and layout carries one, the MultiPoly walk
+    # of weights in r (perm-gamma) too.
+    assert _bound_covers_the_rows(JFraction(parse_index_poly(alpha), parse_index_poly(beta)), 30)
+
+
+@given(specialisable, st.integers(0, 12))
+@settings(max_examples=30)
+def test_every_integral_plan_bounds_its_rows_on_drawn_fractions(frac, size_n):
+    assert _bound_covers_the_rows(frac, size_n)

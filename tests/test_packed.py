@@ -124,13 +124,13 @@ def walk_packed_and_unpacked(frac, order):
     (the layout that JFraction.expand takes by default), and the MultiPoly
     walk's expansion."""
     plan = Plan("walk", *walk._layout(frac, order))
-    return frac.expand(order), plan, frac.expand(order, plan._replace(layout="MultiPoly", width=None))
+    return frac.expand(order), plan, frac.expand(order, plan._replace(width=None))
 
 
 def forced_packed(frac, order, plan):
     """The walk in slots for the plan's bound, however few of them the
     powers of y fill."""
-    return frac.expand(order, plan._replace(layout="y-packed", width=_width(plan.bound)))
+    return frac.expand(order, plan._replace(width=_width(plan.bound)))
 
 
 @settings(deadline=None)

@@ -3,9 +3,11 @@
 import contextlib
 import functools
 import io
+import os
 import runpy
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -87,6 +89,21 @@ def test_request_footprint_splits_the_wall_time_of_a_request():
         assert all(ms >= 0 for ms in stages) and abs(total - sum(stages)) <= 0.02
     assert rows["python -c pass"][1:3] == [0, 0]  # no imports, an empty run
     assert all(rows[label][1] > 0 and rows[label][2] > 0 for label in ("riordan.cli.run", "sys.exit"))
+
+
+def test_request_footprint_ends_quietly_when_its_reader_has_gone():
+    # Its output piped into a reader that has already gone, as `| head -3`
+    # leaves it: no traceback and no "Exception ignored", the exit code
+    # riordan.cli.run gives a closed pipe.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, str(SCRIPTS / "request_footprint.py"), "--tree"], stdout=write, stderr=subprocess.PIPE, text=True
+        )
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (120, "")
 
 
 _tree = functools.partial(_run, "request_footprint.py", "--tree")
