@@ -16,9 +16,9 @@ The sweep covers ``show`` for both flavours at r in {r, 0, -1, 3, 2^60}, every
 ``--which``, plain and reversed, at N in {0, 1, 2, 12, 36, 100}, in all four
 formats; ``export`` to a file; the four polytopes; the six ``jf`` templates
 of the benchmark; rational, sparse, wide and dense high-degree fractions,
-with levels in i and free of i; and parse and usage errors.  Both trees run
-at once, one process each; the sweep takes about a minute per tree on a
-2-core x86-64 machine.
+with levels in i and free of i, walks of sparse powers of y among them; and
+parse and usage errors.  Both trees run at once, one process each; the
+sweep takes about a minute per tree on a 2-core x86-64 machine.
 
 That sweep never reaches the entry a ``riordan`` process starts from, which
 ends the process.  So a sample of about 40 commands (:data:`PROCESSES`)
@@ -84,7 +84,8 @@ FORMATS = ("table", "json", "csv", "latex")
 # slots, slots of about 1300 bits, and dense weights of high degree; last,
 # fractions whose levels are free of i on each branch of their rows: packed
 # with signed weights, on MultiPoly by density and by width, rational, and
-# sparse in y.
+# sparse in y; then walks of powers of y^3 and, rational, of y^2, packed, and
+# one whose powers of y fill too few slots to pack.
 JF_FRACTIONS = (
     ("2*y+1", "i*r*y*(y+1)"),
     ("y+1", "i*r*y"),
@@ -102,6 +103,9 @@ JF_FRACTIONS = (
     ("1", "10715086071862673209484250490600018105614048117055336074437503883703510511249361224931983788156958581275946729175531468251871452856923140435984577574698574803934567774824230985421074605062371141877954182153046474983581941267398767559165543946077062914571196477686542167660429831652624386837205668069376*r+r^2"),
     ("1/2+y", "1/3*r*y"),
     ("y^32", "y"),
+    ("(i+1)*(y^3+1)", "i*y^3"),
+    ("(i+1)*(1/2+y^2)", "i*(i+1)*1/3*y^2*(y^2+1)"),
+    ("(i+1)*y^31", "i*y"),
 )
 
 ERRORS = (

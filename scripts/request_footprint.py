@@ -334,8 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     paths = [path for _, path in modules]
     runs = [json.loads(fresh_python(COMPILE, paths)) for _ in range(args.repeats)]
     print(f"riordan {' '.join(request)}")
-    for layout, engine, width, bound, gap, den in plans:
-        layout += f" with gap {gap}" if gap != 1 else ""
+    for layout, engine, width, bound, den in plans:
         width, bound = (f"{n} bits" if n else "-" for n in (width, bound and bound.bit_length()))
         print(f"plan: {engine}, {layout}, width {width}, bound {bound}" + (f", denominator {den}" if den != 1 else ""))
     print(f"{'module':22s} {'code lines':>10s} {'compile ms':>10s}")

@@ -348,9 +348,9 @@ def _unpack(value: int, width: int) -> int | MultiPoly:
     return _wrap({(i, 0): c for i, c in enumerate(_digits(value, width)) if c})  # nonzero ints need no _trusted
 
 
-def _unpack_y(value: int, width: int, g: int = 1) -> MultiPoly:
-    """The polynomial in y packed in value at y^g = 2^width, a MultiPoly."""
-    return _wrap({(0, g * j): c for j, c in enumerate(_digits(value, width)) if c})  # nonzero ints need no _trusted
+def _unpack_y(value: int, width: int) -> MultiPoly:
+    """The polynomial in y packed in value at y = 2^width, a MultiPoly."""
+    return _wrap({(0, j): c for j, c in enumerate(_digits(value, width)) if c})  # nonzero ints need no _trusted
 
 
 def _digits(value: int, width: int) -> list[int]:

@@ -90,13 +90,18 @@ def _random_index_poly(rng: random.Random, allow_y: bool = True) -> IndexPoly:
 
 def _law(name: str, rounds: int = ROUNDS):
     """Register a group check: the decorated ``trial(rng)`` must hold on
-    ``rounds`` successive random draws."""
+    ``rounds`` successive random draws.  The check's ``fn`` is a partial
+    whose first argument is the trial, which the tests draw on directly."""
 
     def register(trial):
-        CHECKS.append(Check("group", name, lambda rng: all(trial(rng) for _ in range(rounds))))
+        CHECKS.append(Check("group", name, partial(_rounds, trial, rounds)))
         return trial
 
     return register
+
+
+def _rounds(trial, rounds: int, rng: random.Random) -> bool:
+    return all(trial(rng) for _ in range(rounds))
 
 
 def _matrix_product_law(kind: Kind, rng: random.Random) -> bool:

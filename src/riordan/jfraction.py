@@ -125,9 +125,8 @@ class Plan(NamedTuple):
     number of it decided before any row is computed (:meth:`JFraction.plan`)."""
 
     engine: str  # a row of recurrence.SHAPES, or "walk"
-    width: "int | None"  # the slot width in bits; None on MultiPoly
+    width: "int | None"  # the slot width in bits, r^i or y^j at slot i or j; None on MultiPoly
     bound: "int | None"  # of every |coefficient| of every row; None only for a walk with a non-integer coefficient
-    gap: int = 1  # a y-packed walk packs y^gap into one slot
     den: int = 1  # the common denominator D, cleared before the engine runs
 
     @property

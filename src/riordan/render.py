@@ -39,7 +39,7 @@ FORMATS = ("table", "json", "csv", "latex")
 
 # The largest --N of show, export and jf: at N = 100 the dearest measured
 # request (a jf expansion whose fraction takes the walk, with symbolic r)
-# takes about 6 s, and cost grows steeply with N (see README).
+# takes 4.3-4.5 s, and cost grows steeply with N (see README).
 MAX_N = 100
 
 

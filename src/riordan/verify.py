@@ -208,17 +208,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oeis_check(args) -> int:
-    """A-numbers are read as ``fetch-bfile`` reads them: 'a55151' is A055151,
-    and text that is no A-number raises ValueError (exit 2)."""
+    """A-numbers are read as ``fetch-bfile`` reads them: 'a55151' is A055151.
+    Text that is no A-number, an A-number without a fixture and one given
+    more than once raise ValueError (exit 2)."""
     anumbers = [_normalize_anumber(a) for a in args.anumber] or sorted(FIXTURES)
     unknown = [a for a in anumbers if a not in FIXTURES]
     if unknown:
-        print(f"error: no fixture for {', '.join(unknown)}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no fixture for {', '.join(unknown)}")
     repeated = sorted({a for a in anumbers if anumbers.count(a) > 1})
     if repeated:
-        print(f"error: {', '.join(repeated)} given more than once", file=sys.stderr)
-        return 2
+        raise ValueError(f"{', '.join(repeated)} given more than once")
     results = oeis_suite(anumbers)
     failures = 0
     for res in results:

@@ -19,78 +19,71 @@ height-steps.
 
 An integral fraction free of r walks on packed integers, y -> 2^width
 (see :mod:`riordan.algebra`, which holds the packing rules): each t[k] is
-the int t[k](2^width), and each level weight is evaluated once into the
-pairs (c, width*j) of its y-coefficients c of y^j, so its product with a
-packed value is a small product and a shift per term (:func:`_times`).
-When every power of y in the weights is a power of y^g, y^j takes slot
-j/g (y^g -> 2^width).  The width is proved before the walk: the same walk
-on plain ints, each weight replaced by its norm, bounds every coefficient
-of every t[0] read, and the width is ``_width`` of that bound.  The
-same walk bounds the coefficients of every integral fraction, weights
-in r included, so every integral plan has a bound.  Past
-``MAX_WIDTH`` bits, or with weights in r or with a non-integer
-coefficient, the walk runs on MultiPoly; so it does where the powers of
-y^g a coefficient can hold (``_fill``, a level step adding a power of
-some alpha(k), a step up and back down one of some beta(k)) fill fewer
-than 1/16 of its slots: with weights y^32 and y (a fraction free of i,
-which ``rows`` expands by the row recurrence instead), each coefficient
-fills one slot in 64 and the packed walk took 2.6x as long.  Measured at
-N = 40-100 on a 2-core x86-64 machine, the MultiPoly walk overtakes the
-packed one between a fill of 1/16 (packed 1.4x faster) and 1/32 (1.5x
-slower).  Packing r as well, r^i y^j at slot i + stride*j/g with
-``_fill``'s stride and the same 1/16 rule over the whole int, gave the
-same rows in a probe at N = 40 (same machine): about 3x faster on dense
-weights in r (const-face 104-121 -> 34-44 ms, the ordinary family's f
-fraction 90 -> 27-30 ms), 2x slower on wide ones
-(``1; i*(2^64*r - r^30)``: 38-43 -> 83-93 ms), and refused by its
-density rule where the powers of r and y rise together (perm-gamma,
+the int t[k](2^width), y^j at slot j, and each level weight is evaluated
+once into the pairs (c, width*j) of its y-coefficients c of y^j, so its
+product with a packed value is a small product and a shift per term
+(:func:`_times`).  The width is proved before the walk: the same walk on
+plain ints, each weight replaced by its norm, bounds every coefficient of
+every t[0] read, and the width is ``_width`` of that bound.  The same walk
+bounds the coefficients of every integral fraction, weights in r
+included, so every integral plan has a bound.  Past ``MAX_WIDTH`` bits,
+or with weights in r or with a non-integer coefficient, the walk runs on
+MultiPoly; so it does where the powers of y a coefficient can hold
+(``_fill``, a level step adding a power of some alpha(k), a step up and
+back down one of some beta(k)) fill fewer than 1/16 of its slots: with
+weights y^32 and y (a fraction free of i, which ``rows`` expands by the
+row recurrence instead), each coefficient fills one slot in 64 and the
+packed walk took 2.6x as long.  Measured at N = 40-100 on a 2-core x86-64
+machine, the MultiPoly walk overtakes the packed one between a fill of
+1/16 (packed 1.4x faster) and 1/32 (1.5x slower).  Packing r as well,
+r^i y^j at slot i + stride*j with ``_fill``'s stride and the same 1/16
+rule over the whole int, gave the same rows in a probe at N = 40 (same
+machine): about 3x faster on dense weights in r (const-face 104-121 ->
+34-44 ms, the ordinary family's f fraction 90 -> 27-30 ms), 2x slower on
+wide ones (``1; i*(2^64*r - r^30)``: 38-43 -> 83-93 ms), and refused by
+its density rule where the powers of r and y rise together (perm-gamma,
 from N = 16), which a skewed layout (r^i y^j at slot q*i - p*j for the
 least ratio p/q of the weights' powers) would keep dense.
 """
 
 from functools import lru_cache, partial
-from math import gcd
 
 from .algebra import _fill, _norm, _unpack_y, _width
 from .series import TruncatedSeries
 
 
 def _layout(frac, order: int) -> tuple:
-    """The walk's slot width, bound and gap for coefficients 0..order of
-    the fraction, as :class:`~riordan.jfraction.Plan` holds them: (width,
-    bound, g) packed at y^g -> 2^width, or on MultiPoly (None, bound, g)
-    where the slots would be too sparse or too wide and (None, bound, 1)
-    for weights in r.
-    Only a fraction with a non-integer coefficient, which only
+    """The walk's slot width and bound for coefficients 0..order of the
+    fraction, as :class:`~riordan.jfraction.Plan` holds them: (width,
+    bound) packed, y -> 2^width, or (None, bound) on MultiPoly, for weights
+    in r or where the slots would be too sparse or too wide.  Only a
+    fraction with a non-integer coefficient, which only
     :meth:`JFraction.expand`'s rational oracle walks, has no bound: (None,
-    None, 1).  :meth:`JFraction.plan` and :meth:`JFraction.expand` both
-    take the walk's layout from here."""
+    None).  :meth:`JFraction.plan` and :meth:`JFraction.expand` both take
+    the walk's layout from here."""
     terms = [term for p in frac for q in p.coeffs for term in q.items()]
     if not all(type(c) is int for _, c in terms):
-        return None, None, 1
+        return None, None
     levels = _levels(frac, order)
     # The norm walk: each weight replaced by its norm bounds every
     # coefficient of every t[0] read, in r and y alike.
     bound = max(_walk(*([_norm(w).__mul__ for w in ws] for ws in levels), order))
     if any(i for (i, _), _ in terms):
-        return None, bound, 1
-    # Every power of y is one of y^g, the gcd of the weights' powers, so
-    # y^j takes slot j/g: weights in y^32 alone leave no slot empty.
-    g = gcd(*(j for ws in levels for w in ws for (_, j), _ in w.items())) or 1
-    return _width(bound, _fill([{(j // g, 0) for w in ws for (_, j), _ in w.items()} for ws in levels], order), 16), bound, g
+        return None, bound
+    return _width(bound, _fill([{(j, 0) for w in ws for (_, j), _ in w.items()} for ws in levels], order), 16), bound
 
 
 def expand(frac, order: int, plan) -> TruncatedSeries:
     """The body of :meth:`JFraction.expand`: coefficients 0..order of the
     fraction, the first the int 1 and each other a MultiPoly, walked in
-    the plan's layout (:func:`_layout`): packed at y^gap -> 2^width, or on
+    the plan's layout (:func:`_layout`): packed at y -> 2^width, or on
     MultiPoly where its width is None.  The series refuses a negative
     order (ValueError)."""
-    levels, width, g = _levels(frac, order), plan.width, plan.gap
+    levels, width = _levels(frac, order), plan.width
     if not width:
         return TruncatedSeries(_walk(*([w.__mul__ for w in ws] for ws in levels), order), order)
-    packed = _walk(*([partial(_times, [(c, width * j // g) for (_, j), c in w.items()]) for w in ws] for ws in levels), order)
-    return TruncatedSeries([1] + [_unpack_y(v, width, g) for v in packed[1:]], order)
+    packed = _walk(*([partial(_times, [(c, width * j) for (_, j), c in w.items()]) for w in ws] for ws in levels), order)
+    return TruncatedSeries([1] + [_unpack_y(v, width) for v in packed[1:]], order)
 
 
 @lru_cache(maxsize=1)

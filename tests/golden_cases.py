@@ -33,11 +33,13 @@ GOLDEN_CASES = {
 }
 
 # jf expansions, one per engine a fraction's shape picks: the Hermite shape
-# (exp-face), the Motzkin walk (const-face), a fraction that stops at level 1,
-# and a rational Hermite fraction; each in table and latex.
+# (exp-face), the level-independent recurrence (const-face), the Motzkin walk
+# (perm-face), a fraction that stops at level 1, and a rational Hermite
+# fraction; each in table and latex.
 _JF_FRACTIONS = {
     "exp_face": ("2*y+1", "i*r*y*(y+1)"),
     "const_face": ("2*y+1", "r*y*(y+1)"),
+    "perm_face": ("(i+1)*(2*y+1)", "i*(i+1)*y*(y+1)"),
     "level_one": ("1-i", "r*y*(2-i)"),
     "rational_hermite": ("1/2*y", "1/3*i*r"),
 }

@@ -6,16 +6,29 @@ tolerances anywhere.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riordan import verify
 from riordan.cli import main
 from riordan.verify import CHECKS, SUITES, Check
+
+LAWS = [check for check in CHECKS if check.suite == "group"]
 
 
 @pytest.mark.parametrize("check", CHECKS, ids=[check.name for check in CHECKS])
 def test_check(check):
     result = check.run()
     assert result.ok, result.detail
+
+
+@pytest.mark.parametrize("law", LAWS, ids=[law.name for law in LAWS])
+@settings(max_examples=30)
+@given(rng=st.randoms(use_true_random=False))
+def test_each_group_law_holds_on_drawn_instances(law, rng):
+    # Each law's trial (the first argument of its check's partial) on
+    # instances that hypothesis draws and shrinks, beyond the seeded rounds
+    # that verify runs.
+    assert law.fn.args[0](rng)
 
 
 def test_registry_shape():

@@ -226,25 +226,6 @@ def test_series_from_triangle_round_trip():
     assert triangle_from_series(series_from_triangle(m)) == m
 
 
-small_arrays = st.tuples(
-    st.lists(st.integers(-3, 3), min_size=6, max_size=6),
-    st.lists(st.integers(-3, 3), min_size=5, max_size=5),
-    st.sampled_from([1, -1]),
-).map(lambda t: RiordanArray(S((1, *t[0])), S((0, t[2], *t[1]))))
-
-
-@given(small_arrays, small_arrays)
-def test_product_is_matrix_product(a, b):
-    n = a.order
-    assert (a * b).matrix(n) == a.matrix(n) * b.matrix(n)
-
-
-@given(small_arrays)
-def test_inverse_is_matrix_inverse(a):
-    n = a.order
-    assert (a * a.inverse()).matrix(n) == identity_array(order=n).matrix(n)
-
-
 # Coefficients of one ring per example: int, Fraction or MultiPoly.
 rings = st.sampled_from([
     st.integers(-4, 4),

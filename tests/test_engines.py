@@ -10,6 +10,7 @@ plan (JFraction.plan) of each request kind the benchmark decks send."""
 import functools
 import json
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -79,7 +80,7 @@ def test_a_slot_holds_a_coefficient_as_large_as_the_bound(weight, scale):
 
 # Both flavours are certified at N = 100.  The exponential Riordan route
 # runs on Fraction coefficients (f = x + r x^2/2) and takes most of its
-# test's time, about 1.6 s on a 2-core x86-64 host.
+# test's time, about 1.9 s on a 2-core x86-64 host.
 CERTIFIED_N = {Kind.ORDINARY: 100, Kind.EXPONENTIAL: 100}
 
 
@@ -149,12 +150,12 @@ def _chebyshev(moments):
         before, now = now, after
 
 
-def _first_wrong_level(frac, rows):
-    """Where the rows' moments first give back a level or weight
-    (alpha_0, beta_1, alpha_1, ... as :func:`_chebyshev` yields them) other
-    than the fraction's own, or None, at one Kronecker point: r = 2^B and
-    y = 2^(B (deg_r + 1)), B above every coefficient's bit length, so that
-    each moment is an injective image of its row."""
+def _at_kronecker_point(frac, rows):
+    """The rows' moments and the fraction's alpha_0, beta_1, alpha_1, ...
+    (as :func:`_chebyshev` yields them, one per moment but the first) at one
+    Kronecker point: r = 2^B and y = 2^(B (deg_r + 1)), B above every
+    coefficient's bit length, so that each moment is an injective image of
+    its row."""
     terms = [(i, c) for row in rows for e in row for (i, _), c in MultiPoly.coerce(e).items()]
     bits, stride = 2 + max(abs(c).bit_length() for _, c in terms), 1 + max(i for i, _ in terms)
 
@@ -162,7 +163,13 @@ def _first_wrong_level(frac, rows):
         return sum(c << bits * (i + stride * (j + shift)) for (i, j), c in MultiPoly.coerce(poly).items())
 
     moments = [sum(at(e, j) for j, e in enumerate(row)) for row in rows]
-    own = [at(frac.beta(j // 2 + 1) if j % 2 else frac.alpha(j // 2)) for j in range(len(rows) - 1)]
+    return moments, [at(frac.beta(j // 2 + 1) if j % 2 else frac.alpha(j // 2)) for j in range(len(rows) - 1)]
+
+
+def _first_wrong_level(frac, rows):
+    """Where the rows' moments first give back a level or weight other than
+    the fraction's own, or None (:func:`_at_kronecker_point`)."""
+    moments, own = _at_kronecker_point(frac, rows)
     return next((j for j, (got, want) in enumerate(zip(_chebyshev(moments), own, strict=True)) if got != want), None)
 
 
@@ -178,10 +185,46 @@ CERTIFIED = {  # alpha, beta: fractions of every engine and layout a plan names 
 def test_the_rows_give_back_their_fraction(alpha, beta):
     # A certificate that shares no code with the engines: the moments of a
     # J-fraction fix its levels one by one while every weight is nonzero
-    # (Flajolet 1980).  A level-one fraction has a zero weight, beta_2.  The
-    # signed fraction takes about half of the 1.5 s, on a 2-core x86-64 host.
+    # (Flajolet 1980).  A level-one fraction has a zero weight, beta_2, and
+    # is certified below.  The signed fraction takes about half of the 1.5 s,
+    # on a 2-core x86-64 host.
     frac = JFraction(parse_index_poly(alpha), parse_index_poly(beta))
     assert _first_wrong_level(frac, frac.rows(40)) is None
+
+
+LEVEL_ONE = {  # alpha, beta of fractions that stop at level 1 (alpha_1 = beta_2 = 0)
+    **{f"ordinary {which}": tuple(map(str, getattr(family_fractions(FamilySpec(Kind.ORDINARY, R)), which)))
+       for which in ("gamma", "h", "f")},
+    **{f"{polytope} {which}": tuple(map(str, member_fraction(polytope, which)))
+       for polytope in ("simplex", "hypercube") for which in ("gamma", "h", "f")},
+    "golden": ("1-i", "r*y*(2-i)"),
+}
+
+
+def _level_one_holds(frac, rows):
+    """Whether the rows' moments give back the fraction's alpha_0, beta_1 and,
+    where beta_1 is nonzero (else the moments do not fix it), alpha_1, and
+    then obey m_n = alpha_0 m_(n-1) + beta_1 m_(n-2) for n >= 2, the
+    recurrence of the GF 1/(1 - alpha_0 x - beta_1 x^2)."""
+    moments, own = _at_kronecker_point(frac, rows)
+    a, b = own[:2]
+    fixed = 3 if b else 2
+    return list(islice(_chebyshev(moments), fixed)) == own[:fixed] and all(
+        moments[n] == a * moments[n - 1] + b * moments[n - 2] for n in range(2, len(moments))
+    )
+
+
+@pytest.mark.parametrize("alpha, beta", LEVEL_ONE.values(), ids=list(LEVEL_ONE))
+def test_the_rows_of_a_level_one_fraction_give_back_their_fraction(alpha, beta):
+    # beta_2 = 0, so the recursion above stops after alpha_1; the fraction
+    # is finite, and its moments obey a two-term recurrence from there.  A
+    # +1 in row N breaks that recurrence at m_N.
+    frac = JFraction(parse_index_poly(alpha), parse_index_poly(beta))
+    assert frac.plan(40).engine == "level one"
+    rows = frac.rows(40)
+    assert _level_one_holds(frac, rows)
+    rows[40][-1] += 1
+    assert not _level_one_holds(frac, rows)
 
 
 def test_a_wrong_cell_of_the_last_row_gives_back_another_fraction():

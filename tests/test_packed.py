@@ -139,8 +139,8 @@ def forced_packed(frac, order, plan):
 @example(IndexPoly(()), IndexPoly(()), 5)  # all zero
 @example(IndexPoly.constant(128), IndexPoly(()), 1)  # a coefficient as large as the bound, of 8 bits
 @example(IndexPoly.constant(2**20 * Y**2 - Y), I * I * (Y**2 + 3) - 7, 40)  # entries of more than 64 slots
-@example(IndexPoly.constant(32768 * Y**32), IndexPoly.constant(1), 30)  # y^32 takes slot 1
-@example(IndexPoly.constant(Y**6 - Y**3), I * Y**9, 24)  # powers of y^3
+@example(IndexPoly.constant(32768 * Y**32), IndexPoly.constant(1), 30)  # y^32 takes slot 32
+@example(IndexPoly.constant(Y**6 - Y**3), I * Y**9, 24)  # powers of y^3: two slots in three empty
 def test_walk_on_packed_ints_matches_the_multipoly_walk(alpha, beta, order):
     # Packed however few of its slots the powers of y fill (a walk of y^n
     # alone fills one in n + 1): which walk production takes is tested below.
@@ -181,6 +181,11 @@ def test_the_walk_packs_only_integral_weights_free_of_r_in_narrow_slots(frac):
         (IndexPoly.constant(1 + Y**32), IndexPoly.constant(Y), 60, True),  # sparse weights whose sums fill the slots
         (IndexPoly.constant(Y**16 + Y**17), IndexPoly.constant(Y), 40, True),
         (IndexPoly.constant(Y), IndexPoly(()), 16, False),  # y^n alone: one slot in n + 1
+        # Powers of y^g alone, y^j at slot j: every g-th slot filled at most.
+        ((I + 1) * Y**2, I * (I + 1) * Y**2, 60, True),  # one in 2
+        ((I + 1) * (Y**3 + 1), I * Y**3, 60, True),  # one in 3
+        ((I + 1) * Y**4, I * Y**8, 60, False),  # under one in 8
+        ((I + 1) * Y**16, I * Y**16, 60, False),  # under one in 16
     ],
 )
 def test_the_walk_packs_only_powers_of_y_that_fill_a_sixteenth_of_their_slots(alpha, beta, order, packs):

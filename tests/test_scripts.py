@@ -64,8 +64,8 @@ def test_request_footprint_lists_the_modules_of_an_oeis_check():
 def test_request_footprint_shows_what_a_fraction_costs():
     table, _, stdlib, _ = _footprint("jf", "--alpha", "(i+1)*(1/2+y^2)", "--beta", "i*(i+1)*1/3*y^2*(y^2+1)", "--N", "6")
     # The plan of the fraction cleared of its denominator, 6: the walk, on
-    # ints that pack y^2 into one slot.
-    assert table[1] == "plan: walk, y-packed with gap 2, width 32 bits, bound 26 bits, denominator 6"
+    # packed ints.
+    assert table[1] == "plan: walk, y-packed, width 32 bits, bound 26 bits, denominator 6"
     times = {line.split()[0]: tuple(map(float, line.split()[1:])) for line in stdlib[1:-1]}
     # fractions and what it imports, each listed before the module importing it.
     assert list(times).index("decimal") < list(times).index("fractions")
