@@ -17,12 +17,11 @@ import random
 from fractions import Fraction
 from functools import cache, partial
 
-from . import arrays, cold, families, oeis
-from .algebra import MultiPoly, R, Y
+from . import arrays, cold, families, oeis, walk
+from .algebra import MultiPoly, R, Y, _norm, _width
 from .cold import (
     RiordanArray,
     binomial_array,
-    binomial_transform,
     dense_family_triple,
     egf_to_ogf,
     f_closed_row,
@@ -158,12 +157,35 @@ def _composition_associativity(rng: random.Random) -> bool:
     return g.compose(f).compose(h) == g.compose(f.compose(h))
 
 
+# The two continued-fraction laws compare their expansions at y = 2^W, on
+# the walk's packed values (walk.packed), with no series of polynomials.
+# Substituting 2^W is a ring map, and it is injective on polynomials whose
+# coefficients are below 2^(W-1) in absolute value (their balanced digits),
+# so each law is exact where W is _width of a bound on every coefficient of
+# both sides of its identity.  The fractions' norm walks (walk._bound)
+# prove that bound before anything is packed.
+
+
+def _shift_width(frac: JFraction) -> int:
+    """W of :func:`_binomial_shift` on frac, as its docstring proves it."""
+    return _width(walk._bound(frac, 8) * 3**8)
+
+
 @_law("binomial shift matches the sequence transform", 20)
 def _binomial_shift(rng: random.Random) -> bool:
+    """The expansion of frac shifted by k is the binomial transform by k of
+    frac's, to x^8, for k in 1, 2, y and y + 1: both walked packed at
+    y = 2^W, the transform a difference table on ints.  The width: frac's
+    norm walk bounds every |a_n|(1) by B, so |b_n|(1) <= B (1 + |k|(1))^n
+    <= B 3^8 for the transform b by k, as |k|(1) <= 2.  The shifted
+    fraction's norm walk is at most the transform of frac's by |k|(1), as
+    |alpha + k|(1) <= |alpha|(1) + |k|(1), so its coefficients are at most
+    B 3^8 as well, and W is ``_width(B 3^8)``."""
     frac = JFraction(_random_index_poly(rng), _random_index_poly(rng))
-    expansion = frac.expand(8).coeffs
+    width = _shift_width(frac)
+    expansion = walk.packed(frac, 8, width)
     return all(
-        list(frac.binomial_shift(k).expand(8).coeffs) == binomial_transform(expansion, k)
+        walk.packed(frac.binomial_shift(k), 8, width) == cold._difference_table(expansion, cold._pack_y(k, width))
         for k in (1, 2, Y, Y + 1)
     )
 
@@ -174,13 +196,28 @@ def _one_level_down(p: IndexPoly) -> IndexPoly:
     return sum((c * step**k for k, c in enumerate(p.coeffs)), IndexPoly(()))
 
 
+def _equation_width(frac: JFraction, down: JFraction) -> int:
+    """W of :func:`_defining_equation` on frac and the fraction one level
+    down, as its docstring proves it."""
+    alpha0, beta1 = (_norm(p) for p in (frac.alpha(0), frac.beta(1)))
+    return _width(13 * walk._bound(frac, 12) * (1 + alpha0 + beta1 * walk._bound(down, 12)))
+
+
 @_law("expansion satisfies the continued-fraction equation", 20)
 def _defining_equation(rng: random.Random) -> bool:
+    """S (1 - alpha(0) x - beta(1) x^2 S') = 1 to x^12, S' the fraction one
+    level down: over series of ints, S and S' walked packed at y = 2^W.
+    The width: coefficient n of S u, u = 1 - alpha(0) x - beta(1) x^2 S',
+    sums n + 1 <= 13 products, each of a coefficient of S, of norm at most
+    B by S's norm walk, and one of u, of norm at most 1 + |alpha(0)|(1) +
+    |beta(1)|(1) B', B' the bound of S' by its norm walk; the right side is
+    1.  So W is ``_width(13 B (1 + |alpha(0)|(1) + |beta(1)|(1) B'))``."""
     alpha, beta = _random_index_poly(rng), _random_index_poly(rng)
-    s = JFraction(alpha, beta).expand(12)
-    below = JFraction(_one_level_down(alpha), _one_level_down(beta)).expand(12)
+    frac, down = JFraction(alpha, beta), JFraction(_one_level_down(alpha), _one_level_down(beta))
+    width = _equation_width(frac, down)
+    s, below = (TruncatedSeries(walk.packed(f, 12, width)) for f in (frac, down))
     x = TruncatedSeries.x(12)
-    return s * (1 - x * alpha(0) - x * x * beta(1) * below) == 1
+    return s * (1 - x * cold._pack_y(alpha(0), width) - x * x * cold._pack_y(beta(1), width) * below) == 1
 
 
 # -- family identities --------------------------------------------------------

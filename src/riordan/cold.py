@@ -82,6 +82,11 @@ def _pack_x(coeffs: Sequence[int], width: int) -> int:
     return sum(map(int.__lshift__, coeffs, range(0, width * len(coeffs), width)))
 
 
+def _pack_y(p: MultiPoly, width: int) -> int:
+    """An integer polynomial free of r at y = 2^width."""
+    return sum(c << width * j for (_, j), c in MultiPoly.coerce(p).items())
+
+
 def _low(value: int, bits: int) -> int:
     """value's low bits read as a balanced number, in [-2^(bits-1),
     2^(bits-1)): a packed value's low slots, when each fits its slot."""
@@ -579,7 +584,7 @@ def binomial_transform(seq: Sequence, k: PolyLike) -> list:
     if all(not i and type(c) is int for p in row + [k] for (i, _), c in p.items()):
         width = _width(max(map(_norm, row), default=0) * (1 + _norm(k)) ** len(row))
         if width:
-            pack = [sum(c << width * j for (_, j), c in p.items()) for p in row + [k]]
+            pack = [_pack_y(p, width) for p in row + [k]]
             return [_unpack_y(v, width) for v in _difference_table(pack[:-1], pack[-1])]
     return _difference_table(row, k)
 

@@ -32,8 +32,9 @@ engine's module, and the common denominator it clears first (a
 ``show`` and ``jf`` have the packed rows written as text.  Each engine is a
 module of its own, which only the expansions that take it import: the
 recurrence :mod:`riordan.recurrence`, the walk :mod:`riordan.walk` (with
-:mod:`riordan.series`).  This module holds the fractions, their maps and
-the plan.
+:mod:`riordan.series` only where a series is asked for: by
+:meth:`JFraction.expand`, and so by the rows of a MultiPoly walk).  This
+module holds the fractions, their maps and the plan.
 """
 
 from functools import reduce
@@ -42,7 +43,7 @@ from math import lcm
 from typing import NamedTuple, Sequence, Union
 
 from . import Frozen, _lazy_names
-from .algebra import MultiPoly, Y, _unpack, tidy
+from .algebra import MultiPoly, Y, _trusted, _unpack, tidy
 
 PolyLike = Union[int, "Fraction", MultiPoly]
 
@@ -72,17 +73,19 @@ class IndexPoly(Frozen):
         return cls.from_coeffs([0, 1])
 
     def __call__(self, i: int) -> MultiPoly:
-        acc = MultiPoly.const(0)
-        for c in reversed(self.coeffs):
-            acc = acc * i + c
-        return acc
+        """The coefficient at level i: each coefficient's terms times i^p,
+        added into one dict."""
+        terms: dict = {}
+        for p, c in enumerate(self.coeffs):
+            for m, v in c.items():
+                terms[m] = terms.get(m, 0) + v * i**p
+        return _trusted(terms)
 
     def degree(self) -> int:
         return max(len(self.coeffs) - 1, 0)
 
     def __add__(self, other: "IndexPoly | PolyLike") -> "IndexPoly":
-        if not isinstance(other, IndexPoly):
-            other = IndexPoly.constant(other)
+        other = other if isinstance(other, IndexPoly) else IndexPoly.constant(other)
         return IndexPoly.from_coeffs([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     __radd__ = __add__
@@ -94,8 +97,7 @@ class IndexPoly(Frozen):
         return self + (-other if isinstance(other, IndexPoly) else -MultiPoly.coerce(other))
 
     def __mul__(self, other: "IndexPoly | PolyLike") -> "IndexPoly":
-        if not isinstance(other, IndexPoly):
-            other = IndexPoly.constant(other)
+        other = other if isinstance(other, IndexPoly) else IndexPoly.constant(other)
         out = [MultiPoly.const(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             for j, b in enumerate(other.coeffs):
@@ -152,7 +154,8 @@ class JFraction(NamedTuple):
         ``plan``, a walk's plan; by default in the one that
         :func:`riordan.walk._layout` gives, the function :meth:`plan` calls
         too: on packed integers for an integral fraction free of r, else on
-        MultiPoly.  This method is the walk's one entry point.
+        MultiPoly.  This method is the walk's entry point for a series: the
+        checks and tests, and :meth:`rows` of a MultiPoly walk.
         """
         from .walk import _layout, expand
 
@@ -199,9 +202,10 @@ class JFraction(NamedTuple):
     def rows(self, order: int, read=_unpack, plan: "Plan | None" = None) -> list[list]:
         """Rows 0..order of the expansion, row n the y-coefficients of [x^n]
         up to its last nonzero one: each an int, a Fraction or a MultiPoly in r.
-        They run as ``plan`` says, by default as :meth:`plan` says.
-        Where the rows run on packed integers
-        (:func:`riordan.recurrence._row_recurrence`),
+        They run as ``plan`` says, by default as :meth:`plan` says: the
+        walk's as :func:`riordan.walk.rows` gives them, the others by
+        :func:`riordan.recurrence._row_recurrence`.  Where the rows run on
+        r-packed integers,
         ``read(v, width)`` reads each distinct entry v of a packed integer
         row: by default :func:`~riordan.algebra._unpack`, the MultiPoly;
         ``show`` and ``jf`` pass a writer of its text
@@ -216,7 +220,9 @@ class JFraction(NamedTuple):
             rows = JFraction(self.alpha * plan.den, self.beta * plan.den**2).rows(order, plan=plan._replace(den=1))
             return [[tidy(c * Fraction(1, plan.den**n)) for c in row] for n, row in enumerate(rows)]
         if plan.engine == "walk":
-            return [[tidy(c) for c in MultiPoly.coerce(s).y_coefficients()] for s in self.expand(order, plan)]
+            from . import walk
+
+            return walk.rows(self, order, plan)
         from .recurrence import _row_recurrence
 
         return _row_recurrence(self.alpha(0), self.beta(1), plan.engine, plan.width, order, read)

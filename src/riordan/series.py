@@ -10,9 +10,12 @@ order, and equality likewise compares up to the common order.  All
 operations are pure; no floating point is ever involved.
 
 Of the ``show``, ``export`` and ``jf`` requests, only those whose fraction
-takes the Motzkin walk (:meth:`~riordan.jfraction.JFraction.expand`) load
-this module, and none inverts, composes, reverts or exponentiates a
-series, so the bodies of those methods, their exceptions,
+takes the Motzkin walk on MultiPoly (weights in r, as perm-gamma's, or
+powers of y too sparse to pack) load this module: their rows come from the
+series of :meth:`~riordan.jfraction.JFraction.expand`.  A y-packed walk
+reads its rows from its packed values, and no fixture check loads a series
+either.  None of those requests inverts, composes, reverts or
+exponentiates a series, so the bodies of those methods, their exceptions,
 :func:`~riordan.cold.egf_to_ogf` and :func:`~riordan.cold.integer_coeffs`
 live in :mod:`riordan.cold`, loaded on first use.  The methods stay here
 and delegate to it; the other names import from there.

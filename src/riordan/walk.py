@@ -1,14 +1,19 @@
 """The Motzkin walk: the expansion of a J-fraction that no row recurrence fits.
 
-:meth:`~riordan.jfraction.JFraction.expand` is the walk's one entry point
-and delegates to :func:`expand` here.  Only the expansions that take the
-walk import this module (and :mod:`riordan.series`, for the series it
-returns): the permutahedron, every ``jf`` whose fraction has levels in i
-and is of no shape of :mod:`riordan.recurrence`, and the checks and tests
-that walk on purpose.  The walk decides nothing itself: :func:`_layout`
-gives its layout and slot width, which :meth:`JFraction.plan` holds for
-the rows and :meth:`JFraction.expand` takes by default, and :func:`expand`
-walks in the layout it is given.
+:func:`packed` walks an integral fraction free of r on ints: its t[0]
+values at y = 2^width.  :meth:`~riordan.jfraction.JFraction.rows` takes
+its rows from :func:`rows`: a y-packed walk's from the digits of those
+values, a MultiPoly walk's from the series of
+:meth:`~riordan.jfraction.JFraction.expand`, which delegates to
+:func:`expand` here.  Only that series loads :mod:`riordan.series`.  Only
+the expansions that take the walk import this module: the permutahedron,
+every ``jf`` whose fraction has levels in i and is of no shape of
+:mod:`riordan.recurrence`, and the checks and tests that walk on purpose
+(``verify group``'s two continued-fraction laws call :func:`packed` and
+:func:`_bound`).  The walk decides nothing itself: :func:`_layout` gives
+its layout and slot width, which :meth:`JFraction.plan` holds for the
+rows and :meth:`JFraction.expand` takes by default, and the walk runs in
+the layout it is given.
 
 The walk counts weighted Motzkin paths (Flajolet 1980).  t[k] weighs the
 paths so far that end at height k; a step maps it to
@@ -23,10 +28,10 @@ the int t[k](2^width), y^j at slot j, and each level weight is evaluated
 once into the pairs (c, width*j) of its y-coefficients c of y^j, so its
 product with a packed value is a small product and a shift per term
 (:func:`_times`).  The width is proved before the walk: the same walk on
-plain ints, each weight replaced by its norm, bounds every coefficient of
-every t[0] read, and the width is ``_width`` of that bound.  The same walk
-bounds the coefficients of every integral fraction, weights in r
-included, so every integral plan has a bound.  Past ``MAX_WIDTH`` bits,
+plain ints, each weight replaced by its norm (:func:`_bound`), bounds
+every coefficient of every t[0] read, and the width is ``_width`` of that
+bound.  The same walk bounds the coefficients of every integral fraction,
+weights in r included, so every integral plan has a bound.  Past ``MAX_WIDTH`` bits,
 or with weights in r or with a non-integer coefficient, the walk runs on
 MultiPoly; so it does where the powers of y a coefficient can hold
 (``_fill``, a level step adding a power of some alpha(k), a step up and
@@ -48,8 +53,7 @@ least ratio p/q of the weights' powers) would keep dense.
 
 from functools import lru_cache, partial
 
-from .algebra import _fill, _norm, _unpack_y, _width
-from .series import TruncatedSeries
+from .algebra import MultiPoly, _digits, _fill, _norm, _unpack_y, _width, tidy
 
 
 def _layout(frac, order: int) -> tuple:
@@ -64,33 +68,66 @@ def _layout(frac, order: int) -> tuple:
     terms = [term for p in frac for q in p.coeffs for term in q.items()]
     if not all(type(c) is int for _, c in terms):
         return None, None
-    levels = _levels(frac, order)
-    # The norm walk: each weight replaced by its norm bounds every
-    # coefficient of every t[0] read, in r and y alike.
-    bound = max(_walk(*([_norm(w).__mul__ for w in ws] for ws in levels), order))
+    bound = _bound(frac, order)
     if any(i for (i, _), _ in terms):
         return None, bound
-    return _width(bound, _fill([{(j, 0) for w in ws for (_, j), _ in w.items()} for ws in levels], order), 16), bound
+    steps = [{(j, 0) for w in ws for (_, j), _ in w.items()} for ws in _levels(frac, order)]
+    return _width(bound, _fill(steps, order), 16), bound
 
 
-def expand(frac, order: int, plan) -> TruncatedSeries:
+def _bound(frac, order: int) -> int:
+    """The norm walk of an integral fraction: the same walk on plain ints,
+    each weight replaced by its norm, whose largest t[0] bounds the norm of
+    every t[0] read, and so every coefficient, in r and y alike."""
+    return max(_walk(*([_norm(w).__mul__ for w in ws] for ws in _levels(frac, order)), order))
+
+
+def packed(frac, order: int, width: int) -> list[int]:
+    """t[0] after 0..order steps of an integral fraction free of r, each the
+    int it takes at y = 2^width, y^j at slot j.  Substituting 2^width is a
+    ring map, so each value is exact whatever the width; its digits are the
+    coefficients where each is below 2^(width-1) in absolute value, as at
+    the width of ``_bound``."""
+    return _walk(*([partial(_times, [(c, width * j) for (_, j), c in w.items()]) for w in ws] for ws in _levels(frac, order)), order)
+
+
+def expand(frac, order: int, plan) -> "TruncatedSeries":
     """The body of :meth:`JFraction.expand`: coefficients 0..order of the
     fraction, the first the int 1 and each other a MultiPoly, walked in
-    the plan's layout (:func:`_layout`): packed at y -> 2^width, or on
-    MultiPoly where its width is None.  The series refuses a negative
-    order (ValueError)."""
-    levels, width = _levels(frac, order), plan.width
-    if not width:
-        return TruncatedSeries(_walk(*([w.__mul__ for w in ws] for ws in levels), order), order)
-    packed = _walk(*([partial(_times, [(c, width * j) for (_, j), c in w.items()]) for w in ws] for ws in levels), order)
-    return TruncatedSeries([1] + [_unpack_y(v, width) for v in packed[1:]], order)
+    the plan's layout (:func:`_layout`): :func:`packed` at y -> 2^width and
+    unpacked, or on MultiPoly where its width is None.  The series refuses
+    a negative order (ValueError)."""
+    from .series import TruncatedSeries
+
+    if not plan.width:
+        return TruncatedSeries(_walk(*([w.__mul__ for w in ws] for ws in _levels(frac, order)), order), order)
+    return TruncatedSeries([1] + [_unpack_y(v, plan.width) for v in packed(frac, order, plan.width)[1:]], order)
 
 
-@lru_cache(maxsize=1)
+def rows(frac, order: int, plan) -> list[list]:
+    """Rows 0..order of the walk as :meth:`JFraction.rows` returns them,
+    row n the y-coefficients of [x^n] up to its last nonzero one (a zero
+    row is [0]).  Walked y-packed, they are the digits of :func:`packed`'s
+    values, y^j at slot j, with no series; on MultiPoly they come from
+    :meth:`JFraction.expand`'s series, as the oracle's do."""
+    if not plan.width:
+        return [[tidy(c) for c in MultiPoly.coerce(s).y_coefficients()] for s in frac.expand(order, plan)]
+    out = []
+    for value in packed(frac, order, plan.width):
+        row = _digits(value, plan.width)
+        while len(row) > 1 and not row[-1]:
+            row.pop()
+        out.append(row)
+    return out
+
+
+@lru_cache(maxsize=2)
 def _levels(frac, order: int) -> list[list]:
-    """alpha(0..) and beta(1..) at every level a walk to x^order reaches.
-    The last fraction's are kept: the rows' plan (:func:`_layout`) and then
-    :func:`expand` ask for the same levels, and neither changes them."""
+    """alpha(0..) and beta(1..) at every level a walk to x^order reaches,
+    each evaluated by :meth:`IndexPoly.__call__`.  The last two fractions'
+    are kept: the rows' plan (:func:`_layout`) and then the walk ask for the
+    same levels, the continued-fraction law of ``verify group`` bounds two
+    fractions before it walks them, and none changes them."""
     return [[p(k) for k in ks] for p, ks in zip(frac, (range(order // 2 + 1), range(1, order // 2 + 2)))]
 
 

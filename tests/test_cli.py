@@ -448,12 +448,14 @@ def test_show_and_jf_load_only_the_modules_they_run():
     )
     show = _package("riordan.families", "riordan.jfraction", "riordan.recurrence", "riordan.render")
     # Every show but the JSON one runs in one interpreter, the walk-shaped
-    # permutahedron among them, so none of them may load json.
+    # permutahedron among them, so none of them may load json.  The
+    # permutahedron walks y-packed and its rows are the digits of the walk's
+    # values, so it loads no series either.
     show_first = _RUN + (
         "for fmt in ('table', 'csv', 'latex'):\n"
         + parametric
         + "run('show', '--family', 'permutahedron', '--which', 'f', '--N', '4', '--format', 'latex')\n"
-        f"print(loaded('riordan.expr', 'json', {unwanted}))\n"
+        f"print(loaded('riordan.expr', 'json', 'riordan.series', {unwanted}))\n"
         "print(run('jf', '--alpha', '2*y+1', '--beta', 'i*r*y*(y+1)', '--N', '4'))\n"
         f"print(loaded({unwanted}))\n"
         "print(run('export', '--family', 'permutahedron', '--which', 'h', '--N', '4'))\n"
@@ -475,21 +477,29 @@ def test_show_and_jf_load_only_the_modules_they_run():
     )
     rows = _package("riordan.expr", "riordan.jfraction", "riordan.recurrence", "riordan.render")
     assert fresh_interpreter(jf_first) == [rows, jf_row, rows, "[]"]
-    # A fraction of no shape (perm-gamma, whose levels hold i) takes the
-    # walk, on series, and no recurrence.
-    walk_first = _RUN + "run('jf', '--alpha', 'i+1', '--beta', 'i*(i+1)*r*y', '--N', '4')\nprint(package())\n"
-    walking = _package("riordan.expr", "riordan.jfraction", "riordan.render", "riordan.series", "riordan.walk")
-    assert fresh_interpreter(walk_first) == [walking]
+    # A fraction of no shape (perm-face and perm-gamma, whose levels hold i)
+    # takes the walk and no recurrence.  Perm-face walks y-packed and reads
+    # its rows from the walk's values; perm-gamma, whose weights hold r,
+    # walks on MultiPoly and reads them from a series.
+    walk_first = _RUN + (
+        "run('jf', '--alpha', '(i+1)*(2*y+1)', '--beta', 'i*(i+1)*y*(y+1)', '--N', '4')\n"
+        "print(package())\n"
+        "run('jf', '--alpha', 'i+1', '--beta', 'i*(i+1)*r*y', '--N', '4')\n"
+        "print(package())\n"
+    )
+    walking = ("riordan.expr", "riordan.jfraction", "riordan.render", "riordan.walk")
+    assert fresh_interpreter(walk_first) == [_package(*walking), _package(*walking, "riordan.series")]
 
 
 def test_check_commands_load_only_the_modules_they_run():
     # No fixture check (oeis-check, verify oeis) needs the group/props
-    # battery, riordan.cold, a triangle (riordan.arrays) or a Fraction: it
-    # compares the rows of its fraction.  verify group needs all four.  No
-    # check loads the show/jf output code (riordan.render), the expression
-    # parser (riordan.expr) or argparse, which with gettext and locale only
-    # help and usage errors load.  Each check prints the riordan modules
-    # loaded so far (verify group adds its three to those of the fixture
+    # battery, riordan.cold, a triangle (riordan.arrays), a Fraction or a
+    # series (riordan.series): it compares the rows of its fraction, and a
+    # permutahedron's walk reads them from its packed values.  verify group
+    # needs all five.  No check loads the show/jf output code
+    # (riordan.render), the expression parser (riordan.expr) or argparse,
+    # which with gettext and locale only help and usage errors load.  Each check prints the riordan modules
+    # loaded so far (verify group adds its four to those of the fixture
     # checks), so that no module creeps in.
     code = (
         "import contextlib, io, sys\n"
@@ -508,9 +518,9 @@ def test_check_commands_load_only_the_modules_they_run():
         "run('oeis-check', 'A001147')\n"
         "run('verify', 'group')\n"
     )
-    checks = "families jfraction oeis recurrence series verify walk"
+    checks = "families jfraction oeis recurrence verify walk"
     fixtures = _package(*(f"riordan.{name}" for name in checks.split()))
-    group = _package(*(f"riordan.{name}" for name in f"{checks} arrays battery cold".split()))
+    group = _package(*(f"riordan.{name}" for name in f"{checks} arrays battery cold series".split()))
     assert fresh_interpreter(code) == [
         "0 12 12/12 checks passed []",
         fixtures,

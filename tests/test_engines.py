@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from canonical import typed_all
+from riordan import walk
 from riordan.algebra import MultiPoly, R, Y, tidy
 from riordan.arrays import triangle_from_series
 from riordan.cli import main
@@ -121,8 +122,8 @@ MOTZKIN_N = {
 @pytest.mark.parametrize("which", ["f", "gamma", "h"])
 def test_motzkin_walk_matches_the_row_recurrence_at_large_n(which):
     for family, sizes in MOTZKIN_N.items():
-        walk = member_fraction(family, which).expand(sizes[which])
-        assert triangle_from_series(walk) == family_matrix(family, which, sizes[which])
+        walked = member_fraction(family, which).expand(sizes[which])
+        assert triangle_from_series(walked) == family_matrix(family, which, sizes[which])
 
 
 # -- the fraction given back by its rows ---------------------------------------
@@ -297,6 +298,19 @@ PACKING = {  # fraction, order, whether its rows run packed
 def test_rows_pack_only_dense_rows_of_narrow_slots(frac, order, packed):
     assert frac.plan(order).layout == ("r-packed" if packed else "MultiPoly")
     assert frac.rows(order) == walk_rows(frac, order)
+
+
+Y_PACKED = [
+    name for name, weights in CERTIFIED.items() if JFraction(*map(parse_index_poly, weights)).plan(30).layout == "y-packed"
+]
+
+
+@pytest.mark.parametrize("name", Y_PACKED)
+def test_a_y_packed_walk_reads_the_rows_of_its_series(name):
+    # The rows of every fraction of the decks and polytopes that walks
+    # y-packed, read from the walk's digits, against the series route.
+    frac = JFraction(*map(parse_index_poly, CERTIFIED[name]))
+    assert [typed_all(row) for row in walk.rows(frac, 30, frac.plan(30))] == [typed_all(row) for row in walk_rows(frac, 30)]
 
 
 def test_a_rational_fraction_walks_on_packed_ints():

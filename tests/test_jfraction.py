@@ -3,9 +3,9 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from canonical import typed_all
+from canonical import typed, typed_all
 from riordan.algebra import MultiPoly, R, Y
 from riordan.arrays import triangle_from_series
 from riordan.cold import binomial_transform, integer_coeffs
@@ -177,6 +177,28 @@ def test_index_poly_arithmetic():
     assert i - i == IndexPoly.from_coeffs([])
     assert IndexPoly.from_coeffs([1, 0, 0]) == IndexPoly.constant(1)
     assert i(5) == 5 and (i * i + 1)(3) == 10
+
+
+def _horner(p, i):
+    """p at level i by Horner steps over MultiPoly: the oracle of
+    IndexPoly.__call__, which adds every term into one dict."""
+    acc = MultiPoly.const(0)
+    for c in reversed(p.coeffs):
+        acc = acc * i + c
+    return acc
+
+
+rational_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-9, 9) | st.fractions(max_denominator=6), max_size=4
+).map(MultiPoly)
+
+
+@given(st.lists(rational_polys, max_size=5).map(IndexPoly.from_coeffs), st.integers(-4, 40))
+@example(IndexPoly.from_coeffs([2 * Y + R, -Y]), 2)  # y cancels
+@example(IndexPoly.from_coeffs([Fraction(1, 2), Fraction(1, 2)]), 1)  # an integral sum of Fractions
+@example(IndexPoly(()), 3)  # zero
+def test_index_poly_evaluates_as_its_horner_form(p, i):
+    assert typed(p(i)) == typed(_horner(p, i))
 
 
 def test_parse_examples():

@@ -6,11 +6,16 @@ production, asserted packed (the walk by its plan), and once with packing
 switched off (the walk by a MultiPoly plan), where it computes on its
 coefficients as before; the two must agree value for value and type for
 type.  Entries of many slots of many bits reach the byte read of
-``algebra._digits``.  Last, the packing rules the engines share: the slot
-width (``algebra._width``) read back by ``_digits`` at byte edges and at
-``MAX_WIDTH``, and the fill bitset (``algebra._fill``) against the terms
-the row recurrence and the walk compute."""
+``algebra._digits``.  A y-packed walk's rows, read from its digits, match
+the rows of its series, and the two continued-fraction laws of ``verify
+group``, which compare packed walk values, fail on a wrong slot and prove
+a width that holds both sides of their identities.  Last, the packing
+rules the engines share: the slot width (``algebra._width``) read back by
+``_digits`` at byte edges and at ``MAX_WIDTH``, and the fill bitset
+(``algebra._fill``) against the terms the row recurrence and the walk
+compute."""
 
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -18,12 +23,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from canonical import typed_all
-from riordan import cold, walk
-from riordan.algebra import MultiPoly, R, Y, _digits, _fill, _width
+from riordan import battery, cold, walk
+from riordan.algebra import MultiPoly, R, Y, _digits, _fill, _width, tidy
 from riordan.cold import RiordanArray, binomial_transform
 from riordan.families import FamilySpec, Kind, family_fractions, named_triple
 from riordan.jfraction import IndexPoly, JFraction, Plan
 from riordan.series import TruncatedSeries
+from riordan.verify import CHECKS, DEFAULT_SEED
 
 
 def packed_and_unpacked(build):
@@ -193,6 +199,77 @@ def test_the_walk_packs_only_powers_of_y_that_fill_a_sixteenth_of_their_slots(al
     packed, plan, plain = walk_packed_and_unpacked(frac, order)
     assert plan.layout == ("y-packed" if packs else "MultiPoly")
     assert typed_all(packed) == typed_all(plain) == typed_all(forced_packed(frac, order, plan))
+
+
+def series_rows(frac, order, plan):
+    """The rows of the walk as they came before they were read from its
+    digits: the y-coefficients of each coefficient of its series."""
+    return [[tidy(c) for c in MultiPoly.coerce(s).y_coefficients()] for s in frac.expand(order, plan)]
+
+
+@settings(deadline=None)
+@given(index_polys, index_polys, st.integers(0, 30))
+@example(IndexPoly.constant(0), I, 9)  # 0; i: a zero row at every odd order
+@example(IndexPoly(()), IndexPoly(()), 5)  # all zero but row 0
+@example(IndexPoly.constant(2**20 * Y**2 - Y), I * I * (Y**2 + 3) - 7, 30)  # negative digits, many slots
+def test_a_y_packed_walk_reads_its_rows_from_its_digits(alpha, beta, order):
+    # The digits of the walk's values, y^j at slot j, up to the last
+    # nonzero one, are the rows of the series route, at any fraction's
+    # proven width, whatever the plan would say of its density.
+    frac = JFraction(alpha, beta)
+    _, bound = walk._layout(frac, order)
+    plan = Plan("walk", _width(bound), bound)
+    assert [typed_all(row) for row in walk.rows(frac, order, plan)] == [typed_all(row) for row in series_rows(frac, order, plan)]
+
+
+# -- the two continued-fraction laws of verify group, on packed values ----------------
+
+LAWS = {"continued-fraction equation": battery._defining_equation, "binomial shift": battery._binomial_shift}
+
+
+@pytest.mark.parametrize("trial", LAWS.values(), ids=list(LAWS))
+def test_a_plus_one_in_one_slot_of_one_packed_value_fails_each_law_on_every_round(trial):
+    # The seeded rounds that verify group runs, each with y added to value 5
+    # of the first walk the round makes (the fraction's own expansion): the
+    # law compares that value's coefficient of y, so each round must fail.
+    real, name = walk.packed, next(c.name for c in CHECKS if c.fn.args[0] is trial)
+    rng, failed = random.Random(f"{DEFAULT_SEED}/{name}"), []
+    for _ in range(20):
+        calls = []
+
+        def wrong(frac, order, width):
+            values = real(frac, order, width)
+            if not calls:
+                values[5] += 1 << width
+            calls.append(frac)
+            return values
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walk, "packed", wrong)
+            failed.append(not trial(rng))
+    assert failed == [True] * 20
+
+
+def widest(values):
+    """The largest ``_width`` of a coefficient of the values."""
+    return max(_width(abs(c)) for v in values for _, c in MultiPoly.coerce(v).items())
+
+
+@settings(max_examples=30)
+@given(st.randoms(use_true_random=False))
+def test_each_law_proves_a_width_that_holds_both_sides_of_its_identity(rng):
+    # The laws' draws, with both sides of each identity as the series route
+    # computes them, on MultiPoly: every coefficient must fit the proven
+    # width, so that 2^W is injective on it.
+    alpha, beta = battery._random_index_poly(rng), battery._random_index_poly(rng)
+    frac = JFraction(alpha, beta)
+    down = JFraction(battery._one_level_down(alpha), battery._one_level_down(beta))
+    x = TruncatedSeries.x(12)
+    sides = [*(frac.expand(12) * (1 - x * alpha(0) - x * x * beta(1) * down.expand(12))), 1]
+    assert battery._equation_width(frac, down) >= widest(sides)
+    expansion = list(frac.expand(8))
+    shifted = [side for k in (1, 2, Y, Y + 1) for side in (*frac.binomial_shift(k).expand(8), *binomial_transform(expansion, k))]
+    assert battery._shift_width(frac) >= widest(shifted)
 
 
 # -- the packing rules the engines share (riordan.algebra) ---------------------------
