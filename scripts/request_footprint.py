@@ -335,8 +335,8 @@ def main(argv: list[str] | None = None) -> int:
     runs = [json.loads(fresh_python(COMPILE, paths)) for _ in range(args.repeats)]
     print(f"riordan {' '.join(request)}")
     for layout, engine, width, bound, den in plans:
-        width, bound = (f"{n} bits" if n else "-" for n in (width, bound and bound.bit_length()))
-        print(f"plan: {engine}, {layout}, width {width}, bound {bound}" + (f", denominator {den}" if den != 1 else ""))
+        width = f"{width} bits" if width else "-"
+        print(f"plan: {engine}, {layout}, width {width}, bound {bound.bit_length()} bits" + (f", denominator {den}" if den != 1 else ""))
     print(f"{'module':22s} {'code lines':>10s} {'compile ms':>10s}")
     total_lines = total_ms = 0.0
     for i, (name, path) in enumerate(modules):

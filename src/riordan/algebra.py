@@ -29,7 +29,7 @@ data never loads it, and every type test reaches it, through
 
 The packed engines -- the row recurrence of the shaped J-fractions, the
 family triangles' among them (``recurrence._row_recurrence``), the Motzkin
-walk of an integral fraction free of r (:mod:`riordan.walk`) and four
+walk of an integral fraction free of r (:mod:`riordan.walk`) and three
 integer chains of the Riordan oracle (:mod:`riordan.cold`) -- compute on
 Kronecker-packed integers (Schoenhage 1982; Harvey 2009): a polynomial in
 one variable with integer coefficients is the int it takes where that
@@ -52,8 +52,9 @@ chains pack x.  The rules they share are written here once:
   product with a packed value is a small product and a shift per term
   (``_fma``), however far apart its powers are;
 * the read back: p from its balanced base-2^width digits (``_digits``),
-  exact when every |coefficient| < 2^(width-1), into a MultiPoly
-  (``_unpack`` for r, ``_unpack_y`` for y), or, for ``show`` and ``jf``,
+  exact when every |coefficient| < 2^(width-1): a walk's rows are its
+  packed values' digits, and the recurrence's entries are read into a
+  MultiPoly in r (``_unpack``) or, for ``show`` and ``jf``,
   straight into its text (``riordan.render._write``), joined by the one
   rule that ``MultiPoly.__str__`` joins its terms by (``_text``).
 """
@@ -346,11 +347,6 @@ def _unpack(value: int, width: int) -> int | MultiPoly:
     if -(1 << (width - 1)) <= value < 1 << (width - 1):
         return value
     return _wrap({(i, 0): c for i, c in enumerate(_digits(value, width)) if c})  # nonzero ints need no _trusted
-
-
-def _unpack_y(value: int, width: int) -> MultiPoly:
-    """The polynomial in y packed in value at y = 2^width, a MultiPoly."""
-    return _wrap({(0, j): c for j, c in enumerate(_digits(value, width)) if c})  # nonzero ints need no _trusted
 
 
 def _digits(value: int, width: int) -> list[int]:

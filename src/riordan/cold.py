@@ -9,12 +9,11 @@ array), the bodies of the series operations inverse, compose, revert and
 exp and of :meth:`MultiPoly.parse`, and ``parse_matrix_doc``.
 
 ``verify group`` spends most of its time here, on integer series of order
-8 to 12.  So four chains run on one packed int per series, by Kronecker
+8 to 12.  So three chains run on one packed int per series, by Kronecker
 substitution (Schoenhage 1982; Harvey 2009), when every coefficient is an
 int: the Horner steps of :func:`series_compose`, the powers of
 :func:`series_revert` and the columns of :meth:`RiordanArray.matrix` at
-x = 2^width, and :func:`binomial_transform` on polynomials free of r at
-y = 2^width.  Each proves a bound on its coefficients from its inputs and
+x = 2^width.  Each proves a bound on its coefficients from its inputs and
 takes the width :mod:`riordan.algebra`'s packing rules give that bound;
 past ``MAX_WIDTH`` it computes on the coefficients (see "packed integer
 chains" below).
@@ -35,7 +34,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from . import Frozen
-from .algebra import VARIABLES, Monomial, MultiPoly, R, Scalar, Y, _digits, _norm, _unpack_y, _width, tidy
+from .algebra import VARIABLES, Monomial, MultiPoly, R, Scalar, Y, _digits, _width, tidy
 from .arrays import Entry, IndexBeyondTruncation, LowerTriMatrix, _normalize_entry
 from .families import FamilySpec, GammaHFTriple, Kind, RValue
 from .jfraction import PolyLike
@@ -576,20 +575,15 @@ def narayana_closed(n: int, k: int) -> int:
 
 def binomial_transform(seq: Sequence, k: PolyLike) -> list:
     """b_n = sum_i C(n, i) k^(n-i) a_i, exactly, same length as the input,
-    each a MultiPoly.  By a difference table: row 0 is the input, row m+1
-    has entries row_m[i+1] + k row_m[i], and b_m = row_m[0], so the only
-    products are by k.  Polynomials free of r with integer coefficients run
-    packed at y = 2^width: |b_n|(1) <= max_i |a_i|(1) (1 + |k|(1))^n."""
-    row, k = [MultiPoly.coerce(a) for a in seq], MultiPoly.coerce(k)
-    if all(not i and type(c) is int for p in row + [k] for (i, _), c in p.items()):
-        width = _width(max(map(_norm, row), default=0) * (1 + _norm(k)) ** len(row))
-        if width:
-            pack = [_pack_y(p, width) for p in row + [k]]
-            return [_unpack_y(v, width) for v in _difference_table(pack[:-1], pack[-1])]
-    return _difference_table(row, k)
+    each a MultiPoly (:func:`_difference_table`)."""
+    return _difference_table([MultiPoly.coerce(a) for a in seq], MultiPoly.coerce(k))
 
 
 def _difference_table(row: list, k) -> list:
+    """The binomial transform of row by k, on any ring: row 0 is the input,
+    row m+1 has entries row_m[i+1] + k row_m[i], and b_m = row_m[0], so the
+    only products are by k.  ``verify group``'s binomial-shift law runs it
+    on ints packed at y = 2^W."""
     out = []
     while row:
         out.append(row[0])

@@ -16,9 +16,9 @@ and :meth:`JFraction.reversed` for rows read backwards).
 
 Expansion counts weighted Motzkin paths (Flajolet 1980): [x^n] sums, over
 the n-step paths from height 0 back to 0, the product of ``a_k`` per level
-step at height k and ``b_{k+1}`` per fall from height k+1 to k
-(:meth:`JFraction.expand`, the walk, O(N^2) height-steps, on packed
-integers for an integral fraction free of r, else on MultiPoly).  Three
+step at height k and ``b_{k+1}`` per fall from height k+1 to k (the
+walk, O(N^2) height-steps: :meth:`JFraction.expand` on MultiPoly, and
+the rows of an integral fraction free of r on packed integers).  Three
 shapes need only O(N) rows, a three-term recurrence (on packed integers if
 its rows are dense and its slots narrow, else on MultiPoly): a fraction
 that stops at level 1 (alpha(1) = beta(2) = 0), the Hermite fraction
@@ -33,8 +33,9 @@ engine's module, and the common denominator it clears first (a
 module of its own, which only the expansions that take it import: the
 recurrence :mod:`riordan.recurrence`, the walk :mod:`riordan.walk` (with
 :mod:`riordan.series` only where a series is asked for: by
-:meth:`JFraction.expand`, and so by the rows of a MultiPoly walk).  This
-module holds the fractions, their maps and the plan.
+:meth:`JFraction.expand`, the oracle of every engine, and so by the rows
+of a MultiPoly walk).  This module holds the fractions, their maps and
+the plan.
 """
 
 from functools import reduce
@@ -128,7 +129,7 @@ class Plan(NamedTuple):
 
     engine: str  # a row of recurrence.SHAPES, or "walk"
     width: "int | None"  # the slot width in bits, r^i or y^j at slot i or j; None on MultiPoly
-    bound: "int | None"  # of every |coefficient| of every row; None only for a walk with a non-integer coefficient
+    bound: int  # of every |coefficient| of every row the engine computes, before den divides them
     den: int = 1  # the common denominator D, cleared before the engine runs
 
     @property
@@ -145,21 +146,18 @@ class JFraction(NamedTuple):
     alpha: IndexPoly
     beta: IndexPoly
 
-    def expand(self, order: int, plan: "Plan | None" = None) -> "TruncatedSeries":
+    def expand(self, order: int) -> "TruncatedSeries":
         """Truncated expansion as a series in x over MultiPoly, by the
-        Motzkin walk (:func:`riordan.walk.expand`, which holds its body):
-        t[k] weighs the paths so far that end at height k, a step maps it to
-        t'[k] = t[k-1] + alpha(k) t[k] + beta(k+1) t[k+1], from t = [1], and
-        coefficient n is t[0] after n steps.  It walks in the layout of
-        ``plan``, a walk's plan; by default in the one that
-        :func:`riordan.walk._layout` gives, the function :meth:`plan` calls
-        too: on packed integers for an integral fraction free of r, else on
-        MultiPoly.  This method is the walk's entry point for a series: the
-        checks and tests, and :meth:`rows` of a MultiPoly walk.
+        Motzkin walk on MultiPoly (:func:`riordan.walk.expand`, which holds
+        its body): t[k] weighs the paths so far that end at height k, a step
+        maps it to t'[k] = t[k-1] + alpha(k) t[k] + beta(k+1) t[k+1], from
+        t = [1], and coefficient n is t[0] after n steps.  It takes no plan
+        and runs no packed code, so it is the oracle of every engine; it is
+        also where :meth:`rows` of a MultiPoly walk takes its rows from.
         """
-        from .walk import _layout, expand
+        from .walk import expand
 
-        return expand(self, order, plan or Plan("walk", *_layout(self, order)))
+        return expand(self, order)
 
     def plan(self, order: int) -> Plan:
         """How :meth:`rows` expands the fraction to x^order: its engine, its
@@ -180,10 +178,10 @@ class JFraction(NamedTuple):
         the Hermite fraction, the OGF of the EGF exp(ax + bx^2/2)
         ("hermite"); alpha and beta both free of i give the GF
         S = 1/(1 - ax - bx^2 S) ("level-independent").  Every other
-        fraction takes the walk (:meth:`expand`).  Each engine's module
+        fraction takes the walk (:mod:`riordan.walk`).  Each engine's module
         gives its slot width, which decides the layout, and its bound:
         :func:`riordan.recurrence._layout` and :func:`riordan.walk._layout`.
-        Every integral fraction's plan has a bound.
+        Every plan has a bound, an int.
         """
         alpha, beta = self
         den = lcm(*(c.denominator for p in (*alpha.coeffs, *beta.coeffs) for _, c in p.items()))

@@ -12,7 +12,8 @@ operations are pure; no floating point is ever involved.
 Of the ``show``, ``export`` and ``jf`` requests, only those whose fraction
 takes the Motzkin walk on MultiPoly (weights in r, as perm-gamma's, or
 powers of y too sparse to pack) load this module: their rows come from the
-series of :meth:`~riordan.jfraction.JFraction.expand`.  A y-packed walk
+series of :meth:`~riordan.jfraction.JFraction.expand`, which walks on
+MultiPoly alone and is the tests' oracle of every engine.  A y-packed walk
 reads its rows from its packed values, and no fixture check loads a series
 either.  None of those requests inverts, composes, reverts or
 exponentiates a series, so the bodies of those methods, their exceptions,

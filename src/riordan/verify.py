@@ -210,9 +210,10 @@ def cmd_verify(args) -> int:
 def cmd_oeis_check(args) -> int:
     """A-numbers are read as ``fetch-bfile`` reads them: 'a55151' is A055151.
     Text that is no A-number, an A-number without a fixture and one given
-    more than once raise ValueError (exit 2)."""
+    more than once raise ValueError (exit 2); each A-number without a
+    fixture is named once, in the order given."""
     anumbers = [_normalize_anumber(a) for a in args.anumber] or sorted(FIXTURES)
-    unknown = [a for a in anumbers if a not in FIXTURES]
+    unknown = list(dict.fromkeys(a for a in anumbers if a not in FIXTURES))
     if unknown:
         raise ValueError(f"no fixture for {', '.join(unknown)}")
     repeated = sorted({a for a in anumbers if anumbers.count(a) > 1})

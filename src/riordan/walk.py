@@ -1,20 +1,5 @@
 """The Motzkin walk: the expansion of a J-fraction that no row recurrence fits.
 
-:func:`packed` walks an integral fraction free of r on ints: its t[0]
-values at y = 2^width.  :meth:`~riordan.jfraction.JFraction.rows` takes
-its rows from :func:`rows`: a y-packed walk's from the digits of those
-values, a MultiPoly walk's from the series of
-:meth:`~riordan.jfraction.JFraction.expand`, which delegates to
-:func:`expand` here.  Only that series loads :mod:`riordan.series`.  Only
-the expansions that take the walk import this module: the permutahedron,
-every ``jf`` whose fraction has levels in i and is of no shape of
-:mod:`riordan.recurrence`, and the checks and tests that walk on purpose
-(``verify group``'s two continued-fraction laws call :func:`packed` and
-:func:`_bound`).  The walk decides nothing itself: :func:`_layout` gives
-its layout and slot width, which :meth:`JFraction.plan` holds for the
-rows and :meth:`JFraction.expand` takes by default, and the walk runs in
-the layout it is given.
-
 The walk counts weighted Motzkin paths (Flajolet 1980).  t[k] weighs the
 paths so far that end at height k; a step maps it to
 t'[k] = t[k-1] + alpha(k) t[k] + beta(k+1) t[k+1], from t = [1], and
@@ -22,54 +7,62 @@ coefficient n is t[0] after n steps.  Heights above min(n, order - n)
 cannot return to 0 by x^order and are dropped, so the walk takes O(N^2)
 height-steps.
 
-An integral fraction free of r walks on packed integers, y -> 2^width
-(see :mod:`riordan.algebra`, which holds the packing rules): each t[k] is
-the int t[k](2^width), y^j at slot j, and each level weight is evaluated
-once into the pairs (c, width*j) of its y-coefficients c of y^j, so its
-product with a packed value is a small product and a shift per term
-(:func:`_times`).  The width is proved before the walk: the same walk on
-plain ints, each weight replaced by its norm (:func:`_bound`), bounds
-every coefficient of every t[0] read, and the width is ``_width`` of that
-bound.  The same walk bounds the coefficients of every integral fraction,
-weights in r included, so every integral plan has a bound.  Past ``MAX_WIDTH`` bits,
-or with weights in r or with a non-integer coefficient, the walk runs on
-MultiPoly; so it does where the powers of y a coefficient can hold
-(``_fill``, a level step adding a power of some alpha(k), a step up and
-back down one of some beta(k)) fill fewer than 1/16 of its slots: with
-weights y^32 and y (a fraction free of i, which ``rows`` expands by the
-row recurrence instead), each coefficient fills one slot in 64 and the
-packed walk took 2.6x as long.  Measured at N = 40-100 on a 2-core x86-64
-machine, the MultiPoly walk overtakes the packed one between a fill of
-1/16 (packed 1.4x faster) and 1/32 (1.5x slower).  Packing r as well,
-r^i y^j at slot i + stride*j with ``_fill``'s stride and the same 1/16
-rule over the whole int, gave the same rows in a probe at N = 40 (same
-machine): about 3x faster on dense weights in r (const-face 104-121 ->
-34-44 ms, the ordinary family's f fraction 90 -> 27-30 ms), 2x slower on
-wide ones (``1; i*(2^64*r - r^30)``: 38-43 -> 83-93 ms), and refused by
-its density rule where the powers of r and y rise together (perm-gamma,
-from N = 16), which a skewed layout (r^i y^j at slot q*i - p*j for the
-least ratio p/q of the weights' powers) would keep dense.
+:meth:`~riordan.jfraction.JFraction.rows` takes a walk's rows from
+:func:`rows`, in the layout of its plan: :func:`_layout` gives the layout
+and slot width, which :meth:`JFraction.plan` holds, and the walk decides
+nothing itself.
+
+* y-packed: an integral fraction free of r walks on ints, y -> 2^width
+  (see :mod:`riordan.algebra`, which holds the packing rules):
+  :func:`packed` gives each t[0] as the int t[0](2^width), y^j at slot j,
+  and each level weight is evaluated once into the pairs (c, width*j) of
+  its y-coefficients c of y^j, so its product with a packed value is a
+  small product and a shift per term (:func:`_times`).  The rows are the
+  digits of those values, read with no series.  The width is proved
+  before the walk: the same walk on plain ints, each weight replaced by
+  its norm (:func:`_bound`), bounds every coefficient of every t[0] read,
+  and the width is ``_width`` of that bound.  The same walk bounds the
+  coefficients of every integral fraction, weights in r included, so
+  every plan has a bound.
+* MultiPoly: weights in r, slots past ``MAX_WIDTH``, and powers of y that
+  fill fewer than 1/16 of their slots (``_fill``: the powers a
+  coefficient can hold, a level step adding a power of some alpha(k), a
+  step up and back down one of some beta(k)).  The rows are the
+  y-coefficients of the series of :meth:`JFraction.expand`, whose body is
+  :func:`expand`; only that series loads :mod:`riordan.series`.
+
+:func:`expand` walks on MultiPoly alone, any fraction, a rational one
+included, with no plan.  So it shares no packed code, and it is the
+oracle that the tests check the packed walk against.
+
+The 1/16 rule, measured in-process on a 2-core x86-64 machine, best of 3,
+on five fractions it sends to MultiPoly (``(i+1)*y^31; i*y``,
+``(i+1)*y^30; i*y^2``, ``(i+1)*y^4; i*y^8``, ``(i+1)*y^16; i*y^16`` and
+``(i+1)*y^16; i*(i+1)*y^16``): forced y-packed, their rows took 2.9-3.1x
+less time at N = 40 (4-24 ms against 11-73 ms), and at N = 100 from 1.04x
+less to 1.35x more (83-541 ms against 76-529 ms).
+
+Only the expansions that take the walk import this module: the
+permutahedron, every ``jf`` whose fraction has levels in i and is of no
+shape of :mod:`riordan.recurrence`, and the checks and tests that walk on
+purpose (``verify group``'s two continued-fraction laws call
+:func:`packed` and :func:`_bound`).
 """
 
 from functools import lru_cache, partial
 
-from .algebra import MultiPoly, _digits, _fill, _norm, _unpack_y, _width, tidy
+from .algebra import MultiPoly, _digits, _fill, _norm, _width, tidy
 
 
 def _layout(frac, order: int) -> tuple:
-    """The walk's slot width and bound for coefficients 0..order of the
-    fraction, as :class:`~riordan.jfraction.Plan` holds them: (width,
-    bound) packed, y -> 2^width, or (None, bound) on MultiPoly, for weights
-    in r or where the slots would be too sparse or too wide.  Only a
-    fraction with a non-integer coefficient, which only
-    :meth:`JFraction.expand`'s rational oracle walks, has no bound: (None,
-    None).  :meth:`JFraction.plan` and :meth:`JFraction.expand` both take
-    the walk's layout from here."""
-    terms = [term for p in frac for q in p.coeffs for term in q.items()]
-    if not all(type(c) is int for _, c in terms):
-        return None, None
+    """The walk's slot width and bound for coefficients 0..order of an
+    integral fraction, as :class:`~riordan.jfraction.Plan` holds them:
+    (width, bound) packed, y -> 2^width, or (None, bound) on MultiPoly, for
+    weights in r or where the slots would be too sparse or too wide.
+    :meth:`JFraction.plan` asks once it has cleared the common denominator,
+    so the fraction is integral."""
     bound = _bound(frac, order)
-    if any(i for (i, _), _ in terms):
+    if any(i for p in frac for q in p.coeffs for (i, _), _ in q.items()):
         return None, bound
     steps = [{(j, 0) for w in ws for (_, j), _ in w.items()} for ws in _levels(frac, order)]
     return _width(bound, _fill(steps, order), 16), bound
@@ -91,27 +84,23 @@ def packed(frac, order: int, width: int) -> list[int]:
     return _walk(*([partial(_times, [(c, width * j) for (_, j), c in w.items()]) for w in ws] for ws in _levels(frac, order)), order)
 
 
-def expand(frac, order: int, plan) -> "TruncatedSeries":
+def expand(frac, order: int) -> "TruncatedSeries":
     """The body of :meth:`JFraction.expand`: coefficients 0..order of the
-    fraction, the first the int 1 and each other a MultiPoly, walked in
-    the plan's layout (:func:`_layout`): :func:`packed` at y -> 2^width and
-    unpacked, or on MultiPoly where its width is None.  The series refuses
-    a negative order (ValueError)."""
+    fraction, the first the int 1 and each other a MultiPoly, walked on
+    MultiPoly.  The series refuses a negative order (ValueError)."""
     from .series import TruncatedSeries
 
-    if not plan.width:
-        return TruncatedSeries(_walk(*([w.__mul__ for w in ws] for ws in _levels(frac, order)), order), order)
-    return TruncatedSeries([1] + [_unpack_y(v, plan.width) for v in packed(frac, order, plan.width)[1:]], order)
+    return TruncatedSeries(_walk(*([w.__mul__ for w in ws] for ws in _levels(frac, order)), order), order)
 
 
 def rows(frac, order: int, plan) -> list[list]:
     """Rows 0..order of the walk as :meth:`JFraction.rows` returns them,
     row n the y-coefficients of [x^n] up to its last nonzero one (a zero
     row is [0]).  Walked y-packed, they are the digits of :func:`packed`'s
-    values, y^j at slot j, with no series; on MultiPoly they come from
-    :meth:`JFraction.expand`'s series, as the oracle's do."""
+    values, y^j at slot j, with no series; on MultiPoly they are the
+    y-coefficients of :meth:`JFraction.expand`'s series."""
     if not plan.width:
-        return [[tidy(c) for c in MultiPoly.coerce(s).y_coefficients()] for s in frac.expand(order, plan)]
+        return [[tidy(c) for c in MultiPoly.coerce(s).y_coefficients()] for s in frac.expand(order)]
     out = []
     for value in packed(frac, order, plan.width):
         row = _digits(value, plan.width)

@@ -1,6 +1,6 @@
 """Exact values with their types, for comparing a routine with its oracle."""
 
-from riordan.algebra import MultiPoly
+from riordan.algebra import MultiPoly, tidy
 
 
 def typed(value):
@@ -16,3 +16,11 @@ def typed(value):
 
 def typed_all(values):
     return [typed(v) for v in values]
+
+
+def typed_rows(series):
+    """The typed rows of a series in x over MultiPoly, as JFraction.rows
+    gives rows: row n the y-coefficients of [x^n] up to its last nonzero
+    one.  Every engine's oracle is typed_rows(frac.expand(order)), the
+    Motzkin walk on MultiPoly, which runs no packed code."""
+    return [typed_all(tidy(c) for c in MultiPoly.coerce(s).y_coefficients()) for s in series]

@@ -302,6 +302,7 @@ def test_oeis_check_reads_a_numbers_as_fetch_bfile_does(capsys):
     for argv, err in [
         (["A55151", "A055151"], "error: A055151 given more than once\n"),
         (["a1"], "error: no fixture for A000001\n"),
+        (["A000000", "a0", "A999999"], "error: no fixture for A000000, A999999\n"),
         (["A055151", "55151"], "error: not an OEIS A-number: '55151'\n"),
         (["A-1"], "error: not an OEIS A-number: 'A-1'\n"),
     ]:

@@ -13,17 +13,16 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
-from canonical import typed_all
+from canonical import typed_all, typed_rows
 from riordan import walk
-from riordan.algebra import MultiPoly, R, Y, tidy
-from riordan.arrays import triangle_from_series
+from riordan.algebra import MultiPoly, R, Y
 from riordan.cli import main
 from riordan.cold import dense_family_triple
 from riordan.expr import parse_index_poly
 from riordan.families import FamilySpec, Kind, family_fractions, family_triple, family_matrix, member_fraction, named_triple
-from riordan.jfraction import IndexPoly, JFraction
+from riordan.jfraction import IndexPoly, JFraction, Plan
 
 FLAVORS = (Kind.ORDINARY, Kind.EXPONENTIAL)
 JF_TEMPLATES = {  # the benchmark's jf fractions: alpha, beta, the (engine, layout) of their plan
@@ -34,20 +33,6 @@ JF_TEMPLATES = {  # the benchmark's jf fractions: alpha, beta, the (engine, layo
     "perm-gamma": ("i+1", "i*(i+1)*r*y", ("walk", "MultiPoly")),  # its weights hold r
     "const-face": ("2*y+1", "r*y*(y+1)", ("level-independent", "r-packed")),
 }
-
-
-def oracle_rows(spec, which, size_n):
-    """The walk on the family's fraction."""
-    return triangle_from_series(getattr(family_fractions(spec), which).expand(size_n))
-
-
-def outcome(build):
-    """A triangle with the type of every entry, or the exception its build raised."""
-    try:
-        result = build()
-    except ValueError as exc:
-        return type(exc), str(exc)
-    return result, [type(e) for row in result.rows for e in row]
 
 
 coefficients = st.integers(-5, 5) | st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
@@ -66,8 +51,11 @@ r_values = st.sampled_from([R, -2, -1, 0, 3, 2 - 3 * R, R**2 - R, Fraction(1, 2)
 @example(Kind.EXPONENTIAL, "f", EXTREME_R[0], 8)
 @example(Kind.ORDINARY, "h", EXTREME_R[1], 8)
 def test_row_recurrence_matches_its_multipoly_loop(flavor, which, r, size):
-    spec = FamilySpec(flavor, r)
-    assert outcome(lambda: family_matrix(spec, which, size)) == outcome(lambda: oracle_rows(spec, which, size))
+    try:
+        frac = getattr(family_fractions(FamilySpec(flavor, r)), which)
+    except ValueError:  # r = y or y^2: the gamma fraction's beta leaves gamma_to_h's domain
+        reject()
+    assert [typed_all(row) for row in frac.rows(size)] == typed_rows(frac.expand(size))
 
 
 @pytest.mark.parametrize("weight", [1, -1, 127, -128, 128, 255, 256, 2**64 - 1, 2**64, -(2**64)])
@@ -108,10 +96,11 @@ def test_kronecker_certificate_at_large_n(flavor):
                 assert sum(c << (bits * i) for (i, _), c in terms) == value
 
 
-# The walk at large order against the row recurrence, a different algorithm
-# with its own slot bound, on each flavour's gamma, h and f fractions and on
-# the associahedron's, whose levels are free of i (f reversed).  The
-# associahedron's walk runs packed, as it is free of r.
+# The walk at large order, in the layout its plan would give it, against the
+# row recurrence, a different algorithm with its own slot bound, on each
+# flavour's gamma, h and f fractions and on the associahedron's, whose
+# levels are free of i (f reversed).  The associahedron's walk runs packed,
+# as it is free of r.
 MOTZKIN_N = {
     FamilySpec(Kind.EXPONENTIAL, R): {"gamma": 100, "h": 60, "f": 60},
     FamilySpec(Kind.ORDINARY, R): {"gamma": 40, "h": 40, "f": 40},
@@ -122,8 +111,11 @@ MOTZKIN_N = {
 @pytest.mark.parametrize("which", ["f", "gamma", "h"])
 def test_motzkin_walk_matches_the_row_recurrence_at_large_n(which):
     for family, sizes in MOTZKIN_N.items():
-        walked = member_fraction(family, which).expand(sizes[which])
-        assert triangle_from_series(walked) == family_matrix(family, which, sizes[which])
+        frac, size_n = member_fraction(family, which), sizes[which]
+        plan = Plan("walk", *walk._layout(frac, size_n))
+        assert plan.layout == ("y-packed" if family == "associahedron" else "MultiPoly")
+        assert frac.plan(size_n).engine != "walk"
+        assert [typed_all(row) for row in walk.rows(frac, size_n, plan)] == [typed_all(row) for row in frac.rows(size_n)]
 
 
 # -- the fraction given back by its rows ---------------------------------------
@@ -202,30 +194,61 @@ LEVEL_ONE = {  # alpha, beta of fractions that stop at level 1 (alpha_1 = beta_2
 }
 
 
-def _level_one_holds(frac, rows):
-    """Whether the rows' moments give back the fraction's alpha_0, beta_1 and,
-    where beta_1 is nonzero (else the moments do not fix it), alpha_1, and
-    then obey m_n = alpha_0 m_(n-1) + beta_1 m_(n-2) for n >= 2, the
-    recurrence of the GF 1/(1 - alpha_0 x - beta_1 x^2)."""
+def _finite_fraction_holds(frac, rows, depth):
+    """Whether the rows' moments give back the fraction's alpha_0, beta_1,
+    ..., alpha_depth, each as far as the moments fix it (not past a zero
+    weight), and then obey the convergent of the finite fraction, where
+    beta_(depth+1) = 0: Q S = P to x^N, with Q_(k+1) = (1 - alpha_k x) Q_k
+    - beta_k x^2 Q_(k-1) from Q_(-1) = 0, Q_0 = 1 and P the same from
+    P_0 = 0, P_1 = 1, taken at k = depth + 1."""
     moments, own = _at_kronecker_point(frac, rows)
-    a, b = own[:2]
-    fixed = 3 if b else 2
+    fixed = next((j + 1 for j in range(1, 2 * depth, 2) if not own[j]), 2 * depth + 1)
+    q, p = [[0], [1]], [[0], [1]]  # Q_(-1), Q_0 and P_0, P_1
+    for k in range(depth + 1):
+        beta, alpha = own[2 * k - 1] if k else 0, own[2 * k]
+        q.append(_three_term(q[-1], q[-2], beta, alpha))
+        if k:
+            p.append(_three_term(p[-1], p[-2], beta, alpha))
+    q, p = q[-1], p[-1] + [0] * len(moments)
     return list(islice(_chebyshev(moments), fixed)) == own[:fixed] and all(
-        moments[n] == a * moments[n - 1] + b * moments[n - 2] for n in range(2, len(moments))
+        sum(c * moments[n - i] for i, c in enumerate(q[: n + 1])) == p[n] for n in range(len(moments))
     )
+
+
+def _three_term(v, before, beta, alpha):
+    """(1 - alpha x) v - beta x^2 before, polynomials in x as coefficient lists."""
+    out = [0] * (max(len(v) + 1, len(before) + 2))
+    for i, c in enumerate(v):
+        out[i] += c
+        out[i + 1] -= alpha * c
+    for i, c in enumerate(before):
+        out[i + 2] -= beta * c
+    return out
 
 
 @pytest.mark.parametrize("alpha, beta", LEVEL_ONE.values(), ids=list(LEVEL_ONE))
 def test_the_rows_of_a_level_one_fraction_give_back_their_fraction(alpha, beta):
     # beta_2 = 0, so the recursion above stops after alpha_1; the fraction
-    # is finite, and its moments obey a two-term recurrence from there.  A
-    # +1 in row N breaks that recurrence at m_N.
+    # is finite, and its moments obey its convergent from there.  A +1 in
+    # row N breaks the convergent at m_N.
     frac = JFraction(parse_index_poly(alpha), parse_index_poly(beta))
     assert frac.plan(40).engine == "level one"
     rows = frac.rows(40)
-    assert _level_one_holds(frac, rows)
+    assert _finite_fraction_holds(frac, rows, 1)
     rows[40][-1] += 1
-    assert not _level_one_holds(frac, rows)
+    assert not _finite_fraction_holds(frac, rows, 1)
+
+
+def test_the_rows_of_a_fraction_that_stops_above_level_one_give_back_their_fraction():
+    # beta(i) = i(3 - i) y vanishes at i = 3, so the fraction stops at
+    # level 2 though its weights go on: no path back to height 0 crosses
+    # the fall from 3 to 2.  It takes the walk.
+    frac = JFraction(parse_index_poly("1+i"), parse_index_poly("i*(3-i)*y"))
+    assert frac.plan(40).engine == "walk"
+    rows = frac.rows(40)
+    assert _finite_fraction_holds(frac, rows, 2)
+    rows[40][-1] += 1
+    assert not _finite_fraction_holds(frac, rows, 2)
 
 
 def test_a_wrong_cell_of_the_last_row_gives_back_another_fraction():
@@ -257,10 +280,6 @@ near_misses = st.one_of(
 )
 
 
-def walk_rows(frac, order):
-    return [[tidy(c) for c in MultiPoly.coerce(s).y_coefficients()] for s in frac.expand(order)]
-
-
 @given(st.one_of(level_one, hermite, level_independent, near_misses), st.integers(0, 10))
 @example(JFraction(IndexPoly.constant(0), I), 6)  # the aerated double factorials
 @example(JFraction(IndexPoly.constant(1), IndexPoly.constant(1)), 10)  # the Motzkin numbers
@@ -274,7 +293,7 @@ def walk_rows(frac, order):
 @example(JFraction(IndexPoly.constant(Y - 3), I * (2**64 * R**3 - R**4)), 34)
 @example(JFraction((-I + 1) * (R**3 + 1), (-I + 2) * (R * Y - 2**70 * R**2)), 24)
 def test_rows_match_the_walk(frac, order):
-    assert [typed_all(row) for row in frac.rows(order)] == [typed_all(row) for row in walk_rows(frac, order)]
+    assert [typed_all(row) for row in frac.rows(order)] == typed_rows(frac.expand(order))
 
 
 EXP_R = family_fractions(FamilySpec(Kind.EXPONENTIAL, R))
@@ -297,20 +316,7 @@ PACKING = {  # fraction, order, whether its rows run packed
 @pytest.mark.parametrize("frac, order, packed", PACKING.values(), ids=list(PACKING))
 def test_rows_pack_only_dense_rows_of_narrow_slots(frac, order, packed):
     assert frac.plan(order).layout == ("r-packed" if packed else "MultiPoly")
-    assert frac.rows(order) == walk_rows(frac, order)
-
-
-Y_PACKED = [
-    name for name, weights in CERTIFIED.items() if JFraction(*map(parse_index_poly, weights)).plan(30).layout == "y-packed"
-]
-
-
-@pytest.mark.parametrize("name", Y_PACKED)
-def test_a_y_packed_walk_reads_the_rows_of_its_series(name):
-    # The rows of every fraction of the decks and polytopes that walks
-    # y-packed, read from the walk's digits, against the series route.
-    frac = JFraction(*map(parse_index_poly, CERTIFIED[name]))
-    assert [typed_all(row) for row in walk.rows(frac, 30, frac.plan(30))] == [typed_all(row) for row in walk_rows(frac, 30)]
+    assert [typed_all(row) for row in frac.rows(order)] == typed_rows(frac.expand(order))
 
 
 def test_a_rational_fraction_walks_on_packed_ints():
@@ -319,7 +325,7 @@ def test_a_rational_fraction_walks_on_packed_ints():
     frac = JFraction((I + 1) * (Fraction(1, 2) + Y), I * (I + 1) * (Fraction(1, 3) * Y * (Y + 1)))
     plan = frac.plan(20)
     assert (plan.engine, plan.layout, plan.den) == ("walk", "y-packed", 6)
-    assert [typed_all(row) for row in frac.rows(20)] == [typed_all(row) for row in walk_rows(frac, 20)]
+    assert [typed_all(row) for row in frac.rows(20)] == typed_rows(frac.expand(20))
 
 
 TOO_NARROW = {  # a fraction whose rows hold coefficients above 127, and its engine
@@ -335,9 +341,9 @@ def test_the_engines_take_their_width_from_the_plan(frac, engine):
     # come out whole.
     plan = frac.plan(12)
     assert plan.engine == engine and plan.width > 8
-    rows = frac.rows(12)
-    assert frac.rows(12, plan=plan._replace(width=8)) != rows
-    assert frac.rows(12, plan=plan._replace(width=None)) == rows == walk_rows(frac, 12)
+    rows = [typed_all(row) for row in frac.rows(12)]
+    assert [typed_all(row) for row in frac.rows(12, plan=plan._replace(width=8))] != rows
+    assert [typed_all(row) for row in frac.rows(12, plan=plan._replace(width=None))] == rows == typed_rows(frac.expand(12))
 
 
 def _cli_rows(capsys, argv):

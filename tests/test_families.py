@@ -1,4 +1,5 @@
-from math import comb
+from functools import cache
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +17,6 @@ from riordan.cold import (
     gamma_closed_row,
     gamma_from_h,
     h_closed_row,
-    narayana_closed,
     pascal_matrix,
 )
 from riordan.families import (
@@ -28,6 +28,7 @@ from riordan.families import (
     family_triple,
     gamma_matrix,
     h_matrix,
+    member_fraction,
     named_triple,
 )
 from riordan.jfraction import IndexPoly, JFraction
@@ -199,17 +200,48 @@ def test_maps_derive_the_classical_fraction_triples():
         assert family_fractions(FamilySpec(Kind.EXPONENTIAL, r)) == tuple(_fraction([a], [0, b]) for a, b in pairs)
 
 
-LARGE_N = 40  # far beyond the 9-11 rows that the OEIS fixtures reach
+@cache
+def _stirling2(n, k):
+    return int(n == k) if not n or not k else k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
 
 
+@cache
 def _eulerian(n, k):
-    return sum((-1) ** j * comb(n + 2, j) * (k + 1 - j) ** (n + 1) for j in range(k + 1))
+    if n == 1 or not 1 <= k <= n:
+        return int(n == k == 1)
+    return k * _eulerian(n - 1, k) + (n - k + 1) * _eulerian(n - 1, k - 1)
 
 
-@pytest.mark.parametrize("name, closed", [("associahedron", narayana_closed), ("permutahedron", _eulerian)])
-def test_polytope_h_matches_its_closed_form_at_large_n(name, closed):
-    h = family_matrix(name, "h", LARGE_N)
-    assert all(h.entry(n, k) == closed(n, k) for n in range(LARGE_N + 1) for k in range(n + 1))
+@cache
+def _permutahedron_gamma(n, k):
+    if n == 1 or k < 0:
+        return int(n == 1 and k == 0)
+    return (k + 1) * _permutahedron_gamma(n - 1, k) + 2 * (n - 2 * k) * _permutahedron_gamma(n - 1, k - 1)
+
+
+OEIS_DEFINITIONS = {  # each polytope triangle's OEIS definition: its fraction, and row n of T(n, k), lowest k first
+    "A019538": ("permutahedron", "f", lambda n: [factorial(k) * _stirling2(n, k) for k in range(1, n + 1)]),
+    "A008292": ("permutahedron", "h", lambda n: [_eulerian(n, k) for k in range(1, n + 1)]),
+    "A101280": ("permutahedron", "gamma", lambda n: [_permutahedron_gamma(n, k) for k in range((n + 1) // 2)]),
+    "A055151": ("associahedron", "gamma",
+                lambda n: [factorial(n) // (factorial(n - 2 * k) * factorial(k) * factorial(k + 1)) for k in range(n // 2 + 1)]),
+    "A001263": ("associahedron", "h", lambda n: [comb(n, k) * comb(n, k - 1) // n for k in range(1, n + 1)]),
+    "A033282": ("associahedron", "f", lambda n: [comb(n - 3, k) * comb(n + k - 1, k) // (k + 1) for k in range(n - 2)]),
+}
+OEIS_N = 100
+
+
+@pytest.mark.parametrize("anumber", list(OEIS_DEFINITIONS))
+def test_polytope_triangles_match_their_oeis_definitions_at_large_n(anumber):
+    # Each definition must first give the fixture's rows as stored (OEIS
+    # row offset + j is the fixture's row j, read as OEIS reads it), so
+    # that a misremembered one fails there, and only then the fraction's
+    # rows to N = 100, far beyond the 9-11 rows the fixtures reach.
+    polytope, which, definition = OEIS_DEFINITIONS[anumber]
+    fixture = FIXTURES[anumber]
+    rows = [definition(fixture.offset + j) for j in range(OEIS_N + 1)]
+    assert rows[: len(fixture.row_lengths)] == fixture.rows()
+    assert member_fraction(polytope, which).rows(OEIS_N) == rows
 
 
 CROSS_N = 60
@@ -222,6 +254,9 @@ def test_ordinary_family_matches_its_closed_forms_at_large_n():
     f = f_matrix(ORD, CROSS_N)
     assert all(list(f.rows[n]) == f_closed_row(n) for n in range(CROSS_N + 1))
     assert f == face_matrix(h)
+
+
+LARGE_N = 40
 
 
 def test_exponential_face_rows_are_a_fraction_at_large_n():

@@ -5,9 +5,9 @@ from math import comb
 import pytest
 from hypothesis import example, given, strategies as st
 
-from canonical import typed, typed_all
+from canonical import typed, typed_all, typed_rows
 from riordan.algebra import MultiPoly, R, Y
-from riordan.arrays import triangle_from_series
+from riordan.arrays import NonIntegralEntry, triangle_from_series
 from riordan.cold import binomial_transform, integer_coeffs
 from riordan.expr import MAX_DEPTH, MAX_EXPONENT, ParseError, parse_index_poly, parse_poly
 from riordan.jfraction import IndexPoly, JFraction
@@ -131,27 +131,21 @@ def index_polys(coeffs):
 orders = st.integers(0, 10)
 
 
-def _rows(frac, order):
-    """The y-coefficients of each coefficient of the expansion."""
-    return [MultiPoly.coerce(c).y_coefficients() for c in frac.expand(order).coeffs]
-
-
 @given(index_polys(polys([0])), index_polys(polys([1])), orders)
 def test_gamma_to_h_gives_the_gamma_expansion_of_every_row(alpha, beta, order):
     # h_n = sum_k gamma[n,k] y^k (1+y)^(n-2k)
     gamma = J(alpha, beta)
-    h = gamma.gamma_to_h().expand(order).coeffs
-    for n, row in enumerate(_rows(gamma, order)):
-        assert h[n] == sum((c * Y**k * (1 + Y) ** (n - 2 * k) for k, c in enumerate(row)), MultiPoly())
+    h = [sum((c * Y**k * (1 + Y) ** (n - 2 * k) for k, c in enumerate(row)), MultiPoly())
+         for n, row in enumerate(gamma.rows(order))]
+    assert typed_rows(gamma.gamma_to_h().expand(order)) == typed_rows(h)
 
 
 @given(index_polys(polys([0, 1, 2])), index_polys(polys([0, 1, 2])), orders)
 def test_h_to_f_evaluates_every_row_at_one_plus_y(alpha, beta, order):
     # f_n(y) = h_n(1 + y)
     h = J(alpha, beta)
-    f = h.h_to_f().expand(order).coeffs
-    for n, row in enumerate(_rows(h, order)):
-        assert f[n] == sum((c * (1 + Y) ** k for k, c in enumerate(row)), MultiPoly())
+    f = [sum((c * (1 + Y) ** k for k, c in enumerate(row)), MultiPoly()) for row in h.rows(order)]
+    assert typed_rows(h.h_to_f().expand(order)) == typed_rows(f)
 
 
 @given(index_polys(polys([0, 1])), index_polys(polys([0, 1, 2])), orders)
@@ -168,6 +162,15 @@ def test_triangle_refuses_a_row_deeper_in_y_than_its_index(alpha):
     # Row 1 is alpha(0) = y^2, of y-degree 2, whichever engine expands it.
     with pytest.raises(ValueError, match=r"^coefficient of x\^1 has y-degree 2 > n$"):
         J(alpha, IndexPoly.index()).triangle(4)
+
+
+def test_triangle_checks_each_entry_of_a_fraction_with_a_denominator():
+    # alpha = i(i+1)/2 is an int at every level, so its rows are ints,
+    # cleared of the denominator 2; alpha = 1/2 makes row 1 1/2.
+    whole = J(IndexPoly.from_coeffs([0, Fraction(1, 2), Fraction(1, 2)]), IndexPoly.index())
+    assert whole.plan(6).den == 2 and {type(e) for row in whole.triangle(6).rows for e in row} == {int}
+    with pytest.raises(NonIntegralEntry, match=r"^entry is not an integer: 1/2$"):
+        J(IndexPoly.constant(Fraction(1, 2)), IndexPoly.index()).triangle(4)
 
 
 def test_index_poly_arithmetic():

@@ -1,30 +1,29 @@
 """The packed integer engines against the code they replace, on integer
-inputs: the four series chains of the Riordan oracle (riordan.cold: compose,
-revert, the columns of RiordanArray.matrix and binomial_transform) and the
-y-packed Motzkin walk (riordan.walk).  Each runs once as it runs in
-production, asserted packed (the walk by its plan), and once with packing
-switched off (the walk by a MultiPoly plan), where it computes on its
-coefficients as before; the two must agree value for value and type for
-type.  Entries of many slots of many bits reach the byte read of
-``algebra._digits``.  A y-packed walk's rows, read from its digits, match
-the rows of its series, and the two continued-fraction laws of ``verify
-group``, which compare packed walk values, fail on a wrong slot and prove
-a width that holds both sides of their identities.  Last, the packing
-rules the engines share: the slot width (``algebra._width``) read back by
-``_digits`` at byte edges and at ``MAX_WIDTH``, and the fill bitset
-(``algebra._fill``) against the terms the row recurrence and the walk
-compute."""
+inputs: the three series chains of the Riordan oracle (riordan.cold:
+compose, revert and the columns of RiordanArray.matrix), each run once as
+it runs in production, asserted packed, and once with packing switched
+off, where it computes on its coefficients as before; the two must agree
+value for value and type for type.  The y-packed Motzkin walk
+(riordan.walk) reads its rows from the digits of its packed values; they
+must be the oracle's, the rows of JFraction.expand, which walks on
+MultiPoly alone and runs no packed code.  Entries of many slots of many
+bits reach the byte read of ``algebra._digits``.  The two
+continued-fraction laws of ``verify group``, which compare packed walk
+values, fail on a wrong slot and prove a width that holds both sides of
+their identities.  Last, the packing rules the engines share: the slot
+width (``algebra._width``) read back by ``_digits`` at byte edges and at
+``MAX_WIDTH``, and the fill bitset (``algebra._fill``) against the terms
+the row recurrence and the walk compute."""
 
 import random
-from fractions import Fraction
 from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from canonical import typed_all
+from canonical import typed_all, typed_rows
 from riordan import battery, cold, walk
-from riordan.algebra import MultiPoly, R, Y, _digits, _fill, _width, tidy
+from riordan.algebra import MultiPoly, R, Y, _digits, _fill, _width
 from riordan.cold import RiordanArray, binomial_transform
 from riordan.families import FamilySpec, Kind, family_fractions, named_triple
 from riordan.jfraction import IndexPoly, JFraction, Plan
@@ -97,27 +96,6 @@ def test_matrix_columns_pack_and_match_the_series_products(kind, g_rest, f1, f_r
     assert [typed_all(row) for row in packed.rows] == [typed_all(row) for row in plain.rows]
 
 
-y_polys = st.dictionaries(st.tuples(st.just(0), st.integers(0, 3)), signed, max_size=3).map(MultiPoly)
-
-
-@given(st.lists(y_polys | small, max_size=12), y_polys | small)
-@example([], 2)  # empty
-@example([0, 0, 0], 0)  # all zero
-@example([(1 + Y) ** 70, Y**66 - 1, 5], Y + 1)  # 71 slots
-def test_binomial_transform_packs_and_matches_the_difference_table(seq, k):
-    packed, widths, plain = packed_and_unpacked(lambda: binomial_transform(seq, k))
-    assert widths and all(widths)
-    assert typed_all(packed) == typed_all(plain)
-
-
-@pytest.mark.parametrize(
-    "seq, k", [([R, 1], 2), ([1, 2], R), ([Fraction(1, 2), 1], 1)], ids=["r", "r in k", "fraction"]
-)
-def test_binomial_transform_packs_only_integer_polynomials_free_of_r(seq, k):
-    packed, widths, plain = packed_and_unpacked(lambda: binomial_transform(seq, k))
-    assert widths == [] and typed_all(packed) == typed_all(plain)
-
-
 # -- the walk -------------------------------------------------------------------------
 
 I = IndexPoly.index()
@@ -125,34 +103,31 @@ y_weights = st.dictionaries(st.tuples(st.just(0), st.integers(0, 2)), st.integer
 index_polys = st.lists(y_weights, max_size=3).map(IndexPoly.from_coeffs)  # i-degree <= 2, zero included
 
 
-def walk_packed_and_unpacked(frac, order):
-    """frac.expand(order) as production runs it, the walk's plan for it
-    (the layout that JFraction.expand takes by default), and the MultiPoly
-    walk's expansion."""
-    plan = Plan("walk", *walk._layout(frac, order))
-    return frac.expand(order), plan, frac.expand(order, plan._replace(width=None))
-
-
-def forced_packed(frac, order, plan):
-    """The walk in slots for the plan's bound, however few of them the
-    powers of y fill."""
-    return frac.expand(order, plan._replace(width=_width(plan.bound)))
+def walk_plan(frac, order):
+    """The plan JFraction.plan gives a fraction that takes the walk: the
+    walk's layout, slot width and bound."""
+    return Plan("walk", *walk._layout(frac, order))
 
 
 @settings(deadline=None)
 @given(index_polys, index_polys, st.integers(0, 40))
 @example(IndexPoly.constant(0), I, 21)  # the aerated double factorials, zero at odd orders
-@example(IndexPoly(()), IndexPoly(()), 5)  # all zero
+@example(IndexPoly.constant(0), I, 9)  # 0; i: a zero row at every odd order
+@example(IndexPoly(()), IndexPoly(()), 5)  # all zero but row 0
 @example(IndexPoly.constant(128), IndexPoly(()), 1)  # a coefficient as large as the bound, of 8 bits
-@example(IndexPoly.constant(2**20 * Y**2 - Y), I * I * (Y**2 + 3) - 7, 40)  # entries of more than 64 slots
+@example(IndexPoly.constant(2**20 * Y**2 - Y), I * I * (Y**2 + 3) - 7, 40)  # negative digits, more than 64 slots
 @example(IndexPoly.constant(32768 * Y**32), IndexPoly.constant(1), 30)  # y^32 takes slot 32
 @example(IndexPoly.constant(Y**6 - Y**3), I * Y**9, 24)  # powers of y^3: two slots in three empty
-def test_walk_on_packed_ints_matches_the_multipoly_walk(alpha, beta, order):
-    # Packed however few of its slots the powers of y fill (a walk of y^n
+def test_a_y_packed_walk_reads_its_rows_from_its_digits(alpha, beta, order):
+    # The digits of the walk's values, y^j at slot j, up to the last
+    # nonzero one, are the rows of the oracle, at any fraction's proven
+    # width, however few of its slots the powers of y fill (a walk of y^n
     # alone fills one in n + 1): which walk production takes is tested below.
     frac = JFraction(alpha, beta)
-    _, plan, plain = walk_packed_and_unpacked(frac, order)
-    assert typed_all(forced_packed(frac, order, plan)) == typed_all(plain)
+    plan = walk_plan(frac, order)
+    plan = plan._replace(width=_width(plan.bound))
+    assert plan.layout == "y-packed"
+    assert [typed_all(row) for row in walk.rows(frac, order, plan)] == typed_rows(frac.expand(order))
 
 
 NAMED = [*named_triple("associahedron"), *named_triple("permutahedron")]
@@ -160,22 +135,24 @@ NAMED = [*named_triple("associahedron"), *named_triple("permutahedron")]
 
 @pytest.mark.parametrize("frac", NAMED, ids=[f"{p} {w}" for p in ("assoc", "perm") for w in ("gamma", "h", "f")])
 def test_the_polytope_walks_run_packed_at_large_n(frac):
-    packed, plan, plain = walk_packed_and_unpacked(frac, 60)
-    assert plan.layout == "y-packed" and typed_all(packed) == typed_all(plain)
+    # The permutahedron's three fractions take the walk in production, perm
+    # f being the decks' perm-face; the associahedron's take the row
+    # recurrence, and walk packed here.
+    plan = walk_plan(frac, 60)
+    assert plan.layout == "y-packed"
+    assert [typed_all(row) for row in walk.rows(frac, 60, plan)] == typed_rows(frac.expand(60))
 
 
 @pytest.mark.parametrize(
     "frac",
     [
         family_fractions(FamilySpec(Kind.EXPONENTIAL, R)).f,  # weights in r
-        JFraction(IndexPoly.constant(Fraction(1, 2)), I),  # a non-integer coefficient
         JFraction(IndexPoly.constant(2**300), I),  # slots past MAX_WIDTH
     ],
-    ids=["r", "fraction", "wide"],
+    ids=["r", "wide"],
 )
 def test_the_walk_packs_only_integral_weights_free_of_r_in_narrow_slots(frac):
-    packed, plan, plain = walk_packed_and_unpacked(frac, 12)
-    assert plan.layout == "MultiPoly" and typed_all(packed) == typed_all(plain)
+    assert walk_plan(frac, 12).layout == "MultiPoly"
 
 
 @pytest.mark.parametrize(
@@ -196,30 +173,25 @@ def test_the_walk_packs_only_integral_weights_free_of_r_in_narrow_slots(frac):
 )
 def test_the_walk_packs_only_powers_of_y_that_fill_a_sixteenth_of_their_slots(alpha, beta, order, packs):
     frac = JFraction(alpha, beta)
-    packed, plan, plain = walk_packed_and_unpacked(frac, order)
+    plan = walk_plan(frac, order)
     assert plan.layout == ("y-packed" if packs else "MultiPoly")
-    assert typed_all(packed) == typed_all(plain) == typed_all(forced_packed(frac, order, plan))
+    want = typed_rows(frac.expand(order))
+    for run in (plan, plan._replace(width=_width(plan.bound))):  # as planned, and forced y-packed
+        assert [typed_all(row) for row in walk.rows(frac, order, run)] == want
 
 
-def series_rows(frac, order, plan):
-    """The rows of the walk as they came before they were read from its
-    digits: the y-coefficients of each coefficient of its series."""
-    return [[tidy(c) for c in MultiPoly.coerce(s).y_coefficients()] for s in frac.expand(order, plan)]
+def test_the_oracle_runs_no_packed_code(monkeypatch):
+    # JFraction.expand walks on MultiPoly alone, so it gives the rows of a
+    # y-packed walk (perm-face) and of r-packed rows (the associahedron's
+    # f) with the packed walk out of reach.
+    fracs = [named_triple("permutahedron").f, named_triple("associahedron").f]
+    want = [[typed_all(row) for row in frac.rows(12)] for frac in fracs]
 
+    def unreachable(*args):
+        raise AssertionError("the oracle walked on packed ints")
 
-@settings(deadline=None)
-@given(index_polys, index_polys, st.integers(0, 30))
-@example(IndexPoly.constant(0), I, 9)  # 0; i: a zero row at every odd order
-@example(IndexPoly(()), IndexPoly(()), 5)  # all zero but row 0
-@example(IndexPoly.constant(2**20 * Y**2 - Y), I * I * (Y**2 + 3) - 7, 30)  # negative digits, many slots
-def test_a_y_packed_walk_reads_its_rows_from_its_digits(alpha, beta, order):
-    # The digits of the walk's values, y^j at slot j, up to the last
-    # nonzero one, are the rows of the series route, at any fraction's
-    # proven width, whatever the plan would say of its density.
-    frac = JFraction(alpha, beta)
-    _, bound = walk._layout(frac, order)
-    plan = Plan("walk", _width(bound), bound)
-    assert [typed_all(row) for row in walk.rows(frac, order, plan)] == [typed_all(row) for row in series_rows(frac, order, plan)]
+    monkeypatch.setattr(walk, "packed", unreachable)
+    assert [typed_rows(frac.expand(12)) for frac in fracs] == want
 
 
 # -- the two continued-fraction laws of verify group, on packed values ----------------
