@@ -319,6 +319,22 @@ def test_rows_pack_only_dense_rows_of_narrow_slots(frac, order, packed):
     assert [typed_all(row) for row in frac.rows(order)] == typed_rows(frac.expand(order))
 
 
+Y_PACKED = [
+    name for name, weights in CERTIFIED.items() if JFraction(*map(parse_index_poly, weights)).plan(30).layout == "y-packed"
+]
+
+
+@pytest.mark.parametrize("name", Y_PACKED)
+def test_a_y_packed_walk_reads_the_rows_of_its_series(name):
+    # The rows of every fraction of the decks and polytopes that walks
+    # y-packed, read from the walk's digits under its own plan, against
+    # the oracle's series.
+    frac = JFraction(*map(parse_index_poly, CERTIFIED[name]))
+    plan = frac.plan(30)
+    assert plan.engine == "walk"
+    assert [typed_all(row) for row in walk.rows(frac, 30, plan)] == typed_rows(frac.expand(30))
+
+
 def test_a_rational_fraction_walks_on_packed_ints():
     # rows clears the common denominator, 6, so these rows walk on packed
     # ints, where the oracle's expansion walks on Fraction coefficients.

@@ -109,6 +109,30 @@ def walk_plan(frac, order):
     return Plan("walk", *walk._layout(frac, order))
 
 
+def at_slot_width(series, width):
+    """Each coefficient of a series in x over MultiPoly, free of r, as the
+    int it takes at y = 2^width."""
+    return [sum(c << width * j for (_, j), c in MultiPoly.coerce(s).items()) for s in series]
+
+
+@settings(deadline=None)
+@given(index_polys, index_polys, st.integers(0, 40))
+@example(IndexPoly.constant(0), I, 21)  # the aerated double factorials, zero at odd orders
+@example(IndexPoly(()), IndexPoly(()), 5)  # all zero
+@example(IndexPoly.constant(128), IndexPoly(()), 1)  # a coefficient as large as the bound, of 8 bits
+@example(IndexPoly.constant(2**20 * Y**2 - Y), I * I * (Y**2 + 3) - 7, 40)  # entries of more than 64 slots
+@example(IndexPoly.constant(32768 * Y**32), IndexPoly.constant(1), 30)  # y^32 takes slot 32
+@example(IndexPoly.constant(Y**6 - Y**3), I * Y**9, 24)  # powers of y^3: two slots in three empty
+def test_walk_on_packed_ints_matches_the_multipoly_walk(alpha, beta, order):
+    # The packed walk's values are the oracle's series at y = 2^width: at
+    # the proven width, and, since y -> 2^width is a ring map, at widths
+    # too narrow for the digits to be read back, where slots overlap.
+    frac = JFraction(alpha, beta)
+    oracle = frac.expand(order)
+    for width in (_width(walk_plan(frac, order).bound), 1, 3):
+        assert walk.packed(frac, order, width) == at_slot_width(oracle, width)
+
+
 @settings(deadline=None)
 @given(index_polys, index_polys, st.integers(0, 40))
 @example(IndexPoly.constant(0), I, 21)  # the aerated double factorials, zero at odd orders
