@@ -16,6 +16,8 @@ is removed.
 import random
 from fractions import Fraction
 from functools import cache, partial
+from math import factorial
+from operator import mul
 
 from . import arrays, cold, families, oeis, walk
 from .algebra import MultiPoly, R, Y, _norm, _width
@@ -24,7 +26,6 @@ from .cold import (
     binomial_array,
     dense_family_triple,
     egf_to_ogf,
-    f_closed_row,
     face_array,
     gamma_closed_row,
     h_closed_row,
@@ -103,10 +104,43 @@ def _rounds(trial, rounds: int, rng: random.Random) -> bool:
     return all(trial(rng) for _ in range(rounds))
 
 
+# The two product laws and the inverse law compare matrices by their rows at
+# y = 2^W: row n packed is sum_k M[n,k] 2^(W k), from RiordanArray._rows_at,
+# which computes it on ints with no slot to overflow.  Balanced base-2^W
+# digits are unique, so two rows of entries below 2^(W-1) in absolute value
+# are equal exactly when their packed ints are, and each law takes W from a
+# bound on every entry of both its sides (_bound).
+
+
+def _bound(array: RiordanArray) -> int:
+    """A bound on every |a[n,k]| of the array's matrix to ORDER, from the
+    norms of g and f: a[n,k] = p(n,k) [x^(n-k)] g (f/x)^k, and that
+    coefficient is at most |g|(1) |f/x|(1)^k <= |g|(1) |f/x|(1)^ORDER, as
+    |f/x|(1) >= |f_1| >= 1, counting coefficients up to x^ORDER only.  The
+    prefactor p(n,k) is 1, or n!/k! <= ORDER! for an exponential array."""
+    g, over_x = array.g.coeffs[: ORDER + 1], array.f.coeffs[1 : ORDER + 1]
+    scale = factorial(ORDER) if array.kind is Kind.EXPONENTIAL else 1
+    return scale * sum(map(abs, g)) * sum(map(abs, over_x)) ** ORDER
+
+
+def _product_width(a: RiordanArray, b: RiordanArray, ab: RiordanArray) -> int:
+    """W of :func:`_matrix_product_law`, as its docstring proves it."""
+    return _width(max((ORDER + 1) * _bound(a) * _bound(b), _bound(ab)))
+
+
 def _matrix_product_law(kind: Kind, rng: random.Random) -> bool:
+    """M(a b) = M(a) M(b) to ORDER, row by row at y = 2^W.  Row n of the
+    product is sum_j A[n,j] R_j, with A read from a.matrix(ORDER), the
+    oracle's column chain, and R_j row j of M(b) packed.  The width: an
+    entry of M(a) M(b) sums ORDER + 1 products of entries of M(a) and M(b),
+    so it is at most (ORDER + 1) _bound(a) _bound(b), and an entry of
+    M(a b) is at most _bound(a b); W is ``_width`` of the larger."""
     a = _random_array(rng, kind, ORDER)
     b = _random_array(rng, kind, ORDER)
-    return (a * b).matrix(ORDER) == a.matrix(ORDER) * b.matrix(ORDER)
+    ab = a * b
+    y = 1 << _product_width(a, b, ab)
+    rows_b = b._rows_at(ORDER, y)
+    return ab._rows_at(ORDER, y) == [sum(map(mul, row, rows_b)) for row in a.matrix(ORDER).rows]
 
 
 for _kind in (Kind.ORDINARY, Kind.EXPONENTIAL):
@@ -122,10 +156,16 @@ def _product_associativity(rng: random.Random) -> bool:
 
 @_law("inverse yields the identity array")
 def _inverse_is_identity(rng: random.Random) -> bool:
+    """a a^-1 is the identity array, as g and f and as a matrix, whose rows
+    are compared at y = 2^W, W ``_width`` of the larger of the two arrays'
+    bounds (_bound)."""
     ident = identity_array(Kind.ORDINARY, ORDER)
     a = _random_array(rng, Kind.ORDINARY, ORDER)
     prod = a * a.inverse()
-    return prod.g == ident.g and prod.f == ident.f and prod.matrix(ORDER) == ident.matrix(ORDER)
+    if not (prod.g == ident.g and prod.f == ident.f):
+        return False
+    y = 1 << _width(max(_bound(prod), _bound(ident)))
+    return prod._rows_at(ORDER, y) == ident._rows_at(ORDER, y)
 
 
 @_law("series inverse identity")
@@ -185,7 +225,7 @@ def _binomial_shift(rng: random.Random) -> bool:
     width = _shift_width(frac)
     expansion = walk.packed(frac, 8, width)
     return all(
-        walk.packed(frac.binomial_shift(k), 8, width) == cold._difference_table(expansion, cold._pack_y(k, width))
+        walk.packed(frac.binomial_shift(k), 8, width) == cold._difference_table(expansion, cold._pack_var(k, width))
         for k in (1, 2, Y, Y + 1)
     )
 
@@ -217,7 +257,7 @@ def _defining_equation(rng: random.Random) -> bool:
     width = _equation_width(frac, down)
     s, below = (TruncatedSeries(walk.packed(f, 12, width)) for f in (frac, down))
     x = TruncatedSeries.x(12)
-    return s * (1 - x * cold._pack_y(alpha(0), width) - x * x * cold._pack_y(beta(1), width) * below) == 1
+    return s * (1 - x * cold._pack_var(alpha(0), width) - x * x * cold._pack_var(beta(1), width) * below) == 1
 
 
 # -- family identities --------------------------------------------------------
@@ -273,17 +313,28 @@ def _ordinary_face_gf() -> bool:
 
 @_check("props", "ordinary family closed forms match the constructions")
 def _ordinary_closed_forms() -> bool:
+    """The row recurrences' triple equals the Riordan route's and, row by
+    row, the closed forms.  At r = R both sides meet at r = 2^W, on ints:
+    the closed forms run there, and the rows' entries are packed there.  A
+    coefficient of a closed form is at most 2 8^n (h's C(k,j)
+    C(n-j, n-k-j) <= 4^n, f's sums of C(i,k) <= 2^(n+1) of them, gamma's
+    C(n-k, n-2k) <= 2^n), and one of an entry at most its row's norm, so W
+    is ``_width`` of the larger."""
     cases = [(R, 12)] + [(rv, 8) for rv in range(6)]
     for r, size in cases:
         spec = FamilySpec(Kind.ORDINARY, r)
         fam = _family(spec, size)
-        if fam != dense_family_triple(spec, size) or not all(
-            list(fam.h.rows[n]) == h_closed_row(n, r)
-            and list(fam.f.rows[n]) == f_closed_row(n, r)
-            and list(fam.gamma.rows[n]) == gamma_closed_row(n, r)
-            for n in range(size + 1)
-        ):
+        if fam != dense_family_triple(spec, size):
             return False
+        gamma, h, f = (m.rows for m in fam)
+        if isinstance(r, MultiPoly):
+            width = _width(max(2 * 8**size, *(cold._norm_all(row) for m in fam for row in m.rows)))
+            r = 1 << width
+            gamma, h, f = ([[cold._pack_var(e, width, "r") for e in row] for row in m] for m in (gamma, h, f))
+        for n in range(size + 1):
+            closed_h = h_closed_row(n, r)  # f_closed_row(n, r) is _face_row(closed_h)
+            if list(h[n]) != closed_h or list(f[n]) != cold._face_row(closed_h) or list(gamma[n]) != gamma_closed_row(n, r):
+                return False
     return True
 
 

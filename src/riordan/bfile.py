@@ -13,8 +13,8 @@ this code is kept out of :mod:`riordan.oeis`, which every ``verify`` and
 import os
 import sys
 import tempfile
+from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
 
 from . import _count
 from .oeis import _normalize_anumber
@@ -40,10 +40,11 @@ class CacheMiss(FileNotFoundError):
     """Offline fetch requested but the cache has no copy."""
 
 
-class BFile(NamedTuple):
-    """Parsed 'index value' lines of an OEIS b-file."""
+class BFile(namedtuple("BFile", "entries")):
+    """Parsed 'index value' lines of an OEIS b-file: ``entries``, a tuple of
+    (index, value) pairs of ints."""
 
-    entries: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @property
     def values(self) -> tuple[int, ...]:

@@ -16,7 +16,10 @@ int: the Horner steps of :func:`series_compose`, the powers of
 x = 2^width.  Each proves a bound on its coefficients from its inputs and
 takes the width :mod:`riordan.algebra`'s packing rules give that bound;
 past ``MAX_WIDTH`` it computes on the coefficients (see "packed integer
-chains" below).
+chains" below).  The matrix, the families' triple built from it
+(:func:`dense_family_triple`) and compose compute on ints for rational
+coefficients and polynomials in r too, and the group suite's matrix laws
+compare rows packed at y = 2^W (:meth:`RiordanArray._rows_at`).
 
 Without cached bytecode a request compiles every module it imports, so
 no ``show``, ``export`` or ``jf`` request imports this one, and neither
@@ -29,12 +32,12 @@ resolve four of them, which the benchmark's tracer wraps there.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import mul
 from typing import Callable, Sequence
 
 from . import Frozen
-from .algebra import VARIABLES, Monomial, MultiPoly, R, Scalar, Y, _digits, _width, tidy
+from .algebra import VARIABLES, Monomial, MultiPoly, R, Scalar, Y, _digits, _norm, _unpack, _width, _wrap, tidy
 from .arrays import Entry, IndexBeyondTruncation, LowerTriMatrix, _normalize_entry
 from .families import FamilySpec, GammaHFTriple, Kind, RValue
 from .jfraction import PolyLike
@@ -68,8 +71,14 @@ class NonIntegralResult(ValueError):
 # inputs and takes the width from that bound (algebra._width).  One width
 # serves every slot, so past MAX_WIDTH (as for the ordinary family at
 # r = 2^B in tests/test_engines.py, whose columns mix coefficients of very
-# different sizes) the chain computes on its coefficients, as it does for
-# a Fraction or MultiPoly coefficient.
+# different sizes) the chain computes on its coefficients, as revert does
+# for a Fraction or MultiPoly coefficient.  RiordanArray.matrix and compose
+# bring their coefficients to ints first: they clear their common
+# denominators (_cleared) and take polynomials in r at r = 2^W_r (_at_r),
+# where the packed chain would give every slot the size of the largest
+# value, so they take series products of those ints, and read each result
+# back once: the matrix divides its entries exactly term by term
+# (_scaled), compose by its one denominator.
 
 
 def _ints(*coeffs) -> bool:
@@ -81,9 +90,12 @@ def _pack_x(coeffs: Sequence[int], width: int) -> int:
     return sum(map(int.__lshift__, coeffs, range(0, width * len(coeffs), width)))
 
 
-def _pack_y(p: MultiPoly, width: int) -> int:
-    """An integer polynomial free of r at y = 2^width."""
-    return sum(c << width * j for (_, j), c in MultiPoly.coerce(p).items())
+def _pack_var(p: "int | MultiPoly", width: int, var: str = "y") -> int:
+    """An integer polynomial in var alone ("r" or "y") at var = 2^width."""
+    if type(p) is int:
+        return p
+    slot = VARIABLES.index(var)
+    return sum(c << width * m[slot] for m, c in p.items())
 
 
 def _low(value: int, bits: int) -> int:
@@ -96,6 +108,48 @@ def _low(value: int, bits: int) -> int:
 def _read(value: int, width: int, n: int) -> list[int]:
     """The n coefficients packed in value, lowest first."""
     return (_digits(value, width) + [0] * n)[:n]
+
+
+def _cleared(coeffs: Sequence) -> tuple[int, list]:
+    """d and the coefficients times d, each an int or an integer-coefficient
+    MultiPoly, where d is the least common denominator of their rational
+    numbers (a coefficient of another type counts as a denominator 1)."""
+    d = lcm(*(getattr(c, "denominator", 1) for v in coeffs for c in (v._terms.values() if isinstance(v, MultiPoly) else (v,))))
+    return d, [tidy(v * d if d != 1 else v) for v in coeffs]
+
+
+def _norm_all(coeffs: Sequence) -> int:
+    """The sum of the norms of ints and integer-coefficient MultiPolys."""
+    return sum(_norm(c) if isinstance(c, MultiPoly) else abs(c) for c in coeffs)
+
+
+def _at_r(head: list, step: list, n: int) -> tuple:
+    """W_r, head and step at r = 2^W_r, for cleared coefficients of which
+    some are polynomials in r and none holds y; else None and the lists as
+    they are.  As a polynomial in r, every coefficient of head * step^k,
+    k <= n, is at most |head|(1) max(1, |step|(1))^n, the norms summed over
+    x and r, and W_r is ``_width`` of that bound (None past MAX_WIDTH)."""
+    if _ints(*head, *step) or not all(type(c) is int or isinstance(c, MultiPoly) and not c.degree("y") for c in (*head, *step)):
+        return None, head, step
+    width = _width(_norm_all(head) * max(1, _norm_all(step)) ** n)
+    if not width:
+        return None, head, step
+    return width, [_pack_var(c, width, "r") for c in head], [_pack_var(c, width, "r") for c in step]
+
+
+def _scaled(value, num: int, den: int) -> Entry:
+    """value * num / den as a matrix entry, for value an int or an
+    integer-coefficient MultiPoly, divided exactly term by term; where it is
+    not integral, the NonIntegralEntry that _normalize_entry raises."""
+    if type(value) is int:
+        quotient, remainder = divmod(value * num, den)
+        if not remainder:
+            return quotient
+    else:
+        terms = {m: divmod(c * num, den) for m, c in value.items()}
+        if not any(remainder for _, remainder in terms.values()):
+            return tidy(_wrap({m: quotient for m, (quotient, _) in terms.items()}))
+    return _normalize_entry(value * Fraction(num, den))
 
 
 def _unit_inverse(c: Coeff, error: type[ValueError], what: str) -> Coeff:
@@ -139,25 +193,42 @@ def series_compose(s: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSerie
     up to x**(n - k) can reach the result.  Each step keeps one more
     coefficient than the last: composing at order n costs n(n+1)(n+2)/6
     coefficient products, or n products of packed ints for integer series.
+    It runs on ints as :meth:`RiordanArray.matrix` does: with d_s and d_i
+    the common denominators of s and inner/x, R_k = d_s d_i^(n-k) r_k steps
+    by R_k = d_s c_k d_i^(n-k) + x R_(k+1) (d_i inner/x), on ints or, for
+    polynomials in r, on their values at r = 2^W_r (:func:`_at_r`), and the
+    result is R_0 over d_s d_i^n.
     """
     if inner._coeffs[0] != 0:
         raise NonzeroConstantTerm("inner series must have zero constant term")
     n = min(s.order, inner.order)
     c, over_x = s._coeffs[: n + 1], inner._coeffs[1 : n + 1]
+    den, r_width, ints = 1, None, _ints(*c, *over_x)
+    if not ints:
+        (ds, c), (di, over_x) = _cleared(c), _cleared(over_x)
+        if di != 1:
+            c = [ck * di ** (n - k) for k, ck in enumerate(c)]
+        den = ds * di**n
+        r_width, c, over_x = _at_r(c, over_x, n)
+        ints = not r_width and _ints(*c, *over_x)
     # Step k's coefficients are those of sum_{j >= k} c_j inner^(j - k), at
     # most |s|(F) <= |s|(1) F^n for F = max(1, |inner|(1)).
-    width = _ints(*c, *over_x) and _width(sum(map(abs, c)) * max(1, sum(map(abs, over_x))) ** n)
+    width = ints and _width(sum(map(abs, c)) * max(1, sum(map(abs, over_x))) ** n)
     if width:
         result, over_x = c[n], _pack_x(over_x, width)
         for k in range(n - 1, -1, -1):
             result = c[k] + (_low(result * over_x, width * (n - k)) << width)
-        return _trusted(_read(result, width, n + 1))
-    result = _trusted((c[n],))
-    if n:
-        over_x = _trusted(over_x)
-        for k in range(n - 1, -1, -1):
-            result = _trusted((c[k],) + (result * over_x)._coeffs)
-    return result
+        out = _read(result, width, n + 1)
+    else:
+        result = _trusted((c[n],))
+        if n:
+            over_x = _trusted(over_x)
+            for k in range(n - 1, -1, -1):
+                result = _trusted((c[k],) + (result * over_x)._coeffs)
+        out = result._coeffs
+    if r_width:
+        out = [_unpack(v, r_width) for v in out]
+    return _trusted(out if den == 1 else [tidy(v * Fraction(1, den)) for v in out])
 
 
 def series_revert(s: TruncatedSeries) -> TruncatedSeries:
@@ -188,7 +259,7 @@ def series_revert(s: TruncatedSeries) -> TruncatedSeries:
         else:
             power = power * h
             c = power._coeffs[k - 1]
-        out.append(tidy(c * Fraction(1, k)))
+        out.append(c // k if type(c) is int and not c % k else tidy(c * Fraction(1, k)))
     return _trusted(out)
 
 
@@ -376,19 +447,37 @@ class RiordanArray(Frozen):
 
         Column k is g * f**k, which is zero below x**k, so only its
         coefficients k..size_n are built: column k is column k - 1 times
-        f/x, one coefficient shorter, one product of packed ints for
-        integer g and f.  An exponential row n takes its prefactors n!/k!
-        from one table; an ordinary row takes none."""
+        f/x, one coefficient shorter.  The columns run on ints: g and f/x
+        are scaled by the common denominators d_g and d_f of their
+        coefficients (an exponential array's 1/n!, the family's r/2), and a
+        polynomial coefficient is taken at r = 2^W_r, W_r proven from the
+        norms of g and f/x.  Plain ints take the packed chain at x =
+        2^width, ints at r = 2^W_r series products.  Each entry is then
+        read back once (at r = 2^W_r by ``algebra._unpack``), times its
+        prefactor (n!/k! for an exponential array, c_n/c_k for a
+        generalized one) over column k's d_g d_f^k; where that is not
+        integral it raises NonIntegralEntry.  Coefficients in y, or a W_r
+        past ``MAX_WIDTH``, take series products of MultiPolys."""
         if size_n > self.order:
             raise IndexBeyondTruncation(
                 f"size {size_n} beyond truncation order {self.order}"
             )
-        over_x = self.f._coeffs[1 : size_n + 1]  # f/x, order size_n - 1
-        cols = [self.g._coeffs[: size_n + 1]]  # cols[k][m] = [x^(k+m)] g f^k
-        # Column k's coefficients are at most |g|(1) |f/x|(1)^k, and |f/x|(1) >= 1.
-        width = _ints(*cols[0], *over_x) and _width(sum(map(abs, cols[0])) * sum(map(abs, over_x)) ** size_n)
+        g, over_x = self.g._coeffs[: size_n + 1], self.f._coeffs[1 : size_n + 1]  # f/x, order size_n - 1
+        dg = df = 1
+        r_width, ints = None, _ints(*g, *over_x)
+        if not ints:
+            (dg, g), (df, over_x) = _cleared(g), _cleared(over_x)
+            r_width, g, over_x = _at_r(g, over_x, size_n)  # column k is g (f/x)^k
+            ints = _ints(*g, *over_x)
+        cols = [g]  # cols[k][m] = [x^(k+m)] g f^k, times d_g d_f^k
+        # Column k's coefficients are at most |g|(1) |f/x|(1)^k, and |f/x|(1)
+        # >= 1.  Packing x too at r = 2^W_r would give every slot the size
+        # of the largest coefficient: series products on those ints took a
+        # fifth to a quarter of the packed chain's time (ordinary family,
+        # N = 12, 2-core x86-64).
+        width = not r_width and ints and _width(sum(map(abs, g)) * sum(map(abs, over_x)) ** size_n)
         if width:
-            col, over_x = _pack_x(cols[0], width), _pack_x(over_x, width)
+            col, over_x = _pack_x(g, width), _pack_x(over_x, width)
             for k in range(1, size_n + 1):
                 col = _low(col * over_x, width * (size_n + 1 - k))
                 cols.append(_read(col, width, size_n + 1 - k))
@@ -396,18 +485,52 @@ class RiordanArray(Frozen):
             over_x = _trusted(over_x)
             for _ in range(size_n):
                 cols.append((_trusted(cols[-1][:-1]) * over_x)._coeffs)
-        rows = []
+        # Entries computed on ints are canonical, so where nothing is to be
+        # divided, an ordinary row is read as it is.
+        exact = ints and dg == df == 1 and self.kind is not Kind.GENERALIZED
+        rows, scale = [], []
         for n in range(size_n + 1):
             row = [cols[k][n - k] for k in range(n + 1)]
+            if r_width:
+                row = [_unpack(e, r_width) for e in row]
             if self.kind is Kind.EXPONENTIAL:
-                scale = [1] * (n + 1)  # scale[k] = n!/k!
-                for k in range(n, 0, -1):
-                    scale[k - 1] = scale[k] * k
-                row = map(mul, scale, row)
+                scale = [*map(n.__mul__, scale), 1]  # scale[k] = n!/k!
             elif self.kind is Kind.GENERALIZED:
-                row = [self._prefactor(n, k) * e for k, e in enumerate(row)]
-            rows.append([_normalize_entry(e) for e in row])
+                scale = [self._prefactor(n, k) for k in range(n + 1)]
+            else:
+                scale = [1] * (n + 1)
+            if not exact:
+                row = [_scaled(e, s.numerator, s.denominator * dg * df**k) for k, (e, s) in enumerate(zip(row, scale))]
+            elif self.kind is Kind.EXPONENTIAL:
+                row = [*map(mul, scale, row)]
+            rows.append(row)
         return LowerTriMatrix(rows)
+
+    def _rows_at(self, size_n: int, y: int) -> list[int]:
+        """Rows 0..size_n of the matrix of an array with integer g and f at
+        the integer y: row n is sum_k a[n,k] y^k, the x^n coefficient of the
+        bivariate generating function (:meth:`bgf`), computed here on ints
+        and exact.  Ordinary: P = g / (1 - y f), so P_n = g_n +
+        sum_(j=1..n) y f_j P_(n-j).  Exponential: P_n = n! [x^n] g e for e
+        = exp(y f), which solves e' = y f' e, so n e_n = sum_(j=1..n) j y
+        f_j e_(n-j).  n! e_n is an integer (the Hurwitz form of
+        :func:`series_exp`), so E_n = N! e_n is, for N = size_n: E_n is
+        that sum on E over n, an exact division, and P_n is
+        sum_j g_j E_(n-j) over N!/n!, exact as P_n is an integer."""
+        self._require_group_kind()
+        g, f = self.g._coeffs[: size_n + 1], self.f._coeffs[: size_n + 1]
+        if self.kind is Kind.ORDINARY:
+            rows, yf = [], [y * c for c in f[1:]]
+            for n in range(size_n + 1):
+                rows.append(g[n] + sum(map(mul, yf, reversed(rows))))
+            return rows
+        jyf = [j * y * c for j, c in enumerate(f)][1:]
+        exp, rows = [factorial(size_n)], []  # exp[n] = E_n = N! e_n
+        for n in range(size_n + 1):
+            if n:
+                exp.append(sum(map(mul, jyf, reversed(exp))) // n)
+            rows.append(sum(map(mul, g, reversed(exp))) // (exp[0] // factorial(n)))
+        return rows
 
     # -- group structure ---------------------------------------------------
 
@@ -495,9 +618,29 @@ def dense_family_triple(spec: FamilySpec, size_n: int) -> GammaHFTriple:
     """The same triple as :func:`~riordan.families.family_triple` by the
     Riordan route: the array's matrix, its product with the binomial matrix
     and gamma extraction.  Production builds the triple from the row
-    recurrences; this route is kept as their oracle."""
+    recurrences; this route is kept as their oracle.
+
+    At a symbolic r the face product and gamma extraction run on h's
+    entries at r = 2^W, ints, and read their entries back once
+    (``algebra._unpack``).  Both are ring operations, so that is exact
+    where every coefficient of their results fits a balanced slot.  With H
+    the largest norm of a row of h, an f entry sum_j h[n,j] C(j,k) is at
+    most 2^(n+1) H; gamma_k = h_k - sum_(i<k) gamma_i C(n-2i, k-i) is at
+    most H + 2^n sum_(i<k) |gamma_i| <= H (1 + 2^n)^k, and so is what gamma
+    extraction leaves over, for k <= n//2 + 1.  W is ``_width`` of the
+    larger bound at n = size_n; past ``MAX_WIDTH`` both run on the
+    polynomials."""
     h = family_array(spec, max(size_n, 1)).matrix(size_n)
-    return GammaHFTriple(gamma_from_h(h), h, face_matrix(h))
+    width = (
+        isinstance(spec.r, MultiPoly)
+        and not spec.r.degree("y")
+        and _width(max(map(_norm_all, h.rows)) * max(2 ** (size_n + 1), (1 + 2**size_n) ** (size_n // 2 + 1)))
+    )
+    if not width:
+        return GammaHFTriple(gamma_from_h(h), h, face_matrix(h))
+    at = LowerTriMatrix([_pack_var(e, width, "r") for e in row] for row in h.rows)
+    gamma, f = (LowerTriMatrix([_unpack(e, width) for e in row] for row in m.rows) for m in (gamma_from_h(at), face_matrix(at)))
+    return GammaHFTriple(gamma, h, f)
 
 
 # Closed forms of the ordinary family's three triangles, a row at a time.
@@ -529,8 +672,13 @@ def h_closed_row(n: int, r: RValue = R) -> list[RValue]:
 
 def f_closed_row(n: int, r: RValue = R) -> list[RValue]:
     """Row n of f: sum_i h[n,i] C(i,k), the coefficients of f_n(y) =
-    h_n(1 + y), from one h row."""
-    h = h_closed_row(n, r)
+    h_n(1 + y), from one h row (:func:`_face_row`)."""
+    return _face_row(h_closed_row(n, r))
+
+
+def _face_row(h: list[RValue]) -> list[RValue]:
+    """sum_i h[i] C(i,k) for each k: the face row of an h row."""
+    n = len(h) - 1
     return [sum(h[i] * comb(i, k) for i in range(k, n + 1)) for k in range(n + 1)]
 
 

@@ -52,7 +52,8 @@ wraps here, also resolve from this module, on first use.
 """
 
 import enum
-from typing import NamedTuple, Union
+from collections import namedtuple
+from typing import Union
 
 from . import Frozen, _lazy_names
 from .algebra import MultiPoly, R, Y
@@ -81,13 +82,12 @@ class FamilySpec(Frozen):
         self._init(flavor=flavor, r=r)
 
 
-class GammaHFTriple(NamedTuple):
-    """The gamma, h and f members of a triple: triangles, or the fractions
-    that expand to them."""
+class GammaHFTriple(namedtuple("GammaHFTriple", "gamma h f")):
+    """The gamma, h and f members of a triple: triangles
+    (:class:`~riordan.arrays.LowerTriMatrix`), or the fractions
+    (:class:`~riordan.jfraction.JFraction`) that expand to them."""
 
-    gamma: "LowerTriMatrix | JFraction"
-    h: "LowerTriMatrix | JFraction"
-    f: "LowerTriMatrix | JFraction"
+    __slots__ = ()
 
 
 def family_fractions(spec: FamilySpec) -> GammaHFTriple:

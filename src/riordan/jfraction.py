@@ -41,7 +41,8 @@ the plan.
 from functools import reduce
 from itertools import zip_longest
 from math import lcm
-from typing import NamedTuple, Sequence, Union
+from collections import namedtuple
+from typing import Sequence, Union
 
 from . import Frozen, _lazy_names
 from .algebra import MultiPoly, Y, _trusted, _unpack, tidy
@@ -123,14 +124,17 @@ class IndexPoly(Frozen):
         return " + ".join(pieces) or "0"
 
 
-class Plan(NamedTuple):
+class Plan(namedtuple("Plan", "engine width bound den", defaults=(1,))):
     """How :meth:`JFraction.rows` expands a fraction to an order, every
-    number of it decided before any row is computed (:meth:`JFraction.plan`)."""
+    number of it decided before any row is computed (:meth:`JFraction.plan`).
 
-    engine: str  # a row of recurrence.SHAPES, or "walk"
-    width: "int | None"  # the slot width in bits, r^i or y^j at slot i or j; None on MultiPoly
-    bound: int  # of every |coefficient| of every row the engine computes, before den divides them
-    den: int = 1  # the common denominator D, cleared before the engine runs
+    ``engine`` is a row of recurrence.SHAPES, or "walk"; ``width`` the slot
+    width in bits, r^i or y^j at slot i or j, None on MultiPoly; ``bound``
+    bounds every |coefficient| of every row the engine computes, before
+    ``den`` divides them; ``den`` (default 1) is the common denominator D,
+    cleared before the engine runs."""
+
+    __slots__ = ()
 
     @property
     def layout(self) -> str:
@@ -140,11 +144,11 @@ class Plan(NamedTuple):
         return "MultiPoly" if self.width is None else "y-packed" if self.engine == "walk" else "r-packed"
 
 
-class JFraction(NamedTuple):
-    """Level coefficients alpha_i (i >= 0) and weights beta_i (i >= 1)."""
+class JFraction(namedtuple("JFraction", "alpha beta")):
+    """Level coefficients alpha_i (i >= 0) and weights beta_i (i >= 1), each
+    an :class:`IndexPoly`."""
 
-    alpha: IndexPoly
-    beta: IndexPoly
+    __slots__ = ()
 
     def expand(self, order: int) -> "TruncatedSeries":
         """Truncated expansion as a series in x over MultiPoly, by the

@@ -14,7 +14,7 @@ The b-file parser and the cached fetcher live in :mod:`riordan.bfile`,
 which only ``fetch-bfile`` loads.
 """
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import Frozen
 from .algebra import MultiPoly, tidy
@@ -57,13 +57,12 @@ class TriangleFixture(Frozen):
         return out
 
 
-class CheckReport(NamedTuple):
-    """Outcome of comparing generated rows against a fixture."""
+class CheckReport(namedtuple("CheckReport", "anumber rows_compared entries_matched mismatch", defaults=(None,))):
+    """Outcome of comparing generated rows against a fixture: its A-number,
+    the rows compared, the entries matched and the first mismatch, a tuple
+    (n, k, got, want), or None (the default) where every entry matched."""
 
-    anumber: str
-    rows_compared: int
-    entries_matched: int
-    mismatch: tuple[int, int, object, object] | None = None
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

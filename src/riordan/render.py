@@ -22,7 +22,7 @@ cells, CSV without the ``csv`` module.
 
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import _count
 from .algebra import MultiPoly, R, _digits, _text
@@ -43,19 +43,23 @@ FORMATS = ("table", "json", "csv", "latex")
 MAX_N = 100
 
 
-class OutputDoc(NamedTuple):
+class OutputDoc(
+    namedtuple(
+        "OutputDoc",
+        "kind rows family flavor r size reversed_form extra",
+        defaults=(None, None, None, 0, False, None),
+    )
+):
     """A rendered triangle or series expansion plus its metadata.  Its rows
     hold cells (:func:`cells`); any entry whose ``str`` is its text will do,
-    as the MultiPoly entries of :func:`~riordan.cold.parse_matrix_doc`."""
+    as the MultiPoly entries of :func:`~riordan.cold.parse_matrix_doc`.
 
-    kind: str  # "matrix" | "series"
-    rows: list[list]
-    family: str | None = None
-    flavor: str | None = None
-    r: int | str | None = None
-    size: int = 0
-    reversed_form: bool = False
-    extra: dict | None = None  # more top-level JSON keys
+    ``kind`` is "matrix" or "series", and ``rows`` a list of rows; the
+    rest default to None, None, None, 0, False and None: ``family``,
+    ``flavor`` (strings), ``r`` (an int or a string), ``size``,
+    ``reversed_form`` and ``extra``, a dict of more top-level JSON keys."""
+
+    __slots__ = ()
 
     def json_object(self) -> dict:
         def encode(entry):

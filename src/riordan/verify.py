@@ -35,7 +35,7 @@ check fails.
 from functools import cache, partial
 import random
 import sys
-from typing import Callable, NamedTuple
+from collections import namedtuple
 
 from . import _lazy_names
 from .families import member_fraction
@@ -46,15 +46,15 @@ SUITES = ("group", "props", "oeis")
 DEFAULT_SEED = 20240831
 
 
-class CheckResult(NamedTuple):
-    suite: str
-    name: str
-    ok: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "suite name ok detail", defaults=("",))):
+    """What one check gave: its suite and name, whether it passed, and a
+    detail (by default "")."""
+
+    __slots__ = ()
 
 
-class Check(NamedTuple):
-    """One criterion of a suite.
+class Check(namedtuple("Check", "suite name fn")):
+    """One criterion of a suite: its suite and name, and the callable ``fn``.
 
     ``fn`` takes a ``random.Random`` seeded from the run's seed and the
     check's name in the group suite, and nothing elsewhere.  It returns a
@@ -62,9 +62,7 @@ class Check(NamedTuple):
     A check that raises fails, with the exception as its detail.
     """
 
-    suite: str
-    name: str
-    fn: Callable
+    __slots__ = ()
 
     def run(self, seed: int = DEFAULT_SEED) -> CheckResult:
         try:

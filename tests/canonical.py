@@ -1,6 +1,7 @@
 """Exact values with their types, for comparing a routine with its oracle."""
 
 from riordan.algebra import MultiPoly, tidy
+from riordan.arrays import NonIntegralEntry
 
 
 def typed(value):
@@ -24,3 +25,12 @@ def typed_rows(series):
     one.  Every engine's oracle is typed_rows(frac.expand(order)), the
     Motzkin walk on MultiPoly, which runs no packed code."""
     return [typed_all(tidy(c) for c in MultiPoly.coerce(s).y_coefficients()) for s in series]
+
+
+def typed_outcome(build):
+    """The typed rows of the triangle build() returns, or the text of the
+    NonIntegralEntry it raised."""
+    try:
+        return [typed_all(row) for row in build().rows]
+    except NonIntegralEntry as exc:
+        return str(exc)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from canonical import typed_all
+from canonical import typed_all, typed_outcome
 from riordan.algebra import R, Y, MultiPoly, tidy
 from riordan.arrays import (
     IndexBeyondTruncation,
@@ -276,14 +276,6 @@ def _matrix_by_full_columns(array, size_n):
     )
 
 
-def _outcome(build):
-    """A triangle's typed rows, or the NonIntegralEntry its build raised."""
-    try:
-        return _typed_rows(build())
-    except NonIntegralEntry as exc:
-        return str(exc)
-
-
 KINDS = [(Kind.ORDINARY, None), (Kind.EXPONENTIAL, None), (Kind.GENERALIZED, FACTORIAL_PAIR_WEIGHTS)]
 
 
@@ -296,8 +288,25 @@ def test_matrix_matches_the_full_column_products_and_entry(kind_weights, ring, d
     g, f = S([1, *data.draw(values)]), S([0, lead, *data.draw(values)[1:]], order)
     array = RiordanArray(g, f, kind, weights)
     size_n = data.draw(st.integers(0, order))
-    want = _outcome(lambda: _matrix_by_full_columns(array, size_n))
-    assert _outcome(lambda: array.matrix(size_n)) == want
+    want = typed_outcome(lambda: _matrix_by_full_columns(array, size_n))
+    assert typed_outcome(lambda: array.matrix(size_n)) == want
     if not isinstance(want, str):
         entries = LowerTriMatrix([array.entry(n, k) for k in range(n + 1)] for n in range(size_n + 1))
         assert _typed_rows(entries) == want
+
+
+@pytest.mark.parametrize(
+    "array, text",
+    [
+        (RiordanArray(S([1, Fraction(1, 3)], 4), S.x(4), Kind.EXPONENTIAL), "entry is not an integer: 1/3"),
+        (RiordanArray(S([1, 1], 4), S([0, 1, Fraction(1, 2)], 4)), "entry is not an integer: 3/2"),
+        (RiordanArray(S([1, Fraction(1, 2) * R + 1], 4), S.x(4)), "entry has non-integer coefficients: 1/2*r + 1"),
+        (RiordanArray(S([1, Fraction(1, 2) * Y], 4), S.x(4)), "entry has non-integer coefficients: 1/2*y"),
+    ],
+    ids=["int", "int column", "r-packed", "in y"],
+)
+def test_a_non_integral_entry_raises_the_text_of_the_full_column_products(array, text):
+    # The first entry that is not integral, in row order, on each of the
+    # routes the columns take: ints, ints at r = 2^W_r, and series products
+    # of polynomials in y.
+    assert typed_outcome(lambda: array.matrix(4)) == typed_outcome(lambda: _matrix_by_full_columns(array, 4)) == text

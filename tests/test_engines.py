@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import example, given, reject, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from canonical import typed_all, typed_rows
 from riordan import walk
@@ -44,17 +44,16 @@ def polys(r_degree, y_degrees):
 
 
 EXTREME_R = [2**1024 * R - R**32, Fraction(1, 3**40) * R**2 + 1]
-r_values = st.sampled_from([R, -2, -1, 0, 3, 2 - 3 * R, R**2 - R, Fraction(1, 2) * R, Y, Y**2, *EXTREME_R]) | polys(2, [0])
+# Values of r free of y: gamma_to_h needs each term of beta of y-degree 1,
+# so an r holding y has no h or f fraction.
+r_values = st.sampled_from([R, -2, -1, 0, 3, 2 - 3 * R, R**2 - R, Fraction(1, 2) * R, *EXTREME_R]) | polys(2, [0])
 
 
 @given(st.sampled_from(FLAVORS), st.sampled_from(["gamma", "h", "f"]), r_values, st.integers(0, 12))
 @example(Kind.EXPONENTIAL, "f", EXTREME_R[0], 8)
 @example(Kind.ORDINARY, "h", EXTREME_R[1], 8)
 def test_row_recurrence_matches_its_multipoly_loop(flavor, which, r, size):
-    try:
-        frac = getattr(family_fractions(FamilySpec(flavor, r)), which)
-    except ValueError:  # r = y or y^2: the gamma fraction's beta leaves gamma_to_h's domain
-        reject()
+    frac = getattr(family_fractions(FamilySpec(flavor, r)), which)
     assert [typed_all(row) for row in frac.rows(size)] == typed_rows(frac.expand(size))
 
 
@@ -67,9 +66,11 @@ def test_a_slot_holds_a_coefficient_as_large_as_the_bound(weight, scale):
     assert family_matrix(FamilySpec(Kind.ORDINARY, r), "gamma", 2).rows[2] == (1, r, 0)
 
 
-# Both flavours are certified at N = 100.  The exponential Riordan route
-# runs on Fraction coefficients (f = x + r x^2/2) and takes most of its
-# test's time, about 1.9 s on a 2-core x86-64 host.
+# Both flavours are certified at N = 100.  The Riordan route runs on ints:
+# the exponential array's 1/n! and r/2 are cleared into common
+# denominators, and at r = 2^B its columns take series products of ints,
+# as packed slots would pass MAX_WIDTH.  Each flavour takes under 0.8 s on
+# a 2-core x86-64 host.
 CERTIFIED_N = {Kind.ORDINARY: 100, Kind.EXPONENTIAL: 100}
 
 

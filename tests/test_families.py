@@ -4,6 +4,8 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from canonical import typed_all
+
 from riordan.algebra import MultiPoly, R, Y
 from riordan.arrays import LowerTriMatrix, triangle_from_series
 from riordan.cold import (
@@ -110,6 +112,15 @@ def test_row_recurrences_match_the_riordan_route(flavor, r):
         assert f_matrix(spec, size) == face_matrix(h)
         assert gamma_matrix(spec, size) == gamma_from_h(h)
         assert family_triple(spec, size) == dense_family_triple(spec, size)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS, ids=[f.value for f in FLAVORS])
+def test_the_riordan_route_at_symbolic_r_matches_the_row_recurrences_at_n_30(flavor):
+    # The face product and gamma extraction run on h's entries at r = 2^W
+    # (W of a few hundred bits at N = 30), and read their entries back.
+    spec = FamilySpec(flavor, R)
+    dense, rows = dense_family_triple(spec, 30), family_triple(spec, 30)
+    assert [[typed_all(row) for row in m.rows] for m in dense] == [[typed_all(row) for row in m.rows] for m in rows]
 
 
 @given(st.sampled_from(FLAVORS), st.sampled_from(["gamma", "h", "f"]), st.integers(-3, 5), st.integers(0, 16))

@@ -1,27 +1,31 @@
-"""The packed integer engines against the code they replace, on integer
-inputs: the three series chains of the Riordan oracle (riordan.cold:
-compose, revert and the columns of RiordanArray.matrix), each run once as
-it runs in production, asserted packed, and once with packing switched
-off, where it computes on its coefficients as before; the two must agree
-value for value and type for type.  The y-packed Motzkin walk
-(riordan.walk) reads its rows from the digits of its packed values; they
-must be the oracle's, the rows of JFraction.expand, which walks on
-MultiPoly alone and runs no packed code.  Entries of many slots of many
-bits reach the byte read of ``algebra._digits``.  The two
-continued-fraction laws of ``verify group``, which compare packed walk
-values, fail on a wrong slot and prove a width that holds both sides of
-their identities.  Last, the packing rules the engines share: the slot
-width (``algebra._width``) read back by ``_digits`` at byte edges and at
+"""The packed integer engines against the code they replace: the three
+series chains of the Riordan oracle (riordan.cold: compose, revert and
+the columns of RiordanArray.matrix) on integer inputs, and compose and
+the columns also on rational ones and polynomials in r, cleared of their
+denominators and taken at r = 2^W_r, each run once as it runs in
+production, asserted packed, and once with packing switched off, where it
+computes on its coefficients as before; the two must agree value for
+value and, on integer inputs, type for type.  The y-packed Motzkin walk (riordan.walk) reads its rows from
+the digits of its packed values; they must be the oracle's, the rows of
+JFraction.expand, which walks on MultiPoly alone and runs no packed code.
+Entries of many slots of many bits reach the byte read of
+``algebra._digits``.  The two continued-fraction laws of ``verify
+group``, which compare packed walk values, and its three matrix laws,
+which compare matrix rows packed by ``RiordanArray._rows_at``, fail on a
+wrong slot and prove a width that holds both sides of their identities.
+Last, the packing rules the engines share: the slot width
+(``algebra._width``) read back by ``_digits`` at byte edges and at
 ``MAX_WIDTH``, and the fill bitset (``algebra._fill``) against the terms
 the row recurrence and the walk compute."""
 
 import random
-from math import isqrt
+from fractions import Fraction
+from math import factorial, isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from canonical import typed_all, typed_rows
+from canonical import typed_all, typed_outcome, typed_rows
 from riordan import battery, cold, walk
 from riordan.algebra import MultiPoly, R, Y, _digits, _fill, _width
 from riordan.cold import RiordanArray, binomial_transform
@@ -94,6 +98,49 @@ def test_matrix_columns_pack_and_match_the_series_products(kind, g_rest, f1, f_r
     packed, widths, plain = packed_and_unpacked(lambda: array.matrix(size))
     assert widths and all(widths)
     assert [typed_all(row) for row in packed.rows] == [typed_all(row) for row in plain.rows]
+
+
+r_polys = st.lists(small | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)), max_size=3).map(
+    lambda cs: sum((c * R**i for i, c in enumerate(cs)), MultiPoly())
+)
+
+
+@given(
+    st.sampled_from([Kind.ORDINARY, Kind.EXPONENTIAL]),
+    st.lists(r_polys, max_size=8),
+    st.sampled_from([1, -1, R, 1 - R, Fraction(1, 2) * R]),
+    st.lists(r_polys, max_size=7),
+    st.integers(0, 8),
+)
+@example(Kind.EXPONENTIAL, [1, Fraction(1, 2), Fraction(1, 6)], 1, [Fraction(1, 2) * R], 3)  # the family's g and f at order 3
+@example(Kind.ORDINARY, [1, 1], 1, [R + 1, R + 1], 3)
+def test_matrix_columns_at_r_pack_and_match_the_polynomial_products(kind, g_rest, f1, f_rest, size):
+    # Coefficients in r: the columns run on ints at r = 2^W_r, cleared of
+    # their denominators, and each entry is read back; unpacked, the columns
+    # are products of polynomials.  Entries and NonIntegralEntry texts agree.
+    order = max(len(g_rest), len(f_rest) + 1, size)
+    array = RiordanArray(TruncatedSeries([1, *g_rest], order), TruncatedSeries([0, f1, *f_rest], order), kind)
+    packed, widths, plain = packed_and_unpacked(lambda: typed_outcome(lambda: array.matrix(size)))
+    assert widths[0] or all(isinstance(c, (int, Fraction)) for c in (*array.g.coeffs, *array.f.coeffs))
+    assert packed == plain
+
+
+@given(st.lists(r_polys, min_size=1, max_size=9), st.lists(r_polys, max_size=8))
+@example([Fraction(1, 2), 1, Fraction(1, 3) * R], [Fraction(1, 2), R])
+def test_compose_clears_denominators_packs_r_and_matches_the_horner_loop(outer, inner):
+    # Rational coefficients, polynomials in r among them: the Horner steps
+    # run on ints over d_s d_i^n, at r = 2^W_r, and agree with themselves
+    # unpacked (on MultiPolys, whose zero is no int) and with Horner's rule
+    # of full series products.
+    outer, inner = TruncatedSeries(outer), TruncatedSeries([0, *inner])
+    packed, widths, plain = packed_and_unpacked(lambda: outer.compose(inner))
+    assert widths and all(widths)
+    assert list(packed) == list(plain)
+    n = min(outer.order, inner.order)
+    horner = TruncatedSeries((outer[n],), n)
+    for k in range(n - 1, -1, -1):
+        horner = horner * inner.truncate(n) + outer[k]
+    assert list(packed) == list(horner)
 
 
 # -- the walk -------------------------------------------------------------------------
@@ -244,6 +291,72 @@ def test_a_plus_one_in_one_slot_of_one_packed_value_fails_each_law_on_every_roun
             mp.setattr(walk, "packed", wrong)
             failed.append(not trial(rng))
     assert failed == [True] * 20
+
+
+MATRIX_LAWS = ("product equals matrix product (ordinary)", "product equals matrix product (exponential)", "inverse yields the identity array")
+
+
+@pytest.mark.parametrize("call", [0, 1], ids=["first rows", "second rows"])
+@pytest.mark.parametrize("name", MATRIX_LAWS)
+def test_a_plus_one_in_one_slot_of_one_packed_row_fails_each_matrix_law_on_every_round(name, call):
+    # The seeded rounds that verify group runs, each once as it is, when it
+    # must hold, and once with y^3 added to row 5 of the first or the second
+    # packed rows it computes (b's or a b's for a product law, a a^-1's or
+    # the identity's for the inverse law), when it must fail.
+    trial = next(c.fn.args[0] for c in CHECKS if c.name == name)
+    rng, real, held, failed = random.Random(f"{DEFAULT_SEED}/{name}"), RiordanArray._rows_at, [], []
+    for _ in range(battery.ROUNDS):
+        state = rng.getstate()
+        held.append(trial(rng))
+        rng.setstate(state)
+        calls = []
+
+        def wrong(array, size_n, y):
+            rows = real(array, size_n, y)
+            if len(calls) == call:
+                rows[5] += y**3
+            calls.append(array)
+            return rows
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(RiordanArray, "_rows_at", wrong)
+            failed.append(not trial(rng) and len(calls) == 2)
+    assert held == failed == [True] * battery.ROUNDS
+
+
+@settings(max_examples=40)
+@given(st.randoms(use_true_random=False), st.sampled_from([Kind.ORDINARY, Kind.EXPONENTIAL]))
+def test_each_matrix_law_proves_a_width_that_holds_every_entry_of_both_sides(rng, kind):
+    # The laws' draws, with every matrix as the LowerTriMatrix route
+    # computes it: _bound holds every entry of its array's matrix, the
+    # product laws' width every entry of M(a), M(b), M(a) M(b) and M(a b),
+    # and the packed rows at y = 2^W are those matrices' rows.
+    n = battery.ORDER
+    a, b = (battery._random_array(rng, kind, n) for _ in "ab")
+    ab = a * b
+    arrays = [a, b, ab] + ([a * a.inverse()] if kind is Kind.ORDINARY else [])
+    for array in arrays:
+        assert max(abs(e) for row in array.matrix(n).rows for e in row) <= battery._bound(array)
+    width = battery._product_width(a, b, ab)
+    ma, mb, mab = a.matrix(n), b.matrix(n), ab.matrix(n)
+    assert width >= widest(e for m in (ma, mb, ma * mb, mab) for row in m.rows for e in row)
+    for array, m in ((b, mb), (ab, mab)):
+        assert array._rows_at(n, 1 << width) == [sum(e << width * k for k, e in enumerate(row)) for row in m.rows]
+
+
+def test_the_bound_holds_an_entry_that_is_all_prefactor():
+    # f = x, so a[n,0] = n! g_n: the norms of g and f/x are 41 and 1, and
+    # only the prefactor bound ORDER! holds a[10,0] = 4 10!.
+    array = RiordanArray(TruncatedSeries([1] + [4] * 10), TruncatedSeries.x(10), Kind.EXPONENTIAL)
+    assert array.matrix(10).entry(10, 0) == 4 * factorial(10) <= battery._bound(array)
+
+
+@given(st.randoms(use_true_random=False), st.sampled_from([Kind.ORDINARY, Kind.EXPONENTIAL]), st.integers(0, 10), st.integers(-5, 5) | st.just(2**40))
+def test_the_rows_at_an_integer_are_the_matrix_rows_there(rng, kind, size, y):
+    # _rows_at expands the bivariate generating function on ints; the rows of
+    # the column chain's matrix, evaluated at y, are its oracle, for any y.
+    array = battery._random_array(rng, kind, 10)
+    assert array._rows_at(size, y) == [sum(e * y**k for k, e in enumerate(row)) for row in array.matrix(size).rows]
 
 
 def widest(values):
