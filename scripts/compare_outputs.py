@@ -84,8 +84,8 @@ FORMATS = ("table", "json", "csv", "latex")
 # slots, slots of about 1300 bits, and dense weights of high degree; last,
 # fractions whose levels are free of i on each branch of their rows: packed
 # with signed weights, on MultiPoly by density and by width, rational, and
-# sparse in y; then walks of powers of y^3 and, rational, of y^2, packed, and
-# one whose powers of y fill too few slots to pack.
+# sparse in y; then walks of powers of y^3 and, rational, of y^2, and walks
+# of sparse powers of y (y^31 and y, y^4 and y^8, ...), all y-packed.
 JF_FRACTIONS = (
     ("2*y+1", "i*r*y*(y+1)"),
     ("y+1", "i*r*y"),
@@ -106,6 +106,10 @@ JF_FRACTIONS = (
     ("(i+1)*(y^3+1)", "i*y^3"),
     ("(i+1)*(1/2+y^2)", "i*(i+1)*1/3*y^2*(y^2+1)"),
     ("(i+1)*y^31", "i*y"),
+    ("(i+1)*y^30", "i*y^2"),
+    ("(i+1)*y^4", "i*y^8"),
+    ("(i+1)*y^16", "i*y^16"),
+    ("(i+1)*y^16", "i*(i+1)*y^16"),
 )
 
 ERRORS = (
@@ -207,7 +211,7 @@ def sweep() -> list[list[str]]:
         for n in (0, 1, 2, 13, 40):
             commands.append(["jf", "--alpha", alpha, "--beta", beta, "--N", str(n)])
         commands += [["jf", "--alpha", alpha, "--beta", beta, "--N", "13", "--format", fmt] for fmt in FORMATS[1:]]
-    for alpha, beta in JF_FRACTIONS[0], JF_FRACTIONS[3], JF_FRACTIONS[4]:
+    for alpha, beta in JF_FRACTIONS[0], JF_FRACTIONS[3], JF_FRACTIONS[4], ("(i+1)*y^31", "i*y"):
         commands.append(["jf", "--alpha", alpha, "--beta", beta, "--N", "100"])
     return commands + [list(argv) for argv in ERRORS]
 

@@ -21,13 +21,16 @@ runs K times, each in a fresh interpreter as below.  Each run imports the
 suite's registry first, so compiling the package counts in no check, and
 then runs every check once, in suite order, timing ``Check.run`` by
 ``time.process_time``: each time is cold, since no check runs twice in one
-interpreter.  The script prints each check's median time over the K runs,
-then the quartiles of the K suite totals, the spread to weigh a difference
-against; it exits 1 if a check failed in any run.  With ``--baseline SRC``
-the runs alternate, SRC's first, between SRC and this tree, K runs of
-each.  Each check then gets SRC's median, this tree's median and their
-ratio (this tree over SRC; "-" for a check that only one tree has), and
-the quartiles of both trees' suite totals follow, with the ratio of their
+interpreter.  The script prints each check's minimum and median time over
+the K runs, then the least of the K suite totals and their quartiles, the
+spread to weigh a difference against: on a shared host a median can move
+by a third from one set of runs to the next, and the minimum, the run that
+other processes slowed least, moves less.  It exits 1 if a check failed in
+any run.  With ``--baseline SRC`` the runs alternate, SRC's first, between
+SRC and this tree, K runs of each.  Each check then gets SRC's minimum and
+median, this tree's minimum and median, and the ratio of the medians (this
+tree over SRC; "-" for a check that only one tree has), and both trees'
+least suite totals and quartiles follow, with the ratio of their
 medians.
 
 ARGV is the request's command line after ``riordan``; put ``--`` before it
@@ -271,13 +274,15 @@ def tree(baseline: Path | None = None) -> None:
     row("total", [sum(t.values()) for t in trees])
 
 
-def _medians(runs) -> dict[str, tuple[float, bool]]:
-    """Each check's median ms over one tree's runs, and whether it passed in all."""
+def _summaries(runs) -> dict[str, tuple[float, float, bool]]:
+    """Each check's minimum and median ms over one tree's runs, and whether
+    it passed in all."""
     names = [name for name, _, _ in runs[0]]
-    return {
-        name: (1000 * statistics.median(run[i][2] for run in runs), all(run[i][1] for run in runs))
-        for i, name in enumerate(names)
-    }
+    out = {}
+    for i, name in enumerate(names):
+        ms = [1000 * run[i][2] for run in runs]
+        out[name] = (min(ms), statistics.median(ms), all(run[i][1] for run in runs))
+    return out
 
 
 def checks(suite: str, repeats: int, baseline: Path | None = None) -> int:
@@ -288,24 +293,26 @@ def checks(suite: str, repeats: int, baseline: Path | None = None) -> int:
     for _ in range(repeats):  # the trees alternate, the baseline first
         for src, tree_runs in zip(srcs, runs):
             tree_runs.append(json.loads(fresh_python(CHECK_TIMES, [suite], src)))
-    tables = [_medians(tree_runs) for tree_runs in runs]
+    tables = [_summaries(tree_runs) for tree_runs in runs]
     each = "runs" if baseline is None else "alternating runs of each tree"
-    print(f"riordan verify {suite}: cold CPU ms per check, median over {repeats} {each}")
-    print(f"{'ms':>9s}  check" if baseline is None else f"{'baseline':>9s} {'this':>9s} {'ratio':>6s}  check")
+    print(f"riordan verify {suite}: cold CPU ms per check, min and median over {repeats} {each}")
+    print(f"{'min':>9s} {'median':>9s}  check" if baseline is None else
+          f"{'base min':>9s} {'base med':>9s} {'this min':>9s} {'this med':>9s} {'ratio':>6s}  check")
     for name in {name: None for table in tables for name in table}:
-        ms = [table[name][0] if name in table else None for table in tables]
-        cells = [f"{'-':>9s}" if m is None else f"{m:9.2f}" for m in ms]  # "-": a check the tree lacks
+        ms = [table[name][:2] if name in table else (None, None) for table in tables]
+        cells = [f"{'-':>9s}" if m is None else f"{m:9.2f}" for pair in ms for m in pair]  # "-": a check the tree lacks
         if baseline is not None:
-            cells.append(f"{ms[1] / ms[0]:6.3f}" if ms[0] and ms[1] is not None else f"{'-':>6s}")
-        ok = all(table[name][1] for table in tables if name in table)
+            (_, base), (_, this) = ms
+            cells.append(f"{this / base:6.3f}" if base and this is not None else f"{'-':>6s}")
+        ok = all(table[name][2] for table in tables if name in table)
         print(" ".join(cells) + f"  {name}{'' if ok else '  [FAIL]'}")
     totals = [[1000 * sum(t for _, _, t in run) for run in tree_runs] for tree_runs in runs]
     for label, tree_totals in zip([""] if baseline is None else ["baseline ", "this tree "], totals):
-        print(f"per-run suite total CPU ms over {repeats} runs: {label}{quartiles(tree_totals)}")
+        print(f"per-run suite total CPU ms over {repeats} runs: {label}min {min(tree_totals):.2f}, {quartiles(tree_totals)}")
     if baseline is not None:
         ratio = statistics.median(totals[1]) / statistics.median(totals[0])
         print(f"ratio of the median totals (this tree over baseline): {ratio:.3f}")
-    return 0 if all(ok for table in tables for _, ok in table.values()) else 1
+    return 0 if all(ok for table in tables for *_, ok in table.values()) else 1
 
 
 def main(argv: list[str] | None = None) -> int:

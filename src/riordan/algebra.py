@@ -42,12 +42,6 @@ chains pack x.  The rules they share are written here once:
   that every engine's coefficient bound starts from (``_norm``);
 * the slot width for a bound: its bits and a sign bit, in whole bytes, at
   most ``MAX_WIDTH`` = 2048 bits (``_width``);
-* the fill (``_fill``): the terms the last value of a recurrence
-  v_n = (level) v_{n-1} + (fall) v_{n-2} can hold, found by running it with
-  | for + on bitsets.  Packing gives every slot x^0..x^i of a packed int
-  the full width, so the recurrence and the walk, whose values can leave
-  most slots empty, pack only where the fill fills a share of its slots
-  that each of them measured (``_width``'s ``share``);
 * a weight's terms c x^i as pairs (c, width*i) (``_pack``), so that its
   product with a packed value is a small product and a shift per term
   (``_fma``), however far apart its powers are;
@@ -60,7 +54,6 @@ chains pack x.  The rules they share are written here once:
 """
 
 import sys
-from functools import reduce
 from operator import add
 from typing import Iterator, Mapping, Union
 
@@ -307,29 +300,12 @@ def _norm(p: MultiPoly) -> int:
     return sum(map(abs, p._terms.values()))
 
 
-def _width(bound: int, fill=(), share: int = 1) -> int | None:
+def _width(bound: int) -> int | None:
     """The slot width for coefficients of absolute value at most bound: its
     bits and a sign bit, in whole bytes (which ``_digits`` reads by bytes
-    where there are many slots of many bits).  None past MAX_WIDTH, or
-    where the terms of fill, as ``_fill`` gives them, fill fewer than
-    1/share of their slots."""
+    where there are many slots of many bits), or None past MAX_WIDTH."""
     width = (bound.bit_length() + 8) // 8 * 8
-    dense = share * sum(map(int.bit_count, fill)) >= sum(map(int.bit_length, fill))
-    return width if width <= MAX_WIDTH and dense else None
-
-
-def _fill(steps, order: int) -> list[int]:
-    """Where value ``order`` of v_n = L v_{n-1} + F v_{n-2}, from
-    v_{-1} = 0 and v_0 = 1, can have terms: for each power z^j in turn, the
-    bitset of the powers x^i, x the packed variable, that its coefficient of
-    z^j can hold.  ``steps`` holds the exponent pairs (i, j) of the terms
-    x^i z^j of L, then of F.  The recurrence runs on bitsets with | for +,
-    bit i + j*stride for x^i z^j, so a term that may cancel counts too, and
-    the stride exceeds every i of the last value."""
-    stride, fill = order * max((i for s in steps for i, _ in s), default=0) + 1, [0, 1]
-    for _ in range(order):
-        fill.append(reduce(int.__or__, [fill[-1 - k] << i + j * stride for k, s in enumerate(steps) for i, j in s], 0))
-    return [fill[-1] >> s & (1 << stride) - 1 for s in range(0, fill[-1].bit_length(), stride)]
+    return width if width <= MAX_WIDTH else None
 
 
 def _pack(poly: MultiPoly, width: int) -> list[list[tuple[int, int]]]:

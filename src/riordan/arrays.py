@@ -12,12 +12,12 @@ once, in :func:`riordan.jfraction._triangle_rows`, which a fraction's
 ``show`` and the fixture checks share.
 
 The Riordan group (:class:`~riordan.cold.RiordanArray`, its weight
-sequences, the identity, binomial and face arrays), the binomial and face
-matrices and :func:`~riordan.cold.series_from_triangle` serve only as the
-oracle of ``verify`` and the tests, so they live in :mod:`riordan.cold`,
-which no ``show``, ``export`` or ``jf`` request loads.  They import from
-there; only ``RiordanArray`` and ``face_matrix``, which the benchmark's
-tracer wraps here, also resolve from this module, on first use.
+sequences, the identity, binomial and face arrays) and the binomial and
+face matrices serve only as the oracle of ``verify`` and the tests, so
+they live in :mod:`riordan.cold`, which no ``show``, ``export`` or ``jf``
+request loads.  They import from there; only ``RiordanArray`` and
+``face_matrix``, which the benchmark's tracer wraps here, also resolve
+from this module, on first use.
 """
 
 from operator import mul

@@ -341,17 +341,6 @@ def face_matrix(m: LowerTriMatrix) -> LowerTriMatrix:
     return m * pascal_matrix(m.size - 1)
 
 
-def series_from_triangle(m: LowerTriMatrix) -> TruncatedSeries:
-    """The ordinary bivariate series whose x^n coefficient is row n in y."""
-    coeffs = []
-    for n, row in enumerate(m.rows):
-        poly = MultiPoly.const(0)
-        for k, e in enumerate(row):
-            poly = poly + MultiPoly.coerce(e) * (Y**k)
-        coeffs.append(poly)
-    return TruncatedSeries(coeffs)
-
-
 # -- the Riordan group ---------------------------------------------------------------
 #
 # An ordinary Riordan array is a pair of series (g, f) with g(0) = 1,

@@ -8,11 +8,14 @@ recurrence.  They are the family triangles of ``show``, the simplex, the
 hypercube and the associahedron, and every ``jf`` of those shapes.  Only
 those expansions import this module; the Motzkin walk, which expands every
 other fraction, is :mod:`riordan.walk`.  :meth:`JFraction.plan` picks the
-shape, and the slot width, and so the layout, with :func:`_layout`;
-:func:`_row_recurrence` runs the rows in them.
+shape, and the slot width, and so the layout, with :func:`_layout`, whose
+rule for rows too sparse to pack (:func:`_fill`, the terms the last row can
+hold) is this engine's own; :func:`_row_recurrence` runs the rows in them.
 """
 
-from .algebra import MultiPoly, _fill, _fma, _norm, _pack, _width, _wrap, tidy
+from functools import reduce
+
+from .algebra import MultiPoly, _fma, _norm, _pack, _width, _wrap, tidy
 
 # Each shape's (p0(n), p1(n), p2(n)), and its weight B from a = alpha(0) and
 # b = beta(1).  A fraction free of i has the GF S = 1/(1 - ax - bx^2 S),
@@ -39,16 +42,36 @@ def _layout(a: MultiPoly, b: MultiPoly, shape: str, order: int) -> tuple:
     those (the norm of B itself can bound too low: for a = 1 + y and b = y
     it is 4, against 2^2 - 4 = 0), the recurrence bounds every coefficient
     of every row, and the slot width is ``_width`` of that bound.  The rows
-    run on MultiPoly instead where the terms the last row can hold
-    (``_fill``, r packed and y the row's index) fill fewer than half of
-    their slots, or past ``MAX_WIDTH``, where coefficients of very
-    different sizes share a width.  Measured at N = 36-100, packing was
-    1.6-5x faster on dense rows of slots up to 1500 bits, 0.7-1x as fast at
-    1800-2300 bits, and up to 12x slower from 2600 bits or on sparse rows.
+    run on MultiPoly instead past ``MAX_WIDTH``, where coefficients of very
+    different sizes share a width, or where the terms the last row can hold
+    (:func:`_fill`) fill fewer than half of their slots: packing gives every
+    slot r^0..r^i of an entry the full width.  Measured at N = 36-100,
+    packing was 1.6-5x faster on dense rows of slots up to 1500 bits,
+    0.7-1x as fast at 1800-2300 bits, and up to 12x slower from 2600 bits
+    or on sparse rows.
     """
     multipliers, weight = SHAPES[shape]
     bound = max(row[0] for row in _rows(multipliers, [[(_norm(a), 0)]], [[(weight(_norm(a), _norm(b)), 0)]], order))
-    return _width(bound, _fill([[m for m, _ in w.items()] for w in (a, b)], order), 2), bound
+    fill = _fill([[m for m, _ in w.items()] for w in (a, b)], order)
+    dense = 2 * sum(map(int.bit_count, fill)) >= sum(map(int.bit_length, fill))
+    return (_width(bound) if dense else None), bound
+
+
+def _fill(steps, order: int) -> list[int]:
+    """Where row ``order`` can have terms: for each power y^j in turn, the
+    bitset of the powers r^i that its coefficient of y^j can hold.  Each
+    shape's levels are multiples of a = alpha(0) and its weights of
+    b = beta(1), so a path of n steps weighs a multiple of a per level step
+    and of b per step up and back down, and row n's terms are among those
+    of v_n = a v_{n-1} + b v_{n-2}, from v_{-1} = 0 and v_0 = 1.  ``steps``
+    holds the exponent pairs (i, j) of the terms r^i y^j of a, then of b.
+    The recurrence runs on bitsets with | for +, bit i + j*stride for
+    r^i y^j, so a term that may cancel counts too, and the stride exceeds
+    every i of the last row."""
+    stride, fill = order * max((i for s in steps for i, _ in s), default=0) + 1, [0, 1]
+    for _ in range(order):
+        fill.append(reduce(int.__or__, [fill[-1 - k] << i + j * stride for k, s in enumerate(steps) for i, j in s], 0))
+    return [fill[-1] >> s & (1 << stride) - 1 for s in range(0, fill[-1].bit_length(), stride)]
 
 
 def _rows(multipliers, a: list, B: list, order: int) -> list[list[int]]:

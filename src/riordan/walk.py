@@ -24,23 +24,21 @@ nothing itself.
   and the width is ``_width`` of that bound.  The same walk bounds the
   coefficients of every integral fraction, weights in r included, so
   every plan has a bound.
-* MultiPoly: weights in r, slots past ``MAX_WIDTH``, and powers of y that
-  fill fewer than 1/16 of their slots (``_fill``: the powers a
-  coefficient can hold, a level step adding a power of some alpha(k), a
-  step up and back down one of some beta(k)).  The rows are the
-  y-coefficients of the series of :meth:`JFraction.expand`, whose body is
-  :func:`expand`; only that series loads :mod:`riordan.series`.
+* MultiPoly: weights in r, and slots past ``MAX_WIDTH``.  The rows are
+  the y-coefficients of the series of :meth:`JFraction.expand`, whose body
+  is :func:`expand`; only that series loads :mod:`riordan.series`.
+
+A walk free of r packs however few of its slots its powers of y fill.
+On five fractions whose coefficient of x^100 fills one slot in 30 to one
+in 400 (``(i+1)*y^31; i*y``, ``(i+1)*y^30; i*y^2``, ``(i+1)*y^4; i*y^8``,
+``(i+1)*y^16; i*y^16`` and ``(i+1)*y^16; i*(i+1)*y^16``), ``riordan jf``
+took 0.67-0.94x the time of the MultiPoly walk at N = 40 and 60, and
+0.97-1.07x at N = 100 (medians of 11 alternating subprocess runs, 2-core
+x86-64).
 
 :func:`expand` walks on MultiPoly alone, any fraction, a rational one
 included, with no plan.  So it shares no packed code, and it is the
 oracle that the tests check the packed walk against.
-
-The 1/16 rule, measured in-process on a 2-core x86-64 machine, best of 3,
-on five fractions it sends to MultiPoly (``(i+1)*y^31; i*y``,
-``(i+1)*y^30; i*y^2``, ``(i+1)*y^4; i*y^8``, ``(i+1)*y^16; i*y^16`` and
-``(i+1)*y^16; i*(i+1)*y^16``): forced y-packed, their rows took 2.9-3.1x
-less time at N = 40 (4-24 ms against 11-73 ms), and at N = 100 from 1.04x
-less to 1.35x more (83-541 ms against 76-529 ms).
 
 Only the expansions that take the walk import this module: the
 permutahedron, every ``jf`` whose fraction has levels in i and is of no
@@ -51,21 +49,20 @@ purpose (``verify group``'s two continued-fraction laws call
 
 from functools import lru_cache, partial
 
-from .algebra import MultiPoly, _digits, _fill, _norm, _width, tidy
+from .algebra import MultiPoly, _digits, _norm, _width, tidy
 
 
 def _layout(frac, order: int) -> tuple:
     """The walk's slot width and bound for coefficients 0..order of an
     integral fraction, as :class:`~riordan.jfraction.Plan` holds them:
     (width, bound) packed, y -> 2^width, or (None, bound) on MultiPoly, for
-    weights in r or where the slots would be too sparse or too wide.
-    :meth:`JFraction.plan` asks once it has cleared the common denominator,
-    so the fraction is integral."""
+    weights in r or slots past ``MAX_WIDTH``.  :meth:`JFraction.plan` asks
+    once it has cleared the common denominator, so the fraction is
+    integral."""
     bound = _bound(frac, order)
     if any(i for p in frac for q in p.coeffs for (i, _), _ in q.items()):
         return None, bound
-    steps = [{(j, 0) for w in ws for (_, j), _ in w.items()} for ws in _levels(frac, order)]
-    return _width(bound, _fill(steps, order), 16), bound
+    return _width(bound), bound
 
 
 def _bound(frac, order: int) -> int:

@@ -1,7 +1,19 @@
-"""Exact values with their types, for comparing a routine with its oracle."""
+"""Exact values with their types, for comparing a routine with its oracle,
+and the coefficient rings the oracle tests draw from."""
 
-from riordan.algebra import MultiPoly, tidy
+from fractions import Fraction
+
+from hypothesis import strategies as st
+
+from riordan.algebra import MultiPoly, R, Y, tidy
 from riordan.arrays import NonIntegralEntry
+
+# Coefficients of one ring per example: int, Fraction or MultiPoly.
+rings = st.sampled_from([
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+    st.sampled_from([0, 1, -2, R, Y, R - 1, Y + 1, 2 * R * Y + 3, R * Fraction(1, 2), R * Fraction(1, 2) - Y, Y * Fraction(-2, 3) + 1]),
+])
 
 
 def typed(value):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from canonical import typed_all, typed_outcome
+from canonical import rings, typed_all, typed_outcome
 from riordan.algebra import R, Y, MultiPoly, tidy
 from riordan.arrays import (
     IndexBeyondTruncation,
@@ -26,7 +26,6 @@ from riordan.cold import (
     face_matrix,
     identity_array,
     pascal_matrix,
-    series_from_triangle,
 )
 from riordan.families import Kind
 from riordan.series import TruncatedSeries
@@ -219,19 +218,6 @@ def test_triangle_from_series_rejects_deep_y():
     bad = S([MultiPoly.const(1), Y**2], 4)
     with pytest.raises(ValueError):
         triangle_from_series(bad)
-
-
-def test_series_from_triangle_round_trip():
-    m = pascal_matrix(5)
-    assert triangle_from_series(series_from_triangle(m)) == m
-
-
-# Coefficients of one ring per example: int, Fraction or MultiPoly.
-rings = st.sampled_from([
-    st.integers(-4, 4),
-    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
-    st.sampled_from([0, 1, -2, R, Y, R - 1, 2 * R * Y + 3]),
-])
 
 
 def _typed_rows(m):

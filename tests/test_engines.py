@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from canonical import typed_all, typed_rows
 from riordan import walk
-from riordan.algebra import MultiPoly, R, Y
+from riordan.algebra import MultiPoly, R, Y, tidy
 from riordan.cli import main
 from riordan.cold import dense_family_triple
 from riordan.expr import parse_index_poly
@@ -295,6 +295,35 @@ near_misses = st.one_of(
 @example(JFraction((-I + 1) * (R**3 + 1), (-I + 2) * (R * Y - 2**70 * R**2)), 24)
 def test_rows_match_the_walk(frac, order):
     assert [typed_all(row) for row in frac.rows(order)] == typed_rows(frac.expand(order))
+
+
+# Levels in i and weights i*b + i^2*d: a walk, whose weights vanish at any
+# level k = -b/d.
+walks = st.builds(lambda a, b, c, d: JFraction(a + I * c, I * b + I * I * d), weights, weights, nonzero, weights)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(level_one, hermite, level_independent, walks), st.integers(8, 16))
+@example(JFraction(parse_index_poly("1/2+y"), parse_index_poly("1/3*i*r*y")), 16)  # rational weights
+@example(JFraction(parse_index_poly("1+i"), parse_index_poly("i*(3-i)*y")), 16)  # a walk with beta_3 = 0
+def test_the_rows_of_drawn_fractions_give_back_their_fraction(frac, order):
+    # Row n of the cleared fraction (D alpha; D^2 beta) is D^n times row n,
+    # so its moments are ints.  Where the weight beta_(k+1) vanishes at the
+    # Kronecker point, the fraction stops at level k there, and its moments
+    # obey its convergent; elsewhere they give back every level and weight.
+    # A +1 in row N breaks either.
+    den = frac.plan(order).den
+    cleared = JFraction(frac.alpha * den, frac.beta * den**2)
+
+    def certified(rows):
+        own = _at_kronecker_point(cleared, rows)[1]
+        zero = next((j for j in range(1, order, 2) if not own[j]), None)
+        return _first_wrong_level(cleared, rows) is None if zero is None else _finite_fraction_holds(cleared, rows, zero // 2)
+
+    rows = [[tidy(e * den**n) for e in row] for n, row in enumerate(frac.rows(order))]
+    assert certified(rows)
+    rows[order][-1] += 1
+    assert not certified(rows)
 
 
 EXP_R = family_fractions(FamilySpec(Kind.EXPONENTIAL, R))

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, strategies as st
 
-from canonical import typed, typed_all, typed_rows
+from canonical import rings, typed, typed_all, typed_rows
 from riordan.algebra import MultiPoly, R, Y
 from riordan.arrays import NonIntegralEntry, triangle_from_series
 from riordan.cold import binomial_transform, integer_coeffs
@@ -62,14 +62,6 @@ def _binomial_transform_by_sums(seq, k):
             acc = acc + comb(n, i) * powers[n - i] * seq[i]
         out.append(acc)
     return out
-
-
-# Values of one ring per example: int, Fraction or MultiPoly.
-rings = st.sampled_from([
-    st.integers(-5, 5),
-    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
-    st.sampled_from([0, 1, -2, R, Y, Y + 1, R * Fraction(1, 2) - Y]),
-])
 
 
 @given(rings, st.data())

@@ -13,10 +13,11 @@ Entries of many slots of many bits reach the byte read of
 group``, which compare packed walk values, and its three matrix laws,
 which compare matrix rows packed by ``RiordanArray._rows_at``, fail on a
 wrong slot and prove a width that holds both sides of their identities.
-Last, the packing rules the engines share: the slot width
+Every integral walk free of r packs, however few of its slots its powers
+of y fill.  Last, the packing rules: the slot width the engines share
 (``algebra._width``) read back by ``_digits`` at byte edges and at
-``MAX_WIDTH``, and the fill bitset (``algebra._fill``) against the terms
-the row recurrence and the walk compute."""
+``MAX_WIDTH``, and the row recurrence's fill bitset (``recurrence._fill``)
+against the terms of its last row."""
 
 import random
 from fractions import Fraction
@@ -27,10 +28,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from canonical import typed_all, typed_outcome, typed_rows
 from riordan import battery, cold, walk
-from riordan.algebra import MultiPoly, R, Y, _digits, _fill, _width
+from riordan.algebra import MultiPoly, R, Y, _digits, _width
 from riordan.cold import RiordanArray, binomial_transform
 from riordan.families import FamilySpec, Kind, family_fractions, named_triple
 from riordan.jfraction import IndexPoly, JFraction, Plan
+from riordan.recurrence import _fill
 from riordan.series import TruncatedSeries
 from riordan.verify import CHECKS, DEFAULT_SEED
 
@@ -172,11 +174,11 @@ def at_slot_width(series, width):
 @example(IndexPoly.constant(Y**6 - Y**3), I * Y**9, 24)  # powers of y^3: two slots in three empty
 def test_walk_on_packed_ints_matches_the_multipoly_walk(alpha, beta, order):
     # The packed walk's values are the oracle's series at y = 2^width: at
-    # the proven width, and, since y -> 2^width is a ring map, at widths
+    # the plan's width, and, since y -> 2^width is a ring map, at widths
     # too narrow for the digits to be read back, where slots overlap.
     frac = JFraction(alpha, beta)
     oracle = frac.expand(order)
-    for width in (_width(walk_plan(frac, order).bound), 1, 3):
+    for width in (walk_plan(frac, order).width, 1, 3):
         assert walk.packed(frac, order, width) == at_slot_width(oracle, width)
 
 
@@ -190,13 +192,11 @@ def test_walk_on_packed_ints_matches_the_multipoly_walk(alpha, beta, order):
 @example(IndexPoly.constant(32768 * Y**32), IndexPoly.constant(1), 30)  # y^32 takes slot 32
 @example(IndexPoly.constant(Y**6 - Y**3), I * Y**9, 24)  # powers of y^3: two slots in three empty
 def test_a_y_packed_walk_reads_its_rows_from_its_digits(alpha, beta, order):
-    # The digits of the walk's values, y^j at slot j, up to the last
-    # nonzero one, are the rows of the oracle, at any fraction's proven
-    # width, however few of its slots the powers of y fill (a walk of y^n
-    # alone fills one in n + 1): which walk production takes is tested below.
+    # Production's plan packs every drawn fraction, free of r and in narrow
+    # slots, and the digits of the walk's values, y^j at slot j, up to the
+    # last nonzero one, are the rows of the oracle.
     frac = JFraction(alpha, beta)
     plan = walk_plan(frac, order)
-    plan = plan._replace(width=_width(plan.bound))
     assert plan.layout == "y-packed"
     assert [typed_all(row) for row in walk.rows(frac, order, plan)] == typed_rows(frac.expand(order))
 
@@ -227,28 +227,27 @@ def test_the_walk_packs_only_integral_weights_free_of_r_in_narrow_slots(frac):
 
 
 @pytest.mark.parametrize(
-    "alpha, beta, order, packs",
+    "alpha, beta, order",
     [
-        (IndexPoly.constant(Y**32), IndexPoly.constant(Y), 60, False),  # one slot in 64 filled
-        (IndexPoly.constant(Y**16), I * Y, 60, False),  # one in 32
-        (IndexPoly.constant(Y**8), I * Y, 60, True),  # one in 16
-        (IndexPoly.constant(1 + Y**32), IndexPoly.constant(Y), 60, True),  # sparse weights whose sums fill the slots
-        (IndexPoly.constant(Y**16 + Y**17), IndexPoly.constant(Y), 40, True),
-        (IndexPoly.constant(Y), IndexPoly(()), 16, False),  # y^n alone: one slot in n + 1
+        (IndexPoly.constant(Y**32), IndexPoly.constant(Y), 60),  # one slot in 64 filled
+        (IndexPoly.constant(Y**16), I * Y, 60),  # one in 32
+        (IndexPoly.constant(Y**8), I * Y, 60),  # one in 16
+        (IndexPoly.constant(1 + Y**32), IndexPoly.constant(Y), 60),  # sparse weights whose sums fill the slots
+        (IndexPoly.constant(Y**16 + Y**17), IndexPoly.constant(Y), 40),
+        (IndexPoly.constant(Y), IndexPoly(()), 16),  # y^n alone: one slot in n + 1
         # Powers of y^g alone, y^j at slot j: every g-th slot filled at most.
-        ((I + 1) * Y**2, I * (I + 1) * Y**2, 60, True),  # one in 2
-        ((I + 1) * (Y**3 + 1), I * Y**3, 60, True),  # one in 3
-        ((I + 1) * Y**4, I * Y**8, 60, False),  # under one in 8
-        ((I + 1) * Y**16, I * Y**16, 60, False),  # under one in 16
+        ((I + 1) * Y**2, I * (I + 1) * Y**2, 60),  # one in 2
+        ((I + 1) * (Y**3 + 1), I * Y**3, 60),  # one in 3
+        ((I + 1) * Y**4, I * Y**8, 60),  # under one in 8
+        ((I + 1) * Y**16, I * Y**16, 60),  # under one in 16
+        ((I + 1) * Y**31, I * Y, 100),  # one in 32, at the largest N
     ],
 )
-def test_the_walk_packs_only_powers_of_y_that_fill_a_sixteenth_of_their_slots(alpha, beta, order, packs):
+def test_the_walk_packs_powers_of_y_however_few_slots_they_fill(alpha, beta, order):
     frac = JFraction(alpha, beta)
     plan = walk_plan(frac, order)
-    assert plan.layout == ("y-packed" if packs else "MultiPoly")
-    want = typed_rows(frac.expand(order))
-    for run in (plan, plan._replace(width=_width(plan.bound))):  # as planned, and forced y-packed
-        assert [typed_all(row) for row in walk.rows(frac, order, run)] == want
+    assert plan.layout == "y-packed"
+    assert [typed_all(row) for row in walk.rows(frac, order, plan)] == typed_rows(frac.expand(order))
 
 
 def test_the_oracle_runs_no_packed_code(monkeypatch):
@@ -405,8 +404,10 @@ def test_digits_read_back_the_bound_at_its_width(k, d):
             assert (_digits(value, width) + [0] * n)[:n] == cells
 
 
+# -- the row recurrence's fill (riordan.recurrence) -----------------------------------
+
 def fill_set(fill):
-    """The pairs (i, j) of the bits of _fill's bitsets: x^i in the value's z^j."""
+    """The pairs (i, j) of the bits of _fill's bitsets: r^i in the row's y^j."""
     return {(i, j) for j, bits in enumerate(fill) for i in range(bits.bit_length()) if bits >> i & 1}
 
 
@@ -432,20 +433,4 @@ def test_the_fill_holds_every_term_of_the_last_row(a, b, shape, order):
     filled = fill_set(_fill([[m for m, _ in w.items()] for w in (a, b)], order))
     assert support <= filled
     if all(c > 0 for w in (a, b) for _, c in w.items()):  # nothing cancels
-        assert support == filled
-
-
-@given(index_polys, index_polys, st.integers(0, 30))
-@example(IndexPoly.constant(1 + Y**3), IndexPoly.constant(Y**5), 20)  # positive weights: the fill is the support
-@example(IndexPoly.constant(Y**32), IndexPoly.constant(Y), 30)
-def test_the_fill_holds_every_power_of_y_of_the_walk(alpha, beta, order):
-    # The walk packs y, in one int: bit j stands for y^j.  A path of order
-    # steps back to height 0 climbs to order // 2 at most.
-    levels = (range(order // 2 + 1), range(1, order // 2 + 1))
-    steps = [{(j, 0) for k in ks for (_, j), _ in p(k).items()} for p, ks in zip((alpha, beta), levels)]
-    coefficient = MultiPoly.coerce(JFraction(alpha, beta).expand(order)[order])
-    support = {(j, 0) for (_, j), _ in coefficient.items()}
-    filled = fill_set(_fill(steps, order))
-    assert support <= filled
-    if all(not p.degree() and all(c > 0 for _, c in p(0).items()) for p in (alpha, beta)):  # free of i, nothing cancels
         assert support == filled

@@ -160,40 +160,42 @@ _check_times = functools.partial(_run, "request_footprint.py", "--repeats", "1",
 
 
 def test_check_times_prints_each_check_of_the_suite():
-    lines = _check_times("oeis")
-    assert lines[:2] == ["riordan verify oeis: cold CPU ms per check, median over 1 runs", f"{'ms':>9s}  check"]
-    rows = [line.split(None, 1) for line in lines[2:-1]]
-    assert [name for _, name in rows] == [
+    lines = _run("request_footprint.py", "--repeats", "3", "--checks", "oeis")
+    assert lines[:2] == ["riordan verify oeis: cold CPU ms per check, min and median over 3 runs", f"{'min':>9s} {'median':>9s}  check"]
+    rows = [line.split(None, 2) for line in lines[2:-1]]
+    assert [name for *_, name in rows] == [
         f"oeis :: {anumber} regenerated from its construction" for anumber in FIXTURE_SOURCES
     ]
-    total = sum(float(ms) for ms, _ in rows)
-    q1, median, q3 = (float(part.split()[-1]) for part in lines[-1].split(":", 1)[1].split(","))
-    assert lines[-1].startswith("per-run suite total CPU ms over 1 runs: q1 ")
-    # One run is one sample: its quartiles are its total, the sum of its checks.
-    assert q1 == median == q3 and abs(median - total) <= 0.01 * len(rows)
+    assert all(float(least) <= float(median) for least, median, _ in rows)
+    assert lines[-1].startswith("per-run suite total CPU ms over 3 runs: min ")
+    least, q1, median, q3 = (float(part.split()[-1]) for part in lines[-1].split(":", 1)[1].split(","))
+    # Each run's total is at least the sum of the checks' minimums.
+    assert sum(float(m) for m, _, _ in rows) - 0.01 * len(rows) <= least <= q1 <= median <= q3
 
 
 def test_check_times_compares_a_tree_against_a_baseline():
     # This tree against itself: one alternating run of each.
     lines = _check_times("oeis", "--baseline", str(SCRIPTS.parent / "src"))
     assert lines[:2] == [
-        "riordan verify oeis: cold CPU ms per check, median over 1 alternating runs of each tree",
-        f"{'baseline':>9s} {'this':>9s} {'ratio':>6s}  check",
+        "riordan verify oeis: cold CPU ms per check, min and median over 1 alternating runs of each tree",
+        f"{'base min':>9s} {'base med':>9s} {'this min':>9s} {'this med':>9s} {'ratio':>6s}  check",
     ]
-    rows = [line.split(None, 3) for line in lines[2:-3]]
+    rows = [line.split(None, 5) for line in lines[2:-3]]
     assert [name for *_, name in rows] == [
         f"oeis :: {anumber} regenerated from its construction" for anumber in FIXTURE_SOURCES
     ]
-    for base, this, ratio, _ in rows:
-        # The ratio is of the unrounded medians, printed to two decimals.
+    for base_min, base, this_min, this, ratio, _ in rows:
+        # One run is one sample: its minimum is its median.  The ratio is of
+        # the unrounded medians, printed to two decimals.
+        assert (base_min, this_min) == (base, this)
         base, this, ratio = float(base), float(this), float(ratio)
         assert (this - 0.005) / (base + 0.005) - 0.0005 <= ratio <= (this + 0.005) / (base - 0.005) + 0.0005
     medians = []
-    for line, tree, column in ((lines[-3], "baseline", 0), (lines[-2], "this tree", 1)):
-        assert line.startswith(f"per-run suite total CPU ms over 1 runs: {tree} q1 ")
-        q1, median, q3 = (float(part.split()[-1]) for part in line.split(":", 1)[1].split(","))
-        # One run is one sample: its quartiles are its total, the sum of its checks.
-        assert q1 == median == q3 and abs(median - sum(float(row[column]) for row in rows)) <= 0.01 * len(rows)
+    for line, tree, column in ((lines[-3], "baseline", 1), (lines[-2], "this tree", 3)):
+        assert line.startswith(f"per-run suite total CPU ms over 1 runs: {tree} min ")
+        least, q1, median, q3 = (float(part.split()[-1]) for part in line.split(":", 1)[1].split(","))
+        # One run is one sample: its minimum and quartiles are its total, the sum of its checks.
+        assert least == q1 == median == q3 and abs(median - sum(float(row[column]) for row in rows)) <= 0.01 * len(rows)
         medians.append(median)
     label, ratio = lines[-1].rsplit(" ", 1)
     assert label == "ratio of the median totals (this tree over baseline):"

@@ -91,7 +91,7 @@ def test_the_battery_binds_no_traced_function_by_name():
 MOVED = {
     ("arrays", "cold"): "FACTORIAL_PAIR_WEIGHTS FACTORIAL_WEIGHTS KindMismatch RiordanArray UNIT_WEIGHTS "
     "UnsupportedKind WeightSequence binomial_array face_array face_matrix identity_array "
-    "pascal_matrix series_from_triangle",
+    "pascal_matrix",
     ("series", "cold"): "NonIntegralResult NonUnitConstantTerm NonzeroConstantTerm ZeroLinearTerm egf_to_ogf integer_coeffs",
     ("families", "cold"): "NotPalindromic dense_family_triple f_closed_row family_array gamma_closed_row "
     "gamma_from_h h_closed_row narayana_array narayana_closed",
