@@ -28,10 +28,12 @@ by a third from one set of runs to the next, and the minimum, the run that
 other processes slowed least, moves less.  It exits 1 if a check failed in
 any run.  With ``--baseline SRC`` the runs alternate, SRC's first, between
 SRC and this tree, K runs of each.  Each check then gets SRC's minimum and
-median, this tree's minimum and median, and the ratio of the medians (this
-tree over SRC; "-" for a check that only one tree has), and both trees'
-least suite totals and quartiles follow, with the ratio of their
-medians.
+median, this tree's minimum and median, and the ratios of the minimums and
+of the medians (this tree over SRC; "-" for a check that only one tree
+has), and both trees' least suite totals and quartiles follow, with the
+ratios of their minimums and of their medians.  The ratio of minimums is
+the steadier: in three runs a check whose code had not changed read
+median ratios from 0.75 to 1.43, and minimum ratios from 0.96 to 0.98.
 
 ARGV is the request's command line after ``riordan``; put ``--`` before it
 if it starts with an option of this script.  The request runs once in a
@@ -297,21 +299,20 @@ def checks(suite: str, repeats: int, baseline: Path | None = None) -> int:
     each = "runs" if baseline is None else "alternating runs of each tree"
     print(f"riordan verify {suite}: cold CPU ms per check, min and median over {repeats} {each}")
     print(f"{'min':>9s} {'median':>9s}  check" if baseline is None else
-          f"{'base min':>9s} {'base med':>9s} {'this min':>9s} {'this med':>9s} {'ratio':>6s}  check")
+          f"{'base min':>9s} {'base med':>9s} {'this min':>9s} {'this med':>9s} {'r min':>6s} {'r med':>6s}  check")
     for name in {name: None for table in tables for name in table}:
         ms = [table[name][:2] if name in table else (None, None) for table in tables]
         cells = [f"{'-':>9s}" if m is None else f"{m:9.2f}" for pair in ms for m in pair]  # "-": a check the tree lacks
         if baseline is not None:
-            (_, base), (_, this) = ms
-            cells.append(f"{this / base:6.3f}" if base and this is not None else f"{'-':>6s}")
+            cells += [f"{this / base:6.3f}" if base and this is not None else f"{'-':>6s}" for base, this in zip(*ms)]
         ok = all(table[name][2] for table in tables if name in table)
         print(" ".join(cells) + f"  {name}{'' if ok else '  [FAIL]'}")
     totals = [[1000 * sum(t for _, _, t in run) for run in tree_runs] for tree_runs in runs]
     for label, tree_totals in zip([""] if baseline is None else ["baseline ", "this tree "], totals):
         print(f"per-run suite total CPU ms over {repeats} runs: {label}min {min(tree_totals):.2f}, {quartiles(tree_totals)}")
     if baseline is not None:
-        ratio = statistics.median(totals[1]) / statistics.median(totals[0])
-        print(f"ratio of the median totals (this tree over baseline): {ratio:.3f}")
+        for label, stat in (("minimum", min), ("median", statistics.median)):
+            print(f"ratio of the {label} totals (this tree over baseline): {stat(totals[1]) / stat(totals[0]):.3f}")
     return 0 if all(ok for table in tables for *_, ok in table.values()) else 1
 
 

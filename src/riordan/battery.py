@@ -16,11 +16,11 @@ is removed.
 import random
 from fractions import Fraction
 from functools import cache, partial
-from math import factorial
+from math import ceil, factorial
 from operator import mul
 
 from . import arrays, cold, families, oeis, walk
-from .algebra import MultiPoly, R, Y, _norm, _width
+from .algebra import VARIABLES, MultiPoly, R, Y, _norm, _width
 from .cold import (
     RiordanArray,
     binomial_array,
@@ -206,6 +206,14 @@ def _composition_associativity(rng: random.Random) -> bool:
 # prove that bound before anything is packed.
 
 
+def _pack_var(p: "int | MultiPoly", width: int, var: str = "y") -> int:
+    """An integer polynomial in var alone ("r" or "y") at var = 2^width."""
+    if type(p) is int:
+        return p
+    slot = VARIABLES.index(var)
+    return sum(c << width * m[slot] for m, c in p.items())
+
+
 def _shift_width(frac: JFraction) -> int:
     """W of :func:`_binomial_shift` on frac, as its docstring proves it."""
     return _width(walk._bound(frac, 8) * 3**8)
@@ -225,7 +233,7 @@ def _binomial_shift(rng: random.Random) -> bool:
     width = _shift_width(frac)
     expansion = walk.packed(frac, 8, width)
     return all(
-        walk.packed(frac.binomial_shift(k), 8, width) == cold._difference_table(expansion, cold._pack_var(k, width))
+        walk.packed(frac.binomial_shift(k), 8, width) == cold._difference_table(expansion, _pack_var(k, width))
         for k in (1, 2, Y, Y + 1)
     )
 
@@ -257,7 +265,7 @@ def _defining_equation(rng: random.Random) -> bool:
     width = _equation_width(frac, down)
     s, below = (TruncatedSeries(walk.packed(f, 12, width)) for f in (frac, down))
     x = TruncatedSeries.x(12)
-    return s * (1 - x * cold._pack_var(alpha(0), width) - x * x * cold._pack_var(beta(1), width) * below) == 1
+    return s * (1 - x * _pack_var(alpha(0), width) - x * x * _pack_var(beta(1), width) * below) == 1
 
 
 # -- family identities --------------------------------------------------------
@@ -295,6 +303,49 @@ def _hypercube_factorization() -> bool:
     )
 
 
+# Three checks compare the Riordan route, which the symbolic r would send
+# through series of polynomials, at one integer r = 2^W with the row
+# recurrences' rows packed there (_packed_rows).  Substituting 2^W for r is
+# a ring map, injective on polynomials whose coefficients are below
+# 2^(W-1) in absolute value, so each check is exact where W holds every
+# coefficient in r of both its sides (_family_bound).
+
+
+def _family_bound(spec: FamilySpec, size: int) -> int:
+    """A bound on every coefficient in r of the entries of the family's
+    gamma, h and f matrices to row size, from the norms of its array's g
+    and f.  Row n of h is [x^n] g / (1 - y f) for an ordinary array and
+    n! [x^n] g exp(y f) for an exponential one, so its norm H_n, summed
+    over y and r, is at most the same coefficient of |g| / (1 - |f|) or of
+    |g| exp(|f|), each coefficient of g and f replaced by its norm.  Row n
+    of f, sum_j h[n,j] C(j,k), has norm at most 2^n H_n.  So has row n of
+    gamma: h_n is palindromic, so y^(-n/2) h_n(y) is sum_k gamma[n,k]
+    s^(n-2k) in s = y^(1/2) + y^(-1/2), and also sum_(j<n/2) h[n,j]
+    L_(n-2j)(s), plus h[n,n/2] for even n, where y^(m/2) + y^(-m/2) is the
+    Lucas polynomial L_m(s), whose coefficients sum in absolute value to
+    the Lucas number L_m <= 2^m.  The bound is the largest 2^n H_n."""
+    array = cold.family_array(spec, max(size, 1))
+    g, f = (TruncatedSeries([_norm(MultiPoly.coerce(c)) for c in s.coeffs[: size + 1]]) for s in (array.g, array.f))
+    rows = g * (1 - f).inverse() if spec.flavor is Kind.ORDINARY else egf_to_ogf(g * f.exp())
+    return max(2**n * ceil(norm) for n, norm in enumerate(rows))
+
+
+def _family_width(spec: FamilySpec, size: int) -> int:
+    """W of :func:`_ordinary_face_gf` and :func:`_exponential_fraction_triple`,
+    as :func:`_family_bound` proves it."""
+    return _width(_family_bound(spec, size))
+
+
+def _closed_forms_width(size: int) -> int:
+    """W of :func:`_ordinary_closed_forms`, as its docstring proves it."""
+    return _width(max(2 * 8**size, _family_bound(_ORD, size)))
+
+
+def _packed_rows(matrix: arrays.LowerTriMatrix, width: int) -> tuple:
+    """The rows of a matrix of polynomials in r, each entry at r = 2^width."""
+    return tuple(tuple(_pack_var(e, width, "r") for e in row) for row in matrix.rows)
+
+
 @cache  # the face GF and the GF chain share a walk, as the exponential checks do
 def _walk_matches(spec: FamilySpec, which: str, order: int) -> bool:
     """The walk of the family's ``which`` fraction gives its triangle, f in
@@ -307,30 +358,35 @@ def _walk_matches(spec: FamilySpec, which: str, order: int) -> bool:
 
 @_check("props", "ordinary family face GF (plain and reversed forms)")
 def _ordinary_face_gf() -> bool:
-    plain = face_array(cold.family_array(_ORD, 12)).bgf(12) == _fractions(_ORD).f.expand(12)
-    return plain and _walk_matches(_ORD, "f", 12)
+    """The face array's bivariate GF, at r = 2^W, is the face matrix by
+    rows: its x^n coefficient is sum_k f[n,k] y^k, with f the recurrence's
+    face matrix packed there, W ``_family_width(_ORD, 12)``; and the
+    reversed fraction walks to the reversed face rows."""
+    width = _family_width(_ORD, 12)
+    gf = face_array(cold.family_array(FamilySpec(Kind.ORDINARY, 1 << width), 12)).bgf(12)
+    rows = tuple(tuple(MultiPoly.coerce(c).y_coefficients()) for c in gf)
+    return rows == _packed_rows(_family(_ORD, 12).f, width) and _walk_matches(_ORD, "f", 12)
 
 
 @_check("props", "ordinary family closed forms match the constructions")
 def _ordinary_closed_forms() -> bool:
     """The row recurrences' triple equals the Riordan route's and, row by
-    row, the closed forms.  At r = R both sides meet at r = 2^W, on ints:
-    the closed forms run there, and the rows' entries are packed there.  A
-    coefficient of a closed form is at most 2 8^n (h's C(k,j)
-    C(n-j, n-k-j) <= 4^n, f's sums of C(i,k) <= 2^(n+1) of them, gamma's
-    C(n-k, n-2k) <= 2^n), and one of an entry at most its row's norm, so W
-    is ``_width`` of the larger."""
+    row, the closed forms.  At r = R all three meet at r = 2^W, on ints:
+    the Riordan route and the closed forms run there, and the rows' entries
+    are packed there.  A coefficient of a closed form is at most 2 8^n
+    (h's C(k,j) C(n-j, n-k-j) <= 4^n, f's sums of C(i,k) <= 2^(n+1) of
+    them, gamma's C(n-k, n-2k) <= 2^n), and one of an entry of either
+    triple at most ``_family_bound``, so W is ``_width`` of the larger."""
     cases = [(R, 12)] + [(rv, 8) for rv in range(6)]
     for r, size in cases:
-        spec = FamilySpec(Kind.ORDINARY, r)
-        fam = _family(spec, size)
-        if fam != dense_family_triple(spec, size):
-            return False
-        gamma, h, f = (m.rows for m in fam)
+        fam = _family(FamilySpec(Kind.ORDINARY, r), size)
+        rows = [m.rows for m in fam]
         if isinstance(r, MultiPoly):
-            width = _width(max(2 * 8**size, *(cold._norm_all(row) for m in fam for row in m.rows)))
-            r = 1 << width
-            gamma, h, f = ([[cold._pack_var(e, width, "r") for e in row] for row in m] for m in (gamma, h, f))
+            width = _closed_forms_width(size)
+            r, rows = 1 << width, [_packed_rows(m, width) for m in fam]
+        if rows != [m.rows for m in dense_family_triple(FamilySpec(Kind.ORDINARY, r), size)]:
+            return False
+        gamma, h, f = rows
         for n in range(size + 1):
             closed_h = h_closed_row(n, r)  # f_closed_row(n, r) is _face_row(closed_h)
             if list(h[n]) != closed_h or list(f[n]) != cold._face_row(closed_h) or list(gamma[n]) != gamma_closed_row(n, r):
@@ -350,8 +406,13 @@ def _exponential_weighted_fraction() -> bool:
 
 @_check("props", "exponential family fraction triple (gamma, h, face)")
 def _exponential_fraction_triple() -> bool:
+    """The walks of the three fractions give the triple, and the Riordan
+    route's triple at r = 2^W is the recurrences' packed there, W
+    ``_family_width(_EXP, 10)``."""
     walks = all(_walk_matches(_EXP, which, 10) for which in ("gamma", "h", "f"))
-    return walks and _family(_EXP, 10) == dense_family_triple(_EXP, 10)
+    width = _family_width(_EXP, 10)
+    dense = dense_family_triple(FamilySpec(Kind.EXPONENTIAL, 1 << width), 10)
+    return walks and [_packed_rows(m, width) for m in _family(_EXP, 10)] == [m.rows for m in dense]
 
 
 @_check("props", "aerated double factorial expansion")

@@ -16,9 +16,10 @@ int: the Horner steps of :func:`series_compose`, the powers of
 x = 2^width.  Each proves a bound on its coefficients from its inputs and
 takes the width :mod:`riordan.algebra`'s packing rules give that bound;
 past ``MAX_WIDTH`` it computes on the coefficients (see "packed integer
-chains" below).  The matrix, the families' triple built from it
-(:func:`dense_family_triple`) and compose compute on ints for rational
-coefficients and polynomials in r too, and the group suite's matrix laws
+chains" below).  The matrix and compose clear rational coefficients to
+ints first, and compute at the r they are given: a polynomial in r stays
+a MultiPoly.  ``verify props`` takes the Riordan route at one integer
+r = 2^W (:mod:`riordan.battery`), and the group suite's matrix laws
 compare rows packed at y = 2^W (:meth:`RiordanArray._rows_at`).
 
 Without cached bytecode a request compiles every module it imports, so
@@ -37,7 +38,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from . import Frozen
-from .algebra import VARIABLES, Monomial, MultiPoly, R, Scalar, Y, _digits, _norm, _unpack, _width, _wrap, tidy
+from .algebra import VARIABLES, Monomial, MultiPoly, R, Scalar, Y, _digits, _width, _wrap, tidy
 from .arrays import Entry, IndexBeyondTruncation, LowerTriMatrix, _normalize_entry
 from .families import FamilySpec, GammaHFTriple, Kind, RValue
 from .jfraction import PolyLike
@@ -73,12 +74,9 @@ class NonIntegralResult(ValueError):
 # r = 2^B in tests/test_engines.py, whose columns mix coefficients of very
 # different sizes) the chain computes on its coefficients, as revert does
 # for a Fraction or MultiPoly coefficient.  RiordanArray.matrix and compose
-# bring their coefficients to ints first: they clear their common
-# denominators (_cleared) and take polynomials in r at r = 2^W_r (_at_r),
-# where the packed chain would give every slot the size of the largest
-# value, so they take series products of those ints, and read each result
-# back once: the matrix divides its entries exactly term by term
-# (_scaled), compose by its one denominator.
+# clear the common denominators of rational coefficients first (_cleared),
+# and read each result back once: the matrix divides its entries exactly
+# term by term (_scaled), compose by its one denominator.
 
 
 def _ints(*coeffs) -> bool:
@@ -88,14 +86,6 @@ def _ints(*coeffs) -> bool:
 def _pack_x(coeffs: Sequence[int], width: int) -> int:
     """The polynomial with these coefficients, lowest first, at x = 2^width."""
     return sum(map(int.__lshift__, coeffs, range(0, width * len(coeffs), width)))
-
-
-def _pack_var(p: "int | MultiPoly", width: int, var: str = "y") -> int:
-    """An integer polynomial in var alone ("r" or "y") at var = 2^width."""
-    if type(p) is int:
-        return p
-    slot = VARIABLES.index(var)
-    return sum(c << width * m[slot] for m, c in p.items())
 
 
 def _low(value: int, bits: int) -> int:
@@ -116,25 +106,6 @@ def _cleared(coeffs: Sequence) -> tuple[int, list]:
     numbers (a coefficient of another type counts as a denominator 1)."""
     d = lcm(*(getattr(c, "denominator", 1) for v in coeffs for c in (v._terms.values() if isinstance(v, MultiPoly) else (v,))))
     return d, [tidy(v * d if d != 1 else v) for v in coeffs]
-
-
-def _norm_all(coeffs: Sequence) -> int:
-    """The sum of the norms of ints and integer-coefficient MultiPolys."""
-    return sum(_norm(c) if isinstance(c, MultiPoly) else abs(c) for c in coeffs)
-
-
-def _at_r(head: list, step: list, n: int) -> tuple:
-    """W_r, head and step at r = 2^W_r, for cleared coefficients of which
-    some are polynomials in r and none holds y; else None and the lists as
-    they are.  As a polynomial in r, every coefficient of head * step^k,
-    k <= n, is at most |head|(1) max(1, |step|(1))^n, the norms summed over
-    x and r, and W_r is ``_width`` of that bound (None past MAX_WIDTH)."""
-    if _ints(*head, *step) or not all(type(c) is int or isinstance(c, MultiPoly) and not c.degree("y") for c in (*head, *step)):
-        return None, head, step
-    width = _width(_norm_all(head) * max(1, _norm_all(step)) ** n)
-    if not width:
-        return None, head, step
-    return width, [_pack_var(c, width, "r") for c in head], [_pack_var(c, width, "r") for c in step]
 
 
 def _scaled(value, num: int, den: int) -> Entry:
@@ -193,24 +164,23 @@ def series_compose(s: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSerie
     up to x**(n - k) can reach the result.  Each step keeps one more
     coefficient than the last: composing at order n costs n(n+1)(n+2)/6
     coefficient products, or n products of packed ints for integer series.
-    It runs on ints as :meth:`RiordanArray.matrix` does: with d_s and d_i
-    the common denominators of s and inner/x, R_k = d_s d_i^(n-k) r_k steps
-    by R_k = d_s c_k d_i^(n-k) + x R_(k+1) (d_i inner/x), on ints or, for
-    polynomials in r, on their values at r = 2^W_r (:func:`_at_r`), and the
+    Rational coefficients are cleared as :meth:`RiordanArray.matrix`
+    clears them: with d_s and d_i the common denominators of s and inner/x,
+    R_k = d_s d_i^(n-k) r_k steps by R_k = d_s c_k d_i^(n-k) + x R_(k+1)
+    (d_i inner/x), on ints or on integer-coefficient MultiPolys, and the
     result is R_0 over d_s d_i^n.
     """
     if inner._coeffs[0] != 0:
         raise NonzeroConstantTerm("inner series must have zero constant term")
     n = min(s.order, inner.order)
     c, over_x = s._coeffs[: n + 1], inner._coeffs[1 : n + 1]
-    den, r_width, ints = 1, None, _ints(*c, *over_x)
+    den, ints = 1, _ints(*c, *over_x)
     if not ints:
         (ds, c), (di, over_x) = _cleared(c), _cleared(over_x)
         if di != 1:
             c = [ck * di ** (n - k) for k, ck in enumerate(c)]
         den = ds * di**n
-        r_width, c, over_x = _at_r(c, over_x, n)
-        ints = not r_width and _ints(*c, *over_x)
+        ints = _ints(*c, *over_x)
     # Step k's coefficients are those of sum_{j >= k} c_j inner^(j - k), at
     # most |s|(F) <= |s|(1) F^n for F = max(1, |inner|(1)).
     width = ints and _width(sum(map(abs, c)) * max(1, sum(map(abs, over_x))) ** n)
@@ -226,8 +196,6 @@ def series_compose(s: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSerie
             for k in range(n - 1, -1, -1):
                 result = _trusted((c[k],) + (result * over_x)._coeffs)
         out = result._coeffs
-    if r_width:
-        out = [_unpack(v, r_width) for v in out]
     return _trusted(out if den == 1 else [tidy(v * Fraction(1, den)) for v in out])
 
 
@@ -436,35 +404,27 @@ class RiordanArray(Frozen):
 
         Column k is g * f**k, which is zero below x**k, so only its
         coefficients k..size_n are built: column k is column k - 1 times
-        f/x, one coefficient shorter.  The columns run on ints: g and f/x
-        are scaled by the common denominators d_g and d_f of their
-        coefficients (an exponential array's 1/n!, the family's r/2), and a
-        polynomial coefficient is taken at r = 2^W_r, W_r proven from the
-        norms of g and f/x.  Plain ints take the packed chain at x =
-        2^width, ints at r = 2^W_r series products.  Each entry is then
-        read back once (at r = 2^W_r by ``algebra._unpack``), times its
-        prefactor (n!/k! for an exponential array, c_n/c_k for a
-        generalized one) over column k's d_g d_f^k; where that is not
-        integral it raises NonIntegralEntry.  Coefficients in y, or a W_r
-        past ``MAX_WIDTH``, take series products of MultiPolys."""
+        f/x, one coefficient shorter.  g and f/x are scaled by the common
+        denominators d_g and d_f of their coefficients (an exponential
+        array's 1/n!, the family's r/2), so that every coefficient is an
+        int or an integer-coefficient MultiPoly.  Ints take the packed
+        chain at x = 2^width, MultiPolys (in r or y) series products.  Each
+        entry is then read back once, times its prefactor (n!/k! for an
+        exponential array, c_n/c_k for a generalized one) over column k's
+        d_g d_f^k; where that is not integral it raises NonIntegralEntry."""
         if size_n > self.order:
             raise IndexBeyondTruncation(
                 f"size {size_n} beyond truncation order {self.order}"
             )
         g, over_x = self.g._coeffs[: size_n + 1], self.f._coeffs[1 : size_n + 1]  # f/x, order size_n - 1
         dg = df = 1
-        r_width, ints = None, _ints(*g, *over_x)
+        ints = _ints(*g, *over_x)
         if not ints:
             (dg, g), (df, over_x) = _cleared(g), _cleared(over_x)
-            r_width, g, over_x = _at_r(g, over_x, size_n)  # column k is g (f/x)^k
             ints = _ints(*g, *over_x)
         cols = [g]  # cols[k][m] = [x^(k+m)] g f^k, times d_g d_f^k
-        # Column k's coefficients are at most |g|(1) |f/x|(1)^k, and |f/x|(1)
-        # >= 1.  Packing x too at r = 2^W_r would give every slot the size
-        # of the largest coefficient: series products on those ints took a
-        # fifth to a quarter of the packed chain's time (ordinary family,
-        # N = 12, 2-core x86-64).
-        width = not r_width and ints and _width(sum(map(abs, g)) * sum(map(abs, over_x)) ** size_n)
+        # Column k's coefficients are at most |g|(1) |f/x|(1)^k, and |f/x|(1) >= 1.
+        width = ints and _width(sum(map(abs, g)) * sum(map(abs, over_x)) ** size_n)
         if width:
             col, over_x = _pack_x(g, width), _pack_x(over_x, width)
             for k in range(1, size_n + 1):
@@ -480,8 +440,6 @@ class RiordanArray(Frozen):
         rows, scale = [], []
         for n in range(size_n + 1):
             row = [cols[k][n - k] for k in range(n + 1)]
-            if r_width:
-                row = [_unpack(e, r_width) for e in row]
             if self.kind is Kind.EXPONENTIAL:
                 scale = [*map(n.__mul__, scale), 1]  # scale[k] = n!/k!
             elif self.kind is Kind.GENERALIZED:
@@ -607,29 +565,11 @@ def dense_family_triple(spec: FamilySpec, size_n: int) -> GammaHFTriple:
     """The same triple as :func:`~riordan.families.family_triple` by the
     Riordan route: the array's matrix, its product with the binomial matrix
     and gamma extraction.  Production builds the triple from the row
-    recurrences; this route is kept as their oracle.
-
-    At a symbolic r the face product and gamma extraction run on h's
-    entries at r = 2^W, ints, and read their entries back once
-    (``algebra._unpack``).  Both are ring operations, so that is exact
-    where every coefficient of their results fits a balanced slot.  With H
-    the largest norm of a row of h, an f entry sum_j h[n,j] C(j,k) is at
-    most 2^(n+1) H; gamma_k = h_k - sum_(i<k) gamma_i C(n-2i, k-i) is at
-    most H + 2^n sum_(i<k) |gamma_i| <= H (1 + 2^n)^k, and so is what gamma
-    extraction leaves over, for k <= n//2 + 1.  W is ``_width`` of the
-    larger bound at n = size_n; past ``MAX_WIDTH`` both run on the
-    polynomials."""
+    recurrences; this route is kept as their oracle.  It computes at the r
+    of spec: on MultiPolys at a symbolic r, on ints at an integer one, as
+    ``verify props`` takes it at r = 2^W (:mod:`riordan.battery`)."""
     h = family_array(spec, max(size_n, 1)).matrix(size_n)
-    width = (
-        isinstance(spec.r, MultiPoly)
-        and not spec.r.degree("y")
-        and _width(max(map(_norm_all, h.rows)) * max(2 ** (size_n + 1), (1 + 2**size_n) ** (size_n // 2 + 1)))
-    )
-    if not width:
-        return GammaHFTriple(gamma_from_h(h), h, face_matrix(h))
-    at = LowerTriMatrix([_pack_var(e, width, "r") for e in row] for row in h.rows)
-    gamma, f = (LowerTriMatrix([_unpack(e, width) for e in row] for row in m.rows) for m in (gamma_from_h(at), face_matrix(at)))
-    return GammaHFTriple(gamma, h, f)
+    return GammaHFTriple(gamma_from_h(h), h, face_matrix(h))
 
 
 # Closed forms of the ordinary family's three triangles, a row at a time.

@@ -289,10 +289,10 @@ def test_matrix_matches_the_full_column_products_and_entry(kind_weights, ring, d
         (RiordanArray(S([1, Fraction(1, 2) * R + 1], 4), S.x(4)), "entry has non-integer coefficients: 1/2*r + 1"),
         (RiordanArray(S([1, Fraction(1, 2) * Y], 4), S.x(4)), "entry has non-integer coefficients: 1/2*y"),
     ],
-    ids=["int", "int column", "r-packed", "in y"],
+    ids=["int", "int column", "in r", "in y"],
 )
 def test_a_non_integral_entry_raises_the_text_of_the_full_column_products(array, text):
     # The first entry that is not integral, in row order, on each of the
-    # routes the columns take: ints, ints at r = 2^W_r, and series products
-    # of polynomials in y.
+    # routes the columns take: the packed chain of ints, and series products
+    # of polynomials in r or in y.
     assert typed_outcome(lambda: array.matrix(4)) == typed_outcome(lambda: _matrix_by_full_columns(array, 4)) == text

@@ -15,7 +15,7 @@ from itertools import islice
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from canonical import typed_all, typed_rows
+from canonical import at_r, typed_all, typed_rows
 from riordan import walk
 from riordan.algebra import MultiPoly, R, Y, tidy
 from riordan.cli import main
@@ -472,12 +472,10 @@ def _symbolic_rows(alpha, beta, size_n):
 
 
 def _at(rows, value) -> list:
-    """Symbolic rows at r = value, typed, each row up to its last nonzero
-    entry.  Each entry is evaluated as the sum of c * value^i over its
-    terms: MultiPoly.substitute takes seconds on one fraction at N = 100."""
-    power, out = functools.cache(value.__pow__), []
-    for row in rows:
-        row = [sum(c * power(i) for (i, _), c in MultiPoly.coerce(e).items()) for e in row]
+    """Symbolic rows at r = value (``at_r``), typed, each row up to its
+    last nonzero entry, as ``JFraction.rows`` gives them."""
+    out = []
+    for row in at_r(rows, value):
         while len(row) > 1 and not row[-1]:
             row.pop()
         out.append(typed_all(row))

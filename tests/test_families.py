@@ -4,9 +4,9 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from canonical import typed_all
+from canonical import at_r, typed_all
 
-from riordan.algebra import MultiPoly, R, Y
+from riordan.algebra import R, Y
 from riordan.arrays import LowerTriMatrix, triangle_from_series
 from riordan.cold import (
     NotPalindromic,
@@ -116,31 +116,22 @@ def test_row_recurrences_match_the_riordan_route(flavor, r):
 
 @pytest.mark.parametrize("flavor", FLAVORS, ids=[f.value for f in FLAVORS])
 def test_the_riordan_route_at_symbolic_r_matches_the_row_recurrences_at_n_30(flavor):
-    # The face product and gamma extraction run on h's entries at r = 2^W
-    # (W of a few hundred bits at N = 30), and read their entries back.
+    # The Riordan route at the symbolic r, every step on MultiPolys, as only
+    # the tests run it: verify props takes it at one integer r = 2^W.
     spec = FamilySpec(flavor, R)
     dense, rows = dense_family_triple(spec, 30), family_triple(spec, 30)
     assert [[typed_all(row) for row in m.rows] for m in dense] == [[typed_all(row) for row in m.rows] for m in rows]
 
 
+def _assert_specialisation_commutes(flavor, which, value, size):
+    build = {"gamma": gamma_matrix, "h": h_matrix, "f": f_matrix}[which]
+    specialised = at_r(build(FamilySpec(flavor, R), size).rows, value)
+    assert LowerTriMatrix(specialised) == build(FamilySpec(flavor, value), size)
+
+
 @given(st.sampled_from(FLAVORS), st.sampled_from(["gamma", "h", "f"]), st.integers(-3, 5), st.integers(0, 16))
 def test_specialisation_commutes_with_construction(flavor, which, value, size):
-    build = {"gamma": gamma_matrix, "h": h_matrix, "f": f_matrix}[which]
-    symbolic = build(FamilySpec(flavor, R), size)
-    specialised = LowerTriMatrix(
-        [[MultiPoly.coerce(e).substitute(r=value) for e in row] for row in symbolic.rows]
-    )
-    assert specialised == build(FamilySpec(flavor, value), size)
-
-
-def _assert_specialisation_commutes(flavor, which, value, size):
-    # Each entry is evaluated as the sum of c * value^i over its terms:
-    # MultiPoly.substitute takes seconds on one triangle at these sizes.
-    # Row n has degree at most n in r.
-    build = {"gamma": gamma_matrix, "h": h_matrix, "f": f_matrix}[which]
-    symbolic, powers = build(FamilySpec(flavor, R), size), [value**i for i in range(size + 1)]
-    specialised = [[sum(c * powers[i] for (i, _), c in MultiPoly.coerce(e).items()) for e in row] for row in symbolic.rows]
-    assert LowerTriMatrix(specialised) == build(FamilySpec(flavor, value), size)
+    _assert_specialisation_commutes(flavor, which, value, size)
 
 
 @pytest.mark.parametrize("value", [-3, 2**64], ids=["-3", "2^64"])

@@ -1,18 +1,19 @@
 """The packed integer engines against the code they replace: the three
 series chains of the Riordan oracle (riordan.cold: compose, revert and
 the columns of RiordanArray.matrix) on integer inputs, and compose and
-the columns also on rational ones and polynomials in r, cleared of their
-denominators and taken at r = 2^W_r, each run once as it runs in
-production, asserted packed, and once with packing switched off, where it
-computes on its coefficients as before; the two must agree value for
-value and, on integer inputs, type for type.  The y-packed Motzkin walk (riordan.walk) reads its rows from
-the digits of its packed values; they must be the oracle's, the rows of
-JFraction.expand, which walks on MultiPoly alone and runs no packed code.
+the columns also on rational ones, cleared of their denominators, each run
+once as it runs in production, asserted packed, and once with packing
+switched off, where it computes on its coefficients as before; the two
+must agree value for value and type for type.  The y-packed Motzkin walk
+(riordan.walk) reads its rows from the digits of its packed values; they
+must be the oracle's, the rows of JFraction.expand, which walks on
+MultiPoly alone and runs no packed code.
 Entries of many slots of many bits reach the byte read of
 ``algebra._digits``.  The two continued-fraction laws of ``verify
 group``, which compare packed walk values, and its three matrix laws,
 which compare matrix rows packed by ``RiordanArray._rows_at``, fail on a
-wrong slot and prove a width that holds both sides of their identities.
+wrong slot and prove a width that holds both sides of their identities,
+as do the three props checks that take the Riordan route at r = 2^W.
 Every integral walk free of r packs, however few of its slots its powers
 of y fill.  Last, the packing rules: the slot width the engines share
 (``algebra._width``) read back by ``_digits`` at byte edges and at
@@ -29,8 +30,17 @@ from hypothesis import example, given, settings, strategies as st
 from canonical import typed_all, typed_outcome, typed_rows
 from riordan import battery, cold, walk
 from riordan.algebra import MultiPoly, R, Y, _digits, _width
-from riordan.cold import RiordanArray, binomial_transform
-from riordan.families import FamilySpec, Kind, family_fractions, named_triple
+from riordan.cold import (
+    RiordanArray,
+    binomial_transform,
+    dense_family_triple,
+    f_closed_row,
+    face_array,
+    family_array,
+    gamma_closed_row,
+    h_closed_row,
+)
+from riordan.families import FamilySpec, Kind, family_fractions, family_triple, named_triple
 from riordan.jfraction import IndexPoly, JFraction, Plan
 from riordan.recurrence import _fill
 from riordan.series import TruncatedSeries
@@ -102,42 +112,40 @@ def test_matrix_columns_pack_and_match_the_series_products(kind, g_rest, f1, f_r
     assert [typed_all(row) for row in packed.rows] == [typed_all(row) for row in plain.rows]
 
 
-r_polys = st.lists(small | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)), max_size=3).map(
-    lambda cs: sum((c * R**i for i, c in enumerate(cs)), MultiPoly())
-)
+rationals = small | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
 @given(
     st.sampled_from([Kind.ORDINARY, Kind.EXPONENTIAL]),
-    st.lists(r_polys, max_size=8),
-    st.sampled_from([1, -1, R, 1 - R, Fraction(1, 2) * R]),
-    st.lists(r_polys, max_size=7),
+    st.lists(rationals, max_size=8),
+    st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]),
+    st.lists(rationals, max_size=7),
     st.integers(0, 8),
 )
-@example(Kind.EXPONENTIAL, [1, Fraction(1, 2), Fraction(1, 6)], 1, [Fraction(1, 2) * R], 3)  # the family's g and f at order 3
-@example(Kind.ORDINARY, [1, 1], 1, [R + 1, R + 1], 3)
-def test_matrix_columns_at_r_pack_and_match_the_polynomial_products(kind, g_rest, f1, f_rest, size):
-    # Coefficients in r: the columns run on ints at r = 2^W_r, cleared of
-    # their denominators, and each entry is read back; unpacked, the columns
-    # are products of polynomials.  Entries and NonIntegralEntry texts agree.
+@example(Kind.EXPONENTIAL, [1, Fraction(1, 2), Fraction(1, 6)], 1, [Fraction(1, 2)], 3)  # the family's g and f at r = 1, order 3
+@example(Kind.ORDINARY, [Fraction(1, 2)], 1, [], 3)  # a non-integral entry
+def test_matrix_columns_clear_rational_coefficients_pack_and_match_the_series_products(kind, g_rest, f1, f_rest, size):
+    # Fraction coefficients: the columns run packed on ints, cleared of their
+    # denominators, and each entry is divided back; unpacked, the cleared
+    # columns are series products.  Entries and NonIntegralEntry texts
+    # agree, with their types.
     order = max(len(g_rest), len(f_rest) + 1, size)
     array = RiordanArray(TruncatedSeries([1, *g_rest], order), TruncatedSeries([0, f1, *f_rest], order), kind)
     packed, widths, plain = packed_and_unpacked(lambda: typed_outcome(lambda: array.matrix(size)))
-    assert widths[0] or all(isinstance(c, (int, Fraction)) for c in (*array.g.coeffs, *array.f.coeffs))
+    assert widths and all(widths)
     assert packed == plain
 
 
-@given(st.lists(r_polys, min_size=1, max_size=9), st.lists(r_polys, max_size=8))
-@example([Fraction(1, 2), 1, Fraction(1, 3) * R], [Fraction(1, 2), R])
-def test_compose_clears_denominators_packs_r_and_matches_the_horner_loop(outer, inner):
-    # Rational coefficients, polynomials in r among them: the Horner steps
-    # run on ints over d_s d_i^n, at r = 2^W_r, and agree with themselves
-    # unpacked (on MultiPolys, whose zero is no int) and with Horner's rule
-    # of full series products.
+@given(st.lists(rationals, min_size=1, max_size=9), st.lists(rationals, max_size=8))
+@example([Fraction(1, 2), 1, Fraction(1, 3)], [Fraction(1, 2), 1])
+def test_compose_clears_rational_denominators_packs_and_matches_the_horner_loop(outer, inner):
+    # Fraction coefficients: the Horner steps run packed on ints over
+    # d_s d_i^n, and agree with themselves unpacked, value for value and
+    # type for type, and with Horner's rule of full series products.
     outer, inner = TruncatedSeries(outer), TruncatedSeries([0, *inner])
     packed, widths, plain = packed_and_unpacked(lambda: outer.compose(inner))
     assert widths and all(widths)
-    assert list(packed) == list(plain)
+    assert typed_all(packed) == typed_all(plain)
     n = min(outer.order, inner.order)
     horner = TruncatedSeries((outer[n],), n)
     for k in range(n - 1, -1, -1):
@@ -378,6 +386,55 @@ def test_each_law_proves_a_width_that_holds_both_sides_of_its_identity(rng):
     expansion = list(frac.expand(8))
     shifted = [side for k in (1, 2, Y, Y + 1) for side in (*frac.binomial_shift(k).expand(8), *binomial_transform(expansion, k))]
     assert battery._shift_width(frac) >= widest(shifted)
+
+
+# -- the three props checks that take the Riordan route at r = 2^W ------------------
+
+PROPS_CHECKS = (
+    "ordinary family face GF (plain and reversed forms)",
+    "ordinary family closed forms match the constructions",
+    "exponential family fraction triple (gamma, h, face)",
+)
+
+
+@pytest.mark.parametrize("name", PROPS_CHECKS)
+def test_a_plus_one_in_one_slot_of_one_packed_row_fails_each_props_check(name):
+    # The check holds as it is, and fails with r added to entry (5, 1) of
+    # the first matrix whose rows it packs (f for the face GF, gamma for the
+    # two triples), whose coefficient of r it compares.
+    check, real, calls = next(c for c in CHECKS if c.name == name), battery._packed_rows, []
+
+    def wrong(matrix, width):
+        rows = [list(row) for row in real(matrix, width)]
+        if not calls:
+            rows[5][1] += 1 << width
+        calls.append(matrix)
+        return tuple(map(tuple, rows))
+
+    assert check.fn()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(battery, "_packed_rows", wrong)
+        assert not check.fn() and calls
+
+
+def test_each_props_check_proves_a_width_that_holds_both_sides():
+    # Both sides of each check at the symbolic r, on MultiPoly: the Riordan
+    # route (the triple, and the face array's bivariate GF), the row
+    # recurrences and the closed forms.  _family_bound holds every
+    # coefficient of the triples' rows to each n, and each check's width
+    # every coefficient it compares, so that r -> 2^W is injective on them.
+    ordinary, exponential = FamilySpec(Kind.ORDINARY, R), FamilySpec(Kind.EXPONENTIAL, R)
+    sides = {}
+    for spec, size in ((ordinary, 12), (exponential, 10)):
+        triples = [m.rows for triple in (dense_family_triple(spec, size), family_triple(spec, size)) for m in triple]
+        for n in range(size + 1):
+            assert max(abs(c) for rows in triples for row in rows[: n + 1] for e in row for _, c in MultiPoly.coerce(e).items()) <= battery._family_bound(spec, n)
+        sides[spec] = [e for rows in triples for row in rows for e in row]
+    gf = face_array(family_array(ordinary, 12)).bgf(12)
+    assert battery._family_width(ordinary, 12) >= widest([*gf, *sides[ordinary]])
+    assert battery._family_width(exponential, 10) >= widest(sides[exponential])
+    closed = [e for n in range(13) for row in (gamma_closed_row(n), h_closed_row(n), f_closed_row(n)) for e in row]
+    assert battery._closed_forms_width(12) >= widest(closed + sides[ordinary])
 
 
 # -- the packing rules the engines share (riordan.algebra) ---------------------------

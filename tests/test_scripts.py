@@ -178,28 +178,29 @@ def test_check_times_compares_a_tree_against_a_baseline():
     lines = _check_times("oeis", "--baseline", str(SCRIPTS.parent / "src"))
     assert lines[:2] == [
         "riordan verify oeis: cold CPU ms per check, min and median over 1 alternating runs of each tree",
-        f"{'base min':>9s} {'base med':>9s} {'this min':>9s} {'this med':>9s} {'ratio':>6s}  check",
+        f"{'base min':>9s} {'base med':>9s} {'this min':>9s} {'this med':>9s} {'r min':>6s} {'r med':>6s}  check",
     ]
-    rows = [line.split(None, 5) for line in lines[2:-3]]
+    rows = [line.split(None, 6) for line in lines[2:-4]]
     assert [name for *_, name in rows] == [
         f"oeis :: {anumber} regenerated from its construction" for anumber in FIXTURE_SOURCES
     ]
-    for base_min, base, this_min, this, ratio, _ in rows:
-        # One run is one sample: its minimum is its median.  The ratio is of
-        # the unrounded medians, printed to two decimals.
-        assert (base_min, this_min) == (base, this)
+    for base_min, base, this_min, this, min_ratio, ratio, _ in rows:
+        # One run is one sample: its minimum is its median, and so are their
+        # ratios, each of the unrounded times, printed to two decimals.
+        assert (base_min, this_min, min_ratio) == (base, this, ratio)
         base, this, ratio = float(base), float(this), float(ratio)
         assert (this - 0.005) / (base + 0.005) - 0.0005 <= ratio <= (this + 0.005) / (base - 0.005) + 0.0005
-    medians = []
-    for line, tree, column in ((lines[-3], "baseline", 1), (lines[-2], "this tree", 3)):
+    totals = []
+    for line, tree, column in ((lines[-4], "baseline", 1), (lines[-3], "this tree", 3)):
         assert line.startswith(f"per-run suite total CPU ms over 1 runs: {tree} min ")
         least, q1, median, q3 = (float(part.split()[-1]) for part in line.split(":", 1)[1].split(","))
         # One run is one sample: its minimum and quartiles are its total, the sum of its checks.
         assert least == q1 == median == q3 and abs(median - sum(float(row[column]) for row in rows)) <= 0.01 * len(rows)
-        medians.append(median)
-    label, ratio = lines[-1].rsplit(" ", 1)
-    assert label == "ratio of the median totals (this tree over baseline):"
-    assert abs(float(ratio) - medians[1] / medians[0]) <= 0.0005 + 0.01 / medians[0]
+        totals.append(median)
+    for line, label in zip(lines[-2:], ("minimum", "median")):
+        text, ratio = line.rsplit(" ", 1)
+        assert text == f"ratio of the {label} totals (this tree over baseline):"
+        assert abs(float(ratio) - totals[1] / totals[0]) <= 0.0005 + 0.01 / totals[0]
 
 
 def test_code_lines_skip_comments_docstrings_and_text_data(tmp_path):
