@@ -18,8 +18,9 @@ any ValueError or IndexError a computation raises (see README).
 it.
 
 This module is only the dispatcher.  ``show``, ``export`` and ``jf`` are
-defined in :mod:`riordan.render`, ``verify`` and ``oeis-check`` in
-:mod:`riordan.verify`, ``fetch-bfile`` in :mod:`riordan.bfile`, and a
+defined in :mod:`riordan.render`, ``verify`` in :mod:`riordan.verify`,
+``oeis-check`` in :mod:`riordan.oeis`, beside the fixtures it checks,
+``fetch-bfile`` in :mod:`riordan.bfile`, and a
 request imports only its own subcommand's module: importing this one loads
 none of them.  Each of those modules declares its subcommands' options as
 data, (name, argparse keyword arguments) pairs, and :func:`main` parses a
@@ -44,7 +45,7 @@ _SUBCOMMANDS = (
     ("export", "write a triangle to a file", "render", "export_options", "cmd_show"),
     ("jf", "expand a Jacobi continued fraction", "render", "jf_options", "cmd_jf"),
     ("verify", "run the verification suites", "verify", "verify_options", "cmd_verify"),
-    ("oeis-check", "check embedded OEIS fixtures", "verify", "oeis_check_options", "cmd_oeis_check"),
+    ("oeis-check", "check embedded OEIS fixtures", "oeis", "oeis_check_options", "cmd_oeis_check"),
     ("fetch-bfile", "download an OEIS b-file", "bfile", "fetch_bfile_options", "cmd_fetch_bfile"),
 )
 

@@ -70,10 +70,10 @@ class NonIntegralResult(ValueError):
 # (_low), exact when each kept coefficient fits its slot, whatever the
 # dropped ones are.  Each chain bounds every coefficient it keeps from its
 # inputs and takes the width from that bound (algebra._width).  One width
-# serves every slot, so past MAX_WIDTH (as for the ordinary family at
-# r = 2^B in tests/test_engines.py, whose columns mix coefficients of very
-# different sizes) the chain computes on its coefficients, as revert does
-# for a Fraction or MultiPoly coefficient.  RiordanArray.matrix and compose
+# serves every slot, and wide slots cost more than they save: a chain runs
+# only where its width is at most its cutoff (_chain_width), and elsewhere
+# computes on its coefficients, as revert does for a Fraction or MultiPoly
+# coefficient.  RiordanArray.matrix and compose
 # clear the common denominators of rational coefficients first (_cleared),
 # and read each result back once: the matrix divides its entries exactly
 # term by term (_scaled), compose by its one denominator.
@@ -83,9 +83,37 @@ def _ints(*coeffs) -> bool:
     return set(map(type, coeffs)) <= {int}
 
 
+# The cutoffs, measured as the packed chain against series products of the
+# same ints (warm, best of 7 runs of 100, on a 2-core x86-64 machine; random
+# int coefficients sized to give each slot width, N = 8 to 16).  The
+# matrix's column chain took 0.8x the products' time at 104-128-bit slots,
+# 0.84-1.05x at 136-168 bits and 1.1-3x from 176 bits up (334 us against
+# 78 us for the ordinary family at r = 2^40, N = 12, whose slots are 528
+# bits).  Compose and revert took 0.3-0.9x up to 256 bits and 0.9-1.7x
+# from 272 bits up.  The matrix reads every column back, where compose and
+# revert read once, so it breaks even at narrower slots.
+MATRIX_CHAIN_BITS = 128
+SERIES_CHAIN_BITS = 256
+
+
+def _chain_width(bound: int, most: int) -> int | None:
+    """The slot width of a packed chain whose coefficients are at most
+    bound, or None, for series products, where that width passes most."""
+    width = _width(bound)
+    return width if width and width <= most else None
+
+
 def _pack_x(coeffs: Sequence[int], width: int) -> int:
     """The polynomial with these coefficients, lowest first, at x = 2^width."""
     return sum(map(int.__lshift__, coeffs, range(0, width * len(coeffs), width)))
+
+
+def _pack_var(p: "int | MultiPoly", width: int, var: str = "y") -> int:
+    """An integer polynomial in var alone ("r" or "y") at var = 2^width."""
+    if type(p) is int:
+        return p
+    slot = VARIABLES.index(var)
+    return sum(c << width * m[slot] for m, c in p.items())
 
 
 def _low(value: int, bits: int) -> int:
@@ -183,7 +211,7 @@ def series_compose(s: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSerie
         ints = _ints(*c, *over_x)
     # Step k's coefficients are those of sum_{j >= k} c_j inner^(j - k), at
     # most |s|(F) <= |s|(1) F^n for F = max(1, |inner|(1)).
-    width = ints and _width(sum(map(abs, c)) * max(1, sum(map(abs, over_x))) ** n)
+    width = ints and _chain_width(sum(map(abs, c)) * max(1, sum(map(abs, over_x))) ** n, SERIES_CHAIN_BITS)
     if width:
         result, over_x = c[n], _pack_x(over_x, width)
         for k in range(n - 1, -1, -1):
@@ -215,7 +243,7 @@ def series_revert(s: TruncatedSeries) -> TruncatedSeries:
     h = series_inverse(_trusted(s._coeffs[1:]))
     out, power, n = [0, tidy(h._coeffs[0])], h, s.order
     # The coefficients of h^k are at most |h|(1)^k, and |h|(1) >= |h_0| = 1.
-    width = _ints(*h._coeffs) and _width(sum(map(abs, h._coeffs)) ** n)
+    width = _ints(*h._coeffs) and _chain_width(sum(map(abs, h._coeffs)) ** n, SERIES_CHAIN_BITS)
     if width:
         power = h = _pack_x(h._coeffs, width)
     for k in range(2, n + 1):
@@ -424,7 +452,7 @@ class RiordanArray(Frozen):
             ints = _ints(*g, *over_x)
         cols = [g]  # cols[k][m] = [x^(k+m)] g f^k, times d_g d_f^k
         # Column k's coefficients are at most |g|(1) |f/x|(1)^k, and |f/x|(1) >= 1.
-        width = ints and _width(sum(map(abs, g)) * sum(map(abs, over_x)) ** size_n)
+        width = ints and _chain_width(sum(map(abs, g)) * sum(map(abs, over_x)) ** size_n, MATRIX_CHAIN_BITS)
         if width:
             col, over_x = _pack_x(g, width), _pack_x(over_x, width)
             for k in range(1, size_n + 1):

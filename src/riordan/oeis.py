@@ -1,4 +1,4 @@
-"""OEIS triangle fixtures and the comparison of computed triangles with them.
+"""OEIS triangle fixtures, their checks, and the ``oeis-check`` subcommand.
 
 The embedded fixtures are the independent oracle for every sequence-level
 check in this package: each stores the leading rows of an OEIS triangle
@@ -6,15 +6,26 @@ verbatim, together with its offset (the OEIS index of the first stored row)
 and explicit row lengths, since several gamma-triangles are ragged (row n of
 A055151 has n//2 + 1 entries, not n + 1).  Each row is stored as OEIS reads
 it, row by row; which of those triangles a construction gives read
-backwards is said once, in :data:`riordan.verify.FIXTURE_SOURCES`.
-A001147 is a plain sequence and is stored with one value per row; its
-aerated form (zeros interleaved) is produced by the caller.
+backwards is said once, in :data:`FIXTURE_SOURCES`.  A001147 is a plain
+sequence and is stored with one value per row; its aerated form (zeros
+interleaved) is produced by the caller.
 
-The b-file parser and the cached fetcher live in :mod:`riordan.bfile`,
-which only ``fetch-bfile`` loads.
+Each fixture has one check, :func:`fixture_report`, which regenerates it
+from its construction.  A triangle's check compares the rows of its
+source's J-fraction, shaped as ``show`` shapes them
+(:func:`riordan.jfraction._triangle_rows`), so it builds no triangle and
+loads no :mod:`riordan.arrays`; A001147's rows are one constant each.
+``oeis-check`` runs those checks here, without the check registry of
+:mod:`riordan.verify`, which wraps the same functions as the oeis suite.
+The checks import the families and fractions when they run, so
+``fetch-bfile``, which reads A-numbers with :func:`_normalize_anumber`,
+loads nothing more of the package than this module.  The b-file parser and
+the cached fetcher live in :mod:`riordan.bfile`, which only ``fetch-bfile``
+loads.
 """
 
 from collections import namedtuple
+from functools import cache
 
 from . import Frozen
 from .algebra import MultiPoly, tidy
@@ -137,8 +148,8 @@ def _normalize_anumber(anumber: str) -> str:
 def _fixture(anumber, description, offset, text):
     """A fixture whose rows are the lines of ``text``, each row's values
     separated by spaces.  Text compiles to one constant, where a nested list
-    literal compiles every value: :mod:`riordan.verify` loads this module
-    for every check request."""
+    literal compiles every value: every fixture check request loads this
+    module."""
     rows = [line.split() for line in text.strip().splitlines()]
     return TriangleFixture(
         anumber=anumber,
@@ -369,3 +380,88 @@ def aerated(values, length: int | None = None) -> list[int]:
     if length is not None:
         out = out[:length]
     return out
+
+
+# -- regenerating the fixtures ---------------------------------------------------
+
+# Where each embedded fixture comes from: (family, matrix, rows read
+# reversed), or None for A001147, the even terms of the aerated double
+# factorials.  The order is that of the oeis suite and of ``oeis-check``'s
+# lines.  This is the one record of a fixture's orientation.
+FIXTURE_SOURCES: dict[str, tuple[str, str, bool] | None] = {
+    "A135278": ("simplex", "f", False),
+    "A074909": ("simplex", "f", True),
+    "A038207": ("hypercube", "f", False),
+    "A013609": ("hypercube", "f", True),
+    "A007318": ("hypercube", "h", False),
+    "A001147": None,
+    "A055151": ("associahedron", "gamma", False),
+    "A001263": ("associahedron", "h", False),
+    "A033282": ("associahedron", "f", False),
+    "A101280": ("permutahedron", "gamma", False),
+    "A008292": ("permutahedron", "h", False),
+    "A019538": ("permutahedron", "f", False),
+}
+
+
+def _triangle_fixture(anumber: str) -> CheckReport:
+    """The rows of the fixture's source fraction, sized to the fixture and
+    shaped as a triangle stores them (:func:`_triangle_rows`), compared
+    against it."""
+    from .families import member_fraction
+    from .jfraction import _triangle_rows
+
+    family, which, reversed_rows = FIXTURE_SOURCES[anumber]
+    rows = _triangle_rows(member_fraction(family, which).rows(len(FIXTURES[anumber].row_lengths) - 1))
+    return check_triangle([row[::-1] for row in rows] if reversed_rows else rows, FIXTURES[anumber])
+
+
+@cache
+def _aerated_double_factorials() -> tuple[int, ...]:
+    """The rows 0..20 of the J-fraction (0; i), each one constant:
+    1, 0, 1, 0, 3, 0, 15, ..."""
+    from .jfraction import IndexPoly, JFraction
+
+    return tuple(row[0] for row in JFraction(IndexPoly.constant(0), IndexPoly.index()).rows(20))
+
+
+def fixture_report(anumber: str) -> CheckReport:
+    """The check of one fixture: its rows regenerated from its construction
+    (FIXTURE_SOURCES) and compared against it."""
+    if FIXTURE_SOURCES[anumber]:
+        return _triangle_fixture(anumber)
+    return check_sequence(_aerated_double_factorials()[::2], FIXTURES[anumber])
+
+
+# -- the command line's oeis-check subcommand -------------------------------------
+
+
+def oeis_check_options():
+    return (("anumber", dict(nargs="*", help="A-numbers (default: all fixtures)")),)
+
+
+def cmd_oeis_check(args) -> int:
+    """A-numbers are read as ``fetch-bfile`` reads them: 'a55151' is A055151.
+    Text that is no A-number, an A-number without a fixture and one given
+    more than once raise ValueError (exit 2); each A-number without a
+    fixture is named once, in the order given.  The checks run in the
+    order of FIXTURE_SOURCES, one line each: the report's message, or the
+    exception of a check that raised, as ``verify oeis`` gives its detail."""
+    anumbers = [_normalize_anumber(a) for a in args.anumber] or sorted(FIXTURES)
+    unknown = list(dict.fromkeys(a for a in anumbers if a not in FIXTURES))
+    if unknown:
+        raise ValueError(f"no fixture for {', '.join(unknown)}")
+    repeated = sorted({a for a in anumbers if anumbers.count(a) > 1})
+    if repeated:
+        raise ValueError(f"{', '.join(repeated)} given more than once")
+    failures = 0
+    for anumber in FIXTURE_SOURCES:
+        if anumber in anumbers:
+            try:
+                report = fixture_report(anumber)
+                ok, line = report.ok, report.message()
+            except Exception as exc:  # a check that raises has failed; the rest still run
+                ok, line = False, f"{type(exc).__name__}: {exc}"
+            print(f"[{'ok' if ok else 'FAIL':>4}] {line}")
+            failures += 0 if ok else 1
+    return 0 if failures == 0 else 1

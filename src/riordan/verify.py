@@ -34,13 +34,9 @@ check fails.
 
 from functools import cache, partial
 import random
-import sys
 from collections import namedtuple
 
-from . import _lazy_names
-from .families import member_fraction
-from .jfraction import IndexPoly, JFraction, _triangle_rows
-from .oeis import FIXTURES, CheckReport, _normalize_anumber, check_sequence, check_triangle
+from . import _lazy_names, _submodule
 
 SUITES = ("group", "props", "oeis")
 DEFAULT_SEED = 20240831
@@ -74,75 +70,48 @@ class Check(namedtuple("Check", "suite name fn")):
                 outcome = self.fn()
         except Exception as exc:  # a check that raises has failed; the rest still run
             return CheckResult(self.suite, self.name, False, f"{type(exc).__name__}: {exc}")
-        if isinstance(outcome, CheckReport):
+        if isinstance(outcome, tuple):  # an oeis.CheckReport
             return CheckResult(self.suite, self.name, outcome.ok, outcome.message())
         return CheckResult(self.suite, self.name, bool(outcome))
 
 
-# -- fixture regeneration -------------------------------------------------------
+# -- the suites' registries -----------------------------------------------------
 
-# Where each embedded fixture comes from: (family, matrix, rows read
-# reversed), or None for A001147, the even terms of the aerated double
-# factorials.  The order is that of the oeis suite.  This is the one record
-# of a fixture's orientation.
-FIXTURE_SOURCES: dict[str, tuple[str, str, bool] | None] = {
-    "A135278": ("simplex", "f", False),
-    "A074909": ("simplex", "f", True),
-    "A038207": ("hypercube", "f", False),
-    "A013609": ("hypercube", "f", True),
-    "A007318": ("hypercube", "h", False),
-    "A001147": None,
-    "A055151": ("associahedron", "gamma", False),
-    "A001263": ("associahedron", "h", False),
-    "A033282": ("associahedron", "f", False),
-    "A101280": ("permutahedron", "gamma", False),
-    "A008292": ("permutahedron", "h", False),
-    "A019538": ("permutahedron", "f", False),
-}
-
-
-def _triangle_fixture(anumber: str) -> CheckReport:
-    """The rows of the fixture's source fraction, sized to the fixture and
-    shaped as a triangle stores them (:func:`_triangle_rows`), compared
-    against it."""
-    family, which, reversed_rows = FIXTURE_SOURCES[anumber]
-    rows = _triangle_rows(member_fraction(family, which).rows(len(FIXTURES[anumber].row_lengths) - 1))
-    return check_triangle([row[::-1] for row in rows] if reversed_rows else rows, FIXTURES[anumber])
-
-
-@cache
-def _aerated_double_factorials() -> tuple[int, ...]:
-    """The rows 0..20 of the J-fraction (0; i), each one constant:
-    1, 0, 1, 0, 3, 0, 15, ..."""
-    return tuple(row[0] for row in JFraction(IndexPoly.constant(0), IndexPoly.index()).rows(20))
-
-
-def _double_factorial_fixture(anumber: str) -> CheckReport:
-    return check_sequence(_aerated_double_factorials()[::2], FIXTURES[anumber])
+# The module that registers each suite's checks, as a list CHECKS in suite
+# order; the oeis suite's checks are built here from the fixture checks of
+# riordan.oeis.
+_SUITE_MODULES = {"group": "laws", "props": "props"}
 
 
 def _fixture_check_name(anumber: str) -> str:
     return f"{anumber} regenerated from its construction"
 
 
-FIXTURE_CHECKS = [
-    Check(
-        "oeis",
-        _fixture_check_name(anumber),
-        partial(_triangle_fixture if source else _double_factorial_fixture, anumber),
-    )
-    for anumber, source in FIXTURE_SOURCES.items()
-]
+@cache
+def _fixture_checks() -> list[Check]:
+    from .oeis import FIXTURE_SOURCES, fixture_report
+
+    return [Check("oeis", _fixture_check_name(a), partial(fixture_report, a)) for a in FIXTURE_SOURCES]
+
+
+def _registry(suite: str) -> list[Check]:
+    """The checks the suite runs: CHECKS once it has been looked up (or
+    replaced, as a test may), else the registry of the suite's own module,
+    so that a request loads only that."""
+    if "CHECKS" in globals():
+        return CHECKS
+    if suite == "oeis":
+        return _fixture_checks()
+    return _submodule(_SUITE_MODULES[suite]).CHECKS
 
 
 # -- suites ---------------------------------------------------------------------
 
 
 def _run(suite: str, seed: int = DEFAULT_SEED, names: set[str] | None = None) -> list[CheckResult]:
-    registry = FIXTURE_CHECKS if suite == "oeis" else sys.modules[__name__].CHECKS
     return [
         check.run(seed)
-        for check in registry
+        for check in _registry(suite)
         if check.suite == suite and (names is None or check.name in names)
     ]
 
@@ -182,10 +151,6 @@ def verify_options():
     return (("suite", dict(nargs="?", default="all", choices=("all",) + SUITES)), ("--seed", dict(type=int)))
 
 
-def oeis_check_options():
-    return (("anumber", dict(nargs="*", help="A-numbers (default: all fixtures)")),)
-
-
 def cmd_verify(args) -> int:
     """Only the group suite draws random instances, so a ``--seed`` given
     with the props or oeis suite is an error (exit 2), not ignored."""
@@ -205,26 +170,17 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def cmd_oeis_check(args) -> int:
-    """A-numbers are read as ``fetch-bfile`` reads them: 'a55151' is A055151.
-    Text that is no A-number, an A-number without a fixture and one given
-    more than once raise ValueError (exit 2); each A-number without a
-    fixture is named once, in the order given."""
-    anumbers = [_normalize_anumber(a) for a in args.anumber] or sorted(FIXTURES)
-    unknown = list(dict.fromkeys(a for a in anumbers if a not in FIXTURES))
-    if unknown:
-        raise ValueError(f"no fixture for {', '.join(unknown)}")
-    repeated = sorted({a for a in anumbers if anumbers.count(a) > 1})
-    if repeated:
-        raise ValueError(f"{', '.join(repeated)} given more than once")
-    results = oeis_suite(anumbers)
-    failures = 0
-    for res in results:
-        print(f"[{'ok' if res.ok else 'FAIL':>4}] {res.detail}")
-        failures += 0 if res.ok else 1
-    return 0 if failures == 0 else 1
-
-
-# CHECKS, the full registry in suite order, is built by riordan.battery;
 # gamma_from_h is here for perfbench/test_perfbench.py:156, which reads it.
-__getattr__ = _lazy_names(globals(), ("battery", "CHECKS"), ("cold", "gamma_from_h"))
+_lazy = _lazy_names(globals(), ("cold", "gamma_from_h"))
+
+
+def __getattr__(name: str):
+    """CHECKS, the full registry in suite order, and FIXTURE_CHECKS, the
+    oeis suite's, are built on first lookup and then bound here."""
+    if name == "FIXTURE_CHECKS":
+        globals()[name] = _fixture_checks()
+    elif name == "CHECKS":
+        globals()[name] = [c for suite in SUITES for c in _registry(suite)]
+    else:
+        return _lazy(name)
+    return globals()[name]

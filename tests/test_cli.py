@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import riordan
-from riordan import cli, cold, expr, families
+from riordan import cli, cold, expr, families, verify
 from riordan.algebra import R
 from riordan.arrays import LowerTriMatrix
 from riordan.cli import main
@@ -310,13 +310,13 @@ def test_oeis_check_reads_a_numbers_as_fetch_bfile_does(capsys):
 
 
 def test_oeis_check_failure_exit_code(capsys, monkeypatch):
-    import riordan.verify as verify_mod
+    import riordan.oeis as oeis_mod
     from riordan.oeis import TriangleFixture
 
-    bad = dict(verify_mod.FIXTURES)
+    bad = dict(oeis_mod.FIXTURES)
     fx = bad["A007318"]
     bad["A007318"] = TriangleFixture(fx.anumber, fx.description, fx.offset, fx.row_lengths, fx.values[:-1] + (999,))
-    monkeypatch.setattr(verify_mod, "FIXTURES", bad)
+    monkeypatch.setattr(oeis_mod, "FIXTURES", bad)
 
     status, out, _ = run(capsys, ["oeis-check", "A007318"])
     assert status == 1
@@ -378,7 +378,7 @@ DISPATCH_CASES = [
     (["show", "--which", "f", "--N", "4"], "render"),
     (["jf", "--alpha", "2*y+1", "--beta", "i*r*y*(y+1)", "--N", "4"], "render"),
     (["verify", "oeis"], "verify"),
-    (["oeis-check", "A055151"], "verify"),
+    (["oeis-check", "A055151"], "oeis"),
     (["fetch-bfile", "A45", "--offline", "--cache-dir", "."], "bfile"),
 ]
 USAGE_MODULES = ["argparse", "gettext", "locale", "riordan.usage"]
@@ -395,7 +395,9 @@ def test_each_subcommand_runs_from_its_module_under_python_m(capsys, monkeypatch
     status, out, err, loaded = request(request_dir, entry, *argv)
     assert (status, out, err) == run(capsys, argv)
     assert loaded.count("riordan.cli") == (entry == "riordan")
-    assert WATCHED.intersection(loaded) == {f"riordan.{home}"}
+    # oeis-check's module, riordan.oeis, is not watched: verify and
+    # fetch-bfile load it too.
+    assert f"riordan.{home}" in loaded and WATCHED.intersection(loaded) == {f"riordan.{home}"} & WATCHED
 
 
 @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["show", "--help"], 0), (["show", "--N", "3"], 2), (["jf", "--alpha", "0", "--N", "x"], 2)])
@@ -493,45 +495,79 @@ def test_show_and_jf_load_only_the_modules_they_run():
 
 
 def test_check_commands_load_only_the_modules_they_run():
-    # No fixture check (oeis-check, verify oeis) needs the group/props
-    # battery, riordan.cold, a triangle (riordan.arrays), a Fraction or a
-    # series (riordan.series): it compares the rows of its fraction, and a
-    # permutahedron's walk reads them from its packed values.  verify group
-    # needs all five.  No check loads the show/jf output code
-    # (riordan.render), the expression parser (riordan.expr) or argparse,
-    # which with gettext and locale only help and usage errors load.  Each check prints the riordan modules
-    # loaded so far (verify group adds its four to those of the fixture
-    # checks), so that no module creeps in.
+    # Each check request runs in a fresh interpreter of its own, so that no
+    # request inherits the modules of another.  No fixture check (oeis-check,
+    # verify oeis) needs a group law or a props identity, riordan.cold, a
+    # triangle (riordan.arrays), a Fraction or a series (riordan.series): it
+    # compares the rows of its fraction, and a permutahedron's walk reads
+    # them from its packed values.  oeis-check runs its checks in
+    # riordan.oeis, without the registry of riordan.verify.  verify group
+    # runs only its laws (riordan.laws): no fixture (riordan.oeis), no row
+    # recurrence and no props identity.  verify props runs only its
+    # identities (riordan.props), no group law.  No check loads the show/jf
+    # output code (riordan.render), the expression parser (riordan.expr) or
+    # argparse, which with gettext and locale only help and usage errors
+    # load.  Each request prints its whole set of riordan modules, so that
+    # no module creeps in.
     code = (
         "import contextlib, io, sys\n"
         "import riordan.cli as cli\n"
-        "def run(*argv):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
-        "        code = cli.main(list(argv))\n"
-        "    lines = out.getvalue().splitlines()\n"
-        "    modules = ('riordan.battery', 'riordan.cold', 'riordan.arrays', 'riordan.render', 'riordan.expr', 'fractions',\n"
-        "               'argparse', 'gettext', 'locale', 'riordan.usage')\n"
-        "    loaded = [m for m in modules if m in sys.modules]\n"
-        "    print(code, sum(line.startswith('[  ok]') for line in lines), lines[-1], loaded)\n"
-        "    print(sorted(name for name in sys.modules if name.startswith('riordan')))\n"
-        "run('verify', 'oeis')\n"
-        "run('oeis-check', 'A055151', 'A135278')\n"
-        "run('oeis-check', 'A001147')\n"
-        "run('verify', 'group')\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "lines = out.getvalue().splitlines()\n"
+        "modules = ('riordan.cold', 'riordan.arrays', 'riordan.render', 'riordan.expr', 'fractions',\n"
+        "           'argparse', 'gettext', 'locale', 'riordan.usage')\n"
+        "loaded = [m for m in modules if m in sys.modules]\n"
+        "print(code, sum(line.startswith('[  ok]') for line in lines), lines[-1], loaded)\n"
+        "print(sorted(name for name in sys.modules if name.startswith('riordan')))\n"
     )
-    checks = "families jfraction oeis recurrence verify walk"
-    fixtures = _package(*(f"riordan.{name}" for name in checks.split()))
-    group = _package(*(f"riordan.{name}" for name in f"{checks} arrays battery cold series".split()))
-    assert fresh_interpreter(code) == [
-        "0 12 12/12 checks passed []",
-        fixtures,
+
+    def request(*argv: str) -> list[str]:
+        status, out, err = python("-c", code, *argv)
+        assert status == 0, err
+        return out.splitlines()
+
+    def package(names: str) -> str:
+        return _package(*(f"riordan.{name}" for name in names.split()))
+
+    assert request("verify", "oeis") == ["0 12 12/12 checks passed []", package("families jfraction oeis recurrence verify walk")]
+    assert request("oeis-check", "A055151", "A135278") == [
         "0 2 [  ok] A055151: 66 entries over 11 rows match []",
-        fixtures,
-        "0 1 [  ok] A001147: 11 entries over 11 rows match []",
-        fixtures,
-        "0 10 10/10 checks passed ['riordan.battery', 'riordan.cold', 'riordan.arrays', 'fractions']",
-        group,
+        package("families jfraction oeis recurrence"),
     ]
+    assert request("oeis-check", "A001147") == ["0 1 [  ok] A001147: 11 entries over 11 rows match []", package("jfraction oeis recurrence")]
+    oracles = "['riordan.cold', 'riordan.arrays', 'fractions']"
+    assert request("verify", "group") == [
+        f"0 10 10/10 checks passed {oracles}",
+        package("arrays cold families jfraction laws series verify walk"),
+    ]
+    assert request("verify", "props") == [
+        f"0 12 12/12 checks passed {oracles}",
+        package("arrays cold families jfraction oeis props recurrence series verify walk"),
+    ]
+
+
+def test_a_fixture_check_that_raises_prints_its_detail_under_oeis_check(capsys, monkeypatch):
+    # One failing line, the same under oeis-check as the detail under verify
+    # oeis: the exception's type and message; the other checks still run.
+    import riordan.oeis as oeis_mod
+
+    def broken(anumber):
+        if anumber == "A055151":
+            raise ZeroDivisionError("boom")
+        return real(anumber)
+
+    real = oeis_mod.fixture_report
+    monkeypatch.setattr(oeis_mod, "fixture_report", broken)
+    status, out, _ = run(capsys, ["oeis-check", "A055151", "A008292"])
+    assert status == 1
+    assert out.splitlines() == ["[FAIL] ZeroDivisionError: boom", "[  ok] A008292: 55 entries over 10 rows match"]
+    monkeypatch.setattr(verify, "_fixture_checks", verify._fixture_checks.__wrapped__)
+    monkeypatch.delitem(vars(verify), "CHECKS", raising=False)
+    status, out, _ = run(capsys, ["verify", "oeis"])
+    assert status == 1
+    assert "[FAIL] oeis :: A055151 regenerated from its construction -- ZeroDivisionError: boom\n" in out
+    assert out.endswith("11/12 checks passed\n")
 
 
 # (a spelling of a request that only argparse takes, the spelling that the

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from canonical import typed_all, typed_outcome, typed_rows
-from riordan import battery, cold, walk
+from riordan import cold, laws, props, walk
 from riordan.algebra import MultiPoly, R, Y, _digits, _width
 from riordan.cold import (
     RiordanArray,
@@ -48,15 +48,44 @@ from riordan.verify import CHECKS, DEFAULT_SEED
 
 
 def packed_and_unpacked(build):
-    """build() as production runs it, the widths its chains took (None for
-    a chain left unpacked), and build() with every chain unpacked."""
-    widths, real = [], cold._width
+    """build() with every chain packed wherever its slots fit MAX_WIDTH,
+    past the cutoffs that production packs below (cold._chain_width), so
+    that the chain meets the series products at every width it could
+    take; the widths its chains took (None for a chain left unpacked); and
+    build() with every chain unpacked."""
+    widths = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cold, "_width", lambda bound: widths.append(real(bound)) or widths[-1])
+        mp.setattr(cold, "_chain_width", lambda bound, most: widths.append(_width(bound)) or widths[-1])
         packed = build()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cold, "_width", lambda bound: None)
+        mp.setattr(cold, "_chain_width", lambda bound, most: None)
         return packed, widths, build()
+
+
+def chain_widths(build):
+    """The widths that the chains of build(), as production runs it, take
+    (None for series products)."""
+    widths, real = [], cold._chain_width
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cold, "_chain_width", lambda bound, most: widths.append(real(bound, most)) or widths[-1])
+        build()
+    return widths
+
+
+def test_a_chain_packs_only_up_to_its_measured_cutoff():
+    # The group laws' arrays (coefficients in [-4, 4], order 10) take the
+    # chains; the ordinary family at r = 2^40, whose columns would take
+    # 528-bit slots, takes series products, as does a compose or revert
+    # whose slots pass 256 bits.
+    small = RiordanArray(TruncatedSeries([1, 4, -4, 3] + [2] * 7), TruncatedSeries([0, 1, -4, 4] + [-3] * 7))
+    assert all(chain_widths(lambda: small.matrix(10)))
+    assert chain_widths(lambda: family_array(FamilySpec(Kind.ORDINARY, 2**40), 12).matrix(12)) == [None]
+    for most, bits in ((cold.MATRIX_CHAIN_BITS, 128), (cold.SERIES_CHAIN_BITS, 256)):
+        assert most == bits
+        assert cold._chain_width(2 ** (bits - 2), most) == bits and cold._chain_width(2 ** (bits - 1), most) is None
+    wide = TruncatedSeries([0, 1] + [2**40] * 11)
+    assert chain_widths(lambda: wide.compose(wide)) == chain_widths(wide.revert) == [None]
+    assert chain_widths(lambda: small.g.compose(small.f)) != [None] != chain_widths(small.f.revert)
 
 
 def series(coeffs):
@@ -274,7 +303,7 @@ def test_the_oracle_runs_no_packed_code(monkeypatch):
 
 # -- the two continued-fraction laws of verify group, on packed values ----------------
 
-LAWS = {"continued-fraction equation": battery._defining_equation, "binomial shift": battery._binomial_shift}
+LAWS = {"continued-fraction equation": laws._defining_equation, "binomial shift": laws._binomial_shift}
 
 
 @pytest.mark.parametrize("trial", LAWS.values(), ids=list(LAWS))
@@ -312,7 +341,7 @@ def test_a_plus_one_in_one_slot_of_one_packed_row_fails_each_matrix_law_on_every
     # the identity's for the inverse law), when it must fail.
     trial = next(c.fn.args[0] for c in CHECKS if c.name == name)
     rng, real, held, failed = random.Random(f"{DEFAULT_SEED}/{name}"), RiordanArray._rows_at, [], []
-    for _ in range(battery.ROUNDS):
+    for _ in range(laws.ROUNDS):
         state = rng.getstate()
         held.append(trial(rng))
         rng.setstate(state)
@@ -328,7 +357,7 @@ def test_a_plus_one_in_one_slot_of_one_packed_row_fails_each_matrix_law_on_every
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(RiordanArray, "_rows_at", wrong)
             failed.append(not trial(rng) and len(calls) == 2)
-    assert held == failed == [True] * battery.ROUNDS
+    assert held == failed == [True] * laws.ROUNDS
 
 
 @settings(max_examples=40)
@@ -338,13 +367,13 @@ def test_each_matrix_law_proves_a_width_that_holds_every_entry_of_both_sides(rng
     # computes it: _bound holds every entry of its array's matrix, the
     # product laws' width every entry of M(a), M(b), M(a) M(b) and M(a b),
     # and the packed rows at y = 2^W are those matrices' rows.
-    n = battery.ORDER
-    a, b = (battery._random_array(rng, kind, n) for _ in "ab")
+    n = laws.ORDER
+    a, b = (laws._random_array(rng, kind, n) for _ in "ab")
     ab = a * b
     arrays = [a, b, ab] + ([a * a.inverse()] if kind is Kind.ORDINARY else [])
     for array in arrays:
-        assert max(abs(e) for row in array.matrix(n).rows for e in row) <= battery._bound(array)
-    width = battery._product_width(a, b, ab)
+        assert max(abs(e) for row in array.matrix(n).rows for e in row) <= laws._bound(array)
+    width = laws._product_width(a, b, ab)
     ma, mb, mab = a.matrix(n), b.matrix(n), ab.matrix(n)
     assert width >= widest(e for m in (ma, mb, ma * mb, mab) for row in m.rows for e in row)
     for array, m in ((b, mb), (ab, mab)):
@@ -355,14 +384,14 @@ def test_the_bound_holds_an_entry_that_is_all_prefactor():
     # f = x, so a[n,0] = n! g_n: the norms of g and f/x are 41 and 1, and
     # only the prefactor bound ORDER! holds a[10,0] = 4 10!.
     array = RiordanArray(TruncatedSeries([1] + [4] * 10), TruncatedSeries.x(10), Kind.EXPONENTIAL)
-    assert array.matrix(10).entry(10, 0) == 4 * factorial(10) <= battery._bound(array)
+    assert array.matrix(10).entry(10, 0) == 4 * factorial(10) <= laws._bound(array)
 
 
 @given(st.randoms(use_true_random=False), st.sampled_from([Kind.ORDINARY, Kind.EXPONENTIAL]), st.integers(0, 10), st.integers(-5, 5) | st.just(2**40))
 def test_the_rows_at_an_integer_are_the_matrix_rows_there(rng, kind, size, y):
     # _rows_at expands the bivariate generating function on ints; the rows of
     # the column chain's matrix, evaluated at y, are its oracle, for any y.
-    array = battery._random_array(rng, kind, 10)
+    array = laws._random_array(rng, kind, 10)
     assert array._rows_at(size, y) == [sum(e * y**k for k, e in enumerate(row)) for row in array.matrix(size).rows]
 
 
@@ -377,15 +406,15 @@ def test_each_law_proves_a_width_that_holds_both_sides_of_its_identity(rng):
     # The laws' draws, with both sides of each identity as the series route
     # computes them, on MultiPoly: every coefficient must fit the proven
     # width, so that 2^W is injective on it.
-    alpha, beta = battery._random_index_poly(rng), battery._random_index_poly(rng)
+    alpha, beta = laws._random_index_poly(rng), laws._random_index_poly(rng)
     frac = JFraction(alpha, beta)
-    down = JFraction(battery._one_level_down(alpha), battery._one_level_down(beta))
+    down = JFraction(laws._one_level_down(alpha), laws._one_level_down(beta))
     x = TruncatedSeries.x(12)
     sides = [*(frac.expand(12) * (1 - x * alpha(0) - x * x * beta(1) * down.expand(12))), 1]
-    assert battery._equation_width(frac, down) >= widest(sides)
+    assert laws._equation_width(frac, down) >= widest(sides)
     expansion = list(frac.expand(8))
     shifted = [side for k in (1, 2, Y, Y + 1) for side in (*frac.binomial_shift(k).expand(8), *binomial_transform(expansion, k))]
-    assert battery._shift_width(frac) >= widest(shifted)
+    assert laws._shift_width(frac) >= widest(shifted)
 
 
 # -- the three props checks that take the Riordan route at r = 2^W ------------------
@@ -402,7 +431,7 @@ def test_a_plus_one_in_one_slot_of_one_packed_row_fails_each_props_check(name):
     # The check holds as it is, and fails with r added to entry (5, 1) of
     # the first matrix whose rows it packs (f for the face GF, gamma for the
     # two triples), whose coefficient of r it compares.
-    check, real, calls = next(c for c in CHECKS if c.name == name), battery._packed_rows, []
+    check, real, calls = next(c for c in CHECKS if c.name == name), props._packed_rows, []
 
     def wrong(matrix, width):
         rows = [list(row) for row in real(matrix, width)]
@@ -413,7 +442,7 @@ def test_a_plus_one_in_one_slot_of_one_packed_row_fails_each_props_check(name):
 
     assert check.fn()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(battery, "_packed_rows", wrong)
+        mp.setattr(props, "_packed_rows", wrong)
         assert not check.fn() and calls
 
 
@@ -428,13 +457,90 @@ def test_each_props_check_proves_a_width_that_holds_both_sides():
     for spec, size in ((ordinary, 12), (exponential, 10)):
         triples = [m.rows for triple in (dense_family_triple(spec, size), family_triple(spec, size)) for m in triple]
         for n in range(size + 1):
-            assert max(abs(c) for rows in triples for row in rows[: n + 1] for e in row for _, c in MultiPoly.coerce(e).items()) <= battery._family_bound(spec, n)
+            assert max(abs(c) for rows in triples for row in rows[: n + 1] for e in row for _, c in MultiPoly.coerce(e).items()) <= props._family_bound(spec, n)
         sides[spec] = [e for rows in triples for row in rows for e in row]
     gf = face_array(family_array(ordinary, 12)).bgf(12)
-    assert battery._family_width(ordinary, 12) >= widest([*gf, *sides[ordinary]])
-    assert battery._family_width(exponential, 10) >= widest(sides[exponential])
+    assert props._family_width(ordinary, 12) >= widest([*gf, *sides[ordinary]])
+    assert props._family_width(exponential, 10) >= widest(sides[exponential])
     closed = [e for n in range(13) for row in (gamma_closed_row(n), h_closed_row(n), f_closed_row(n)) for e in row]
-    assert battery._closed_forms_width(12) >= widest(closed + sides[ordinary])
+    assert props._closed_forms_width(12) >= widest(closed + sides[ordinary])
+    # The face GF's rows at r = 2^W, y = 2^V: every entry of its face
+    # matrix has r-degree at most n/2, and V holds its value at r = 2^W.
+    width = props._family_width(ordinary, 12)
+    assert max(MultiPoly.coerce(c).degree("r") - n // 2 for n, c in enumerate(gf)) <= 0
+    at_w = [e for row in props._packed_rows(family_triple(ordinary, 12).f, width) for e in row]
+    assert props._face_gf_width(width, 12) >= widest(at_w)
+
+
+def test_a_plus_one_in_one_y_slot_of_the_face_gf_fails_its_check():
+    # The face GF's rows at y = 2^V, with y added to row 5: its face
+    # matrix's entry (5, 1) at r = 2^W, which the check compares.
+    check, real = next(c for c in CHECKS if c.name == PROPS_CHECKS[0]), RiordanArray._rows_at
+
+    def wrong(array, size_n, y):
+        rows = real(array, size_n, y)
+        rows[5] += y
+        return rows
+
+    assert check.fn()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RiordanArray, "_rows_at", wrong)
+        assert not check.fn()
+
+
+# (spec, which, order) of every walk that a props check compares
+WALKS = [(FamilySpec(Kind.ORDINARY, R), which, 12) for which in ("gamma", "h", "f")] + [
+    (FamilySpec(Kind.EXPONENTIAL, r), which, 10) for r in (R, 0, 1, 2, 3) for which in ("gamma", "h", "f")
+]
+WALK_CHECKS = ("ordinary family GF chain reproduces gamma/h/f rows", "exponential family reversed face rows match the fraction")
+
+
+@pytest.mark.parametrize("name", WALK_CHECKS)
+def test_a_plus_one_in_one_slot_of_one_packed_walk_fails_each_walk_check(name):
+    # The check holds as it is, and fails with y added to value 5 of the
+    # first walk it makes, whose coefficient of y it compares.
+    check, real, calls = next(c for c in CHECKS if c.name == name), walk.packed, []
+
+    def wrong(frac, order, width):
+        values = real(frac, order, width)
+        if not calls:
+            values[5] += 1 << width
+        calls.append(frac)
+        return values
+
+    props._walk_matches.cache_clear()
+    assert check.fn()
+    props._walk_matches.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walk, "packed", wrong)
+            assert not check.fn() and calls
+    finally:
+        props._walk_matches.cache_clear()
+
+
+@pytest.mark.parametrize("spec, which, order", WALKS, ids=[f"{s.flavor.value}-{s.r}-{w}" for s, w, _ in WALKS])
+def test_each_walk_check_proves_a_width_that_holds_both_sides(spec, which, order):
+    # Both sides at the symbolic r, on MultiPoly: the fraction's walk
+    # (JFraction.expand) and the recurrence's triangle.  W holds every
+    # coefficient in r of both, and at r = 2^W, V holds every coefficient
+    # in y of the walk and every entry of the rows it is compared with.
+    frac, triangle = getattr(family_fractions(spec), which), getattr(family_triple(spec, order), which)
+    walked = y_coefficients(frac.expand(order))
+    rows = triangle.rows
+    if spec.r == R:
+        width = props._family_width(spec, order)
+        assert width >= widest(walked + [e for row in rows for e in row])
+        frac, rows = getattr(family_fractions(FamilySpec(spec.flavor, 1 << width)), which), props._packed_rows(triangle, width)
+    if which == "f":
+        frac, rows = frac.reversed(), [row[::-1] for row in rows]
+    y_width = props._walk_width(frac, rows, order)
+    assert y_width >= widest(y_coefficients(frac.expand(order)) + [e for row in rows for e in row])
+
+
+def y_coefficients(series):
+    """Every y-coefficient of every coefficient of a series in x."""
+    return [c for s in series for c in MultiPoly.coerce(s).y_coefficients()]
 
 
 # -- the packing rules the engines share (riordan.algebra) ---------------------------

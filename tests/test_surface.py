@@ -2,7 +2,7 @@
 the oldest Python that ``pyproject.toml`` declares, the names that the
 benchmark's tracer (``perfbench/tracer.py``) wraps, the package-root
 names, and which old import paths of the names that moved to
-:mod:`riordan.cold`, :mod:`riordan.verify`, :mod:`riordan.battery`,
+:mod:`riordan.cold`, :mod:`riordan.verify`, :mod:`riordan.oeis`,
 :mod:`riordan.bfile`, :mod:`riordan.expr` or :mod:`riordan.render` still
 resolve.
 
@@ -19,7 +19,7 @@ from types import FunctionType
 import pytest
 
 import riordan
-from riordan import algebra, arrays, battery, bfile, cli, cold, expr, families, jfraction, oeis, render, series, verify
+from riordan import algebra, arrays, bfile, cli, cold, expr, families, jfraction, laws, oeis, props, render, series, verify
 from process import fresh_interpreter
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -75,13 +75,13 @@ def test_traced_functions_are_bound_where_the_tracer_checks_them():
 
 
 def test_the_battery_binds_no_traced_function_by_name():
-    # riordan.battery may be first imported while the tracer is installed,
-    # and a traced function it bound by name then would keep its wrapper
-    # after the tracer is removed, counting calls made outside the trace.
-    from riordan import battery
-
+    # The group laws (riordan.laws) and the props identities (riordan.props)
+    # may be first imported while the tracer is installed, and a traced
+    # function either bound by name then would keep its wrapper after the
+    # tracer is removed, counting calls made outside the trace.
     traced = {name for _, names in TRACED_FUNCTIONS for name in names}
-    assert not traced & set(vars(battery))
+    for module in (laws, props):
+        assert not traced & set(vars(module)), module.__name__
 
 
 # The names each module defined before they moved, by (old module, new
@@ -99,7 +99,9 @@ MOVED = {
     ("arrays", "families"): "Kind",
     ("jfraction", "cold"): "binomial_transform",
     ("cli", "cold"): "parse_matrix_doc",
-    ("cli", "verify"): "cmd_oeis_check cmd_verify oeis_check_options verify_options",
+    ("cli", "verify"): "cmd_verify verify_options",
+    ("cli", "oeis"): "cmd_oeis_check oeis_check_options",
+    ("verify", "oeis"): "FIXTURE_SOURCES _aerated_double_factorials _triangle_fixture cmd_oeis_check oeis_check_options",
     ("cli", "bfile"): "cmd_fetch_bfile fetch_bfile_options",
     ("cli", "render"): "FORMATS MAX_N OutputDoc SAFE_INT _matrix_doc _r_value cmd_jf cmd_show export_options "
     "jf_options render_csv render_latex render_table show_options",
@@ -112,15 +114,13 @@ MOVED = {
 # The old paths that still resolve, by (module, the module that defines the
 # names).  The tracer looks the arrays, families and jfraction names and
 # cli.OutputDoc up there (perfbench/tracer.py, Tracer.install), and
-# perfbench's self-test reads verify.gamma_from_h and cli.h_matrix;
-# verify.CHECKS is the registry riordan.battery builds.
+# perfbench's self-test reads verify.gamma_from_h and cli.h_matrix.
 KEPT = {
     ("arrays", "cold"): "RiordanArray face_matrix",
     ("families", "cold"): "family_array gamma_from_h",
     ("jfraction", "expr"): "parse_index_poly parse_poly",
     ("cli", "render"): "OutputDoc",
     ("cli", "families"): "h_matrix",
-    ("verify", "battery"): "CHECKS",
     ("verify", "cold"): "gamma_from_h",
 }
 
@@ -146,7 +146,7 @@ def test_moved_names_resolve_lazily_to_their_new_module_and_stay_bound():
         "for (module, home), names in kept.items():\n"
         "    mod = importlib.import_module('riordan.' + module)\n"
         "    print(module, any(name in mod.__dict__ for name in names.split()),\n"
-        "          [m for m in ('riordan.battery', 'riordan.cold', 'riordan.expr', 'riordan.render')\n"
+        "          [m for m in ('riordan.laws', 'riordan.props', 'riordan.cold', 'riordan.expr', 'riordan.render')\n"
         "           if m in sys.modules])\n"
         "for (module, home), names in kept.items():\n"
         "    mod = sys.modules['riordan.' + module]\n"
@@ -170,7 +170,7 @@ def test_package_root_names_are_their_defining_modules_objects():
 
 @pytest.mark.parametrize(
     "module",
-    [riordan, algebra, arrays, series, families, jfraction, expr, render, cli, verify, oeis, bfile, cold, battery],
+    [riordan, algebra, arrays, series, families, jfraction, expr, render, cli, verify, oeis, bfile, cold, laws, props],
 )
 def test_unknown_names_still_raise_attribute_error(module):
     with pytest.raises(AttributeError, match=f"module '{module.__name__}' has no attribute 'no_such_name'"):
