@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Which ``riordan`` modules one request loads, and what compiling them costs.
 
-usage: python scripts/request_footprint.py [--repeats K] ARGV...
+usage: python scripts/request_footprint.py [--repeats K] [--baseline SRC] ARGV...
        python scripts/request_footprint.py --tree [--baseline SRC]
        python scripts/request_footprint.py --checks SUITE [--repeats K] [--baseline SRC]
 
@@ -17,9 +17,9 @@ module: a change's net line count in one command.
 
 With ``--checks SUITE`` (group, props, oeis or all) it prints instead the
 cold CPU time of each check of that ``riordan verify`` suite.  The suite
-runs K times, each in a fresh interpreter as below.  Each run imports the
-suite's registry first, so compiling the package counts in no check, and
-then runs every check once, in suite order, timing ``Check.run`` by
+runs K times, each in a fresh interpreter as below.  Each run imports only
+that suite's registry, as the request does, first, so compiling the
+package counts in no check, and then runs every check once, in suite order, timing ``Check.run`` by
 ``time.process_time``: each time is cold, since no check runs twice in one
 interpreter.  The script prints each check's minimum and median time over
 the K runs, then the least of the K suite totals and their quartiles, the
@@ -47,6 +47,13 @@ interpreter, the median over K fresh interpreters (default 5).  Each of
 those interpreters compiles every module once, so its total is one sample
 of the request's compile time; after the table, the script prints the
 quartiles of those K totals, the spread to weigh a difference against.
+
+With ``--baseline SRC`` the request runs in both trees, and the compile
+runs alternate, SRC's first, K of each: the script prints SRC's module
+table and quartiles, then this tree's, then the ratios of the two trees'
+minimum and median per-run compile totals (this tree over SRC), and stops
+there.  So one command shows what a change adds to or drops from what a
+request loads, and what that costs.
 
 Then it lists the standard-library modules the request imports that a bare
 ``python -c pass`` does not, in the order ``python -X importtime`` reports
@@ -122,12 +129,22 @@ print(json.dumps(times))
 """
 
 # One cold run of a verify suite (argv[1]): (check, ok, CPU s) for each check.
+# It imports only the suite's registry, as the request does (verify._registry;
+# a tree from before the suites had modules of their own reads its CHECKS,
+# or its FIXTURE_CHECKS for oeis, as its requests did).  The fixture checks import
+# the families and fractions when they first run, and every suite loads
+# them, so they are imported first: no check's time holds their compiling.
 CHECK_TIMES = """
 import json, sys, time
+import riordan.families, riordan.jfraction
 from riordan import verify
 suite = sys.argv[1]
-# verify oeis runs the fixture checks alone; the other suites read CHECKS.
-registry = verify.FIXTURE_CHECKS if suite == "oeis" else verify.CHECKS
+if suite == "all":
+    registry = verify.CHECKS
+elif hasattr(verify, "_registry"):
+    registry = verify._registry(suite)
+else:
+    registry = verify.FIXTURE_CHECKS if suite == "oeis" else verify.CHECKS
 times = []
 for check in registry:
     if suite in ("all", check.suite):
@@ -316,17 +333,33 @@ def checks(suite: str, repeats: int, baseline: Path | None = None) -> int:
     return 0 if all(ok for table in tables for *_, ok in table.values()) else 1
 
 
+def modules_table(modules: list, runs: list[list[float]]) -> None:
+    """Print each riordan module a request loaded, with its code lines and
+    its median cold compile ms over the runs, their totals, and the
+    quartiles of the per-run totals."""
+    print(f"{'module':22s} {'code lines':>10s} {'compile ms':>10s}")
+    total_lines = total_ms = 0.0
+    for i, (name, path) in enumerate(modules):
+        lines = code_lines(path)
+        ms = 1000 * statistics.median(run[i] for run in runs)
+        total_lines += lines
+        total_ms += ms
+        print(f"{name:22s} {lines:10d} {ms:10.2f}")
+    print(f"{'total':22s} {int(total_lines):10d} {total_ms:10.2f}")
+    print(f"per-run total compile ms over {len(runs)} runs: {quartiles([1000 * sum(run) for run in runs])}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=5, help="fresh interpreters per timing")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--tree", action="store_true", help="print the code lines of scripts/, src/riordan and tests/ instead")
     mode.add_argument("--checks", choices=SUITES, help="time each check of this verify suite instead")
-    parser.add_argument("--baseline", type=Path, help="with --tree or --checks: the src directory of a tree to compare against")
+    parser.add_argument("--baseline", type=Path, help="the src directory of a tree to compare against")
     parser.add_argument("request", nargs=argparse.REMAINDER, help="the request's argv after 'riordan'")
     args = parser.parse_args(argv)
-    if args.baseline is not None and not ((args.tree or args.checks) and (args.baseline / "riordan").is_dir()):
-        parser.error("--baseline needs --tree or --checks and the src directory of a tree, holding riordan/")
+    if args.baseline is not None and not (args.baseline / "riordan").is_dir():
+        parser.error("--baseline needs the src directory of a tree, holding riordan/")
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     if args.tree:
@@ -338,23 +371,27 @@ def main(argv: list[str] | None = None) -> int:
     if not request:
         parser.error("give the request's argv")
 
-    modules, plans = json.loads(fresh_python(LOADED, request))
-    paths = [path for _, path in modules]
-    runs = [json.loads(fresh_python(COMPILE, paths)) for _ in range(args.repeats)]
+    srcs = [SRC] if args.baseline is None else [args.baseline, SRC]
+    footprints = [json.loads(fresh_python(LOADED, request, src)) for src in srcs]
+    runs = [[] for _ in srcs]  # one list per tree: the baseline may be this tree
+    for _ in range(args.repeats):  # the trees alternate, the baseline first
+        for (modules, _), tree_runs in zip(footprints, runs):
+            tree_runs.append(json.loads(fresh_python(COMPILE, [path for _, path in modules])))
     print(f"riordan {' '.join(request)}")
-    for layout, engine, width, bound, den in plans:
+    for layout, engine, width, bound, den in footprints[-1][1]:
         width = f"{width} bits" if width else "-"
         print(f"plan: {engine}, {layout}, width {width}, bound {bound.bit_length()} bits" + (f", denominator {den}" if den != 1 else ""))
-    print(f"{'module':22s} {'code lines':>10s} {'compile ms':>10s}")
-    total_lines = total_ms = 0.0
-    for i, (name, path) in enumerate(modules):
-        lines = code_lines(path)
-        ms = 1000 * statistics.median(run[i] for run in runs)
-        total_lines += lines
-        total_ms += ms
-        print(f"{name:22s} {lines:10d} {ms:10.2f}")
-    print(f"{'total':22s} {int(total_lines):10d} {total_ms:10.2f}")
-    print(f"per-run total compile ms over {len(runs)} runs: {quartiles([1000 * sum(run) for run in runs])}")
+    totals = []
+    labels = [None] if args.baseline is None else ["baseline", "this tree"]
+    for label, src, (modules, _), tree_runs in zip(labels, srcs, footprints, runs):
+        if label:
+            print(label, src)
+        modules_table(modules, tree_runs)
+        totals.append([1000 * sum(run) for run in tree_runs])
+    if args.baseline is not None:
+        for label, stat in (("minimum", min), ("median", statistics.median)):
+            print(f"ratio of the {label} compile totals (this tree over baseline): {stat(totals[1]) / stat(totals[0]):.3f}")
+        return 0
 
     bare = import_times("pass", [])
     samples = [import_times(REQUEST, request) for _ in range(args.repeats)]

@@ -21,10 +21,12 @@ the three-term row recurrence and the Motzkin walk),
 :mod:`~riordan.families` (the triangle families), :mod:`~riordan.cold`
 (the Riordan group and the other oracles, the cold series operations and
 the export reader ``parse_matrix_doc``), :mod:`~riordan.oeis` (the OEIS
-fixtures), :mod:`~riordan.bfile` (OEIS b-files and the ``fetch-bfile``
-subcommand), :mod:`~riordan.verify` (the fixture checks, the check suites
-and the ``verify`` and ``oeis-check`` subcommands), :mod:`~riordan.battery`
-(the group and props checks), :mod:`~riordan.render` (the ``show``,
+fixtures, their checks and the ``oeis-check`` subcommand),
+:mod:`~riordan.bfile` (OEIS b-files and the ``fetch-bfile`` subcommand),
+:mod:`~riordan.verify` (the check registry, the suites and the ``verify``
+subcommand), :mod:`~riordan.laws` (the group suite's laws),
+:mod:`~riordan.props` (the props suite's identities),
+:mod:`~riordan.render` (the ``show``,
 ``export`` and ``jf`` subcommands and their output formats),
 :mod:`~riordan.cli` (the ``riordan`` command's dispatcher and its
 option-table parser), :mod:`~riordan.usage` (the command's argparse
@@ -37,11 +39,13 @@ resolved on first use, from the one submodule that defines it, so a
 program (or a ``riordan`` subcommand) loads only the modules it uses.
 Without cached bytecode every module loaded is also compiled from source,
 so the code that no ``show``, ``export`` or ``jf`` request runs, and no
-fixture check either, is kept in :mod:`~riordan.cold`, the checks that no
-``oeis-check`` request runs in
-:mod:`~riordan.battery`, the b-file code that only ``fetch-bfile`` runs in
-:mod:`~riordan.bfile`, the code that only ``show``, ``export`` and ``jf``
-run in :mod:`~riordan.render`, the parser that only ``jf`` runs in
+fixture check either, is kept in :mod:`~riordan.cold`, the checks of
+each suite in the module that only that suite loads (:mod:`~riordan.laws`,
+:mod:`~riordan.props`, and :mod:`~riordan.oeis`, which ``oeis-check``
+runs without :mod:`~riordan.verify`), the b-file code that only
+``fetch-bfile`` runs in :mod:`~riordan.bfile`, the code that only
+``show``, ``export`` and ``jf`` run in :mod:`~riordan.render`, the parser
+that only ``jf`` runs in
 :mod:`~riordan.expr`, and argparse, which only help, usage errors and the
 spellings that only argparse takes (such as ``--N=6``) need, in
 :mod:`~riordan.usage`.  Each moved name imports only from its new module,
@@ -49,9 +53,9 @@ except eight that the benchmark reads at their old paths
 (``arrays.RiordanArray``, ``arrays.face_matrix``, ``families.family_array``,
 ``families.gamma_from_h``, ``jfraction.parse_index_poly``,
 ``jfraction.parse_poly``, ``cli.OutputDoc``, ``cli.h_matrix``): those
-modules, and :mod:`~riordan.verify` for ``CHECKS``, resolve them on first
-use (:func:`_lazy_names`).  The methods whose bodies moved delegate to
-:mod:`~riordan.cold` (:func:`_cold`).
+modules resolve them on first use (:func:`_lazy_names`), as
+:mod:`~riordan.verify` builds ``CHECKS``.  The methods whose bodies moved
+delegate to :mod:`~riordan.cold` (:func:`_cold`).
 """
 
 import sys

@@ -15,11 +15,11 @@ int: the Horner steps of :func:`series_compose`, the powers of
 :func:`series_revert` and the columns of :meth:`RiordanArray.matrix` at
 x = 2^width.  Each proves a bound on its coefficients from its inputs and
 takes the width :mod:`riordan.algebra`'s packing rules give that bound;
-past ``MAX_WIDTH`` it computes on the coefficients (see "packed integer
-chains" below).  The matrix and compose clear rational coefficients to
-ints first, and compute at the r they are given: a polynomial in r stays
-a MultiPoly.  ``verify props`` takes the Riordan route at one integer
-r = 2^W (:mod:`riordan.battery`), and the group suite's matrix laws
+past a cutoff measured for each chain it computes on the coefficients
+(see "packed integer chains" below).  The matrix and compose clear
+rational coefficients to ints first, and compute at the r they are given:
+a polynomial in r stays a MultiPoly.  ``verify props`` takes the Riordan route at one integer
+r = 2^W (:mod:`riordan.props`), and the group suite's matrix laws
 compare rows packed at y = 2^W (:meth:`RiordanArray._rows_at`).
 
 Without cached bytecode a request compiles every module it imports, so
@@ -109,7 +109,8 @@ def _pack_x(coeffs: Sequence[int], width: int) -> int:
 
 
 def _pack_var(p: "int | MultiPoly", width: int, var: str = "y") -> int:
-    """An integer polynomial in var alone ("r" or "y") at var = 2^width."""
+    """An integer polynomial in var alone ("r" or "y") at var = 2^width: the
+    group laws pack y, the props identities r."""
     if type(p) is int:
         return p
     slot = VARIABLES.index(var)
@@ -595,7 +596,7 @@ def dense_family_triple(spec: FamilySpec, size_n: int) -> GammaHFTriple:
     and gamma extraction.  Production builds the triple from the row
     recurrences; this route is kept as their oracle.  It computes at the r
     of spec: on MultiPolys at a symbolic r, on ints at an integer one, as
-    ``verify props`` takes it at r = 2^W (:mod:`riordan.battery`)."""
+    ``verify props`` takes it at r = 2^W (:mod:`riordan.props`)."""
     h = family_array(spec, max(size_n, 1)).matrix(size_n)
     return GammaHFTriple(gamma_from_h(h), h, face_matrix(h))
 

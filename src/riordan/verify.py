@@ -13,26 +13,26 @@ from there.  Checks fall into three suites, all exact and all offline:
   Riordan-product route as a further oracle of the row recurrences;
 * ``oeis``   -- every embedded fixture regenerated from its construction.
 
-This module holds the oeis checks (``FIXTURE_CHECKS``), the suite functions
-and the ``verify`` and ``oeis-check`` subcommands.  The group and props
-checks live in :mod:`riordan.battery`, and the oracles most of them test in
-:mod:`riordan.cold`.  Without cached bytecode a request compiles every
-module it imports, so the two load only when a check that uses them runs
-or ``CHECKS`` is first looked up.  The oeis suite runs ``FIXTURE_CHECKS``,
-so ``oeis-check`` and ``verify oeis`` load neither; the group and props
-suites run ``CHECKS``.  A fixture check compares the rows of its source's
-J-fraction, shaped as ``show`` shapes them
-(:func:`riordan.jfraction._triangle_rows`), so it builds no triangle and
-loads no :mod:`riordan.arrays`; A001147's rows are one constant each.
-Which fixtures read their construction's rows backwards is said only in
-``FIXTURE_SOURCES``: every fixture stores its rows as OEIS reads them.
+This module holds the registry's records, the suite functions and the
+``verify`` subcommand; each suite's checks live in a module of their own,
+which only that suite's requests load: the group laws in
+:mod:`riordan.laws`, the props identities in :mod:`riordan.props` (both
+test the oracles of :mod:`riordan.cold`), and the fixture checks in
+:mod:`riordan.oeis`, beside the fixtures, where ``oeis-check`` runs them
+without this module.  Without cached bytecode a request compiles every
+module it imports, so a suite's run imports only its own registry
+(:func:`_registry`): ``verify group`` loads no fixture, row recurrence or
+props identity, and ``verify props`` no group law.  The oeis suite's
+records are built here from :func:`riordan.oeis.fixture_report` when that
+suite runs, and ``CHECKS`` (all three suites, in suite order) when it is
+first looked up; once it is built, every suite runs from it.
 
 The suite functions filter the registry and return one :class:`CheckResult`
 per check; the CLI renders one line per check and fails the run when any
 check fails.
 """
 
-from functools import cache, partial
+from functools import partial
 import random
 from collections import namedtuple
 
@@ -54,7 +54,7 @@ class Check(namedtuple("Check", "suite name fn")):
 
     ``fn`` takes a ``random.Random`` seeded from the run's seed and the
     check's name in the group suite, and nothing elsewhere.  It returns a
-    bool, or an OEIS :class:`CheckReport` whose message becomes the detail.
+    bool, or an OEIS ``CheckReport`` whose message becomes the detail.
     A check that raises fails, with the exception as its detail.
     """
 
@@ -87,7 +87,6 @@ def _fixture_check_name(anumber: str) -> str:
     return f"{anumber} regenerated from its construction"
 
 
-@cache
 def _fixture_checks() -> list[Check]:
     from .oeis import FIXTURE_SOURCES, fixture_report
 
@@ -175,12 +174,9 @@ _lazy = _lazy_names(globals(), ("cold", "gamma_from_h"))
 
 
 def __getattr__(name: str):
-    """CHECKS, the full registry in suite order, and FIXTURE_CHECKS, the
-    oeis suite's, are built on first lookup and then bound here."""
-    if name == "FIXTURE_CHECKS":
-        globals()[name] = _fixture_checks()
-    elif name == "CHECKS":
-        globals()[name] = [c for suite in SUITES for c in _registry(suite)]
-    else:
+    """CHECKS, the full registry in suite order, is built on first lookup
+    and then bound here."""
+    if name != "CHECKS":
         return _lazy(name)
-    return globals()[name]
+    globals()[name] = [c for suite in SUITES for c in _registry(suite)]
+    return CHECKS

@@ -150,10 +150,49 @@ def test_request_footprint_compares_the_code_lines_of_two_trees(tmp_path):
     assert all(base == ours and delta == "+0" for _, base, ours, delta in same)
 
 
-def test_request_footprint_takes_a_baseline_only_with_tree_or_checks():
-    with pytest.raises(SystemExit) as refused:
-        _script("request_footprint.py")["main"](["--baseline", str(SCRIPTS.parent / "src"), "show"])
-    assert refused.value.code == 2
+def test_request_footprint_takes_a_baseline_only_as_a_src_directory(tmp_path):
+    # A baseline must be the src directory of a tree, holding riordan/, in
+    # every form; a request needs its argv with one as without.
+    main = _script("request_footprint.py")["main"]
+    for argv in (["--baseline", str(tmp_path), "show"], ["--baseline", str(tmp_path), "--tree"], ["--baseline", str(SCRIPTS.parent / "src")]):
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2
+
+
+def test_request_footprint_compares_what_a_request_loads_in_two_trees(tmp_path):
+    # A baseline whose oeis module imports riordan.verify: its oeis-check
+    # loads one module more.  Each tree prints its own table and quartiles,
+    # from one run of each, and the ratios of the totals close the output.
+    oeis = _copy_src(tmp_path) / "oeis.py"
+    oeis.write_text(oeis.read_text().replace("from functools import cache\n", "from functools import cache\nimport riordan.verify\n", 1))
+    lines = _run("request_footprint.py", "--repeats", "1", "--baseline", str(tmp_path), "oeis-check", "A055151")
+    assert lines[:2] == ["riordan oeis-check A055151", f"baseline {tmp_path}"]
+    split = lines.index(f"this tree {SCRIPTS.parent / 'src'}")
+    tables = {}
+    for label, table in (("baseline", lines[2:split]), ("this tree", lines[split + 1 : -2])):
+        assert table[0] == f"{'module':22s} {'code lines':>10s} {'compile ms':>10s}"
+        rows = {line.split()[0]: line.split()[1:] for line in table[1:-1]}
+        total = table[-2].split()[-1]
+        assert table[-1] == f"per-run total compile ms over 1 runs: q1 {total}, median {total}, q3 {total}"
+        assert rows.pop("total") == [str(sum(int(n) for n, _ in rows.values())), total]
+        tables[label] = rows
+    assert set(tables["baseline"]) - set(tables["this tree"]) == {"riordan.verify"}
+    assert set(tables["this tree"]) < set(tables["baseline"])
+    assert all(tables["baseline"][name][0] == row[0] for name, row in tables["this tree"].items() if name != "riordan.oeis")
+    for line, label in zip(lines[-2:], ("minimum", "median")):
+        text, ratio = line.rsplit(" ", 1)
+        assert text == f"ratio of the {label} compile totals (this tree over baseline):" and float(ratio) > 0
+
+
+@pytest.mark.parametrize("suite, absent", [("group", "riordan.oeis riordan.props riordan.recurrence"), ("props", "riordan.laws")])
+def test_check_times_import_only_the_registry_of_the_suite(suite, absent):
+    # As verify group and verify props load them: each suite's own module,
+    # and none of another suite's.
+    code = _script("request_footprint.py")["CHECK_TIMES"] + "print(sorted(m for m in sys.modules if m.startswith('riordan')))\n"
+    loaded = _script("request_footprint.py")["fresh_python"](code, [suite])
+    assert f"'riordan.{'laws' if suite == 'group' else 'props'}'" in loaded
+    assert not [name for name in absent.split() if f"'{name}'" in loaded]
 
 
 _check_times = functools.partial(_run, "request_footprint.py", "--repeats", "1", "--checks")

@@ -158,6 +158,22 @@ def test_moved_names_resolve_lazily_to_their_new_module_and_stay_bound():
     assert lines == [f"{module} False []" for module, _ in KEPT] + ["True"] * len(KEPT)
 
 
+def test_the_full_registry_is_built_on_first_lookup_and_stays_bound():
+    # verify.CHECKS loads the suites' modules only when looked up; it lists
+    # their registries in suite order and stays bound, so that a tracer or a
+    # test can replace it through the module's __dict__.
+    code = (
+        "import sys\n"
+        "from riordan import verify\n"
+        "print('CHECKS' in vars(verify), [m for m in ('riordan.laws', 'riordan.props', 'riordan.oeis') if m in sys.modules])\n"
+        "checks = verify.CHECKS\n"
+        "from riordan import laws, props\n"
+        "print(checks is vars(verify)['CHECKS'], checks[:22] == laws.CHECKS + props.CHECKS)\n"
+        "print(sorted({c.suite for c in checks[22:]}), len(checks))\n"
+    )
+    assert fresh_interpreter(code) == ["False []", "True True", "['oeis'] 34"]
+
+
 def test_package_root_names_are_their_defining_modules_objects():
     for module, names in riordan._EXPORTS:
         home = importlib.import_module(f"riordan.{module}")
