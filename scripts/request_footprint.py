@@ -17,11 +17,12 @@ module: a change's net line count in one command.
 
 With ``--checks SUITE`` (group, props, oeis or all) it prints instead the
 cold CPU time of each check of that ``riordan verify`` suite.  The suite
-runs K times, each in a fresh interpreter as below.  Each run imports only
-that suite's registry, as the request does, first, so compiling the
-package counts in no check, and then runs every check once, in suite order, timing ``Check.run`` by
-``time.process_time``: each time is cold, since no check runs twice in one
-interpreter.  The script prints each check's minimum and median time over
+runs K times, each in a fresh interpreter as below.  Each run first
+imports only that suite's registry, as the request does, so compiling the
+package counts in no check, and then runs every check once, in suite
+order, timing ``Check.run`` by ``time.process_time``: each time is cold,
+since no check runs twice in one interpreter.  The script prints each
+check's minimum and median time over
 the K runs, then the least of the K suite totals and their quartiles, the
 spread to weigh a difference against: on a shared host a median can move
 by a third from one set of runs to the next, and the minimum, the run that
@@ -131,9 +132,10 @@ print(json.dumps(times))
 # One cold run of a verify suite (argv[1]): (check, ok, CPU s) for each check.
 # It imports only the suite's registry, as the request does (verify._registry;
 # a tree from before the suites had modules of their own reads its CHECKS,
-# or its FIXTURE_CHECKS for oeis, as its requests did).  The fixture checks import
-# the families and fractions when they first run, and every suite loads
-# them, so they are imported first: no check's time holds their compiling.
+# or its FIXTURE_CHECKS for oeis, as its requests did).  The fixture checks
+# import the families and fractions when they first run, and every suite
+# loads them, so they are imported first: no check's time holds their
+# compiling.
 CHECK_TIMES = """
 import json, sys, time
 import riordan.families, riordan.jfraction

@@ -2,9 +2,10 @@
 series chains of the Riordan oracle (riordan.cold: compose, revert and
 the columns of RiordanArray.matrix) on integer inputs, and compose and
 the columns also on rational ones, cleared of their denominators, each run
-once as it runs in production, asserted packed, and once with packing
-switched off, where it computes on its coefficients as before; the two
-must agree value for value and type for type.  The y-packed Motzkin walk
+once packed wherever its slots fit MAX_WIDTH, past the measured cutoffs up
+to which production packs, and once with packing switched off, where it
+computes on its coefficients; the two must agree value for value and type
+for type.  The y-packed Motzkin walk
 (riordan.walk) reads its rows from the digits of its packed values; they
 must be the oracle's, the rows of JFraction.expand, which walks on
 MultiPoly alone and runs no packed code.
@@ -13,7 +14,8 @@ Entries of many slots of many bits reach the byte read of
 group``, which compare packed walk values, and its three matrix laws,
 which compare matrix rows packed by ``RiordanArray._rows_at``, fail on a
 wrong slot and prove a width that holds both sides of their identities,
-as do the three props checks that take the Riordan route at r = 2^W.
+as do the three props checks that take the Riordan route at r = 2^W and
+the props checks that compare the family fractions' packed walks.
 Every integral walk free of r packs, however few of its slots its powers
 of y fill.  Last, the packing rules: the slot width the engines share
 (``algebra._width``) read back by ``_digits`` at byte edges and at
