@@ -9,18 +9,19 @@ array), the bodies of the series operations inverse, compose, revert and
 exp and of :meth:`MultiPoly.parse`, and ``parse_matrix_doc``.
 
 ``verify group`` spends most of its time here, on integer series of order
-8 to 12.  So three chains run on one packed int per series, by Kronecker
-substitution (Schoenhage 1982; Harvey 2009), when every coefficient is an
-int: the Horner steps of :func:`series_compose`, the powers of
-:func:`series_revert` and the columns of :meth:`RiordanArray.matrix` at
-x = 2^width.  Each proves a bound on its coefficients from its inputs and
-takes the width :mod:`riordan.algebra`'s packing rules give that bound;
-past a cutoff measured for each chain it computes on the coefficients
-(see "packed integer chains" below).  The matrix and compose clear
-rational coefficients to ints first, and compute at the r they are given:
-a polynomial in r stays a MultiPoly.  ``verify props`` takes the Riordan route at one integer
-r = 2^W (:mod:`riordan.props`), and the group suite's matrix laws
-compare rows packed at y = 2^W (:meth:`RiordanArray._rows_at`).
+8 to 12.  So integers stand in for series and polynomials, by Kronecker
+substitution (Schoenhage 1982; Harvey 2009), wherever every coefficient is
+an int: the Horner steps of :func:`series_compose` and the powers of
+:func:`series_revert` run on one int per series at x = 2^width, and
+:meth:`RiordanArray.matrix` reads row n as the int its bivariate GF takes
+at y = 2^width.  Each width, and each width of the verify checks, is
+``_width`` of one rule, the method of majorants: the same computation run
+on the norms of its inputs (see "packed integer chains" below).  The
+matrix and compose clear rational coefficients to ints first, and compute
+at the r they are given: a polynomial in r stays a MultiPoly.  ``verify
+props`` takes the Riordan route at one integer r = 2^W
+(:mod:`riordan.props`), and the group suite's matrix laws compare rows
+packed at y = 2^W (:meth:`RiordanArray._rows_at`).
 
 Without cached bytecode a request compiles every module it imports, so
 no ``show``, ``export`` or ``jf`` request imports this one, and neither
@@ -38,7 +39,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from . import Frozen
-from .algebra import VARIABLES, Monomial, MultiPoly, R, Scalar, Y, _digits, _width, _wrap, tidy
+from .algebra import VARIABLES, Monomial, MultiPoly, R, Scalar, Y, _digits, _norm, _width, tidy
 from .arrays import Entry, IndexBeyondTruncation, LowerTriMatrix, _normalize_entry
 from .families import FamilySpec, GammaHFTriple, Kind, RValue
 from .jfraction import PolyLike
@@ -66,41 +67,89 @@ class NonIntegralResult(ValueError):
 # -- packed integer chains ----------------------------------------------------
 #
 # The packing rules (the norm, the slot width and the read back) are
-# riordan.algebra's.  A truncation at x^m keeps the value's low m slots
+# riordan.algebra's.  Every width here and in the verify checks comes from
+# one rule, the method of majorants: run the computation that the packed
+# values guard once more on scalar ints, each input coefficient replaced by
+# its norm (the sum of the absolute values of its coefficients), at y = 1
+# and, for a series, at x = 1.  Sums and products of norms bound the norms
+# of sums and products, so the run bounds every coefficient the computation
+# makes, and the width is ``_width`` of the largest value of the run.  A
+# Riordan array's run is its majorant (_majorant): the rows of its
+# bivariate GF with g and f replaced by their norms; a walk's is its norm
+# walk (walk._norm_walk).  A truncation at x^m keeps the value's low m slots
 # (_low), exact when each kept coefficient fits its slot, whatever the
-# dropped ones are.  Each chain bounds every coefficient it keeps from its
-# inputs and takes the width from that bound (algebra._width).  One width
-# serves every slot, and wide slots cost more than they save: a chain runs
-# only where its width is at most its cutoff (_chain_width), and elsewhere
-# computes on its coefficients, as revert does for a Fraction or MultiPoly
-# coefficient.  RiordanArray.matrix and compose
-# clear the common denominators of rational coefficients first (_cleared),
-# and read each result back once: the matrix divides its entries exactly
-# term by term (_scaled), compose by its one denominator.
+# dropped ones are.  Compose and revert run on one packed int per series
+# only where the width is at most SERIES_CHAIN_BITS, and elsewhere compute
+# on their coefficients, as revert does for a Fraction or MultiPoly
+# coefficient.  RiordanArray.matrix and compose clear the common
+# denominators of rational coefficients first (_cleared), and read each
+# result back once: the matrix divides each entry by its column's
+# denominator (_scaled), compose by its one denominator.
 
 
 def _ints(*coeffs) -> bool:
     return set(map(type, coeffs)) <= {int}
 
 
-# The cutoffs, measured as the packed chain against series products of the
+# The cutoff, measured as the packed chains against series products of the
 # same ints (warm, best of 7 runs of 100, on a 2-core x86-64 machine; random
-# int coefficients sized to give each slot width, N = 8 to 16).  The
-# matrix's column chain took 0.8x the products' time at 104-128-bit slots,
-# 0.84-1.05x at 136-168 bits and 1.1-3x from 176 bits up (334 us against
-# 78 us for the ordinary family at r = 2^40, N = 12, whose slots are 528
-# bits).  Compose and revert took 0.3-0.9x up to 256 bits and 0.9-1.7x
-# from 272 bits up.  The matrix reads every column back, where compose and
-# revert read once, so it breaks even at narrower slots.
-MATRIX_CHAIN_BITS = 128
+# int coefficients sized to give each slot width, N = 8 to 16): compose and
+# revert took 0.3-0.9x up to 256 bits and 0.9-1.7x from 272 bits up.
 SERIES_CHAIN_BITS = 256
 
 
-def _chain_width(bound: int, most: int) -> int | None:
+def _chain_width(bound: int) -> int | None:
     """The slot width of a packed chain whose coefficients are at most
-    bound, or None, for series products, where that width passes most."""
+    bound, or None, for series products, where that width passes
+    SERIES_CHAIN_BITS."""
     width = _width(bound)
-    return width if width and width <= most else None
+    return width if width and width <= SERIES_CHAIN_BITS else None
+
+
+def _bgf_rows(kind: Kind, g: Sequence, f: Sequence, size_n: int, y: int) -> list:
+    """Rows 0..size_n at the integer y of the array (g, f) of the kind,
+    ordinary or exponential, row n sum_k a[n,k] y^k, the x^n coefficient of
+    its bivariate GF (:meth:`RiordanArray.bgf`), computed on scalars and
+    exact.  Ordinary: P = g / (1 - y f), so P_n = g_n + sum_(j=1..n) y f_j
+    P_(n-j).  Exponential: P_n = n! [x^n] g e for e = exp(y f), which
+    solves e' = y f' e, so n e_n = sum_(j=1..n) j y f_j e_(n-j).  n! e_n is
+    an integer where f is integral in Hurwitz form (j! f_j an integer, as
+    for integer f and the exponential family's f), as :func:`series_exp`
+    shows, so E_n = N! e_n is, for N = size_n: E_n is that sum on E over
+    n, an exact division, and P_n is sum_j g_j E_(n-j) over N!/n!, exact
+    where P_n is an integer.  g(0) need not be 1, nor f_1 a unit:
+    :meth:`RiordanArray.matrix` runs this on cleared coefficients."""
+    g, f = g[: size_n + 1], f[: size_n + 1]
+    if kind is Kind.ORDINARY:
+        rows, yf = [], [y * c for c in f[1:]]
+        for n in range(size_n + 1):
+            rows.append(g[n] + sum(map(mul, yf, reversed(rows))))
+        return rows
+    jyf = [j * y * c for j, c in enumerate(f)][1:]
+    exp, rows = [den := factorial(size_n)], []  # exp[n] = E_n = N! e_n, den = N!/n!
+    for n in range(size_n + 1):
+        if n:
+            exp.append(sum(map(mul, jyf, reversed(exp))) // n)
+            den //= n
+        rows.append(sum(map(mul, g, reversed(exp))) // den)
+    return rows
+
+
+def _majorant(kind: Kind, g: Sequence, f: Sequence, size_n: int, y: int = 1) -> int:
+    """The majorant of the array (g, f): the largest of rows 0..size_n at y
+    of the array with each coefficient of g and f replaced by its norm
+    (:func:`_bgf_rows`).  Every entry a[n,k], and the norm of its
+    coefficients in r and y, is at most that entry of the norm array, so
+    at most its row at y = 1.  At y = 2 the run bounds as well the norm of
+    each face row, whose entries sum_i a[n,i] C(i,k) sum over k to at most
+    sum_i |a[n,i]| 2^i, and of each gamma row of a palindromic row a[n,.]:
+    y^(-n/2) sum_k a[n,k] y^k is sum_k gamma[n,k] s^(n-2k) in s = y^(1/2)
+    + y^(-1/2), and also sum_(j<n/2) a[n,j] L_(n-2j)(s), plus a[n,n/2] for
+    even n, where the Lucas polynomial L_m(s) = y^(m/2) + y^(-m/2) has
+    coefficients summing in absolute value to the Lucas number L_m <= 2^m,
+    and palindromy keeps that below sum_k |a[n,k]| 2^k."""
+    norms = ([_norm(c) if isinstance(c, MultiPoly) else abs(c) for c in s] for s in (g, f))
+    return max(_bgf_rows(kind, *norms, size_n, y))
 
 
 def _pack_x(coeffs: Sequence[int], width: int) -> int:
@@ -137,19 +186,13 @@ def _cleared(coeffs: Sequence) -> tuple[int, list]:
     return d, [tidy(v * d if d != 1 else v) for v in coeffs]
 
 
-def _scaled(value, num: int, den: int) -> Entry:
-    """value * num / den as a matrix entry, for value an int or an
-    integer-coefficient MultiPoly, divided exactly term by term; where it is
-    not integral, the NonIntegralEntry that _normalize_entry raises."""
-    if type(value) is int:
-        quotient, remainder = divmod(value * num, den)
-        if not remainder:
-            return quotient
-    else:
-        terms = {m: divmod(c * num, den) for m, c in value.items()}
-        if not any(remainder for _, remainder in terms.values()):
-            return tidy(_wrap({m: quotient for m, (quotient, _) in terms.items()}))
-    return _normalize_entry(value * Fraction(num, den))
+def _scaled(value, den: int) -> Entry:
+    """value / den as a matrix entry: an int divided exactly, or else what
+    _normalize_entry makes of value / den, NonIntegralEntry where it is not
+    integral."""
+    if type(value) is int and not value % den:
+        return value // den
+    return _normalize_entry(value * Fraction(1, den))
 
 
 def _unit_inverse(c: Coeff, error: type[ValueError], what: str) -> Coeff:
@@ -210,9 +253,13 @@ def series_compose(s: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSerie
             c = [ck * di ** (n - k) for k, ck in enumerate(c)]
         den = ds * di**n
         ints = _ints(*c, *over_x)
-    # Step k's coefficients are those of sum_{j >= k} c_j inner^(j - k), at
-    # most |s|(F) <= |s|(1) F^n for F = max(1, |inner|(1)).
-    width = ints and _chain_width(sum(map(abs, c)) * max(1, sum(map(abs, over_x))) ** n, SERIES_CHAIN_BITS)
+    # The Horner steps run on norms at x = 1 bound every coefficient that
+    # step k keeps, and every one of its product; with |inner/x|(1) taken
+    # at least 1, no step exceeds the last, |s| at that norm.
+    bound, norm = 0, ints and max(1, sum(map(abs, over_x)))
+    for ck in reversed(c) if ints else ():
+        bound = abs(ck) + bound * norm
+    width = ints and _chain_width(bound)
     if width:
         result, over_x = c[n], _pack_x(over_x, width)
         for k in range(n - 1, -1, -1):
@@ -243,8 +290,9 @@ def series_revert(s: TruncatedSeries) -> TruncatedSeries:
     _unit_inverse(s._coeffs[1], ZeroLinearTerm, "linear coefficient")
     h = series_inverse(_trusted(s._coeffs[1:]))
     out, power, n = [0, tidy(h._coeffs[0])], h, s.order
-    # The coefficients of h^k are at most |h|(1)^k, and |h|(1) >= |h_0| = 1.
-    width = _ints(*h._coeffs) and _chain_width(sum(map(abs, h._coeffs)) ** n, SERIES_CHAIN_BITS)
+    # The powers on norms at x = 1 bound the coefficients of h^k by
+    # |h|(1)^k, at most |h|(1)^n, as |h|(1) >= |h_0| = 1.
+    width = _ints(*h._coeffs) and _chain_width(sum(map(abs, h._coeffs)) ** n)
     if width:
         power = h = _pack_x(h._coeffs, width)
     for k in range(2, n + 1):
@@ -431,82 +479,45 @@ class RiordanArray(Frozen):
     def matrix(self, size_n: int) -> LowerTriMatrix:
         """Lower triangle of entries for n, k = 0..size_n.
 
-        Column k is g * f**k, which is zero below x**k, so only its
-        coefficients k..size_n are built: column k is column k - 1 times
-        f/x, one coefficient shorter.  g and f/x are scaled by the common
-        denominators d_g and d_f of their coefficients (an exponential
-        array's 1/n!, the family's r/2), so that every coefficient is an
-        int or an integer-coefficient MultiPoly.  Ints take the packed
-        chain at x = 2^width, MultiPolys (in r or y) series products.  Each
-        entry is then read back once, times its prefactor (n!/k! for an
-        exponential array, c_n/c_k for a generalized one) over column k's
-        d_g d_f^k; where that is not integral it raises NonIntegralEntry."""
+        g and f/x are scaled by the common denominators d_g and d_f of their
+        coefficients (an exponential array's 1/n!, the family's r/2), so
+        that every coefficient is an int or an integer-coefficient
+        MultiPoly, and the cleared array's entries are d_g d_f^k a[n,k].
+        On ints, its row n is read from its bivariate GF (:func:`_bgf_rows`)
+        at y = 2^V, as the balanced digits of that int, V ``_width`` of its
+        majorant (:func:`_majorant`).  MultiPolys (in r or y), generalized
+        arrays and majorants past ``MAX_WIDTH`` take series products:
+        column k is column k - 1 times f/x, one coefficient shorter, and
+        each entry is taken times its prefactor (n!/k! for an exponential
+        array, c_n/c_k for a generalized one).  Each entry is then divided
+        by column k's d_g d_f^k; where that is not integral it raises
+        NonIntegralEntry."""
         if size_n > self.order:
             raise IndexBeyondTruncation(
                 f"size {size_n} beyond truncation order {self.order}"
             )
         g, over_x = self.g._coeffs[: size_n + 1], self.f._coeffs[1 : size_n + 1]  # f/x, order size_n - 1
-        dg = df = 1
-        ints = _ints(*g, *over_x)
-        if not ints:
-            (dg, g), (df, over_x) = _cleared(g), _cleared(over_x)
-            ints = _ints(*g, *over_x)
-        cols = [g]  # cols[k][m] = [x^(k+m)] g f^k, times d_g d_f^k
-        # Column k's coefficients are at most |g|(1) |f/x|(1)^k, and |f/x|(1) >= 1.
-        width = ints and _chain_width(sum(map(abs, g)) * sum(map(abs, over_x)) ** size_n, MATRIX_CHAIN_BITS)
+        (dg, g), (df, over_x) = _cleared(g), _cleared(over_x)
+        f = (0, *over_x)
+        width = self.kind is not Kind.GENERALIZED and _ints(*g, *over_x) and _width(_majorant(self.kind, g, f, size_n))
         if width:
-            col, over_x = _pack_x(g, width), _pack_x(over_x, width)
-            for k in range(1, size_n + 1):
-                col = _low(col * over_x, width * (size_n + 1 - k))
-                cols.append(_read(col, width, size_n + 1 - k))
+            rows = [_read(v, width, n + 1) for n, v in enumerate(_bgf_rows(self.kind, g, f, size_n, 1 << width))]
         else:
-            over_x = _trusted(over_x)
+            cols, over_x = [g], _trusted(over_x)  # cols[k][m] = [x^(k+m)] g f^k, times d_g d_f^k
             for _ in range(size_n):
                 cols.append((_trusted(cols[-1][:-1]) * over_x)._coeffs)
-        # Entries computed on ints are canonical, so where nothing is to be
-        # divided, an ordinary row is read as it is.
-        exact = ints and dg == df == 1 and self.kind is not Kind.GENERALIZED
-        rows, scale = [], []
-        for n in range(size_n + 1):
-            row = [cols[k][n - k] for k in range(n + 1)]
-            if self.kind is Kind.EXPONENTIAL:
-                scale = [*map(n.__mul__, scale), 1]  # scale[k] = n!/k!
-            elif self.kind is Kind.GENERALIZED:
-                scale = [self._prefactor(n, k) for k in range(n + 1)]
-            else:
-                scale = [1] * (n + 1)
-            if not exact:
-                row = [_scaled(e, s.numerator, s.denominator * dg * df**k) for k, (e, s) in enumerate(zip(row, scale))]
-            elif self.kind is Kind.EXPONENTIAL:
-                row = [*map(mul, scale, row)]
-            rows.append(row)
-        return LowerTriMatrix(rows)
+            rows = [[self._prefactor(n, k) * cols[k][n - k] for k in range(n + 1)] for n in range(size_n + 1)]
+        return LowerTriMatrix([_scaled(e, dg * df**k) for k, e in enumerate(row)] for row in rows)
 
     def _rows_at(self, size_n: int, y: int) -> list[int]:
-        """Rows 0..size_n of the matrix of an array with integer g and f at
-        the integer y: row n is sum_k a[n,k] y^k, the x^n coefficient of the
-        bivariate generating function (:meth:`bgf`), computed here on ints
-        and exact.  Ordinary: P = g / (1 - y f), so P_n = g_n +
-        sum_(j=1..n) y f_j P_(n-j).  Exponential: P_n = n! [x^n] g e for e
-        = exp(y f), which solves e' = y f' e, so n e_n = sum_(j=1..n) j y
-        f_j e_(n-j).  n! e_n is an integer (the Hurwitz form of
-        :func:`series_exp`), so E_n = N! e_n is, for N = size_n: E_n is
-        that sum on E over n, an exact division, and P_n is
-        sum_j g_j E_(n-j) over N!/n!, exact as P_n is an integer."""
+        """Rows 0..size_n of the matrix at the integer y, row n the x^n
+        coefficient of the bivariate GF (:func:`_bgf_rows`, :meth:`bgf`)."""
         self._require_group_kind()
-        g, f = self.g._coeffs[: size_n + 1], self.f._coeffs[: size_n + 1]
-        if self.kind is Kind.ORDINARY:
-            rows, yf = [], [y * c for c in f[1:]]
-            for n in range(size_n + 1):
-                rows.append(g[n] + sum(map(mul, yf, reversed(rows))))
-            return rows
-        jyf = [j * y * c for j, c in enumerate(f)][1:]
-        exp, rows = [factorial(size_n)], []  # exp[n] = E_n = N! e_n
-        for n in range(size_n + 1):
-            if n:
-                exp.append(sum(map(mul, jyf, reversed(exp))) // n)
-            rows.append(sum(map(mul, g, reversed(exp))) // (exp[0] // factorial(n)))
-        return rows
+        return _bgf_rows(self.kind, self.g._coeffs, self.f._coeffs, size_n, y)
+
+    def _bound(self, size_n: int, y: int = 1) -> int:
+        """The array's majorant to row size_n at y (:func:`_majorant`)."""
+        return _majorant(self.kind, self.g._coeffs, self.f._coeffs, size_n, y)
 
     # -- group structure ---------------------------------------------------
 

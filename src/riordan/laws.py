@@ -18,11 +18,10 @@ bound then would keep the tracer's wrapper after it is removed.
 
 import random
 from functools import partial
-from math import factorial
 from operator import mul
 
 from . import cold, walk
-from .algebra import MultiPoly, Y, _norm, _width
+from .algebra import MultiPoly, Y, _digits, _norm, _width
 from .cold import RiordanArray, identity_array
 from .families import Kind
 from .jfraction import IndexPoly, JFraction
@@ -31,6 +30,10 @@ from .verify import Check
 
 ROUNDS = 50  # random instances per group law
 ORDER = 10  # truncation order of the random series and arrays
+# The inverse law's right side, and the y = 2^W its rows are compared at, W
+# ``_width`` of the identity's majorant.
+_IDENTITY = identity_array(Kind.ORDINARY, ORDER)
+_IDENTITY_Y = 1 << _width(_IDENTITY._bound(ORDER))
 
 CHECKS: list = []  # the group suite's Check records, in suite order
 
@@ -83,39 +86,27 @@ def _rounds(trial, rounds: int, rng: random.Random) -> bool:
 # y = 2^W: row n packed is sum_k M[n,k] 2^(W k), from RiordanArray._rows_at,
 # which computes it on ints with no slot to overflow.  Balanced base-2^W
 # digits are unique, so two rows of entries below 2^(W-1) in absolute value
-# are equal exactly when their packed ints are, and each law takes W from a
-# bound on every entry of both its sides (_bound).
-
-
-def _bound(array: RiordanArray) -> int:
-    """A bound on every |a[n,k]| of the array's matrix to ORDER, from the
-    norms of g and f: a[n,k] = p(n,k) [x^(n-k)] g (f/x)^k, and that
-    coefficient is at most |g|(1) |f/x|(1)^k <= |g|(1) |f/x|(1)^ORDER, as
-    |f/x|(1) >= |f_1| >= 1, counting coefficients up to x^ORDER only.  The
-    prefactor p(n,k) is 1, or n!/k! <= ORDER! for an exponential array."""
-    g, over_x = array.g.coeffs[: ORDER + 1], array.f.coeffs[1 : ORDER + 1]
-    scale = factorial(ORDER) if array.kind is Kind.EXPONENTIAL else 1
-    return scale * sum(map(abs, g)) * sum(map(abs, over_x)) ** ORDER
-
-
-def _product_width(a: RiordanArray, b: RiordanArray, ab: RiordanArray) -> int:
-    """W of :func:`_matrix_product_law`, as its docstring proves it."""
-    return _width(max((ORDER + 1) * _bound(a) * _bound(b), _bound(ab)))
+# are equal exactly when their packed ints are.  W is ``_width`` of the
+# method of majorants (cold._majorant) run on each side: an array's matrix
+# to ORDER has every entry at most its majorant (RiordanArray._bound).
 
 
 def _matrix_product_law(kind: Kind, rng: random.Random) -> bool:
     """M(a b) = M(a) M(b) to ORDER, row by row at y = 2^W.  Row n of the
-    product is sum_j A[n,j] R_j, with A read from a.matrix(ORDER), the
-    oracle's column chain, and R_j row j of M(b) packed.  The width: an
-    entry of M(a) M(b) sums ORDER + 1 products of entries of M(a) and M(b),
-    so it is at most (ORDER + 1) _bound(a) _bound(b), and an entry of
-    M(a b) is at most _bound(a b); W is ``_width`` of the larger."""
+    product is sum_j A[n,j] R_j, with A[n,j] the digits of a's row n and
+    R_j b's row j, each packed.  The width: that sum run on norms bounds
+    an entry of M(a) M(b) by sum_j |A[n,j]| |B[j,k]|, at most the majorant
+    of a, which bounds the row sum of |A[n,j]|, times that of b, which
+    bounds every |B[j,k]|; an entry of M(a b) is at most the majorant of
+    a b.  W is ``_width`` of the larger, which holds the digits of a's
+    rows too, as b's majorant is at least 1."""
     a = _random_array(rng, kind, ORDER)
     b = _random_array(rng, kind, ORDER)
     ab = a * b
-    y = 1 << _product_width(a, b, ab)
-    rows_b = b._rows_at(ORDER, y)
-    return ab._rows_at(ORDER, y) == [sum(map(mul, row, rows_b)) for row in a.matrix(ORDER).rows]
+    width = _width(max(a._bound(ORDER) * b._bound(ORDER), ab._bound(ORDER)))
+    rows_a, rows_b = a._rows_at(ORDER, 1 << width), b._rows_at(ORDER, 1 << width)
+    product = [sum(map(mul, _digits(row, width), rows_b)) for row in rows_a]
+    return ab._rows_at(ORDER, 1 << width) == product
 
 
 for _kind in (Kind.ORDINARY, Kind.EXPONENTIAL):
@@ -132,15 +123,13 @@ def _product_associativity(rng: random.Random) -> bool:
 @_law("inverse yields the identity array")
 def _inverse_is_identity(rng: random.Random) -> bool:
     """a a^-1 is the identity array, as g and f and as a matrix, whose rows
-    are compared at y = 2^W, W ``_width`` of the larger of the two arrays'
-    bounds (_bound)."""
-    ident = identity_array(Kind.ORDINARY, ORDER)
+    are compared at y = 2^W, W ``_width`` of the identity's majorant, which
+    is a a^-1's too once their g and f are equal."""
     a = _random_array(rng, Kind.ORDINARY, ORDER)
     prod = a * a.inverse()
-    if not (prod.g == ident.g and prod.f == ident.f):
+    if not (prod.g == _IDENTITY.g and prod.f == _IDENTITY.f):
         return False
-    y = 1 << _width(max(_bound(prod), _bound(ident)))
-    return prod._rows_at(ORDER, y) == ident._rows_at(ORDER, y)
+    return prod._rows_at(ORDER, _IDENTITY_Y) == _IDENTITY._rows_at(ORDER, _IDENTITY_Y)
 
 
 @_law("series inverse identity")
@@ -177,31 +166,29 @@ def _composition_associativity(rng: random.Random) -> bool:
 # Substituting 2^W is a ring map, and it is injective on polynomials whose
 # coefficients are below 2^(W-1) in absolute value (their balanced digits),
 # so each law is exact where W is _width of a bound on every coefficient of
-# both sides of its identity.  The fractions' norm walks (walk._bound)
-# prove that bound before anything is packed.
-
-
-def _shift_width(frac: JFraction) -> int:
-    """W of :func:`_binomial_shift` on frac, as its docstring proves it."""
-    return _width(walk._bound(frac, 8) * 3**8)
+# both sides of its identity.  Each side's computation, run on the
+# fractions' norm walks (walk._norm_walk) before anything is packed, gives
+# that bound.
 
 
 @_law("binomial shift matches the sequence transform", 20)
 def _binomial_shift(rng: random.Random) -> bool:
     """The expansion of frac shifted by k is the binomial transform by k of
     frac's, to x^8, for k in 1, 2, y and y + 1: both walked packed at
-    y = 2^W, the transform a difference table on ints.  The width: frac's
-    norm walk bounds every |a_n|(1) by B, so |b_n|(1) <= B (1 + |k|(1))^n
-    <= B 3^8 for the transform b by k, as |k|(1) <= 2.  The shifted
-    fraction's norm walk is at most the transform of frac's by |k|(1), as
-    |alpha + k|(1) <= |alpha|(1) + |k|(1), so its coefficients are at most
-    B 3^8 as well, and W is ``_width(B 3^8)``."""
+    y = 2^W, the transform a difference table on ints.  The width: the
+    transform run on norms, the difference table by |k|(1) of frac's norm
+    walk, bounds the transform.  It bounds the shifted fraction's norm walk
+    too, whose weights |alpha + k|(1) are at most |alpha|(1) + |k|(1): that
+    walk on ints is frac's norm walk shifted by |k|(1), which is the same
+    difference table.  The table grows with |k|(1), so W is ``_width`` of
+    its largest value at the largest |k|(1) of the four k, 2."""
     frac = JFraction(_random_index_poly(rng), _random_index_poly(rng))
-    width = _shift_width(frac)
+    ks = (1, 2, Y, Y + 1)
+    width = _width(max(cold._difference_table(walk._norm_walk(frac, 8), max(_norm(MultiPoly.coerce(k)) for k in ks))))
     expansion = walk.packed(frac, 8, width)
     return all(
         walk.packed(frac.binomial_shift(k), 8, width) == cold._difference_table(expansion, cold._pack_var(k, width))
-        for k in (1, 2, Y, Y + 1)
+        for k in ks
     )
 
 
@@ -211,25 +198,18 @@ def _one_level_down(p: IndexPoly) -> IndexPoly:
     return sum((c * step**k for k, c in enumerate(p.coeffs)), IndexPoly(()))
 
 
-def _equation_width(frac: JFraction, down: JFraction) -> int:
-    """W of :func:`_defining_equation` on frac and the fraction one level
-    down, as its docstring proves it."""
-    alpha0, beta1 = (_norm(p) for p in (frac.alpha(0), frac.beta(1)))
-    return _width(13 * walk._bound(frac, 12) * (1 + alpha0 + beta1 * walk._bound(down, 12)))
-
-
 @_law("expansion satisfies the continued-fraction equation", 20)
 def _defining_equation(rng: random.Random) -> bool:
     """S (1 - alpha(0) x - beta(1) x^2 S') = 1 to x^12, S' the fraction one
     level down: over series of ints, S and S' walked packed at y = 2^W.
-    The width: coefficient n of S u, u = 1 - alpha(0) x - beta(1) x^2 S',
-    sums n + 1 <= 13 products, each of a coefficient of S, of norm at most
-    B by S's norm walk, and one of u, of norm at most 1 + |alpha(0)|(1) +
-    |beta(1)|(1) B', B' the bound of S' by its norm walk; the right side is
-    1.  So W is ``_width(13 B (1 + |alpha(0)|(1) + |beta(1)|(1) B'))``."""
+    The width: the same product run on norms at x = 1, S's norm walk
+    summed times 1 + |alpha(0)|(1) + |beta(1)|(1) times the norm walk of S'
+    summed to x^10, bounds every coefficient of the left side, and the
+    right side is 1; W is ``_width`` of that product."""
     alpha, beta = _random_index_poly(rng), _random_index_poly(rng)
     frac, down = JFraction(alpha, beta), JFraction(_one_level_down(alpha), _one_level_down(beta))
-    width = _equation_width(frac, down)
+    a0, b1 = alpha(0), beta(1)
+    width = _width(sum(walk._norm_walk(frac, 12)) * (1 + _norm(a0) + _norm(b1) * sum(walk._norm_walk(down, 12)[:11])))
     s, below = (TruncatedSeries(walk.packed(f, 12, width)) for f in (frac, down))
     x = TruncatedSeries.x(12)
-    return s * (1 - x * cold._pack_var(alpha(0), width) - x * x * cold._pack_var(beta(1), width) * below) == 1
+    return s * (1 - x * cold._pack_var(a0, width) - x * x * cold._pack_var(b1, width) * below) == 1

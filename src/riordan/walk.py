@@ -20,8 +20,8 @@ nothing itself.
   small product and a shift per term (:func:`_times`).  The rows are the
   digits of those values, read with no series.  The width is proved
   before the walk: the same walk on plain ints, each weight replaced by
-  its norm (:func:`_bound`), bounds every coefficient of every t[0] read,
-  and the width is ``_width`` of that bound.  The same walk bounds the
+  its norm (:func:`_norm_walk`), bounds every coefficient of every t[0]
+  read, and the width is ``_width`` of that bound.  The same walk bounds the
   coefficients of every integral fraction, weights in r included, so
   every plan has a bound.
 * MultiPoly: weights in r, and slots past ``MAX_WIDTH``.  The rows are
@@ -44,7 +44,7 @@ Only the expansions that take the walk import this module: the
 permutahedron, every ``jf`` whose fraction has levels in i and is of no
 shape of :mod:`riordan.recurrence`, and the checks and tests that walk on
 purpose (``verify group``'s two continued-fraction laws call
-:func:`packed` and :func:`_bound`).
+:func:`packed` and :func:`_norm_walk`).
 """
 
 from functools import lru_cache, partial
@@ -59,17 +59,17 @@ def _layout(frac, order: int) -> tuple:
     weights in r or slots past ``MAX_WIDTH``.  :meth:`JFraction.plan` asks
     once it has cleared the common denominator, so the fraction is
     integral."""
-    bound = _bound(frac, order)
+    bound = max(_norm_walk(frac, order))
     if any(i for p in frac for q in p.coeffs for (i, _), _ in q.items()):
         return None, bound
     return _width(bound), bound
 
 
-def _bound(frac, order: int) -> int:
+def _norm_walk(frac, order: int) -> list[int]:
     """The norm walk of an integral fraction: the same walk on plain ints,
-    each weight replaced by its norm, whose largest t[0] bounds the norm of
-    every t[0] read, and so every coefficient, in r and y alike."""
-    return max(_walk(*([_norm(w).__mul__ for w in ws] for ws in _levels(frac, order)), order))
+    each weight replaced by its norm, whose t[0] after n steps bounds the
+    norm of the walk's, and so each of its coefficients, in r and y alike."""
+    return _walk(*([_norm(w).__mul__ for w in ws] for ws in _levels(frac, order)), order)
 
 
 def packed(frac, order: int, width: int) -> list[int]:
@@ -77,7 +77,7 @@ def packed(frac, order: int, width: int) -> list[int]:
     int it takes at y = 2^width, y^j at slot j.  Substituting 2^width is a
     ring map, so each value is exact whatever the width; its digits are the
     coefficients where each is below 2^(width-1) in absolute value, as at
-    the width of ``_bound``."""
+    the width of the largest value of ``_norm_walk``."""
     return _walk(*([partial(_times, [(c, width * j) for (_, j), c in w.items()]) for w in ws] for ws in _levels(frac, order)), order)
 
 

@@ -1,6 +1,7 @@
 """Exact values with their types, for comparing a routine with its oracle,
-the coefficient rings the oracle tests draw from, and symbolic rows
-specialised at a value of r."""
+the coefficient rings the oracle tests draw from, the series-product
+oracle of a Riordan array's matrix, and symbolic rows specialised at a
+value of r."""
 
 from fractions import Fraction
 from functools import cache
@@ -8,7 +9,7 @@ from functools import cache
 from hypothesis import strategies as st
 
 from riordan.algebra import MultiPoly, R, Y, tidy
-from riordan.arrays import NonIntegralEntry
+from riordan.arrays import LowerTriMatrix, NonIntegralEntry, _normalize_entry
 
 # Coefficients of one ring per example: int, Fraction or MultiPoly.
 rings = st.sampled_from([
@@ -48,6 +49,20 @@ def typed_outcome(build):
         return [typed_all(row) for row in build().rows]
     except NonIntegralEntry as exc:
         return str(exc)
+
+
+def matrix_by_columns(array, size_n):
+    """Column k as the full series product g * f**k, every entry times its
+    prefactor: the matrix that RiordanArray.matrix replaced, kept as its
+    oracle.  It raises the NonIntegralEntry of the first entry, in row
+    order, that is not integral."""
+    f = array.f.truncate(size_n)
+    cols = [array.g.truncate(size_n)]
+    for _ in range(size_n):
+        cols.append(cols[-1] * f)
+    return LowerTriMatrix(
+        [_normalize_entry(array._prefactor(n, k) * cols[k][n]) for k in range(n + 1)] for n in range(size_n + 1)
+    )
 
 
 def at_r(rows, value) -> list[list]:

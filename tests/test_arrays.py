@@ -3,13 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from canonical import rings, typed_all, typed_outcome
+from canonical import matrix_by_columns, rings, typed_all, typed_outcome
 from riordan.algebra import R, Y, MultiPoly, tidy
 from riordan.arrays import (
     IndexBeyondTruncation,
     LowerTriMatrix,
     NonIntegralEntry,
-    _normalize_entry,
     triangle_from_series,
 )
 from riordan.cold import (
@@ -249,19 +248,6 @@ def test_matrix_product_matches_the_triple_loop(ring, data):
     assert _typed_rows(a * b) == _typed_rows(_tri_mul_by_loops(a, b))
 
 
-def _matrix_by_full_columns(array, size_n):
-    """Column k as the full series product g * f**k, every entry times its
-    prefactor: the matrix that RiordanArray.matrix replaced, kept as its
-    oracle."""
-    f = array.f.truncate(size_n)
-    cols = [array.g.truncate(size_n)]
-    for _ in range(size_n):
-        cols.append(cols[-1] * f)
-    return LowerTriMatrix(
-        [_normalize_entry(array._prefactor(n, k) * cols[k][n]) for k in range(n + 1)] for n in range(size_n + 1)
-    )
-
-
 KINDS = [(Kind.ORDINARY, None), (Kind.EXPONENTIAL, None), (Kind.GENERALIZED, FACTORIAL_PAIR_WEIGHTS)]
 
 
@@ -274,7 +260,7 @@ def test_matrix_matches_the_full_column_products_and_entry(kind_weights, ring, d
     g, f = S([1, *data.draw(values)]), S([0, lead, *data.draw(values)[1:]], order)
     array = RiordanArray(g, f, kind, weights)
     size_n = data.draw(st.integers(0, order))
-    want = typed_outcome(lambda: _matrix_by_full_columns(array, size_n))
+    want = typed_outcome(lambda: matrix_by_columns(array, size_n))
     assert typed_outcome(lambda: array.matrix(size_n)) == want
     if not isinstance(want, str):
         entries = LowerTriMatrix([array.entry(n, k) for k in range(n + 1)] for n in range(size_n + 1))
@@ -293,6 +279,6 @@ def test_matrix_matches_the_full_column_products_and_entry(kind_weights, ring, d
 )
 def test_a_non_integral_entry_raises_the_text_of_the_full_column_products(array, text):
     # The first entry that is not integral, in row order, on each of the
-    # routes the columns take: the packed chain of ints, and series products
-    # of polynomials in r or in y.
-    assert typed_outcome(lambda: array.matrix(4)) == typed_outcome(lambda: _matrix_by_full_columns(array, 4)) == text
+    # routes the rows take: the digits of the bivariate GF on ints, and
+    # series products of polynomials in r or in y.
+    assert typed_outcome(lambda: array.matrix(4)) == typed_outcome(lambda: matrix_by_columns(array, 4)) == text

@@ -1,37 +1,41 @@
-"""The packed integer engines against the code they replace: the three
-series chains of the Riordan oracle (riordan.cold: compose, revert and
-the columns of RiordanArray.matrix) on integer inputs, and compose and
-the columns also on rational ones, cleared of their denominators, each run
-once packed wherever its slots fit MAX_WIDTH, past the measured cutoffs up
-to which production packs, and once with packing switched off, where it
-computes on its coefficients; the two must agree value for value and type
-for type.  The y-packed Motzkin walk
-(riordan.walk) reads its rows from the digits of its packed values; they
-must be the oracle's, the rows of JFraction.expand, which walks on
-MultiPoly alone and runs no packed code.
-Entries of many slots of many bits reach the byte read of
-``algebra._digits``.  The two continued-fraction laws of ``verify
-group``, which compare packed walk values, and its three matrix laws,
-which compare matrix rows packed by ``RiordanArray._rows_at``, fail on a
-wrong slot and prove a width that holds both sides of their identities,
-as do the three props checks that take the Riordan route at r = 2^W and
-the props checks that compare the family fractions' packed walks.
-Every integral walk free of r packs, however few of its slots its powers
-of y fill.  Last, the packing rules: the slot width the engines share
-(``algebra._width``) read back by ``_digits`` at byte edges and at
-``MAX_WIDTH``, and the row recurrence's fill bitset (``recurrence._fill``)
-against the terms of its last row."""
+"""The packed integer engines against the code they replace: the two
+series chains of the Riordan oracle (riordan.cold: compose and revert) on
+integer inputs, and compose also on rational ones, cleared of their
+denominators, each run once packed wherever its slots fit MAX_WIDTH, past
+the measured cutoff up to which production packs, and once with packing
+switched off, where it computes on its coefficients; the two must agree
+value for value and type for type.  RiordanArray.matrix, which reads the
+rows of integer and cleared arrays from their bivariate GF at y = 2^V,
+against its oracles, the series products of its entries and columns.  The
+y-packed Motzkin walk (riordan.walk) reads its rows from the digits of its
+packed values; they must be the oracle's, the rows of JFraction.expand,
+which walks on MultiPoly alone and runs no packed code.  Entries of many
+slots of many bits reach the byte read of ``algebra._digits``.  The two
+continued-fraction laws of ``verify group``, which compare packed walk
+values, and its three matrix laws, which compare matrix rows packed by
+``RiordanArray._rows_at``, fail on a wrong slot, and every width they pack
+at holds both sides of their identities, extremal draws included, as do
+the three props checks that take the Riordan route at r = 2^W and the props
+checks that compare the family fractions' packed walks.  Each such width
+is ``_width`` of one rule, the method of majorants (``cold._majorant``,
+``walk._norm_walk``).  Every integral walk free of r packs, however few of
+its slots its powers of y fill.  Last, the packing rules: the slot width
+the engines share (``algebra._width``) read back by ``_digits`` at byte
+edges and at ``MAX_WIDTH``, and the row recurrence's fill bitset
+(``recurrence._fill``) against the terms of its last row."""
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import factorial, isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from canonical import typed_all, typed_outcome, typed_rows
+from canonical import matrix_by_columns, typed_all, typed_outcome, typed_rows
 from riordan import cold, laws, props, walk
 from riordan.algebra import MultiPoly, R, Y, _digits, _width
+from riordan.arrays import LowerTriMatrix
 from riordan.cold import (
     RiordanArray,
     binomial_transform,
@@ -41,6 +45,7 @@ from riordan.cold import (
     family_array,
     gamma_closed_row,
     h_closed_row,
+    narayana_array,
 )
 from riordan.families import FamilySpec, Kind, family_fractions, family_triple, named_triple
 from riordan.jfraction import IndexPoly, JFraction, Plan
@@ -51,16 +56,16 @@ from riordan.verify import CHECKS, DEFAULT_SEED
 
 def packed_and_unpacked(build):
     """build() with every chain packed wherever its slots fit MAX_WIDTH,
-    past the cutoffs that production packs below (cold._chain_width), so
+    past the cutoff that production packs below (cold._chain_width), so
     that the chain meets the series products at every width it could
     take; the widths its chains took (None for a chain left unpacked); and
     build() with every chain unpacked."""
     widths = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cold, "_chain_width", lambda bound, most: widths.append(_width(bound)) or widths[-1])
+        mp.setattr(cold, "_chain_width", lambda bound: widths.append(_width(bound)) or widths[-1])
         packed = build()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cold, "_chain_width", lambda bound, most: None)
+        mp.setattr(cold, "_chain_width", lambda bound: None)
         return packed, widths, build()
 
 
@@ -69,25 +74,21 @@ def chain_widths(build):
     (None for series products)."""
     widths, real = [], cold._chain_width
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cold, "_chain_width", lambda bound, most: widths.append(real(bound, most)) or widths[-1])
+        mp.setattr(cold, "_chain_width", lambda bound: widths.append(real(bound)) or widths[-1])
         build()
     return widths
 
 
 def test_a_chain_packs_only_up_to_its_measured_cutoff():
-    # The group laws' arrays (coefficients in [-4, 4], order 10) take the
-    # chains; the ordinary family at r = 2^40, whose columns would take
-    # 528-bit slots, takes series products, as does a compose or revert
-    # whose slots pass 256 bits.
-    small = RiordanArray(TruncatedSeries([1, 4, -4, 3] + [2] * 7), TruncatedSeries([0, 1, -4, 4] + [-3] * 7))
-    assert all(chain_widths(lambda: small.matrix(10)))
-    assert chain_widths(lambda: family_array(FamilySpec(Kind.ORDINARY, 2**40), 12).matrix(12)) == [None]
-    for most, bits in ((cold.MATRIX_CHAIN_BITS, 128), (cold.SERIES_CHAIN_BITS, 256)):
-        assert most == bits
-        assert cold._chain_width(2 ** (bits - 2), most) == bits and cold._chain_width(2 ** (bits - 1), most) is None
+    # The group laws' series (coefficients in [-4, 4], order 10) take the
+    # chains, and a compose or revert whose slots pass 256 bits takes
+    # series products.
+    assert cold.SERIES_CHAIN_BITS == 256
+    assert cold._chain_width(2**254) == 256 and cold._chain_width(2**255) is None
     wide = TruncatedSeries([0, 1] + [2**40] * 11)
     assert chain_widths(lambda: wide.compose(wide)) == chain_widths(wide.revert) == [None]
-    assert chain_widths(lambda: small.g.compose(small.f)) != [None] != chain_widths(small.f.revert)
+    g, f = TruncatedSeries([1, 4, -4, 3] + [2] * 7), TruncatedSeries([0, 1, -4, 4] + [-3] * 7)
+    assert chain_widths(lambda: g.compose(f)) != [None] != chain_widths(f.revert)
 
 
 def series(coeffs):
@@ -125,46 +126,31 @@ def test_revert_packs_and_matches_the_power_loop(s):
     assert typed_all(packed) == typed_all(plain)
 
 
-@given(
-    st.sampled_from([Kind.ORDINARY, Kind.EXPONENTIAL]),
-    st.lists(signed, max_size=13),
-    st.sampled_from([1, -1, 2, -3]),
-    st.lists(signed, max_size=12),
-    st.integers(0, 13),
-)
-@example(Kind.ORDINARY, [0] * 12, 1, [0] * 12, 12)  # g = 1, f = x: all zero below the diagonal
-@example(Kind.ORDINARY, list(LONG_G.coeffs[1:]), 1, list(LONG.coeffs[2:]), 70)  # columns of up to 71 slots
-@example(Kind.EXPONENTIAL, list(LONG_G.coeffs[1:]), -1, list(LONG.coeffs[2:]), 70)
-def test_matrix_columns_pack_and_match_the_series_products(kind, g_rest, f1, f_rest, size):
-    order = max(len(g_rest), len(f_rest) + 1, size)
-    array = RiordanArray(TruncatedSeries([1, *g_rest], order), TruncatedSeries([0, f1, *f_rest], order), kind)
-    packed, widths, plain = packed_and_unpacked(lambda: array.matrix(size))
-    assert widths and all(widths)
-    assert [typed_all(row) for row in packed.rows] == [typed_all(row) for row in plain.rows]
-
-
 rationals = small | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
 @given(
     st.sampled_from([Kind.ORDINARY, Kind.EXPONENTIAL]),
-    st.lists(rationals, max_size=8),
-    st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]),
-    st.lists(rationals, max_size=7),
-    st.integers(0, 8),
+    st.lists(signed | rationals, max_size=13),
+    st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2)]),
+    st.lists(signed | rationals, max_size=12),
+    st.integers(0, 13),
 )
+@example(Kind.ORDINARY, [0] * 12, 1, [0] * 12, 12)  # g = 1, f = x: all zero below the diagonal
+@example(Kind.ORDINARY, list(LONG_G.coeffs[1:]), 1, list(LONG.coeffs[2:]), 70)  # rows of up to 71 slots
+@example(Kind.EXPONENTIAL, list(LONG_G.coeffs[1:]), -1, list(LONG.coeffs[2:]), 70)
+@example(Kind.ORDINARY, [2**200] * 12, 1, [2**200] * 12, 12)  # a majorant past MAX_WIDTH: series products
 @example(Kind.EXPONENTIAL, [1, Fraction(1, 2), Fraction(1, 6)], 1, [Fraction(1, 2)], 3)  # the family's g and f at r = 1, order 3
 @example(Kind.ORDINARY, [Fraction(1, 2)], 1, [], 3)  # a non-integral entry
-def test_matrix_columns_clear_rational_coefficients_pack_and_match_the_series_products(kind, g_rest, f1, f_rest, size):
-    # Fraction coefficients: the columns run packed on ints, cleared of their
-    # denominators, and each entry is divided back; unpacked, the cleared
-    # columns are series products.  Entries and NonIntegralEntry texts
-    # agree, with their types.
+def test_matrix_rows_pack_and_match_the_column_products(kind, g_rest, f1, f_rest, size):
+    # Integer and rational coefficients, the rational ones cleared of their
+    # denominators: the rows are the digits of the bivariate GF at y = 2^V
+    # wherever the majorant fits MAX_WIDTH, and series products elsewhere,
+    # and each entry is divided back.  Entries and NonIntegralEntry texts
+    # agree, with their types, with the full column products g f^k.
     order = max(len(g_rest), len(f_rest) + 1, size)
     array = RiordanArray(TruncatedSeries([1, *g_rest], order), TruncatedSeries([0, f1, *f_rest], order), kind)
-    packed, widths, plain = packed_and_unpacked(lambda: typed_outcome(lambda: array.matrix(size)))
-    assert widths and all(widths)
-    assert packed == plain
+    assert typed_outcome(lambda: array.matrix(size)) == typed_outcome(lambda: matrix_by_columns(array, size))
 
 
 @given(st.lists(rationals, min_size=1, max_size=9), st.lists(rationals, max_size=8))
@@ -331,7 +317,9 @@ def test_a_plus_one_in_one_slot_of_one_packed_value_fails_each_law_on_every_roun
     assert failed == [True] * 20
 
 
-MATRIX_LAWS = ("product equals matrix product (ordinary)", "product equals matrix product (exponential)", "inverse yields the identity array")
+# Each matrix law and the number of arrays whose rows it packs: a, b and
+# a b for a product law, a a^-1 and the identity for the inverse law.
+MATRIX_LAWS = {"product equals matrix product (ordinary)": 3, "product equals matrix product (exponential)": 3, "inverse yields the identity array": 2}
 
 
 @pytest.mark.parametrize("call", [0, 1], ids=["first rows", "second rows"])
@@ -339,7 +327,7 @@ MATRIX_LAWS = ("product equals matrix product (ordinary)", "product equals matri
 def test_a_plus_one_in_one_slot_of_one_packed_row_fails_each_matrix_law_on_every_round(name, call):
     # The seeded rounds that verify group runs, each once as it is, when it
     # must hold, and once with y^3 added to row 5 of the first or the second
-    # packed rows it computes (b's or a b's for a product law, a a^-1's or
+    # packed rows it computes (a's or b's for a product law, a a^-1's or
     # the identity's for the inverse law), when it must fail.
     trial = next(c.fn.args[0] for c in CHECKS if c.name == name)
     rng, real, held, failed = random.Random(f"{DEFAULT_SEED}/{name}"), RiordanArray._rows_at, [], []
@@ -358,7 +346,7 @@ def test_a_plus_one_in_one_slot_of_one_packed_row_fails_each_matrix_law_on_every
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(RiordanArray, "_rows_at", wrong)
-            failed.append(not trial(rng) and len(calls) == 2)
+            failed.append(not trial(rng) and len(calls) == MATRIX_LAWS[name])
     assert held == failed == [True] * laws.ROUNDS
 
 
@@ -366,35 +354,50 @@ def test_a_plus_one_in_one_slot_of_one_packed_row_fails_each_matrix_law_on_every
 @given(st.randoms(use_true_random=False), st.sampled_from([Kind.ORDINARY, Kind.EXPONENTIAL]))
 def test_each_matrix_law_proves_a_width_that_holds_every_entry_of_both_sides(rng, kind):
     # The laws' draws, with every matrix as the LowerTriMatrix route
-    # computes it: _bound holds every entry of its array's matrix, the
-    # product laws' width every entry of M(a), M(b), M(a) M(b) and M(a b),
-    # and the packed rows at y = 2^W are those matrices' rows.
+    # computes it: an array's majorant to row m holds every entry of its
+    # matrix to row m, and the product of the majorants of a and b every
+    # entry of M(a) M(b).
     n = laws.ORDER
     a, b = (laws._random_array(rng, kind, n) for _ in "ab")
-    ab = a * b
-    arrays = [a, b, ab] + ([a * a.inverse()] if kind is Kind.ORDINARY else [])
-    for array in arrays:
-        assert max(abs(e) for row in array.matrix(n).rows for e in row) <= laws._bound(array)
-    width = laws._product_width(a, b, ab)
-    ma, mb, mab = a.matrix(n), b.matrix(n), ab.matrix(n)
-    assert width >= widest(e for m in (ma, mb, ma * mb, mab) for row in m.rows for e in row)
-    for array, m in ((b, mb), (ab, mab)):
-        assert array._rows_at(n, 1 << width) == [sum(e << width * k for k, e in enumerate(row)) for row in m.rows]
+    for array in [a, b, a * b] + ([a * a.inverse()] if kind is Kind.ORDINARY else []):
+        rows = array.matrix(n).rows
+        assert all(max(map(abs, rows[m])) <= array._bound(m) for m in range(n + 1))
+    assert max(abs(e) for row in (a.matrix(n) * b.matrix(n)).rows for e in row) <= a._bound(n) * b._bound(n)
 
 
 def test_the_bound_holds_an_entry_that_is_all_prefactor():
-    # f = x, so a[n,0] = n! g_n: the norms of g and f/x are 41 and 1, and
-    # only the prefactor bound ORDER! holds a[10,0] = 4 10!.
+    # f = x, so a[n,0] = n! g_n: the majorant's row 10 at y = 1 sums the
+    # prefactors 10!/k! times |g_(10-k)|, and holds a[10,0] = 4 10!.
     array = RiordanArray(TruncatedSeries([1] + [4] * 10), TruncatedSeries.x(10), Kind.EXPONENTIAL)
-    assert array.matrix(10).entry(10, 0) == 4 * factorial(10) <= laws._bound(array)
+    assert array.matrix(10).entry(10, 0) == 4 * factorial(10) <= array._bound(10)
 
 
 @given(st.randoms(use_true_random=False), st.sampled_from([Kind.ORDINARY, Kind.EXPONENTIAL]), st.integers(0, 10), st.integers(-5, 5) | st.just(2**40))
 def test_the_rows_at_an_integer_are_the_matrix_rows_there(rng, kind, size, y):
-    # _rows_at expands the bivariate generating function on ints; the rows of
-    # the column chain's matrix, evaluated at y, are its oracle, for any y.
+    # _rows_at expands the bivariate generating function on ints; the
+    # entries one by one (RiordanArray.entry, by series products), evaluated
+    # at y, are its oracle, for any y.
     array = laws._random_array(rng, kind, 10)
-    assert array._rows_at(size, y) == [sum(e * y**k for k, e in enumerate(row)) for row in array.matrix(size).rows]
+    assert array._rows_at(size, y) == [sum(array.entry(n, k) * y**k for k in range(n + 1)) for n in range(size + 1)]
+
+
+MATRICES = {
+    "ordinary family, r = 5": family_array(FamilySpec(Kind.ORDINARY, 5), 10),
+    "exponential family, r = 3": family_array(FamilySpec(Kind.EXPONENTIAL, 3), 10),  # r/2 cleared
+    "exponential family, r = 2^40 + 1": family_array(FamilySpec(Kind.EXPONENTIAL, 2**40 + 1), 10),
+    "exponential family, symbolic r": family_array(FamilySpec(Kind.EXPONENTIAL, R), 6),  # series products
+    "narayana": narayana_array(10),  # generalized: series products
+    "non-integral": RiordanArray(TruncatedSeries([1, Fraction(1, 3)], 6), TruncatedSeries.x(6), Kind.EXPONENTIAL),
+}
+
+
+@pytest.mark.parametrize("array", MATRICES.values(), ids=list(MATRICES))
+def test_the_matrix_is_its_entries(array):
+    # Every kind, on ints, cleared of denominators or in r: the matrix and
+    # its entries one by one (RiordanArray.entry, by series products), or
+    # the text of the first NonIntegralEntry in row order.
+    n = array.order
+    assert typed_outcome(lambda: array.matrix(n)) == typed_outcome(lambda: LowerTriMatrix([array.entry(m, k) for k in range(m + 1)] for m in range(n + 1)))
 
 
 def widest(values):
@@ -402,21 +405,101 @@ def widest(values):
     return max(_width(abs(c)) for v in values for _, c in MultiPoly.coerce(v).items())
 
 
+def norm(value) -> int:
+    """The sum of the absolute values of the coefficients of value."""
+    return sum(abs(c) for _, c in MultiPoly.coerce(value).items())
+
+
 @settings(max_examples=30)
 @given(st.randoms(use_true_random=False))
 def test_each_law_proves_a_width_that_holds_both_sides_of_its_identity(rng):
     # The laws' draws, with both sides of each identity as the series route
-    # computes them, on MultiPoly: every coefficient must fit the proven
-    # width, so that 2^W is injective on it.
+    # computes them, on MultiPoly: the norm walk holds the norm of every
+    # coefficient of its fraction's walk, and the difference table of
+    # frac's norm walk by |k|(1) that of every coefficient of the transform
+    # by k and of the walk of frac shifted by k.
     alpha, beta = laws._random_index_poly(rng), laws._random_index_poly(rng)
     frac = JFraction(alpha, beta)
+    for f in (frac, JFraction(laws._one_level_down(alpha), laws._one_level_down(beta))):
+        assert all(map(int.__le__, map(norm, f.expand(12)), walk._norm_walk(f, 12)))
+    expansion, norms = list(frac.expand(8)), walk._norm_walk(frac, 8)
+    for k in (1, 2, Y, Y + 1):
+        for side in (binomial_transform(expansion, k), frac.binomial_shift(k).expand(8)):
+            assert all(map(int.__le__, map(norm, side), cold._difference_table(norms, norm(k))))
+
+
+def extremal(top: bool) -> random.Random:
+    """An rng that draws every value at the top (or the bottom) of its
+    range: the laws' arrays with every coefficient 4 (or -4) and f_1 of the
+    same sign, their index polynomials of three terms 3 + 2y (or of one,
+    -3), so that the majorants are attained."""
+    rng = random.Random()
+    rng.randint, rng.choice, rng.random = (lambda a, b: b if top else a), (lambda seq: seq[0] if top else seq[-1]), (lambda: 0.0)
+    return rng
+
+
+def packing_widths(check):
+    """The widths at which check() packs, which must hold: the r-widths W
+    that props._packed_rows is given, and the y-widths V of each y = 2^V
+    that RiordanArray._rows_at is given and of each walk.packed."""
+    r_widths, y_widths = [], []
+    rows_at, packed, packed_rows = RiordanArray._rows_at, walk.packed, props._packed_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RiordanArray, "_rows_at", lambda array, size_n, y: y_widths.append(y.bit_length() - 1) or rows_at(array, size_n, y))
+        mp.setattr(walk, "packed", lambda frac, order, width: y_widths.append(width) or packed(frac, order, width))
+        mp.setattr(props, "_packed_rows", lambda matrix, width: r_widths.append(width) or packed_rows(matrix, width))
+        assert check()
+    return r_widths, y_widths
+
+
+def product_sides(kind, rng):
+    a, b = (laws._random_array(rng, kind, laws.ORDER) for _ in "ab")
+    return [e for m in (a.matrix(laws.ORDER) * b.matrix(laws.ORDER), (a * b).matrix(laws.ORDER)) for row in m.rows for e in row]
+
+
+def inverse_sides(rng):
+    a = laws._random_array(rng, Kind.ORDINARY, laws.ORDER)
+    return [e for row in (a * a.inverse()).matrix(laws.ORDER).rows for e in row] + [1]
+
+
+def shift_sides(rng):
+    frac = JFraction(laws._random_index_poly(rng), laws._random_index_poly(rng))
+    expansion = list(frac.expand(8))
+    return [side for k in (1, 2, Y, Y + 1) for side in (*frac.binomial_shift(k).expand(8), *binomial_transform(expansion, k))]
+
+
+def equation_sides(rng):
+    alpha, beta = laws._random_index_poly(rng), laws._random_index_poly(rng)
     down = JFraction(laws._one_level_down(alpha), laws._one_level_down(beta))
     x = TruncatedSeries.x(12)
-    sides = [*(frac.expand(12) * (1 - x * alpha(0) - x * x * beta(1) * down.expand(12))), 1]
-    assert laws._equation_width(frac, down) >= widest(sides)
-    expansion = list(frac.expand(8))
-    shifted = [side for k in (1, 2, Y, Y + 1) for side in (*frac.binomial_shift(k).expand(8), *binomial_transform(expansion, k))]
-    assert laws._shift_width(frac) >= widest(shifted)
+    return [*(JFraction(alpha, beta).expand(12) * (1 - x * alpha(0) - x * x * beta(1) * down.expand(12))), 1]
+
+
+# Every coefficient that each law that packs compares, on either side, for
+# the draws it makes from an rng: on matrices and on MultiPoly.
+LAW_SIDES = {
+    "product equals matrix product (ordinary)": partial(product_sides, Kind.ORDINARY),
+    "product equals matrix product (exponential)": partial(product_sides, Kind.EXPONENTIAL),
+    "inverse yields the identity array": inverse_sides,
+    "binomial shift matches the sequence transform": shift_sides,
+    "expansion satisfies the continued-fraction equation": equation_sides,
+}
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.randoms(use_true_random=False) | st.booleans().map(extremal))
+@example(extremal(True))
+@example(extremal(False))
+def test_every_law_packs_at_a_width_that_holds_both_sides(rng):
+    # One round of each law, and its draws once more from the same state:
+    # every width the round packs at holds every coefficient of both sides
+    # of its identity, at the extremal draws too, where the majorants are
+    # the entries themselves.
+    for name, sides in LAW_SIDES.items():
+        trial, state = next(c.fn.args[0] for c in CHECKS if c.name == name), rng.getstate()
+        _, widths = packing_widths(lambda: trial(rng))
+        rng.setstate(state)
+        assert widths and min(widths) >= widest(sides(rng)), name
 
 
 # -- the three props checks that take the Riordan route at r = 2^W ------------------
@@ -451,27 +534,29 @@ def test_a_plus_one_in_one_slot_of_one_packed_row_fails_each_props_check(name):
 def test_each_props_check_proves_a_width_that_holds_both_sides():
     # Both sides of each check at the symbolic r, on MultiPoly: the Riordan
     # route (the triple, and the face array's bivariate GF), the row
-    # recurrences and the closed forms.  _family_bound holds every
-    # coefficient of the triples' rows to each n, and each check's width
-    # every coefficient it compares, so that r -> 2^W is injective on them.
+    # recurrences and the closed forms.  The family array's majorant at
+    # y = 2 holds every coefficient of the triples' rows to each n, and
+    # each width that a check packs at every coefficient it compares there,
+    # so that r -> 2^W and y -> 2^V are injective on them.
     ordinary, exponential = FamilySpec(Kind.ORDINARY, R), FamilySpec(Kind.EXPONENTIAL, R)
     sides = {}
     for spec, size in ((ordinary, 12), (exponential, 10)):
         triples = [m.rows for triple in (dense_family_triple(spec, size), family_triple(spec, size)) for m in triple]
+        array = family_array(spec, size)
         for n in range(size + 1):
-            assert max(abs(c) for rows in triples for row in rows[: n + 1] for e in row for _, c in MultiPoly.coerce(e).items()) <= props._family_bound(spec, n)
+            assert max(abs(c) for rows in triples for row in rows[: n + 1] for e in row for _, c in MultiPoly.coerce(e).items()) <= array._bound(n, 2)
         sides[spec] = [e for rows in triples for row in rows for e in row]
+    face_gf, closed_forms, exponential_triple = (next(c for c in CHECKS if c.name == name).fn for name in PROPS_CHECKS)
     gf = face_array(family_array(ordinary, 12)).bgf(12)
-    assert props._family_width(ordinary, 12) >= widest([*gf, *sides[ordinary]])
-    assert props._family_width(exponential, 10) >= widest(sides[exponential])
+    r_widths, y_widths = packing_widths(face_gf)
+    assert min(r_widths) >= widest([*gf, *sides[ordinary]])
+    # The face GF's rows at r = 2^W, y = 2^V: V holds every entry of the
+    # face matrix at r = 2^W.
+    at_w = [e for row in props._packed_rows(family_triple(ordinary, 12).f, r_widths[0]) for e in row]
+    assert min(y_widths) >= widest(at_w)
     closed = [e for n in range(13) for row in (gamma_closed_row(n), h_closed_row(n), f_closed_row(n)) for e in row]
-    assert props._closed_forms_width(12) >= widest(closed + sides[ordinary])
-    # The face GF's rows at r = 2^W, y = 2^V: every entry of its face
-    # matrix has r-degree at most n/2, and V holds its value at r = 2^W.
-    width = props._family_width(ordinary, 12)
-    assert max(MultiPoly.coerce(c).degree("r") - n // 2 for n, c in enumerate(gf)) <= 0
-    at_w = [e for row in props._packed_rows(family_triple(ordinary, 12).f, width) for e in row]
-    assert props._face_gf_width(width, 12) >= widest(at_w)
+    assert min(packing_widths(closed_forms)[0]) >= widest(closed + sides[ordinary])
+    assert min(packing_widths(exponential_triple)[0]) >= widest(sides[exponential])
 
 
 def test_a_plus_one_in_one_y_slot_of_the_face_gf_fails_its_check():
@@ -524,20 +609,21 @@ def test_a_plus_one_in_one_slot_of_one_packed_walk_fails_each_walk_check(name):
 @pytest.mark.parametrize("spec, which, order", WALKS, ids=[f"{s.flavor.value}-{s.r}-{w}" for s, w, _ in WALKS])
 def test_each_walk_check_proves_a_width_that_holds_both_sides(spec, which, order):
     # Both sides at the symbolic r, on MultiPoly: the fraction's walk
-    # (JFraction.expand) and the recurrence's triangle.  W holds every
-    # coefficient in r of both, and at r = 2^W, V holds every coefficient
-    # in y of the walk and every entry of the rows it is compared with.
+    # (JFraction.expand) and the recurrence's triangle.  The W the check
+    # packs r at holds every coefficient in r of both, and at r = 2^W, the
+    # V it packs y at every coefficient in y of the walk and every entry of
+    # the rows it is compared with.
     frac, triangle = getattr(family_fractions(spec), which), getattr(family_triple(spec, order), which)
     walked = y_coefficients(frac.expand(order))
     rows = triangle.rows
+    r_widths, y_widths = packing_widths(lambda: props._walk_matches.__wrapped__(spec, which, order))
     if spec.r == R:
-        width = props._family_width(spec, order)
-        assert width >= widest(walked + [e for row in rows for e in row])
+        width = r_widths[0]
+        assert set(r_widths) == {width} and width >= widest(walked + [e for row in rows for e in row])
         frac, rows = getattr(family_fractions(FamilySpec(spec.flavor, 1 << width)), which), props._packed_rows(triangle, width)
     if which == "f":
         frac, rows = frac.reversed(), [row[::-1] for row in rows]
-    y_width = props._walk_width(frac, rows, order)
-    assert y_width >= widest(y_coefficients(frac.expand(order)) + [e for row in rows for e in row])
+    assert min(y_widths) >= widest(y_coefficients(frac.expand(order)) + [e for row in rows for e in row])
 
 
 def y_coefficients(series):
