@@ -6,7 +6,8 @@ the measured cutoff up to which production packs, and once with packing
 switched off, where it computes on its coefficients; the two must agree
 value for value and type for type.  RiordanArray.matrix, which reads the
 rows of integer and cleared arrays from their bivariate GF at y = 2^V,
-against its oracles, the series products of its entries and columns.  The
+against itself with that packing switched off and against the series
+products of its entries and columns.  The
 y-packed Motzkin walk (riordan.walk) reads its rows from the digits of its
 packed values; they must be the oracle's, the rows of JFraction.expand,
 which walks on MultiPoly alone and runs no packed code.  Entries of many
@@ -126,7 +127,63 @@ def test_revert_packs_and_matches_the_power_loop(s):
     assert typed_all(packed) == typed_all(plain)
 
 
+def matrix_packed_and_unpacked(array, size):
+    """array.matrix(size) as typed_outcome reads it, with its rows packed
+    wherever the majorant's slots fit MAX_WIDTH; the widths its rows took;
+    and the same with row packing switched off, where the matrix is the
+    series products of its columns."""
+    widths = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cold, "_width", lambda bound: widths.append(_width(bound)) or widths[-1])
+        packed = typed_outcome(lambda: array.matrix(size))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cold, "_width", lambda bound: None)
+        return packed, widths, typed_outcome(lambda: array.matrix(size))
+
+
+@given(
+    st.sampled_from([Kind.ORDINARY, Kind.EXPONENTIAL]),
+    st.lists(signed, max_size=13),
+    st.sampled_from([1, -1, 2, -3]),
+    st.lists(signed, max_size=12),
+    st.integers(0, 13),
+)
+@example(Kind.ORDINARY, [0] * 12, 1, [0] * 12, 12)  # g = 1, f = x: all zero below the diagonal
+@example(Kind.ORDINARY, list(LONG_G.coeffs[1:]), 1, list(LONG.coeffs[2:]), 70)  # rows of up to 71 slots
+@example(Kind.EXPONENTIAL, list(LONG_G.coeffs[1:]), -1, list(LONG.coeffs[2:]), 70)
+def test_matrix_columns_pack_and_match_the_series_products(kind, g_rest, f1, f_rest, size):
+    # Integer coefficients: the rows read from the bivariate GF at y = 2^V
+    # agree, value for value and type for type, with the series products
+    # of the columns that the matrix takes with packing switched off.
+    order = max(len(g_rest), len(f_rest) + 1, size)
+    array = RiordanArray(TruncatedSeries([1, *g_rest], order), TruncatedSeries([0, f1, *f_rest], order), kind)
+    packed, widths, plain = matrix_packed_and_unpacked(array, size)
+    assert len(widths) == 1 and widths[0]
+    assert packed == plain
+
+
 rationals = small | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@given(
+    st.sampled_from([Kind.ORDINARY, Kind.EXPONENTIAL]),
+    st.lists(rationals, max_size=8),
+    st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]),
+    st.lists(rationals, max_size=7),
+    st.integers(0, 8),
+)
+@example(Kind.EXPONENTIAL, [1, Fraction(1, 2), Fraction(1, 6)], 1, [Fraction(1, 2)], 3)  # the family's g and f at r = 1, order 3
+@example(Kind.ORDINARY, [Fraction(1, 2)], 1, [], 3)  # a non-integral entry
+def test_matrix_columns_clear_rational_coefficients_pack_and_match_the_series_products(kind, g_rest, f1, f_rest, size):
+    # Fraction coefficients: the rows run packed on ints, cleared of their
+    # denominators, and each entry is divided back; unpacked, the cleared
+    # columns are series products.  Entries and NonIntegralEntry texts
+    # agree, with their types.
+    order = max(len(g_rest), len(f_rest) + 1, size)
+    array = RiordanArray(TruncatedSeries([1, *g_rest], order), TruncatedSeries([0, f1, *f_rest], order), kind)
+    packed, widths, plain = matrix_packed_and_unpacked(array, size)
+    assert len(widths) == 1 and widths[0]
+    assert packed == plain
 
 
 @given(
