@@ -2,6 +2,7 @@
 """Which ``riordan`` modules one request loads, and what compiling them costs.
 
 usage: python scripts/request_footprint.py [--repeats K] [--baseline SRC] ARGV...
+       python scripts/request_footprint.py --unused ARGV...
        python scripts/request_footprint.py --tree [--baseline SRC]
        python scripts/request_footprint.py --checks SUITE [--repeats K] [--baseline SRC]
 
@@ -14,6 +15,15 @@ a checkout of the parent commit, whose scripts and tests are read from the
 ``scripts`` and ``tests`` beside it), each row gives the module's code
 lines in that tree, in this one and the change, "-" where a tree lacks the
 module: a change's net line count in one command.
+
+With ``--unused`` it runs the request once in a fresh interpreter under
+``sys.setprofile``, from ``import riordan.cli`` on, and prints instead each
+function that the ``riordan`` modules the request loaded define and that
+it never calls, with its code lines (as counted below; a function's lines
+are those of its ``def`` to its end, less those of the functions nested in
+it), then a total per module and for all of them, each beside the code
+lines of all the module's functions: what a request compiles and never
+runs.  Module-level code, which every import runs, is in no function.
 
 With ``--checks SUITE`` (group, props, oeis or all) it prints instead the
 cold CPU time of each check of that ``riordan verify`` suite.  The suite
@@ -28,13 +38,17 @@ spread to weigh a difference against: on a shared host a median can move
 by a third from one set of runs to the next, and the minimum, the run that
 other processes slowed least, moves less.  It exits 1 if a check failed in
 any run.  With ``--baseline SRC`` the runs alternate, SRC's first, between
-SRC and this tree, K runs of each.  Each check then gets SRC's minimum and
-median, this tree's minimum and median, and the ratios of the minimums and
-of the medians (this tree over SRC; "-" for a check that only one tree
-has), and both trees' least suite totals and quartiles follow, with the
-ratios of their minimums and of their medians.  The ratio of minimums is
-the steadier: in three runs a check whose code had not changed read
-median ratios from 0.75 to 1.43, and minimum ratios from 0.96 to 0.98.
+SRC and this tree, K runs of each, and run i of each tree make pair i,
+run back to back.  Each check then gets SRC's minimum and median, this
+tree's minimum and median, the ratio of the minimums, the median of the K
+per-pair ratios and the number of pairs in which this tree took less time
+(ratios are this tree over SRC; "-" for a check that only one tree has).
+Both trees' least suite totals and quartiles follow, with the ratio of
+the minimum totals and the median of the per-pair ratios of the totals,
+with the pairs this tree won.  A pair's two runs are made back to back,
+so a slow spell of a shared host tends to reach both, where each tree's
+minimum may come from a different spell: over six sets of runs of one
+change the ratio of the minimum totals read 0.968 to 1.006.
 
 ARGV is the request's command line after ``riordan``; put ``--`` before it
 if it starts with an option of this script.  The request runs once in a
@@ -118,6 +132,26 @@ if sys.argv[1] in ("show", "export", "jf") and "riordan.jfraction" in sys.module
 print(json.dumps([modules, [[p.layout, *p] for p in plans[-1:]]]))
 """
 
+# The request run once under sys.setprofile, from its first import on: the
+# riordan modules it loaded, and the (file, first line) of the code object
+# of each Python function it called (a decorated function's code starts at
+# its first decorator).
+CALLED = """
+import contextlib, io, json, sys
+called = set()
+sys.setprofile(lambda frame, event, arg: event == "call" and called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno)))
+import riordan.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        riordan.cli.main(sys.argv[1:])
+    except SystemExit:
+        pass
+sys.setprofile(None)
+modules = sorted((name, m.__file__) for name, m in sys.modules.items() if name.split(".")[0] == "riordan")
+paths = {path for _, path in modules}
+print(json.dumps([modules, sorted(c for c in called if c[0] in paths)]))
+"""
+
 COMPILE = """
 import json, sys, time
 times = []
@@ -166,10 +200,62 @@ SKIPPED |= {getattr(tokenize, name) for name in ("FSTRING_START", "FSTRING_MIDDL
             if hasattr(tokenize, name)}  # Python 3.12 splits f-strings into these
 
 
+def _code_line_numbers(path: str) -> set[int]:
+    with open(path, "rb") as f:
+        return {tok.start[0] for tok in tokenize.tokenize(f.readline) if tok.type not in SKIPPED}
+
+
 def code_lines(path: str) -> int:
     """Lines that hold a token other than a comment, layout or a string literal."""
-    with open(path, "rb") as f:
-        return len({tok.start[0] for tok in tokenize.tokenize(f.readline) if tok.type not in SKIPPED})
+    return len(_code_line_numbers(path))
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def functions(path: str) -> list[tuple[str, int, int]]:
+    """(qualified name, first line, code lines) of each function the module
+    defines, in source order.  The first line is its first decorator's, as
+    its code object has it; its code lines run from its ``def`` to its end,
+    less those of the functions nested in it."""
+    lines, found = _code_line_numbers(path), []
+
+    def visit(node, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, FUNCTIONS):
+                own = lines.intersection(range(child.lineno, child.end_lineno + 1))
+                for inner in ast.walk(child):
+                    if inner is not child and isinstance(inner, FUNCTIONS):
+                        own.difference_update(range(inner.lineno, inner.end_lineno + 1))
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found.append((prefix + child.name, first, len(own)))
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            else:
+                visit(child, f"{prefix}{child.name}." if isinstance(child, ast.ClassDef) else prefix)
+
+    with open(path) as f:
+        visit(ast.parse(f.read(), path), "")
+    return found
+
+
+def unused(request: list[str]) -> None:
+    """Print each function of the riordan modules the request loaded that
+    it never calls, with its code lines, and the totals per module and in
+    all, beside the code lines of all the modules' functions."""
+    modules, called = json.loads(fresh_python(CALLED, request))
+    called = {tuple(c) for c in called}
+    print(f"riordan {' '.join(request)}: functions loaded and never called")
+    print(f"{'lines':>6s}  function")
+    never = every = 0
+    for name, path in modules:
+        defined = functions(path)
+        idle = [(qualname, n) for qualname, first, n in defined if (path, first) not in called]
+        for qualname, n in idle:
+            print(f"{n:6d}  {name}.{qualname}")
+        module_never, module_every = sum(n for _, n in idle), sum(n for *_, n in defined)
+        print(f"{module_never:6d}  {name}: never called, of {module_every} code lines in functions")
+        never, every = never + module_never, every + module_every
+    print(f"{never:6d}  all modules: never called, of {every} code lines in functions")
 
 
 # The request as the command line runs it, with no other import before it.
@@ -295,15 +381,17 @@ def tree(baseline: Path | None = None) -> None:
     row("total", [sum(t.values()) for t in trees])
 
 
-def _summaries(runs) -> dict[str, tuple[float, float, bool]]:
-    """Each check's minimum and median ms over one tree's runs, and whether
-    it passed in all."""
-    names = [name for name, _, _ in runs[0]]
-    out = {}
-    for i, name in enumerate(names):
-        ms = [1000 * run[i][2] for run in runs]
-        out[name] = (min(ms), statistics.median(ms), all(run[i][1] for run in runs))
-    return out
+def _times(runs) -> dict[str, tuple[list[float], bool]]:
+    """Each check's ms in each of one tree's runs, in run order, and
+    whether it passed in all."""
+    return {name: ([1000 * run[i][2] for run in runs], all(run[i][1] for run in runs)) for i, (name, _, _) in enumerate(runs[0])}
+
+
+def paired(base: list[float], this: list[float]) -> tuple[float, int]:
+    """The median of the per-pair ratios of two trees' times, this tree's
+    over the baseline's, and the number of pairs in which this tree took
+    less time."""
+    return statistics.median(t / b for b, t in zip(base, this)), sum(t < b for b, t in zip(base, this))
 
 
 def checks(suite: str, repeats: int, baseline: Path | None = None) -> int:
@@ -314,25 +402,31 @@ def checks(suite: str, repeats: int, baseline: Path | None = None) -> int:
     for _ in range(repeats):  # the trees alternate, the baseline first
         for src, tree_runs in zip(srcs, runs):
             tree_runs.append(json.loads(fresh_python(CHECK_TIMES, [suite], src)))
-    tables = [_summaries(tree_runs) for tree_runs in runs]
+    tables = [_times(tree_runs) for tree_runs in runs]
     each = "runs" if baseline is None else "alternating runs of each tree"
     print(f"riordan verify {suite}: cold CPU ms per check, min and median over {repeats} {each}")
     print(f"{'min':>9s} {'median':>9s}  check" if baseline is None else
-          f"{'base min':>9s} {'base med':>9s} {'this min':>9s} {'this med':>9s} {'r min':>6s} {'r med':>6s}  check")
+          f"{'base min':>9s} {'base med':>9s} {'this min':>9s} {'this med':>9s} {'r min':>6s} {'r pair':>6s} {'won':>5s}  check")
     for name in {name: None for table in tables for name in table}:
-        ms = [table[name][:2] if name in table else (None, None) for table in tables]
-        cells = [f"{'-':>9s}" if m is None else f"{m:9.2f}" for pair in ms for m in pair]  # "-": a check the tree lacks
+        ms = [table[name][0] if name in table else None for table in tables]
+        cells = [f"{'-':>9s}" if m is None else f"{stat(m):9.2f}" for m in ms for stat in (min, statistics.median)]  # "-": a check the tree lacks
         if baseline is not None:
-            cells += [f"{this / base:6.3f}" if base and this is not None else f"{'-':>6s}" for base, this in zip(*ms)]
-        ok = all(table[name][2] for table in tables if name in table)
+            base, this = ms
+            if base is None or this is None:
+                cells += [f"{'-':>6s}", f"{'-':>6s}", f"{'-':>5s}"]
+            else:
+                ratio, won = paired(base, this)
+                cells += [f"{min(this) / min(base):6.3f}", f"{ratio:6.3f}", f"{f'{won}/{repeats}':>5s}"]
+        ok = all(table[name][1] for table in tables if name in table)
         print(" ".join(cells) + f"  {name}{'' if ok else '  [FAIL]'}")
     totals = [[1000 * sum(t for _, _, t in run) for run in tree_runs] for tree_runs in runs]
     for label, tree_totals in zip([""] if baseline is None else ["baseline ", "this tree "], totals):
         print(f"per-run suite total CPU ms over {repeats} runs: {label}min {min(tree_totals):.2f}, {quartiles(tree_totals)}")
     if baseline is not None:
-        for label, stat in (("minimum", min), ("median", statistics.median)):
-            print(f"ratio of the {label} totals (this tree over baseline): {stat(totals[1]) / stat(totals[0]):.3f}")
-    return 0 if all(ok for table in tables for *_, ok in table.values()) else 1
+        ratio, won = paired(*totals)
+        print(f"ratio of the minimum totals (this tree over baseline): {min(totals[1]) / min(totals[0]):.3f}")
+        print(f"median of the per-pair total ratios (this tree over baseline): {ratio:.3f}, this tree faster in {won} of {repeats} pairs")
+    return 0 if all(ok for table in tables for _, ok in table.values()) else 1
 
 
 def modules_table(modules: list, runs: list[list[float]]) -> None:
@@ -357,11 +451,14 @@ def main(argv: list[str] | None = None) -> int:
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--tree", action="store_true", help="print the code lines of scripts/, src/riordan and tests/ instead")
     mode.add_argument("--checks", choices=SUITES, help="time each check of this verify suite instead")
+    mode.add_argument("--unused", action="store_true", help="list the loaded functions the request never calls instead")
     parser.add_argument("--baseline", type=Path, help="the src directory of a tree to compare against")
     parser.add_argument("request", nargs=argparse.REMAINDER, help="the request's argv after 'riordan'")
     args = parser.parse_args(argv)
     if args.baseline is not None and not (args.baseline / "riordan").is_dir():
         parser.error("--baseline needs the src directory of a tree, holding riordan/")
+    if args.unused and args.baseline is not None:
+        parser.error("--unused reads this tree alone; it takes no --baseline")
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     if args.tree:
@@ -372,6 +469,9 @@ def main(argv: list[str] | None = None) -> int:
     request = args.request[1:] if args.request[:1] == ["--"] else args.request
     if not request:
         parser.error("give the request's argv")
+    if args.unused:
+        unused(request)
+        return 0
 
     srcs = [SRC] if args.baseline is None else [args.baseline, SRC]
     footprints = [json.loads(fresh_python(LOADED, request, src)) for src in srcs]

@@ -6,10 +6,9 @@ composition, and two continued-fraction transforms.  Each check draws from
 its own RNG, which :class:`riordan.verify.Check` seeds from the run's seed
 and the check's name.  This module registers the laws, in suite order, as
 ``CHECKS``; :mod:`riordan.verify` loads it, with :mod:`riordan.cold`, only
-for ``verify group`` and ``all``, when ``verify.CHECKS`` is first looked
-up, and for the tests.  No law reads a fixture or a row recurrence, so
-``verify group`` loads no :mod:`riordan.oeis` and no
-:mod:`riordan.recurrence`.
+for ``verify group`` and ``all``, and for the tests.  No law reads a
+fixture or a row recurrence, so ``verify group`` loads no
+:mod:`riordan.oeis` and no :mod:`riordan.recurrence`.
 
 No function that perfbench's tracer wraps is bound here by name: this
 module can be first imported while the tracer is installed, and a name
@@ -30,10 +29,7 @@ from .verify import Check
 
 ROUNDS = 50  # random instances per group law
 ORDER = 10  # truncation order of the random series and arrays
-# The inverse law's right side, and the y = 2^W its rows are compared at, W
-# ``_width`` of the identity's majorant.
-_IDENTITY = identity_array(Kind.ORDINARY, ORDER)
-_IDENTITY_Y = 1 << _width(_IDENTITY._bound(ORDER))
+_IDENTITY = identity_array(Kind.ORDINARY, ORDER)  # the inverse law's right side
 
 CHECKS: list = []  # the group suite's Check records, in suite order
 
@@ -82,9 +78,9 @@ def _rounds(trial, rounds: int, rng: random.Random) -> bool:
     return all(trial(rng) for _ in range(rounds))
 
 
-# The two product laws and the inverse law compare matrices by their rows at
-# y = 2^W: row n packed is sum_k M[n,k] 2^(W k), from RiordanArray._rows_at,
-# which computes it on ints with no slot to overflow.  Balanced base-2^W
+# The two product laws compare matrices by their rows at y = 2^W: row n
+# packed is sum_k M[n,k] 2^(W k), from RiordanArray._rows_at, which
+# computes it on ints with no slot to overflow.  Balanced base-2^W
 # digits are unique, so two rows of entries below 2^(W-1) in absolute value
 # are equal exactly when their packed ints are.  W is ``_width`` of the
 # method of majorants (cold._majorant) run on each side: an array's matrix
@@ -122,14 +118,14 @@ def _product_associativity(rng: random.Random) -> bool:
 
 @_law("inverse yields the identity array")
 def _inverse_is_identity(rng: random.Random) -> bool:
-    """a a^-1 is the identity array, as g and f and as a matrix, whose rows
-    are compared at y = 2^W, W ``_width`` of the identity's majorant, which
-    is a a^-1's too once their g and f are equal."""
+    """a a^-1 is the identity array: its g and f are the identity's.  No
+    matrix is compared: an array's matrix, and its rows at any y
+    (``cold._bgf_rows``), are computed from its kind, g and f alone, and
+    both arrays are ordinary, so once g and f are equal the matrices are
+    too, and comparing them could not fail."""
     a = _random_array(rng, Kind.ORDINARY, ORDER)
     prod = a * a.inverse()
-    if not (prod.g == _IDENTITY.g and prod.f == _IDENTITY.f):
-        return False
-    return prod._rows_at(ORDER, _IDENTITY_Y) == _IDENTITY._rows_at(ORDER, _IDENTITY_Y)
+    return prod.g == _IDENTITY.g and prod.f == _IDENTITY.f
 
 
 @_law("series inverse identity")

@@ -4,9 +4,9 @@ The identities of the triangle families: face GFs, closed forms, fraction
 triples, the polytope transfer map and the Narayana array, with the
 Riordan-product route (:mod:`riordan.cold`) as a further oracle of the row
 recurrences.  This module registers them, in suite order, as ``CHECKS``;
-:mod:`riordan.verify` loads it only for ``verify props`` and ``all``, when
-``verify.CHECKS`` is first looked up, and for the tests.  No identity runs
-a group law, so ``verify props`` loads no :mod:`riordan.laws`.
+:mod:`riordan.verify` loads it only for ``verify props`` and ``all``, and
+for the tests.  No identity runs a group law, so ``verify props`` loads no
+:mod:`riordan.laws`.
 
 No function that perfbench's tracer wraps (``triangle_from_series``,
 ``family_array``, ``named_triple``, ``check_triangle``) is bound here by
@@ -74,15 +74,15 @@ def _family(spec: FamilySpec, size: int) -> GammaHFTriple:
 
 @_check("simplex face matrix factors through the binomial array")
 def _simplex_factorization() -> bool:
+    """The face array f over the binomial array is the h-array, as g and f,
+    and the face array of h is f, as a matrix.  The quotient's matrix is
+    not compared with h's: an array's matrix is computed from its kind, g
+    and f alone, and both arrays are ordinary, so once g and f are equal
+    the matrices are too."""
     h = RiordanArray(TruncatedSeries.ratio([1], [1, -1], 16), TruncatedSeries.x(16))
     f = RiordanArray(TruncatedSeries.ratio([1], [1, -2, 1], 16), TruncatedSeries.ratio([0, 1], [1, -1], 16))
     reduced = f * binomial_array(Kind.ORDINARY, 16).inverse()
-    return (
-        reduced.g == h.g
-        and reduced.f == h.f
-        and reduced.matrix(6) == h.matrix(6)
-        and face_array(h).matrix(6) == f.matrix(6)
-    )
+    return reduced.g == h.g and reduced.f == h.f and face_array(h).matrix(6) == f.matrix(6)
 
 
 @_check("hypercube face matrix factors through the binomial array")

@@ -1,8 +1,9 @@
 """Self-verification battery: group laws, identities, and OEIS cross-checks.
 
-Every criterion is defined once, as a :class:`Check` in the registry
-``CHECKS``; ``riordan verify`` and the pytest acceptance suite both run it
-from there.  Checks fall into three suites, all exact and all offline:
+Every criterion is defined once, as a :class:`Check` in its suite's
+registry; ``riordan verify`` and the pytest acceptance suite (through
+``CHECKS``, the three registries in suite order) both run it from there.
+Checks fall into three suites, all exact and all offline:
 
 * ``group``  -- randomized algebraic laws (Riordan group vs matrix algebra,
   series inversion/reversion/composition, continued-fraction transforms);
@@ -24,12 +25,12 @@ module it imports, so a suite's run imports only its own registry
 (:func:`_registry`): ``verify group`` loads no fixture, row recurrence or
 props identity, and ``verify props`` no group law.  The oeis suite's
 records are built here from :func:`riordan.oeis.fixture_report` when that
-suite runs, and ``CHECKS`` (all three suites, in suite order) when it is
-first looked up; once it is built, every suite runs from it.
+suite runs.  ``CHECKS`` (all three suites, in suite order) is built when it
+is first looked up, for the tests; no suite reads it.
 
-The suite functions filter the registry and return one :class:`CheckResult`
-per check; the CLI renders one line per check and fails the run when any
-check fails.
+Each suite function runs its suite's registry and returns one
+:class:`CheckResult` per check; the CLI renders one line per check and
+fails the run when any check fails.
 """
 
 from functools import partial
@@ -83,22 +84,15 @@ class Check(namedtuple("Check", "suite name fn")):
 _SUITE_MODULES = {"group": "laws", "props": "props"}
 
 
-def _fixture_check_name(anumber: str) -> str:
-    return f"{anumber} regenerated from its construction"
-
-
 def _fixture_checks() -> list[Check]:
     from .oeis import FIXTURE_SOURCES, fixture_report
 
-    return [Check("oeis", _fixture_check_name(a), partial(fixture_report, a)) for a in FIXTURE_SOURCES]
+    return [Check("oeis", f"{a} regenerated from its construction", partial(fixture_report, a)) for a in FIXTURE_SOURCES]
 
 
 def _registry(suite: str) -> list[Check]:
-    """The checks the suite runs: CHECKS once it has been looked up (or
-    replaced, as a test may), else the registry of the suite's own module,
-    so that a request loads only that."""
-    if "CHECKS" in globals():
-        return CHECKS
+    """The checks the suite runs, from the suite's own module, so that a
+    request loads only that."""
     if suite == "oeis":
         return _fixture_checks()
     return _submodule(_SUITE_MODULES[suite]).CHECKS
@@ -107,12 +101,8 @@ def _registry(suite: str) -> list[Check]:
 # -- suites ---------------------------------------------------------------------
 
 
-def _run(suite: str, seed: int = DEFAULT_SEED, names: set[str] | None = None) -> list[CheckResult]:
-    return [
-        check.run(seed)
-        for check in _registry(suite)
-        if check.suite == suite and (names is None or check.name in names)
-    ]
+def _run(suite: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    return [check.run(seed) for check in _registry(suite)]
 
 
 def group_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
@@ -123,9 +113,8 @@ def props_suite() -> list[CheckResult]:
     return _run("props")
 
 
-def oeis_suite(anumbers: list[str] | None = None) -> list[CheckResult]:
-    """The fixture checks, optionally only those of the given A-numbers."""
-    return _run("oeis", names={_fixture_check_name(a) for a in anumbers} if anumbers else None)
+def oeis_suite() -> list[CheckResult]:
+    return _run("oeis")
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
@@ -175,7 +164,7 @@ _lazy = _lazy_names(globals(), ("cold", "gamma_from_h"))
 
 def __getattr__(name: str):
     """CHECKS, the full registry in suite order, is built on first lookup
-    and then bound here."""
+    and then bound here; no suite runs from it."""
     if name != "CHECKS":
         return _lazy(name)
     globals()[name] = [c for suite in SUITES for c in _registry(suite)]

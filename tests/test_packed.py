@@ -13,9 +13,10 @@ packed values; they must be the oracle's, the rows of JFraction.expand,
 which walks on MultiPoly alone and runs no packed code.  Entries of many
 slots of many bits reach the byte read of ``algebra._digits``.  The two
 continued-fraction laws of ``verify group``, which compare packed walk
-values, and its three matrix laws, which compare matrix rows packed by
-``RiordanArray._rows_at``, fail on a wrong slot, and every width they pack
-at holds both sides of their identities, extremal draws included, as do
+values, and its two product laws, which compare matrix rows packed by
+``RiordanArray._rows_at``, fail on a wrong slot, and its inverse law on a
+wrong coefficient; every width they pack at holds both sides of their
+identities, extremal draws included, as do
 the three props checks that take the Riordan route at r = 2^W and the props
 checks that compare the family fractions' packed walks.  Each such width
 is ``_width`` of one rule, the method of majorants (``cold._majorant``,
@@ -26,6 +27,7 @@ edges and at ``MAX_WIDTH``, and the row recurrence's fill bitset
 (``recurrence._fill``) against the terms of its last row."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 from math import factorial, isqrt
@@ -346,65 +348,76 @@ def test_the_oracle_runs_no_packed_code(monkeypatch):
     assert [typed_rows(frac.expand(12)) for frac in fracs] == want
 
 
-# -- the two continued-fraction laws of verify group, on packed values ----------------
-
-LAWS = {"continued-fraction equation": laws._defining_equation, "binomial shift": laws._binomial_shift}
+# -- the group laws of verify group, against a wrong slot or coefficient -------------
 
 
-@pytest.mark.parametrize("trial", LAWS.values(), ids=list(LAWS))
-def test_a_plus_one_in_one_slot_of_one_packed_value_fails_each_law_on_every_round(trial):
-    # The seeded rounds that verify group runs, each with y added to value 5
-    # of the first walk the round makes (the fraction's own expansion): the
-    # law compares that value's coefficient of y, so each round must fail.
-    real, name = walk.packed, next(c.name for c in CHECKS if c.fn.args[0] is trial)
-    rng, failed = random.Random(f"{DEFAULT_SEED}/{name}"), []
-    for _ in range(20):
-        calls = []
-
-        def wrong(frac, order, width):
-            values = real(frac, order, width)
-            if not calls:
-                values[5] += 1 << width
-            calls.append(frac)
-            return values
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(walk, "packed", wrong)
-            failed.append(not trial(rng))
-    assert failed == [True] * 20
+def plus(seq, i, d):
+    """seq, as the type it is, with d added to entry i."""
+    return type(seq)((*seq[:i], seq[i] + d, *seq[i + 1 :]))
 
 
-# Each matrix law and the number of arrays whose rows it packs: a, b and
-# a b for a product law, a a^-1 and the identity for the inverse law.
-MATRIX_LAWS = {"product equals matrix product (ordinary)": 3, "product equals matrix product (exponential)": 3, "inverse yields the identity array": 2}
+@contextmanager
+def altered(target, attr, alter, call=0):
+    """target.attr, with the result of its call number ``call`` (from 0)
+    replaced by alter(result, *args); yields the list of its calls."""
+    real, calls = getattr(target, attr), []
+
+    def wrong(*args):
+        result = real(*args)
+        calls.append(args)
+        return alter(result, *args) if len(calls) == call + 1 else result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(target, attr, wrong)
+        yield calls
+
+
+def seeded_rounds(name, *alteration):
+    """The seeded rounds of the group law that verify group runs, each run
+    as it is and then, from the same draws, under ``altered(*alteration)``:
+    for each, whether it held, whether it failed altered, and the number of
+    calls the alteration saw."""
+    trial, rounds = next(c.fn.args for c in CHECKS if c.name == name)
+    rng, out = random.Random(f"{DEFAULT_SEED}/{name}"), []
+    for _ in range(rounds):
+        state = rng.getstate()
+        held = trial(rng)
+        rng.setstate(state)
+        with altered(*alteration) as calls:
+            out.append((held, not trial(rng), len(calls)))
+    return out
+
+
+LAWS = ("expansion satisfies the continued-fraction equation", "binomial shift matches the sequence transform")
+
+
+@pytest.mark.parametrize("name", LAWS, ids=["continued-fraction equation", "binomial shift"])
+def test_a_plus_one_in_one_slot_of_one_packed_value_fails_each_law_on_every_round(name):
+    # Each round holds, and fails with y added to value 5 of the first walk
+    # it makes (the fraction's own expansion): the law compares that
+    # value's coefficient of y.
+    rounds = seeded_rounds(name, walk, "packed", lambda values, frac, order, width: plus(values, 5, 1 << width))
+    assert [(held, failed) for held, failed, _ in rounds] == [(True, True)] * 20
 
 
 @pytest.mark.parametrize("call", [0, 1], ids=["first rows", "second rows"])
-@pytest.mark.parametrize("name", MATRIX_LAWS)
+@pytest.mark.parametrize("name", ["product equals matrix product (ordinary)", "product equals matrix product (exponential)"])
 def test_a_plus_one_in_one_slot_of_one_packed_row_fails_each_matrix_law_on_every_round(name, call):
-    # The seeded rounds that verify group runs, each once as it is, when it
-    # must hold, and once with y^3 added to row 5 of the first or the second
-    # packed rows it computes (a's or b's for a product law, a a^-1's or
-    # the identity's for the inverse law), when it must fail.
-    trial = next(c.fn.args[0] for c in CHECKS if c.name == name)
-    rng, real, held, failed = random.Random(f"{DEFAULT_SEED}/{name}"), RiordanArray._rows_at, [], []
-    for _ in range(laws.ROUNDS):
-        state = rng.getstate()
-        held.append(trial(rng))
-        rng.setstate(state)
-        calls = []
+    # Each round holds, and fails with y^3 added to row 5 of the first or
+    # the second packed rows it computes (a's or b's, of the rows of a, b
+    # and a b that it packs).
+    rounds = seeded_rounds(name, RiordanArray, "_rows_at", lambda rows, array, size_n, y: plus(rows, 5, y**3), call)
+    assert rounds == [(True, True, 3)] * laws.ROUNDS
 
-        def wrong(array, size_n, y):
-            rows = real(array, size_n, y)
-            if len(calls) == call:
-                rows[5] += y**3
-            calls.append(array)
-            return rows
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(RiordanArray, "_rows_at", wrong)
-            failed.append(not trial(rng) and len(calls) == MATRIX_LAWS[name])
-    assert held == failed == [True] * laws.ROUNDS
+@pytest.mark.parametrize("part", ["g", "f"])
+def test_a_plus_one_in_one_coefficient_of_the_product_fails_the_inverse_law_on_every_round(part):
+    # Each round holds, and fails with 1 added to coefficient 5 of a a^-1's
+    # g or f.
+    def wrong(prod, a, b):
+        return RiordanArray(*(TruncatedSeries(plus(getattr(prod, p).coeffs, 5, 1)) if p == part else getattr(prod, p) for p in "gf"))
+
+    assert seeded_rounds("inverse yields the identity array", RiordanArray, "__mul__", wrong) == [(True, True, 1)] * laws.ROUNDS
 
 
 @settings(max_examples=40)
@@ -416,7 +429,7 @@ def test_each_matrix_law_proves_a_width_that_holds_every_entry_of_both_sides(rng
     # entry of M(a) M(b).
     n = laws.ORDER
     a, b = (laws._random_array(rng, kind, n) for _ in "ab")
-    for array in [a, b, a * b] + ([a * a.inverse()] if kind is Kind.ORDINARY else []):
+    for array in (a, b, a * b):
         rows = array.matrix(n).rows
         assert all(max(map(abs, rows[m])) <= array._bound(m) for m in range(n + 1))
     assert max(abs(e) for row in (a.matrix(n) * b.matrix(n)).rows for e in row) <= a._bound(n) * b._bound(n)
@@ -514,11 +527,6 @@ def product_sides(kind, rng):
     return [e for m in (a.matrix(laws.ORDER) * b.matrix(laws.ORDER), (a * b).matrix(laws.ORDER)) for row in m.rows for e in row]
 
 
-def inverse_sides(rng):
-    a = laws._random_array(rng, Kind.ORDINARY, laws.ORDER)
-    return [e for row in (a * a.inverse()).matrix(laws.ORDER).rows for e in row] + [1]
-
-
 def shift_sides(rng):
     frac = JFraction(laws._random_index_poly(rng), laws._random_index_poly(rng))
     expansion = list(frac.expand(8))
@@ -537,7 +545,6 @@ def equation_sides(rng):
 LAW_SIDES = {
     "product equals matrix product (ordinary)": partial(product_sides, Kind.ORDINARY),
     "product equals matrix product (exponential)": partial(product_sides, Kind.EXPONENTIAL),
-    "inverse yields the identity array": inverse_sides,
     "binomial shift matches the sequence transform": shift_sides,
     "expansion satisfies the continued-fraction equation": equation_sides,
 }
@@ -573,18 +580,9 @@ def test_a_plus_one_in_one_slot_of_one_packed_row_fails_each_props_check(name):
     # The check holds as it is, and fails with r added to entry (5, 1) of
     # the first matrix whose rows it packs (f for the face GF, gamma for the
     # two triples), whose coefficient of r it compares.
-    check, real, calls = next(c for c in CHECKS if c.name == name), props._packed_rows, []
-
-    def wrong(matrix, width):
-        rows = [list(row) for row in real(matrix, width)]
-        if not calls:
-            rows[5][1] += 1 << width
-        calls.append(matrix)
-        return tuple(map(tuple, rows))
-
+    check = next(c for c in CHECKS if c.name == name)
     assert check.fn()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(props, "_packed_rows", wrong)
+    with altered(props, "_packed_rows", lambda rows, matrix, width: plus(rows, 5, plus(rows[5], 1, 1 << width))) as calls:
         assert not check.fn() and calls
 
 
@@ -619,17 +617,10 @@ def test_each_props_check_proves_a_width_that_holds_both_sides():
 def test_a_plus_one_in_one_y_slot_of_the_face_gf_fails_its_check():
     # The face GF's rows at y = 2^V, with y added to row 5: its face
     # matrix's entry (5, 1) at r = 2^W, which the check compares.
-    check, real = next(c for c in CHECKS if c.name == PROPS_CHECKS[0]), RiordanArray._rows_at
-
-    def wrong(array, size_n, y):
-        rows = real(array, size_n, y)
-        rows[5] += y
-        return rows
-
+    check = next(c for c in CHECKS if c.name == PROPS_CHECKS[0])
     assert check.fn()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(RiordanArray, "_rows_at", wrong)
-        assert not check.fn()
+    with altered(RiordanArray, "_rows_at", lambda rows, array, size_n, y: plus(rows, 5, y)) as calls:
+        assert not check.fn() and calls
 
 
 # (spec, which, order) of every walk that a props check compares
@@ -643,21 +634,12 @@ WALK_CHECKS = ("ordinary family GF chain reproduces gamma/h/f rows", "exponentia
 def test_a_plus_one_in_one_slot_of_one_packed_walk_fails_each_walk_check(name):
     # The check holds as it is, and fails with y added to value 5 of the
     # first walk it makes, whose coefficient of y it compares.
-    check, real, calls = next(c for c in CHECKS if c.name == name), walk.packed, []
-
-    def wrong(frac, order, width):
-        values = real(frac, order, width)
-        if not calls:
-            values[5] += 1 << width
-        calls.append(frac)
-        return values
-
+    check = next(c for c in CHECKS if c.name == name)
     props._walk_matches.cache_clear()
     assert check.fn()
     props._walk_matches.cache_clear()
     try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(walk, "packed", wrong)
+        with altered(walk, "packed", lambda values, frac, order, width: plus(values, 5, 1 << width)) as calls:
             assert not check.fn() and calls
     finally:
         props._walk_matches.cache_clear()

@@ -217,16 +217,18 @@ def test_check_times_compares_a_tree_against_a_baseline():
     lines = _check_times("oeis", "--baseline", str(SCRIPTS.parent / "src"))
     assert lines[:2] == [
         "riordan verify oeis: cold CPU ms per check, min and median over 1 alternating runs of each tree",
-        f"{'base min':>9s} {'base med':>9s} {'this min':>9s} {'this med':>9s} {'r min':>6s} {'r med':>6s}  check",
+        f"{'base min':>9s} {'base med':>9s} {'this min':>9s} {'this med':>9s} {'r min':>6s} {'r pair':>6s} {'won':>5s}  check",
     ]
-    rows = [line.split(None, 6) for line in lines[2:-4]]
+    rows = [line.split(None, 7) for line in lines[2:-4]]
     assert [name for *_, name in rows] == [
         f"oeis :: {anumber} regenerated from its construction" for anumber in FIXTURE_SOURCES
     ]
-    for base_min, base, this_min, this, min_ratio, ratio, _ in rows:
-        # One run is one sample: its minimum is its median, and so are their
-        # ratios, each of the unrounded times, printed to two decimals.
+    for base_min, base, this_min, this, min_ratio, ratio, won, _ in rows:
+        # One run is one sample: its minimum is its median, and one pair's
+        # ratio is the ratio of the minimums, each of the unrounded times,
+        # printed to two decimals; the pair is won where that is below 1.
         assert (base_min, this_min, min_ratio) == (base, this, ratio)
+        assert won in ("0/1", "1/1") and (won == "1/1") == (float(ratio) < 1) or ratio == "1.000"
         base, this, ratio = float(base), float(this), float(ratio)
         assert (this - 0.005) / (base + 0.005) - 0.0005 <= ratio <= (this + 0.005) / (base - 0.005) + 0.0005
     totals = []
@@ -236,10 +238,18 @@ def test_check_times_compares_a_tree_against_a_baseline():
         # One run is one sample: its minimum and quartiles are its total, the sum of its checks.
         assert least == q1 == median == q3 and abs(median - sum(float(row[column]) for row in rows)) <= 0.01 * len(rows)
         totals.append(median)
-    for line, label in zip(lines[-2:], ("minimum", "median")):
-        text, ratio = line.rsplit(" ", 1)
-        assert text == f"ratio of the {label} totals (this tree over baseline):"
-        assert abs(float(ratio) - totals[1] / totals[0]) <= 0.0005 + 0.01 / totals[0]
+    text, ratio = lines[-2].rsplit(" ", 1)
+    assert text == "ratio of the minimum totals (this tree over baseline):"
+    assert abs(float(ratio) - totals[1] / totals[0]) <= 0.0005 + 0.01 / totals[0]
+    # One pair: its ratio is the ratio of the totals, won if below 1.
+    text, won = lines[-1].split(", ")
+    assert text == f"median of the per-pair total ratios (this tree over baseline): {ratio}"
+    assert won == f"this tree faster in {int(totals[1] < totals[0])} of 1 pairs"
+
+
+def test_the_paired_statistic_is_the_median_ratio_of_back_to_back_runs():
+    # Ratios 0.5, 1.25 and 0.5: the median is 0.5, and this tree won two pairs.
+    assert _script("request_footprint.py")["paired"]([2.0, 4.0, 10.0], [1.0, 5.0, 5.0]) == (0.5, 2)
 
 
 def test_code_lines_skip_comments_docstrings_and_text_data(tmp_path):
@@ -261,6 +271,40 @@ def test_code_lines_skip_comments_docstrings_and_text_data(tmp_path):
     )
     # ROWS = parse(, the line closing the text with its comma, ), def, return
     assert code_lines(str(source)) == 5
+
+
+def test_functions_count_each_line_in_the_innermost_function_that_holds_it(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "@cache\n"
+        "def f(x):\n"
+        '    """A docstring."""\n'
+        "    @wraps(x)\n"
+        "    def g():\n"
+        "        return x\n"
+        "    return g\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        pass\n"
+    )
+    # Each starts at its first decorator, as its code object does; f holds
+    # its def, g's decorator and its return, and g its def and return.
+    functions = _script("request_footprint.py")["functions"]
+    assert functions(str(source)) == [("f", 1, 3), ("f.<locals>.g", 4, 2), ("C.m", 9, 2)]
+
+
+def test_unused_lists_the_loaded_functions_a_request_never_calls():
+    # show writes a table: render_latex is loaded and never called,
+    # render_table is called.
+    lines = _run("request_footprint.py", "--unused", "show", "--which", "f", "--N", "4")
+    assert lines[:2] == ["riordan show --which f --N 4: functions loaded and never called", f"{'lines':>6s}  function"]
+    rows = [line.split(None, 1) for line in lines[2:]]
+    listed = [name for _, name in rows]
+    assert "riordan.render.render_latex" in listed and "riordan.render.render_table" not in listed
+    # The last line's total is that of the functions listed, and of the
+    # modules' totals.
+    sums = [sum(int(n) for n, name in rows[:-1] if (": never called, of " in name) is total) for total in (False, True)]
+    assert rows[-1][1].startswith("all modules: never called, of ") and [int(rows[-1][0])] * 2 == sums
 
 
 compare = _script("compare_outputs.py")

@@ -160,8 +160,7 @@ def test_moved_names_resolve_lazily_to_their_new_module_and_stay_bound():
 
 def test_the_full_registry_is_built_on_first_lookup_and_stays_bound():
     # verify.CHECKS loads the suites' modules only when looked up; it lists
-    # their registries in suite order and stays bound, so that a tracer or a
-    # test can replace it through the module's __dict__.
+    # their registries in suite order and stays bound, so it is built once.
     code = (
         "import sys\n"
         "from riordan import verify\n"
