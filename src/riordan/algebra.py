@@ -148,13 +148,10 @@ class MultiPoly:
     def has_integer_coefficients(self) -> bool:
         return all(type(c) is int for c in self._terms.values())
 
-    def substitute(
-        self, values: "Mapping[str, Scalar | MultiPoly] | None" = None, **named: "Scalar | MultiPoly"
-    ) -> "MultiPoly":
-        """Substitute exact values, or polynomials in r and y, for r and/or y;
-        unassigned variables remain.  ``p.substitute(y=Y + 1)`` is p(r, 1 + y)."""
-        assign = dict(values or {})
-        assign.update(named)
+    def substitute(self, **assign: "Scalar | MultiPoly") -> "MultiPoly":
+        """Substitute exact values, or polynomials in r and y, given by
+        keyword, for r and/or y; unassigned variables remain, and any other
+        keyword raises ValueError.  ``p.substitute(y=Y + 1)`` is p(r, 1 + y)."""
         unknown = set(assign) - set(VARIABLES)
         if unknown:
             raise ValueError(f"unknown variables {sorted(unknown)}")

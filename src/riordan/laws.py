@@ -52,11 +52,11 @@ def _random_array(rng: random.Random, kind: Kind, order: int) -> RiordanArray:
     return RiordanArray(g, f, kind)
 
 
-def _random_index_poly(rng: random.Random, allow_y: bool = True) -> IndexPoly:
+def _random_index_poly(rng: random.Random) -> IndexPoly:
     coeffs = []
     for _ in range(rng.randint(1, 3)):
         c = MultiPoly.const(rng.randint(-3, 3))
-        if allow_y and rng.random() < 0.5:
+        if rng.random() < 0.5:
             c = c + rng.randint(0, 2) * Y
         coeffs.append(c)
     return IndexPoly.from_coeffs(coeffs)

@@ -372,14 +372,12 @@ FIXTURES: dict[str, TriangleFixture] = {
 }
 
 
-def aerated(values, length: int | None = None) -> list[int]:
-    """Interleave zeros: v0, 0, v1, 0, ...; optionally truncated to length."""
+def aerated(values, length: int) -> list[int]:
+    """Interleave zeros: v0, 0, v1, 0, ..., truncated to length."""
     out: list[int] = []
     for v in values:
         out.extend((v, 0))
-    if length is not None:
-        out = out[:length]
-    return out
+    return out[:length]
 
 
 # -- regenerating the fixtures ---------------------------------------------------

@@ -168,8 +168,8 @@ def test_ring_axioms(a, b, c):
 
 @given(small_polys, small_polys, assignments)
 def test_substitution_is_a_homomorphism(a, b, sub):
-    assert (a * b).substitute(sub) == a.substitute(sub) * b.substitute(sub)
-    assert (a + b).substitute(sub) == a.substitute(sub) + b.substitute(sub)
+    assert (a * b).substitute(**sub) == a.substitute(**sub) * b.substitute(**sub)
+    assert (a + b).substitute(**sub) == a.substitute(**sub) + b.substitute(**sub)
 
 
 @given(

@@ -16,9 +16,11 @@ from riordan.cold import (
     FACTORIAL_WEIGHTS,
     UNIT_WEIGHTS,
     KindMismatch,
+    NonUnitConstantTerm,
     RiordanArray,
     UnsupportedKind,
     WeightSequence,
+    ZeroLinearTerm,
     binomial_array,
     egf_to_ogf,
     face_array,
@@ -101,6 +103,27 @@ def test_kind_rules():
         RiordanArray(S.one(8), S.x(8), Kind.GENERALIZED)  # no weights
     with pytest.raises(ValueError):
         WeightSequence("broken", lambda n: n)  # c_0 != 1
+
+
+@pytest.mark.parametrize(
+    "refused, error, text",
+    [
+        (lambda: S([R, 1]).inverse(), NonUnitConstantTerm, "constant term must be an invertible constant, got r"),
+        (lambda: S([Fraction(0), 1]).inverse(), NonUnitConstantTerm, "constant term is zero"),
+        (lambda: S([0]).revert(), ZeroLinearTerm, "no linear coefficient available"),
+        (lambda: simplex_face_array(4).matrix(5), IndexBeyondTruncation, "size 5 beyond truncation order 4"),
+        (lambda: simplex_face_array(4).bgf(5), IndexBeyondTruncation, "order 5 beyond truncation 4"),
+        (lambda: WeightSequence("step", lambda n: 1 - n)(1), ValueError, "weight c_1 is zero"),
+        (lambda: setattr(UNIT_WEIGHTS, "name", "twos"), AttributeError, "cannot assign to field 'name' of a frozen record"),
+        (lambda: delattr(UNIT_WEIGHTS, "c"), AttributeError, "cannot delete field 'c' of a frozen record"),
+    ],
+    ids=["symbolic-inverse", "zero-fraction-inverse", "revert-order-0", "matrix-past-order", "bgf-past-order",
+         "zero-weight", "frozen-set", "frozen-delete"],
+)
+def test_each_refused_input_raises_its_error_and_message(refused, error, text):
+    with pytest.raises(error) as raised:
+        refused()
+    assert type(raised.value) is error and str(raised.value) == text
 
 
 def test_generalized_weights_specialize_to_ordinary_and_exponential():

@@ -11,6 +11,7 @@ import functools
 import json
 from fractions import Fraction
 from itertools import islice
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -324,6 +325,59 @@ def test_the_rows_of_drawn_fractions_give_back_their_fraction(frac, order):
     assert certified(rows)
     rows[order][-1] += 1
     assert not certified(rows)
+
+
+# -- the exponential class against its Riordan recurrences ------------------------
+
+
+def _exponential_moments(frac, size_n):
+    """m_0..m_size_n of a fraction of the exponential class, alpha(i) =
+    z0 + a1 i and beta(i) = i (z1 + a2 (i - 1)), on MultiPoly and with no
+    division, sharing no code with the walk.  Its tridiagonal matrix is the
+    production matrix of the exponential Riordan array [g, f] with f' = 1 +
+    a1 f + a2 f^2 and g' = g (z0 + z1 f), whose column 0 holds the moments
+    (Deutsch, Ferrari and Rinaldi 2009; Barry 2011).  On F_n and G_n, the
+    coefficients of x^n/n! of f and g: F_1 = 1, F_(n+1) = a1 F_n + a2
+    sum_(k=1..n-1) C(n,k) F_k F_(n-k), G_0 = 1, G_(n+1) = z0 G_n + z1
+    sum_(k=1..n) C(n,k) F_k G_(n-k), and m_n = G_n."""
+    z0, a1, *above = (*frac.alpha.coeffs, 0, 0)
+    b0, b, d, *beyond = (*frac.beta.coeffs, 0, 0, 0)  # beta = b i + d i^2
+    assert not (any(above) or any(beyond) or b0), f"{frac} is not of the exponential class"
+    z1, a2 = b + d, d
+    f, g = [MultiPoly(), MultiPoly.const(1)], [MultiPoly.const(1)]
+    for n in range(1, size_n):
+        f.append(a1 * f[n] + a2 * sum((comb(n, k) * f[k] * f[n - k] for k in range(1, n)), MultiPoly()))
+    for n in range(size_n):
+        g.append(z0 * g[n] + z1 * sum((comb(n, k) * f[k] * g[n - k] for k in range(1, n + 1)), MultiPoly()))
+    return g
+
+
+EXPONENTIAL_CLASS = {  # alpha, beta: the certified fractions of the class, and three walks on MultiPoly
+    **{name: CERTIFIED[name] for name in ("exp-face", "exp-h", "exp-gamma", "perm-face", "perm-gamma")},
+    **{f"permutahedron {which}": CERTIFIED[f"permutahedron {which}"] for which in ("gamma", "h", "f")},
+    "bold-face": ("(i+1)*(2*y+1)", "i*(i+1)*r*y*(y+1)"),
+    "bold-shifted": ("i+2*y+1", "i*r*y*(y+1)"),
+    "signed": ("3*i-2*y", "i*(5*i*r-7*y+1)"),
+}
+EXPONENTIAL_N = 26  # all eleven take about 0.36 s, bold-face half of it, on a 2-core x86-64 host
+
+
+@pytest.mark.parametrize("alpha, beta", EXPONENTIAL_CLASS.values(), ids=list(EXPONENTIAL_CLASS))
+def test_the_exponential_class_matches_its_riordan_recurrences(alpha, beta):
+    # Production takes the Hermite recurrence, the y-packed walk or the
+    # MultiPoly walk, whose rows are JFraction.expand's; the recurrences
+    # share no code with any of them.  A +1 in one cell fails.
+    frac = JFraction(parse_index_poly(alpha), parse_index_poly(beta))
+    want, rows = typed_rows(_exponential_moments(frac, EXPONENTIAL_N)), frac.rows(EXPONENTIAL_N)
+    assert [typed_all(row) for row in rows] == want
+    rows[EXPONENTIAL_N][-1] += 1
+    assert [typed_all(row) for row in rows] != want
+
+
+@given(st.builds(lambda a, c, b, d: JFraction(a + I * c, I * b + I * I * d), weights, weights, weights, weights), st.integers(0, 12))
+@settings(max_examples=30)
+def test_drawn_fractions_of_the_exponential_class_match_their_riordan_recurrences(frac, size_n):
+    assert [typed_all(row) for row in frac.rows(size_n)] == typed_rows(_exponential_moments(frac, size_n))
 
 
 EXP_R = family_fractions(FamilySpec(Kind.EXPONENTIAL, R))

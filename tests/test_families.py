@@ -158,6 +158,24 @@ def test_gamma_from_h_examples():
         gamma_from_h(LowerTriMatrix([[1], [2, 1]]))
 
 
+# Palindromic rows of ints or of polynomials in r, whatever their sign.
+small = st.integers(-9, 9)
+in_r = st.builds(lambda a, b, c: a + b * R + c * R**3, small, small, small)
+palindromic_rows = st.sampled_from([st.integers(-50, 50), in_r]).flatmap(
+    lambda ring: st.tuples(*(st.lists(ring, min_size=n // 2 + 1, max_size=n // 2 + 1) for n in range(7)))
+).map(lambda halves: [half + half[: n - n // 2][::-1] for n, half in enumerate(halves)])
+
+
+@given(palindromic_rows)
+def test_gamma_from_h_rows_expand_back_to_the_h_rows(rows):
+    # sum_k gamma[n,k] y^k (1+y)^(n-2k) gives row n back, the check that the
+    # elimination leaves no remainder, which palindromy forces.
+    gamma = gamma_from_h(LowerTriMatrix(rows))
+    for n, (row, coeffs) in enumerate(zip(rows, gamma.rows)):
+        assert not any(coeffs[n // 2 + 1 :])
+        assert [sum(coeffs[k] * comb(n - 2 * k, j - k) for k in range(min(j, n - j) + 1)) for j in range(n + 1)] == row
+
+
 def test_gf_chain_collapses_at_r_zero():
     # With b = 0 the fraction (a(1 - i); b(2 - i)) is 1/(1 - ax).
     gamma, h, f = family_fractions(FamilySpec(Kind.ORDINARY, 0))

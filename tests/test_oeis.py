@@ -110,6 +110,12 @@ def test_check_triangle_ragged_rows_demand_zero_tails():
     assert not check_triangle(dirty, FIXTURES["A055151"]).ok
 
 
+def test_check_triangle_reports_an_entry_absent_from_a_short_row():
+    report = check_triangle([[1], [1]], FIXTURES["A007318"])
+    assert report.mismatch == (1, 1, "absent", 1) and report.rows_compared == 2
+    assert report.message() == "A007318: mismatch at row 1, column 1: got absent, want 1"
+
+
 def test_check_triangle_rejects_symbolic_entries():
     with pytest.raises(SymbolicEntries):
         check_triangle([[1], [R, 1]], FIXTURES["A007318"])
