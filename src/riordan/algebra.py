@@ -41,7 +41,8 @@ chains pack x.  The rules they share are written here once:
 * the norm |p|(1), the sum of the absolute values of p's coefficients,
   that every engine's coefficient bound starts from (``_norm``);
 * the slot width for a bound: its bits and a sign bit, in whole bytes, at
-  most ``MAX_WIDTH`` = 2048 bits (``_width``);
+  most ``MAX_WIDTH`` = 2048 bits unless the caller lifts the cap
+  (``_width``);
 * a weight's terms c x^i as pairs (c, width*i) (``_pack``), so that its
   product with a packed value is a small product and a shift per term
   (``_fma``), however far apart its powers are;
@@ -64,7 +65,8 @@ VARIABLES = ("r", "y")
 # The widest slot a packed engine uses, in bits (``_width``).  One width
 # serves every coefficient, so past it the slots of the small ones are
 # mostly zeros and the engines compute on MultiPoly, Fraction or plain ints
-# instead.
+# instead; the Riordan oracle's matrix, which has no other route, lifts
+# the cap.
 MAX_WIDTH = 2048
 
 Scalar = Union[int, "Fraction"]
@@ -297,12 +299,13 @@ def _norm(p: MultiPoly) -> int:
     return sum(map(abs, p._terms.values()))
 
 
-def _width(bound: int) -> int | None:
+def _width(bound: int, cap: int | None = MAX_WIDTH) -> int | None:
     """The slot width for coefficients of absolute value at most bound: its
     bits and a sign bit, in whole bytes (which ``_digits`` reads by bytes
-    where there are many slots of many bits), or None past MAX_WIDTH."""
+    where there are many slots of many bits), or None past cap (None: no
+    cap)."""
     width = (bound.bit_length() + 8) // 8 * 8
-    return width if width <= MAX_WIDTH else None
+    return width if cap is None or width <= cap else None
 
 
 def _pack(poly: MultiPoly, width: int) -> list[list[tuple[int, int]]]:

@@ -10,18 +10,20 @@ exp and of :meth:`MultiPoly.parse`, and ``parse_matrix_doc``.
 
 ``verify group`` spends most of its time here, on integer series of order
 8 to 12.  So integers stand in for series and polynomials, by Kronecker
-substitution (Schoenhage 1982; Harvey 2009), wherever every coefficient is
-an int: the Horner steps of :func:`series_compose` and the powers of
-:func:`series_revert` run on one int per series at x = 2^width, and
-:meth:`RiordanArray.matrix` reads row n as the int its bivariate GF takes
-at y = 2^width.  Each width, and each width of the verify checks, is
-``_width`` of one rule, the method of majorants: the same computation run
-on the norms of its inputs (see "packed integer chains" below).  The
-matrix and compose clear rational coefficients to ints first, and compute
-at the r they are given: a polynomial in r stays a MultiPoly.  ``verify
-props`` takes the Riordan route at one integer r = 2^W
-(:mod:`riordan.props`), and the group suite's matrix laws compare rows
-packed at y = 2^W (:meth:`RiordanArray._rows_at`).
+substitution (Schoenhage 1982; Harvey 2009): the Horner steps of
+:func:`series_compose` and the powers of :func:`series_revert` run on one
+int per series at x = 2^width wherever every coefficient is an int, and
+:meth:`RiordanArray.matrix` reads row n of every array, symbolic and
+weighted ones included, from the value its bivariate GF takes at
+y = 2^width: an int, or a MultiPoly each of whose terms packs the row's
+coefficients of that monomial.  Each width, and each width of the verify
+checks, is ``_width`` of one rule, the method of majorants: the same
+computation run on the norms of its inputs (see "packed integer chains"
+below).  The matrix and compose clear rational coefficients to ints
+first, and compute at the r they are given: a polynomial in r stays a
+MultiPoly.  ``verify props`` takes the Riordan route at one integer
+r = 2^W (:mod:`riordan.props`), and the group suite's matrix laws compare
+rows packed at y = 2^W (:meth:`RiordanArray._rows_at`).
 
 Without cached bytecode a request compiles every module it imports, so
 no ``show``, ``export`` or ``jf`` request imports this one, and neither
@@ -37,6 +39,7 @@ resolve four of them, which the benchmark's tracer wraps there.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, lcm
 from operator import mul
 from typing import Callable, Sequence
@@ -83,10 +86,11 @@ class NonIntegralResult(ValueError):
 # dropped ones are.  Compose and revert run on one packed int per series
 # only where the width is at most SERIES_CHAIN_BITS, and elsewhere compute
 # on their coefficients, as revert does for a Fraction or MultiPoly
-# coefficient.  RiordanArray.matrix and compose clear the common
-# denominators of rational coefficients first (_cleared), and read each
-# result back once: the matrix divides each entry by its column's
-# denominator (_scaled), compose by its one denominator.
+# coefficient; RiordanArray.matrix packs at any width.  The matrix and
+# compose clear the common denominators of rational coefficients first
+# (_cleared), and read each result back once: the matrix divides each
+# entry by its column's denominator (_scaled), compose by its one
+# denominator.
 
 
 def _ints(*coeffs) -> bool:
@@ -111,38 +115,47 @@ def _chain_width(bound: int) -> int | None:
 def _bgf_rows(kind: Kind, g: Sequence, f: Sequence, size_n: int, y: int) -> list:
     """Rows 0..size_n at the integer y of the array (g, f) of the kind,
     ordinary or exponential, row n sum_k a[n,k] y^k, the x^n coefficient of
-    its bivariate GF (:meth:`RiordanArray.bgf`), computed on scalars and
-    exact.  Ordinary: P = g / (1 - y f), so P_n = g_n + sum_(j=1..n) y f_j
-    P_(n-j).  Exponential: P_n = n! [x^n] g e for e = exp(y f), which
-    solves e' = y f' e, so n e_n = sum_(j=1..n) j y f_j e_(n-j).  n! e_n is
-    an integer where f is integral in Hurwitz form (j! f_j an integer, as
-    for integer f and the exponential family's f), as :func:`series_exp`
-    shows, so E_n = N! e_n is, for N = size_n: E_n is that sum on E over
-    n, an exact division, and P_n is sum_j g_j E_(n-j) over N!/n!, exact
-    where P_n is an integer.  g(0) need not be 1, nor f_1 a unit:
-    :meth:`RiordanArray.matrix` runs this on cleared coefficients."""
-    g, f = g[: size_n + 1], f[: size_n + 1]
+    its bivariate GF (:meth:`RiordanArray.bgf`), computed exactly on
+    scalars or MultiPolys, with no division.  Ordinary: P = g / (1 - y f),
+    so P_n = g_n + y sum_(j=1..n) f_j P_(n-j).  Exponential, on g and f in
+    Hurwitz form (:func:`_hurwitz`, G_j = j! g_j and F_j = j! f_j): P_n =
+    n! [x^n] g e for e = exp(y f), which solves e' = y f' e, so E_n = n! e_n
+    is y sum_(j=1..n) C(n-1, j-1) F_j E_(n-j) (:func:`series_exp`), and
+    P_n is sum_j C(n, j) G_j E_(n-j): integral for integral G and F, as
+    for integer g and f and the exponential family's e^x and x + r x^2/2.
+    g(0) need not be 1, nor f_1 a unit: :meth:`RiordanArray.matrix` runs
+    this on cleared coefficients."""
+    g, f, rows = g[: size_n + 1], f[1 : size_n + 1], []  # f from f_1 on
     if kind is Kind.ORDINARY:
-        rows, yf = [], [y * c for c in f[1:]]
         for n in range(size_n + 1):
-            rows.append(g[n] + sum(map(mul, yf, reversed(rows))))
+            rows.append(g[n] + y * sum(map(mul, f, reversed(rows))))
         return rows
-    jyf = [j * y * c for j, c in enumerate(f)][1:]
-    exp, rows = [den := factorial(size_n)], []  # exp[n] = E_n = N! e_n, den = N!/n!
+    exp, binom = [1], _pascal(size_n)  # exp[n] = E_n
     for n in range(size_n + 1):
         if n:
-            exp.append(sum(map(mul, jyf, reversed(exp))) // n)
-            den //= n
-        rows.append(sum(map(mul, g, reversed(exp))) // den)
+            exp.append(y * sum(map(mul, map(mul, binom[n - 1], f), reversed(exp))))
+        rows.append(sum(map(mul, map(mul, binom[n], g), reversed(exp))))
     return rows
 
 
+@cache
+def _pascal(size_n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..size_n of Pascal's triangle."""
+    return tuple(tuple(comb(n, j) for j in range(n + 1)) for n in range(size_n + 1))
+
+
+def _hurwitz(coeffs: Sequence) -> list:
+    """The Hurwitz form of a series, j! c_j for each coefficient c_j."""
+    return [tidy(factorial(j) * c) for j, c in enumerate(coeffs)]
+
+
 def _majorant(kind: Kind, g: Sequence, f: Sequence, size_n: int, y: int = 1) -> int:
-    """The majorant of the array (g, f): the largest of rows 0..size_n at y
-    of the array with each coefficient of g and f replaced by its norm
-    (:func:`_bgf_rows`).  Every entry a[n,k], and the norm of its
-    coefficients in r and y, is at most that entry of the norm array, so
-    at most its row at y = 1.  At y = 2 the run bounds as well the norm of
+    """The majorant of the array (g, f), given as :func:`_bgf_rows` takes
+    it: the largest of rows 0..size_n at y of the array with each
+    coefficient of g and f replaced by its norm.  Every entry a[n,k], and
+    the norm of its coefficients in r and y, is at most that entry of the
+    norm array, so at most its row at y = 1.  At y = 2 the run bounds as
+    well the norm of
     each face row, whose entries sum_i a[n,i] C(i,k) sum over k to at most
     sum_i |a[n,i]| 2^i, and of each gamma row of a palindromic row a[n,.]:
     y^(-n/2) sum_k a[n,k] y^k is sum_k gamma[n,k] s^(n-2k) in s = y^(1/2)
@@ -175,9 +188,13 @@ def _low(value: int, bits: int) -> int:
     return value - (value >> bits - 1 << bits)
 
 
-def _read(value: int, width: int, n: int) -> list[int]:
-    """The n coefficients packed in value, lowest first."""
-    return (_digits(value, width) + [0] * n)[:n]
+def _read(value: "int | MultiPoly", width: int, n: int) -> list:
+    """The n coefficients packed in value, lowest first; in a MultiPoly,
+    coefficient k is the MultiPoly of digit k of each of its terms."""
+    if type(value) is int:
+        return (_digits(value, width) + [0] * n)[:n]
+    digits = {m: _digits(c, width) + [0] * n for m, c in value._terms.items()}
+    return [MultiPoly({m: d[k] for m, d in digits.items()}) for k in range(n)]
 
 
 def _cleared(coeffs: Sequence) -> tuple[int, list]:
@@ -204,19 +221,14 @@ def _unit_inverse(c: Coeff, error: type[ValueError], what: str) -> Coeff:
     if isinstance(c, MultiPoly):
         if not c.is_constant() or not c:
             raise error(f"{what} must be an invertible constant, got {c}")
-        value = c.constant_value()
-        return 1 / value if value.denominator != 1 else _unit_inverse(int(value), error, what)
-    if isinstance(c, Fraction):
-        if not c:
-            raise error(f"{what} is zero")
-        return 1 / c
-    if isinstance(c, int):
-        if c in (1, -1):
-            return c
-        if c == 0:
-            raise error(f"{what} is zero")
+        c = c.constant_value()
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"unsupported coefficient type: {c!r}")
+    if not c:
+        raise error(f"{what} is zero")
+    if isinstance(c, int) and c not in (1, -1):
         raise error(f"{what} must be a unit in the integers, got {c}")
-    raise TypeError(f"unsupported coefficient type: {c!r}")
+    return c if isinstance(c, int) else 1 / c
 
 
 def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
@@ -487,47 +499,46 @@ class RiordanArray(Frozen):
     def matrix(self, size_n: int) -> "LowerTriMatrix":
         """Lower triangle of entries for n, k = 0..size_n.
 
-        g and f/x are scaled by the common denominators d_g and d_f of their
-        coefficients (an exponential array's 1/n!, the family's r/2), so
-        that every coefficient is an int or an integer-coefficient
-        MultiPoly, and the cleared array's entries are d_g d_f^k a[n,k].
-        On ints, its row n is read from its bivariate GF (:func:`_bgf_rows`)
-        at y = 2^V, as the balanced digits of that int, V ``_width`` of its
-        majorant (:func:`_majorant`).  MultiPolys (in r or y), generalized
-        arrays and majorants past ``MAX_WIDTH`` take series products:
-        column k is column k - 1 times f/x, one coefficient shorter, and
-        each entry is taken times its prefactor (n!/k! for an exponential
-        array, c_n/c_k for a generalized one).  Each entry is then divided
-        by column k's d_g d_f^k; where that is not integral it raises
+        g and f, in Hurwitz form for an exponential array (:meth:`_gf`),
+        are scaled by the common denominators d_g and d_f of their
+        coefficients, so that every coefficient is an int or an
+        integer-coefficient MultiPoly, and the cleared array's entries are
+        d_g d_f^k a[n,k].  Row n of every array is read from its bivariate
+        GF (:func:`_bgf_rows`) at y = 2^V, V ``_width`` of its majorant
+        (:func:`_majorant`) with no cap: an int row as its balanced digits,
+        a MultiPoly row (in r or y) term by term (:func:`_read`).  A
+        generalized array's rows are those of its ordinary array, entry
+        (n, k) then taken times c_n/c_k.  Each entry is then divided by
+        column k's d_g d_f^k; where that is not integral it raises
         NonIntegralEntry."""
         from .arrays import IndexBeyondTruncation, LowerTriMatrix
 
         if size_n > self.order:
-            raise IndexBeyondTruncation(
-                f"size {size_n} beyond truncation order {self.order}"
-            )
-        g, over_x = self.g._coeffs[: size_n + 1], self.f._coeffs[1 : size_n + 1]  # f/x, order size_n - 1
-        (dg, g), (df, over_x) = _cleared(g), _cleared(over_x)
-        f = (0, *over_x)
-        width = self.kind is not Kind.GENERALIZED and _ints(*g, *over_x) and _width(_majorant(self.kind, g, f, size_n))
-        if width:
-            rows = [_read(v, width, n + 1) for n, v in enumerate(_bgf_rows(self.kind, g, f, size_n, 1 << width))]
-        else:
-            cols, over_x = [g], _trusted(over_x)  # cols[k][m] = [x^(k+m)] g f^k, times d_g d_f^k
-            for _ in range(size_n):
-                cols.append((_trusted(cols[-1][:-1]) * over_x)._coeffs)
-            rows = [[self._prefactor(n, k) * cols[k][n - k] for k in range(n + 1)] for n in range(size_n + 1)]
+            raise IndexBeyondTruncation(f"size {size_n} beyond truncation order {self.order}")
+        kind = Kind.ORDINARY if self.kind is Kind.GENERALIZED else self.kind
+        (dg, g), (df, f) = map(_cleared, self._gf(size_n))
+        width = _width(_majorant(kind, g, f, size_n), cap=None)
+        rows = [_read(v, width, n + 1) for n, v in enumerate(_bgf_rows(kind, g, f, size_n, 1 << width))]
+        if kind is not self.kind:
+            rows = [[self._prefactor(n, k) * e for k, e in enumerate(row)] for n, row in enumerate(rows)]
         return LowerTriMatrix([_scaled(e, dg * df**k) for k, e in enumerate(row)] for row in rows)
+
+    def _gf(self, size_n: int) -> tuple[list, list]:
+        """g and f to x^size_n as :func:`_bgf_rows` takes them: in Hurwitz
+        form for an exponential array, where e^x and the family's x + r x^2/2
+        have integer coefficients."""
+        g, f = self.g._coeffs[: size_n + 1], self.f._coeffs[: size_n + 1]
+        return (_hurwitz(g), _hurwitz(f)) if self.kind is Kind.EXPONENTIAL else (g, f)
 
     def _rows_at(self, size_n: int, y: int) -> list[int]:
         """Rows 0..size_n of the matrix at the integer y, row n the x^n
         coefficient of the bivariate GF (:func:`_bgf_rows`, :meth:`bgf`)."""
         self._require_group_kind()
-        return _bgf_rows(self.kind, self.g._coeffs, self.f._coeffs, size_n, y)
+        return _bgf_rows(self.kind, *self._gf(size_n), size_n, y)
 
     def _bound(self, size_n: int, y: int = 1) -> int:
         """The array's majorant to row size_n at y (:func:`_majorant`)."""
-        return _majorant(self.kind, self.g._coeffs, self.f._coeffs, size_n, y)
+        return _majorant(self.kind, *self._gf(size_n), size_n, y)
 
     # -- group structure ---------------------------------------------------
 

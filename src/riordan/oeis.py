@@ -104,7 +104,9 @@ def check_triangle(triangle, fixture: TriangleFixture) -> CheckReport:
 
     Generated row j is aligned with the fixture's j-th stored row (OEIS row
     j + offset).  Fixture rows may be shorter than the generated ones; the
-    surplus generated entries must then be zero.
+    surplus generated entries must then be zero.  A generated row shorter
+    than the fixture's is compared entry by entry first, then reported
+    with its first missing entry "absent".
     """
     got_rows = _plain_rows(triangle)
     want_rows = fixture.rows()
@@ -112,13 +114,13 @@ def check_triangle(triangle, fixture: TriangleFixture) -> CheckReport:
     matched = 0
     for j in range(compared):
         got, want = got_rows[j], want_rows[j]
-        if len(want) > len(got):
-            return CheckReport(fixture.anumber, compared, matched, (j, len(got), "absent", want[len(got)]))
         for k in range(len(got)):
             expect = want[k] if k < len(want) else 0
             if got[k] != expect:
                 return CheckReport(fixture.anumber, compared, matched, (j, k, got[k], expect))
             matched += 1
+        if len(want) > len(got):
+            return CheckReport(fixture.anumber, compared, matched, (j, len(got), "absent", want[len(got)]))
     return CheckReport(fixture.anumber, compared, matched)
 
 

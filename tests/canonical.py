@@ -53,9 +53,10 @@ def typed_outcome(build):
 
 def matrix_by_columns(array, size_n):
     """Column k as the full series product g * f**k, every entry times its
-    prefactor: the matrix that RiordanArray.matrix replaced, kept as its
-    oracle.  It raises the NonIntegralEntry of the first entry, in row
-    order, that is not integral."""
+    prefactor: the oracle of RiordanArray.matrix, which reads every array's
+    rows from its bivariate GF and so shares no algorithm with it; no
+    other code takes column products.  It raises the NonIntegralEntry of
+    the first entry, in row order, that is not integral."""
     f = array.f.truncate(size_n)
     cols = [array.g.truncate(size_n)]
     for _ in range(size_n):

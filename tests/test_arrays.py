@@ -301,7 +301,7 @@ def test_matrix_matches_the_full_column_products_and_entry(kind_weights, ring, d
     ids=["int", "int column", "in r", "in y"],
 )
 def test_a_non_integral_entry_raises_the_text_of_the_full_column_products(array, text):
-    # The first entry that is not integral, in row order, on each of the
-    # routes the rows take: the digits of the bivariate GF on ints, and
-    # series products of polynomials in r or in y.
+    # The first entry that is not integral, in row order, whether the rows
+    # of the bivariate GF are ints, read as their digits, or polynomials
+    # in r or in y, read term by term.
     assert typed_outcome(lambda: array.matrix(4)) == typed_outcome(lambda: matrix_by_columns(array, 4)) == text

@@ -111,9 +111,14 @@ def test_check_triangle_ragged_rows_demand_zero_tails():
 
 
 def test_check_triangle_reports_an_entry_absent_from_a_short_row():
+    # The short row's entries are compared first: the absent entry is
+    # reported after a matching prefix, and a wrong entry before it.
     report = check_triangle([[1], [1]], FIXTURES["A007318"])
-    assert report.mismatch == (1, 1, "absent", 1) and report.rows_compared == 2
+    assert report.mismatch == (1, 1, "absent", 1) and report.rows_compared == 2 and report.entries_matched == 2
     assert report.message() == "A007318: mismatch at row 1, column 1: got absent, want 1"
+    report = check_triangle([[1], [5]], FIXTURES["A007318"])
+    assert report.mismatch == (1, 0, 5, 1) and report.entries_matched == 1
+    assert report.message() == "A007318: mismatch at row 1, column 0: got 5, want 1"
 
 
 def test_check_triangle_rejects_symbolic_entries():

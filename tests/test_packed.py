@@ -5,10 +5,12 @@ denominators, each run once packed wherever its slots fit MAX_WIDTH, past
 the measured cutoff up to which production packs, and once with packing
 switched off, where it computes on its coefficients; the two must agree
 value for value and type for type.  RiordanArray.matrix, which reads the
-rows of integer and cleared arrays from their bivariate GF at y = 2^V,
-against itself with that packing switched off and against the series
-products of its entries and columns.  The
-y-packed Motzkin walk (riordan.walk) reads its rows from the digits of its
+rows of every array from its bivariate GF at y = 2^V, however wide: an
+int row as its digits, a row in r or y term by term, a generalized
+array's as its ordinary array's, weighted; against the series products
+of its entries and columns (canonical.matrix_by_columns), on integer,
+rational, symbolic, weighted and extremal arrays.  The y-packed Motzkin
+walk (riordan.walk) reads its rows from the digits of its
 packed values; they must be the oracle's, the rows of JFraction.expand,
 which walks on MultiPoly alone and runs no packed code.  Entries of many
 slots of many bits reach the byte read of ``algebra._digits``.  The two
@@ -41,6 +43,7 @@ from riordan.algebra import MultiPoly, R, Y, _digits, _width
 from riordan.arrays import LowerTriMatrix
 from riordan.cold import (
     RiordanArray,
+    WeightSequence,
     binomial_transform,
     dense_family_triple,
     f_closed_row,
@@ -129,63 +132,7 @@ def test_revert_packs_and_matches_the_power_loop(s):
     assert typed_all(packed) == typed_all(plain)
 
 
-def matrix_packed_and_unpacked(array, size):
-    """array.matrix(size) as typed_outcome reads it, with its rows packed
-    wherever the majorant's slots fit MAX_WIDTH; the widths its rows took;
-    and the same with row packing switched off, where the matrix is the
-    series products of its columns."""
-    widths = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cold, "_width", lambda bound: widths.append(_width(bound)) or widths[-1])
-        packed = typed_outcome(lambda: array.matrix(size))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cold, "_width", lambda bound: None)
-        return packed, widths, typed_outcome(lambda: array.matrix(size))
-
-
-@given(
-    st.sampled_from([Kind.ORDINARY, Kind.EXPONENTIAL]),
-    st.lists(signed, max_size=13),
-    st.sampled_from([1, -1, 2, -3]),
-    st.lists(signed, max_size=12),
-    st.integers(0, 13),
-)
-@example(Kind.ORDINARY, [0] * 12, 1, [0] * 12, 12)  # g = 1, f = x: all zero below the diagonal
-@example(Kind.ORDINARY, list(LONG_G.coeffs[1:]), 1, list(LONG.coeffs[2:]), 70)  # rows of up to 71 slots
-@example(Kind.EXPONENTIAL, list(LONG_G.coeffs[1:]), -1, list(LONG.coeffs[2:]), 70)
-def test_matrix_columns_pack_and_match_the_series_products(kind, g_rest, f1, f_rest, size):
-    # Integer coefficients: the rows read from the bivariate GF at y = 2^V
-    # agree, value for value and type for type, with the series products
-    # of the columns that the matrix takes with packing switched off.
-    order = max(len(g_rest), len(f_rest) + 1, size)
-    array = RiordanArray(TruncatedSeries([1, *g_rest], order), TruncatedSeries([0, f1, *f_rest], order), kind)
-    packed, widths, plain = matrix_packed_and_unpacked(array, size)
-    assert len(widths) == 1 and widths[0]
-    assert packed == plain
-
-
 rationals = small | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
-
-
-@given(
-    st.sampled_from([Kind.ORDINARY, Kind.EXPONENTIAL]),
-    st.lists(rationals, max_size=8),
-    st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]),
-    st.lists(rationals, max_size=7),
-    st.integers(0, 8),
-)
-@example(Kind.EXPONENTIAL, [1, Fraction(1, 2), Fraction(1, 6)], 1, [Fraction(1, 2)], 3)  # the family's g and f at r = 1, order 3
-@example(Kind.ORDINARY, [Fraction(1, 2)], 1, [], 3)  # a non-integral entry
-def test_matrix_columns_clear_rational_coefficients_pack_and_match_the_series_products(kind, g_rest, f1, f_rest, size):
-    # Fraction coefficients: the rows run packed on ints, cleared of their
-    # denominators, and each entry is divided back; unpacked, the cleared
-    # columns are series products.  Entries and NonIntegralEntry texts
-    # agree, with their types.
-    order = max(len(g_rest), len(f_rest) + 1, size)
-    array = RiordanArray(TruncatedSeries([1, *g_rest], order), TruncatedSeries([0, f1, *f_rest], order), kind)
-    packed, widths, plain = matrix_packed_and_unpacked(array, size)
-    assert len(widths) == 1 and widths[0]
-    assert packed == plain
 
 
 @given(
@@ -198,18 +145,72 @@ def test_matrix_columns_clear_rational_coefficients_pack_and_match_the_series_pr
 @example(Kind.ORDINARY, [0] * 12, 1, [0] * 12, 12)  # g = 1, f = x: all zero below the diagonal
 @example(Kind.ORDINARY, list(LONG_G.coeffs[1:]), 1, list(LONG.coeffs[2:]), 70)  # rows of up to 71 slots
 @example(Kind.EXPONENTIAL, list(LONG_G.coeffs[1:]), -1, list(LONG.coeffs[2:]), 70)
-@example(Kind.ORDINARY, [2**200] * 12, 1, [2**200] * 12, 12)  # a majorant past MAX_WIDTH: series products
+@example(Kind.ORDINARY, [2**200] * 12, 1, [2**200] * 12, 12)  # a majorant past MAX_WIDTH: read at its width all the same
 @example(Kind.EXPONENTIAL, [1, Fraction(1, 2), Fraction(1, 6)], 1, [Fraction(1, 2)], 3)  # the family's g and f at r = 1, order 3
 @example(Kind.ORDINARY, [Fraction(1, 2)], 1, [], 3)  # a non-integral entry
 def test_matrix_rows_pack_and_match_the_column_products(kind, g_rest, f1, f_rest, size):
     # Integer and rational coefficients, the rational ones cleared of their
-    # denominators: the rows are the digits of the bivariate GF at y = 2^V
-    # wherever the majorant fits MAX_WIDTH, and series products elsewhere,
-    # and each entry is divided back.  Entries and NonIntegralEntry texts
-    # agree, with their types, with the full column products g f^k.
+    # denominators: the rows are the digits of the bivariate GF at y = 2^V,
+    # however wide, and each entry is divided back.  Entries and
+    # NonIntegralEntry texts agree, with their types, with the full column
+    # products g f^k.
     order = max(len(g_rest), len(f_rest) + 1, size)
     array = RiordanArray(TruncatedSeries([1, *g_rest], order), TruncatedSeries([0, f1, *f_rest], order), kind)
     assert typed_outcome(lambda: array.matrix(size)) == typed_outcome(lambda: matrix_by_columns(array, size))
+
+
+# Coefficients in r and y: polynomials of degree at most 2 in each, with
+# int or Fraction coefficients, or scalars.
+polys = small | rationals | st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), signed | rationals, max_size=3).map(MultiPoly)
+weights = st.lists(st.sampled_from([1, -1, 2, 3, -6, Fraction(1, 2), Fraction(-2, 3)]), min_size=7, max_size=7)
+
+
+def at_the_top(value, sign):
+    """value with the coefficient of each of its terms at the top of its
+    range, 2^80, of the sign given.  With sign 1 every coefficient of g and
+    f is nonnegative, so the norm array is the array itself and each row
+    of the matrix at y = 1 is that row of the majorant run."""
+    return MultiPoly({m: sign * 2**80 for m, _ in MultiPoly.coerce(value).items()})
+
+
+@given(
+    st.sampled_from([Kind.ORDINARY, Kind.EXPONENTIAL, Kind.GENERALIZED]),
+    weights,
+    st.lists(polys, max_size=6),
+    polys.filter(bool),
+    st.lists(polys, max_size=5),
+    st.integers(0, 6),
+    st.sampled_from([None, 1, -1]),
+)
+@example(Kind.GENERALIZED, [1, 2, 3, 4, 5, 6, 7], [R, Y], Fraction(1, 2), [R * Y], 3, None)
+@example(Kind.EXPONENTIAL, [1] * 7, [R] * 6, 1, [Y] * 5, 6, 1)  # extremal, of one sign
+@example(Kind.ORDINARY, [1] * 7, [R] * 6, 1, [Y] * 5, 6, -1)
+@example(Kind.ORDINARY, [1] * 7, [R * Fraction(1, 2)], 1, [], 2, None)  # a non-integral entry in r
+def test_matrix_rows_of_polynomial_and_weighted_arrays_match_the_column_products(kind, c, g_rest, f1, f_rest, size, sign):
+    # Coefficients in r and y, cleared of their denominators: each row of the
+    # bivariate GF at y = 2^V is a MultiPoly, read term by term, and a
+    # generalized array's rows, those of its ordinary array, are weighted
+    # by c_n/c_k.  With sign, every coefficient is extremal.  Entries and
+    # NonIntegralEntry texts agree, with their types, with the full column
+    # products g f^k times their prefactors.
+    order = max(len(g_rest), len(f_rest) + 1, size)
+    if sign:
+        g_rest, f1, f_rest = [at_the_top(v, sign) for v in g_rest], at_the_top(f1, sign), [at_the_top(v, sign) for v in f_rest]
+    drawn = WeightSequence("drawn", lambda n: (1, *c)[n]) if kind is Kind.GENERALIZED else None
+    array = RiordanArray(TruncatedSeries([1, *g_rest], order), TruncatedSeries([0, f1, *f_rest], order), kind, drawn)
+    assert typed_outcome(lambda: array.matrix(size)) == typed_outcome(lambda: matrix_by_columns(array, size))
+
+
+def test_a_plus_one_in_one_digit_of_a_polynomial_row_fails_the_matrix():
+    # Row 4 of the exponential family's array in r is a MultiPoly, whose
+    # term in r packs the coefficients of r of the row's entries: with 1
+    # more in its digit 2, the coefficient of r in entry (4, 2), the matrix
+    # differs from the column products.
+    array = family_array(FamilySpec(Kind.EXPONENTIAL, R), 6)
+    want = typed_outcome(lambda: matrix_by_columns(array, 6))
+    assert typed_outcome(lambda: array.matrix(6)) == want
+    with altered(cold, "_read", lambda row, value, width, n: plus(row, 2, R), call=4) as calls:
+        assert typed_outcome(lambda: array.matrix(6)) != want and isinstance(calls[4][0], MultiPoly)
 
 
 @given(st.lists(rationals, min_size=1, max_size=9), st.lists(rationals, max_size=8))
@@ -455,8 +456,8 @@ MATRICES = {
     "ordinary family, r = 5": family_array(FamilySpec(Kind.ORDINARY, 5), 10),
     "exponential family, r = 3": family_array(FamilySpec(Kind.EXPONENTIAL, 3), 10),  # r/2 cleared
     "exponential family, r = 2^40 + 1": family_array(FamilySpec(Kind.EXPONENTIAL, 2**40 + 1), 10),
-    "exponential family, symbolic r": family_array(FamilySpec(Kind.EXPONENTIAL, R), 6),  # series products
-    "narayana": narayana_array(10),  # generalized: series products
+    "exponential family, symbolic r": family_array(FamilySpec(Kind.EXPONENTIAL, R), 6),  # rows read term by term
+    "narayana": narayana_array(10),  # generalized: weighted ordinary rows
     "non-integral": RiordanArray(TruncatedSeries([1, Fraction(1, 3)], 6), TruncatedSeries.x(6), Kind.EXPONENTIAL),
 }
 
