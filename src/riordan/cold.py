@@ -6,7 +6,11 @@ as the oracle that ``verify`` and the tests check them against, and lives
 here with the other code only they use: the Riordan group, the families'
 oracle routes (Riordan route, gamma extraction, closed forms, Narayana
 array), the bodies of the series operations inverse, compose, revert and
-exp and of :meth:`MultiPoly.parse`, and ``parse_matrix_doc``.
+exp and of :meth:`MultiPoly.parse`, and ``parse_matrix_doc``.  One
+recurrence, :func:`_bgf_rows`, reads a Riordan array's rows from its
+bivariate GF, g / (1 - y f) or g exp(y f), and the same recurrence at
+y = 1 is the series inverse, c / (1 - u) for c = 1/s_0 and u = 1 - c s,
+and the series exp, exp(y s).
 
 ``verify group`` spends most of its time here, on integer series of order
 8 to 12.  So integers stand in for series and polynomials, by Kronecker
@@ -120,11 +124,12 @@ def _bgf_rows(kind: Kind, g: Sequence, f: Sequence, size_n: int, y: int) -> list
     so P_n = g_n + y sum_(j=1..n) f_j P_(n-j).  Exponential, on g and f in
     Hurwitz form (:func:`_hurwitz`, G_j = j! g_j and F_j = j! f_j): P_n =
     n! [x^n] g e for e = exp(y f), which solves e' = y f' e, so E_n = n! e_n
-    is y sum_(j=1..n) C(n-1, j-1) F_j E_(n-j) (:func:`series_exp`), and
-    P_n is sum_j C(n, j) G_j E_(n-j): integral for integral G and F, as
-    for integer g and f and the exponential family's e^x and x + r x^2/2.
-    g(0) need not be 1, nor f_1 a unit: :meth:`RiordanArray.matrix` runs
-    this on cleared coefficients."""
+    is y sum_(j=1..n) C(n-1, j-1) F_j E_(n-j), and P_n is sum_j C(n, j)
+    G_j E_(n-j): integral for integral G and F, as for integer g and f and
+    the exponential family's e^x and x + r x^2/2.  g(0) need not be 1, nor
+    f_1 a unit: :meth:`RiordanArray.matrix` runs this on cleared
+    coefficients, and at y = 1 it is :func:`series_inverse` (ordinary, g
+    the constant 1/s_0) and :func:`series_exp` (exponential, g = 1)."""
     g, f, rows = g[: size_n + 1], f[1 : size_n + 1], []  # f from f_1 on
     if kind is Kind.ORDINARY:
         for n in range(size_n + 1):
@@ -232,16 +237,13 @@ def _unit_inverse(c: Coeff, error: type[ValueError], what: str) -> Coeff:
 
 
 def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
-    """The body of :meth:`TruncatedSeries.inverse`."""
-    inv0 = _unit_inverse(s._coeffs[0], NonUnitConstantTerm, "constant term")
-    a = s._coeffs
-    out: list[Coeff] = [1 * inv0]
-    for n in range(1, s.order + 1):
-        acc = a[1] * out[n - 1]
-        for i in range(2, n + 1):
-            acc = acc + a[i] * out[n - i]
-        out.append(-acc * inv0)
-    return _trusted(out)
+    """The body of :meth:`TruncatedSeries.inverse`: with c the inverse of
+    s_0, 1/s = c / (1 - u) for u = 1 - c s, whose constant term is 0, so
+    its coefficients are rows 0..n at y = 1 of the ordinary array (c, u)
+    (:func:`_bgf_rows`)."""
+    c = _unit_inverse(s._coeffs[0], NonUnitConstantTerm, "constant term")
+    n = s.order
+    return _trusted(_bgf_rows(Kind.ORDINARY, [c] + [0] * n, [-c * a for a in s._coeffs], n, 1))
 
 
 def series_compose(s: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
@@ -325,31 +327,19 @@ def series_revert(s: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_exp(s: TruncatedSeries) -> TruncatedSeries:
-    """The body of :meth:`TruncatedSeries.exp`: e = exp(f) solves e' = f' e,
-    so n e_n = sum_{k=1..n} k f_k e_{n-k}.  It runs in Hurwitz form: with
-    E_n = n! e_n and F_k = k! f_k, E_0 = 1 and
-    E_n = sum_{k=1..n} C(n-1, k-1) F_k E_{n-k}, which stays integral for
-    integral F.  O(order^2) coefficient products, and one product by
-    1/n! for each coefficient."""
+    """The body of :meth:`TruncatedSeries.exp`: n! [x^n] exp(s) is row n
+    at y = 1 of the exponential array (1, s) (:func:`_bgf_rows`), which
+    runs in Hurwitz form and stays integral for integral j! s_j; each row
+    is then scaled once, by 1/n!."""
     if s._coeffs[0] != 0:
         raise NonzeroConstantTerm("exp needs a zero constant term")
-    scaled = [(k, factorial(k) * c) for k, c in enumerate(s._coeffs) if k and c]
-    hurwitz: list[Coeff] = [1]
-    out: list[Coeff] = [1]
-    for n in range(1, s.order + 1):
-        acc = 0
-        for k, fk in scaled:  # fk = F_k
-            if k > n:
-                break
-            acc = acc + comb(n - 1, k - 1) * fk * hurwitz[n - k]
-        hurwitz.append(acc)
-        out.append(tidy(acc * Fraction(1, factorial(n))))
-    return _trusted(out)
+    rows = _bgf_rows(Kind.EXPONENTIAL, [1], _hurwitz(s._coeffs), s.order, 1)
+    return _trusted([tidy(e * Fraction(1, factorial(n))) for n, e in enumerate(rows)])
 
 
 def egf_to_ogf(series: TruncatedSeries) -> TruncatedSeries:
     """Rescale coefficient n by n!, turning an EGF into its ordinary form."""
-    return TruncatedSeries([tidy(factorial(n) * c) for n, c in enumerate(series)])
+    return _trusted(_hurwitz(series._coeffs))
 
 
 def integer_coeffs(series: TruncatedSeries) -> list[int]:

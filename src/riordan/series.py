@@ -18,8 +18,10 @@ reads its rows from its packed values, and no fixture check loads a series
 either.  None of those requests inverts, composes, reverts or
 exponentiates a series, so the bodies of those methods, their exceptions,
 :func:`~riordan.cold.egf_to_ogf` and :func:`~riordan.cold.integer_coeffs`
-live in :mod:`riordan.cold`, loaded on first use.  The methods stay here
-and delegate to it; the other names import from there.
+live in :mod:`riordan.cold`, loaded on first use.  There the inverse and
+the exp are the recurrence of a Riordan array's bivariate GF at y = 1,
+g / (1 - y f) and exp(y f).  The methods stay here and delegate to it; the
+other names import from there.
 """
 
 from operator import add, mul

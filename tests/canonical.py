@@ -12,11 +12,12 @@ from riordan.algebra import MultiPoly, R, Y, tidy
 from riordan.arrays import LowerTriMatrix, NonIntegralEntry, _normalize_entry
 
 # Coefficients of one ring per example: int, Fraction or MultiPoly.
-rings = st.sampled_from([
-    st.integers(-5, 5),
-    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
-    st.sampled_from([0, 1, -2, R, Y, R - 1, Y + 1, 2 * R * Y + 3, R * Fraction(1, 2), R * Fraction(1, 2) - Y, Y * Fraction(-2, 3) + 1]),
-])
+rings_by_name = {
+    "int": st.integers(-5, 5),
+    "Fraction": st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+    "MultiPoly": st.sampled_from([0, 1, -2, R, Y, R - 1, Y + 1, 2 * R * Y + 3, R * Fraction(1, 2), R * Fraction(1, 2) - Y, Y * Fraction(-2, 3) + 1]),
+}
+rings = st.sampled_from(list(rings_by_name.values()))
 
 
 def typed(value):

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from canonical import rings, typed_all
+from canonical import rings, rings_by_name, typed_all
 from riordan.algebra import MultiPoly, R, Y, tidy
 from riordan.cold import (
     NonIntegralResult,
@@ -66,6 +66,35 @@ def test_inverse_requires_a_unit():
     assert S([R * 0 + 1, R], 4).inverse()[1] == -R
 
 
+def _inverse_by_recurrence(s):
+    """1/s one coefficient at a time, b_n = -b_0 sum_(i=1..n) a_i b_(n-i)
+    for b_0 = 1/a_0: the oracle, types included, of TruncatedSeries.inverse,
+    which reads 1/s from a bivariate GF instead."""
+    c = s[0].constant_value() if isinstance(s[0], MultiPoly) else s[0]
+    out = [c if type(c) is int else 1 / c]
+    for n in range(1, s.order + 1):
+        out.append(-sum(s[i] * out[n - i] for i in range(1, n + 1)) * out[0])
+    return out
+
+
+# The units of each ring, as constant or linear coefficients; a Fraction
+# need not be an integer unit.
+units = {
+    "int": st.sampled_from([1, -1]),
+    "Fraction": st.sampled_from([Fraction(1, 2), Fraction(-3, 2), Fraction(3)]),
+    "MultiPoly": st.sampled_from([-1, MultiPoly.const(1), MultiPoly.const(Fraction(-1, 2))]),
+}
+
+
+@given(st.sampled_from(sorted(units)), st.data())
+def test_inverse_matches_its_coefficient_recurrence(ring, data):
+    """On drawn series of every ring with a unit constant term, inverse
+    agrees with the coefficient loop, types compared, and inverts."""
+    s = S([data.draw(units[ring]), *data.draw(st.lists(rings_by_name[ring], max_size=12))])
+    assert typed_all(s.inverse()) == typed_all(_inverse_by_recurrence(s))
+    assert s * s.inverse() == 1
+
+
 def test_compose_examples():
     g = S.ratio([1], [1, -1], 8)
     f = S.ratio([0, 1], [1, -1], 8)
@@ -115,7 +144,7 @@ def test_exp_examples():
     assert typed_all(S([0, 2], 4).exp()) == typed_all([1, 2, 2, Fraction(4, 3), Fraction(2, 3)])
     assert typed_all(S([0, 2 * R], 3).exp()) == typed_all([1, 2 * R, 2 * R**2, Fraction(4, 3) * R**3])
 
-    with pytest.raises(NonzeroConstantTerm):
+    with pytest.raises(NonzeroConstantTerm, match="exp needs a zero constant term"):
         series_of([1, 1]).exp()
 
 
@@ -213,6 +242,10 @@ def test_egf_to_ogf_examples():
     # ... while the all-ones coefficient list, read as an EGF, encodes n!
     assert integer_coeffs(egf_to_ogf(S.ratio([1], [1, -1], 6))) == [factorial(n) for n in range(7)]
     assert integer_coeffs(egf_to_ogf(S.one(4))) == [1, 0, 0, 0, 0]
+    # Canonical coefficients: an integral Fraction comes back an int, and
+    # a MultiPoly's coefficients ints where integral.
+    ogf = egf_to_ogf(S([Fraction(2), Fraction(1, 3), Fraction(1, 2), R * Fraction(1, 6)]))
+    assert typed_all(ogf) == typed_all([2, Fraction(1, 3), 1, R])
     with pytest.raises(NonIntegralResult):
         integer_coeffs(S([Fraction(1, 2)], 3))
 
@@ -233,19 +266,10 @@ def test_mul_is_associative_and_commutative(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
-# Invertible linear coefficients of each ring; a Fraction need not be an
-# integer unit.
-linear_units = {
-    "int": st.sampled_from([1, -1]),
-    "Fraction": st.sampled_from([Fraction(1, 2), Fraction(-3, 2), Fraction(3)]),
-    "MultiPoly": st.sampled_from([-1, MultiPoly.const(1), MultiPoly.const(Fraction(-1, 2))]),
-}
-
-
 @given(st.sampled_from(sorted(coefficients)), st.integers(1, 20), st.data())
 def test_reversion_identity_both_directions(ring, order, data):
     rest = data.draw(st.lists(coefficients[ring], min_size=order - 1, max_size=order - 1))
-    f = S([0, data.draw(linear_units[ring]), *rest])
+    f = S([0, data.draw(units[ring]), *rest])
     g = f.revert()
     x = TruncatedSeries.x(order)
     assert f.compose(g) == x
