@@ -12,8 +12,8 @@ products and embedded OEIS data.  Each triple stores only its gamma data;
 its h and f members are derived by the paper's maps on J-fractions.
 
 Modules: :mod:`~riordan.algebra` (integers, rationals, polynomials in r, y),
-:mod:`~riordan.series` (truncated power series; reversion by Lagrange
-inversion), :mod:`~riordan.arrays` (lower-triangular matrices),
+:mod:`~riordan.series` (truncated power series; reversion by the rows
+of the Riordan array (1, s)), :mod:`~riordan.arrays` (lower-triangular matrices),
 :mod:`~riordan.jfraction` (Jacobi continued fractions),
 :mod:`~riordan.recurrence` and :mod:`~riordan.walk` (their two engines:
 the three-term row recurrence and the Motzkin walk),

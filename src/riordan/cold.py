@@ -15,15 +15,17 @@ and the series exp, exp(y s).
 ``verify group`` spends most of its time here, on integer series of order
 8 to 12.  So integers stand in for series and polynomials, by Kronecker
 substitution (Schoenhage 1982; Harvey 2009): the Horner steps of
-:func:`series_compose` and the powers of :func:`series_revert` run on one
-int per series at x = 2^width wherever every coefficient is an int, and
-:meth:`RiordanArray.matrix` reads row n of every array, symbolic and
-weighted ones included, from the value its bivariate GF takes at
-y = 2^width: an int, or a MultiPoly each of whose terms packs the row's
-coefficients of that monomial.  Each width, and each width of the verify
+:func:`series_compose` run on one int per series at x = 2^width wherever
+every coefficient is an int, and :func:`_array_rows` reads row n of every
+array, symbolic and weighted ones included, from the value its bivariate
+GF takes at y = 2^width: an int, or a MultiPoly each of whose terms packs
+the row's coefficients of that monomial.  :meth:`RiordanArray.matrix`
+takes its rows from there, and so does :func:`series_revert`, which
+solves against the rows of the array (1, s), whose inverse in the
+Riordan group is (1, sbar).  Each width, and each width of the verify
 checks, is ``_width`` of one rule, the method of majorants: the same
 computation run on the norms of its inputs (see "packed integer chains"
-below).  The matrix and compose clear rational coefficients to ints
+below).  The rows, revert and compose clear rational coefficients to ints
 first, and compute at the r they are given: a polynomial in r stays a
 MultiPoly.  ``verify props`` takes the Riordan route at one integer
 r = 2^W (:mod:`riordan.props`), and the group suite's matrix laws compare
@@ -87,30 +89,30 @@ class NonIntegralResult(ValueError):
 # bivariate GF with g and f replaced by their norms; a walk's is its norm
 # walk (walk._norm_walk).  A truncation at x^m keeps the value's low m slots
 # (_low), exact when each kept coefficient fits its slot, whatever the
-# dropped ones are.  Compose and revert run on one packed int per series
-# only where the width is at most SERIES_CHAIN_BITS, and elsewhere compute
-# on their coefficients, as revert does for a Fraction or MultiPoly
-# coefficient; RiordanArray.matrix packs at any width.  The matrix and
-# compose clear the common denominators of rational coefficients first
-# (_cleared), and read each result back once: the matrix divides each
-# entry by its column's denominator (_scaled), compose by its one
-# denominator.
+# dropped ones are.  Compose runs on one packed int per series only where
+# the width is at most SERIES_CHAIN_BITS, and elsewhere computes on its
+# coefficients; _array_rows packs at any width.  The rows and compose clear
+# the common denominators of rational coefficients first (_cleared), and
+# read each result back once: the matrix divides each entry by its
+# column's denominator (_scaled), revert solves over 1/(d s_1) and takes
+# coefficient k times d^k, and compose divides by its one denominator
+# (_over).
 
 
 def _ints(*coeffs) -> bool:
     return set(map(type, coeffs)) <= {int}
 
 
-# The cutoff, measured as the packed chains against series products of the
-# same ints (warm, best of 7 runs of 100, on a 2-core x86-64 machine; random
-# int coefficients sized to give each slot width, N = 8 to 16): compose and
-# revert took 0.3-0.9x up to 256 bits and 0.9-1.7x from 272 bits up.
+# The cutoff, measured as the packed Horner chain of compose against series
+# products of the same ints (warm, best of 7 runs of 100, on a 2-core x86-64
+# machine; random int coefficients sized to give each slot width, N = 8 to
+# 16): the chain took 0.3-0.9x up to 256 bits and 0.9-1.7x from 272 bits up.
 SERIES_CHAIN_BITS = 256
 
 
 def _chain_width(bound: int) -> int | None:
-    """The slot width of a packed chain whose coefficients are at most
-    bound, or None, for series products, where that width passes
+    """The slot width of compose's packed chain whose coefficients are at
+    most bound, or None, for series products, where that width passes
     SERIES_CHAIN_BITS."""
     width = _width(bound)
     return width if width and width <= SERIES_CHAIN_BITS else None
@@ -172,6 +174,16 @@ def _majorant(kind: Kind, g: Sequence, f: Sequence, size_n: int, y: int = 1) -> 
     return max(_bgf_rows(kind, *norms, size_n, y))
 
 
+def _array_rows(kind: Kind, g: Sequence, f: Sequence, size_n: int) -> list[list]:
+    """Rows 0..size_n of the array (g, f), given as :func:`_bgf_rows` takes
+    it on ints or integer-coefficient MultiPolys, each read from its
+    bivariate GF at y = 2^V, V ``_width`` of its majorant (:func:`_majorant`)
+    with no cap: an int row as its balanced digits, a MultiPoly row (in r or
+    y) term by term (:func:`_read`)."""
+    width = _width(_majorant(kind, g, f, size_n), cap=None)
+    return [_read(v, width, n + 1) for n, v in enumerate(_bgf_rows(kind, g, f, size_n, 1 << width))]
+
+
 def _pack_x(coeffs: Sequence[int], width: int) -> int:
     """The polynomial with these coefficients, lowest first, at x = 2^width."""
     return sum(map(int.__lshift__, coeffs, range(0, width * len(coeffs), width)))
@@ -219,6 +231,11 @@ def _scaled(value, den: int) -> "Entry":
     from .arrays import _normalize_entry
 
     return _normalize_entry(value * Fraction(1, den))
+
+
+def _over(value, den: int):
+    """value / den, exact and canonical (:func:`~riordan.algebra.tidy`)."""
+    return tidy(Fraction(value, den) if type(value) is int else value * Fraction(1, den))
 
 
 def _unit_inverse(c: Coeff, error: type[ValueError], what: str) -> Coeff:
@@ -290,40 +307,28 @@ def series_compose(s: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSerie
             for k in range(n - 1, -1, -1):
                 result = _trusted((c[k],) + (result * over_x)._coeffs)
         out = result._coeffs
-    return _trusted(out if den == 1 else [tidy(v * Fraction(1, den)) for v in out])
+    return _trusted(out if den == 1 else [_over(v, den) for v in out])
 
 
 def series_revert(s: TruncatedSeries) -> TruncatedSeries:
-    """The body of :meth:`TruncatedSeries.revert`, by Lagrange inversion
-    (Stanley, *EC2*, Thm 5.4.2): with h = x / s(x), the coefficient of x^k
-    in the reversion is [x^(k-1)] h^k / k.  One series inverse and n - 1
-    truncated products at order n - 1, on packed ints for integer h, each
-    power read at its one slot k - 1."""
+    """The body of :meth:`TruncatedSeries.revert`.  The inverse of the array
+    (1, s) in the Riordan group is (1, sbar), so the reversion sbar solves
+    sum_k sbar_k [x^m] s^k = [m = 1], a triangular system in the rows of
+    (1, s).  With d the common denominator of s (:func:`_cleared`), row m of
+    the ordinary array (1, d s) (:func:`_array_rows`) holds d^k [x^m] s^k,
+    and its diagonal (d s_1)^m, so u_k = sbar_k / d^k solves u_1 = e and
+    u_m = -e^m sum_(1<=k<m) row_m[k] u_k, for e = 1/(d s_1)."""
     if s._coeffs[0] != 0:
         raise NonzeroConstantTerm("can only revert a series with zero constant term")
     if s.order < 1:
         raise ZeroLinearTerm("no linear coefficient available")
-    # A non-unit linear coefficient is a ZeroLinearTerm, not the
-    # NonUnitConstantTerm that inverting s/x would raise.
-    _unit_inverse(s._coeffs[1], ZeroLinearTerm, "linear coefficient")
-    h = series_inverse(_trusted(s._coeffs[1:]))
-    out, power, n = [0, tidy(h._coeffs[0])], h, s.order
-    # The powers on norms at x = 1 bound the coefficients of h^k by
-    # |h|(1)^k, at most |h|(1)^n, as |h|(1) >= |h_0| = 1.
-    width = _ints(*h._coeffs) and _chain_width(sum(map(abs, h._coeffs)) ** n)
-    if width:
-        power = h = _pack_x(h._coeffs, width)
-    for k in range(2, n + 1):
-        if width:
-            # Coefficient k - 1 is the low slot of power rounded down by
-            # k - 1 slots, which adds the borrow of the balanced slots below.
-            power = _low(power * h, width * n)
-            c = _low(power + (1 << width * (k - 1) - 1) >> width * (k - 1), width)
-        else:
-            power = power * h
-            c = power._coeffs[k - 1]
-        out.append(c // k if type(c) is int and not c % k else tidy(c * Fraction(1, k)))
-    return _trusted(out)
+    c = _unit_inverse(s._coeffs[1], ZeroLinearTerm, "linear coefficient")
+    n, (d, cleared) = s.order, _cleared(s._coeffs)
+    rows = _array_rows(Kind.ORDINARY, [1] + [0] * n, cleared, n)
+    u = [0, e := _over(c, d)]
+    for m in range(2, n + 1):
+        u.append(-(e**m) * sum(map(mul, rows[m][1:m], u[1:])))
+    return _trusted([0] + [tidy(uk * d**k) for k, uk in enumerate(u[1:], 1)])
 
 
 def series_exp(s: TruncatedSeries) -> TruncatedSeries:
@@ -334,7 +339,7 @@ def series_exp(s: TruncatedSeries) -> TruncatedSeries:
     if s._coeffs[0] != 0:
         raise NonzeroConstantTerm("exp needs a zero constant term")
     rows = _bgf_rows(Kind.EXPONENTIAL, [1], _hurwitz(s._coeffs), s.order, 1)
-    return _trusted([tidy(e * Fraction(1, factorial(n))) for n, e in enumerate(rows)])
+    return _trusted([_over(e, factorial(n)) for n, e in enumerate(rows)])
 
 
 def egf_to_ogf(series: TruncatedSeries) -> TruncatedSeries:
@@ -386,7 +391,7 @@ def pascal_matrix(size_n: int) -> "LowerTriMatrix":
     """The binomial matrix C(n, k) with rows 0..size_n."""
     from .arrays import LowerTriMatrix
 
-    return LowerTriMatrix([[comb(n, k) for k in range(n + 1)] for n in range(size_n + 1)])
+    return LowerTriMatrix(_pascal(size_n))
 
 
 def face_matrix(m: "LowerTriMatrix") -> "LowerTriMatrix":
@@ -494,21 +499,17 @@ class RiordanArray(Frozen):
         coefficients, so that every coefficient is an int or an
         integer-coefficient MultiPoly, and the cleared array's entries are
         d_g d_f^k a[n,k].  Row n of every array is read from its bivariate
-        GF (:func:`_bgf_rows`) at y = 2^V, V ``_width`` of its majorant
-        (:func:`_majorant`) with no cap: an int row as its balanced digits,
-        a MultiPoly row (in r or y) term by term (:func:`_read`).  A
-        generalized array's rows are those of its ordinary array, entry
-        (n, k) then taken times c_n/c_k.  Each entry is then divided by
-        column k's d_g d_f^k; where that is not integral it raises
-        NonIntegralEntry."""
+        GF at y = 2^V (:func:`_array_rows`).  A generalized array's rows are
+        those of its ordinary array, entry (n, k) then taken times c_n/c_k.
+        Each entry is then divided by column k's d_g d_f^k; where that is
+        not integral it raises NonIntegralEntry."""
         from .arrays import IndexBeyondTruncation, LowerTriMatrix
 
         if size_n > self.order:
             raise IndexBeyondTruncation(f"size {size_n} beyond truncation order {self.order}")
         kind = Kind.ORDINARY if self.kind is Kind.GENERALIZED else self.kind
         (dg, g), (df, f) = map(_cleared, self._gf(size_n))
-        width = _width(_majorant(kind, g, f, size_n), cap=None)
-        rows = [_read(v, width, n + 1) for n, v in enumerate(_bgf_rows(kind, g, f, size_n, 1 << width))]
+        rows = _array_rows(kind, g, f, size_n)
         if kind is not self.kind:
             rows = [[self._prefactor(n, k) * e for k, e in enumerate(row)] for n, row in enumerate(rows)]
         return LowerTriMatrix([_scaled(e, dg * df**k) for k, e in enumerate(row)] for row in rows)

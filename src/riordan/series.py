@@ -20,7 +20,8 @@ exponentiates a series, so the bodies of those methods, their exceptions,
 :func:`~riordan.cold.egf_to_ogf` and :func:`~riordan.cold.integer_coeffs`
 live in :mod:`riordan.cold`, loaded on first use.  There the inverse and
 the exp are the recurrence of a Riordan array's bivariate GF at y = 1,
-g / (1 - y f) and exp(y f).  The methods stay here and delegate to it; the
+g / (1 - y f) and exp(y f), and the reversion of s solves against the rows
+of the array (1, s), whose inverse is (1, sbar).  The methods stay here and delegate to it; the
 other names import from there.
 """
 
@@ -153,9 +154,9 @@ class TruncatedSeries:
         return _cold().series_compose(self, inner)
 
     def revert(self) -> "TruncatedSeries":
-        """Compositional inverse g with self(g(x)) == g(self(x)) == x, by
-        Lagrange inversion, with canonical coefficients (see
-        :func:`~riordan.algebra.tidy`)."""
+        """Compositional inverse g with self(g(x)) == g(self(x)) == x, from
+        the rows of the Riordan array (1, self), with canonical
+        coefficients (see :func:`~riordan.algebra.tidy`)."""
         return _cold().series_revert(self)
 
     def exp(self) -> "TruncatedSeries":

@@ -1,13 +1,13 @@
-"""The packed integer engines against the code they replace: the two
-series chains of the Riordan oracle (riordan.cold: compose and revert) on
-integer inputs, and compose also on rational ones, cleared of their
-denominators, each run once packed wherever its slots fit MAX_WIDTH, past
-the measured cutoff up to which production packs, and once with packing
-switched off, where it computes on its coefficients; the two must agree
-value for value and type for type.  RiordanArray.matrix, which reads the
-rows of every array from its bivariate GF at y = 2^V, however wide: an
-int row as its digits, a row in r or y term by term, a generalized
-array's as its ordinary array's, weighted; against the series products
+"""The packed integer engines against the code they replace: the series
+chain of the Riordan oracle (riordan.cold: compose's Horner steps) on
+integer inputs and on rational ones, cleared of their denominators, run
+once packed wherever its slots fit MAX_WIDTH, past the measured cutoff up
+to which production packs, and once with packing switched off, where it
+computes on its coefficients; the two must agree value for value and type
+for type.  RiordanArray.matrix, which reads the rows of every array from
+its bivariate GF at y = 2^V, however wide: an int row as its digits, a
+row in r or y term by term, a generalized array's as its ordinary
+array's, weighted; against the series products
 of its entries and columns (canonical.matrix_by_columns), on integer,
 rational, symbolic, weighted and extremal arrays.  The y-packed Motzkin
 walk (riordan.walk) reads its rows from the digits of its
@@ -61,11 +61,11 @@ from riordan.verify import CHECKS, DEFAULT_SEED
 
 
 def packed_and_unpacked(build):
-    """build() with every chain packed wherever its slots fit MAX_WIDTH,
-    past the cutoff that production packs below (cold._chain_width), so
-    that the chain meets the series products at every width it could
-    take; the widths its chains took (None for a chain left unpacked); and
-    build() with every chain unpacked."""
+    """build() with compose's chain packed wherever its slots fit
+    MAX_WIDTH, past the cutoff that production packs below
+    (cold._chain_width), so that the chain meets the series products at
+    every width it could take; the widths its chains took (None for a
+    chain left unpacked); and build() with every chain unpacked."""
     widths = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cold, "_chain_width", lambda bound: widths.append(_width(bound)) or widths[-1])
@@ -76,8 +76,8 @@ def packed_and_unpacked(build):
 
 
 def chain_widths(build):
-    """The widths that the chains of build(), as production runs it, take
-    (None for series products)."""
+    """The widths that compose's chains in build(), as production runs
+    it, take (None for series products)."""
     widths, real = [], cold._chain_width
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cold, "_chain_width", lambda bound: widths.append(real(bound)) or widths[-1])
@@ -87,14 +87,13 @@ def chain_widths(build):
 
 def test_a_chain_packs_only_up_to_its_measured_cutoff():
     # The group laws' series (coefficients in [-4, 4], order 10) take the
-    # chains, and a compose or revert whose slots pass 256 bits takes
-    # series products.
+    # chain, and a compose whose slots pass 256 bits takes series products.
     assert cold.SERIES_CHAIN_BITS == 256
     assert cold._chain_width(2**254) == 256 and cold._chain_width(2**255) is None
     wide = TruncatedSeries([0, 1] + [2**40] * 11)
-    assert chain_widths(lambda: wide.compose(wide)) == chain_widths(wide.revert) == [None]
+    assert chain_widths(lambda: wide.compose(wide)) == [None]
     g, f = TruncatedSeries([1, 4, -4, 3] + [2] * 7), TruncatedSeries([0, 1, -4, 4] + [-3] * 7)
-    assert chain_widths(lambda: g.compose(f)) != [None] != chain_widths(f.revert)
+    assert chain_widths(lambda: g.compose(f)) != [None]
 
 
 def series(coeffs):
@@ -119,16 +118,6 @@ LONG_G = TruncatedSeries([1] + [(-1) ** k * (k % 5) for k in range(1, 71)])
 def test_compose_packs_and_matches_the_horner_loop(s, inner):
     packed, widths, plain = packed_and_unpacked(lambda: s.compose(inner))
     assert len(widths) == 1 and (widths[0] is None) == (max(map(abs, s.coeffs)) >= 2**3000)
-    assert typed_all(packed) == typed_all(plain)
-
-
-@given(st.builds(lambda u, rest: TruncatedSeries((0, u, *rest)), st.sampled_from([1, -1]), st.lists(small, max_size=12)))
-@example(TruncatedSeries([0, 1]))
-@example(TruncatedSeries([0, -1, 0, 0]))  # h = -1, all other coefficients zero
-@example(TruncatedSeries([0, 1, 1] + [0] * 68))  # powers of 70 slots
-def test_revert_packs_and_matches_the_power_loop(s):
-    packed, widths, plain = packed_and_unpacked(s.revert)
-    assert len(widths) == 1 and widths[0]
     assert typed_all(packed) == typed_all(plain)
 
 
