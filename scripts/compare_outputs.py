@@ -31,9 +31,19 @@ default, and the tree's path in stderr reads ``SRC``.  The script prints
 the number of those commands and each whose exit code, stdout, stderr or
 written file differs; this pass takes about ten seconds.
 
-Called again in one interpreter (``main`` takes the command lists as
-arguments), the script reuses this tree's records of each command list and
-process command, and runs only the baseline's.
+Last, a library pass runs in one fresh interpreter per tree, both at once:
+for each array of :data:`ARRAYS` (one of each kind, an array with rational
+coefficients, arrays in a symbolic r, one with an entry that is not
+integral, and the Narayana array), ``matrix(N)`` and ``matrix(N + 1)`` for
+N its order, and ``entry(n, k)`` for every 0 <= k <= n + 1 <= N + 2.  Each
+outcome is the typed entries (each entry's type, and each coefficient's of
+a polynomial) or the exception's type and text.  The script prints the
+number of arrays and each whose calls differ, naming those calls.
+
+Called again in one interpreter (``main`` takes the command lists and the
+arrays as arguments), the script reuses this tree's records of each
+command list, process command and array list, and runs only the
+baseline's.
 """
 
 import hashlib
@@ -75,6 +85,52 @@ for argv in json.load(sys.stdin):
         os.remove(%(output)r)
     print(json.dumps([code, digest(out.getvalue()), err.getvalue(), written]), flush=True)
 """ % {"output": OUTPUT}
+
+# Builds each array it reads, as Python text, from stdin and prints one JSON
+# record per array: a [call, outcome] pair for matrix(N) and matrix(N + 1),
+# N the array's order, and for entry(n, k) at every 0 <= k <= n + 1 <= N + 2;
+# an outcome is the typed entries, or the exception's type and text.
+LIBRARY = """
+import json, sys
+from fractions import Fraction
+from riordan.algebra import R, MultiPoly
+from riordan.cold import *
+from riordan.families import FamilySpec, Kind
+from riordan.series import TruncatedSeries
+
+def typed(e):
+    if isinstance(e, MultiPoly):
+        return ["MultiPoly", [[list(m), type(c).__name__, str(c)] for m, c in sorted(e.items())]]
+    return [type(e).__name__, str(e)]
+
+def outcome(call):
+    try:
+        value = call()
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+    return [[typed(e) for e in row] for row in value.rows] if hasattr(value, "rows") else typed(value)
+
+for text in json.load(sys.stdin):
+    array = eval(text)
+    size = array.order
+    calls = [(f"matrix({m})", lambda m=m: array.matrix(m)) for m in (size, size + 1)]
+    calls += [(f"entry({n}, {k})", lambda n=n, k=k: array.entry(n, k)) for n in range(size + 2) for k in range(n + 2)]
+    print(json.dumps([[name, outcome(call)] for name, call in calls]), flush=True)
+"""
+
+# The arrays of the library pass, as the runner builds them: one of each
+# kind, an array with rational coefficients, arrays in a symbolic r, one
+# with an entry that is not integral, and the Narayana array.
+ARRAYS = [
+    "binomial_array(Kind.ORDINARY, 8)",
+    "binomial_array(Kind.EXPONENTIAL, 8)",
+    "RiordanArray(TruncatedSeries.ratio([1], [1, -1], 8), TruncatedSeries.x(8), Kind.GENERALIZED, FACTORIAL_WEIGHTS)",
+    "family_array(FamilySpec(Kind.EXPONENTIAL, 3), 8)",
+    "family_array(FamilySpec(Kind.ORDINARY, R), 6)",
+    "family_array(FamilySpec(Kind.EXPONENTIAL, R), 6)",
+    "RiordanArray(TruncatedSeries([1, Fraction(1, 3)], 6), TruncatedSeries.x(6), Kind.EXPONENTIAL)",
+    "narayana_array(8)",
+]
 
 FORMATS = ("table", "json", "csv", "latex")
 
@@ -216,35 +272,54 @@ def sweep() -> list[list[str]]:
     return commands + [list(argv) for argv in ERRORS]
 
 
-def run(src: Path, commands: list[list[str]], workdir: str) -> subprocess.Popen:
-    """Start one interpreter that runs the commands under the tree ``src`` in
-    ``workdir``, writing its records to the file ``records`` there."""
+def run(src: Path, items: list, workdir: str, runner: str = RUNNER) -> subprocess.Popen:
+    """Start one interpreter that runs ``runner`` on the items (commands or
+    arrays) under the tree ``src`` in ``workdir``, writing its records to
+    the file ``records`` there."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     with open(os.path.join(workdir, "records"), "w") as out:
-        argv = [sys.executable, "-c", RUNNER]
+        argv = [sys.executable, "-c", runner]
         process = subprocess.Popen(argv, cwd=workdir, env=env, stdin=subprocess.PIPE, stdout=out, text=True)
-    process.stdin.write(json.dumps(commands))
+    process.stdin.write(json.dumps(items))
     process.stdin.close()
     return process
 
 
-# This tree's records, per command list or process command: computed once
-# per interpreter, where the baseline's are computed on every call.
+# This tree's records, per runner and item list or process command:
+# computed once per interpreter, where the baseline's are computed on every
+# call.
 _OURS = {}
 
 
-def differences(baseline: Path, commands: list[list[str]], src: Path = SRC) -> list[str]:
-    """One line per command whose record differs between the two trees."""
-    key = (str(src), json.dumps(commands))
+def _records(baseline: Path, items: list, runner: str, src: Path) -> tuple[list, list]:
+    """This tree's records of the items under ``runner``, and the baseline's."""
+    key = (str(src), runner, json.dumps(items))
     with tempfile.TemporaryDirectory() as theirs, tempfile.TemporaryDirectory() as ours:
         trees = [(baseline, theirs)] + [(src, ours)] * (key not in _OURS)
-        for process in [run(tree, commands, workdir) for tree, workdir in trees]:
+        for process in [run(tree, items, workdir, runner) for tree, workdir in trees]:
             if process.wait():
                 raise RuntimeError(f"the runner exited with {process.returncode}")
         records = [[json.loads(line) for line in Path(workdir, "records").read_text().splitlines()] for _, workdir in trees]
     if key not in _OURS:
         _OURS[key] = records.pop()
-    return [f"riordan {shlex.join(argv)}: {_what_differs(a, b)} differ" for argv, a, b in zip(commands, _OURS[key], records[0]) if a != b]
+    return _OURS[key], records[0]
+
+
+def differences(baseline: Path, commands: list[list[str]], src: Path = SRC) -> list[str]:
+    """One line per command whose record differs between the two trees."""
+    ours, theirs = _records(baseline, commands, RUNNER, src)
+    return [f"riordan {shlex.join(argv)}: {_what_differs(a, b)} differ" for argv, a, b in zip(commands, ours, theirs) if a != b]
+
+
+def library_differences(baseline: Path, arrays: list[str], src: Path = SRC) -> list[str]:
+    """One line per array whose matrices or entries, or the exceptions they
+    raise, differ between the two trees, naming the calls that differ."""
+    ours, theirs = _records(baseline, arrays, LIBRARY, src)
+    return [
+        f"{text}: {', '.join(call for (call, x), (_, y) in zip(a, b) if x != y)} differ"
+        for text, a, b in zip(arrays, ours, theirs)
+        if a != b
+    ]
 
 
 def _what_differs(a: list, b: list) -> str:
@@ -294,6 +369,7 @@ def main(
     argv: list[str] | None = None,
     commands: list[list[str]] | None = None,
     processes: list[tuple[list[str], bool]] | None = None,
+    arrays: list[str] | None = None,
 ) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1 or args[0].startswith("-"):
@@ -301,14 +377,17 @@ def main(
         return 2
     commands = sweep() if commands is None else commands
     processes = PROCESSES if processes is None else processes
+    arrays = ARRAYS if arrays is None else arrays
     baseline = Path(args[0]).resolve()
     found = differences(baseline, commands)
     by_process = process_differences(baseline, processes)
+    in_library = library_differences(baseline, arrays)
     print(f"{len(commands)} commands, {len(found)} differ")
     print(f"{len(processes)} commands as processes, {len(by_process)} differ")
-    for line in found + by_process:
+    print(f"{len(arrays)} arrays, {len(in_library)} differ")
+    for line in found + by_process + in_library:
         print(line)
-    return 1 if found or by_process else 0
+    return 1 if found or by_process or in_library else 0
 
 
 if __name__ == "__main__":

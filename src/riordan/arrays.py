@@ -74,6 +74,8 @@ class LowerTriMatrix:
         return len(self._rows)
 
     def entry(self, n: int, k: int) -> Entry:
+        if n < 0 or k < 0:
+            raise IndexError(f"no entry ({n}, {k}): indices are non-negative")
         if n >= self.size:
             raise IndexBeyondTruncation(f"row {n} beyond stored size {self.size}")
         return self._rows[n][k] if k <= n else 0

@@ -19,15 +19,17 @@ substitution (Schoenhage 1982; Harvey 2009): the Horner steps of
 every coefficient is an int, and :func:`_array_rows` reads row n of every
 array, symbolic and weighted ones included, from the value its bivariate
 GF takes at y = 2^width: an int, or a MultiPoly each of whose terms packs
-the row's coefficients of that monomial.  :meth:`RiordanArray.matrix`
-takes its rows from there, and so does :func:`series_revert`, which
+the row's coefficients of that monomial.  :meth:`RiordanArray.entry`
+and :meth:`RiordanArray.matrix` read every entry from there, one way
+(:meth:`RiordanArray._reader`), and so does :func:`series_revert`, which
 solves against the rows of the array (1, s), whose inverse in the
 Riordan group is (1, sbar).  Each width, and each width of the verify
 checks, is ``_width`` of one rule, the method of majorants: the same
 computation run on the norms of its inputs (see "packed integer chains"
 below).  The rows, revert and compose clear rational coefficients to ints
 first, and compute at the r they are given: a polynomial in r stays a
-MultiPoly.  ``verify props`` takes the Riordan route at one integer
+MultiPoly; the entries, compose, revert and exp divide back through one
+exact division, :func:`_over`.  ``verify props`` takes the Riordan route at one integer
 r = 2^W (:mod:`riordan.props`), and the group suite's matrix laws compare
 rows packed at y = 2^W (:meth:`RiordanArray._rows_at`).
 
@@ -93,10 +95,9 @@ class NonIntegralResult(ValueError):
 # the width is at most SERIES_CHAIN_BITS, and elsewhere computes on its
 # coefficients; _array_rows packs at any width.  The rows and compose clear
 # the common denominators of rational coefficients first (_cleared), and
-# read each result back once: the matrix divides each entry by its
-# column's denominator (_scaled), revert solves over 1/(d s_1) and takes
-# coefficient k times d^k, and compose divides by its one denominator
-# (_over).
+# read each result back once: an entry is divided by its column's
+# denominator, revert solves over 1/(d s_1) and takes coefficient k times
+# d^k, and compose divides by its one denominator, each through _over.
 
 
 def _ints(*coeffs) -> bool:
@@ -222,20 +223,13 @@ def _cleared(coeffs: Sequence) -> tuple[int, list]:
     return d, [tidy(v * d if d != 1 else v) for v in coeffs]
 
 
-def _scaled(value, den: int) -> "Entry":
-    """value / den as a matrix entry: an int divided exactly, or else what
-    _normalize_entry makes of value / den, NonIntegralEntry where it is not
-    integral."""
-    if type(value) is int and not value % den:
-        return value // den
-    from .arrays import _normalize_entry
-
-    return _normalize_entry(value * Fraction(1, den))
-
-
 def _over(value, den: int):
-    """value / den, exact and canonical (:func:`~riordan.algebra.tidy`)."""
-    return tidy(Fraction(value, den) if type(value) is int else value * Fraction(1, den))
+    """value / den, exact and canonical (:func:`~riordan.algebra.tidy`): an
+    int that den divides divided as an int.  The one exact division of
+    the matrix, compose, revert and exp."""
+    if type(value) is int:
+        return value // den if not value % den else tidy(Fraction(value, den))
+    return tidy(value * Fraction(1, den))
 
 
 def _unit_inverse(c: Coeff, error: type[ValueError], what: str) -> Coeff:
@@ -471,48 +465,54 @@ class RiordanArray(Frozen):
     def order(self) -> int:
         return min(self.g.order, self.f.order)
 
-    def _prefactor(self, n: int, k: int) -> int | Fraction:
-        if self.kind is Kind.ORDINARY:
-            return 1
-        if self.kind is Kind.EXPONENTIAL:
-            return factorial(n) // factorial(k)
-        return Fraction(Fraction(self.weights(n)), Fraction(self.weights(k)))
-
     def entry(self, n: int, k: int) -> "Entry":
-        """Exact entry a[n, k]; zero above the diagonal."""
-        from .arrays import IndexBeyondTruncation, _normalize_entry
+        """Exact entry a[n, k]; zero above the diagonal.  It is read from
+        rows 0..n as :meth:`matrix` reads its entries (:meth:`_reader`), and
+        raises NonIntegralEntry only where this entry is not integral."""
+        from .arrays import IndexBeyondTruncation
 
+        if n < 0 or k < 0:
+            raise IndexError(f"no entry ({n}, {k}): indices are non-negative")
         if n > self.order:
             raise IndexBeyondTruncation(f"n = {n} beyond truncation order {self.order}")
-        if k > n:
-            return 0
-        p = self.g
-        for _ in range(k):
-            p = p * self.f
-        return _normalize_entry(self._prefactor(n, k) * p[n])
+        return self._reader(n)(n, k) if k <= n else 0
 
     def matrix(self, size_n: int) -> "LowerTriMatrix":
-        """Lower triangle of entries for n, k = 0..size_n.
-
-        g and f, in Hurwitz form for an exponential array (:meth:`_gf`),
-        are scaled by the common denominators d_g and d_f of their
-        coefficients, so that every coefficient is an int or an
-        integer-coefficient MultiPoly, and the cleared array's entries are
-        d_g d_f^k a[n,k].  Row n of every array is read from its bivariate
-        GF at y = 2^V (:func:`_array_rows`).  A generalized array's rows are
-        those of its ordinary array, entry (n, k) then taken times c_n/c_k.
-        Each entry is then divided by column k's d_g d_f^k; where that is
-        not integral it raises NonIntegralEntry."""
+        """Lower triangle of entries for n, k = 0..size_n, each read by
+        :meth:`_reader`; the first that is not integral, in row order,
+        raises NonIntegralEntry."""
         from .arrays import IndexBeyondTruncation, LowerTriMatrix
 
+        if size_n < 0:
+            raise ValueError(f"size {size_n} is negative")
         if size_n > self.order:
             raise IndexBeyondTruncation(f"size {size_n} beyond truncation order {self.order}")
-        kind = Kind.ORDINARY if self.kind is Kind.GENERALIZED else self.kind
+        read = self._reader(size_n)
+        return LowerTriMatrix([read(n, k) for k in range(n + 1)] for n in range(size_n + 1))
+
+    def _reader(self, size_n: int) -> Callable[[int, int], "Entry"]:
+        """The entries (n, k), k <= n <= size_n, as :meth:`entry` and
+        :meth:`matrix` read them.  g and f, in Hurwitz form for an
+        exponential array (:meth:`_gf`), are scaled by the common
+        denominators d_g and d_f of their coefficients, so that every
+        coefficient is an int or an integer-coefficient MultiPoly, and the
+        cleared array's entries are d_g d_f^k a[n,k].  Rows 0..size_n are
+        read at once from the bivariate GF at y = 2^V (:func:`_array_rows`),
+        a generalized array's as those of its ordinary array.  An entry is
+        then read alone: times c_n/c_k for a generalized array, divided by
+        column k's d_g d_f^k (:func:`_over`) and checked integral
+        (NonIntegralEntry)."""
+        from .arrays import _normalize_entry
+
+        weights = self.weights if self.kind is Kind.GENERALIZED else None
         (dg, g), (df, f) = map(_cleared, self._gf(size_n))
-        rows = _array_rows(kind, g, f, size_n)
-        if kind is not self.kind:
-            rows = [[self._prefactor(n, k) * e for k, e in enumerate(row)] for n, row in enumerate(rows)]
-        return LowerTriMatrix([_scaled(e, dg * df**k) for k, e in enumerate(row)] for row in rows)
+        rows = _array_rows(Kind.ORDINARY if weights is not None else self.kind, g, f, size_n)
+
+        def read(n: int, k: int) -> "Entry":
+            e = rows[n][k] if weights is None else Fraction(Fraction(weights(n)), Fraction(weights(k))) * rows[n][k]
+            return _normalize_entry(_over(e, dg * df**k))
+
+        return read
 
     def _gf(self, size_n: int) -> tuple[list, list]:
         """g and f to x^size_n as :func:`_bgf_rows` takes them: in Hurwitz

@@ -185,8 +185,10 @@ class JFraction(namedtuple("JFraction", "alpha beta")):
         fraction takes the walk (:mod:`riordan.walk`).  Each engine's module
         gives its slot width, which decides the layout, and its bound:
         :func:`riordan.recurrence._layout` and :func:`riordan.walk._layout`.
-        Every plan has a bound, an int.
+        Every plan has a bound, an int.  A negative order raises ValueError.
         """
+        if order < 0:
+            raise ValueError("order must be non-negative")
         alpha, beta = self
         den = lcm(*(c.denominator for p in (*alpha.coeffs, *beta.coeffs) for _, c in p.items()))
         if den != 1:
@@ -213,8 +215,11 @@ class JFraction(namedtuple("JFraction", "alpha beta")):
         ``show`` and ``jf`` pass a writer of its text
         (:func:`riordan.render._write`).  ``read`` is used for nothing else:
         every other entry comes back as an int, a Fraction or a MultiPoly,
-        and so does every entry of a fraction with a denominator D.
+        and so does every entry of a fraction with a denominator D.  A
+        negative order raises ValueError, as :meth:`plan` does.
         """
+        if order < 0:
+            raise ValueError("order must be non-negative")
         plan = plan or self.plan(order)
         if plan.den != 1:
             from fractions import Fraction

@@ -108,8 +108,18 @@ def check_triangle(triangle, fixture: TriangleFixture) -> CheckReport:
     than the fixture's is compared entry by entry first, then reported
     with its first missing entry "absent".
     """
-    got_rows = _plain_rows(triangle)
-    want_rows = fixture.rows()
+    return _check_rows(fixture.anumber, _plain_rows(triangle), fixture.rows())
+
+
+def check_sequence(values, fixture: TriangleFixture) -> CheckReport:
+    """Compare a flat value list against a sequence-shaped fixture: value i
+    is row i, of one entry, against the fixture's value i."""
+    return _check_rows(fixture.anumber, [[v] for v in values], [[w] for w in fixture.values])
+
+
+def _check_rows(anumber: str, got_rows: list[list], want_rows: list[list]) -> CheckReport:
+    """The comparison of :func:`check_triangle` and :func:`check_sequence`,
+    row j of got_rows against row j of want_rows, up to the shorter list."""
     compared = min(len(got_rows), len(want_rows))
     matched = 0
     for j in range(compared):
@@ -117,21 +127,11 @@ def check_triangle(triangle, fixture: TriangleFixture) -> CheckReport:
         for k in range(len(got)):
             expect = want[k] if k < len(want) else 0
             if got[k] != expect:
-                return CheckReport(fixture.anumber, compared, matched, (j, k, got[k], expect))
+                return CheckReport(anumber, compared, matched, (j, k, got[k], expect))
             matched += 1
         if len(want) > len(got):
-            return CheckReport(fixture.anumber, compared, matched, (j, len(got), "absent", want[len(got)]))
-    return CheckReport(fixture.anumber, compared, matched)
-
-
-def check_sequence(values, fixture: TriangleFixture) -> CheckReport:
-    """Compare a flat value list against a sequence-shaped fixture."""
-    want = fixture.values
-    compared = min(len(values), len(want))
-    for i in range(compared):
-        if values[i] != want[i]:
-            return CheckReport(fixture.anumber, compared, i, (i, 0, values[i], want[i]))
-    return CheckReport(fixture.anumber, compared, compared)
+            return CheckReport(anumber, compared, matched, (j, len(got), "absent", want[len(got)]))
+    return CheckReport(anumber, compared, matched)
 
 
 # -- A-numbers ---------------------------------------------------------------

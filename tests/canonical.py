@@ -5,11 +5,13 @@ value of r."""
 
 from fractions import Fraction
 from functools import cache
+from math import factorial
 
 from hypothesis import strategies as st
 
 from riordan.algebra import MultiPoly, R, Y, tidy
 from riordan.arrays import LowerTriMatrix, NonIntegralEntry, _normalize_entry
+from riordan.families import Kind
 
 # Coefficients of one ring per example: int, Fraction or MultiPoly.
 rings_by_name = {
@@ -54,17 +56,26 @@ def typed_outcome(build):
 
 def matrix_by_columns(array, size_n):
     """Column k as the full series product g * f**k, every entry times its
-    prefactor: the oracle of RiordanArray.matrix, which reads every array's
-    rows from its bivariate GF and so shares no algorithm with it; no
-    other code takes column products.  It raises the NonIntegralEntry of
-    the first entry, in row order, that is not integral."""
+    prefactor, 1, n!/k! or c_n/c_k: the oracle of RiordanArray.matrix and
+    RiordanArray.entry, which read every array's rows from its bivariate
+    GF and so share no algorithm with it; no other code takes column
+    products.  It raises the NonIntegralEntry of the first entry, in row
+    order, that is not integral."""
     f = array.f.truncate(size_n)
     cols = [array.g.truncate(size_n)]
     for _ in range(size_n):
         cols.append(cols[-1] * f)
     return LowerTriMatrix(
-        [_normalize_entry(array._prefactor(n, k) * cols[k][n]) for k in range(n + 1)] for n in range(size_n + 1)
+        [_normalize_entry(_prefactor(array, n, k) * cols[k][n]) for k in range(n + 1)] for n in range(size_n + 1)
     )
+
+
+def _prefactor(array, n, k):
+    if array.kind is Kind.ORDINARY:
+        return 1
+    if array.kind is Kind.EXPONENTIAL:
+        return factorial(n) // factorial(k)
+    return Fraction(Fraction(array.weights(n)), Fraction(array.weights(k)))
 
 
 def at_r(rows, value) -> list[list]:

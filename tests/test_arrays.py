@@ -58,6 +58,7 @@ def test_entry_bounds_and_integrality():
     with pytest.raises(IndexBeyondTruncation):
         a.entry(5, 0)
     bad = RiordanArray(S([1, Fraction(1, 2)], 4), S.x(4), Kind.EXPONENTIAL)
+    assert bad.entry(0, 0) == 1  # only the entry read is checked integral
     with pytest.raises(NonIntegralEntry):
         bad.entry(1, 0)
 
@@ -204,7 +205,8 @@ def test_face_matrix_examples():
 
 def test_entry_matches_matrix_everywhere():
     a = RiordanArray(S.ratio([1], [1, -1, 1]), S.ratio([0, 1, -2], [1, -1]))
-    m = a.matrix(8)
+    m = matrix_by_columns(a, 8)
+    assert a.matrix(8) == m
     assert all(a.entry(n, k) == m.entry(n, k) for n in range(9) for k in range(n + 1))
 
 

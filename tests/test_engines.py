@@ -18,9 +18,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from canonical import at_r, typed_all, typed_rows
 from riordan import walk
-from riordan.algebra import MultiPoly, R, Y, tidy
+from riordan.algebra import MultiPoly, R, Y, _unpack, tidy
 from riordan.cli import main
-from riordan.cold import dense_family_triple
+from riordan.cold import binomial_array, dense_family_triple, pascal_matrix
 from riordan.expr import parse_index_poly
 from riordan.families import FamilySpec, Kind, family_fractions, family_triple, family_matrix, member_fraction, named_triple
 from riordan.jfraction import IndexPoly, JFraction, Plan
@@ -599,3 +599,38 @@ def test_every_integral_plan_bounds_its_rows(alpha, beta):
 @settings(max_examples=30)
 def test_every_integral_plan_bounds_its_rows_on_drawn_fractions(frac, size_n):
     assert _bound_covers_the_rows(frac, size_n)
+
+
+SHAPED = {  # alpha, beta and the (engine, layout) of their plan, for each engine
+    "level one": ("(1-i)*(y+1)", "(2-i)*r*y", ("level one", "r-packed")),
+    "hermite": JF_TEMPLATES["exp-h"],
+    "level-independent": JF_TEMPLATES["const-face"],
+    "y-packed walk": JF_TEMPLATES["perm-face"],
+    "MultiPoly walk": JF_TEMPLATES["perm-gamma"],
+    "rational": ("1/2+y", "(1/3)*i*r*y", ("hermite", "r-packed")),
+}
+NEGATIVE = {  # an object, a method, its arguments, what it raises and the object's plan, if a fraction
+    **{
+        f"{name}: {method}({order}{', its plan' if planned else ''})": (frac, method, (order, _unpack, frac.plan(3)) if planned else (order,), ValueError, shape)
+        for name, (alpha, beta, shape) in SHAPED.items()
+        for frac in [JFraction(parse_index_poly(alpha), parse_index_poly(beta))]
+        for method, planned in (("plan", False), ("rows", False), ("rows", True), ("triangle", False))
+        for order in (-1, -2)
+    },
+    "RiordanArray.matrix(-1)": (binomial_array(order=4), "matrix", (-1,), ValueError, None),
+    **{f"RiordanArray.entry{nk}": (binomial_array(order=4), "entry", nk, IndexError, None) for nk in ((2, -1), (-1, -1), (-1, 0))},
+    **{f"LowerTriMatrix.entry{nk}": (pascal_matrix(4), "entry", nk, IndexError, None) for nk in ((2, -1), (-1, -1), (-1, 0))},
+}
+
+
+@pytest.mark.parametrize("obj, method, args, error, shape", NEGATIVE.values(), ids=list(NEGATIVE))
+def test_a_negative_order_size_or_index_raises(obj, method, args, error, shape):
+    # Every engine refuses a negative order before it plans, where the
+    # recurrences' bound would take the max of no rows and the walk would
+    # return row 0; a matrix refuses a negative size, and an entry a
+    # negative index, which Python's indexing would read from the end.
+    if shape:
+        plan = obj.plan(3)
+        assert (plan.engine, plan.layout) == shape
+    with pytest.raises(error, match="negative"):
+        getattr(obj, method)(*args)

@@ -17,6 +17,7 @@ from riordan.bfile import (
 )
 from riordan.oeis import (
     FIXTURES,
+    CheckReport,
     SymbolicEntries,
     TriangleFixture,
     check_sequence,
@@ -130,6 +131,26 @@ def test_check_sequence():
     fx = FIXTURES["A001147"]
     assert check_sequence([1, 1, 3, 15], fx).ok
     assert not check_sequence([1, 2], fx).ok
+
+
+DOUBLE_FACTORIALS = list(FIXTURES["A001147"].values)  # 11 values: 1, 1, 3, 15, 105, ...
+
+
+@pytest.mark.parametrize(
+    "values, report",
+    [
+        (DOUBLE_FACTORIALS, CheckReport("A001147", 11, 11)),
+        ([1, 1, 3, 16, *DOUBLE_FACTORIALS[4:]], CheckReport("A001147", 11, 3, (3, 0, 16, 15))),
+        (DOUBLE_FACTORIALS[:5], CheckReport("A001147", 5, 5)),
+        (DOUBLE_FACTORIALS + [0, 1], CheckReport("A001147", 11, 11)),
+    ],
+    ids=["match", "first mismatch", "short", "long"],
+)
+def test_check_sequence_reports_as_one_entry_rows(values, report):
+    # The sequence's values and the fixture's, each a row of one entry,
+    # take the triangles' comparison: a mismatch at (i, 0) after i entries
+    # matched, and only the shorter list's length compared.
+    assert check_sequence(values, FIXTURES["A001147"]) == report
 
 
 def test_fixture_shape_validation():

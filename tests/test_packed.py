@@ -434,11 +434,11 @@ def test_the_bound_holds_an_entry_that_is_all_prefactor():
 
 @given(st.randoms(use_true_random=False), st.sampled_from([Kind.ORDINARY, Kind.EXPONENTIAL]), st.integers(0, 10), st.integers(-5, 5) | st.just(2**40))
 def test_the_rows_at_an_integer_are_the_matrix_rows_there(rng, kind, size, y):
-    # _rows_at expands the bivariate generating function on ints; the
-    # entries one by one (RiordanArray.entry, by series products), evaluated
+    # _rows_at expands the bivariate generating function on ints; the rows
+    # of the full column products (canonical.matrix_by_columns), evaluated
     # at y, are its oracle, for any y.
     array = laws._random_array(rng, kind, 10)
-    assert array._rows_at(size, y) == [sum(array.entry(n, k) * y**k for k in range(n + 1)) for n in range(size + 1)]
+    assert array._rows_at(size, y) == [sum(e * y**k for k, e in enumerate(row)) for row in matrix_by_columns(array, size).rows]
 
 
 MATRICES = {
@@ -454,10 +454,13 @@ MATRICES = {
 @pytest.mark.parametrize("array", MATRICES.values(), ids=list(MATRICES))
 def test_the_matrix_is_its_entries(array):
     # Every kind, on ints, cleared of denominators or in r: the matrix and
-    # its entries one by one (RiordanArray.entry, by series products), or
-    # the text of the first NonIntegralEntry in row order.
+    # its entries one by one (RiordanArray.entry, each read alone) against
+    # the full column products (canonical.matrix_by_columns), or the text
+    # of the first NonIntegralEntry in row order.
     n = array.order
-    assert typed_outcome(lambda: array.matrix(n)) == typed_outcome(lambda: LowerTriMatrix([array.entry(m, k) for k in range(m + 1)] for m in range(n + 1)))
+    want = typed_outcome(lambda: matrix_by_columns(array, n))
+    assert typed_outcome(lambda: array.matrix(n)) == want
+    assert typed_outcome(lambda: LowerTriMatrix([array.entry(m, k) for k in range(m + 1)] for m in range(n + 1))) == want
 
 
 def widest(values):

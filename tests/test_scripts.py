@@ -319,13 +319,20 @@ COMPARED = [
 # (argv, whether stdout is a closed pipe), run as processes.
 PROCESSES = [(["show", "--which", "f", "--N", "3"], False), (["show", "--which", "f", "--N", "3"], True)]
 
+# The library pass's arrays: one with integral entries, one with an entry
+# that is not integral.
+ARRAYS = [
+    "binomial_array(Kind.EXPONENTIAL, 3)",
+    "RiordanArray(TruncatedSeries([1, Fraction(1, 3)], 3), TruncatedSeries.x(3), Kind.EXPONENTIAL)",
+]
+
 
 def _compare(baseline):
-    """Exit code and stdout lines of compare_outputs on COMPARED and
-    PROCESSES against baseline, and the number of processes it started.
-    This tree's side runs only in the first call in this interpreter,
-    :func:`_itself`, which every compare test makes first: a later call
-    starts only the baseline's runner and processes."""
+    """Exit code and stdout lines of compare_outputs on COMPARED,
+    PROCESSES and ARRAYS against baseline, and the number of processes it
+    started.  This tree's side runs only in the first call in this
+    interpreter, :func:`_itself`, which every compare test makes first: a
+    later call starts only the baseline's runners and processes."""
     out, starts, start = io.StringIO(), [], subprocess.Popen.__init__
 
     def counted(self, *args, **kwargs):
@@ -333,7 +340,7 @@ def _compare(baseline):
         start(self, *args, **kwargs)
 
     with mock.patch.object(subprocess.Popen, "__init__", counted), contextlib.redirect_stdout(out):
-        code = compare["main"]([str(baseline)], commands=COMPARED, processes=PROCESSES)
+        code = compare["main"]([str(baseline)], commands=COMPARED, processes=PROCESSES, arrays=ARRAYS)
     return code, out.getvalue().splitlines(), len(starts)
 
 
@@ -346,8 +353,8 @@ def _copy_src(tmp_path):
 
 
 def test_compare_outputs_finds_no_difference_between_a_tree_and_itself():
-    # Both trees' runners and processes start.
-    assert _itself() == (0, ["4 commands, 0 differ", "2 commands as processes, 0 differ"], 2 + 2 * len(PROCESSES))
+    # Both trees' two runners and processes start.
+    assert _itself() == (0, ["4 commands, 0 differ", "2 commands as processes, 0 differ", "2 arrays, 0 differ"], 4 + 2 * len(PROCESSES))
 
 
 def test_compare_outputs_reports_each_command_whose_output_changed(tmp_path):
@@ -360,11 +367,12 @@ def test_compare_outputs_reports_each_command_whose_output_changed(tmp_path):
         [
             "4 commands, 2 differ",
             "2 commands as processes, 1 differ",
+            "2 arrays, 0 differ",
             "riordan show --which f --N 3: stdout differ",
             "riordan export --which h --N 3 --format csv --output export.out: written file differ",
             "riordan show --which f --N 3 (as a process): stdout differ",
         ],
-        1 + len(PROCESSES),
+        2 + len(PROCESSES),
     )
 
 
@@ -380,8 +388,28 @@ def test_compare_outputs_sees_how_a_process_ends(tmp_path):
         [
             "4 commands, 0 differ",
             "2 commands as processes, 2 differ",
+            "2 arrays, 0 differ",
             "riordan show --which f --N 3 (as a process): stdout differ",
             "riordan show --which f --N 3 (as a process, stdout closed): exit code, stderr differ",
         ],
-        1 + len(PROCESSES),
+        2 + len(PROCESSES),
+    )
+
+
+def test_compare_outputs_reports_each_library_call_whose_outcome_changed(tmp_path):
+    _itself()  # this tree's side has run: only the baseline's starts below
+    # The text of a NonIntegralEntry differs, in the matrix and in each
+    # entry that raises it: a[1,0] = 1/3 and a[2,1] = 2/3 of g = 1 + x/3;
+    # a[3,2] = 3!/2! 1/3 is 1.
+    arrays = _copy_src(tmp_path) / "arrays.py"
+    arrays.write_text(arrays.read_text().replace("entry is not an integer", "entry is no integer"))
+    assert _compare(tmp_path) == (
+        1,
+        [
+            "4 commands, 0 differ",
+            "2 commands as processes, 0 differ",
+            "2 arrays, 1 differ",
+            f"{ARRAYS[1]}: matrix(3), entry(1, 0), entry(2, 1) differ",
+        ],
+        2 + len(PROCESSES),
     )
