@@ -35,10 +35,12 @@ Last, a library pass runs in one fresh interpreter per tree, both at once:
 for each array of :data:`ARRAYS` (one of each kind, an array with rational
 coefficients, arrays in a symbolic r, one with an entry that is not
 integral, and the Narayana array), ``matrix(N)`` and ``matrix(N + 1)`` for
-N its order, and ``entry(n, k)`` for every 0 <= k <= n + 1 <= N + 2.  Each
-outcome is the typed entries (each entry's type, and each coefficient's of
-a polynomial) or the exception's type and text.  The script prints the
-number of arrays and each whose calls differ, naming those calls.
+N its order, ``entry(n, k)`` for every 0 <= k <= n + 1 <= N + 2, and
+``bgf(0)``, ``bgf(N)``, ``bgf(N + 1)`` and ``bgf(-1)``.  Each outcome is
+the typed entries or series coefficients (each one's type, and each
+coefficient's of a polynomial) or the exception's type and text.  The
+script prints the number of arrays and each whose calls differ, naming
+those calls.
 
 Called again in one interpreter (``main`` takes the command lists and the
 arrays as arguments), the script reuses this tree's records of each
@@ -88,8 +90,9 @@ for argv in json.load(sys.stdin):
 
 # Builds each array it reads, as Python text, from stdin and prints one JSON
 # record per array: a [call, outcome] pair for matrix(N) and matrix(N + 1),
-# N the array's order, and for entry(n, k) at every 0 <= k <= n + 1 <= N + 2;
-# an outcome is the typed entries, or the exception's type and text.
+# N the array's order, for entry(n, k) at every 0 <= k <= n + 1 <= N + 2,
+# and for bgf(m) at m = 0, N, N + 1 and -1; an outcome is the typed entries
+# or coefficients, or the exception's type and text.
 LIBRARY = """
 import json, sys
 from fractions import Fraction
@@ -108,13 +111,16 @@ def outcome(call):
         value = call()
     except Exception as exc:
         return [type(exc).__name__, str(exc)]
-    return [[typed(e) for e in row] for row in value.rows] if hasattr(value, "rows") else typed(value)
+    if hasattr(value, "rows"):
+        return [[typed(e) for e in row] for row in value.rows]
+    return [typed(c) for c in value.coeffs] if hasattr(value, "coeffs") else typed(value)
 
 for text in json.load(sys.stdin):
     array = eval(text)
     size = array.order
     calls = [(f"matrix({m})", lambda m=m: array.matrix(m)) for m in (size, size + 1)]
     calls += [(f"entry({n}, {k})", lambda n=n, k=k: array.entry(n, k)) for n in range(size + 2) for k in range(n + 2)]
+    calls += [(f"bgf({m})", lambda m=m: array.bgf(m)) for m in (0, size, size + 1, -1)]
     print(json.dumps([[name, outcome(call)] for name, call in calls]), flush=True)
 """
 

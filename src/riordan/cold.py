@@ -5,12 +5,14 @@ Production builds every triangle by row recurrences or J-fractions
 as the oracle that ``verify`` and the tests check them against, and lives
 here with the other code only they use: the Riordan group, the families'
 oracle routes (Riordan route, gamma extraction, closed forms, Narayana
-array), the bodies of the series operations inverse, compose, revert and
-exp and of :meth:`MultiPoly.parse`, and ``parse_matrix_doc``.  One
-recurrence, :func:`_bgf_rows`, reads a Riordan array's rows from its
-bivariate GF, g / (1 - y f) or g exp(y f), and the same recurrence at
-y = 1 is the series inverse, c / (1 - u) for c = 1/s_0 and u = 1 - c s,
-and the series exp, exp(y s).
+array), the bodies of the series operations ratio, inverse, compose,
+revert and exp and of :meth:`MultiPoly.parse`, and ``parse_matrix_doc``.
+One recurrence, :func:`_bgf_rows`, is the module's only generating-function
+engine: it reads a Riordan array's rows from its bivariate GF, g / (1 -
+y f) or g exp(y f), at y = Y for :meth:`RiordanArray.bgf` and at an
+integer y for the matrix, its entries, the group laws and revert (below);
+at y = 1 it is the series ratio num / den, c num / (1 - u) for c = 1/den_0
+and u = 1 - c den (the inverse is num = 1), and the series exp, exp(y s).
 
 ``verify group`` spends most of its time here, on integer series of order
 8 to 12.  So integers stand in for series and polynomials, by Kronecker
@@ -119,20 +121,24 @@ def _chain_width(bound: int) -> int | None:
     return width if width and width <= SERIES_CHAIN_BITS else None
 
 
-def _bgf_rows(kind: Kind, g: Sequence, f: Sequence, size_n: int, y: int) -> list:
-    """Rows 0..size_n at the integer y of the array (g, f) of the kind,
-    ordinary or exponential, row n sum_k a[n,k] y^k, the x^n coefficient of
-    its bivariate GF (:meth:`RiordanArray.bgf`), computed exactly on
-    scalars or MultiPolys, with no division.  Ordinary: P = g / (1 - y f),
-    so P_n = g_n + y sum_(j=1..n) f_j P_(n-j).  Exponential, on g and f in
-    Hurwitz form (:func:`_hurwitz`, G_j = j! g_j and F_j = j! f_j): P_n =
-    n! [x^n] g e for e = exp(y f), which solves e' = y f' e, so E_n = n! e_n
-    is y sum_(j=1..n) C(n-1, j-1) F_j E_(n-j), and P_n is sum_j C(n, j)
-    G_j E_(n-j): integral for integral G and F, as for integer g and f and
-    the exponential family's e^x and x + r x^2/2.  g(0) need not be 1, nor
-    f_1 a unit: :meth:`RiordanArray.matrix` runs this on cleared
-    coefficients, and at y = 1 it is :func:`series_inverse` (ordinary, g
-    the constant 1/s_0) and :func:`series_exp` (exponential, g = 1)."""
+def _bgf_rows(kind: Kind, g: Sequence, f: Sequence, size_n: int, y: "int | MultiPoly") -> list:
+    """Rows 0..size_n at y of the array (g, f) of the kind, ordinary or
+    exponential, row n sum_k a[n,k] y^k, the x^n coefficient of its
+    bivariate GF, computed exactly on scalars or MultiPolys, with no
+    division.  Ordinary: P = g / (1 - y f), so P_n = g_n + y sum_(j=1..n)
+    f_j P_(n-j).  Exponential, on g and f in Hurwitz form (:func:`_hurwitz`,
+    G_j = j! g_j and F_j = j! f_j): P_n = n! [x^n] g e for e = exp(y f),
+    which solves e' = y f' e, so E_n = n! e_n is y sum_(j=1..n) C(n-1, j-1)
+    F_j E_(n-j), and P_n is sum_j C(n, j) G_j E_(n-j): integral for
+    integral G and F, as for integer g and f and the exponential family's
+    e^x and x + r x^2/2.  g(0) need not be 1, nor f_1 a unit.  The one GF
+    engine of this module; its callers: :meth:`RiordanArray.bgf` at y = Y
+    (:meth:`RiordanArray._rows_at`, which the group laws also run at
+    y = 2^W); :func:`_array_rows` at y = 2^V on cleared coefficients, for
+    :meth:`RiordanArray.matrix`, :meth:`RiordanArray.entry` and
+    :func:`series_revert`; :func:`_majorant` on norms; and at y = 1
+    :func:`series_ratio` (ordinary, the ratio and the inverse) and
+    :func:`series_exp` (exponential, g = 1)."""
     g, f, rows = g[: size_n + 1], f[1 : size_n + 1], []  # f from f_1 on
     if kind is Kind.ORDINARY:
         for n in range(size_n + 1):
@@ -155,6 +161,12 @@ def _pascal(size_n: int) -> tuple[tuple[int, ...], ...]:
 def _hurwitz(coeffs: Sequence) -> list:
     """The Hurwitz form of a series, j! c_j for each coefficient c_j."""
     return [tidy(factorial(j) * c) for j, c in enumerate(coeffs)]
+
+
+def _from_hurwitz(coeffs: Sequence) -> list:
+    """The series whose Hurwitz form is coeffs, c_j / j! for each, through
+    :func:`_over`: the inverse of :func:`_hurwitz`."""
+    return [_over(c, factorial(j)) for j, c in enumerate(coeffs)]
 
 
 def _majorant(kind: Kind, g: Sequence, f: Sequence, size_n: int, y: int = 1) -> int:
@@ -247,14 +259,14 @@ def _unit_inverse(c: Coeff, error: type[ValueError], what: str) -> Coeff:
     return c if isinstance(c, int) else 1 / c
 
 
-def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
-    """The body of :meth:`TruncatedSeries.inverse`: with c the inverse of
-    s_0, 1/s = c / (1 - u) for u = 1 - c s, whose constant term is 0, so
-    its coefficients are rows 0..n at y = 1 of the ordinary array (c, u)
-    (:func:`_bgf_rows`)."""
-    c = _unit_inverse(s._coeffs[0], NonUnitConstantTerm, "constant term")
-    n = s.order
-    return _trusted(_bgf_rows(Kind.ORDINARY, [c] + [0] * n, [-c * a for a in s._coeffs], n, 1))
+def series_ratio(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
+    """The body of :meth:`TruncatedSeries.ratio` and of
+    :meth:`TruncatedSeries.inverse` (num = 1), on num and den of one order
+    n: with c the inverse of den_0, num / den = c num / (1 - u) for u = 1 -
+    c den, whose constant term is 0, so its coefficients are rows 0..n at
+    y = 1 of the ordinary array (c num, u) (:func:`_bgf_rows`)."""
+    c = _unit_inverse(den._coeffs[0], NonUnitConstantTerm, "constant term")
+    return _trusted(_bgf_rows(Kind.ORDINARY, [c * a for a in num._coeffs], [-c * a for a in den._coeffs], den.order, 1))
 
 
 def series_compose(s: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
@@ -332,8 +344,7 @@ def series_exp(s: TruncatedSeries) -> TruncatedSeries:
     is then scaled once, by 1/n!."""
     if s._coeffs[0] != 0:
         raise NonzeroConstantTerm("exp needs a zero constant term")
-    rows = _bgf_rows(Kind.EXPONENTIAL, [1], _hurwitz(s._coeffs), s.order, 1)
-    return _trusted([_over(e, factorial(n)) for n, e in enumerate(rows)])
+    return _trusted(_from_hurwitz(_bgf_rows(Kind.EXPONENTIAL, [1], _hurwitz(s._coeffs), s.order, 1)))
 
 
 def egf_to_ogf(series: TruncatedSeries) -> TruncatedSeries:
@@ -521,9 +532,10 @@ class RiordanArray(Frozen):
         g, f = self.g._coeffs[: size_n + 1], self.f._coeffs[: size_n + 1]
         return (_hurwitz(g), _hurwitz(f)) if self.kind is Kind.EXPONENTIAL else (g, f)
 
-    def _rows_at(self, size_n: int, y: int) -> list[int]:
-        """Rows 0..size_n of the matrix at the integer y, row n the x^n
-        coefficient of the bivariate GF (:func:`_bgf_rows`, :meth:`bgf`)."""
+    def _rows_at(self, size_n: int, y: "int | MultiPoly") -> list:
+        """Rows 0..size_n of the matrix at y, an integer or :data:`Y`, row n
+        the x^n coefficient of the bivariate GF (:func:`_bgf_rows`), in
+        Hurwitz form for an exponential array (:meth:`bgf`)."""
         self._require_group_kind()
         return _bgf_rows(self.kind, *self._gf(size_n), size_n, y)
 
@@ -556,24 +568,27 @@ class RiordanArray(Frozen):
     # -- generating functions ------------------------------------------------
 
     def bgf(self, order: int | None = None) -> TruncatedSeries:
-        """Bivariate generating function as a series in x over MultiPoly.
-
-        Ordinary: g / (1 - y f).  Exponential: g * exp(y f), whose x^n
-        coefficient times n! is the row polynomial sum_k a[n,k] y^k.
+        """Bivariate generating function as a series in x over MultiPoly,
+        read from rows 0..order of the array's recurrence at y = Y
+        (:meth:`_rows_at`).  Ordinary: g / (1 - y f), whose x^n coefficient
+        is row n.  Exponential: g * exp(y f), whose x^n coefficient is the
+        Hurwitz row n over n! (:func:`_from_hurwitz`), so that n! times it
+        is the row polynomial sum_k a[n,k] y^k.  Coefficient 0 is g_0 as
+        given, and each later one a MultiPoly, a constant one included.
         """
-        if order is None:
-            order = self.order
+        order = self.order if order is None else order
+        if order < 0:
+            raise ValueError(f"order {order} is negative")
         if order > self.order:
             from .arrays import IndexBeyondTruncation
 
             raise IndexBeyondTruncation(f"order {order} beyond truncation {self.order}")
-        g = self.g.truncate(order)
-        yf = self.f.truncate(order) * Y
-        if self.kind is Kind.ORDINARY:
-            return g * (1 - yf).inverse()
+        if self.kind is Kind.GENERALIZED:
+            raise UnsupportedKind("generalized arrays have no bivariate GF here")
+        rows = self._rows_at(order, Y)
         if self.kind is Kind.EXPONENTIAL:
-            return g * yf.exp()
-        raise UnsupportedKind("generalized arrays have no bivariate GF here")
+            rows = _from_hurwitz(rows)
+        return _trusted([self.g[0], *map(MultiPoly.coerce, rows[1:])])
 
 
 def identity_array(kind: Kind = Kind.ORDINARY, order: int = DEFAULT_ORDER) -> RiordanArray:

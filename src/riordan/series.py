@@ -16,13 +16,15 @@ series of :meth:`~riordan.jfraction.JFraction.expand`, which walks on
 MultiPoly alone and is the tests' oracle of every engine.  A y-packed walk
 reads its rows from its packed values, and no fixture check loads a series
 either.  None of those requests inverts, composes, reverts or
-exponentiates a series, so the bodies of those methods, their exceptions,
+exponentiates a series, so the bodies of those methods and of
+:meth:`TruncatedSeries.ratio`, their exceptions,
 :func:`~riordan.cold.egf_to_ogf` and :func:`~riordan.cold.integer_coeffs`
-live in :mod:`riordan.cold`, loaded on first use.  There the inverse and
-the exp are the recurrence of a Riordan array's bivariate GF at y = 1,
-g / (1 - y f) and exp(y f), and the reversion of s solves against the rows
-of the array (1, s), whose inverse is (1, sbar).  The methods stay here and delegate to it; the
-other names import from there.
+live in :mod:`riordan.cold`, loaded on first use.  There the ratio, the
+inverse (the ratio 1 / s) and the exp are each one run of the recurrence
+of a Riordan array's bivariate GF at y = 1, g / (1 - y f) and exp(y f),
+with no series product, and the reversion of s solves against the rows of
+the array (1, s), whose inverse is (1, sbar).  The methods stay here and
+delegate to it; the other names import from there.
 """
 
 from operator import add, mul
@@ -73,8 +75,10 @@ class TruncatedSeries:
         denominator: Sequence[Coeff],
         order: int = DEFAULT_ORDER,
     ) -> "TruncatedSeries":
-        """Expand a rational function given by polynomial coefficient lists."""
-        return cls(numerator, order) * cls(denominator, order).inverse()
+        """Expand a rational function given by polynomial coefficient lists:
+        the bivariate-GF recurrence at y = 1 (:func:`~riordan.cold.series_ratio`),
+        with no series product or inverse."""
+        return _cold().series_ratio(cls(numerator, order), cls(denominator, order))
 
     # -- basics ------------------------------------------------------------
 
@@ -95,7 +99,7 @@ class TruncatedSeries:
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise ValueError(f"cannot extend a series from order {self.order} to {order}")
-        return TruncatedSeries(self._coeffs[: order + 1])
+        return TruncatedSeries(self._coeffs, order)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, TruncatedSeries):
@@ -146,8 +150,9 @@ class TruncatedSeries:
     # -- multiplicative / compositional structure ----------------------------
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse: self * self.inverse() == 1 up to order."""
-        return _cold().series_inverse(self)
+        """Multiplicative inverse: self * self.inverse() == 1 up to order,
+        the ratio 1 / self (:func:`~riordan.cold.series_ratio`)."""
+        return _cold().series_ratio(TruncatedSeries.one(self.order), self)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """self(inner(x)), requiring inner(0) == 0.  Horner evaluation."""

@@ -1,7 +1,7 @@
 """Exact values with their types, for comparing a routine with its oracle,
 the coefficient rings the oracle tests draw from, the series-product
-oracle of a Riordan array's matrix, and symbolic rows specialised at a
-value of r."""
+oracles of a Riordan array's matrix and bivariate GF, and symbolic rows
+specialised at a value of r."""
 
 from fractions import Fraction
 from functools import cache
@@ -68,6 +68,15 @@ def matrix_by_columns(array, size_n):
     return LowerTriMatrix(
         [_normalize_entry(_prefactor(array, n, k) * cols[k][n]) for k in range(n + 1)] for n in range(size_n + 1)
     )
+
+
+def bgf_by_series(array, order):
+    """The bivariate GF to x^order as series operations give it, g * (1 -
+    y f).inverse() or g * (y f).exp(): the oracle of RiordanArray.bgf,
+    which reads it from the rows of the array's recurrence at y = Y and
+    takes no series product."""
+    g, yf = array.g.truncate(order), array.f.truncate(order) * Y
+    return g * (1 - yf).inverse() if array.kind is Kind.ORDINARY else g * yf.exp()
 
 
 def _prefactor(array, n, k):

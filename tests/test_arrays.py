@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from canonical import matrix_by_columns, rings, typed_all, typed_outcome
+from canonical import bgf_by_series, matrix_by_columns, rings, typed_all, typed_outcome
 from riordan.algebra import R, Y, MultiPoly, tidy
 from riordan.arrays import (
     IndexBeyondTruncation,
@@ -114,12 +114,14 @@ def test_kind_rules():
         (lambda: S([0]).revert(), ZeroLinearTerm, "no linear coefficient available"),
         (lambda: simplex_face_array(4).matrix(5), IndexBeyondTruncation, "size 5 beyond truncation order 4"),
         (lambda: simplex_face_array(4).bgf(5), IndexBeyondTruncation, "order 5 beyond truncation 4"),
+        (lambda: binomial_array().bgf(-1), ValueError, "order -1 is negative"),
+        (lambda: S([1, 2]).truncate(-1), ValueError, "order must be non-negative"),
         (lambda: WeightSequence("step", lambda n: 1 - n)(1), ValueError, "weight c_1 is zero"),
         (lambda: setattr(UNIT_WEIGHTS, "name", "twos"), AttributeError, "cannot assign to field 'name' of a frozen record"),
         (lambda: delattr(UNIT_WEIGHTS, "c"), AttributeError, "cannot delete field 'c' of a frozen record"),
     ],
     ids=["symbolic-inverse", "zero-fraction-inverse", "revert-order-0", "matrix-past-order", "bgf-past-order",
-         "zero-weight", "frozen-set", "frozen-delete"],
+         "bgf-negative-order", "truncate-negative-order", "zero-weight", "frozen-set", "frozen-delete"],
 )
 def test_each_refused_input_raises_its_error_and_message(refused, error, text):
     with pytest.raises(error) as raised:
@@ -172,6 +174,19 @@ def test_bgf_examples():
 def test_bgf_rows_match_matrix_rows():
     fam = RiordanArray(S.ratio([1], [1, -1]), S.ratio([0, 1, 3], [1, -1]))
     assert triangle_from_series(fam.bgf(8)) == fam.matrix(8)
+
+
+@given(st.sampled_from([Kind.ORDINARY, Kind.EXPONENTIAL]), rings, st.data())
+def test_bgf_matches_the_series_operations(kind, ring, data):
+    """Every bgf(n), n <= order, of a drawn array equals the series
+    operations' g / (1 - y f) or g exp(y f), types compared; g_0 is 1 as
+    an int, a Fraction or a constant MultiPoly."""
+    order = data.draw(st.integers(1, 6))
+    values = st.lists(ring, min_size=order, max_size=order)
+    lead, one = data.draw(ring.filter(bool)), data.draw(st.sampled_from([1, Fraction(1), MultiPoly.const(1)]))
+    array = RiordanArray(S([one, *data.draw(values)]), S([0, lead, *data.draw(values)[1:]], order), kind)
+    for n in range(order + 1):
+        assert typed_all(array.bgf(n)) == typed_all(bgf_by_series(array, n))
 
 
 def test_reversal_examples():

@@ -95,6 +95,18 @@ def test_inverse_matches_its_coefficient_recurrence(ring, data):
     assert s * s.inverse() == 1
 
 
+@given(st.sampled_from(sorted(units)), st.data())
+def test_ratio_matches_the_product_with_the_inverse(ring, data):
+    """ratio(num, den) equals num times the coefficient loop's 1/den,
+    types compared, for drawn num and den of every ring, den with a unit
+    constant term."""
+    order = data.draw(st.integers(0, 12))
+    num = data.draw(st.lists(rings_by_name[ring], max_size=12))
+    den = [data.draw(units[ring]), *data.draw(st.lists(rings_by_name[ring], max_size=12))]
+    want = S(num, order) * S(_inverse_by_recurrence(S(den, order)))
+    assert typed_all(S.ratio(num, den, order)) == typed_all(want)
+
+
 def test_compose_examples():
     g = S.ratio([1], [1, -1], 8)
     f = S.ratio([0, 1], [1, -1], 8)
