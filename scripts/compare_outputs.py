@@ -32,11 +32,13 @@ the number of those commands and each whose exit code, stdout, stderr or
 written file differs; this pass takes about ten seconds.
 
 Last, a library pass runs in one fresh interpreter per tree, both at once:
-for each array of :data:`ARRAYS` (one of each kind, an array with rational
-coefficients, arrays in a symbolic r, one with an entry that is not
-integral, and the Narayana array), ``matrix(N)`` and ``matrix(N + 1)`` for
-N its order, ``entry(n, k)`` for every 0 <= k <= n + 1 <= N + 2, and
-``bgf(0)``, ``bgf(N)``, ``bgf(N + 1)`` and ``bgf(-1)``.  Each outcome is
+for each array of :data:`ARRAYS` (one of each kind, the exponential family
+at an even and an odd r, an array with rational coefficients, arrays in a
+symbolic r, one with an entry that is not integral, and the Narayana
+array), ``matrix(N)`` and ``matrix(N + 1)`` for
+N its order, ``entry(n, k)`` for every 0 <= k <= n + 1 <= N + 2,
+``bgf(0)``, ``bgf(N)``, ``bgf(N + 1)`` and ``bgf(-1)``, and its series
+``g`` and ``f`` as its constructor built them.  Each outcome is
 the typed entries or series coefficients (each one's type, and each
 coefficient's of a polynomial) or the exception's type and text.  The
 script prints the number of arrays and each whose calls differ, naming
@@ -91,8 +93,8 @@ for argv in json.load(sys.stdin):
 # Builds each array it reads, as Python text, from stdin and prints one JSON
 # record per array: a [call, outcome] pair for matrix(N) and matrix(N + 1),
 # N the array's order, for entry(n, k) at every 0 <= k <= n + 1 <= N + 2,
-# and for bgf(m) at m = 0, N, N + 1 and -1; an outcome is the typed entries
-# or coefficients, or the exception's type and text.
+# for bgf(m) at m = 0, N, N + 1 and -1, and for its g and f; an outcome is
+# the typed entries or coefficients, or the exception's type and text.
 LIBRARY = """
 import json, sys
 from fractions import Fraction
@@ -121,16 +123,19 @@ for text in json.load(sys.stdin):
     calls = [(f"matrix({m})", lambda m=m: array.matrix(m)) for m in (size, size + 1)]
     calls += [(f"entry({n}, {k})", lambda n=n, k=k: array.entry(n, k)) for n in range(size + 2) for k in range(n + 2)]
     calls += [(f"bgf({m})", lambda m=m: array.bgf(m)) for m in (0, size, size + 1, -1)]
+    calls += [("g", lambda: array.g), ("f", lambda: array.f)]
     print(json.dumps([[name, outcome(call)] for name, call in calls]), flush=True)
 """
 
 # The arrays of the library pass, as the runner builds them: one of each
-# kind, an array with rational coefficients, arrays in a symbolic r, one
-# with an entry that is not integral, and the Narayana array.
+# kind, the exponential family at an even r (r/2 integral) and an odd one,
+# an array with rational coefficients, arrays in a symbolic r, one with an
+# entry that is not integral, and the Narayana array.
 ARRAYS = [
     "binomial_array(Kind.ORDINARY, 8)",
     "binomial_array(Kind.EXPONENTIAL, 8)",
     "RiordanArray(TruncatedSeries.ratio([1], [1, -1], 8), TruncatedSeries.x(8), Kind.GENERALIZED, FACTORIAL_WEIGHTS)",
+    "family_array(FamilySpec(Kind.EXPONENTIAL, 2), 8)",
     "family_array(FamilySpec(Kind.EXPONENTIAL, 3), 8)",
     "family_array(FamilySpec(Kind.ORDINARY, R), 6)",
     "family_array(FamilySpec(Kind.EXPONENTIAL, R), 6)",

@@ -264,9 +264,11 @@ def series_ratio(num: TruncatedSeries, den: TruncatedSeries) -> TruncatedSeries:
     :meth:`TruncatedSeries.inverse` (num = 1), on num and den of one order
     n: with c the inverse of den_0, num / den = c num / (1 - u) for u = 1 -
     c den, whose constant term is 0, so its coefficients are rows 0..n at
-    y = 1 of the ordinary array (c num, u) (:func:`_bgf_rows`)."""
+    y = 1 of the ordinary array (c num, u) (:func:`_bgf_rows`), each made
+    canonical (:func:`~riordan.algebra.tidy`) as exp and revert return
+    theirs."""
     c = _unit_inverse(den._coeffs[0], NonUnitConstantTerm, "constant term")
-    return _trusted(_bgf_rows(Kind.ORDINARY, [c * a for a in num._coeffs], [-c * a for a in den._coeffs], den.order, 1))
+    return _trusted([*map(tidy, _bgf_rows(Kind.ORDINARY, [c * a for a in num._coeffs], [-c * a for a in den._coeffs], den.order, 1))])
 
 
 def series_compose(s: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
@@ -596,14 +598,11 @@ def identity_array(kind: Kind = Kind.ORDINARY, order: int = DEFAULT_ORDER) -> Ri
 
 
 def binomial_array(kind: Kind = Kind.ORDINARY, order: int = DEFAULT_ORDER) -> RiordanArray:
-    """Pascal's triangle: (1/(1-x), x/(1-x)) or, exponentially, [e^x, x]."""
-    if kind is Kind.ORDINARY:
-        g = TruncatedSeries.ratio([1], [1, -1], order)
-        f = TruncatedSeries.ratio([0, 1], [1, -1], order)
-        return RiordanArray(g, f, kind)
-    if kind is Kind.EXPONENTIAL:
-        return RiordanArray(TruncatedSeries.x(order).exp(), TruncatedSeries.x(order), kind)
-    raise UnsupportedKind("the binomial array is ordinary or exponential")
+    """Pascal's triangle, (1/(1-x), x/(1-x)) or, exponentially, [e^x, x]:
+    the family at r = 0 (:func:`family_array`)."""
+    if kind is Kind.GENERALIZED:
+        raise UnsupportedKind("the binomial array is ordinary or exponential")
+    return family_array(FamilySpec(kind, 0), order)
 
 
 def face_array(a: RiordanArray) -> RiordanArray:
@@ -619,14 +618,16 @@ class NotPalindromic(ValueError):
 
 
 def family_array(spec: FamilySpec, order: int = DEFAULT_ORDER) -> RiordanArray:
-    """The Riordan array of the family at the given truncation order."""
+    """The Riordan array of the family at the given truncation order, its
+    coefficients canonical: r/2 through ``tidy``, so that at r = 0 it is
+    :func:`binomial_array`."""
     r = spec.r
     if spec.flavor is Kind.ORDINARY:
         g = TruncatedSeries.ratio([1], [1, -1], order)
         f = TruncatedSeries.ratio([0, 1, r], [1, -1], order)
         return RiordanArray(g, f, Kind.ORDINARY)
     g = TruncatedSeries.x(order).exp()
-    f = TruncatedSeries([0, 1, r * Fraction(1, 2)], order)
+    f = TruncatedSeries([0, 1, tidy(r * Fraction(1, 2))], order)
     return RiordanArray(g, f, Kind.EXPONENTIAL)
 
 
@@ -644,24 +645,15 @@ def dense_family_triple(spec: FamilySpec, size_n: int) -> GammaHFTriple:
 # Closed forms of the ordinary family's three triangles, a row at a time.
 
 
-def _powers(r: RValue, n: int) -> list[RValue]:
-    """r**0 .. r**n, each one product from the last."""
-    powers = [r**0]
-    for _ in range(n):
-        powers.append(powers[-1] * r)
-    return powers
-
-
 def gamma_closed_row(n: int, r: RValue = R) -> list[RValue]:
     """Row n of gamma: C(n-k, n-2k) r^k, and zero when 2k > n."""
-    powers = _powers(r, n // 2)
-    return [comb(n - k, n - 2 * k) * powers[k] if 2 * k <= n else 0 for k in range(n + 1)]
+    return [comb(n - k, n - 2 * k) * r**k if 2 * k <= n else 0 for k in range(n + 1)]
 
 
 def h_closed_row(n: int, r: RValue = R) -> list[RValue]:
     """Row n of h: sum_j C(k,j) C(n-j, n-k-j) r^j, over j <= min(k, n-k),
     where the second binomial is nonzero."""
-    powers = _powers(r, n // 2)
+    powers = [r**j for j in range(n // 2 + 1)]
     return [
         sum(comb(k, j) * comb(n - j, n - k - j) * powers[j] for j in range(min(k, n - k) + 1))
         for k in range(n + 1)
@@ -713,9 +705,7 @@ def narayana_array(order: int = DEFAULT_ORDER) -> RiordanArray:
 
     Its matrix is the Narayana triangle N[n,k] = C(n,k) C(n+1,k) / (k+1).
     """
-    g = TruncatedSeries(
-        [Fraction(1, factorial(m) * factorial(m + 1)) for m in range(order + 1)]
-    )
+    g = TruncatedSeries([_over(1, factorial(m) * factorial(m + 1)) for m in range(order + 1)])
     return RiordanArray(g, TruncatedSeries.x(order), Kind.GENERALIZED, FACTORIAL_PAIR_WEIGHTS)
 
 

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
@@ -11,7 +12,6 @@ from riordan.arrays import LowerTriMatrix, triangle_from_series
 from riordan.cold import (
     NotPalindromic,
     RiordanArray,
-    binomial_array,
     dense_family_triple,
     f_closed_row,
     face_matrix,
@@ -42,10 +42,13 @@ EXP = FamilySpec(Kind.EXPONENTIAL, R)
 
 
 def test_family_reduces_to_pascal_at_r_zero():
-    for kind in (Kind.ORDINARY, Kind.EXPONENTIAL):
+    # Against oracles that share no code with family_array: g and f written
+    # out, 1/(1-x) and x/(1-x) or e^x and x, and the rows C(n, k).
+    written = {Kind.ORDINARY: ([1] * 11, [0] + [1] * 10), Kind.EXPONENTIAL: ([Fraction(1, factorial(n)) for n in range(11)], [0, 1] + [0] * 9)}
+    for kind, (g, f) in written.items():
         fam = family_array(FamilySpec(kind, 0), 10)
-        b = binomial_array(kind, 10)
-        assert fam.g == b.g and fam.f == b.f
+        assert list(fam.g) == g and list(fam.f) == f
+        assert fam.matrix(10).rows == tuple(tuple(comb(n, k) for k in range(n + 1)) for n in range(11))
 
 
 def test_generalized_flavor_is_rejected():

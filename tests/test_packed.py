@@ -9,7 +9,8 @@ its bivariate GF at y = 2^V, however wide: an int row as its digits, a
 row in r or y term by term, a generalized array's as its ordinary
 array's, weighted; against the series products
 of its entries and columns (canonical.matrix_by_columns), on integer,
-rational, symbolic, weighted and extremal arrays.  The y-packed Motzkin
+rational, symbolic, weighted and extremal arrays, each constructor's g
+and f canonical.  The y-packed Motzkin
 walk (riordan.walk) reads its rows from the digits of its
 packed values; they must be the oracle's, the rows of JFraction.expand,
 which walks on MultiPoly alone and runs no packed code.  Entries of many
@@ -39,7 +40,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from canonical import matrix_by_columns, typed_all, typed_outcome, typed_rows
 from riordan import cold, laws, props, walk
-from riordan.algebra import MultiPoly, R, Y, _digits, _width
+from riordan.algebra import MultiPoly, R, Y, _digits, _width, tidy
 from riordan.arrays import LowerTriMatrix
 from riordan.cold import (
     RiordanArray,
@@ -448,6 +449,10 @@ MATRICES = {
     "exponential family, symbolic r": family_array(FamilySpec(Kind.EXPONENTIAL, R), 6),  # rows read term by term
     "narayana": narayana_array(10),  # generalized: weighted ordinary rows
     "non-integral": RiordanArray(TruncatedSeries([1, Fraction(1, 3)], 6), TruncatedSeries.x(6), Kind.EXPONENTIAL),
+    "identity": cold.identity_array(order=10),
+    **{f"binomial, {kind.value}": cold.binomial_array(kind, 10) for kind in (Kind.ORDINARY, Kind.EXPONENTIAL)},
+    **{f"{kind.value} family, {name}": family_array(FamilySpec(kind, r), 6 if r is R else 10) for kind in (Kind.ORDINARY, Kind.EXPONENTIAL)
+       for name, r in (("symbolic r", R), ("r = 0", 0), ("r = 1", 1), ("r = 2", 2), ("r = 3", 3), ("r = 2^40", 2**40))},
 }
 
 
@@ -456,7 +461,9 @@ def test_the_matrix_is_its_entries(array):
     # Every kind, on ints, cleared of denominators or in r: the matrix and
     # its entries one by one (RiordanArray.entry, each read alone) against
     # the full column products (canonical.matrix_by_columns), or the text
-    # of the first NonIntegralEntry in row order.
+    # of the first NonIntegralEntry in row order.  And g and f as built,
+    # canonical: no integral Fraction, no constant MultiPoly.
+    assert typed_all([*array.g, *array.f]) == typed_all(map(tidy, [*array.g, *array.f]))
     n = array.order
     want = typed_outcome(lambda: matrix_by_columns(array, n))
     assert typed_outcome(lambda: array.matrix(n)) == want

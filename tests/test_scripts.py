@@ -402,17 +402,19 @@ def test_compare_outputs_reports_each_library_call_whose_outcome_changed(tmp_pat
     # entry that raises it: a[1,0] = 1/3 and a[2,1] = 2/3 of g = 1 + x/3;
     # a[3,2] = 3!/2! 1/3 is 1.  And an exponential bgf's coefficients are
     # all MultiPolys: only the type of its constant term g_0 = 1 differs.
+    # The binomial array is the family at r = 0: its f built with r/2
+    # uncanonical holds a Fraction(0).
     src = _copy_src(tmp_path)
     arrays, cold = src / "arrays.py", src / "cold.py"
     arrays.write_text(arrays.read_text().replace("entry is not an integer", "entry is no integer"))
-    cold.write_text(cold.read_text().replace("[self.g[0], *map(", "[*map(MultiPoly.coerce, self.g[:1]), *map("))
+    cold.write_text(cold.read_text().replace("[self.g[0], *map(", "[*map(MultiPoly.coerce, self.g[:1]), *map(").replace("tidy(r * Fraction(1, 2))", "r * Fraction(1, 2)"))
     assert _compare(tmp_path) == (
         1,
         [
             "4 commands, 0 differ",
             "2 commands as processes, 0 differ",
             "2 arrays, 2 differ",
-            f"{ARRAYS[0]}: bgf(0), bgf(3) differ",
+            f"{ARRAYS[0]}: bgf(0), bgf(3), f differ",
             f"{ARRAYS[1]}: matrix(3), entry(1, 0), entry(2, 1), bgf(0), bgf(3) differ",
         ],
         2 + len(PROCESSES),
